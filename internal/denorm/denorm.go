@@ -2,8 +2,17 @@
 // CreateDenormalizedCollection (Figure 4.6) joins every dimension collection
 // into a fact collection, and EmbedDocuments (Figure 4.7) performs one such
 // join by replacing the fact's foreign-key value with the referenced
-// dimension document (minus its _id), using a HashMap of primary key →
-// dimension document and a multi-document update per key.
+// dimension document (minus its _id).
+//
+// The figure walks a HashMap of primary key → dimension document and sends
+// one multi-document update per key, so an embedding costs one round trip per
+// dimension row whether or not any fact document references it. This package
+// runs the same join set-oriented: one aggregate for the keys the fact
+// actually references, one find for those dimension documents, and the
+// figure's updates in bulk writes of embedChunk. The collection ends in the
+// same state and the same number of documents is reported modified; what
+// changes is that round trips grow with the number of embeddings, not with
+// the size of the dimensions.
 package denorm
 
 import (
@@ -26,44 +35,78 @@ type Embedding struct {
 	PKField   string // primary key field of the dimension collection
 }
 
-// EmbedDocuments is Figure 4.7: build a HashMap of the dimension's primary
-// keys to copies of its documents (with _id removed), then for every entry
-// update the fact collection, replacing the foreign-key value with the
-// document ({query: fk=pk, update: $set fk=doc, upsert:false, multi:true}).
-// It returns the number of fact documents modified.
+// embedChunk is how many $set multi-updates ride in one BulkWrite. It bounds
+// the size of a single request (each op carries a whole dimension document)
+// while keeping the number of round trips per embedding at
+// ceil(referenced keys / embedChunk) instead of one per dimension row.
+const embedChunk = 1000
+
+// EmbedDocuments is Figure 4.7 as a set-oriented hash join. The figure builds
+// a HashMap of every dimension primary key and issues one multi-update per
+// entry; here the target collection is first asked which keys it references
+// (one $group over the foreign-key path), only those dimension documents are
+// fetched ({pk: {$in: keys}}), and the same {query: fk=pk, update: $set
+// fk=doc, upsert:false, multi:true} updates ship as unordered bulk writes.
+// A key no target document references would match nothing, and each target
+// document matches at most one update (once embedded, its fk is no longer a
+// key), so the final collection state and the returned number of modified
+// documents are those of the figure, whatever the order the updates run in.
 func EmbedDocuments(store driver.Store, fact string, emb Embedding) (int, error) {
-	dimDocs, err := store.Find(emb.Dimension, nil, storage.FindOptions{})
+	groups, err := store.Aggregate(fact, []*bson.Doc{bson.D("$group", bson.D(bson.IDKey, "$"+emb.FKField))})
+	if err != nil {
+		return 0, fmt.Errorf("denorm: reading the %s keys of %s: %w", emb.FKField, fact, err)
+	}
+	if len(groups) == 0 {
+		return 0, nil
+	}
+	keys := make([]any, len(groups))
+	for i, g := range groups {
+		keys[i], _ = g.Get(bson.IDKey)
+	}
+	dimDocs, err := store.Find(emb.Dimension, bson.D(emb.PKField, bson.D("$in", keys)), storage.FindOptions{})
 	if err != nil {
 		return 0, fmt.Errorf("denorm: reading dimension %s: %w", emb.Dimension, err)
 	}
-	// Step 2-8: HashMap<pk, dimension document without _id>.
-	type entry struct {
-		pk  any
-		doc *bson.Doc
-	}
-	entries := make([]entry, 0, len(dimDocs))
+	ops := make([]storage.WriteOp, 0, len(dimDocs))
 	for _, d := range dimDocs {
 		pk, ok := d.Get(emb.PKField)
 		if !ok {
 			continue
 		}
-		doc := d.Clone()
-		doc.Delete(bson.IDKey)
-		entries = append(entries, entry{pk: pk, doc: doc})
+		ops = append(ops, embedOp(bson.D(emb.FKField, pk), emb.FKField, d))
 	}
-	// Step 9-11: one multi-update per HashMap entry.
+	modified, err := applyEmbedOps(store, fact, ops)
+	if err != nil {
+		return modified, fmt.Errorf("denorm: embedding %s into %s: %w", emb.Dimension, fact, err)
+	}
+	return modified, nil
+}
+
+// embedOp is one Figure 4.7 update: every document matching filter gets a
+// copy of doc, minus its _id, under field.
+func embedOp(filter *bson.Doc, field string, doc *bson.Doc) storage.WriteOp {
+	embedded := doc.Clone()
+	embedded.Delete(bson.IDKey)
+	return storage.UpdateWriteOp(query.UpdateSpec{
+		Query:  filter,
+		Update: bson.D("$set", bson.D(field, embedded)),
+		Multi:  true,
+	})
+}
+
+// applyEmbedOps ships the updates in unordered chunks of embedChunk and
+// returns the number of documents modified. It stops at the first chunk
+// that reports an error.
+func applyEmbedOps(store driver.Store, coll string, ops []storage.WriteOp) (int, error) {
 	modified := 0
-	for _, e := range entries {
-		res, err := store.Update(fact, query.UpdateSpec{
-			Query:  bson.D(emb.FKField, e.pk),
-			Update: bson.D("$set", bson.D(emb.FKField, e.doc)),
-			Upsert: false,
-			Multi:  true,
-		})
-		if err != nil {
-			return modified, fmt.Errorf("denorm: embedding %s into %s: %w", emb.Dimension, fact, err)
-		}
+	for len(ops) > 0 {
+		n := min(len(ops), embedChunk)
+		res := store.BulkWrite(coll, ops[:n], storage.BulkOptions{})
 		modified += res.Modified
+		if err := res.FirstError(); err != nil {
+			return modified, err
+		}
+		ops = ops[n:]
 	}
 	return modified, nil
 }
@@ -202,7 +245,7 @@ func EmbedReturnsIntoSales(store driver.Store) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("denorm: reading store_returns: %w", err)
 	}
-	modified := 0
+	ops := make([]storage.WriteOp, 0, len(returns))
 	for _, r := range returns {
 		ticket, ok1 := r.Get("sr_ticket_number")
 		// store_returns has already been denormalized, so its item and
@@ -213,21 +256,15 @@ func EmbedReturnsIntoSales(store driver.Store) (int, error) {
 		if !ok1 || !ok2 || !ok3 {
 			continue
 		}
-		doc := r.Clone()
-		doc.Delete(bson.IDKey)
-		res, err := store.Update("store_sales", query.UpdateSpec{
-			Query: bson.D(
-				"ss_ticket_number", ticket,
-				"ss_item_sk", item,
-				"ss_customer_sk", customer,
-			),
-			Update: bson.D("$set", bson.D(ReturnField, doc)),
-			Multi:  true,
-		})
-		if err != nil {
-			return modified, err
-		}
-		modified += res.Modified
+		ops = append(ops, embedOp(bson.D(
+			"ss_ticket_number", ticket,
+			"ss_item_sk", item,
+			"ss_customer_sk", customer,
+		), ReturnField, r))
+	}
+	modified, err := applyEmbedOps(store, "store_sales", ops)
+	if err != nil {
+		return modified, fmt.Errorf("denorm: embedding store_returns into store_sales: %w", err)
 	}
 	return modified, nil
 }

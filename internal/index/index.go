@@ -281,7 +281,10 @@ func (e *ErrDuplicateKey) Error() string {
 
 // Insert adds the document (identified by id) to the index.
 func (ix *Index) Insert(d *bson.Doc, id any) error {
-	keys := ix.keysForDoc(d)
+	return ix.insertKeys(ix.keysForDoc(d), id)
+}
+
+func (ix *Index) insertKeys(keys []Key, id any) error {
 	if ix.unique {
 		for _, k := range keys {
 			if existing := ix.tree.Get(k); len(existing) > 0 {
@@ -298,7 +301,11 @@ func (ix *Index) Insert(d *bson.Doc, id any) error {
 
 // Remove deletes the document's entries from the index.
 func (ix *Index) Remove(d *bson.Doc, id any) {
-	for _, k := range ix.keysForDoc(d) {
+	ix.removeKeys(ix.keysForDoc(d), id)
+}
+
+func (ix *Index) removeKeys(keys []Key, id any) {
+	for _, k := range keys {
 		if ix.tree.Delete(k, id) {
 			ix.size -= keySize(k) + 16
 			if ix.size < 0 {
@@ -306,6 +313,32 @@ func (ix *Index) Remove(d *bson.Doc, id any) {
 			}
 		}
 	}
+}
+
+// Replace maintains the index across an update of the document identified by
+// id: the entries under old's keys move to updated's keys. When the update
+// left the indexed fields alone the two key lists are equal and the tree is
+// not touched at all — no descent, no path copy — which is the common case
+// for every index but the one on the field an update writes.
+func (ix *Index) Replace(old, updated *bson.Doc, id any) error {
+	from, to := ix.keysForDoc(old), ix.keysForDoc(updated)
+	if sameKeys(from, to) {
+		return nil
+	}
+	ix.removeKeys(from, id)
+	return ix.insertKeys(to, id)
+}
+
+func sameKeys(a, b []Key) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if CompareKeys(a[i], b[i]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func keySize(k Key) int {

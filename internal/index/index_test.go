@@ -316,3 +316,55 @@ func TestIndexDottedPathKeys(t *testing.T) {
 		t.Fatalf("dotted path lookup = %v", got)
 	}
 }
+
+// TestReplaceSkipsUnchangedKeys: Replace leaves the tree alone (no path copy
+// in an open copy-on-write era, entry order kept) when the update did not
+// change the document's keys, and moves the entries when it did — compound
+// and hashed keys included.
+func TestReplaceSkipsUnchangedKeys(t *testing.T) {
+	for _, spec := range []*bson.Doc{
+		bson.D("a", 1),
+		bson.D("a", 1, "b", 1),
+		bson.D("a", "hashed"),
+	} {
+		ix := New("", MustParseSpec(spec), false)
+		old := bson.D(bson.IDKey, 1, "a", 5, "b", 1, "other", "x")
+		if err := ix.Insert(old, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Insert(bson.D(bson.IDKey, 2, "a", 5, "b", 1), 2); err != nil {
+			t.Fatal(err)
+		}
+		frozen := ix.Freeze()
+		ix.SetStamp(2)
+		copied := int64(0)
+		ix.SetCopyHook(func(b int64) { copied += b })
+
+		same := bson.D(bson.IDKey, 1, "a", 5, "b", 1, "other", "y")
+		if err := ix.Replace(old, same, 1); err != nil {
+			t.Fatal(err)
+		}
+		if copied != 0 || ix.Len() != 2 {
+			t.Fatalf("%s: unchanged keys copied %d bytes, %d entries", ix.Name(), copied, ix.Len())
+		}
+
+		moved := bson.D(bson.IDKey, 1, "a", 6, "b", 1, "other", "y")
+		if err := ix.Replace(same, moved, 1); err != nil {
+			t.Fatal(err)
+		}
+		if copied == 0 || ix.Len() != 2 {
+			t.Fatalf("%s: changed keys copied %d bytes, %d entries", ix.Name(), copied, ix.Len())
+		}
+		at := func(ix *Index, a int) int {
+			n := 0
+			ix.ScanRange(&query.Constraint{Field: "a", Points: []any{int64(a)}}, func(any) bool { n++; return true })
+			return n
+		}
+		if at(ix, 5) != 1 || at(ix, 6) != 1 {
+			t.Fatalf("%s: after the move a=5 has %d entries, a=6 has %d", ix.Name(), at(ix, 5), at(ix, 6))
+		}
+		if at(frozen, 5) != 2 || at(frozen, 6) != 0 {
+			t.Fatalf("%s: the frozen handle saw the move", ix.Name())
+		}
+	}
+}

@@ -64,8 +64,13 @@ func recordInserts(meta *sharding.CollectionMetadata, ops []storage.WriteOp) {
 // Ordered mode preserves cross-op ordering the way the real mongos does:
 // maximal contiguous runs targeting the same single shard dispatch
 // sequentially, stopping at the first failure. Ops whose filter spans
-// several shards (broadcast updates/deletes) fall back to the scalar routing
-// path in place.
+// several shards (broadcast updates/deletes) join every target shard's
+// sub-batch when the batch is unordered and each shard can run them on its
+// own (see broadcastable); otherwise they fall back to the scalar routing
+// path in place. A grouped broadcast op that fails on one shard is still
+// applied on the other shards it spans and their counts are reported, where
+// the scalar path stops visiting shards at the first error; its error is
+// reported once.
 func (r *Router) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
 	var res storage.BulkResult
 	if len(ops) == 0 {
@@ -91,26 +96,54 @@ func (r *Router) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.
 	return res
 }
 
+// broadcastable reports whether an op may run independently on every shard
+// its filter spans: a multi update that cannot upsert, or a multi delete.
+// Such an op has no cross-shard state — each shard changes its own matches
+// and the counts add up — whereas a non-multi op must stop at the first
+// shard that matches and an upsert must insert on exactly one.
+func broadcastable(op *storage.WriteOp) bool {
+	switch op.Kind {
+	case storage.UpdateOp:
+		return op.Update.Multi && !op.Update.Upsert
+	case storage.DeleteOp:
+		return op.Multi
+	default:
+		return false
+	}
+}
+
 // bulkUnordered partitions the whole batch by target shard and dispatches
 // every sub-batch concurrently, one goroutine (and one simulated round-trip)
-// per shard. Multi-shard ops run through the scalar path afterwards.
+// per shard. A broadcastable op whose filter spans several shards joins the
+// sub-batch of each of them, in its batch position, so a chunk of broadcast
+// multi-updates costs one call per shard instead of one per op and shard.
+// The shards run it independently: one that fails it does not keep the
+// others from applying it, unlike the scalar path's sequential visit, which
+// stops at the first shard to return an error. The remaining multi-shard ops
+// run through the scalar path afterwards.
 func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadata, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
 	var res storage.BulkResult
 	groups := make(map[string]*subBatch)
 	var scalars []int
+	broadcast := false
 	for i := range ops {
 		targets := r.bulkTargets(meta, &ops[i])
 		if len(targets) != 1 {
-			scalars = append(scalars, i)
-			continue
+			if !broadcastable(&ops[i]) {
+				scalars = append(scalars, i)
+				continue
+			}
+			broadcast = true
 		}
-		sb, ok := groups[targets[0]]
-		if !ok {
-			sb = &subBatch{shard: targets[0]}
-			groups[targets[0]] = sb
+		for _, shard := range targets {
+			sb, ok := groups[shard]
+			if !ok {
+				sb = &subBatch{shard: shard}
+				groups[shard] = sb
+			}
+			sb.ops = append(sb.ops, ops[i])
+			sb.indices = append(sb.indices, i)
 		}
-		sb.ops = append(sb.ops, ops[i])
-		sb.indices = append(sb.indices, i)
 	}
 
 	subs := make([]*subBatch, 0, len(groups))
@@ -131,8 +164,29 @@ func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadat
 		}(si, sb)
 	}
 	wg.Wait()
+	// An op that went to several shards was attempted once, and fails once:
+	// its error is the one from the first shard, in name order, that
+	// reported one — what the sequential scalar visit would have returned.
+	attempted := make([]bool, len(ops))
+	failed := make([]bool, len(ops))
 	for si, sb := range subs {
-		res.Merge(results[si], sb.indices, len(ops))
+		sub := results[si]
+		for _, i := range sb.indices[:sub.Attempted] {
+			if !attempted[i] {
+				attempted[i] = true
+				res.Attempted++
+			}
+		}
+		sub.Attempted = 0
+		var kept []storage.BulkError
+		for _, e := range sub.Errors {
+			if i := sb.indices[e.Index]; !failed[i] {
+				failed[i] = true
+				kept = append(kept, e)
+			}
+		}
+		sub.Errors = kept
+		res.Merge(sub, sb.indices, len(ops))
 	}
 	for _, i := range scalars {
 		r.applyScalar(db, coll, &ops[i], i, &res, len(ops), opts)
@@ -140,7 +194,7 @@ func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadat
 	// The grouped dispatch is one logical routed operation; scalar ops
 	// already record themselves inside Update/Delete.
 	if len(subs) > 0 {
-		r.recordRouting(len(scalars) == 0, 0)
+		r.recordRouting(len(scalars) == 0 && !broadcast, 0)
 	}
 	return res
 }

@@ -259,10 +259,11 @@ func TestBulkWriteSpansChunkSplit(t *testing.T) {
 	}
 }
 
-// TestBulkWriteBroadcastOpsFallBackToScalarPath mixes targeted inserts with
+// TestBulkWriteMixesBroadcastOpsWithTargetedOnes mixes targeted inserts with
 // a broadcast multi-update and multi-delete whose filters do not pin the
-// shard key.
-func TestBulkWriteBroadcastOpsFallBackToScalarPath(t *testing.T) {
+// shard key: each shard runs the broadcast ops in their batch position among
+// its own inserts.
+func TestBulkWriteMixesBroadcastOpsWithTargetedOnes(t *testing.T) {
 	r := newTestRouter(t, Options{})
 	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
 		t.Fatal(err)
@@ -285,6 +286,111 @@ func TestBulkWriteBroadcastOpsFallBackToScalarPath(t *testing.T) {
 	}
 	if n, _ := r.Count("db", "sales", nil); n != 101 {
 		t.Fatalf("count after broadcast ops = %d", n)
+	}
+	if res.Attempted != len(ops) {
+		t.Fatalf("attempted %d of %d ops: an op sent to several shards counts once", res.Attempted, len(ops))
+	}
+}
+
+// TestBulkWriteGroupsBroadcastMultiOpsPerShard: an unordered chunk of
+// multi-updates whose filters do not pin the shard key — what set-oriented
+// embedding sends to a sharded fact collection — costs one call per shard,
+// not one per op and shard, with each op counted and failing once.
+func TestBulkWriteGroupsBroadcastMultiOpsPerShard(t *testing.T) {
+	r := newTestRouter(t, Options{Parallel: true})
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]*bson.Doc, 300)
+	for i := range docs {
+		docs[i] = bson.D(bson.IDKey, i, "k", i, "fk", i%50)
+	}
+	if _, err := r.InsertMany("db", "sales", docs); err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]storage.WriteOp, 0, 52)
+	for fk := 0; fk < 50; fk++ {
+		ops = append(ops, storage.UpdateWriteOp(query.UpdateSpec{
+			Query: bson.D("fk", fk), Update: bson.D("$set", bson.D("fk", bson.D("pk", fk))), Multi: true,
+		}))
+	}
+	// Op 50 fails on every shard that has a match ($inc of a document);
+	// op 51 is a multi delete.
+	ops = append(ops,
+		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("k", bson.D("$gte", 0)), Update: bson.D("$inc", bson.D("fk", 1)), Multi: true}),
+		storage.DeleteWriteOp(bson.D("fk.pk", 49), true),
+	)
+	r.ResetStats()
+	res := r.BulkWrite("db", "sales", ops, storage.BulkOptions{})
+	st := r.Stats()
+	if st.ShardCalls != 3 {
+		t.Fatalf("%d broadcast ops took %d shard calls, want one per shard (3)", len(ops), st.ShardCalls)
+	}
+	if st.BroadcastQueries != 1 || st.TargetedQueries != 0 {
+		t.Fatalf("routing recorded %d broadcast, %d targeted; want the chunk as one broadcast", st.BroadcastQueries, st.TargetedQueries)
+	}
+	// Matched: the 300 embeds plus op 50's first match on each shard, where
+	// it fails.
+	if res.Matched != 303 || res.Modified != 300 || res.Deleted != 6 || res.Attempted != len(ops) {
+		t.Fatalf("result = %+v", res)
+	}
+	if len(res.Errors) != 1 || res.Errors[0].Index != 50 {
+		t.Fatalf("errors = %v, want exactly one, attributed to op 50", res.Errors)
+	}
+	left, err := r.Find("db", "sales", bson.D("fk.pk", bson.D("$exists", false)), storage.FindOptions{})
+	if err != nil || len(left) != 0 {
+		t.Fatalf("%d documents not updated, err %v", len(left), err)
+	}
+
+	// A broadcast op that fails on one shard is still applied on the others
+	// (the scalar path would have stopped at the first shard to fail): one
+	// document holds a string where the rest can $inc.
+	if _, err := r.Update("db", "sales", query.UpdateSpec{Query: bson.D(bson.IDKey, 0), Update: bson.D("$set", bson.D("n", "not a number"))}); err != nil {
+		t.Fatal(err)
+	}
+	r.ResetStats()
+	res = r.BulkWrite("db", "sales", []storage.WriteOp{
+		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("k", bson.D("$gte", 0)), Update: bson.D("$inc", bson.D("n", 1)), Multi: true}),
+	}, storage.BulkOptions{})
+	if len(res.Errors) != 1 || res.Errors[0].Index != 0 || res.Attempted != 1 {
+		t.Fatalf("partly failing broadcast op: %+v", res)
+	}
+	if calls := r.Stats().ShardCalls; calls != 3 {
+		t.Fatalf("a broadcast op took %d shard calls, want 3", calls)
+	}
+	applied := 0
+	for _, name := range r.ShardNames() {
+		c := r.Shard(name).Database("db").Collection("sales")
+		if c.FindID(0) != nil {
+			continue // the shard where the op failed
+		}
+		n, err := c.CountDocs(bson.D("n", 1))
+		if err != nil || n == 0 || n != c.Count() {
+			t.Fatalf("shard %s: the op reached %d of %d documents, err %v", name, n, c.Count(), err)
+		}
+		applied += n
+	}
+	if res.Modified < applied {
+		t.Fatalf("modified %d, but %d documents changed on the shards without the failure", res.Modified, applied)
+	}
+
+	// Ops that need a cross-shard decision stay on the scalar path: a
+	// non-multi update stops at the first shard that matches, an upsert
+	// inserts once.
+	r.ResetStats()
+	res = r.BulkWrite("db", "sales", []storage.WriteOp{
+		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("fk.pk", 7), Update: bson.D("$set", bson.D("one", true))}),
+		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("nobody", 1), Update: bson.D("$set", bson.D("k", 1000)), Multi: true, Upsert: true}),
+		storage.DeleteWriteOp(bson.D("fk.pk", 8), false),
+	}, storage.BulkOptions{})
+	if res.FirstError() != nil || res.Modified != 1 || res.Upserted != 1 || res.Deleted != 1 || res.Attempted != 3 {
+		t.Fatalf("scalar ops: %+v", res)
+	}
+	if n, _ := r.Count("db", "sales", bson.D("one", true)); n != 1 {
+		t.Fatalf("non-multi update touched %d documents", n)
+	}
+	if n, _ := r.Count("db", "sales", bson.D("k", 1000)); n != 1 {
+		t.Fatalf("upsert inserted %d documents", n)
 	}
 }
 

@@ -222,6 +222,7 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
 	}
 	intermediate := "store_sales_query50_intermediate"
 	store.DropCollection(intermediate)
+	defer store.DropCollection(intermediate)
 	var joined []*bson.Doc
 	for _, s := range sales {
 		t, _ := s.Get("ss_ticket_number")
@@ -269,6 +270,5 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	store.DropCollection(intermediate)
 	return docs, nil
 }

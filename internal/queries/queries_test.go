@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"docstore/internal/driver"
 	"docstore/internal/migrate"
 	"docstore/internal/mongod"
+	"docstore/internal/storage"
 	"docstore/internal/tpcds"
 )
 
@@ -201,6 +203,42 @@ func TestQueriesAgainstHandBuiltDataset(t *testing.T) {
 	if _, _, err := RunDenormalized(denormStore, &Query{ID: 99, Name: "q99", Fact: "store_sales"}, params); err == nil {
 		t.Fatalf("query without a pipeline should fail")
 	}
+}
+
+// TestQuery50DropsIntermediateOnError: Query 50's intermediate collection
+// does not outlive a failed run. The embedding's bulk write fails after the
+// joined documents were written.
+func TestQuery50DropsIntermediateOnError(t *testing.T) {
+	store := driver.NewStandalone(mongod.NewServer(mongod.Options{}).Database("norm"))
+	if _, err := migrate.LoadDataset(store, tpcds.NewGenerator(tpcds.ScaleSmall.WithDivisor(8000), 1)); err != nil {
+		t.Fatal(err)
+	}
+	failing := &failingBulk{Store: store}
+	if _, _, err := RunNormalized(failing, MustByID(50), DefaultParams()); err == nil || !strings.Contains(err.Error(), "injected") {
+		t.Fatalf("query 50 over a failing store: %v, want the injected error", err)
+	}
+	if failing.wrote == 0 {
+		t.Fatalf("query 50 wrote no intermediate documents; the leak check proves nothing")
+	}
+	if n, _ := store.Count("store_sales_query50_intermediate", nil); n != 0 {
+		t.Fatalf("query 50 left %d documents in its intermediate collection after failing", n)
+	}
+}
+
+// failingBulk is a store whose bulk writes fail; wrote counts the documents
+// that reached it through InsertMany.
+type failingBulk struct {
+	driver.Store
+	wrote int
+}
+
+func (s *failingBulk) InsertMany(coll string, docs []*bson.Doc) ([]any, error) {
+	s.wrote += len(docs)
+	return s.Store.InsertMany(coll, docs)
+}
+
+func (s *failingBulk) BulkWrite(string, []storage.WriteOp, storage.BulkOptions) storage.BulkResult {
+	return storage.BulkResult{DurabilityErr: errors.New("injected bulk failure")}
 }
 
 func TestShiftDate(t *testing.T) {

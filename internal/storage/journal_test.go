@@ -181,21 +181,20 @@ func TestJournaledOptionForcesSync(t *testing.T) {
 // TestSnapshotConsistentUnderConcurrentWrites hammers a collection with
 // writers while snapshots stream out; every snapshot must load cleanly,
 // which fails if the header count and the document stream come from
-// different moments (the pre-fix race).
+// different moments (the pre-fix race). The writers run freely, as fast as
+// the machine lets them, but on a fixed budget of inserts; snapshots are
+// taken back to back until the budget is spent, so every one of them but the
+// last streams while inserts commit, and a round never costs more than the
+// budget's documents.
 func TestSnapshotConsistentUnderConcurrentWrites(t *testing.T) {
+	const writers, perWriter = 4, 5000
 	c := NewCollection("c")
-	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for i := 0; i < perWriter; i++ {
 				if _, err := c.Insert(bson.D(bson.IDKey, fmt.Sprintf("%d-%d", g, i))); err != nil {
 					t.Errorf("insert: %v", err)
 					return
@@ -203,7 +202,18 @@ func TestSnapshotConsistentUnderConcurrentWrites(t *testing.T) {
 			}
 		}(g)
 	}
-	for round := 0; round < 50; round++ {
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	overlapped := 0
+	for round, spent := 0, false; !spent; round++ {
+		select {
+		case <-done:
+			spent = true // one last snapshot of the quiet collection
+		default:
+		}
 		var buf bytes.Buffer
 		snap := c.Snapshot()
 		if err := snap.WriteData(&buf); err != nil {
@@ -217,9 +227,16 @@ func TestSnapshotConsistentUnderConcurrentWrites(t *testing.T) {
 		if restored.Count() != info.Count {
 			t.Fatalf("round %d: snapshot says %d docs, loaded %d", round, info.Count, restored.Count())
 		}
+		if c.Count() > info.Count {
+			overlapped++
+		}
 	}
-	close(stop)
-	wg.Wait()
+	if overlapped == 0 {
+		t.Fatalf("no snapshot streamed while inserts committed; the test exercised nothing")
+	}
+	if got, want := c.Count(), writers*perWriter; got != want {
+		t.Fatalf("writers inserted %d documents, want %d", got, want)
+	}
 }
 
 func TestReadSnapshotRejectsCountMismatch(t *testing.T) {

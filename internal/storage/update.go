@@ -39,9 +39,9 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 	var res UpdateResult
 
 	// Narrow the candidate set through an index when one matches the query,
-	// exactly as Find does; the denormalization algorithm issues one
-	// multi-update per dimension key and relies on this. The error is
-	// structurally impossible here (updates carry no hint).
+	// exactly as Find does; the denormalization algorithm sends one
+	// multi-update per referenced dimension key (in bulk) and relies on this.
+	// The error is structurally impossible here (updates carry no hint).
 	positions, _, _ := c.planLocked(spec.Query, FindOptions{})
 	if positions == nil {
 		positions = make([]int, 0, c.length)
@@ -76,8 +76,7 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 			res.Modified++
 			id := updated.ID()
 			for _, e := range c.indexes {
-				e.ix.Remove(old, id)
-				if err := e.ix.Insert(updated, id); err != nil {
+				if err := e.ix.Replace(old, updated, id); err != nil {
 					return res, err
 				}
 			}

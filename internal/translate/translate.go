@@ -11,6 +11,10 @@
 //     attributes the aggregation needs,
 //  4. run the aggregation pipeline over the embedded intermediate collection
 //     and store the result in an output collection.
+//
+// Step 3 uses denorm's set-oriented embedding (per embedding one aggregate
+// for the referenced keys, one find and the updates in bulk), so a plan costs
+// O(filters + embeddings) store calls however many rows its dimensions hold.
 package translate
 
 import (
@@ -134,6 +138,10 @@ func Run(store driver.Store, p Plan) (Result, error) {
 	}
 	intermediate := p.intermediateName()
 	store.DropCollection(intermediate)
+	if !p.KeepIntermediate {
+		// On every exit, error paths included.
+		defer store.DropCollection(intermediate)
+	}
 	batch := make([]*bson.Doc, 0, len(factDocs))
 	for _, d := range factDocs {
 		clone := d.Clone()
@@ -167,10 +175,6 @@ func Run(store driver.Store, p Plan) (Result, error) {
 	}
 	res.Aggregate = time.Since(phase)
 	res.Docs = docs
-
-	if !p.KeepIntermediate {
-		store.DropCollection(intermediate)
-	}
 	res.Total = time.Since(start)
 	return res, nil
 }
