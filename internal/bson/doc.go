@@ -216,7 +216,19 @@ func (d *Doc) GetPath(path string) (any, bool) {
 // through arrays along the way. This matches query semantics where a filter
 // on "books.pages" must consider every element of the "books" array.
 func (d *Doc) LookupPathAll(path string) []any {
-	parts := strings.Split(path, ".")
+	if !strings.Contains(path, ".") {
+		if v, ok := d.Get(path); ok {
+			return []any{v}
+		}
+		return nil
+	}
+	return lookupParts(d, strings.Split(path, "."))
+}
+
+// LookupParts is LookupPathAll for a path the caller split at the dots in
+// advance: what a compiled filter, which resolves the same path in every
+// document it examines, calls instead of splitting each time.
+func (d *Doc) LookupParts(parts []string) []any {
 	return lookupParts(d, parts)
 }
 

@@ -106,6 +106,17 @@ func TestDocLookupPathAllThroughArrays(t *testing.T) {
 	if got := d.LookupPathAll("books.missing"); len(got) != 0 {
 		t.Fatalf("missing leaf should yield nothing, got %v", got)
 	}
+	// A path split in advance resolves to the same values.
+	if parts := d.LookupParts([]string{"books", "pages"}); len(parts) != 2 || parts[0] != vals[0] || parts[1] != vals[1] {
+		t.Fatalf("LookupParts = %v, want %v", parts, vals)
+	}
+	// A single segment is the field itself, an array included, or nothing.
+	if got := d.LookupPathAll("books"); len(got) != 1 || len(got[0].([]any)) != 2 {
+		t.Fatalf("single segment = %v", got)
+	}
+	if got := d.LookupPathAll("missing"); got != nil {
+		t.Fatalf("missing single segment = %v, want nil", got)
+	}
 }
 
 func TestDocSetPath(t *testing.T) {

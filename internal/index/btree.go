@@ -5,6 +5,8 @@
 package index
 
 import (
+	"slices"
+
 	"docstore/internal/bson"
 )
 
@@ -70,18 +72,22 @@ func CompareKeys(a, b Key) int {
 	}
 }
 
-// item is one key slot in a B-tree node: a composite key and the set of
-// document ids that share it. idsOwner marks the mutation stamp that last
-// replaced the ids slice: when it equals the tree's current stamp the slice
-// was allocated by the current (unpublished) batch and may be appended to or
-// spliced in place; otherwise it may be shared with a frozen clone and must
-// be copied before mutation. Keys are copied at insert and never mutated, so
-// they need no ownership tracking.
+// item is one key slot in a B-tree node: a composite key and the record
+// positions of the documents that share it, unboxed and in entry order.
+// posOwner marks the mutation stamp that last replaced the pos slice: when it
+// equals the tree's current stamp the slice was allocated by the current
+// (unpublished) batch and may be appended to or spliced in place; otherwise
+// it may be shared with a frozen clone and must be copied before mutation.
+// Keys are copied at insert and never mutated, so they need no ownership
+// tracking.
 type item struct {
 	key      Key
-	ids      []any
-	idsOwner int64
+	pos      []uint32
+	posOwner int64
 }
+
+// posBytes is what one entry's position costs in the tree.
+const posBytes = 4
 
 // node is one B-tree node. owner marks the mutation stamp that created (or
 // path-copied) it: when it equals the tree's current stamp the node is
@@ -117,20 +123,20 @@ func (n *node) shellBytes() int64 {
 func (n *node) itemBytes() int64 {
 	var b int64
 	for i := range n.items {
-		b += int64(32 + 16*len(n.items[i].key) + 16*len(n.items[i].ids))
+		b += int64(32 + 16*len(n.items[i].key) + posBytes*len(n.items[i].pos))
 	}
 	return b
 }
 
 // estBytes is a deterministic estimate of the node's full memory footprint,
 // used by the copy-on-write gauges. It counts pointer-level structure
-// (headers, key and id slots, child pointers), not encoded document bytes,
+// (headers, key and position slots, child pointers), not encoded document bytes,
 // so it is cheap enough to compute on every path copy.
 func (n *node) estBytes() int64 {
 	return n.shellBytes() + n.itemBytes()
 }
 
-// BTree is an in-memory B-tree mapping composite keys to document ids.
+// BTree is an in-memory B-tree mapping composite keys to record positions.
 //
 // It is a persistent (path-copying) structure when driven with mutation
 // stamps: SetStamp opens a copy-on-write era, and every mutation first copies
@@ -145,7 +151,7 @@ func (n *node) estBytes() int64 {
 type BTree struct {
 	root    *node
 	keys    int // number of distinct keys
-	entries int // number of (key, id) pairs
+	entries int // number of (key, position) pairs
 	nodes   int // nodes reachable from root (live tree size)
 
 	// stamp is the current copy-on-write era; 0 disables path copying.
@@ -164,7 +170,7 @@ func NewBTree() *BTree {
 	return &BTree{root: &node{}, nodes: 1}
 }
 
-// Len returns the number of (key, id) entries in the tree.
+// Len returns the number of (key, position) entries in the tree.
 func (t *BTree) Len() int { return t.entries }
 
 // DistinctKeys returns the number of distinct keys in the tree. The shard-key
@@ -190,7 +196,7 @@ func (t *BTree) EstBytes() int64 {
 }
 
 // SetStamp opens a new copy-on-write era: mutations that follow copy any node
-// (or ids slice) not created under this stamp before changing it. Stamps must
+// (or position slice) not created under this stamp before changing it. Stamps must
 // strictly increase across eras; the owning collection uses its write
 // sequence. A zero stamp restores legacy in-place mutation.
 func (t *BTree) SetStamp(s int64) { t.stamp = s }
@@ -253,22 +259,22 @@ func (t *BTree) ownItems(n *node, extra int) {
 	n.itemsOwner = t.stamp
 }
 
-// ownIDs makes the ids slice of n.items[pos] safe to mutate in place. It
-// first privatizes the containing items array (the ids header and idsOwner
-// are written through it), then copies the ids backing array when a frozen
-// clone may still share it. extra reserves append room. Callers must re-take
-// any item pointer after the call: privatizing relocates the array.
-func (t *BTree) ownIDs(n *node, pos, extra int) {
+// ownPos makes the position slice of n.items[slot] safe to mutate in place.
+// It first privatizes the containing items array (the slice header and
+// posOwner are written through it), then copies the backing array when a
+// frozen clone may still share it. extra reserves append room. Callers must
+// re-take any item pointer after the call: privatizing relocates the array.
+func (t *BTree) ownPos(n *node, slot, extra int) {
 	if t.stamp == 0 {
 		return
 	}
 	t.ownItems(n, 0)
-	it := &n.items[pos]
-	if it.idsOwner == t.stamp {
+	it := &n.items[slot]
+	if it.posOwner == t.stamp {
 		return
 	}
-	it.ids = append(make([]any, 0, len(it.ids)+extra), it.ids...)
-	it.idsOwner = t.stamp
+	it.pos = append(make([]uint32, 0, len(it.pos)+extra), it.pos...)
+	it.posOwner = t.stamp
 }
 
 func (t *BTree) mutable() {
@@ -295,8 +301,8 @@ func findInNode(n *node, key Key) (int, bool) {
 	return lo, false
 }
 
-// Insert adds an (key, id) entry. Multiple ids may share a key.
-func (t *BTree) Insert(key Key, id any) {
+// Insert adds a (key, position) entry. Multiple positions may share a key.
+func (t *BTree) Insert(key Key, p uint32) {
 	t.mutable()
 	t.root = t.ownNode(t.root)
 	if len(t.root.items) == maxNodeItems(t.root) {
@@ -305,7 +311,7 @@ func (t *BTree) Insert(key Key, id any) {
 		t.nodes++
 		t.splitChild(t.root, 0)
 	}
-	t.insertNonFull(t.root, key, id)
+	t.insertNonFull(t.root, key, p)
 }
 
 // splitChild splits the full i-th child of parent. Both parent and the child
@@ -356,126 +362,171 @@ func (t *BTree) splitChild(parent *node, i int) {
 
 // insertNonFull descends from an owned, non-full node, owning each child on
 // the path before stepping into it.
-func (t *BTree) insertNonFull(n *node, key Key, id any) {
+func (t *BTree) insertNonFull(n *node, key Key, p uint32) {
 	for {
-		pos, found := findInNode(n, key)
+		slot, found := findInNode(n, key)
 		if found {
-			t.ownIDs(n, pos, 1)
-			it := &n.items[pos]
-			if len(it.ids) == 0 {
-				// Re-populating a key slot left empty by a lazy delete.
-				t.keys++
-			}
-			it.ids = append(it.ids, id)
-			t.entries++
+			t.appendPos(n, slot, p)
 			return
 		}
 		if n.leaf() {
 			t.ownItems(n, 1)
 			n.items = append(n.items, item{})
-			copy(n.items[pos+1:], n.items[pos:])
-			n.items[pos] = item{key: append(Key(nil), key...), ids: []any{id}, idsOwner: t.stamp}
+			copy(n.items[slot+1:], n.items[slot:])
+			n.items[slot] = item{key: append(Key(nil), key...), pos: []uint32{p}, posOwner: t.stamp}
 			t.keys++
 			t.entries++
 			return
 		}
-		if len(n.children[pos].items) == maxNodeItems(n.children[pos]) {
-			t.splitChild(n, pos)
-			if c := CompareKeys(key, n.items[pos].key); c == 0 {
-				t.ownIDs(n, pos, 1)
-				it := &n.items[pos]
-				if len(it.ids) == 0 {
-					t.keys++
-				}
-				it.ids = append(it.ids, id)
-				t.entries++
+		if len(n.children[slot].items) == maxNodeItems(n.children[slot]) {
+			t.splitChild(n, slot)
+			if c := CompareKeys(key, n.items[slot].key); c == 0 {
+				t.appendPos(n, slot, p)
 				return
 			} else if c > 0 {
-				pos++
+				slot++
 			}
 		}
-		child := t.ownNode(n.children[pos])
-		n.children[pos] = child
+		child := t.ownNode(n.children[slot])
+		n.children[slot] = child
 		n = child
 	}
 }
 
-// Delete removes one (key, id) entry and reports whether it was found.
+// appendPos adds p to the existing key slot of an owned node.
+func (t *BTree) appendPos(n *node, slot int, p uint32) {
+	t.ownPos(n, slot, 1)
+	it := &n.items[slot]
+	if len(it.pos) == 0 {
+		// Re-populating a key slot left empty by a lazy delete.
+		t.keys++
+	}
+	it.pos = append(it.pos, p)
+	t.entries++
+}
+
+// Delete removes one (key, position) entry and reports whether it was found.
 // The tree uses lazy structural deletion: emptied key slots are removed from
 // their node but nodes are not rebalanced, which keeps deletion simple while
 // preserving search correctness (the workloads of the thesis are read- and
 // append-heavy). Under a copy-on-write stamp the root-to-target path is
 // copied like any other mutation.
-func (t *BTree) Delete(key Key, id any) bool {
+func (t *BTree) Delete(key Key, p uint32) bool {
 	t.mutable()
 	t.root = t.ownNode(t.root)
 	n := t.root
 	for {
-		pos, found := findInNode(n, key)
+		slot, found := findInNode(n, key)
 		if found {
-			for i, e := range n.items[pos].ids {
-				if bson.Compare(e, id) == 0 {
-					t.ownIDs(n, pos, 0)
-					it := &n.items[pos]
-					it.ids = append(it.ids[:i], it.ids[i+1:]...)
-					t.entries--
-					if len(it.ids) == 0 {
-						t.keys--
-						// Keep the key slot when the node is internal (it
-						// separates children); empty leaf slots are removed.
-						if n.leaf() {
-							copy(n.items[pos:], n.items[pos+1:])
-							n.items[len(n.items)-1] = item{}
-							n.items = n.items[:len(n.items)-1]
-						}
-					}
-					return true
+			i := slices.Index(n.items[slot].pos, p)
+			if i < 0 {
+				return false
+			}
+			t.ownPos(n, slot, 0)
+			it := &n.items[slot]
+			it.pos = append(it.pos[:i], it.pos[i+1:]...)
+			t.entries--
+			if len(it.pos) == 0 {
+				t.keys--
+				// Keep the key slot when the node is internal (it
+				// separates children); empty leaf slots are removed.
+				if n.leaf() {
+					copy(n.items[slot:], n.items[slot+1:])
+					n.items[len(n.items)-1] = item{}
+					n.items = n.items[:len(n.items)-1]
 				}
 			}
-			return false
+			return true
 		}
 		if n.leaf() {
 			return false
 		}
-		child := t.ownNode(n.children[pos])
-		n.children[pos] = child
+		child := t.ownNode(n.children[slot])
+		n.children[slot] = child
 		n = child
 	}
 }
 
-// Get returns the ids stored under an exact key.
-func (t *BTree) Get(key Key) []any {
+// Get returns the positions stored under an exact key, in entry order. The
+// slice is the tree's own storage: callers must not modify it, and may keep
+// it across later mutations only when the tree is a frozen clone.
+func (t *BTree) Get(key Key) []uint32 {
 	n := t.root
 	for {
-		pos, found := findInNode(n, key)
+		slot, found := findInNode(n, key)
 		if found {
-			return append([]any(nil), n.items[pos].ids...)
+			return n.items[slot].pos
 		}
 		if n.leaf() {
 			return nil
 		}
-		n = n.children[pos]
+		n = n.children[slot]
 	}
 }
 
-// Ascend walks every entry in key order, invoking fn for each (key, id) pair
-// until fn returns false.
-func (t *BTree) Ascend(fn func(key Key, id any) bool) {
+// Remap rewrites every entry's position through newPos (old position -> new
+// position) without disturbing a single node reachable from a frozen clone:
+// the whole tree is rebuilt, shape and keys shared, in one walk with no key
+// comparisons. The owning collection calls it when a compaction renumbers
+// its records. The mapping is monotone over live records, so entry order
+// within a key is preserved. An entry whose record the compaction dropped
+// (newPos < 0) means the index and the records disagreed before the call;
+// that is a bug in the caller, so Remap panics rather than carry it forward.
+func (t *BTree) Remap(newPos []int) {
+	t.mutable()
+	t.root = t.remapNode(t.root, newPos)
+}
+
+func (t *BTree) remapNode(n *node, newPos []int) *node {
+	cp := &node{owner: t.stamp, itemsOwner: t.stamp, items: make([]item, len(n.items), cap(n.items))}
+	total := 0
+	for i := range n.items {
+		total += len(n.items[i].pos)
+	}
+	// One backing array for all of the node's position lists; the capacity
+	// of each sub-slice ends at its length, so a later append reallocates
+	// instead of running into its neighbour.
+	buf := make([]uint32, 0, total)
+	for i := range n.items {
+		src := &n.items[i]
+		start := len(buf)
+		for _, p := range src.pos {
+			np := newPos[p]
+			if np < 0 {
+				panic("index: entry points at a record the compaction dropped")
+			}
+			buf = append(buf, uint32(np))
+		}
+		cp.items[i] = item{key: src.key, posOwner: t.stamp}
+		if len(buf) > start {
+			cp.items[i].pos = buf[start:len(buf):len(buf)]
+		}
+	}
+	if len(n.children) > 0 {
+		cp.children = make([]*node, len(n.children))
+		for i, c := range n.children {
+			cp.children[i] = t.remapNode(c, newPos)
+		}
+	}
+	return cp
+}
+
+// Ascend walks every entry in key order, invoking fn for each (key,
+// position) pair until fn returns false.
+func (t *BTree) Ascend(fn func(key Key, p uint32) bool) {
 	t.ascend(t.root, fn)
 }
 
-func (t *BTree) ascend(n *node, fn func(Key, any) bool) bool {
+func (t *BTree) ascend(n *node, fn func(Key, uint32) bool) bool {
 	for i, it := range n.items {
 		if !n.leaf() {
 			if !t.ascend(n.children[i], fn) {
 				return false
 			}
 		}
-		if len(it.ids) > 0 {
-			for _, id := range it.ids {
-				if !fn(it.key, id) {
-					return false
-				}
+		for _, p := range it.pos {
+			if !fn(it.key, p) {
+				return false
 			}
 		}
 	}
@@ -528,11 +579,11 @@ func (r Range) belowMax(key Key) bool {
 
 // Scan walks entries whose keys fall inside the range, in key order, invoking
 // fn until it returns false.
-func (t *BTree) Scan(r Range, fn func(key Key, id any) bool) {
+func (t *BTree) Scan(r Range, fn func(key Key, p uint32) bool) {
 	t.scan(t.root, r, fn)
 }
 
-func (t *BTree) scan(n *node, r Range, fn func(Key, any) bool) bool {
+func (t *BTree) scan(n *node, r Range, fn func(Key, uint32) bool) bool {
 	for i, it := range n.items {
 		// Descend left whenever the subtree may still contain in-range keys.
 		if !n.leaf() {
@@ -552,9 +603,9 @@ func (t *BTree) scan(n *node, r Range, fn func(Key, any) bool) bool {
 		if !r.belowMax(it.key) {
 			return false
 		}
-		if r.contains(it.key) && len(it.ids) > 0 {
-			for _, id := range it.ids {
-				if !fn(it.key, id) {
+		if len(it.pos) > 0 && r.contains(it.key) {
+			for _, p := range it.pos {
+				if !fn(it.key, p) {
 					return false
 				}
 			}
@@ -571,7 +622,7 @@ func (t *BTree) scan(n *node, r Range, fn func(Key, any) bool) bool {
 func (t *BTree) Keys() []Key {
 	var out []Key
 	var last Key
-	t.Ascend(func(k Key, _ any) bool {
+	t.Ascend(func(k Key, _ uint32) bool {
 		if last == nil || CompareKeys(last, k) != 0 {
 			out = append(out, k)
 			last = k

@@ -11,9 +11,9 @@ import (
 
 func TestBTreeInsertGet(t *testing.T) {
 	tr := NewBTree()
-	tr.Insert(Key{int64(5)}, "a")
-	tr.Insert(Key{int64(5)}, "b")
-	tr.Insert(Key{int64(7)}, "c")
+	tr.Insert(Key{int64(5)}, 10)
+	tr.Insert(Key{int64(5)}, 11)
+	tr.Insert(Key{int64(7)}, 12)
 	if tr.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", tr.Len())
 	}
@@ -21,7 +21,7 @@ func TestBTreeInsertGet(t *testing.T) {
 		t.Fatalf("DistinctKeys = %d, want 2", tr.DistinctKeys())
 	}
 	ids := tr.Get(Key{int64(5)})
-	if len(ids) != 2 || ids[0] != "a" || ids[1] != "b" {
+	if len(ids) != 2 || ids[0] != 10 || ids[1] != 11 {
 		t.Fatalf("Get(5) = %v", ids)
 	}
 	if got := tr.Get(Key{int64(99)}); got != nil {
@@ -31,31 +31,31 @@ func TestBTreeInsertGet(t *testing.T) {
 
 func TestBTreeDelete(t *testing.T) {
 	tr := NewBTree()
-	tr.Insert(Key{int64(1)}, "a")
-	tr.Insert(Key{int64(1)}, "b")
-	tr.Insert(Key{int64(2)}, "c")
-	if !tr.Delete(Key{int64(1)}, "a") {
+	tr.Insert(Key{int64(1)}, 10)
+	tr.Insert(Key{int64(1)}, 11)
+	tr.Insert(Key{int64(2)}, 12)
+	if !tr.Delete(Key{int64(1)}, 10) {
 		t.Fatalf("delete existing entry failed")
 	}
-	if tr.Delete(Key{int64(1)}, "zz") {
-		t.Fatalf("delete of missing id should fail")
+	if tr.Delete(Key{int64(1)}, 99) {
+		t.Fatalf("delete of missing position should fail")
 	}
-	if tr.Delete(Key{int64(42)}, "a") {
+	if tr.Delete(Key{int64(42)}, 10) {
 		t.Fatalf("delete of missing key should fail")
 	}
 	if tr.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tr.Len())
 	}
-	if got := tr.Get(Key{int64(1)}); len(got) != 1 || got[0] != "b" {
+	if got := tr.Get(Key{int64(1)}); len(got) != 1 || got[0] != 11 {
 		t.Fatalf("Get(1) = %v", got)
 	}
 	// Deleting the last entry of a key reduces the distinct count, and
 	// re-inserting restores it.
-	tr.Delete(Key{int64(1)}, "b")
+	tr.Delete(Key{int64(1)}, 11)
 	if tr.DistinctKeys() != 1 {
 		t.Fatalf("DistinctKeys = %d, want 1", tr.DistinctKeys())
 	}
-	tr.Insert(Key{int64(1)}, "x")
+	tr.Insert(Key{int64(1)}, 13)
 	if tr.DistinctKeys() != 2 {
 		t.Fatalf("DistinctKeys after reinsert = %d, want 2", tr.DistinctKeys())
 	}
@@ -66,10 +66,10 @@ func TestBTreeAscendOrdered(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	perm := r.Perm(5000)
 	for _, v := range perm {
-		tr.Insert(Key{int64(v)}, v)
+		tr.Insert(Key{int64(v)}, uint32(v))
 	}
 	var got []int64
-	tr.Ascend(func(k Key, _ any) bool {
+	tr.Ascend(func(k Key, _ uint32) bool {
 		got = append(got, k[0].(int64))
 		return true
 	})
@@ -83,7 +83,7 @@ func TestBTreeAscendOrdered(t *testing.T) {
 	}
 	// Early termination.
 	count := 0
-	tr.Ascend(func(Key, any) bool {
+	tr.Ascend(func(Key, uint32) bool {
 		count++
 		return count < 10
 	})
@@ -96,7 +96,7 @@ func TestBTreeLargeSplitAndDuplicates(t *testing.T) {
 	tr := NewBTree()
 	const n = 20000
 	for i := 0; i < n; i++ {
-		tr.Insert(Key{int64(i % 100)}, i)
+		tr.Insert(Key{int64(i % 100)}, uint32(i))
 	}
 	if tr.Len() != n {
 		t.Fatalf("Len = %d", tr.Len())
@@ -114,11 +114,11 @@ func TestBTreeLargeSplitAndDuplicates(t *testing.T) {
 func TestBTreeScanRange(t *testing.T) {
 	tr := NewBTree()
 	for i := 0; i < 1000; i++ {
-		tr.Insert(Key{int64(i)}, i)
+		tr.Insert(Key{int64(i)}, uint32(i))
 	}
 	collect := func(r Range) []int64 {
 		var out []int64
-		tr.Scan(r, func(k Key, _ any) bool {
+		tr.Scan(r, func(k Key, _ uint32) bool {
 			out = append(out, k[0].(int64))
 			return true
 		})
@@ -147,7 +147,7 @@ func TestBTreeScanRange(t *testing.T) {
 	}
 	// Early termination.
 	n := 0
-	tr.Scan(NewRange(nil, true, nil, true), func(Key, any) bool {
+	tr.Scan(NewRange(nil, true, nil, true), func(Key, uint32) bool {
 		n++
 		return n < 7
 	})
@@ -183,7 +183,7 @@ func TestBTreeKeysDistinctOrdered(t *testing.T) {
 	tr := NewBTree()
 	vals := []string{"pear", "apple", "mango", "apple", "fig"}
 	for i, v := range vals {
-		tr.Insert(Key{v}, i)
+		tr.Insert(Key{v}, uint32(i))
 	}
 	keys := tr.Keys()
 	if len(keys) != 4 {
@@ -202,7 +202,7 @@ func TestBTreeKeysDistinctOrdered(t *testing.T) {
 func TestBTreeEquivalentToSortedSliceProperty(t *testing.T) {
 	type entry struct {
 		k  int64
-		id int
+		id uint32
 	}
 	r := rand.New(rand.NewSource(77))
 	tr := NewBTree()
@@ -210,7 +210,7 @@ func TestBTreeEquivalentToSortedSliceProperty(t *testing.T) {
 	for op := 0; op < 20000; op++ {
 		k := int64(r.Intn(200))
 		if r.Intn(3) != 0 || len(ref) == 0 {
-			id := op
+			id := uint32(op)
 			tr.Insert(Key{k}, id)
 			ref = append(ref, entry{k, id})
 		} else {
@@ -229,7 +229,7 @@ func TestBTreeEquivalentToSortedSliceProperty(t *testing.T) {
 	// Tree traversal must produce the reference entries sorted by key.
 	sort.SliceStable(ref, func(i, j int) bool { return ref[i].k < ref[j].k })
 	var got []int64
-	tr.Ascend(func(k Key, _ any) bool {
+	tr.Ascend(func(k Key, _ uint32) bool {
 		got = append(got, k[0].(int64))
 		return true
 	})
@@ -252,7 +252,7 @@ func TestBTreeEquivalentToSortedSliceProperty(t *testing.T) {
 			}
 		}
 		gotCount := 0
-		tr.Scan(NewRange(Key{lo}, true, Key{hi}, true), func(Key, any) bool {
+		tr.Scan(NewRange(Key{lo}, true, Key{hi}, true), func(Key, uint32) bool {
 			gotCount++
 			return true
 		})
@@ -267,10 +267,10 @@ func TestBTreeStringKeysQuick(t *testing.T) {
 	f := func(vals []string) bool {
 		tr := NewBTree()
 		for i, v := range vals {
-			tr.Insert(Key{v}, i)
+			tr.Insert(Key{v}, uint32(i))
 		}
 		var got []string
-		tr.Ascend(func(k Key, _ any) bool {
+		tr.Ascend(func(k Key, _ uint32) bool {
 			got = append(got, k[0].(string))
 			return true
 		})
@@ -288,10 +288,10 @@ func TestBTreeMixedTypeKeysOrdered(t *testing.T) {
 	tr := NewBTree()
 	vals := []any{int64(3), "str", nil, true, 2.5, bson.NewObjectID()}
 	for i, v := range vals {
-		tr.Insert(Key{v}, i)
+		tr.Insert(Key{v}, uint32(i))
 	}
 	var types []bson.Type
-	tr.Ascend(func(k Key, _ any) bool {
+	tr.Ascend(func(k Key, _ uint32) bool {
 		types = append(types, bson.TypeOf(k[0]))
 		return true
 	})

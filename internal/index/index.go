@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 
 	"docstore/internal/bson"
@@ -132,7 +133,10 @@ func (s Spec) Doc() *bson.Doc {
 }
 
 // Index is a secondary index over a collection: a B-tree keyed by the values
-// of the specification fields, mapping to document ids.
+// of the specification fields, mapping to record positions — where the
+// owning collection stores each document, the way a real store's index points
+// at a record id. Positions are plain ints at this API and 4 bytes in the
+// tree.
 type Index struct {
 	name     string
 	spec     Spec
@@ -279,35 +283,52 @@ func (e *ErrDuplicateKey) Error() string {
 	return fmt.Sprintf("index %s: duplicate key %v", e.Index, e.Key)
 }
 
-// Insert adds the document (identified by id) to the index.
-func (ix *Index) Insert(d *bson.Doc, id any) error {
-	return ix.insertKeys(ix.keysForDoc(d), id)
+// entryPos narrows a record position to its stored form, or reports that an
+// entry cannot hold it.
+func (ix *Index) entryPos(pos int) (uint32, error) {
+	if pos < 0 || uint64(pos) > math.MaxUint32 {
+		return 0, fmt.Errorf("index %s: record position %d outside [0, %d]", ix.name, pos, uint32(math.MaxUint32))
+	}
+	return uint32(pos), nil
 }
 
-func (ix *Index) insertKeys(keys []Key, id any) error {
+// Insert adds the document stored at record position pos to the index.
+func (ix *Index) Insert(d *bson.Doc, pos int) error {
+	p, err := ix.entryPos(pos)
+	if err != nil {
+		return err
+	}
+	return ix.insertKeys(ix.keysForDoc(d), p)
+}
+
+func (ix *Index) insertKeys(keys []Key, p uint32) error {
 	if ix.unique {
 		for _, k := range keys {
-			if existing := ix.tree.Get(k); len(existing) > 0 {
+			if len(ix.tree.Get(k)) > 0 {
 				return &ErrDuplicateKey{Index: ix.name, Key: k}
 			}
 		}
 	}
 	for _, k := range keys {
-		ix.tree.Insert(k, id)
-		ix.size += keySize(k) + 16
+		ix.tree.Insert(k, p)
+		ix.size += keySize(k) + posBytes
 	}
 	return nil
 }
 
-// Remove deletes the document's entries from the index.
-func (ix *Index) Remove(d *bson.Doc, id any) {
-	ix.removeKeys(ix.keysForDoc(d), id)
+// Remove deletes the entries of the document stored at pos from the index.
+func (ix *Index) Remove(d *bson.Doc, pos int) {
+	p, err := ix.entryPos(pos)
+	if err != nil {
+		return // Insert never admitted it, so there is nothing to remove
+	}
+	ix.removeKeys(ix.keysForDoc(d), p)
 }
 
-func (ix *Index) removeKeys(keys []Key, id any) {
+func (ix *Index) removeKeys(keys []Key, p uint32) {
 	for _, k := range keys {
-		if ix.tree.Delete(k, id) {
-			ix.size -= keySize(k) + 16
+		if ix.tree.Delete(k, p) {
+			ix.size -= keySize(k) + posBytes
 			if ix.size < 0 {
 				ix.size = 0
 			}
@@ -315,19 +336,36 @@ func (ix *Index) removeKeys(keys []Key, id any) {
 	}
 }
 
-// Replace maintains the index across an update of the document identified by
-// id: the entries under old's keys move to updated's keys. When the update
+// Replace maintains the index across an update of the document stored at
+// pos: the entries under old's keys move to updated's keys. When the update
 // left the indexed fields alone the two key lists are equal and the tree is
 // not touched at all — no descent, no path copy — which is the common case
-// for every index but the one on the field an update writes.
-func (ix *Index) Replace(old, updated *bson.Doc, id any) error {
+// for every index but the one on the field an update writes. When a unique
+// index refuses the new keys the old entries are put back, so a failed
+// Replace leaves the index as it found it.
+func (ix *Index) Replace(old, updated *bson.Doc, pos int) error {
+	p, err := ix.entryPos(pos)
+	if err != nil {
+		return err
+	}
 	from, to := ix.keysForDoc(old), ix.keysForDoc(updated)
 	if sameKeys(from, to) {
 		return nil
 	}
-	ix.removeKeys(from, id)
-	return ix.insertKeys(to, id)
+	ix.removeKeys(from, p)
+	if err = ix.insertKeys(to, p); err != nil {
+		// Cannot fail: these keys held this very entry a moment ago.
+		_ = ix.insertKeys(from, p)
+	}
+	return err
 }
+
+// Remap renumbers every entry after the owning collection compacted its
+// records: newPos maps each old position to the record's new one (-1 for a
+// dropped tombstone, which no entry may reference). The writer's tree is
+// rebuilt from fresh nodes; handles frozen before the call keep the old
+// nodes, and with them the old numbering their version's pages still use.
+func (ix *Index) Remap(newPos []int) { ix.tree.Remap(newPos) }
 
 func sameKeys(a, b []Key) bool {
 	if len(a) != len(b) {
@@ -351,23 +389,34 @@ func keySize(k Key) int {
 	return size
 }
 
-// Lookup returns the ids of documents whose indexed value equals v (for
-// single-field and hashed indexes) in index order.
-func (ix *Index) Lookup(v any) []any {
+// Lookup returns the record positions of documents whose indexed value
+// equals v (for single-field and hashed indexes) in index order.
+func (ix *Index) Lookup(v any) []int {
 	if ix.spec.hashed() {
 		v = hashValue(v)
 	}
-	return ix.tree.Get(Key{bson.Normalize(v)})
+	return ix.LookupKey(Key{bson.Normalize(v)})
 }
 
-// LookupKey returns the ids for an exact composite key.
-func (ix *Index) LookupKey(k Key) []any { return ix.tree.Get(k) }
+// LookupKey returns the record positions for an exact composite key.
+func (ix *Index) LookupKey(k Key) []int {
+	ps := ix.tree.Get(k)
+	if len(ps) == 0 {
+		return nil
+	}
+	out := make([]int, len(ps))
+	for i, p := range ps {
+		out[i] = int(p)
+	}
+	return out
+}
 
 // ScanRange walks index entries whose leading field falls within the
-// constraint bounds, invoking fn for each document id in key order.
-// It returns false when the constraint cannot be used with this index (for
-// example a range constraint against a hashed index).
-func (ix *Index) ScanRange(c *query.Constraint, fn func(id any) bool) bool {
+// constraint bounds, invoking fn for each record position in key order; it
+// allocates nothing per entry. It returns false when the constraint cannot
+// be used with this index (for example a range constraint against a hashed
+// index).
+func (ix *Index) ScanRange(c *query.Constraint, fn func(pos int) bool) bool {
 	if c == nil {
 		return false
 	}
@@ -376,8 +425,8 @@ func (ix *Index) ScanRange(c *query.Constraint, fn func(id any) bool) bool {
 			return false
 		}
 		for _, p := range c.Points {
-			for _, id := range ix.tree.Get(Key{hashValue(p)}) {
-				if !fn(id) {
+			for _, e := range ix.tree.Get(Key{hashValue(p)}) {
+				if !fn(int(e)) {
 					return true
 				}
 			}
@@ -390,8 +439,8 @@ func (ix *Index) ScanRange(c *query.Constraint, fn func(id any) bool) bool {
 			// component equals p.
 			r := NewRange(Key{p}, true, Key{p, MaxSentinel{}}, true)
 			stopped := false
-			ix.tree.Scan(r, func(_ Key, id any) bool {
-				if !fn(id) {
+			ix.tree.Scan(r, func(_ Key, e uint32) bool {
+				if !fn(int(e)) {
 					stopped = true
 					return false
 				}
@@ -420,7 +469,7 @@ func (ix *Index) ScanRange(c *query.Constraint, fn func(id any) bool) bool {
 			maxIncl = false
 		}
 	}
-	ix.tree.Scan(NewRange(min, minIncl, max, maxIncl), func(_ Key, id any) bool { return fn(id) })
+	ix.tree.Scan(NewRange(min, minIncl, max, maxIncl), func(_ Key, e uint32) bool { return fn(int(e)) })
 	return true
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"docstore/internal/bson"
@@ -75,8 +76,8 @@ func TestIndexInsertLookupRemove(t *testing.T) {
 		bson.D(bson.IDKey, 3, "ss_item_sk", 99),
 		bson.D(bson.IDKey, 4), // missing field indexes as null
 	}
-	for _, d := range docs {
-		if err := ix.Insert(d, d.ID()); err != nil {
+	for pos, d := range docs {
+		if err := ix.Insert(d, pos); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -86,13 +87,13 @@ func TestIndexInsertLookupRemove(t *testing.T) {
 	if got := ix.Lookup(17); len(got) != 2 {
 		t.Fatalf("Lookup(17) = %v", got)
 	}
-	if got := ix.Lookup(nil); len(got) != 1 || got[0] != int64(4) {
+	if got := ix.Lookup(nil); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("Lookup(nil) = %v", got)
 	}
 	if ix.SizeBytes() <= 0 {
 		t.Fatalf("SizeBytes = %d", ix.SizeBytes())
 	}
-	ix.Remove(docs[0], docs[0].ID())
+	ix.Remove(docs[0], 0)
 	if got := ix.Lookup(17); len(got) != 1 {
 		t.Fatalf("after remove Lookup(17) = %v", got)
 	}
@@ -195,8 +196,8 @@ func TestCompoundIndexAndPrefix(t *testing.T) {
 	}
 	// Scanning a point constraint on the leading field returns every doc
 	// with that price.
-	var ids []any
-	ok := ix.ScanRange(query.ConstraintFor(bson.D("ItemPrice", 3), "ItemPrice"), func(id any) bool {
+	var ids []int
+	ok := ix.ScanRange(query.ConstraintFor(bson.D("ItemPrice", 3), "ItemPrice"), func(id int) bool {
 		ids = append(ids, id)
 		return true
 	})
@@ -211,8 +212,8 @@ func TestScanRangeOnSingleFieldIndex(t *testing.T) {
 		_ = ix.Insert(bson.D(bson.IDKey, i, "price", float64(i)/10), i)
 	}
 	c := query.ConstraintFor(bson.D("price", bson.D("$gte", 0.99, "$lte", 1.49)), "price")
-	var ids []any
-	if !ix.ScanRange(c, func(id any) bool { ids = append(ids, id); return true }) {
+	var ids []int
+	if !ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true }) {
 		t.Fatalf("ScanRange returned false")
 	}
 	// 1.0 .. 1.4 → ids 10..14 plus 0.99..: price values are i/10, so >=0.99
@@ -223,25 +224,25 @@ func TestScanRangeOnSingleFieldIndex(t *testing.T) {
 	// Exclusive bounds.
 	c = query.ConstraintFor(bson.D("price", bson.D("$gt", 1.0, "$lt", 1.4)), "price")
 	ids = nil
-	ix.ScanRange(c, func(id any) bool { ids = append(ids, id); return true })
+	ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true })
 	if len(ids) != 3 {
 		t.Fatalf("exclusive range scan ids = %v", ids)
 	}
 	// Early stop.
 	c = query.ConstraintFor(bson.D("price", bson.D("$gte", 0.0)), "price")
 	n := 0
-	ix.ScanRange(c, func(any) bool { n++; return n < 3 })
+	ix.ScanRange(c, func(int) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("early stop visited %d", n)
 	}
 	// A nil constraint cannot be used.
-	if ix.ScanRange(nil, func(any) bool { return true }) {
+	if ix.ScanRange(nil, func(int) bool { return true }) {
 		t.Fatalf("nil constraint should not be scannable")
 	}
 	// Point-set constraints ($in) scan each point.
 	c = query.ConstraintFor(bson.D("price", bson.D("$in", bson.A(0.5, 2.0))), "price")
 	ids = nil
-	ix.ScanRange(c, func(id any) bool { ids = append(ids, id); return true })
+	ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true })
 	if len(ids) != 2 {
 		t.Fatalf("$in scan ids = %v", ids)
 	}
@@ -254,8 +255,8 @@ func TestScanRangeHashedIndexLimitations(t *testing.T) {
 	}
 	// Point constraints work.
 	c := query.ConstraintFor(bson.D("k", 7), "k")
-	var ids []any
-	if !ix.ScanRange(c, func(id any) bool { ids = append(ids, id); return true }) {
+	var ids []int
+	if !ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true }) {
 		t.Fatalf("hashed point scan should work")
 	}
 	if len(ids) != 1 || ids[0] != 7 {
@@ -263,13 +264,13 @@ func TestScanRangeHashedIndexLimitations(t *testing.T) {
 	}
 	// Range constraints cannot use a hashed index.
 	c = query.ConstraintFor(bson.D("k", bson.D("$gte", 3)), "k")
-	if ix.ScanRange(c, func(any) bool { return true }) {
+	if ix.ScanRange(c, func(int) bool { return true }) {
 		t.Fatalf("hashed index should reject range scans")
 	}
 	// Early stop on hashed point sets.
 	c = query.ConstraintFor(bson.D("k", bson.D("$in", bson.A(1, 2, 3))), "k")
 	n := 0
-	ix.ScanRange(c, func(any) bool { n++; return false })
+	ix.ScanRange(c, func(int) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("early stop visited %d", n)
 	}
@@ -357,7 +358,7 @@ func TestReplaceSkipsUnchangedKeys(t *testing.T) {
 		}
 		at := func(ix *Index, a int) int {
 			n := 0
-			ix.ScanRange(&query.Constraint{Field: "a", Points: []any{int64(a)}}, func(any) bool { n++; return true })
+			ix.ScanRange(&query.Constraint{Field: "a", Points: []any{int64(a)}}, func(int) bool { n++; return true })
 			return n
 		}
 		if at(ix, 5) != 1 || at(ix, 6) != 1 {
@@ -366,5 +367,124 @@ func TestReplaceSkipsUnchangedKeys(t *testing.T) {
 		if at(frozen, 5) != 2 || at(frozen, 6) != 0 {
 			t.Fatalf("%s: the frozen handle saw the move", ix.Name())
 		}
+	}
+}
+
+// TestReplaceRestoresEntriesOnDuplicate: a unique index that refuses the new
+// keys leaves the document's old entries in place.
+func TestReplaceRestoresEntriesOnDuplicate(t *testing.T) {
+	ix := New("uniq", MustParseSpec(bson.D("email", 1)), true)
+	a := bson.D(bson.IDKey, 1, "email", "a@x.com")
+	b := bson.D(bson.IDKey, 2, "email", "b@x.com")
+	if err := ix.Insert(a, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Insert(b, 1); err != nil {
+		t.Fatal(err)
+	}
+	size := ix.SizeBytes()
+	var dup *ErrDuplicateKey
+	if err := ix.Replace(b, bson.D(bson.IDKey, 2, "email", "a@x.com"), 1); !errors.As(err, &dup) {
+		t.Fatalf("Replace onto a taken key = %v, want ErrDuplicateKey", err)
+	}
+	if got := ix.Lookup("b@x.com"); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("after the refused Replace Lookup(b) = %v, want [1]", got)
+	}
+	if got := ix.Lookup("a@x.com"); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("after the refused Replace Lookup(a) = %v, want [0]", got)
+	}
+	if ix.Len() != 2 || ix.SizeBytes() != size {
+		t.Fatalf("after the refused Replace Len = %d, SizeBytes = %d (was %d)", ix.Len(), ix.SizeBytes(), size)
+	}
+}
+
+// TestRemapRenumbersWriterAndSparesFrozenHandles: Remap moves every entry of
+// the writer's tree to its record's new position, in the same key and entry
+// order, while a handle frozen before it still reads the old numbering.
+func TestRemapRenumbersWriterAndSparesFrozenHandles(t *testing.T) {
+	const n = 5000
+	ix := New("", MustParseSpec(bson.D("g", 1)), false)
+	ix.SetStamp(1)
+	for pos := 0; pos < n; pos++ {
+		if err := ix.Insert(bson.D("g", pos%37), pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Drop every third record, as a delete-then-compact would.
+	newPos := make([]int, n)
+	live := 0
+	for pos := range newPos {
+		if pos%3 == 0 {
+			ix.Remove(bson.D("g", pos%37), pos)
+			newPos[pos] = -1
+			continue
+		}
+		newPos[pos] = live
+		live++
+	}
+	frozen := ix.Freeze()
+	ix.SetStamp(2)
+	nodes, before := ix.Nodes(), ix.Len()
+	ix.Remap(newPos)
+	if ix.Len() != before || ix.Nodes() != nodes {
+		t.Fatalf("Remap changed the tree's shape: %d entries in %d nodes, was %d in %d", ix.Len(), ix.Nodes(), before, nodes)
+	}
+	for g := 0; g < 37; g++ {
+		old, got := frozen.Lookup(g), ix.Lookup(g)
+		if len(old) != len(got) {
+			t.Fatalf("g=%d: %d entries after Remap, %d before", g, len(got), len(old))
+		}
+		for i := range old {
+			if old[i]%37 != g || old[i]%3 == 0 {
+				t.Fatalf("g=%d: the frozen handle reads position %d", g, old[i])
+			}
+			if got[i] != newPos[old[i]] {
+				t.Fatalf("g=%d entry %d: position %d, want %d (was %d)", g, i, got[i], newPos[old[i]], old[i])
+			}
+		}
+	}
+	// The rebuilt tree is the writer's own: it takes further writes, and they
+	// too stay invisible to the frozen handle.
+	if err := ix.Insert(bson.D("g", 5), live); err != nil {
+		t.Fatal(err)
+	}
+	ix.Remove(bson.D("g", 5), ix.Lookup(5)[0])
+	if got, old := len(ix.Lookup(5)), len(frozen.Lookup(5)); got != old {
+		t.Fatalf("g=5 has %d entries after an insert and a remove, want %d", got, old)
+	}
+}
+
+// TestRemapPanicsOnEntryForDroppedRecord: an entry that outlived its record
+// is a maintenance bug, not something to renumber.
+func TestRemapPanicsOnEntryForDroppedRecord(t *testing.T) {
+	ix := New("", MustParseSpec(bson.D("g", 1)), false)
+	if err := ix.Insert(bson.D("g", 1), 0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Remap accepted an entry whose record was dropped")
+		}
+	}()
+	ix.Remap([]int{-1})
+}
+
+// TestInsertRejectsPositionsAnEntryCannotHold: positions are stored in four
+// bytes; one that does not fit is an error, never a silent wrap onto another
+// record.
+func TestInsertRejectsPositionsAnEntryCannotHold(t *testing.T) {
+	ix := New("", MustParseSpec(bson.D("g", 1)), false)
+	d := bson.D("g", 1)
+	for _, pos := range []int{-1, math.MaxUint32 + 1} {
+		if err := ix.Insert(d, pos); err == nil {
+			t.Fatalf("Insert at position %d succeeded", pos)
+		}
+	}
+	if err := ix.Insert(d, math.MaxUint32); err != nil {
+		t.Fatalf("Insert at the last position: %v", err)
+	}
+	ix.Remove(d, math.MaxUint32+1) // would alias position 0 if it wrapped
+	if got := ix.Lookup(1); len(got) != 1 || got[0] != math.MaxUint32 {
+		t.Fatalf("Lookup = %v", got)
 	}
 }

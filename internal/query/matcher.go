@@ -111,20 +111,49 @@ type notNode struct{ child matchNode }
 func (n *notNode) matches(d *bson.Doc) bool { return !n.child.matches(d) }
 
 // fieldNode applies a predicate to the values reachable at a dotted path.
+// The path is split once, at compile time; parts is nil for the common
+// single-segment path, which is one field lookup with nothing to traverse.
 type fieldNode struct {
-	path string
-	pred fieldPredicate
+	path  string
+	parts []string
+	pred  fieldPredicate
+}
+
+// fieldValues is what a field path resolved to in one document: nothing, one
+// value, or — when the path fanned out through arrays — several. The single
+// value travels inline, so matching a top-level field allocates nothing.
+type fieldValues struct {
+	one  any
+	many []any
+	n    int
+}
+
+func oneValue(v any) fieldValues { return fieldValues{one: v, n: 1} }
+
+// exists is false when the path resolved to nothing.
+func (vs fieldValues) exists() bool { return vs.n > 0 }
+
+func (vs fieldValues) at(i int) any {
+	if vs.many != nil {
+		return vs.many[i]
+	}
+	return vs.one
 }
 
 type fieldPredicate interface {
-	// match is invoked with all values reachable at the path. exists is false
-	// when the path resolves to nothing.
-	match(values []any, exists bool) bool
+	// match is invoked with all values reachable at the path.
+	match(vs fieldValues) bool
 }
 
 func (n *fieldNode) matches(d *bson.Doc) bool {
-	values := d.LookupPathAll(n.path)
-	return n.pred.match(values, len(values) > 0)
+	if n.parts == nil {
+		if v, ok := d.Get(n.path); ok {
+			return n.pred.match(oneValue(v))
+		}
+		return n.pred.match(fieldValues{})
+	}
+	values := d.LookupParts(n.parts)
+	return n.pred.match(fieldValues{many: values, n: len(values)})
 }
 
 func compileFilter(filter *bson.Doc) (matchNode, error) {
@@ -192,7 +221,11 @@ func compileClause(key string, value any) (matchNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: field %q: %w", key, err)
 	}
-	return &fieldNode{path: key, pred: pred}, nil
+	node := &fieldNode{path: key, pred: pred}
+	if strings.Contains(key, ".") {
+		node.parts = strings.Split(key, ".")
+	}
+	return node, nil
 }
 
 // compileFieldPredicate builds the predicate for one field condition, which
@@ -323,9 +356,9 @@ func compileOperator(op string, arg any) (fieldPredicate, error) {
 
 type allOfPredicate struct{ preds []fieldPredicate }
 
-func (p allOfPredicate) match(values []any, exists bool) bool {
+func (p allOfPredicate) match(vs fieldValues) bool {
 	for _, sub := range p.preds {
-		if !sub.match(values, exists) {
+		if !sub.match(vs) {
 			return false
 		}
 	}
@@ -334,8 +367,8 @@ func (p allOfPredicate) match(values []any, exists bool) bool {
 
 type notPredicate struct{ inner fieldPredicate }
 
-func (p notPredicate) match(values []any, exists bool) bool {
-	return !p.inner.match(values, exists)
+func (p notPredicate) match(vs fieldValues) bool {
+	return !p.inner.match(vs)
 }
 
 // eqPredicate implements $eq with array semantics: a value matches when it
@@ -343,12 +376,13 @@ func (p notPredicate) match(values []any, exists bool) bool {
 // the target (or equal to the target as a whole array).
 type eqPredicate struct{ val any }
 
-func (p eqPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p eqPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		// {field: null} matches documents where the field is missing.
 		return p.val == nil
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		if valueMatchesEq(v, p.val) {
 			return true
 		}
@@ -375,11 +409,12 @@ type cmpPredicate struct {
 	val any
 }
 
-func (p cmpPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p cmpPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		if valueMatchesCmp(v, p.op, p.val) {
 			return true
 		}
@@ -423,8 +458,8 @@ func valueMatchesCmp(v any, op string, target any) bool {
 
 type inPredicate struct{ vals []any }
 
-func (p inPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p inPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		for _, t := range p.vals {
 			if t == nil {
 				return true
@@ -432,7 +467,8 @@ func (p inPredicate) match(values []any, exists bool) bool {
 		}
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		for _, t := range p.vals {
 			if valueMatchesEq(v, t) {
 				return true
@@ -444,15 +480,16 @@ func (p inPredicate) match(values []any, exists bool) bool {
 
 type existsPredicate struct{ want bool }
 
-func (p existsPredicate) match(_ []any, exists bool) bool { return exists == p.want }
+func (p existsPredicate) match(vs fieldValues) bool { return vs.exists() == p.want }
 
 type typePredicate struct{ name string }
 
-func (p typePredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p typePredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		if bson.TypeOf(v).String() == p.name {
 			return true
 		}
@@ -462,11 +499,12 @@ func (p typePredicate) match(values []any, exists bool) bool {
 
 type sizePredicate struct{ n int }
 
-func (p sizePredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p sizePredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		if arr, ok := v.([]any); ok && len(arr) == p.n {
 			return true
 		}
@@ -476,11 +514,12 @@ func (p sizePredicate) match(values []any, exists bool) bool {
 
 type modPredicate struct{ div, rem int64 }
 
-func (p modPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p modPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		candidates := []any{v}
 		if arr, ok := v.([]any); ok {
 			candidates = arr
@@ -496,11 +535,12 @@ func (p modPredicate) match(values []any, exists bool) bool {
 
 type regexPredicate struct{ re *regexp.Regexp }
 
-func (p regexPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p regexPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		candidates := []any{v}
 		if arr, ok := v.([]any); ok {
 			candidates = arr
@@ -518,13 +558,14 @@ func (p regexPredicate) match(values []any, exists bool) bool {
 // field (which is usually an array).
 type allPredicate struct{ vals []any }
 
-func (p allPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p allPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
 	for _, t := range p.vals {
 		found := false
-		for _, v := range values {
+		for i := 0; i < vs.n; i++ {
+			v := vs.at(i)
 			if valueMatchesEq(v, t) {
 				found = true
 				break
@@ -541,11 +582,12 @@ func (p allPredicate) match(values []any, exists bool) bool {
 // array element (a document) must satisfy the whole sub-filter.
 type elemMatchDocPredicate struct{ node matchNode }
 
-func (p elemMatchDocPredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p elemMatchDocPredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		arr, ok := v.([]any)
 		if !ok {
 			continue
@@ -563,17 +605,18 @@ func (p elemMatchDocPredicate) match(values []any, exists bool) bool {
 // applied to scalar array elements, e.g. {$elemMatch: {$gte: 10, $lt: 20}}.
 type elemMatchValuePredicate struct{ pred fieldPredicate }
 
-func (p elemMatchValuePredicate) match(values []any, exists bool) bool {
-	if !exists {
+func (p elemMatchValuePredicate) match(vs fieldValues) bool {
+	if !vs.exists() {
 		return false
 	}
-	for _, v := range values {
+	for i := 0; i < vs.n; i++ {
+		v := vs.at(i)
 		arr, ok := v.([]any)
 		if !ok {
 			continue
 		}
 		for _, e := range arr {
-			if p.pred.match([]any{e}, true) {
+			if p.pred.match(oneValue(e)) {
 				return true
 			}
 		}

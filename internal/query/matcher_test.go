@@ -286,3 +286,22 @@ func TestMatcherRangeAgainstNaiveOracleProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchingTopLevelFieldsAllocatesNothing: a compiled filter over
+// single-segment paths resolves each field in place — no path split, no
+// result slice — so examining a document costs no allocation at all.
+func TestMatchingTopLevelFieldsAllocatesNothing(t *testing.T) {
+	m := MustCompile(bson.D(
+		"g", 7,
+		"price", bson.D("$gte", 1.0, "$lt", 9.0),
+		"state", bson.D("$in", bson.A("TN", "SD")),
+		"gone", bson.D("$exists", false),
+	))
+	doc := bson.D(bson.IDKey, 1, "g", 7, "price", 4.5, "state", "SD", "tags", bson.A("a", "b"))
+	if !m.Matches(doc) {
+		t.Fatalf("filter should match %v", doc)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { m.Matches(doc) }); allocs != 0 {
+		t.Fatalf("matching four top-level fields allocated %.1f times a document, want 0", allocs)
+	}
+}

@@ -38,9 +38,10 @@ func (e *ErrDuplicateID) Error() string {
 // record is one stored document slot. Deleted slots remain as tombstones
 // until the collection compacts, which keeps scans in insertion order and —
 // more importantly under MVCC — keeps record positions stable, so the _id
-// map and index position lists survive deletes without rebuilds. A
-// tombstone drops its document reference: pinned versions keep the document
-// alive through their own pages, and once they release, the memory goes.
+// map and the positions secondary-index entries carry survive deletes
+// without rebuilds. A tombstone drops its document reference: pinned
+// versions keep the document alive through their own pages, and once they
+// release, the memory goes.
 type record struct {
 	idKey   string
 	doc     *bson.Doc
@@ -85,8 +86,10 @@ type version struct {
 	tombs       int
 	// idMap is the version-owned _id index: idKey -> position, frozen at its
 	// last rebuild. Positions appended after the rebuild — [idMapLen,
-	// length) — are covered by a bounded tail scan instead, so point lookups
-	// never touch the writer mutex (see Snapshot.FindID).
+	// length) — are covered by a bounded tail scan instead, so _id point
+	// lookups never touch the writer mutex (see Snapshot.FindID). Only
+	// genuine _id lookups come here: secondary-index entries carry record
+	// positions and need no id resolution.
 	idMap    map[string]int
 	idMapLen int
 	// lastLSN is the journal watermark as of this version: the LSN of the
@@ -99,8 +102,9 @@ type version struct {
 	indexMeta []IndexMeta
 	// indexes is the version-owned immutable index set: one frozen handle per
 	// secondary index, sharing tree nodes with the writer's trees via
-	// path-copying (see index.BTree). Planning and index scans read these
-	// with no locking, exactly like the record pages.
+	// path-copying (see index.BTree). Their entries are positions into this
+	// version's pages. Planning and index scans read these with no locking,
+	// exactly like the record pages.
 	indexes indexSet
 	// indexSize is the summed in-memory size estimate of the secondary
 	// indexes at publish time, for lock-free Stats.
@@ -419,14 +423,16 @@ func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	if _, exists := c.byID[key]; exists {
 		return nil, &ErrDuplicateID{ID: id}
 	}
+	// The position the document is about to take; index entries carry it.
+	pos := c.length
 	for _, e := range c.indexes {
-		if err := e.ix.Insert(doc, id); err != nil {
+		if err := e.ix.Insert(doc, pos); err != nil {
 			// Roll back entries added to earlier indexes.
 			for _, other := range c.indexes {
 				if other.ix == e.ix {
 					break
 				}
-				other.ix.Remove(doc, id)
+				other.ix.Remove(doc, pos)
 			}
 			return nil, err
 		}
@@ -434,7 +440,6 @@ func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	// Appending is safe even into pages shared with the published version:
 	// the write lands at a position no pinned reader accesses (see the
 	// version invariants).
-	pos := c.length
 	*c.appendSlotLocked() = record{idKey: key, doc: doc, size: size}
 	c.byID[key] = pos
 	c.count++
@@ -543,10 +548,14 @@ func (c *Collection) retireAllPagesLocked() {
 	}
 }
 
-// compactLocked rewrites the record store without tombstones. The rewrite
-// lands in fresh pages, so versions pinned before the compaction keep
-// scanning their own frozen records; positions move, so the version id map
-// is rebuilt at the next publish.
+// compactLocked rewrites the record store without tombstones. It is the one
+// event that moves record positions, so everything that names a position
+// moves with it: the writer's id map, the version id map (rebuilt at the next
+// publish), and every secondary-index entry — each writer tree is rebuilt
+// from fresh nodes with the positions renumbered (index.Index.Remap). The
+// rewrite lands in fresh pages and fresh tree nodes, so versions pinned
+// before the compaction keep their own frozen pages and their own frozen
+// trees, which still agree with each other in the old numbering.
 func (c *Collection) compactLocked() {
 	if c.tombs == 0 {
 		return
@@ -557,6 +566,13 @@ func (c *Collection) compactLocked() {
 	c.length = 0
 	c.spineShared = false
 	byID := make(map[string]int, c.count)
+	var newPos []int // old position -> new, -1 for a dropped tombstone
+	if len(c.indexes) > 0 {
+		newPos = make([]int, oldLen)
+		for i := range newPos {
+			newPos[i] = -1
+		}
+	}
 	for pi, base := 0, 0; base < oldLen; pi, base = pi+1, base+pageSize {
 		p := oldPages[pi]
 		if p == nil {
@@ -571,9 +587,17 @@ func (c *Collection) compactLocked() {
 			if r.deleted {
 				continue
 			}
+			if newPos != nil {
+				newPos[base+off] = c.length
+			}
 			byID[r.idKey] = c.length
 			*c.appendSlotLocked() = record{idKey: r.idKey, doc: r.doc, size: r.size}
 		}
+	}
+	for _, e := range c.indexes {
+		// The superseded nodes stay reachable from published frozen handles.
+		c.retireTreeLocked(e.ix)
+		e.ix.Remap(newPos)
 	}
 	c.byID = byID
 	c.tombs = 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"docstore/internal/bson"
+	"docstore/internal/index"
 	"docstore/internal/query"
 )
 
@@ -437,6 +438,9 @@ func TestDelete(t *testing.T) {
 
 func TestDeleteTriggersCompaction(t *testing.T) {
 	c := NewCollection("t")
+	if _, err := c.EnsureIndexDoc(bson.D("v", 1), false); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 300; i++ {
 		_, _ = c.Insert(bson.D(bson.IDKey, i, "v", i))
 	}
@@ -456,6 +460,74 @@ func TestDeleteTriggersCompaction(t *testing.T) {
 		if c.FindID(i) == nil {
 			t.Fatalf("FindID(%d) lost after compaction", i)
 		}
+		// The compaction moved the record to position i-200; its index entry
+		// moved with it.
+		docs, plan, err := c.FindWithPlan(bson.D("v", i), FindOptions{})
+		if err != nil || plan.IndexUsed != "v_1" || len(docs) != 1 || docs[0].ID() != int64(i) {
+			t.Fatalf("find v=%d after compaction: %v, plan %s, %v", i, docs, plan, err)
+		}
+	}
+}
+
+// TestDeleteOneThroughIndexRemovesFirstInScanOrder: a multi: false delete
+// that an index narrows removes the matching document a collection scan
+// would reach first, whatever order the key's entries are in — the order is
+// history (here an update moved the oldest document's entry to the end), and
+// a secondary or a recovered node that rebuilt its trees has a different one.
+func TestDeleteOneThroughIndexRemovesFirstInScanOrder(t *testing.T) {
+	c := NewCollection("t")
+	if _, err := c.EnsureIndexDoc(bson.D("g", 1), false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		_, _ = c.Insert(bson.D(bson.IDKey, i, "g", 1))
+	}
+	for _, g := range []int{2, 1} { // _id 0 leaves g=1 and comes back, last in the key
+		if _, err := c.UpdateOne(bson.D(bson.IDKey, 0), bson.D("$set", bson.D("g", g))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if docs, plan, _ := c.FindWithPlan(bson.D("g", 1), FindOptions{}); plan.IndexUsed != "g_1" || docs[0].ID() == int64(0) {
+		t.Fatalf("set-up: index order should not start with _id 0: %v, plan %s", docs, plan)
+	}
+	if n, err := c.Delete(bson.D("g", 1), false); err != nil || n != 1 {
+		t.Fatalf("delete one: %d, %v", n, err)
+	}
+	if c.FindID(0) != nil || c.FindID(1) == nil || c.FindID(2) == nil {
+		t.Fatalf("delete one removed the wrong document: _id 0 present=%v", c.FindID(0) != nil)
+	}
+}
+
+// TestUpdateRefusedByUniqueIndexChangesNothing: when a unique index refuses
+// an update's new key, the stored document, the refusing index and the
+// indexes maintained before it all stay as they were.
+func TestUpdateRefusedByUniqueIndexChangesNothing(t *testing.T) {
+	c := NewCollection("t")
+	// Name order is maintenance order: "a_1" moves before "u_1" refuses.
+	for _, spec := range []*bson.Doc{bson.D("a", 1), bson.D("u", 1)} {
+		if _, err := c.EnsureIndexDoc(spec, spec.Has("u")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _ = c.Insert(bson.D(bson.IDKey, 1, "a", 1, "u", "x"))
+	_, _ = c.Insert(bson.D(bson.IDKey, 2, "a", 2, "u", "y"))
+	size := c.DataSize()
+	res, err := c.UpdateOne(bson.D(bson.IDKey, 2), bson.D("$set", bson.D("a", 20, "u", "x")))
+	var dup *index.ErrDuplicateKey
+	if !errors.As(err, &dup) || res.Modified != 0 {
+		t.Fatalf("update onto a taken unique key: %+v, %v", res, err)
+	}
+	if d := c.FindID(2); !d.Equal(bson.D(bson.IDKey, 2, "a", 2, "u", "y")) || c.DataSize() != size {
+		t.Fatalf("refused update changed the document: %s", d)
+	}
+	for _, f := range []*bson.Doc{bson.D("a", 2), bson.D("u", "y")} {
+		docs, plan, err := c.FindWithPlan(f, FindOptions{})
+		if err != nil || plan.IndexUsed == "" || len(docs) != 1 || docs[0].ID() != int64(2) {
+			t.Fatalf("find %s after the refused update: %v, plan %s, %v", f, docs, plan, err)
+		}
+	}
+	if docs, _ := c.FindAll(bson.D("a", 20)); len(docs) != 0 {
+		t.Fatalf("index a_1 kept the refused update's key: %v", docs)
 	}
 }
 

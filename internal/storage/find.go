@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"docstore/internal/bson"
 	"docstore/internal/index"
@@ -140,28 +141,31 @@ func (c *Collection) FindWithPlan(filter *bson.Doc, opts FindOptions) ([]*bson.D
 // map served it, mirroring the real server's implicit _id_ index.
 const idIndexName = "_id_"
 
-// planEnv is a query-planning environment: an index set plus a resolver
-// from document id keys to live record positions. The writer plans against
+// planEnv is a query-planning environment: an index set, whose entries are
+// positions into the environment's own records, plus the _id lookup for the
+// one access path that starts from a document id. The writer plans against
 // its own mutable state (planLocked); readers plan against a pinned
 // version's frozen index set and id map, with no locking at all — the trees
-// are immutable path-copied structures published with the version, so they
-// agree with the pinned records by construction.
+// are immutable path-copied structures published with the version, so their
+// positions name the pinned records by construction.
 type planEnv struct {
 	coll    string
 	indexes indexSet
-	resolve func(key string) int // idKey -> live record position, -1 when absent
+	// idPos serves a bare {_id: x} filter: idKey -> live record position, -1
+	// when absent. Index scans never call it.
+	idPos func(key string) int
 }
 
 // planEnv returns the lock-free planning environment of a pinned version.
 func (v *version) planEnv(coll string) planEnv {
-	return planEnv{coll: coll, indexes: v.indexes, resolve: v.idPos}
+	return planEnv{coll: coll, indexes: v.indexes, idPos: v.idPos}
 }
 
 // planLocked chooses an access path under the write mutex, against the
-// writer's current (possibly mid-batch) state; updates use it so their
-// index-narrowed candidate set agrees with the records they mutate.
+// writer's current (possibly mid-batch) state; updates and deletes use it so
+// their index-narrowed candidate set agrees with the records they mutate.
 func (c *Collection) planLocked(filter *bson.Doc, opts FindOptions) ([]int, string, error) {
-	env := planEnv{coll: c.name, indexes: c.indexes, resolve: func(key string) int {
+	env := planEnv{coll: c.name, indexes: c.indexes, idPos: func(key string) int {
 		if pos, ok := c.byID[key]; ok {
 			return pos
 		}
@@ -189,7 +193,7 @@ func (e planEnv) plan(filter *bson.Doc, opts FindOptions) ([]int, string, error)
 	if opts.Hint == "" && filter.Len() == 1 {
 		if idv, ok := filter.Get(bson.IDKey); ok {
 			if _, isDoc := idv.(*bson.Doc); !isDoc {
-				if pos := e.resolve(idKey(bson.Normalize(idv))); pos >= 0 {
+				if pos := e.idPos(idKey(bson.Normalize(idv))); pos >= 0 {
 					return []int{pos}, idIndexName, nil
 				}
 				return []int{}, idIndexName, nil
@@ -229,18 +233,39 @@ func (e planEnv) plan(filter *bson.Doc, opts FindOptions) ([]int, string, error)
 	}
 	ix := best.ix
 	// A non-nil (possibly empty) slice signals that an index narrowed the
-	// candidates; nil means a collection scan is required.
+	// candidates; nil means a collection scan is required. The entries are
+	// the candidates: each is a record position, taken as it comes.
 	positions := make([]int, 0, 16)
-	ok := ix.ScanRange(best.leading, func(id any) bool {
-		if pos := e.resolve(idKey(id)); pos >= 0 {
-			positions = append(positions, pos)
-		}
+	ok := ix.ScanRange(best.leading, func(pos int) bool {
+		positions = append(positions, pos)
 		return true
 	})
 	if !ok {
 		return nil, "", nil
 	}
+	if ix.Multikey() || len(best.leading.Points) > 1 {
+		// One document can sit under several of the scanned keys (an array
+		// value, a repeated $in element); it is still one candidate.
+		positions = dedupePositions(positions)
+	}
 	return positions, best.name, nil
+}
+
+// dedupePositions drops repeated positions in place, keeping the first
+// occurrence of each so the index order of the candidates survives.
+func dedupePositions(positions []int) []int {
+	if len(positions) < 2 {
+		return positions
+	}
+	seen := make([]uint64, slices.Max(positions)>>6+1)
+	out := positions[:0]
+	for _, pos := range positions {
+		if word, bit := pos>>6, uint64(1)<<(pos&63); seen[word]&bit == 0 {
+			seen[word] |= bit
+			out = append(out, pos)
+		}
+	}
+	return out
 }
 
 type indexChoice struct {

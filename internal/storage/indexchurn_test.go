@@ -1,0 +1,457 @@
+package storage
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+
+	"docstore/internal/bson"
+	"docstore/internal/index"
+	"docstore/internal/query"
+)
+
+// Secondary-index entries are record positions, so every path that moves a
+// document or a position has to move the entries with it. This file checks
+// that from the outside: whatever random churn a collection has been
+// through, an index-served find returns what a collection scan returns.
+
+// Value domains of the churn documents, small so that keys collide, unique
+// keys are refused now and then, and every index key can be enumerated.
+const (
+	churnG = 8    // g: non-unique, leads the compound index
+	churnH = 4    // h: second field of the compound index
+	churnU = 2000 // u: unique
+)
+
+var churnTags = []string{"a", "b", "c", "d", "e"}
+
+// churnIndexes are the four index shapes under test.
+var churnIndexes = []struct {
+	spec   *bson.Doc
+	unique bool
+}{
+	{bson.D("u", 1), true},
+	{bson.D("g", 1), false},
+	{bson.D("g", 1, "h", 1), false},
+	{bson.D("tags", 1), false}, // multikey: tags is an array
+}
+
+// churnFilters are the finds compared after every step and replayed against
+// pinned versions; indexed says the planner must serve it from an index.
+var churnFilters = []struct {
+	filter  *bson.Doc
+	indexed bool
+}{
+	{bson.D("g", 3), true},
+	{bson.D("g", bson.D("$gte", 2, "$lt", 6)), true},
+	{bson.D("g", bson.D("$in", bson.A(0, 7))), true},
+	{bson.D("g", 5, "h", 1), true},
+	{bson.D("tags", "c"), true},
+	{bson.D("tags", bson.D("$in", bson.A("a", "b", "e"))), true}, // one document under several scanned keys
+	{bson.D("u", 17), true},
+	{bson.D("u", bson.D("$gte", 100, "$lte", 600)), true},
+	{bson.D("n", bson.D("$gte", 3)), false},
+	{bson.D(bson.IDKey, 11), true},
+}
+
+// churnDoc builds a document over the small domains.
+func churnDoc(r *rand.Rand, id int) *bson.Doc {
+	tags := make([]any, r.Intn(4))
+	for i := range tags {
+		tags[i] = churnTags[r.Intn(len(churnTags))]
+	}
+	d := bson.D(bson.IDKey, id, "u", r.Intn(churnU), "g", r.Intn(churnG), "n", r.Intn(6), "tags", tags)
+	if r.Intn(5) > 0 { // now and then h is missing and indexes as null
+		d.Set("h", int64(r.Intn(churnH)))
+	}
+	return d
+}
+
+// churnFilter picks a write filter: by _id, by each indexed field, by a
+// compound prefix, or by the field no index covers.
+func churnFilter(r *rand.Rand, nextID int) *bson.Doc {
+	switch r.Intn(7) {
+	case 0:
+		return bson.D(bson.IDKey, r.Intn(nextID+1))
+	case 1:
+		return bson.D("g", r.Intn(churnG))
+	case 2:
+		return bson.D("g", r.Intn(churnG), "h", r.Intn(churnH))
+	case 3:
+		return bson.D("tags", churnTags[r.Intn(len(churnTags))])
+	case 4:
+		lo := r.Intn(churnU)
+		return bson.D("u", bson.D("$gte", lo, "$lt", lo+r.Intn(200)))
+	case 5:
+		return bson.D("tags", bson.D("$in", bson.A(churnTags[r.Intn(len(churnTags))], churnTags[r.Intn(len(churnTags))])))
+	default:
+		return bson.D("n", r.Intn(6))
+	}
+}
+
+// churnUpdate picks an update document: indexed fields (the unique one
+// included, so some updates are refused), the multikey array, or the
+// non-indexed counter.
+func churnUpdate(r *rand.Rand) *bson.Doc {
+	switch r.Intn(6) {
+	case 0:
+		return bson.D("$set", bson.D("g", r.Intn(churnG)))
+	case 1:
+		return bson.D("$set", bson.D("u", r.Intn(churnU)))
+	case 2:
+		return bson.D("$set", bson.D("tags", bson.A(churnTags[r.Intn(len(churnTags))], churnTags[r.Intn(len(churnTags))])))
+	case 3:
+		return bson.D("$set", bson.D("g", r.Intn(churnG), "h", r.Intn(churnH)))
+	case 4:
+		return bson.D("$unset", bson.D("h", ""))
+	default:
+		return bson.D("$inc", bson.D("n", 1))
+	}
+}
+
+// churnStep applies one random mutation. Failed operations (a refused unique
+// key, a duplicate _id) are part of the workload: what they leave behind must
+// be as consistent as what a success leaves.
+func churnStep(r *rand.Rand, c *Collection, nextID *int) {
+	switch k := r.Intn(20); {
+	case k < 6:
+		_, _ = c.Insert(churnDoc(r, *nextID))
+		*nextID++
+	case k < 8:
+		docs := make([]*bson.Doc, 1+r.Intn(120))
+		for i := range docs {
+			docs[i] = churnDoc(r, *nextID)
+			*nextID++
+		}
+		c.BulkWrite(InsertOps(docs), BulkOptions{})
+	case k < 13:
+		spec := query.UpdateSpec{Query: churnFilter(r, *nextID), Update: churnUpdate(r), Multi: r.Intn(2) == 0}
+		if r.Intn(4) == 0 {
+			// An upsert that pins its _id, so a replay inserts the same document.
+			spec.Query = bson.D(bson.IDKey, *nextID, "g", r.Intn(churnG))
+			spec.Upsert = true
+			*nextID++
+		}
+		_, _ = c.Update(spec)
+	case k < 18:
+		_, _ = c.Delete(churnFilter(r, *nextID), r.Intn(3) == 0)
+	case k < 19:
+		// A mixed batch: tombstones, updates and appends under one publish.
+		c.BulkWrite([]WriteOp{
+			DeleteWriteOp(churnFilter(r, *nextID), true),
+			UpdateWriteOp(query.UpdateSpec{Query: churnFilter(r, *nextID), Update: churnUpdate(r), Multi: true}),
+			InsertWriteOp(churnDoc(r, *nextID)),
+		}, BulkOptions{})
+		*nextID++
+	default:
+		forceCompact(c)
+	}
+}
+
+// forceCompact compacts whatever tombstones there are, without waiting for
+// them to outnumber the live records.
+func forceCompact(c *Collection) {
+	c.mu.Lock()
+	c.compactLocked()
+	c.publishLocked()
+	c.mu.Unlock()
+}
+
+func sortByID(docs []*bson.Doc) []*bson.Doc {
+	sort.Slice(docs, func(i, j int) bool { return bson.Compare(docs[i].ID(), docs[j].ID()) < 0 })
+	return docs
+}
+
+// scanFind is the reference: the filter over every live record of the
+// snapshot, no planner involved.
+func scanFind(s *Snapshot, filter *bson.Doc) []*bson.Doc {
+	m := query.MustCompile(filter)
+	var out []*bson.Doc
+	s.Scan(func(d *bson.Doc) bool {
+		if m.Matches(d) {
+			out = append(out, d)
+		}
+		return true
+	})
+	return sortByID(out)
+}
+
+// diffFind compares the planner's find at the given version with want and
+// describes the first difference, or returns "".
+func diffFind(c *Collection, version int64, filter *bson.Doc, indexed bool, want []*bson.Doc) string {
+	got, plan, err := c.FindWithPlan(filter, FindOptions{AtVersion: version})
+	if err != nil {
+		return fmt.Sprintf("find %s at version %d: %v", filter, version, err)
+	}
+	if indexed && plan.IndexUsed == "" {
+		return fmt.Sprintf("find %s planned %s, want an index scan", filter, plan)
+	}
+	sortByID(got)
+	if len(got) != len(want) {
+		return fmt.Sprintf("find %s (%s) returned %d documents, a collection scan %d", filter, plan, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			return fmt.Sprintf("find %s (%s) document %d:\n got  %s\n scan %s", filter, plan, i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// checkFindsMatchScan pins the current version and compares every churn
+// filter, index-served, with the scan of the same version.
+func checkFindsMatchScan(t *testing.T, c *Collection, step int) {
+	t.Helper()
+	s := c.Snapshot()
+	defer s.Release()
+	for _, f := range churnFilters {
+		if d := diffFind(c, s.Version(), f.filter, f.indexed, scanFind(s, f.filter)); d != "" {
+			t.Fatalf("step %d: %s", step, d)
+		}
+	}
+}
+
+// pinnedView is a snapshot held across later churn together with what every
+// churn filter returned at the moment it was pinned.
+type pinnedView struct {
+	snap *Snapshot
+	step int
+	want [][]*bson.Doc
+}
+
+func pinView(c *Collection, step int) pinnedView {
+	p := pinnedView{snap: c.Snapshot(), step: step}
+	for _, f := range churnFilters {
+		p.want = append(p.want, cloneAll(scanFind(p.snap, f.filter)))
+	}
+	return p
+}
+
+// check replays the filters against the pinned version, through its own
+// frozen trees, and expects the results recorded at pin time.
+func (p pinnedView) check(t *testing.T, c *Collection, step int) {
+	t.Helper()
+	for i, f := range churnFilters {
+		if d := diffFind(c, p.snap.Version(), f.filter, f.indexed, p.want[i]); d != "" {
+			t.Fatalf("step %d, version %d pinned at step %d: %s", step, p.snap.Version(), p.step, d)
+		}
+	}
+}
+
+// indexContents lists, for every index and every key of its domain, the _ids
+// of the documents its entries point at. Entry order within a key is history
+// (a rebuilt tree lists positions ascending), so the ids are sorted.
+func indexContents(t *testing.T, c *Collection) map[string]map[string][]string {
+	t.Helper()
+	g, h, u, tags := []any{nil}, []any{nil}, []any{nil}, []any{nil}
+	for i := 0; i < churnG; i++ {
+		g = append(g, int64(i))
+	}
+	for i := 0; i < churnH; i++ {
+		h = append(h, int64(i))
+	}
+	for i := 0; i < churnU; i++ {
+		u = append(u, int64(i))
+	}
+	for _, tag := range churnTags {
+		tags = append(tags, tag)
+	}
+	single := func(vals []any) []index.Key {
+		keys := make([]index.Key, len(vals))
+		for i, v := range vals {
+			keys[i] = index.Key{v}
+		}
+		return keys
+	}
+	domains := map[string][]index.Key{"u_1": single(u), "g_1": single(g), "tags_1": single(tags)}
+	for _, gv := range g {
+		for _, hv := range h {
+			domains["g_1_h_1"] = append(domains["g_1_h_1"], index.Key{gv, hv})
+		}
+	}
+	out := map[string]map[string][]string{}
+	for _, name := range c.IndexNames() {
+		ix := c.Index(name)
+		byKey, entries := map[string][]string{}, 0
+		for _, key := range domains[name] {
+			var ids []string
+			for _, pos := range ix.LookupKey(key) {
+				r := c.writerRecord(pos)
+				if r == nil || r.deleted {
+					t.Fatalf("index %s key %v: entry at position %d points at no live record", name, key, pos)
+				}
+				ids = append(ids, fmt.Sprint(r.doc.ID()))
+			}
+			sort.Strings(ids)
+			entries += len(ids)
+			if len(ids) > 0 {
+				byKey[fmt.Sprint(key)] = ids
+			}
+		}
+		if entries != ix.Len() {
+			t.Fatalf("index %s holds %d entries, %d of them under the keys of its domain", name, ix.Len(), entries)
+		}
+		out[name] = byKey
+	}
+	return out
+}
+
+// churnCheckpoint is what a checkpoint keeps of one collection.
+type churnCheckpoint struct {
+	data bytes.Buffer
+	info SnapshotInfo
+}
+
+func takeCheckpoint(t *testing.T, c *Collection) *churnCheckpoint {
+	t.Helper()
+	s := c.Snapshot()
+	defer s.Release()
+	cp := &churnCheckpoint{info: s.Info()}
+	if err := s.WriteData(&cp.data); err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// recoverFrom rebuilds a collection the way mongod's recovery does: load the
+// checkpoint's documents, backfill its index definitions, then replay the
+// logged batches past its watermark. The checkpoint must postdate every
+// index creation, which the journal records without a place in that order.
+func recoverFrom(t *testing.T, cp *churnCheckpoint, log *fakeJournal) *Collection {
+	t.Helper()
+	if len(cp.info.Indexes) != len(churnIndexes) {
+		t.Fatalf("checkpoint carries %d index definitions, want all %d", len(cp.info.Indexes), len(churnIndexes))
+	}
+	c := NewCollection("churn")
+	if err := c.ReadSnapshot(bytes.NewReader(cp.data.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for _, meta := range cp.info.Indexes {
+		if _, err := c.EnsureIndexDoc(meta.Spec, meta.Unique); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.SetReplayLSN(cp.info.LastLSN)
+	for _, rec := range log.batches {
+		if rec.lsn <= c.LastLSN() {
+			continue
+		}
+		// Per-op failures replay as they failed the first time.
+		c.BulkWrite(rec.ops, BulkOptions{Ordered: rec.ordered})
+		c.SetReplayLSN(rec.lsn)
+	}
+	return c
+}
+
+// TestIndexChurnEquivalence drives seeded random insert / update / upsert /
+// delete / compaction sequences over a collection with a unique, a
+// non-unique, a compound and a multikey index, while a reader keeps
+// comparing finds on whatever version is current. After every step each
+// index-served find equals the collection scan of the same version;
+// versions pinned along the way — before compactions included — keep
+// returning their point-in-time results through their own frozen trees; and
+// a checkpoint taken mid-sequence plus a replay of the log after it rebuilds
+// the same index contents.
+func TestIndexChurnEquivalence(t *testing.T) {
+	steps := 400
+	if testing.Short() {
+		steps = 120
+	}
+	for _, seed := range []int64{1, 2, 3} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			r := rand.New(rand.NewSource(seed))
+			c := NewCollection("churn")
+			log := &fakeJournal{}
+			c.SetJournal(log)
+			// Half the indexes exist before the first document, half are
+			// backfilled over live records and tombstones.
+			for _, ix := range churnIndexes[:2] {
+				if _, err := c.EnsureIndexDoc(ix.spec, ix.unique); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The reader sees versions the writer's steps never stop at
+			// (mid-sequence publishes of other steps) and runs the frozen
+			// trees while the writer path-copies and rebuilds its own.
+			stop := make(chan struct{})
+			var reader sync.WaitGroup
+			stopReader := sync.OnceFunc(func() {
+				close(stop)
+				reader.Wait()
+			})
+			defer stopReader() // a t.Fatal below must not leave it running
+			reader.Add(1)
+			go func() {
+				defer reader.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s := c.Snapshot()
+					f := churnFilters[i%len(churnFilters)]
+					// The second half of the indexes appears mid-run, so only
+					// the result is compared here, not the plan.
+					if d := diffFind(c, s.Version(), f.filter, false, scanFind(s, f.filter)); d != "" {
+						t.Errorf("concurrent reader: %s", d)
+						s.Release()
+						return
+					}
+					s.Release()
+				}
+			}()
+
+			nextID := 0
+			var pins []pinnedView
+			var cp *churnCheckpoint
+			for step := 0; step < steps; step++ {
+				if step == steps/4 {
+					for _, ix := range churnIndexes[2:] {
+						if _, err := c.EnsureIndexDoc(ix.spec, ix.unique); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if step == steps/2 {
+					cp = takeCheckpoint(t, c)
+				}
+				pinned := step > steps/4 && step%37 == 0
+				if pinned {
+					// Pin, then compact under the pin: the version keeps its
+					// pages and its trees, in the old numbering.
+					pins = append(pins, pinView(c, step))
+					forceCompact(c)
+				}
+				churnStep(r, c, &nextID)
+				if step < steps/4 {
+					continue // the filters expect all four indexes
+				}
+				checkFindsMatchScan(t, c, step)
+				if pinned || step%4 == 0 {
+					for _, p := range pins {
+						p.check(t, c, step)
+					}
+				}
+			}
+			stopReader()
+			for _, p := range pins {
+				p.snap.Release()
+			}
+			if c.Count() == 0 {
+				t.Fatal("the churn left no document to compare")
+			}
+
+			recovered := recoverFrom(t, cp, log)
+			if got, want := indexContents(t, recovered), indexContents(t, c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("recovery rebuilt different index contents:\n got  %v\n want %v", got, want)
+			}
+			checkFindsMatchScan(t, recovered, steps)
+		})
+	}
+}

@@ -36,7 +36,7 @@ func (c *Collection) EnsureIndex(spec index.Spec, unique bool) (*index.Index, er
 		if r == nil || r.deleted {
 			continue
 		}
-		if err := ix.Insert(r.doc, r.doc.ID()); err != nil {
+		if err := ix.Insert(r.doc, i); err != nil {
 			// The record is logged; publish the advanced watermark and
 			// resolve the commit so the change-stream frontier sees its LSN
 			// (a replayed backfill fails identically, so recovery stays

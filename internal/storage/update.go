@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"sort"
+
 	"docstore/internal/bson"
 	"docstore/internal/query"
 )
@@ -44,10 +46,7 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 	// The error is structurally impossible here (updates carry no hint).
 	positions, _, _ := c.planLocked(spec.Query, FindOptions{})
 	if positions == nil {
-		positions = make([]int, 0, c.length)
-		for i := 0; i < c.length; i++ {
-			positions = append(positions, i)
-		}
+		positions = c.allPositionsLocked()
 	}
 	for _, i := range positions {
 		r := c.writerRecord(i)
@@ -66,20 +65,27 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 				// Nothing was installed; the stored document is untouched.
 				return res, &ErrDocumentTooLarge{Size: newSize}
 			}
+			// Indexes first: the document keeps its position, so its entries
+			// move only where the indexed fields changed. A unique index that
+			// refuses the new keys fails the update before anything is
+			// installed, and the indexes already moved are moved back, so the
+			// trees and the stored document still agree.
+			for j, e := range c.indexes {
+				if err := e.ix.Replace(r.doc, updated, i); err != nil {
+					for _, moved := range c.indexes[:j] {
+						// Cannot fail: it restores keys this loop just vacated.
+						_ = moved.ix.Replace(updated, r.doc, i)
+					}
+					return res, err
+				}
+			}
 			// First rewrite of this page in the batch copies it; the copy
 			// relocates the slot, so re-derive the pointer.
 			r = c.ownSlotLocked(i)
-			old := r.doc
 			r.doc = updated
 			c.dataSize += newSize - r.size
 			r.size = newSize
 			res.Modified++
-			id := updated.ID()
-			for _, e := range c.indexes {
-				if err := e.ix.Replace(old, updated, id); err != nil {
-					return res, err
-				}
-			}
 		}
 		if !spec.Multi {
 			return res, nil
@@ -95,6 +101,16 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 		res.UpsertedID = id
 	}
 	return res, nil
+}
+
+// allPositionsLocked lists every record position in order: the candidates of
+// a write no index narrows.
+func (c *Collection) allPositionsLocked() []int {
+	positions := make([]int, c.length)
+	for i := range positions {
+		positions[i] = i
+	}
+	return positions
 }
 
 // buildUpsertDocument constructs the document inserted by an upsert that
@@ -155,9 +171,23 @@ func (c *Collection) Delete(filter *bson.Doc, multi bool) (int, error) {
 // The tombstone drops its document reference — once no pinned version covers
 // the page, the document's memory is gone, and a fully tombstoned page is
 // nilled out of the spine by the incremental GC.
-func (c *Collection) deleteLocked(matcher *query.Matcher, multi bool) int {
+//
+// The candidates come through the planner, so Delete({_id: x}) and a chunk
+// migration's range delete cost what they remove, not the collection. They
+// are visited in ascending position order whatever the index order was, so a
+// multi: false delete removes the document a collection scan would have
+// found first: which document goes does not depend on how the trees were
+// built, and replay and secondaries remove the same one.
+func (c *Collection) deleteLocked(filter *bson.Doc, matcher *query.Matcher, multi bool) int {
 	removed := 0
-	for i := 0; i < c.length; i++ {
+	// As in updateLocked, the error is structurally impossible (no hint).
+	positions, _, _ := c.planLocked(filter, FindOptions{})
+	if positions == nil {
+		positions = c.allPositionsLocked()
+	} else {
+		sort.Ints(positions)
+	}
+	for _, i := range positions {
 		r := c.writerRecord(i)
 		if r == nil || r.deleted || !matcher.Matches(r.doc) {
 			continue
@@ -165,9 +195,8 @@ func (c *Collection) deleteLocked(matcher *query.Matcher, multi bool) int {
 		doc := r.doc
 		r = c.ownSlotLocked(i)
 		delete(c.byID, r.idKey)
-		id := doc.ID()
 		for _, e := range c.indexes {
-			e.ix.Remove(doc, id)
+			e.ix.Remove(doc, i)
 		}
 		c.count--
 		c.dataSize -= r.size
