@@ -13,7 +13,7 @@
 //	    fan-out) mode, reporting shard round trips per batch.
 //
 // Throughput is reported as docs/s; the bulk paths must clear 2x the loop
-// paths (CI records both in BENCH_PR2.json).
+// paths (CI records both in its bench summary).
 package docstore_test
 
 import (

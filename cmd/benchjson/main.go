@@ -5,7 +5,7 @@
 // perf-regression gate:
 //
 //	go test -run='^$' -bench=. -benchmem -benchtime=1x -count=1 . | \
-//	    benchjson -out BENCH_PR2.json -baseline BENCH_PR1.json
+//	    benchjson -out bench-summary.json -baseline BENCH_PR10.json
 //
 // The comparison is fail-soft by default: regressions print warnings but
 // exit 0 so a noisy runner cannot block a PR; -strict turns warnings into a

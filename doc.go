@@ -167,10 +167,15 @@
 //     O(touched pages), not O(collection). Inserts append to slots beyond
 //     every published length, which no reader accesses, so they copy
 //     nothing; updates install modified clones instead of mutating stored
-//     documents; a bare {_id: x} filter plans through the id map, making a
-//     single-document update one page copy plus one map lookup
-//     (BenchmarkSingleDocUpdateStream). Compaction rewrites into fresh
-//     pages. An open cursor is therefore isolated from inserts, updates,
+//     documents; an {_id: x} filter plans through the _id_ index like any
+//     indexed filter, making a single-document update one page copy plus
+//     one tree descent (BenchmarkSingleDocUpdateStream) — an update cannot
+//     change _id, so the _id_ tree itself is not copied. A single-document
+//     insert copies no page but path-copies one root-to-leaf path of _id_
+//     and of every other index (the node-copy protocol below); a batch
+//     pays that once per touched node, which is why bulk loads, checkpoint
+//     loads included, insert through BulkWrite. Compaction rewrites into
+//     fresh pages. An open cursor is therefore isolated from inserts, updates,
 //     deletes, compaction, index churn and even Drop — the pre-MVCC
 //     anomaly where deletes leaked into open cursors until an array
 //     rewrite froze them is gone, and tests assert a cursor drained
@@ -197,12 +202,22 @@
 //     The positions in a version's frozen trees name records in that
 //     version's own pages, so candidate lists are snapshot-consistent by
 //     construction and EnsureIndex/DropIndex cannot disturb an open
-//     index-backed cursor. Only a bare {_id: x} filter resolves an id,
-//     through the version's id map. FindOptions.Hint naming no index in
-//     the pinned version fails with storage.ErrUnknownIndex through every
-//     layer instead of silently degrading to a collection scan (a hint can
-//     therefore succeed at an old version after the index is dropped from
-//     the current one).
+//     index-backed cursor. _id has no mechanism of its own: every
+//     collection is born with the unique index _id_ over it, kept in the
+//     same set as the user-created ones (slot 0, so a duplicate _id is
+//     what a doubly offending insert is refused for), maintained, frozen,
+//     remapped and chosen by the same loops. {_id: x}, {_id: {$in: ...}},
+//     an _id range and {_id: x, a: y} are index scans of _id_, FindID is a
+//     point lookup in the pinned version's frozen tree, and _id is unique
+//     by value as the matcher compares it (1 and 1.0 collide). _id_ is
+//     implied rather than listed: index listings, Stats.IndexCount and
+//     IndexSizeBytes, checkpoint manifests and the WAL name user-created
+//     indexes only, EnsureIndex({_id: 1}) returns it, DropIndex refuses it
+//     and an array _id is refused at insert. FindOptions.Hint naming no
+//     index in the pinned version fails with storage.ErrUnknownIndex
+//     through every layer instead of silently degrading to a collection
+//     scan (a hint can therefore succeed at an old version after the index
+//     is dropped from the current one).
 //     BenchmarkIndexedFindUnderWrites measures the win: 8 readers issuing
 //     index-backed group queries keep their throughput while a bulk writer
 //     rewrites every index position list per batch.
@@ -238,9 +253,9 @@
 //     page) stays thousands of times smaller than the record data it
 //     indexes. Record positions are stable across page copies, updates
 //     (the clone is installed in the same slot) and deletes (the slot
-//     becomes a tombstone), so the positions index entries carry and the
-//     id map survive all three; only compaction moves them (see the
-//     node-copy protocol below).
+//     becomes a tombstone), so the positions index entries carry survive
+//     all three; only compaction moves them (see the node-copy protocol
+//     below).
 //   - Pin tracking: Snapshot/Cursor pin the version they read (one atomic
 //     add through a pin gate that closes the load-then-pin window);
 //     Release/Close unpin. Every publish prunes unpinned superseded
@@ -258,7 +273,10 @@
 //     pointers) and aliases the item array until items actually mutate,
 //     and the tree uses narrow leaves under wide interior nodes, since
 //     the leaf item array is what a single-document era duplicates while
-//     interior width buys shallow trees nearly free. Publishing freezes
+//     interior width buys shallow trees nearly free. A node that fills at
+//     the tree's right edge — where keys arriving in order (ObjectIDs,
+//     counters, a backfill over surrogate keys) all land — splits there,
+//     not in the middle, so the nodes behind the edge stay full. Publishing freezes
 //     the batch's trees into the new version — frozen handles panic on
 //     mutation, and nodes created by an era are unreachable from any
 //     earlier frozen clone, which is the whole safety argument for

@@ -1,7 +1,8 @@
-// Package index implements the secondary-index engine of the document store:
-// an in-memory B-tree keyed by composite document values, and the index
-// types described in §2.1.2 of the thesis (default _id, single field,
-// compound, multikey, and hashed indexes).
+// Package index implements the index engine of the document store: an
+// in-memory B-tree keyed by composite document values, and the index types
+// described in §2.1.2 of the thesis (default _id, single field, compound,
+// multikey, and hashed indexes). The default _id index is the unique
+// single-field index the storage engine creates with every collection.
 package index
 
 import (
@@ -10,8 +11,9 @@ import (
 	"docstore/internal/bson"
 )
 
-// The tree uses asymmetric minimum degrees: every node except the root holds
-// between degree-1 and 2*degree-1 keys of its level's degree. Leaves are kept
+// The tree uses asymmetric degrees: a node splits at 2*degree-1 keys of its
+// level's degree (there is no minimum fill: deletion is lazy, and a split at
+// the right edge starts an empty node). Leaves are kept
 // narrower than interior nodes because a copy-on-write era duplicates a
 // leaf's whole item array on its first mutation — leaf width is the dominant
 // per-era copy cost — while interior nodes alias their item arrays on a pure
@@ -309,20 +311,31 @@ func (t *BTree) Insert(key Key, p uint32) {
 		old := t.root
 		t.root = &node{children: []*node{old}, owner: t.stamp, itemsOwner: t.stamp}
 		t.nodes++
-		t.splitChild(t.root, 0)
+		t.splitChild(t.root, 0, key)
 	}
 	t.insertNonFull(t.root, key, p)
 }
 
-// splitChild splits the full i-th child of parent. Both parent and the child
-// are owned by the split — item arrays included, since both have items
-// spliced or truncated in place, which only a private array tolerates.
-func (t *BTree) splitChild(parent *node, i int) {
+// splitChild splits the full i-th child of parent to make room for key. Both
+// parent and the child are owned by the split — item arrays included, since
+// both have items spliced or truncated in place, which only a private array
+// tolerates.
+func (t *BTree) splitChild(parent *node, i int, key Key) {
 	child := t.ownNode(parent.children[i])
 	parent.children[i] = child
 	// The child is full at its level's capacity (always odd), so the middle
 	// item promotes and both halves keep at least degree-1 items.
 	mid := len(child.items) / 2
+	if last := len(child.items) - 1; i == len(parent.children)-1 && CompareKeys(key, child.items[last].key) > 0 {
+		// The key extends the tree's right edge, where keys that arrive in
+		// order (ObjectIDs, counters, a backfill over surrogate keys) all
+		// land: promote the last item instead, so the left node stays full
+		// and the right one starts empty for the keys still to come. A middle
+		// split would leave every node behind the edge half empty for good.
+		// Nothing relies on a minimum fill (deletion is lazy), and an empty
+		// node with one child routes every search to that child.
+		mid = last
+	}
 	midItem := child.items[mid]
 
 	right := &node{owner: t.stamp, itemsOwner: t.stamp}
@@ -379,7 +392,7 @@ func (t *BTree) insertNonFull(n *node, key Key, p uint32) {
 			return
 		}
 		if len(n.children[slot].items) == maxNodeItems(n.children[slot]) {
-			t.splitChild(n, slot)
+			t.splitChild(n, slot, key)
 			if c := CompareKeys(key, n.items[slot].key); c == 0 {
 				t.appendPos(n, slot, p)
 				return
@@ -553,22 +566,6 @@ func NewRange(min Key, minIncl bool, max Key, maxIncl bool) Range {
 	}
 }
 
-func (r Range) contains(key Key) bool {
-	if !r.unboundedMin {
-		c := CompareKeys(key, r.Min)
-		if c < 0 || (c == 0 && !r.MinInclusive) {
-			return false
-		}
-	}
-	if !r.unboundedMax {
-		c := CompareKeys(key, r.Max)
-		if c > 0 || (c == 0 && !r.MaxIncl) {
-			return false
-		}
-	}
-	return true
-}
-
 func (r Range) belowMax(key Key) bool {
 	if r.unboundedMax {
 		return true
@@ -584,30 +581,26 @@ func (t *BTree) Scan(r Range, fn func(key Key, p uint32) bool) {
 }
 
 func (t *BTree) scan(n *node, r Range, fn func(Key, uint32) bool) bool {
-	for i, it := range n.items {
-		// Descend left whenever the subtree may still contain in-range keys.
-		if !n.leaf() {
-			descend := true
-			if !r.unboundedMin {
-				c := CompareKeys(it.key, r.Min)
-				if c < 0 {
-					descend = false
-				}
-			}
-			if descend {
-				if !t.scan(n.children[i], r, fn) {
-					return false
-				}
-			}
+	// Seek: everything left of the first item >= Min — items and the subtrees
+	// between them — is below the range.
+	start, atMin := 0, false
+	if !r.unboundedMin {
+		start, atMin = findInNode(n, r.Min)
+	}
+	for i := start; i < len(n.items); i++ {
+		it := &n.items[i]
+		if !n.leaf() && !t.scan(n.children[i], r, fn) {
+			return false
 		}
 		if !r.belowMax(it.key) {
 			return false
 		}
-		if len(it.pos) > 0 && r.contains(it.key) {
-			for _, p := range it.pos {
-				if !fn(it.key, p) {
-					return false
-				}
+		if i == start && atMin && !r.MinInclusive {
+			continue // the one key equal to an exclusive minimum
+		}
+		for _, p := range it.pos {
+			if !fn(it.key, p) {
+				return false
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -108,6 +109,68 @@ func TestBTreeLargeSplitAndDuplicates(t *testing.T) {
 		if got := len(tr.Get(Key{int64(k)})); got != n/100 {
 			t.Fatalf("key %d has %d entries", k, got)
 		}
+	}
+}
+
+// Keys that arrive in order split at the right edge, so the nodes left behind
+// stay full instead of half empty; the emptier nodes such a split starts
+// (down to no item and one child) must still route every search and scan.
+func TestBTreeAscendingKeysFillNodes(t *testing.T) {
+	tr := NewBTree()
+	const n = 10000
+	for i := 0; i < n; i++ {
+		tr.Insert(Key{int64(i)}, uint32(i))
+		// Every prefix of the load is a tree in some state of edge growth.
+		if got := tr.Get(Key{int64(i)}); len(got) != 1 || got[0] != uint32(i) {
+			t.Fatalf("Get(%d) right after its insert = %v", i, got)
+		}
+	}
+	// A middle split leaves ~8 keys a leaf (1250+ nodes); full leaves hold
+	// 14 or 15 of them.
+	if maxNodes := n/(2*btreeLeafDegree-2) + n/100; tr.Nodes() > maxNodes {
+		t.Fatalf("%d ascending keys took %d nodes, want at most %d", n, tr.Nodes(), maxNodes)
+	}
+	next := int64(0)
+	tr.Ascend(func(k Key, p uint32) bool {
+		if k[0].(int64) != next || p != uint32(next) {
+			t.Fatalf("Ascend at %d = (%v, %d)", next, k, p)
+		}
+		next++
+		return true
+	})
+	if next != n {
+		t.Fatalf("Ascend visited %d entries, want %d", next, n)
+	}
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		lo, minIncl := int64(r.Intn(n)), r.Intn(2) == 0
+		hi, maxIncl := lo+int64(r.Intn(40)), r.Intn(2) == 0
+		var want []int64
+		for k := lo; k <= hi && k < n; k++ {
+			if (k > lo || minIncl) && (k < hi || maxIncl) {
+				want = append(want, k)
+			}
+		}
+		var got []int64
+		tr.Scan(NewRange(Key{lo}, minIncl, Key{hi}, maxIncl), func(k Key, _ uint32) bool {
+			got = append(got, k[0].(int64))
+			return true
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("scan %d(%v)..%d(%v) = %v, want %v", lo, minIncl, hi, maxIncl, got, want)
+		}
+	}
+	// Deleting and re-inserting behind the edge takes the middle-split path.
+	for i := 0; i < n; i += 3 {
+		if !tr.Delete(Key{int64(i)}, uint32(i)) {
+			t.Fatalf("Delete(%d) missed", i)
+		}
+	}
+	for i := 0; i < n; i += 3 {
+		tr.Insert(Key{int64(i)}, uint32(i))
+	}
+	if tr.Len() != n || tr.DistinctKeys() != n {
+		t.Fatalf("after churn Len = %d, DistinctKeys = %d, want %d", tr.Len(), tr.DistinctKeys(), n)
 	}
 }
 

@@ -467,7 +467,12 @@ func (rs *ReplicaSet) StepDown() *mongod.Server {
 		if i == rs.primary || rs.down[m.Name()] {
 			continue
 		}
-		if a := rs.applied[m.Name()]; a > bestApplied {
+		// An entry the member is applying counts: the apply runs to
+		// completion, so the member will hold it. Electing at the watermark
+		// below it would discard that entry and leave the new primary on the
+		// old epoch, to be wiped by its own applier under the writes it is
+		// serving — which then advance its watermark past the wiped entries.
+		if a := max(rs.applied[m.Name()], rs.applying[m.Name()]); a > bestApplied {
 			best, bestApplied = i, a
 		}
 	}

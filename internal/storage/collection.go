@@ -1,11 +1,13 @@
 // Package storage implements the collection storage engine: document
-// storage with a primary _id index, secondary indexes, a query planner that
-// chooses between collection scans and index scans, update/delete execution,
-// multi-version concurrency control with paged copy-on-write snapshots, and
-// snapshot persistence.
+// storage, indexes (the unique _id_ index every collection is born with and
+// the ones users create are one mechanism, internal/index), a query planner
+// that chooses between collection scans and index scans, update/delete
+// execution, multi-version concurrency control with paged copy-on-write
+// snapshots, and snapshot persistence.
 package storage
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -37,13 +39,11 @@ func (e *ErrDuplicateID) Error() string {
 
 // record is one stored document slot. Deleted slots remain as tombstones
 // until the collection compacts, which keeps scans in insertion order and —
-// more importantly under MVCC — keeps record positions stable, so the _id
-// map and the positions secondary-index entries carry survive deletes
-// without rebuilds. A tombstone drops its document reference: pinned
-// versions keep the document alive through their own pages, and once they
-// release, the memory goes.
+// more importantly under MVCC — keeps record positions stable, so the
+// positions index entries carry survive deletes without rebuilds. A
+// tombstone drops its document reference: pinned versions keep the document
+// alive through their own pages, and once they release, the memory goes.
 type record struct {
-	idKey   string
 	doc     *bson.Doc
 	size    int
 	deleted bool
@@ -84,39 +84,44 @@ type version struct {
 	count       int
 	dataSize    int
 	tombs       int
-	// idMap is the version-owned _id index: idKey -> position, frozen at its
-	// last rebuild. Positions appended after the rebuild — [idMapLen,
-	// length) — are covered by a bounded tail scan instead, so _id point
-	// lookups never touch the writer mutex (see Snapshot.FindID). Only
-	// genuine _id lookups come here: secondary-index entries carry record
-	// positions and need no id resolution.
-	idMap    map[string]int
-	idMapLen int
 	// lastLSN is the journal watermark as of this version: the LSN of the
 	// newest mutation folded into the records. Checkpoints pair it with the
 	// snapshot data so recovery replays exactly the records the snapshot
 	// does not already contain.
 	lastLSN int64
-	// indexMeta holds the secondary index definitions live at this version,
-	// sorted by index name (checkpoints rebuild trees by backfilling).
+	// indexMeta holds the definitions of the user-created indexes live at
+	// this version, sorted by index name (checkpoints rebuild trees by
+	// backfilling; _id_ is implied and never listed).
 	indexMeta []IndexMeta
 	// indexes is the version-owned immutable index set: one frozen handle per
-	// secondary index, sharing tree nodes with the writer's trees via
+	// index, _id_ included, sharing tree nodes with the writer's trees via
 	// path-copying (see index.BTree). Their entries are positions into this
-	// version's pages. Planning and index scans read these with no locking,
-	// exactly like the record pages.
+	// version's pages. Planning, index scans and _id lookups read these with
+	// no locking, exactly like the record pages.
 	indexes indexSet
-	// indexSize is the summed in-memory size estimate of the secondary
+	// indexSize is the summed in-memory size estimate of the user-created
 	// indexes at publish time, for lock-free Stats.
 	indexSize int
 }
 
-// indexSet is a name-sorted set of secondary indexes. Both the writer's live
-// set and every version's frozen set use it instead of a map: publishing N
-// indexes costs one small slice allocation per version (a map costs an order
-// of magnitude more, paid on every single-document publish), and planning —
-// which touches a handful of entries — scans it linearly.
+// indexSet is a collection's indexes: the unique _id_ index in slot 0, then
+// the user-created ones sorted by name. Both the writer's live set and every
+// version's frozen set use it instead of a map: publishing N indexes costs
+// one small slice allocation per version (a map costs an order of magnitude
+// more, paid on every single-document publish), and planning — which touches
+// a handful of entries — scans it linearly. _id_ leads so that a document
+// violating both it and a unique user index is refused as a duplicate _id.
 type indexSet []indexEntry
+
+// idIndexName names the index over _id that every collection is born with,
+// as the real server does; idIndexSpec is its key specification, {_id: 1}.
+const idIndexName = "_id_"
+
+var idIndexSpec = index.Spec{Fields: []index.Field{{Name: bson.IDKey}}}
+
+// user returns the user-created indexes: what listings, stats and checkpoint
+// manifests name.
+func (s indexSet) user() indexSet { return s[1:] }
 
 type indexEntry struct {
 	name string
@@ -141,15 +146,13 @@ type Collection struct {
 	name string
 
 	// mu serializes every mutation (and the journal append that precedes
-	// it, so log order equals apply order). Readers take it only to consult
-	// the shared index trees while planning an index scan; plain collection
-	// scans and _id point lookups never acquire it.
+	// it, so log order equals apply order). Finds never take it: they pin a
+	// published version and use its pages and frozen index trees.
 	mu sync.Mutex
 	// pages/length are the writer's record store: a spine of page pointers
 	// over fixed-size record pages (see page.go).
 	pages    []*page
 	length   int
-	byID     map[string]int // idKey -> position; exact, writer-owned
 	indexes  indexSet
 	count    int
 	dataSize int
@@ -164,9 +167,6 @@ type Collection struct {
 	// spineShared marks the spine's backing array as referenced by the
 	// published version: the next in-place spine-slot rewrite copies first.
 	spineShared bool
-	// idMapStale forces the next publish to rebuild the version id map from
-	// byID (set by compaction and drops, which move positions).
-	idMapStale bool
 	// indexesChanged makes the next publish rebuild the version's index
 	// metadata; steady-state writes reuse the previous slice.
 	indexesChanged bool
@@ -234,14 +234,32 @@ type retiredNodeSet struct {
 func NewCollection(name string) *Collection {
 	c := &Collection{
 		name:            name,
-		byID:            make(map[string]int),
 		writeSeq:        1,
 		untrackedPinSeq: math.MaxInt64,
 	}
-	v := &version{seq: 1, publishedAt: time.Now()}
+	c.indexes = indexSet{c.newIDIndexLocked()}
+	v := &version{seq: 1, publishedAt: time.Now(), indexes: c.freezeIndexesLocked()}
 	c.current.Store(v)
 	c.live = append(c.live, v)
 	return c
+}
+
+// newIDIndexLocked returns the empty _id_ index of a new or just-dropped
+// collection.
+func (c *Collection) newIDIndexLocked() indexEntry {
+	ix := index.New(idIndexName, idIndexSpec, true)
+	c.adoptIndexLocked(ix)
+	return indexEntry{name: idIndexName, ix: ix}
+}
+
+// freezeIndexesLocked returns the index set a version publishes: O(1)
+// handles sharing the writer's current tree nodes.
+func (c *Collection) freezeIndexesLocked() indexSet {
+	frozen := make(indexSet, len(c.indexes))
+	for i, e := range c.indexes {
+		frozen[i] = indexEntry{name: e.name, ix: e.ix.Freeze()}
+	}
+	return frozen
 }
 
 // Name returns the collection name.
@@ -266,39 +284,18 @@ func (c *Collection) publishLocked() {
 		lastLSN:     c.lastLSN,
 		indexMeta:   prev.indexMeta,
 	}
-	if c.idMapStale || c.length-prev.idMapLen > idMapRebuildLimit(prev.idMapLen) {
-		c.idMapStale = false
-		m := make(map[string]int, len(c.byID))
-		for k, pos := range c.byID {
-			m[k] = pos
-		}
-		v.idMap = m
-		v.idMapLen = c.length
-	} else {
-		v.idMap = prev.idMap
-		v.idMapLen = prev.idMapLen
-	}
 	if c.indexesChanged {
 		c.indexesChanged = false
-		if len(c.indexes) == 0 {
-			v.indexMeta = nil
-		} else {
-			v.indexMeta = make([]IndexMeta, 0, len(c.indexes))
-			for _, e := range c.indexes {
-				v.indexMeta = append(v.indexMeta, IndexMeta{Spec: e.ix.Spec().Doc(), Unique: e.ix.Unique()})
-			}
+		v.indexMeta = nil
+		for _, e := range c.indexes.user() {
+			v.indexMeta = append(v.indexMeta, IndexMeta{Spec: e.ix.Spec().Doc(), Unique: e.ix.Unique()})
 		}
 	}
-	if len(c.indexes) > 0 {
-		// Freeze the version-owned index set: O(1) handles sharing the
-		// current tree nodes. Re-stamping below opens a new COW era, so the
-		// next batch path-copies any node it touches instead of mutating
-		// what these frozen handles reach.
-		v.indexes = make(indexSet, len(c.indexes))
-		for i, e := range c.indexes {
-			v.indexSize += e.ix.SizeBytes()
-			v.indexes[i] = indexEntry{name: e.name, ix: e.ix.Freeze()}
-		}
+	// Re-stamping below opens a new COW era, so the next batch path-copies
+	// any node it touches instead of mutating what the frozen handles reach.
+	v.indexes = c.freezeIndexesLocked()
+	for _, e := range c.indexes.user() {
+		v.indexSize += e.ix.SizeBytes()
 	}
 	c.current.Store(v)
 	c.spineShared = true
@@ -365,35 +362,14 @@ func (c *Collection) retireTreeLocked(ix *index.Index) {
 	c.retireNodesLocked(int64(ix.Nodes()), ix.TreeBytes())
 }
 
-// idKey derives the map key for an _id value.
-func idKey(id any) string {
-	d := bson.NewDoc(1)
-	d.Set("k", id)
-	return string(bson.Marshal(d))
-}
-
 // Insert adds a document to the collection. When the document has no _id an
 // ObjectID is assigned (mirroring the behaviour described in §2.1). The
 // stored document is the one passed in; callers must not mutate it afterwards
-// (updates never mutate it either — they install clones).
+// (updates never mutate it either — they install clones). Like Update and
+// Delete, it is a thin wrapper over BulkWrite.
 func (c *Collection) Insert(doc *bson.Doc) (any, error) {
-	c.mu.Lock()
-	commit, err := c.logLocked([]WriteOp{InsertWriteOp(doc)}, true)
-	if err != nil {
-		c.mu.Unlock()
-		return nil, err
-	}
-	id, err := c.insertLocked(doc)
-	c.publishLocked()
-	c.mu.Unlock()
-	// The commit is resolved (and its post-commit hook notified) even when
-	// the apply failed: the record is in the log either way, and the
-	// change-stream frontier needs every logged LSN accounted for.
-	werr := waitCommit(commit, false)
-	if err != nil {
-		return id, err
-	}
-	return id, werr
+	res := c.BulkWrite([]WriteOp{InsertWriteOp(doc)}, BulkOptions{Ordered: true})
+	return res.InsertedIDs[0], res.FirstError()
 }
 
 // ensureID assigns a fresh ObjectID to a document without one, rebuilding
@@ -415,24 +391,26 @@ func ensureID(doc *bson.Doc) any {
 
 func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	id := ensureID(doc)
+	if _, isArray := id.([]any); isArray {
+		// As the real server: _id_ would turn multikey, and [1, 2] would
+		// collide with [2, 3].
+		return nil, fmt.Errorf("storage: the %s field cannot be an array", bson.IDKey)
+	}
 	size := bson.EncodedSize(doc)
 	if size > bson.MaxDocumentSize {
 		return nil, &ErrDocumentTooLarge{Size: size}
 	}
-	key := idKey(id)
-	if _, exists := c.byID[key]; exists {
-		return nil, &ErrDuplicateID{ID: id}
-	}
 	// The position the document is about to take; index entries carry it.
 	pos := c.length
-	for _, e := range c.indexes {
+	for i, e := range c.indexes {
 		if err := e.ix.Insert(doc, pos); err != nil {
 			// Roll back entries added to earlier indexes.
-			for _, other := range c.indexes {
-				if other.ix == e.ix {
-					break
-				}
+			for _, other := range c.indexes[:i] {
 				other.ix.Remove(doc, pos)
+			}
+			var dup *index.ErrDuplicateKey
+			if e.name == idIndexName && errors.As(err, &dup) {
+				return nil, &ErrDuplicateID{ID: id}
 			}
 			return nil, err
 		}
@@ -440,8 +418,7 @@ func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	// Appending is safe even into pages shared with the published version:
 	// the write lands at a position no pinned reader accesses (see the
 	// version invariants).
-	*c.appendSlotLocked() = record{idKey: key, doc: doc, size: size}
-	c.byID[key] = pos
+	*c.appendSlotLocked() = record{doc: doc, size: size}
 	c.count++
 	c.dataSize += size
 	return id, nil
@@ -477,9 +454,8 @@ func (c *Collection) reserveLocked(n int) {
 }
 
 // FindID returns the document with the given _id, or nil when absent. The
-// lookup runs against the pinned snapshot's version-owned id map plus a
-// bounded tail scan, so it never takes the writer mutex; the returned
-// document is immutable (updates replace it).
+// lookup runs against a pinned snapshot's frozen _id_ tree, so it never takes
+// the writer mutex; the returned document is immutable (updates replace it).
 func (c *Collection) FindID(id any) *bson.Doc {
 	s := c.Snapshot()
 	defer s.Release()
@@ -506,7 +482,7 @@ func (c *Collection) Scan(fn func(*bson.Doc) bool) {
 	s.Scan(fn)
 }
 
-// Drop removes every document and secondary index. With a journal attached
+// Drop removes every document and user-created index. With a journal attached
 // the wipe is logged first so recovery reproduces it; a journal failure here
 // is best-effort (Drop predates durability and has no error return), but the
 // only caller that can observe one, ReplaceContents, surfaces the wait error
@@ -520,13 +496,11 @@ func (c *Collection) Drop() {
 	}
 	c.pages = nil
 	c.length = 0
-	c.byID = make(map[string]int)
-	c.indexes = nil
+	c.indexes = indexSet{c.newIDIndexLocked()}
 	c.count = 0
 	c.dataSize = 0
 	c.tombs = 0
 	c.spineShared = false
-	c.idMapStale = true
 	c.indexesChanged = true
 	c.publishLocked()
 	c.mu.Unlock()
@@ -549,13 +523,12 @@ func (c *Collection) retireAllPagesLocked() {
 }
 
 // compactLocked rewrites the record store without tombstones. It is the one
-// event that moves record positions, so everything that names a position
-// moves with it: the writer's id map, the version id map (rebuilt at the next
-// publish), and every secondary-index entry — each writer tree is rebuilt
-// from fresh nodes with the positions renumbered (index.Index.Remap). The
-// rewrite lands in fresh pages and fresh tree nodes, so versions pinned
-// before the compaction keep their own frozen pages and their own frozen
-// trees, which still agree with each other in the old numbering.
+// event that moves record positions, so every index entry moves with it: each
+// writer tree is rebuilt from fresh nodes with the positions renumbered
+// (index.Index.Remap). The rewrite lands in fresh pages and fresh tree nodes,
+// so versions pinned before the compaction keep their own frozen pages and
+// their own frozen trees, which still agree with each other in the old
+// numbering.
 func (c *Collection) compactLocked() {
 	if c.tombs == 0 {
 		return
@@ -565,13 +538,9 @@ func (c *Collection) compactLocked() {
 	c.pages = make([]*page, 0, (c.count+pageMask)>>pageShift)
 	c.length = 0
 	c.spineShared = false
-	byID := make(map[string]int, c.count)
-	var newPos []int // old position -> new, -1 for a dropped tombstone
-	if len(c.indexes) > 0 {
-		newPos = make([]int, oldLen)
-		for i := range newPos {
-			newPos[i] = -1
-		}
+	newPos := make([]int, oldLen) // old position -> new, -1 for a dropped tombstone
+	for i := range newPos {
+		newPos[i] = -1
 	}
 	for pi, base := 0, 0; base < oldLen; pi, base = pi+1, base+pageSize {
 		p := oldPages[pi]
@@ -587,11 +556,8 @@ func (c *Collection) compactLocked() {
 			if r.deleted {
 				continue
 			}
-			if newPos != nil {
-				newPos[base+off] = c.length
-			}
-			byID[r.idKey] = c.length
-			*c.appendSlotLocked() = record{idKey: r.idKey, doc: r.doc, size: r.size}
+			newPos[base+off] = c.length
+			*c.appendSlotLocked() = record{doc: r.doc, size: r.size}
 		}
 	}
 	for _, e := range c.indexes {
@@ -599,9 +565,7 @@ func (c *Collection) compactLocked() {
 		c.retireTreeLocked(e.ix)
 		e.ix.Remap(newPos)
 	}
-	c.byID = byID
 	c.tombs = 0
-	c.idMapStale = true
 	c.gcCursor = 0
 }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,6 +52,31 @@ func TestInsertExplicitIDAndDuplicate(t *testing.T) {
 	}
 	if c.FindID(99) != nil {
 		t.Fatalf("FindID(99) should be nil")
+	}
+
+	// _id is unique by value, as the matcher compares it: 5.0 is 5. The
+	// refusal survives BulkWrite's per-op attribution and leaves every index
+	// as it was.
+	if _, err := c.EnsureIndexDoc(bson.D("v", 1), false); err != nil {
+		t.Fatal(err)
+	}
+	res := c.BulkWrite([]WriteOp{InsertWriteOp(bson.D(bson.IDKey, 5.0, "v", "c"))}, BulkOptions{})
+	dup = nil
+	if len(res.Errors) != 1 || !errors.As(res.Errors[0], &dup) || dup.ID != 5.0 {
+		t.Fatalf("insert of _id 5.0 beside _id 5: %+v", res)
+	}
+	if n := c.Index(idIndexName).Len(); n != 1 || c.Index("v_1").Len() != 1 || c.Count() != 1 {
+		t.Fatalf("refused insert left entries: _id_ %d, v_1 %d, count %d", n, c.Index("v_1").Len(), c.Count())
+	}
+	for _, f := range []*bson.Doc{bson.D(bson.IDKey, 5), bson.D(bson.IDKey, 5.0), bson.D(bson.IDKey, bson.D("$in", bson.A(5)))} {
+		if docs, _ := c.FindAll(f); len(docs) != 1 {
+			t.Fatalf("find %s = %v, want the one document", f, docs)
+		}
+	}
+
+	// An array cannot be an _id.
+	if _, err := c.Insert(bson.D(bson.IDKey, bson.A(1, 2))); err == nil || c.Count() != 1 {
+		t.Fatalf("insert of an array _id: err %v, count %d", err, c.Count())
 	}
 }
 
@@ -498,6 +524,33 @@ func TestDeleteOneThroughIndexRemovesFirstInScanOrder(t *testing.T) {
 	}
 }
 
+// TestUpdateOneThroughIndexModifiesFirstInScanOrder is the update twin: a
+// multi: false update lands on the document a collection scan would reach
+// first, not on the first entry of the key.
+func TestUpdateOneThroughIndexModifiesFirstInScanOrder(t *testing.T) {
+	c := NewCollection("t")
+	if _, err := c.EnsureIndexDoc(bson.D("g", 1), false); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		_, _ = c.Insert(bson.D(bson.IDKey, i, "g", 1))
+	}
+	for _, g := range []int{2, 1} { // _id 0 leaves g=1 and comes back, last in the key
+		if _, err := c.UpdateOne(bson.D(bson.IDKey, 0), bson.D("$set", bson.D("g", g))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if docs, plan, _ := c.FindWithPlan(bson.D("g", 1), FindOptions{}); plan.IndexUsed != "g_1" || docs[0].ID() == int64(0) {
+		t.Fatalf("set-up: index order should not start with _id 0: %v, plan %s", docs, plan)
+	}
+	if res, err := c.UpdateOne(bson.D("g", 1), bson.D("$set", bson.D("hit", true))); err != nil || res.Modified != 1 {
+		t.Fatalf("update one: %+v, %v", res, err)
+	}
+	if docs, _ := c.FindAll(bson.D("hit", true)); len(docs) != 1 || docs[0].ID() != int64(0) {
+		t.Fatalf("update one modified %v, want _id 0", docs)
+	}
+}
+
 // TestUpdateRefusedByUniqueIndexChangesNothing: when a unique index refuses
 // an update's new key, the stored document, the refusing index and the
 // indexes maintained before it all stay as they were.
@@ -570,6 +623,18 @@ func TestEnsureIndexBackfillsAndIsIdempotent(t *testing.T) {
 	}
 	if !c.DropIndex("f_1") || c.DropIndex("f_1") {
 		t.Fatalf("DropIndex misbehaves")
+	}
+	// {_id: 1} is the index the collection was born with; it cannot be
+	// dropped and is not listed.
+	idIx, err := c.EnsureIndexDoc(bson.D(bson.IDKey, 1), false)
+	if err != nil || idIx != c.Index(idIndexName) || idIx.Len() != 10 || !idIx.Unique() {
+		t.Fatalf("EnsureIndex({_id: 1}) = %v, %v; want the _id_ index", idIx, err)
+	}
+	if c.DropIndex(idIndexName) || c.FindID(3) == nil {
+		t.Fatalf("DropIndex(%q) must be refused", idIndexName)
+	}
+	if len(c.Indexes()) != 0 || c.Stats().IndexCount != 0 || c.Stats().IndexSizeBytes != 0 {
+		t.Fatalf("_id_ is listed: %v, stats %+v", c.IndexNames(), c.Stats())
 	}
 	// Unique index build fails when duplicates already exist.
 	_, _ = c.Insert(bson.D(bson.IDKey, 100, "f", 1))
@@ -739,10 +804,11 @@ func TestIndexChoicePrefersPointOverRange(t *testing.T) {
 	}
 }
 
-// TestBareIDFindFastPathWithoutSecondaryIndexes pins the cursor-layer _id
-// fast path: a bare {_id: x} find must be a point lookup through the pinned
-// snapshot's id map even when the collection has no secondary indexes (the
-// shape where openScan used to short-circuit into a full collection scan).
+// TestBareIDFindFastPathWithoutSecondaryIndexes pins _id_ being an index like
+// any other: on a collection with no user-created index, every filter that
+// constrains _id — equality, $in, a range, _id beside another field — is an
+// index scan of _id_ that examines only what it returns, at the current
+// version and at a version pinned before a compaction renumbered the records.
 func TestBareIDFindFastPathWithoutSecondaryIndexes(t *testing.T) {
 	c := NewCollection("t")
 	for i := 0; i < 100; i++ {
@@ -750,62 +816,82 @@ func TestBareIDFindFastPathWithoutSecondaryIndexes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	cases := []struct {
+		name     string
+		filter   *bson.Doc
+		ids      []int64
+		examined int
+	}{
+		{"equality", bson.D(bson.IDKey, 42), []int64{42}, 1},
+		{"miss", bson.D(bson.IDKey, 4242), nil, 0},
+		{"in", bson.D(bson.IDKey, bson.D("$in", bson.A(7, 4242, 3, 7))), []int64{7, 3}, 2},
+		{"range", bson.D(bson.IDKey, bson.D("$gte", 98)), []int64{98, 99}, 2},
+		{"bounded range", bson.D(bson.IDKey, bson.D("$gt", 10, "$lt", 14)), []int64{11, 12, 13}, 3},
+		{"with another field", bson.D(bson.IDKey, 42, "a", 42), []int64{42}, 1},
+		{"refuted by another field", bson.D(bson.IDKey, 42, "a", 41), nil, 1},
+	}
+	check := func(at int64) {
+		t.Helper()
+		for _, tc := range cases {
+			docs, plan, err := c.FindWithPlan(tc.filter, FindOptions{AtVersion: at})
+			if err != nil {
+				t.Fatalf("%s at %d: %v", tc.name, at, err)
+			}
+			var ids []int64
+			for _, d := range docs {
+				id, _ := d.Get(bson.IDKey)
+				ids = append(ids, id.(int64))
+			}
+			if !slices.Equal(ids, tc.ids) {
+				t.Errorf("%s at %d: ids %v, want %v", tc.name, at, ids, tc.ids)
+			}
+			if plan.IndexUsed != idIndexName || plan.DocsExamined != tc.examined {
+				t.Errorf("%s at %d: via %q examining %d, want %q examining %d",
+					tc.name, at, plan.IndexUsed, plan.DocsExamined, idIndexName, tc.examined)
+			}
+		}
+	}
+	check(0)
 
-	docs, plan, err := c.FindWithPlan(bson.D(bson.IDKey, 42), FindOptions{})
+	// Pin this version, then delete until the collection compacts: the pinned
+	// version keeps its pages and its frozen _id_ tree in the old numbering.
+	anchor, err := c.FindCursor(nil, FindOptions{BatchSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 1 {
-		t.Fatalf("got %d docs, want 1", len(docs))
+	defer anchor.Close()
+	pinned := anchor.Plan().SnapshotVersion
+	if n, err := c.Delete(bson.D(bson.IDKey, bson.D("$gte", 20, "$lt", 90)), true); err != nil || n != 70 {
+		t.Fatalf("Delete = %d, %v", n, err)
 	}
-	if a, _ := docs[0].Get("a"); a != int64(42) && a != 42 {
-		t.Fatalf("doc a = %v, want 42", a)
+	if es := c.EngineStats(); es.Pages != 1 || c.Count() != 30 {
+		t.Fatalf("after the deletes: %d pages, %d documents; want a compacted page of 30", es.Pages, c.Count())
 	}
-	if plan.IndexUsed != idIndexName {
-		t.Fatalf("IndexUsed = %q, want %q", plan.IndexUsed, idIndexName)
-	}
-	if plan.DocsExamined != 1 {
-		t.Fatalf("DocsExamined = %d, want 1", plan.DocsExamined)
-	}
+	check(pinned)
 
-	// A missing _id examines nothing.
-	docs, plan, err = c.FindWithPlan(bson.D(bson.IDKey, 4242), FindOptions{})
+	// Deleting an id and inserting it again moves it to a new position; the
+	// tree follows.
+	if ok, err := c.DeleteID(7); err != nil || !ok {
+		t.Fatalf("DeleteID(7) = %v, %v", ok, err)
+	}
+	if c.FindID(7) != nil {
+		t.Fatal("FindID(7) found the deleted document")
+	}
+	if _, err := c.Insert(bson.D(bson.IDKey, 7, "a", 999)); err != nil {
+		t.Fatal(err)
+	}
+	docs, plan, err := c.FindWithPlan(bson.D(bson.IDKey, 7), FindOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 0 || plan.IndexUsed != idIndexName || plan.DocsExamined != 0 {
-		t.Fatalf("miss: %d docs via %q, examined %d; want 0 via %q examining 0",
+	if len(docs) != 1 || plan.IndexUsed != idIndexName || plan.DocsExamined != 1 {
+		t.Fatalf("reinsert: %d docs via %q examining %d, want 1 via %q examining 1",
 			len(docs), plan.IndexUsed, plan.DocsExamined, idIndexName)
 	}
-
-	// An operator document on _id is not a point lookup; it scans.
-	docs, plan, err = c.FindWithPlan(bson.D(bson.IDKey, bson.D("$gte", 98)), FindOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 2 || plan.IndexUsed != "" {
-		t.Fatalf("range: %d docs via %q, want 2 via COLLSCAN", len(docs), plan.IndexUsed)
-	}
-
-	// The fast path survives the stale-id-map shape: a delete + reinsert
-	// leaves the map pointing at the tombstone while the live document sits
-	// in the uncovered tail.
-	if ok, err := c.DeleteID(42); err != nil || !ok {
-		t.Fatalf("DeleteID(42) = %v, %v", ok, err)
-	}
-	if _, err := c.Insert(bson.D(bson.IDKey, 42, "a", 999)); err != nil {
-		t.Fatal(err)
-	}
-	docs, plan, err = c.FindWithPlan(bson.D(bson.IDKey, 42), FindOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) != 1 || plan.IndexUsed != idIndexName {
-		t.Fatalf("reinsert: %d docs via %q, want 1 via %q", len(docs), plan.IndexUsed, idIndexName)
-	}
-	if a, _ := docs[0].Get("a"); a != int64(999) && a != 999 {
+	if a, _ := docs[0].Get("a"); a != int64(999) {
 		t.Fatalf("reinserted doc a = %v, want 999", a)
 	}
+	check(pinned)
 }
 
 func TestIndexPlannerFallsBackToCollScanWithoutConstraints(t *testing.T) {

@@ -254,21 +254,18 @@ func (cur *Cursor) fill() {
 
 // openScan pins the snapshot a cursor will read and plans its access path,
 // with zero mutex acquisitions: the pin is an atomic load through the pin
-// gate, a bare _id equality is served from the pinned version's own id map,
-// and index planning and index scans run against the version-owned frozen
-// index trees — immutable path-copied structures published together with
-// the records, so the position list agrees with the pinned records by
-// construction. (Before the persistent trees, index planning re-pinned
-// under the writer mutex so the shared mutable trees agreed with the
-// version; that was the last lock on the read path.) A non-zero
-// opts.AtVersion pins the named committed version instead of the current
-// one; see SnapshotAt.
+// gate, and planning and index scans — _id_ like any other index — run
+// against the version-owned frozen index trees, immutable path-copied
+// structures published together with the records, so the position list
+// agrees with the pinned records by construction. A non-zero opts.AtVersion
+// pins the named committed version instead of the current one; see
+// SnapshotAt.
 func (c *Collection) openScan(filter *bson.Doc, opts FindOptions) (*Snapshot, []int, string, error) {
 	snap, err := c.SnapshotAt(opts.AtVersion)
 	if err != nil {
 		return nil, nil, "", err
 	}
-	order, indexUsed, err := snap.v.planEnv(c.name).plan(filter, opts)
+	order, indexUsed, err := planEnv{coll: c.name, indexes: snap.v.indexes}.plan(filter, opts)
 	if err != nil {
 		snap.Release()
 		return nil, nil, "", err

@@ -137,41 +137,16 @@ func (c *Collection) FindWithPlan(filter *bson.Doc, opts FindOptions) ([]*bson.D
 	return docs, cur.Plan(), err
 }
 
-// idIndexName is the pseudo-index name a plan reports when the built-in id
-// map served it, mirroring the real server's implicit _id_ index.
-const idIndexName = "_id_"
-
-// planEnv is a query-planning environment: an index set, whose entries are
-// positions into the environment's own records, plus the _id lookup for the
-// one access path that starts from a document id. The writer plans against
-// its own mutable state (planLocked); readers plan against a pinned
-// version's frozen index set and id map, with no locking at all — the trees
-// are immutable path-copied structures published with the version, so their
-// positions name the pinned records by construction.
+// planEnv is a query-planning environment: an index set whose entries are
+// positions into the environment's own records. The writer plans against its
+// own mutable trees (updates and deletes, under the write mutex, so their
+// index-narrowed candidates agree with the mid-batch records they mutate);
+// readers plan against a pinned version's frozen index set with no locking at
+// all — the trees are immutable path-copied structures published with the
+// version, so their positions name the pinned records by construction.
 type planEnv struct {
 	coll    string
 	indexes indexSet
-	// idPos serves a bare {_id: x} filter: idKey -> live record position, -1
-	// when absent. Index scans never call it.
-	idPos func(key string) int
-}
-
-// planEnv returns the lock-free planning environment of a pinned version.
-func (v *version) planEnv(coll string) planEnv {
-	return planEnv{coll: coll, indexes: v.indexes, idPos: v.idPos}
-}
-
-// planLocked chooses an access path under the write mutex, against the
-// writer's current (possibly mid-batch) state; updates and deletes use it so
-// their index-narrowed candidate set agrees with the records they mutate.
-func (c *Collection) planLocked(filter *bson.Doc, opts FindOptions) ([]int, string, error) {
-	env := planEnv{coll: c.name, indexes: c.indexes, idPos: func(key string) int {
-		if pos, ok := c.byID[key]; ok {
-			return pos
-		}
-		return -1
-	}}
-	return env.plan(filter, opts)
 }
 
 // plan chooses an access path for the filter: either nil (collection scan)
@@ -184,23 +159,6 @@ func (e planEnv) plan(filter *bson.Doc, opts FindOptions) ([]int, string, error)
 		}
 	}
 	if filter == nil || filter.Len() == 0 {
-		return nil, "", nil
-	}
-	// A bare _id equality is served straight from the id map — the access
-	// path of a single-document update stream. The position is a candidate
-	// like any index result: the caller's matcher re-verifies it, so the
-	// fast path can never widen or narrow the result set.
-	if opts.Hint == "" && filter.Len() == 1 {
-		if idv, ok := filter.Get(bson.IDKey); ok {
-			if _, isDoc := idv.(*bson.Doc); !isDoc {
-				if pos := e.idPos(idKey(bson.Normalize(idv))); pos >= 0 {
-					return []int{pos}, idIndexName, nil
-				}
-				return []int{}, idIndexName, nil
-			}
-		}
-	}
-	if len(e.indexes) == 0 {
 		return nil, "", nil
 	}
 	constraints := query.FieldConstraints(filter)

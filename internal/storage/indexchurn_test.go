@@ -14,8 +14,9 @@ import (
 	"docstore/internal/query"
 )
 
-// Secondary-index entries are record positions, so every path that moves a
-// document or a position has to move the entries with it. This file checks
+// Index entries — those of _id_ like those of the user-created indexes — are
+// record positions, so every path that moves a document or a position has to
+// move the entries with it. This file checks
 // that from the outside: whatever random churn a collection has been
 // through, an index-served find returns what a collection scan returns.
 
@@ -56,6 +57,10 @@ var churnFilters = []struct {
 	{bson.D("u", bson.D("$gte", 100, "$lte", 600)), true},
 	{bson.D("n", bson.D("$gte", 3)), false},
 	{bson.D(bson.IDKey, 11), true},
+	{bson.D(bson.IDKey, bson.D("$in", bson.A(3, 11, 40, 40, 1<<40))), true},
+	{bson.D(bson.IDKey, bson.D("$gte", 20, "$lt", 60)), true},
+	{bson.D(bson.IDKey, 11, "g", 3), true},
+	{bson.D(bson.IDKey, -1), true}, // no such document
 }
 
 // churnDoc builds a document over the small domains.
@@ -117,10 +122,15 @@ func churnUpdate(r *rand.Rand) *bson.Doc {
 // key, a duplicate _id) are part of the workload: what they leave behind must
 // be as consistent as what a success leaves.
 func churnStep(r *rand.Rand, c *Collection, nextID *int) {
-	switch k := r.Intn(20); {
+	switch k := r.Intn(21); {
 	case k < 6:
 		_, _ = c.Insert(churnDoc(r, *nextID))
 		*nextID++
+	case k == 20:
+		// An _id that leaves and comes back, at a new position.
+		id := r.Intn(*nextID + 1)
+		_, _ = c.DeleteID(id)
+		_, _ = c.Insert(churnDoc(r, id))
 	case k < 8:
 		docs := make([]*bson.Doc, 1+r.Intn(120))
 		for i := range docs {
@@ -245,9 +255,13 @@ func (p pinnedView) check(t *testing.T, c *Collection, step int) {
 // indexContents lists, for every index and every key of its domain, the _ids
 // of the documents its entries point at. Entry order within a key is history
 // (a rebuilt tree lists positions ascending), so the ids are sorted.
-func indexContents(t *testing.T, c *Collection) map[string]map[string][]string {
+func indexContents(t *testing.T, c *Collection, nextID int) map[string]map[string][]string {
 	t.Helper()
 	g, h, u, tags := []any{nil}, []any{nil}, []any{nil}, []any{nil}
+	ids := make([]any, nextID+1)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
 	for i := 0; i < churnG; i++ {
 		g = append(g, int64(i))
 	}
@@ -267,14 +281,14 @@ func indexContents(t *testing.T, c *Collection) map[string]map[string][]string {
 		}
 		return keys
 	}
-	domains := map[string][]index.Key{"u_1": single(u), "g_1": single(g), "tags_1": single(tags)}
+	domains := map[string][]index.Key{idIndexName: single(ids), "u_1": single(u), "g_1": single(g), "tags_1": single(tags)}
 	for _, gv := range g {
 		for _, hv := range h {
 			domains["g_1_h_1"] = append(domains["g_1_h_1"], index.Key{gv, hv})
 		}
 	}
 	out := map[string]map[string][]string{}
-	for _, name := range c.IndexNames() {
+	for _, name := range append(c.IndexNames(), idIndexName) {
 		ix := c.Index(name)
 		byKey, entries := map[string][]string{}, 0
 		for _, key := range domains[name] {
@@ -348,8 +362,8 @@ func recoverFrom(t *testing.T, cp *churnCheckpoint, log *fakeJournal) *Collectio
 }
 
 // TestIndexChurnEquivalence drives seeded random insert / update / upsert /
-// delete / compaction sequences over a collection with a unique, a
-// non-unique, a compound and a multikey index, while a reader keeps
+// delete / compaction sequences over a collection with its _id_ index and a
+// unique, a non-unique, a compound and a multikey index, while a reader keeps
 // comparing finds on whatever version is current. After every step each
 // index-served find equals the collection scan of the same version;
 // versions pinned along the way — before compactions included — keep
@@ -448,7 +462,7 @@ func TestIndexChurnEquivalence(t *testing.T) {
 			}
 
 			recovered := recoverFrom(t, cp, log)
-			if got, want := indexContents(t, recovered), indexContents(t, c); !reflect.DeepEqual(got, want) {
+			if got, want := indexContents(t, recovered, nextID), indexContents(t, c, nextID); !reflect.DeepEqual(got, want) {
 				t.Fatalf("recovery rebuilt different index contents:\n got  %v\n want %v", got, want)
 			}
 			checkFindsMatchScan(t, recovered, steps)

@@ -10,7 +10,8 @@ import (
 
 // EnsureIndex creates a secondary index over the collection if one with the
 // same specification does not already exist, and backfills it from the
-// current documents. It returns the index either way. Creation is journaled
+// current documents. It returns the index either way; {_id: 1} is the _id_
+// index every collection already has. Creation is journaled
 // (before the backfill, under the same lock that orders writes) so recovery
 // rebuilds the index and replayed writes see the same unique-key
 // enforcement; a backfill failure replays identically, so the logged record
@@ -20,6 +21,9 @@ import (
 func (c *Collection) EnsureIndex(spec index.Spec, unique bool) (*index.Index, error) {
 	c.mu.Lock()
 	name := spec.Name()
+	if name == idIndexSpec.Name() {
+		name = idIndexName
+	}
 	if existing := c.indexes.byName(name); existing != nil {
 		c.mu.Unlock()
 		return existing, nil
@@ -48,7 +52,8 @@ func (c *Collection) EnsureIndex(spec index.Spec, unique bool) (*index.Index, er
 		}
 	}
 	c.indexes = append(c.indexes, indexEntry{name: name, ix: ix})
-	sort.Slice(c.indexes, func(i, j int) bool { return c.indexes[i].name < c.indexes[j].name })
+	user := c.indexes.user()
+	sort.Slice(user, func(i, j int) bool { return user[i].name < user[j].name })
 	c.indexesChanged = true
 	c.publishLocked()
 	c.mu.Unlock()
@@ -65,14 +70,15 @@ func (c *Collection) EnsureIndexDoc(spec *bson.Doc, unique bool) (*index.Index, 
 	return c.EnsureIndex(parsed, unique)
 }
 
-// DropIndex removes the named index and reports whether it existed. The
-// removal is journaled so recovery does not resurrect the index.
+// DropIndex removes the named user-created index and reports whether it
+// existed; _id_ cannot be dropped. The removal is journaled so recovery does
+// not resurrect the index.
 func (c *Collection) DropIndex(name string) bool {
 	c.mu.Lock()
 	pos := -1
-	for i, e := range c.indexes {
+	for i, e := range c.indexes.user() {
 		if e.name == name {
-			pos = i
+			pos = i + 1 // past _id_
 			break
 		}
 	}
@@ -94,26 +100,27 @@ func (c *Collection) DropIndex(name string) bool {
 	return true
 }
 
-// Index returns the named index, or nil.
+// Index returns the named index (_id_ included), or nil.
 func (c *Collection) Index(name string) *index.Index {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.indexes.byName(name)
 }
 
-// Indexes returns the collection's secondary indexes sorted by name (the
+// Indexes returns the collection's user-created indexes sorted by name (the
 // live set's own order).
 func (c *Collection) Indexes() []*index.Index {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*index.Index, 0, len(c.indexes))
-	for _, e := range c.indexes {
+	user := c.indexes.user()
+	out := make([]*index.Index, 0, len(user))
+	for _, e := range user {
 		out = append(out, e.ix)
 	}
 	return out
 }
 
-// IndexNames returns the names of the collection's secondary indexes.
+// IndexNames returns the names of the collection's user-created indexes.
 func (c *Collection) IndexNames() []string {
 	ixs := c.Indexes()
 	names := make([]string, len(ixs))

@@ -12,7 +12,7 @@ import (
 // whether its key holds one entry or ten thousand — only the candidate and
 // result slices grow, a doubling at a time. Resolving each hit through its
 // _id (a marshalled key and a map probe per entry) cost five allocations an
-// entry; the bounds below are far under one.
+// entry; the bounds below are far under one. _id_ is such an index too.
 func TestIndexScanAllocatesNothingPerEntry(t *testing.T) {
 	c := NewCollection("scan")
 	if _, err := c.EnsureIndexDoc(bson.D("g", 1), false); err != nil {
@@ -42,7 +42,27 @@ func TestIndexScanAllocatesNothingPerEntry(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("allocations per find: %v for %v entries", allocs, sizes)
+	// A by-_id find is one more point find, through _id_: a constant few
+	// allocations, whatever the collection holds and wherever the id sits.
+	id := docs[len(docs)/2].ID()
+	idFilter := bson.D(bson.IDKey, id)
+	idFind := testing.AllocsPerRun(10, func() {
+		if got, err := c.Find(idFilter, FindOptions{}); err != nil || len(got) != 1 {
+			t.Fatalf("find by _id: %v, %v", got, err)
+		}
+	})
+	findID := testing.AllocsPerRun(10, func() {
+		if c.FindID(id) == nil {
+			t.Fatal("FindID missed")
+		}
+	})
+	t.Logf("allocations per find: %v for %v entries, %v by _id, %v for FindID", allocs, sizes, idFind, findID)
+	if idFind > allocs[0] {
+		t.Errorf("a find by _id allocated %.0f times, a 1-entry point find through g_1 %.0f", idFind, allocs[0])
+	}
+	if findID > 4 {
+		t.Errorf("FindID allocated %.0f times, want a constant few", findID)
+	}
 	if extra := allocs[1] - allocs[0]; extra > 16 {
 		t.Errorf("a 100-entry index scan allocated %.0f times more than a 1-entry point find, want a constant few", extra)
 	}

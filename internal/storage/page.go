@@ -10,8 +10,8 @@ import (
 // The record store is an array of fixed-size pages addressed through a spine
 // of page pointers. A record position is split into a page index
 // (pos >> pageShift) and a slot offset (pos & pageMask), so positions — and
-// with them the _id map and every index position list — stay exactly as
-// stable as they were with the flat array. What changes is the unit of
+// with them every index position list — stay exactly as stable as they were
+// with the flat array. What changes is the unit of
 // copy-on-write: where the flat store copied the whole record array on the
 // first update or delete of a batch (O(collection)), the paged store copies
 // only the pages the batch actually rewrites (O(touched pages)), plus a
@@ -72,30 +72,7 @@ const (
 	// gcPagesPerBatch is how many pages the incremental tombstone GC examines
 	// per published batch: a few spine slots, amortized across writes.
 	gcPagesPerBatch = 32
-	// idMapRebuildTail is how far the tail may outgrow the published id map
-	// before publish rebuilds it; until then point lookups scan the tail.
-	// The effective threshold grows with the map (a quarter of its size, see
-	// idMapRebuildLimit) so sustained bulk loads pay O(n) amortized rebuild
-	// work instead of recloning the whole map every few batches.
-	idMapRebuildTail = 2 * pageSize
-	// idMapTailCap bounds the proportional threshold: the uncovered tail is
-	// what a lock-free FindID miss scans linearly, so it must stay a bounded
-	// cost no matter how large the collection grows.
-	idMapTailCap = 64 * pageSize
 )
-
-// idMapRebuildLimit is the tail length that triggers an id-map rebuild at
-// publish, given how many positions the previous map covers.
-func idMapRebuildLimit(covered int) int {
-	limit := covered / 4
-	if limit < idMapRebuildTail {
-		return idMapRebuildTail
-	}
-	if limit > idMapTailCap {
-		return idMapTailCap
-	}
-	return limit
-}
 
 // record returns the record at pos in the version, or nil when the position
 // lies in a page the GC reclaimed (every such slot was a tombstone).
@@ -327,7 +304,7 @@ func (c *Collection) gcLocked() {
 
 	// Incremental tombstone-run GC: walk a few pages per batch and nil out
 	// the fully dead ones. Positions stay valid — readers treat a nil page
-	// as all-tombstones — so index position lists and the id map survive.
+	// as all-tombstones — so index position lists survive.
 	if c.tombs >= pageSize && len(c.pages) > 0 {
 		fullPages := c.pubLen >> pageShift // only pages wholly below the publish watermark
 		scanned := 0

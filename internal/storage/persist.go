@@ -19,6 +19,9 @@ import (
 
 var snapshotMagic = [4]byte{'D', 'S', 'C', '1'}
 
+// snapshotLoadBatch is how many documents ReadSnapshot inserts per bulk write.
+const snapshotLoadBatch = 1024
+
 // SnapshotInfo describes what one snapshot captured.
 type SnapshotInfo struct {
 	// Count is the number of documents written.
@@ -65,13 +68,21 @@ func (c *Collection) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("storage: reading snapshot count: %w", err)
 	}
 	count := binary.LittleEndian.Uint64(countBuf)
+	// Load in batches: a batch is one published version and one copy-on-write
+	// era, so within it the index trees mutate in place.
+	batch := make([]*bson.Doc, 0, snapshotLoadBatch)
 	for i := uint64(0); i < count; i++ {
 		doc, err := readLengthPrefixedDoc(br)
 		if err != nil {
 			return fmt.Errorf("storage: reading snapshot document %d: %w", i, err)
 		}
-		if _, err := c.Insert(doc); err != nil {
-			return err
+		batch = append(batch, doc)
+		if len(batch) == snapshotLoadBatch || i == count-1 {
+			res := c.BulkWrite(InsertOps(batch), BulkOptions{Ordered: true})
+			if err := res.FirstError(); err != nil {
+				return err
+			}
+			batch = batch[:0]
 		}
 	}
 	// The header count must agree exactly with the stream: trailing data

@@ -130,8 +130,8 @@ func (s *Snapshot) DataSize() int { return s.v.dataSize }
 // exactly the log records the snapshot does not contain.
 func (s *Snapshot) LastLSN() int64 { return s.v.lastLSN }
 
-// Indexes returns the secondary index definitions live at the snapshot,
-// sorted by index name.
+// Indexes returns the definitions of the user-created indexes live at the
+// snapshot, sorted by index name.
 func (s *Snapshot) Indexes() []IndexMeta {
 	return append([]IndexMeta(nil), s.v.indexMeta...)
 }
@@ -142,34 +142,14 @@ func (s *Snapshot) Info() SnapshotInfo {
 	return SnapshotInfo{Count: s.v.count, LastLSN: s.v.lastLSN, Indexes: s.Indexes()}
 }
 
-// idPos returns the record position of the live document with the given id
-// key, or -1. The lookup consults the version-owned id map and then scans the
-// bounded tail the map does not cover yet ([idMapLen, length)); it takes no
-// locks.
-func (v *version) idPos(key string) int {
-	if pos, ok := v.idMap[key]; ok && pos < v.length {
-		if r := v.record(pos); r != nil && !r.deleted && r.idKey == key {
-			return pos
-		}
-	}
-	// The map may miss a document inserted (or re-inserted after a delete)
-	// since its last rebuild; those all live past the rebuild watermark.
-	for pos := v.idMapLen; pos < v.length; pos++ {
-		if r := v.record(pos); r != nil && !r.deleted && r.idKey == key {
-			return pos
-		}
-	}
-	return -1
-}
-
-// FindID returns the document with the given _id in the snapshot, or nil; it
-// takes no locks (see version.idPos).
+// FindID returns the document with the given _id in the snapshot, or nil: a
+// point lookup in the version's frozen _id_ tree, which takes no locks.
 func (s *Snapshot) FindID(id any) *bson.Doc {
-	pos := s.v.idPos(idKey(bson.Normalize(id)))
-	if pos < 0 {
+	positions := s.v.indexes.byName(idIndexName).Lookup(id)
+	if len(positions) == 0 {
 		return nil
 	}
-	return s.v.record(pos).doc
+	return s.v.record(positions[0]).doc
 }
 
 // Scan invokes fn for every live document in insertion order until fn

@@ -39,31 +39,20 @@ func (c *Collection) Update(spec query.UpdateSpec) (UpdateResult, error) {
 // pages are copied (ownSlotLocked), not the whole record store.
 func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher) (UpdateResult, error) {
 	var res UpdateResult
-
-	// Narrow the candidate set through an index when one matches the query,
-	// exactly as Find does; the denormalization algorithm sends one
-	// multi-update per referenced dimension key (in bulk) and relies on this.
-	// The error is structurally impossible here (updates carry no hint).
-	positions, _, _ := c.planLocked(spec.Query, FindOptions{})
-	if positions == nil {
-		positions = c.allPositionsLocked()
-	}
-	for _, i := range positions {
-		r := c.writerRecord(i)
-		if r == nil || r.deleted || !matcher.Matches(r.doc) {
-			continue
-		}
+	var err error
+	c.eachMatchLocked(spec.Query, matcher, func(i int, r *record) bool {
 		res.Matched++
 		updated := r.doc.Clone()
-		changed, err := query.ApplyUpdate(updated, spec.Update)
-		if err != nil {
-			return res, err
+		var changed bool
+		if changed, err = query.ApplyUpdate(updated, spec.Update); err != nil {
+			return false
 		}
 		if changed {
 			newSize := bson.EncodedSize(updated)
 			if newSize > bson.MaxDocumentSize {
 				// Nothing was installed; the stored document is untouched.
-				return res, &ErrDocumentTooLarge{Size: newSize}
+				err = &ErrDocumentTooLarge{Size: newSize}
+				return false
 			}
 			// Indexes first: the document keeps its position, so its entries
 			// move only where the indexed fields changed. A unique index that
@@ -71,12 +60,12 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 			// installed, and the indexes already moved are moved back, so the
 			// trees and the stored document still agree.
 			for j, e := range c.indexes {
-				if err := e.ix.Replace(r.doc, updated, i); err != nil {
+				if err = e.ix.Replace(r.doc, updated, i); err != nil {
 					for _, moved := range c.indexes[:j] {
 						// Cannot fail: it restores keys this loop just vacated.
 						_ = moved.ix.Replace(updated, r.doc, i)
 					}
-					return res, err
+					return false
 				}
 			}
 			// First rewrite of this page in the batch copies it; the copy
@@ -87,9 +76,10 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 			r.size = newSize
 			res.Modified++
 		}
-		if !spec.Multi {
-			return res, nil
-		}
+		return spec.Multi
+	})
+	if err != nil {
+		return res, err
 	}
 
 	if res.Matched == 0 && spec.Upsert {
@@ -103,14 +93,39 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 	return res, nil
 }
 
-// allPositionsLocked lists every record position in order: the candidates of
-// a write no index narrows.
-func (c *Collection) allPositionsLocked() []int {
-	positions := make([]int, c.length)
-	for i := range positions {
-		positions[i] = i
+// eachMatchLocked calls fn with the position and record of every live
+// document the filter matches, until fn returns false: the one candidate walk
+// behind updates and deletes. An index narrows the candidates when one
+// matches the filter, exactly as in Find — Delete({_id: x}), a chunk
+// migration's range delete and the denormalization algorithm's one
+// multi-update per referenced dimension key all cost what they touch, not
+// the collection. Whatever order the index gave them, they are visited in
+// ascending position order, so a multi: false write lands on the document a
+// collection scan would have found first: which document that is does not
+// depend on how the trees were built, and replay and secondaries pick the
+// same one. fn may rewrite the record it is handed (through ownSlotLocked)
+// but must not insert or compact.
+func (c *Collection) eachMatchLocked(filter *bson.Doc, matcher *query.Matcher, fn func(pos int, r *record) bool) {
+	// The error is structurally impossible here (writes carry no hint).
+	positions, _, _ := planEnv{coll: c.name, indexes: c.indexes}.plan(filter, FindOptions{})
+	n := c.length // nothing narrows: every position, in place
+	if positions != nil {
+		sort.Ints(positions)
+		n = len(positions)
 	}
-	return positions
+	for k := 0; k < n; k++ {
+		pos := k
+		if positions != nil {
+			pos = positions[k]
+		}
+		r := c.writerRecord(pos)
+		if r == nil || r.deleted || !matcher.Matches(r.doc) {
+			continue
+		}
+		if !fn(pos, r) {
+			return
+		}
+	}
 }
 
 // buildUpsertDocument constructs the document inserted by an upsert that
@@ -171,30 +186,11 @@ func (c *Collection) Delete(filter *bson.Doc, multi bool) (int, error) {
 // The tombstone drops its document reference — once no pinned version covers
 // the page, the document's memory is gone, and a fully tombstoned page is
 // nilled out of the spine by the incremental GC.
-//
-// The candidates come through the planner, so Delete({_id: x}) and a chunk
-// migration's range delete cost what they remove, not the collection. They
-// are visited in ascending position order whatever the index order was, so a
-// multi: false delete removes the document a collection scan would have
-// found first: which document goes does not depend on how the trees were
-// built, and replay and secondaries remove the same one.
 func (c *Collection) deleteLocked(filter *bson.Doc, matcher *query.Matcher, multi bool) int {
 	removed := 0
-	// As in updateLocked, the error is structurally impossible (no hint).
-	positions, _, _ := c.planLocked(filter, FindOptions{})
-	if positions == nil {
-		positions = c.allPositionsLocked()
-	} else {
-		sort.Ints(positions)
-	}
-	for _, i := range positions {
-		r := c.writerRecord(i)
-		if r == nil || r.deleted || !matcher.Matches(r.doc) {
-			continue
-		}
+	c.eachMatchLocked(filter, matcher, func(i int, r *record) bool {
 		doc := r.doc
 		r = c.ownSlotLocked(i)
-		delete(c.byID, r.idKey)
 		for _, e := range c.indexes {
 			e.ix.Remove(doc, i)
 		}
@@ -205,10 +201,8 @@ func (c *Collection) deleteLocked(filter *bson.Doc, matcher *query.Matcher, mult
 		r.deleted = true
 		r.doc = nil
 		c.pages[i>>pageShift].tombs++
-		if !multi {
-			break
-		}
-	}
+		return multi
+	})
 	return removed
 }
 
