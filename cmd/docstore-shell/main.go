@@ -72,7 +72,9 @@
 //
 // A write's tree shows where its latency went — the mongos shard fan-out,
 // the storage apply, the WAL group-commit wait ("wal.commitWait") and, for
-// w > 1, the replica quorum wait ("replset.quorumWait"). Slow operations
+// a replicated write, the oplog's ("replset.oplogCommitWait") and the
+// replica quorum wait ("replset.quorumWait"), which overlap the first: the
+// write waited for their union, not their sum. Slow operations
 // (past -profile-slowms) are always retained regardless of the sample rate.
 package main
 

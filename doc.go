@@ -65,6 +65,11 @@
 //   - mongod.Database.BulkWrite profiles each batch as one entry carrying
 //     the batch size and per-op failure count, and counts each op under its
 //     own opcounter kind.
+//   - both are an apply followed by a wait: BulkApply journals, applies and
+//     publishes the batch under the collection lock and returns a pending
+//     commit; BulkWrite then waits on it. A caller that orders the batch
+//     under a lock of its own (replset) calls BulkApply inside it and
+//     waits outside, so its lock never covers an fsync.
 //   - mongos.Router.BulkWrite partitions a bulk by target shard through the
 //     chunk map and dispatches one sub-batch per shard — one round-trip per
 //     shard instead of one per document — merging per-shard results with
@@ -382,10 +387,21 @@
 //     record left by a crash mid-append — from the newest segment, and
 //     replays every record newer than each collection's snapshot
 //     watermark. Torn records anywhere else are reported as corruption,
-//     never silently dropped.
+//     never silently dropped. The log is decoded once: wal.Open finds the
+//     tail from the frames alone (length, checksum, and the LSN at its
+//     fixed offset), and the replay hands consecutive batch records of one
+//     collection to storage.Collection.ReplayBatches in runs of up to 512
+//     — one lock hold and one published version a run, each record keeping
+//     its own ordered/unordered and per-op-failure outcome — so a page or
+//     an index path a run touches many times is copied once. Any other
+//     record kind, or another collection, ends the run.
 //   - replset shares the log format: oplog entries carry wal.Records,
 //     AttachWAL makes the oplog durable, and LoadOplogFromWAL +
-//     ApplyAll/Sync rebuild members from the log alone.
+//     ApplyAll/Sync rebuild members from the log alone. A replicated
+//     durable server therefore keeps two logs, the primary's journal and
+//     the oplog; a write appends to both under the replica set's lock and
+//     waits for both fsyncs at once after releasing it (see "Replication &
+//     write concern").
 //   - docstored enables all of this with -data-dir, selects the policy
 //     with -wal-sync, tunes the coalescing window and segment size with
 //     -wal-group-interval / -wal-segment-mb, and checkpoints periodically
@@ -465,13 +481,21 @@
 //     this down). It rides storage.BulkOptions through every write layer:
 //     wire insert/insertMany/update/delete/bulkWrite accept a writeConcern
 //     document, mongos fans it out per shard, and replset enforces it.
-//   - Acknowledgement: the primary appends the batch to the oplog and, while
-//     still holding the replica set lock, registers a quorum waiter keyed on
-//     the entry's LSN — so an election that truncates the entry finds and
-//     fails the waiter, never leaving it stranded. Appliers advance each
-//     member's watermark and wake waiters as the count reaches w. {j: true}
-//     additionally waits on the oplog WAL's group-commit fsync, making the
-//     acknowledgement mean "durable on disk and applied on w members".
+//   - Acknowledgement: under the replica set lock a write does only what
+//     must be ordered — the primary journals and applies the batch
+//     (mongod.Database.BulkApply), the batch is appended to the oplog, and
+//     a quorum waiter keyed on the entry's LSN is registered, so an
+//     election that truncates the entry finds and fails the waiter, never
+//     leaving it stranded. The lock is then released with two commits
+//     pending, and the write waits for the primary journal's fsync and the
+//     oplog WAL's fsync at the same time while the appliers are already
+//     advancing each member's watermark and waking waiters as the count
+//     reaches w. A write therefore pays the longest of the three waits, not
+//     their sum, and because no fsync runs under the lock, concurrent
+//     writes join each log's group commit. {j: true} makes the
+//     acknowledgement mean "fsynced in both logs and applied on w members".
+//     A batch the primary's journal refuses is applied nowhere: it returns
+//     the journal's error without entering the oplog.
 //   - Failure: an unsatisfied concern returns storage.WriteConcernError with
 //     the replicated-so-far count and a reason — "wtimeout" (the wait
 //     expired), "quorum unreachable" (too many members down for w to ever be
@@ -513,8 +537,15 @@
 //     "mongod.bulkWrite"/"mongod.find" (db/collection attrs),
 //     "storage.bulkWrite" + "storage.apply" (ops, COW bytes copied, LSN),
 //     "storage.plan" (chosen index, snapshot version), "wal.commitWait"
-//     (the group-commit fsync wait), and "replset.oplogCommitWait" /
-//     "replset.quorumWait" (w/need attrs) for replicated writes. The span
+//     (the journal's group-commit fsync wait, beside "storage.bulkWrite"
+//     under "mongod.bulkWrite", which stays open until the write is
+//     acknowledged), and "replset.oplogCommitWait" / "replset.quorumWait"
+//     (w/need attrs) for replicated writes. In a replicated write's trace
+//     "wal.commitWait" overlaps the two replset waits — the primary
+//     journal's fsync is in flight together with the oplog's, and
+//     "replset.quorumWait" covers only what the secondaries, applying since
+//     the append, still owed once the oplog was durable — so the write's
+//     durability time is the union of the three spans, not their sum. The span
 //     rides the existing storage.BulkOptions/FindOptions structs, so no
 //     call signature changed; a nil tracer (or span) makes every
 //     instrumentation call a no-op, which is why disabled tracing is free.

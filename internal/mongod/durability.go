@@ -230,13 +230,36 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 		stats.CollectionsLoaded = n
 	}
 	// Phase 2: replay the log on top. Collections have no journal attached
-	// yet, so replayed writes are not re-logged.
-	err = wal.Replay(w.Dir(), func(rec *wal.Record) error {
-		if s.applyRecord(rec) {
-			stats.RecordsReplayed++
+	// yet, so replayed writes are not re-logged. Consecutive batch records of
+	// one collection are handed to storage as a run — one lock hold and one
+	// published version per run, not per record — and any other record kind,
+	// another collection or replayRunCap ends the run.
+	var (
+		run            []storage.ReplayBatch
+		runDB, runColl string
+	)
+	flushRun := func() {
+		if len(run) > 0 {
+			stats.RecordsReplayed += s.Database(runDB).Collection(runColl).ReplayBatches(run)
+			run = run[:0]
 		}
+	}
+	err = wal.Replay(w.Dir(), func(rec *wal.Record) error {
+		if rec.Kind != wal.KindBatch {
+			flushRun()
+			if s.applyRecord(rec) {
+				stats.RecordsReplayed++
+			}
+			return nil
+		}
+		if len(run) == replayRunCap || rec.DB != runDB || rec.Coll != runColl {
+			flushRun()
+			runDB, runColl = rec.DB, rec.Coll
+		}
+		run = append(run, storage.ReplayBatch{LSN: rec.LSN, Ops: rec.Ops, Ordered: rec.Ordered})
 		return nil
 	})
+	flushRun()
 	if err != nil {
 		w.Close()
 		return stats, fmt.Errorf("mongod: replaying wal: %w", err)
@@ -277,22 +300,18 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 	return stats, nil
 }
 
-// applyRecord applies one replayed WAL record, reporting whether it did
-// anything. Records already reflected in a checkpoint snapshot are skipped
-// by comparing against each collection's snapshot watermark.
+// replayRunCap bounds how many batch records recovery applies per published
+// version: long enough that a run's page and tree-path copies amortize to
+// nothing, short enough that the decoded records it holds stay a small
+// fraction of the collection being rebuilt.
+const replayRunCap = 512
+
+// applyRecord applies one replayed structural WAL record (batch records go
+// through storage.ReplayBatches in runs), reporting whether it did anything.
+// Records already reflected in a checkpoint snapshot are skipped by comparing
+// against each collection's snapshot watermark.
 func (s *Server) applyRecord(rec *wal.Record) bool {
 	switch rec.Kind {
-	case wal.KindBatch:
-		coll := s.Database(rec.DB).Collection(rec.Coll)
-		if rec.LSN <= coll.LastLSN() {
-			return false
-		}
-		// Per-op failures replay exactly as they failed before the crash
-		// (the log records the attempt, not the outcome), so they are not
-		// recovery errors.
-		coll.BulkWrite(rec.Ops, storage.BulkOptions{Ordered: rec.Ordered})
-		coll.SetReplayLSN(rec.LSN)
-		return true
 	case wal.KindClear:
 		coll := s.Database(rec.DB).Collection(rec.Coll)
 		if rec.LSN <= coll.LastLSN() {

@@ -18,6 +18,7 @@ import (
 	"docstore/internal/metrics"
 	"docstore/internal/query"
 	"docstore/internal/storage"
+	"docstore/internal/trace"
 	"docstore/internal/wal"
 )
 
@@ -464,20 +465,52 @@ func (db *Database) InsertMany(coll string, docs []*bson.Doc) ([]any, error) {
 	return res.CompactInsertedIDs(), res.FirstError()
 }
 
-// BulkWrite executes a mixed batch of writes against the named collection.
-// The profiler records the batch size and how many of its ops failed; the
-// opcounters count each attempted op under its own kind — ops an ordered
-// batch never reached are not counted.
+// BulkWrite executes a mixed batch of writes against the named collection
+// and returns once it is acknowledged under the journal's sync policy: it is
+// BulkApply followed by the wait on its PendingBulk.
 func (db *Database) BulkWrite(coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
+	res, pending := db.BulkApply(coll, ops, opts)
+	if err := pending.Wait(); err != nil {
+		res.DurabilityErr = err
+	}
+	return res
+}
+
+// PendingBulk is a bulk write that has been journaled and applied but not
+// yet acknowledged: the journal wait, the profile entry and the
+// "mongod.bulkWrite" span are all still open. Wait must be called exactly
+// once, holding no lock that other writers need (see
+// storage.PendingCommit).
+type PendingBulk struct {
+	commit storage.PendingCommit
+	span   *trace.Span
+	stop   func(batchErrors int)
+	failed int
+}
+
+// Wait blocks until the batch's journal record is durable, then closes the
+// batch's profile entry and span, so both cover the whole acknowledged write.
+func (p PendingBulk) Wait() error {
+	err := p.commit.Wait()
+	p.stop(p.failed)
+	p.span.Finish()
+	return err
+}
+
+// BulkApply is the ordered half of BulkWrite (see storage.BulkApply): the
+// batch is journaled, applied and visible when it returns, and the caller
+// owes the returned PendingBulk one Wait. The profiler records the batch
+// size and how many of its ops failed; the opcounters count each attempted
+// op under its own kind — ops an ordered batch never reached are not
+// counted.
+func (db *Database) BulkApply(coll string, ops []storage.WriteOp, opts storage.BulkOptions) (storage.BulkResult, PendingBulk) {
 	span := opts.Trace.Child("mongod.bulkWrite")
 	span.SetAttr("db", db.name)
 	span.SetAttr("collection", coll)
 	span.SetAttr("ops", len(ops))
 	opts.Trace = span
 	stop := db.profileBulk(coll, len(ops), span.SampledTraceID())
-	res := db.Collection(coll).BulkWrite(ops, opts)
-	stop(len(res.Errors))
-	span.Finish()
+	res, commit := db.Collection(coll).BulkApply(ops, opts)
 	var inserts, updates, deletes int64
 	for i := range ops[:res.Attempted] {
 		switch ops[i].Kind {
@@ -490,7 +523,7 @@ func (db *Database) BulkWrite(coll string, ops []storage.WriteOp, opts storage.B
 		}
 	}
 	db.server.countOps(inserts, updates, deletes)
-	return res
+	return res, PendingBulk{commit: commit, span: span, stop: stop, failed: len(res.Errors)}
 }
 
 // Find runs a query against the named collection. The profile entry carries

@@ -182,12 +182,18 @@ func (rs *ReplicaSet) MarkApplied(name string, lsn int64) {
 
 // BulkWrite executes a batch through the primary, appends one oplog record
 // for it under the same lock hold (log order equals apply order), and blocks
-// until the effective write concern is satisfied: the oplog commit is
-// durable per the WAL sync policy (fsynced when j is set), and W members —
-// primary included — have applied the entry. On wtimeout, quorum loss, or
-// rollback the batch result carries a *storage.WriteConcernError in
+// until the effective write concern is satisfied: the primary's journal
+// record and the oplog record are durable per their WALs' sync policy
+// (fsynced when j is set), and W members — primary included — have applied
+// the entry. Only the ordering work happens under the set's lock; the two
+// durability waits and the quorum wait run after it is released and overlap
+// each other, so a write pays the longest of them rather than their sum, and
+// concurrent writes share each log's group commit. On wtimeout, quorum loss,
+// or rollback the batch result carries a *storage.WriteConcernError in
 // DurabilityErr; the write itself has still applied on the primary and
-// keeps replicating in the background.
+// keeps replicating in the background. A batch the primary could not journal
+// is not applied anywhere: it returns the journal's error and never enters
+// the oplog.
 func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
 	rs.mu.Lock()
 	wc := opts.WriteConcern
@@ -205,7 +211,20 @@ func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts sto
 	// The parent span rides down to the primary's mongod and storage layers
 	// through the options; the oplog and quorum waits below attach their own
 	// children so a trace shows where a w>1 write spent its time.
-	res := primary.Database(db).BulkWrite(coll, ops, storage.BulkOptions{Ordered: opts.Ordered, Journaled: wc.Journal, Trace: opts.Trace})
+	res, journal := primary.Database(db).BulkApply(coll, ops, storage.BulkOptions{Ordered: opts.Ordered, Journaled: wc.Journal, Trace: opts.Trace})
+	journaled := res.LastLSN != 0
+	if !journaled {
+		// A volatile primary, or a journal that refused the record: there is
+		// nothing to wait for, so the primary's profile entry and span close
+		// here rather than after the set's own work below.
+		_ = journal.Wait()
+	}
+	if res.DurabilityErr != nil {
+		// The journal refused the record, so the primary applied nothing;
+		// logging the batch would have the secondaries apply what it did not.
+		rs.mu.Unlock()
+		return res
+	}
 	rec := &wal.Record{
 		Kind: wal.KindBatch, DB: db, Coll: coll, Ordered: opts.Ordered,
 		Ops: loggedOps(primary, db, coll, ops, &res),
@@ -213,6 +232,11 @@ func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts sto
 	commit, err := rs.appendOplogLocked(rec)
 	if err != nil {
 		rs.mu.Unlock()
+		// The primary's record is logged and applied: it must still be
+		// resolved, or its LSN is never notified and change streams stall.
+		if journaled {
+			res.DurabilityErr = journal.Wait()
+		}
 		if res.DurabilityErr == nil {
 			res.DurabilityErr = err
 		}
@@ -232,23 +256,39 @@ func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts sto
 		timer = rs.wcTimer
 	}
 	rs.mu.Unlock()
-	res.LastLSN = lsn // the oplog LSN, which quorum waits key on
+
+	// From here nothing is ordered any more: the primary's journal fsync, the
+	// oplog's fsync and the secondaries' applies are all in flight at once.
+	// The journal wait gets its own goroutine so the two fsyncs overlap; it
+	// is joined below, so the primary's commit resolves exactly once.
 	oplogSpan := opts.Trace.Child("replset.oplogCommitWait")
 	oplogSpan.SetAttr("lsn", lsn)
-	if derr := waitOplog(commit, wc.Journal); derr != nil && res.DurabilityErr == nil {
-		res.DurabilityErr = derr
+	var journalDone chan error
+	if journaled {
+		journalDone = make(chan error, 1)
+		go func() { journalDone <- journal.Wait() }()
 	}
+	res.LastLSN = lsn // the oplog LSN, which quorum waits key on
+	oplogErr := waitOplog(commit, wc.Journal)
 	oplogSpan.Finish()
+	var quorumErr error
 	if w != nil {
 		quorumSpan := opts.Trace.Child("replset.quorumWait")
 		quorumSpan.SetAttr("w", wc.WString())
 		quorumSpan.SetAttr("need", w.need)
 		// Always drain the waiter — it must leave rs.waiters even when the
 		// batch already failed at the durability layer.
-		if qerr := rs.waitQuorum(w, lsn, wc, timer); qerr != nil && res.DurabilityErr == nil {
-			res.DurabilityErr = qerr
-		}
+		quorumErr = rs.waitQuorum(w, lsn, wc, timer)
 		quorumSpan.Finish()
+	}
+	if journalDone != nil {
+		res.DurabilityErr = <-journalDone
+	}
+	if res.DurabilityErr == nil {
+		res.DurabilityErr = oplogErr
+	}
+	if res.DurabilityErr == nil {
+		res.DurabilityErr = quorumErr
 	}
 	return res
 }

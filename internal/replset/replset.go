@@ -11,6 +11,16 @@
 // given its own WAL (AttachWAL) to make the oplog durable, and an oplog can
 // be reloaded from any WAL directory (LoadOplogFromWAL) so secondaries
 // converge by replaying exactly what recovery would replay.
+//
+// A write through the set is a pipeline (BulkWrite). Under the set's one
+// lock it does only what must be ordered: the primary journals and applies
+// the batch, the batch is appended to the oplog, the quorum waiter is
+// registered. The lock is then released with two commits pending — the
+// primary's journal record and the oplog record — and the write waits for
+// both fsyncs at once while the secondaries are already applying, then for
+// the quorum. No fsync runs under the lock, so concurrent writes join each
+// log's group commit, and a write's durability costs the longer of the two
+// fsyncs, not both in turn.
 package replset
 
 import (
@@ -105,10 +115,12 @@ func New(name string, members ...*mongod.Server) (*ReplicaSet, error) {
 }
 
 // AttachWAL makes the oplog durable: every subsequent entry is appended to w
-// (which assigns its LSN) and acknowledged under w's sync policy before the
-// write returns. Call it once, before the set starts accepting writes; the
-// WAL must be empty or positioned after the current oplog (its next LSN is
-// adopted as the sequence counter).
+// (which assigns its LSN) under the set's lock and acknowledged under w's
+// sync policy before the write returns — the wait happens after the lock is
+// released, alongside the wait on the primary's own journal when it has one,
+// so w's group commit covers every write in flight. Call it once, before the
+// set starts accepting writes; the WAL must be empty or positioned after the
+// current oplog (its next LSN is adopted as the sequence counter).
 func (rs *ReplicaSet) AttachWAL(w *wal.WAL) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -190,7 +202,9 @@ func (rs *ReplicaSet) Oplog() []OplogEntry {
 // equals the primary's apply order — two concurrent writes can never land
 // in the durable log in the opposite order they executed, which is what
 // makes replaying the log (on a secondary or after a restart) converge to
-// the primary's state. Writes through the set are serialized as a result.
+// the primary's state. Only that much is serialized: the apply and the two
+// log appends. The durability and quorum waits happen after the lock is
+// released, so concurrent writes overlap them (see BulkWrite).
 // Acknowledgement honours the set's default write concern (w: 1 unless
 // SetDefaultWriteConcern raised it); BulkWrite takes an explicit concern.
 func (rs *ReplicaSet) Insert(db, coll string, doc *bson.Doc) (any, error) {

@@ -207,28 +207,12 @@ type preparedOp struct {
 	err     error
 }
 
-// BulkWrite executes a mixed batch of inserts, updates and deletes under a
-// single write-lock acquisition with per-op error collection. Maintenance
-// work is amortized across the batch: matchers compile before the lock is
-// taken, the record array grows once for all inserts, and tombstone
-// compaction is considered once at the end instead of per delete. Ordered
-// batches stop at the first failure; unordered batches attempt every op.
-func (c *Collection) BulkWrite(ops []WriteOp, opts BulkOptions) BulkResult {
-	var res BulkResult
-	if len(ops) == 0 {
-		return res
-	}
-	span := opts.Trace.Child("storage.bulkWrite")
-	span.SetAttr("collection", c.name)
-	span.SetAttr("ops", len(ops))
-	var cowBefore int64
-	if span != nil {
-		cowBefore = c.COWBytesCopied()
-	}
-
-	// Phase 1 (no lock): validate shapes and compile matchers.
-	prep := make([]preparedOp, len(ops))
-	inserts, upserts := 0, false
+// prepareBulk validates op shapes and compiles matchers — the part of a
+// batch that needs no lock — and sizes the result's aligned id slices. It
+// also reports how many ops are inserts, for the spine reservation.
+func prepareBulk(ops []WriteOp) (prep []preparedOp, res BulkResult, inserts int) {
+	prep = make([]preparedOp, len(ops))
+	upserts := false
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -254,6 +238,91 @@ func (c *Collection) BulkWrite(ops []WriteOp, opts BulkOptions) BulkResult {
 	if upserts {
 		res.UpsertedIDs = make([]any, len(ops))
 	}
+	return prep, res, inserts
+}
+
+// applyOpsLocked executes a prepared batch under the held write lock with
+// its ordered/unordered semantics, folding outcomes into res. It does not
+// publish: the caller decides how many batches share one version.
+func (c *Collection) applyOpsLocked(ops []WriteOp, prep []preparedOp, inserts int, ordered bool, res *BulkResult) {
+	c.reserveLocked(inserts)
+	for i := range ops {
+		res.Attempted++
+		if err := c.applyLocked(&ops[i], prep[i], res, i); err != nil {
+			res.Errors = append(res.Errors, BulkError{Index: i, Err: err})
+			if ordered {
+				break
+			}
+		}
+	}
+	c.maybeCompactLocked()
+}
+
+// PendingCommit is the durability half of an applied batch: the journal
+// record is appended and the batch is visible to readers, but the record may
+// not be durable yet. Wait must be called exactly once, after every lock
+// that ordered the batch has been released — it is also what fires the
+// journal's post-commit notification (see CommitNotifier), so a batch whose
+// PendingCommit is dropped stalls the change-stream frontier. The zero value
+// (no journal attached, or nothing logged) waits for nothing.
+type PendingCommit struct {
+	commit    CommitWaiter
+	journaled bool
+	trace     *trace.Span
+}
+
+// Wait blocks until the batch's journal record is durable under the
+// journal's sync policy (fsynced when the batch asked for j: true) and fires
+// the post-commit notification. The wait is its own span, "wal.commitWait",
+// beside the batch's "storage.bulkWrite".
+func (p PendingCommit) Wait() error {
+	if p.commit == nil {
+		return nil
+	}
+	span := p.trace.Child("wal.commitWait")
+	err := waitCommit(p.commit, p.journaled)
+	span.Finish()
+	return err
+}
+
+// BulkWrite executes a mixed batch of inserts, updates and deletes under a
+// single write-lock acquisition with per-op error collection, and returns
+// once the batch is acknowledged under the journal's sync policy: it is
+// BulkApply followed by the wait on its PendingCommit. Ordered batches stop
+// at the first failure; unordered batches attempt every op.
+func (c *Collection) BulkWrite(ops []WriteOp, opts BulkOptions) BulkResult {
+	res, pending := c.BulkApply(ops, opts)
+	if err := pending.Wait(); err != nil {
+		res.DurabilityErr = err
+	}
+	return res
+}
+
+// BulkApply is the ordered half of a bulk write: it journals the batch,
+// applies it and publishes the resulting version under one write-lock
+// acquisition, and returns without waiting for the journal record to become
+// durable. The caller resolves the returned PendingCommit once it holds no
+// lock of its own, which is what lets a replicated write overlap this
+// journal's fsync with the oplog's (replset.BulkWrite) and lets concurrent
+// batches share one group commit. Maintenance work is amortized across the
+// batch: matchers compile before the lock is taken, the record array grows
+// once for all inserts, and tombstone compaction is considered once at the
+// end instead of per delete. When the batch could not be logged nothing is
+// applied and DurabilityErr says why.
+func (c *Collection) BulkApply(ops []WriteOp, opts BulkOptions) (BulkResult, PendingCommit) {
+	if len(ops) == 0 {
+		return BulkResult{}, PendingCommit{}
+	}
+	span := opts.Trace.Child("storage.bulkWrite")
+	span.SetAttr("collection", c.name)
+	span.SetAttr("ops", len(ops))
+	var cowBefore int64
+	if span != nil {
+		cowBefore = c.COWBytesCopied()
+	}
+
+	// Phase 1 (no lock): validate shapes and compile matchers.
+	prep, res, inserts := prepareBulk(ops)
 
 	// Phase 2 (one lock acquisition): journal the batch, apply the ops, then
 	// publish the resulting version in one atomic swap. The record enters
@@ -271,37 +340,59 @@ func (c *Collection) BulkWrite(ops []WriteOp, opts BulkOptions) BulkResult {
 		applySpan.Finish()
 		span.Finish()
 		res.DurabilityErr = err
-		return res
+		return res, PendingCommit{}
 	}
-	c.reserveLocked(inserts)
-	for i := range ops {
-		res.Attempted++
-		if err := c.applyLocked(&ops[i], prep[i], &res, i); err != nil {
-			res.Errors = append(res.Errors, BulkError{Index: i, Err: err})
-			if opts.Ordered {
-				break
-			}
-		}
-	}
-	c.maybeCompactLocked()
+	c.applyOpsLocked(ops, prep, inserts, opts.Ordered, &res)
 	c.publishLocked()
 	c.mu.Unlock()
 	applySpan.Finish()
 	if commit != nil {
 		res.LastLSN = commit.LSN()
 	}
-	var walSpan *trace.Span
-	if commit != nil {
-		walSpan = span.Child("wal.commitWait")
-	}
-	res.DurabilityErr = waitCommit(commit, opts.journalAck())
-	walSpan.Finish()
 	if span != nil {
 		span.SetAttr("cowBytesCopied", c.COWBytesCopied()-cowBefore)
 		span.SetAttr("lsn", res.LastLSN)
 	}
 	span.Finish()
-	return res
+	return res, PendingCommit{commit: commit, journaled: opts.journalAck(), trace: opts.Trace}
+}
+
+// ReplayBatch is one journaled batch handed back by recovery: the logged
+// ops, the ordered flag they ran under and the record's LSN.
+type ReplayBatch struct {
+	LSN     int64
+	Ops     []WriteOp
+	Ordered bool
+}
+
+// ReplayBatches re-applies a run of consecutive journaled batches under one
+// write-lock acquisition and publishes one version for the whole run, so a
+// page or an index-tree path the run touches many times is copied once.
+// Each batch keeps its own ordered/unordered semantics and its per-op
+// failures replay exactly as they failed before the crash (the log records
+// the attempt, not the outcome). Batches at or below the collection's
+// watermark — already inside the checkpoint snapshot it was seeded from —
+// are skipped; the watermark ends at the run's last LSN. It returns how many
+// batches it applied. Recovery calls it before a journal is attached, so
+// nothing is logged again.
+func (c *Collection) ReplayBatches(run []ReplayBatch) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	applied := 0
+	for i := range run {
+		b := &run[i]
+		if b.LSN <= c.lastLSN {
+			continue
+		}
+		prep, res, inserts := prepareBulk(b.Ops)
+		c.applyOpsLocked(b.Ops, prep, inserts, b.Ordered, &res)
+		c.lastLSN = b.LSN
+		applied++
+	}
+	if applied > 0 {
+		c.publishLocked()
+	}
+	return applied
 }
 
 // applyLocked executes one bulk op under the held write lock, folding its

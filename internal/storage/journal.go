@@ -70,7 +70,8 @@ func (c *Collection) LastLSN() int64 {
 
 // SetReplayLSN records that the collection's state reflects the log up to
 // lsn. Recovery calls it after loading a checkpoint snapshot and after
-// replaying each record; it never moves the watermark backwards.
+// replaying each structural record (ReplayBatches advances the watermark
+// itself); it never moves the watermark backwards.
 func (c *Collection) SetReplayLSN(lsn int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -141,19 +141,63 @@ const lsnValueOffset = 4 + 1 + 4
 // re-encode instead of corrupting frames.
 var lsnTagByte = bson.Marshal(bson.D("lsn", int64(1)))[4]
 
+// hasLSNLayout reports whether a payload starts with the int64 "lsn" field
+// at the fixed offset.
+func hasLSNLayout(payload []byte) bool {
+	return len(payload) >= lsnValueOffset+8 && payload[4] == lsnTagByte && string(payload[5:9]) == "lsn\x00"
+}
+
 // patchFrameLSN rewrites the LSN of an encoded frame in place and fixes the
 // checksum, reporting whether the frame had the expected layout.
 func patchFrameLSN(frame []byte, lsn int64) bool {
-	if len(frame) < frameHeaderSize+lsnValueOffset+8 {
+	if len(frame) < frameHeaderSize {
 		return false
 	}
 	payload := frame[frameHeaderSize:]
-	if payload[4] != lsnTagByte || string(payload[5:9]) != "lsn\x00" {
+	if !hasLSNLayout(payload) {
 		return false
 	}
 	binary.LittleEndian.PutUint64(payload[lsnValueOffset:], uint64(lsn))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	return true
+}
+
+// splitFrame validates the frame at the front of data — length prefix in
+// range, payload complete, checksum matching — and returns its payload and
+// the bytes after it. ok is false for a torn frame.
+func splitFrame(data []byte) (payload, rest []byte, ok bool) {
+	if len(data) < frameHeaderSize {
+		return nil, nil, false
+	}
+	payloadLen := int(binary.LittleEndian.Uint32(data[0:4]))
+	if payloadLen < 5 || payloadLen > MaxRecordSize || len(data) < frameHeaderSize+payloadLen {
+		return nil, nil, false
+	}
+	payload = data[frameHeaderSize : frameHeaderSize+payloadLen]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:8]) {
+		return nil, nil, false
+	}
+	return payload, data[frameHeaderSize+payloadLen:], true
+}
+
+// frameLSN reads the LSN of the intact frame at the front of data without
+// decoding its payload, returning the bytes after the frame. The payload is
+// decoded only when it lacks the fixed LSN layout (see patchFrameLSN's
+// fallback), so a frame either scan accepts carries the same LSN.
+func frameLSN(data []byte) (lsn int64, rest []byte, ok bool) {
+	payload, rest, ok := splitFrame(data)
+	if !ok {
+		return 0, nil, false
+	}
+	if hasLSNLayout(payload) {
+		lsn = int64(binary.LittleEndian.Uint64(payload[lsnValueOffset:]))
+		return lsn, rest, lsn > 0
+	}
+	rec, _, err := DecodeRecord(data)
+	if err != nil {
+		return 0, nil, false
+	}
+	return rec.LSN, rest, true
 }
 
 // framePayload wraps raw payload bytes in the length+checksum frame.
@@ -171,18 +215,8 @@ func framePayload(payload []byte) []byte {
 // valid record returns a descriptive error. It never reads past the framed
 // length and never panics on corrupt input (FuzzWALDecode enforces this).
 func DecodeRecord(data []byte) (*Record, []byte, error) {
-	if len(data) < frameHeaderSize {
-		return nil, nil, ErrTornRecord
-	}
-	payloadLen := int(binary.LittleEndian.Uint32(data[0:4]))
-	if payloadLen < 5 || payloadLen > MaxRecordSize {
-		return nil, nil, ErrTornRecord
-	}
-	if len(data) < frameHeaderSize+payloadLen {
-		return nil, nil, ErrTornRecord
-	}
-	payload := data[frameHeaderSize : frameHeaderSize+payloadLen]
-	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(data[4:8]) {
+	payload, rest, ok := splitFrame(data)
+	if !ok {
 		return nil, nil, ErrTornRecord
 	}
 	doc, err := bson.Unmarshal(payload)
@@ -196,7 +230,7 @@ func DecodeRecord(data []byte) (*Record, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return rec, data[frameHeaderSize+payloadLen:], nil
+	return rec, rest, nil
 }
 
 func encodeRecordDoc(r *Record) *bson.Doc {

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -86,6 +87,34 @@ func listSegments(dir string) ([]segmentInfo, error) {
 // of the last complete record (0 when none), and whether the segment ended
 // with a torn record.
 func readSegmentRecords(path string, fn func(*Record) error) (goodBytes int64, lastLSN int64, torn bool, err error) {
+	return scanSegment(path, func(data []byte) (int64, []byte, error) {
+		rec, rest, err := DecodeRecord(data)
+		if err != nil {
+			return 0, nil, ErrTornRecord
+		}
+		return rec.LSN, rest, fn(rec)
+	})
+}
+
+// scanSegmentFrames finds the end of one segment file from its frames alone
+// — length, checksum and the LSN at its fixed offset — without decoding any
+// payload. It is Open's tail scan: recovery decodes every record once, in
+// Replay, not once to find the end of the log and again to apply it. The
+// results mean what readSegmentRecords' do.
+func scanSegmentFrames(path string) (goodBytes int64, lastLSN int64, torn bool, err error) {
+	return scanSegment(path, func(data []byte) (int64, []byte, error) {
+		lsn, rest, ok := frameLSN(data)
+		if !ok {
+			return 0, nil, ErrTornRecord
+		}
+		return lsn, rest, nil
+	})
+}
+
+// scanSegment walks one segment file frame by frame. next consumes the frame
+// at the front of its argument, returning the frame's LSN and the bytes after
+// it; ErrTornRecord ends the walk as a torn tail, any other error aborts it.
+func scanSegment(path string, next func(data []byte) (lsn int64, rest []byte, err error)) (goodBytes int64, lastLSN int64, torn bool, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, false, err
@@ -101,18 +130,16 @@ func readSegmentRecords(path string, fn func(*Record) error) (goodBytes int64, l
 	rest := data[segmentHeaderSize:]
 	goodBytes = segmentHeaderSize
 	for len(rest) > 0 {
-		rec, next, err := DecodeRecord(rest)
-		if err != nil {
+		lsn, after, err := next(rest)
+		if errors.Is(err, ErrTornRecord) {
 			return goodBytes, lastLSN, true, nil
 		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return goodBytes, lastLSN, false, err
-			}
+		if err != nil {
+			return goodBytes, lastLSN, false, err
 		}
-		goodBytes += int64(len(rest) - len(next))
-		lastLSN = rec.LSN
-		rest = next
+		goodBytes += int64(len(rest) - len(after))
+		lastLSN = lsn
+		rest = after
 	}
 	return goodBytes, lastLSN, false, nil
 }

@@ -165,3 +165,63 @@ func randomString(rng *rand.Rand, n int) string {
 	}
 	return string(b)
 }
+
+// TestWALTortureFrameScanMatchesDecodingScan pins Open's frame-only tail scan
+// to the decoding scan it replaced: for a log cut at every byte of its last
+// frame, and for that frame with any one byte garbled, Open must truncate to
+// the same byte count and resume at the same LSN that fully decoding every
+// record finds.
+func TestWALTortureFrameScanMatchesDecodingScan(t *testing.T) {
+	src := t.TempDir()
+	w := mustOpen(t, Options{Dir: src, Sync: SyncNone})
+	for i := 0; i < 4; i++ {
+		appendWait(t, w, batchRecord("c", i), false)
+	}
+	w.Close()
+	segs, _ := listSegments(src)
+	if len(segs) != 1 {
+		t.Fatalf("want one segment, got %d", len(segs))
+	}
+	whole, err := os.ReadFile(segs[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lastFrame := len(EncodeRecord(batchRecord("c", 3)))
+	frameStart := len(whole) - lastFrame
+
+	check := func(name string, data []byte) {
+		dir := t.TempDir()
+		path := dir + "/" + segmentName(1)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantBytes, wantLSN, wantTorn, err := readSegmentRecords(path, func(*Record) error { return nil })
+		if err != nil {
+			t.Fatalf("%s: decoding scan: %v", name, err)
+		}
+		gotBytes, gotLSN, gotTorn, err := scanSegmentFrames(path)
+		if err != nil {
+			t.Fatalf("%s: frame scan: %v", name, err)
+		}
+		if gotBytes != wantBytes || gotLSN != wantLSN || gotTorn != wantTorn {
+			t.Fatalf("%s: frame scan = (%d bytes, lsn %d, torn %v), decoding scan = (%d, %d, %v)",
+				name, gotBytes, gotLSN, gotTorn, wantBytes, wantLSN, wantTorn)
+		}
+		w := mustOpen(t, Options{Dir: dir, Sync: SyncNone})
+		defer w.Close()
+		if w.LastLSN() != wantLSN {
+			t.Fatalf("%s: Open resumed at LSN %d, want %d", name, w.LastLSN(), wantLSN)
+		}
+		if got := fileSize(t, path); got != wantBytes {
+			t.Fatalf("%s: Open left %d bytes, want %d", name, got, wantBytes)
+		}
+	}
+	for cut := frameStart; cut <= len(whole); cut++ {
+		check(fmt.Sprintf("cut=%d", cut), whole[:cut])
+	}
+	for pos := frameStart; pos < len(whole); pos++ {
+		garbled := append([]byte(nil), whole...)
+		garbled[pos] ^= 0x5a
+		check(fmt.Sprintf("garbled=%d", pos), garbled)
+	}
+}

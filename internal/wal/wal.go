@@ -179,11 +179,11 @@ func Open(opts Options) (*WAL, error) {
 		w.syncedLSN = 0
 		return w, nil
 	}
-	// Scan the newest segment to find the end of the log and truncate any
-	// torn tail in place. Older segments are immutable (they were fsynced on
-	// rotation) and are only read again by Replay.
+	// Scan the newest segment's frames to find the end of the log and
+	// truncate any torn tail in place. Older segments are immutable (they
+	// were fsynced on rotation) and are only read again by Replay.
 	last := segs[len(segs)-1]
-	goodBytes, lastLSN, torn, err := readSegmentRecords(last.path, nil)
+	goodBytes, lastLSN, torn, err := scanSegmentFrames(last.path)
 	if err != nil {
 		return nil, err
 	}

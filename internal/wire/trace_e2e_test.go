@@ -51,8 +51,9 @@ func startTracedCluster(t *testing.T) *Server {
 // TestTracedWriteSpansEveryLayer is the end-to-end observability contract:
 // one acknowledged write produces a single span tree that crosses the wire
 // handler, the mongos shard fan-out, the shard's mongod execution, the
-// storage apply + WAL group-commit wait, and — under w:2 — the replica
-// quorum wait, all correctly nested and all finished.
+// storage apply, the WAL group-commit wait, and — under w:2 — the replica
+// set's oplog and quorum waits overlapping it, all correctly nested and all
+// finished.
 func TestTracedWriteSpansEveryLayer(t *testing.T) {
 	srv := startTracedCluster(t)
 
@@ -109,8 +110,24 @@ func TestTracedWriteSpansEveryLayer(t *testing.T) {
 	if storageSpan == nil {
 		t.Fatalf("storage.bulkWrite not nested under mongod.bulkWrite:\n%s", dumpView(&root, 0))
 	}
-	if storageSpan.Find("wal.commitWait") == nil {
-		t.Fatalf("wal.commitWait not nested under storage.bulkWrite:\n%s", dumpView(&root, 0))
+	// The journal wait is the write's, not the engine's: it sits beside
+	// storage.bulkWrite under the mongod span, which stays open until the
+	// primary's record is durable.
+	walSpan := mongodSpan.Find("wal.commitWait")
+	if walSpan == nil || storageSpan.Find("wal.commitWait") != nil {
+		t.Fatalf("wal.commitWait not a sibling of storage.bulkWrite under mongod.bulkWrite:\n%s", dumpView(&root, 0))
+	}
+	// The replica set's waits belong to the shard call, not to the primary's
+	// execution, and they overlap it: the oplog wait began while the
+	// primary's write was still waiting on its journal.
+	oplogSpan := shard.Find("replset.oplogCommitWait")
+	if oplogSpan == nil || shard.Find("replset.quorumWait") == nil ||
+		mongodSpan.Find("replset.oplogCommitWait") != nil || mongodSpan.Find("replset.quorumWait") != nil {
+		t.Fatalf("replset waits not siblings of mongod.bulkWrite under mongos.shard:\n%s", dumpView(&root, 0))
+	}
+	if journalEnd := mongodSpan.Start.Add(mongodSpan.Duration); oplogSpan.Start.After(journalEnd) {
+		t.Fatalf("oplog wait started %v after the primary's write was acknowledged; the waits must overlap",
+			oplogSpan.Start.Sub(journalEnd))
 	}
 	if lsn, ok := storageSpan.Attr("lsn"); !ok || lsn.(int64) == 0 {
 		t.Fatalf("storage.bulkWrite lsn attr = %v", lsn)

@@ -151,6 +151,12 @@ func TestWireWatchResumeByToken(t *testing.T) {
 // subscription and leak neither a watcher goroutine nor its buffer.
 func TestWireKillCursorsTearsDownSubscription(t *testing.T) {
 	backend, srv, client, _ := watchTestServer(t)
+	// One round trip first: the server starts the connection's handler
+	// goroutine when it accepts, which can be after Dial has returned, and
+	// the baseline must include it.
+	if err := client.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 
 	cur, err := client.Watch("app", "rows", nil, "", 0)
