@@ -20,8 +20,7 @@ import (
 // with them the readers never touch a lock. The mode measures three
 // variants — plain indexed finds, index-narrowed projection finds (the
 // covered-query shape), and the same reads through a sharded router — and
-// prints `go test -bench`-formatted lines so cmd/benchjson folds the
-// results into the same JSON summaries as the test benchmarks:
+// prints `go test -bench`-formatted lines:
 //
 //	bench -indexed-find -find-docs 4000 -find-queries 64
 //

@@ -21,12 +21,10 @@ import (
 // The write-concern sweep measures acknowledged-write latency across the
 // {threads} x {replica set size} x {write concern} x {shards} grid, printing
 // one `go test -bench`-formatted line per cell with mean, p50, p99 and p999
-// latencies as custom metrics, so cmd/benchjson folds the sweep into the
-// same JSON summaries and regression comparisons as the test benchmarks:
+// latencies as custom metrics:
 //
 //	bench -sweep -sweep-threads 1,4 -sweep-members 1,3 \
-//	      -sweep-wc w1,majority,majority+j -sweep-shards 1 | \
-//	    benchjson -out BENCH.json
+//	      -sweep-wc w1,majority,majority+j -sweep-shards 1
 type sweepConfig struct {
 	threads  []int
 	members  []int
@@ -148,10 +146,10 @@ func runSweepCell(threads, members, shards int, wc storage.WriteConcern, request
 		return none, none, err
 	}
 	// The server-side view of the same cell: every shard primary recorded
-	// its bulkWrite executions into the labeled bench.writes series.
+	// its one-op insert batches into the labeled bench.writes series.
 	var serverSnap metrics.HistogramSnapshot
 	for _, rs := range sets {
-		serverSnap.Merge(rs.Primary().CollectionOpDurations("bench.writes", "bulkWrite"))
+		serverSnap.Merge(rs.Primary().CollectionOpDurations("bench.writes", "insert"))
 	}
 	return hist.Snapshot(), serverSnap, nil
 }
@@ -188,8 +186,8 @@ func printSweepLine(threads, members int, wcName string, shards int, snap metric
 }
 
 // printSweepServerLine emits the cell's server-side per-namespace latency as
-// its own benchmark series, so benchjson attributes execution time to the
-// bench.writes namespace separately from the acknowledged latency above.
+// its own benchmark series, so execution time in the bench.writes namespace
+// reads separately from the acknowledged latency above.
 func printSweepServerLine(threads, members int, wcName string, shards int, snap metrics.HistogramSnapshot) {
 	fmt.Printf("BenchmarkWriteConcernSweepNS/bench.writes/t%d/m%d/wc%s/s%d \t%d\t%d ns/op\t%d p50-ns/op\t%d p99-ns/op\t%d p999-ns/op\n",
 		threads, members, wcName, shards, snap.Count,

@@ -16,9 +16,7 @@ import (
 // the same point-write shape the replica-set apply loop produces on every
 // secondary. The mode measures it twice — straight against one
 // storage.Collection, and acknowledged by a 3-member replica set with
-// majority write concern — and prints `go test -bench`-formatted lines so
-// cmd/benchjson folds the results into the same JSON summaries and
-// regression comparisons as the test benchmarks:
+// majority write concern — and prints `go test -bench`-formatted lines:
 //
 //	bench -update-stream -stream-docs 100000 -stream-ops 5000
 //

@@ -128,11 +128,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docstored: -write-concern %s cannot be satisfied by %d replica(s)\n", *writeConcern, *replicas)
 		os.Exit(1)
 	}
-	if (defaultWC == storage.WriteConcern{W: 1}) {
-		// A plain {w: 1} is the built-in default; normalizing it to the zero
-		// concern keeps the standalone fast path for writes that carry none.
-		defaultWC = storage.WriteConcern{}
-	}
 
 	sharded := *shards > 0
 	if sharded && *replicas > 1 {

@@ -64,7 +64,10 @@
 //     unordered mode attempts every op.
 //   - mongod.Database.BulkWrite profiles each batch as one entry carrying
 //     the batch size and per-op failure count, and counts each op under its
-//     own opcounter kind.
+//     own opcounter kind. The entry (and the op label of
+//     docstore_mongod_op_duration_seconds) is the op's kind for a one-op
+//     batch — "insert", "update", "delete", whatever entry point or write
+//     concern produced it — and "bulkWrite" for any other.
 //   - both are an apply followed by a wait: BulkApply journals, applies and
 //     publishes the batch under the collection lock and returns a pending
 //     commit; BulkWrite then waits on it. A caller that orders the batch
@@ -79,15 +82,27 @@
 //     broadcast multi-update (no upsert) or multi-delete joins the
 //     sub-batch of every shard its filter spans, so a chunk of them costs
 //     one call per shard (and one that fails on a shard is still applied
-//     on the others); non-multi and upsert ops, which need a cross-shard
-//     decision, fall back to the scalar routing path in place.
+//     on the others); a non-multi op, which must stop at the first shard
+//     that matches, visits its shards in order, one one-op sub-batch each
+//     (the router's one multi-shard visit). An upsert whose filter does not
+//     resolve to one shard is refused with an error naming the shard key.
 //   - bulk writes are part of the one driver.Store interface, implemented
-//     by both adapters (the former CursorStore/BulkStore/WatchStore
-//     ladder survives as deprecated aliases; discover support with
-//     driver.Capabilities instead of type assertions).
-//   - scalar Update/UpdateOne/UpdateMany/Delete/DeleteID are thin wrappers
-//     over BulkWrite, so COW accounting, journaling and write-concern
-//     threading have exactly one mutation code path.
+//     by both adapters (discover what works against a deployment with
+//     driver.Capabilities, not type assertions).
+//   - there is one write path, from the wire to the shard. Every scalar
+//     entry point — Insert/Update/Delete on storage.Collection,
+//     mongod.Database, replset.ReplicaSet and mongos.Router, and
+//     UpdateOne/UpdateMany/DeleteID — is a one-op ordered BulkWrite at its
+//     own layer, and the wire server turns each of its five write ops into
+//     a []storage.WriteOp and hands it to one function (wire.Server's
+//     execBatch), which picks the router, the replica set or the server
+//     itself; each of those ends in storage.Collection.BulkApply. So
+//     routing, COW accounting, journaling, write-concern threading,
+//     profiling and tracing each happen in one place: a plain insert and a
+//     {j: true} insert produce the same span tree, "mongod.bulkWrite" over
+//     "storage.bulkWrite" and "wal.commitWait". Reads, counts, aggregates
+//     and index and collection management reach the deployment through
+//     driver.Store, chosen once per request.
 //   - the wire protocol's bulkWrite op carries the batch ("docs", one op
 //     document each), the ordered flag and a result document with counters,
 //     aligned insertedIds and the writeErrors array; wire.Client.BulkWrite
@@ -521,8 +536,7 @@
 //     the oplog has its own WAL under <data-dir>/oplog and is reloaded on
 //     restart. cmd/bench -sweep measures acknowledged-write latency
 //     (p50/p99/p999 per cell) across threads x members x writeConcern x
-//     shards, and benchjson -p99-threshold turns tail regressions into CI
-//     warnings.
+//     shards.
 //
 // # Observability
 //

@@ -8,17 +8,12 @@ import (
 	"docstore/internal/sharding"
 )
 
-// TestCapabilitiesTrackDurability checks the capability-discovery API that
-// replaced the type-assertion ladder: cursor and bulk support are universal,
+// TestCapabilitiesTrackDurability checks the capability-discovery API:
+// cursor and bulk support are universal,
 // watch support follows the deployment's durability at runtime.
 func TestCapabilitiesTrackDurability(t *testing.T) {
 	server := mongod.NewServer(mongod.Options{})
 	store := NewStandalone(server.Database("app"))
-
-	// The deprecated aliases must stay assignable for one release.
-	var _ CursorStore = store
-	var _ BulkStore = store
-	var _ WatchStore = store
 
 	caps := Capabilities(store)
 	if !caps.Cursors || !caps.Bulk {

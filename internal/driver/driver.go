@@ -27,11 +27,6 @@ type Cursor = aggregate.Iterator
 // implement every method; what may vary at runtime is whether a capability
 // is usable (change streams require durability on the underlying servers),
 // which Capabilities reports without a single type assertion.
-//
-// Historical note: this interface used to be a ladder — a minimal Store plus
-// CursorStore/BulkStore/WatchStore extensions that callers discovered by
-// type-asserting. The ladder collapsed into this one interface; the old
-// names remain as deprecated aliases for one release.
 type Store interface {
 	// Name identifies the deployment ("stand-alone" or "sharded").
 	Name() string
@@ -83,21 +78,6 @@ type Store interface {
 	DataSizeBytes(coll string) int64
 }
 
-// CursorStore is the streaming-reads facet of the old interface ladder.
-//
-// Deprecated: every Store streams; use Store and driver.Capabilities.
-type CursorStore = Store
-
-// BulkStore is the bulk-writes facet of the old interface ladder.
-//
-// Deprecated: every Store bulk-writes; use Store and driver.Capabilities.
-type BulkStore = Store
-
-// WatchStore is the change-streams facet of the old interface ladder.
-//
-// Deprecated: use Store and check driver.Capabilities(s).Watch.
-type WatchStore = Store
-
 var (
 	_ Store = (*Standalone)(nil)
 	_ Store = (*Sharded)(nil)
@@ -148,9 +128,8 @@ type CapabilityReporter interface {
 }
 
 // Capabilities reports what the store supports against its current
-// deployment. It replaces the CursorStore/BulkStore/WatchStore
-// type-assertion ladder: instead of asking "does this value have the
-// method", callers ask "will the method work".
+// deployment: instead of asking "does this value have the method", callers
+// ask "will the method work".
 func Capabilities(s Store) CapabilitySet {
 	if r, ok := s.(CapabilityReporter); ok {
 		return r.Capabilities()

@@ -15,8 +15,9 @@ type ProfileEntry struct {
 	Database   string
 	Duration   time.Duration
 	At         time.Time
-	// BatchOps and BatchErrors describe bulk writes: how many ops the batch
-	// carried and how many of them failed. Both are zero for scalar ops.
+	// BatchOps and BatchErrors describe writes: how many ops the batch
+	// carried (one for a scalar write) and how many of them failed. Both are
+	// zero for reads.
 	BatchOps    int
 	BatchErrors int
 	// COWBytesCopied is the record data the batch's page copies duplicated:
@@ -90,7 +91,7 @@ func (s *Server) clockTime() time.Time {
 	return time.Now()
 }
 
-// profile starts timing an operation; the returned function stops the timer
+// profile starts timing an aggregation; the returned function stops the timer
 // and records the entry if it clears the server's slow-op threshold.
 func (db *Database) profile(op, coll string) func() {
 	start := db.server.clockTime()
@@ -99,17 +100,24 @@ func (db *Database) profile(op, coll string) func() {
 	}
 }
 
-// profileBulk starts timing a bulk write of the given batch size; the
+// profileBulk opens the profile entry of a write — the only function that
+// does, since every write reaches the server as a batch. A one-op batch is
+// labelled with its op's kind ("insert", "update", "delete"), whichever entry
+// point or write concern produced it; any other batch is "bulkWrite". The
 // returned function stops the timer and records the entry together with the
 // per-op failure count the batch produced.
-func (db *Database) profileBulk(coll string, batchOps int, traceID string) func(batchErrors int) {
+func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID string) func(batchErrors int) {
+	op := "bulkWrite"
+	if len(ops) == 1 {
+		op = ops[0].Kind.String()
+	}
 	start := db.server.clockTime()
 	c := db.Collection(coll)
 	cowStart := c.COWBytesCopied()
 	return func(batchErrors int) {
 		db.record(ProfileEntry{
-			Op: "bulkWrite", Collection: coll, At: start,
-			BatchOps: batchOps, BatchErrors: batchErrors,
+			Op: op, Collection: coll, At: start,
+			BatchOps: len(ops), BatchErrors: batchErrors,
 			COWBytesCopied: c.COWBytesCopied() - cowStart,
 			TraceID:        traceID,
 		})

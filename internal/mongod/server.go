@@ -300,8 +300,8 @@ func (s *Server) EngineGauges() *metrics.GaugeSet {
 	return g
 }
 
-// countOps bumps the write counters once for a whole bulk batch, mirroring
-// how real opcounters count per document operation.
+// countOps bumps the write counters once for a whole batch (every write is
+// one), mirroring how real opcounters count per document operation.
 func (s *Server) countOps(insert, update, del int64) {
 	s.mu.Lock()
 	s.counters.Insert += insert
@@ -310,18 +310,12 @@ func (s *Server) countOps(insert, update, del int64) {
 	s.mu.Unlock()
 }
 
+// countOp bumps the query or command counter; writes count through countOps.
 func (s *Server) countOp(kind string) {
 	s.mu.Lock()
-	switch kind {
-	case "insert":
-		s.counters.Insert++
-	case "query":
+	if kind == "query" {
 		s.counters.Query++
-	case "update":
-		s.counters.Update++
-	case "delete":
-		s.counters.Delete++
-	default:
+	} else {
 		s.counters.Command++
 	}
 	s.mu.Unlock()
@@ -451,11 +445,12 @@ func (db *Database) WorkingSetBytes() int64 {
 // ---------------------------------------------------------------------------
 // Operation entry points (profiled, counted)
 
-// Insert adds a document to the named collection.
+// Insert adds a document to the named collection. Like Update and Delete it
+// is a one-op ordered BulkWrite, so a scalar write is counted, profiled,
+// traced and journaled by the same code as a batch.
 func (db *Database) Insert(coll string, doc *bson.Doc) (any, error) {
-	db.server.countOp("insert")
-	defer db.profile("insert", coll)()
-	return db.Collection(coll).Insert(doc)
+	res := db.BulkWrite(coll, []storage.WriteOp{storage.InsertWriteOp(doc)}, storage.BulkOptions{Ordered: true})
+	return res.InsertedID()
 }
 
 // InsertMany adds documents to the named collection. It is a thin wrapper
@@ -509,7 +504,7 @@ func (db *Database) BulkApply(coll string, ops []storage.WriteOp, opts storage.B
 	span.SetAttr("collection", coll)
 	span.SetAttr("ops", len(ops))
 	opts.Trace = span
-	stop := db.profileBulk(coll, len(ops), span.SampledTraceID())
+	stop := db.profileBulk(coll, ops, span.SampledTraceID())
 	res, commit := db.Collection(coll).BulkApply(ops, opts)
 	var inserts, updates, deletes int64
 	for i := range ops[:res.Attempted] {
@@ -552,16 +547,14 @@ func (db *Database) FindWithPlan(coll string, filter *bson.Doc, opts storage.Fin
 
 // Update applies an update specification against the named collection.
 func (db *Database) Update(coll string, spec query.UpdateSpec) (storage.UpdateResult, error) {
-	db.server.countOp("update")
-	defer db.profile("update", coll)()
-	return db.Collection(coll).Update(spec)
+	res := db.BulkWrite(coll, []storage.WriteOp{storage.UpdateWriteOp(spec)}, storage.BulkOptions{Ordered: true})
+	return res.UpdateResult()
 }
 
 // Delete removes matching documents from the named collection.
 func (db *Database) Delete(coll string, filter *bson.Doc, multi bool) (int, error) {
-	db.server.countOp("delete")
-	defer db.profile("delete", coll)()
-	return db.Collection(coll).Delete(filter, multi)
+	res := db.BulkWrite(coll, []storage.WriteOp{storage.DeleteWriteOp(filter, multi)}, storage.BulkOptions{Ordered: true})
+	return res.Deleted, res.FirstError()
 }
 
 // EnsureIndex creates an index on the named collection.

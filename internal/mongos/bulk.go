@@ -44,10 +44,10 @@ func (r *Router) bulkTargets(meta *sharding.CollectionMetadata, op *storage.Writ
 }
 
 // recordInserts accounts a sub-batch's attempted insert ops in the chunk
-// map (feeding chunk-split decisions, exactly as Insert does) after
-// dispatch, so ops a stopped ordered batch never reached are never
-// recorded. Splits keep both halves on the chunk's shard, so recording
-// after routing cannot invalidate the shard the ops were grouped under.
+// map (feeding chunk-split decisions) after dispatch, so ops a stopped
+// ordered batch never reached are never recorded. Splits keep both halves
+// on the chunk's shard, so recording after routing cannot invalidate the
+// shard the ops were grouped under.
 func recordInserts(meta *sharding.CollectionMetadata, ops []storage.WriteOp) {
 	for i := range ops {
 		if ops[i].Kind == storage.InsertOp && ops[i].Doc != nil {
@@ -66,11 +66,11 @@ func recordInserts(meta *sharding.CollectionMetadata, ops []storage.WriteOp) {
 // sequentially, stopping at the first failure. Ops whose filter spans
 // several shards (broadcast updates/deletes) join every target shard's
 // sub-batch when the batch is unordered and each shard can run them on its
-// own (see broadcastable); otherwise they fall back to the scalar routing
-// path in place. A grouped broadcast op that fails on one shard is still
-// applied on the other shards it spans and their counts are reported, where
-// the scalar path stops visiting shards at the first error; its error is
-// reported once.
+// own (see broadcastable); otherwise visitShards walks their shards in
+// place. A grouped broadcast op that fails on one shard is still applied on
+// the other shards it spans and their counts are reported, where visitShards
+// stops at the first error; its error is reported once. Insert, Update and
+// Delete are one-op ordered batches, so this is the router's only write path.
 func (r *Router) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
 	var res storage.BulkResult
 	if len(ops) == 0 {
@@ -100,7 +100,8 @@ func (r *Router) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.
 // its filter spans: a multi update that cannot upsert, or a multi delete.
 // Such an op has no cross-shard state — each shard changes its own matches
 // and the counts add up — whereas a non-multi op must stop at the first
-// shard that matches and an upsert must insert on exactly one.
+// shard that matches and an upsert must insert on exactly one (visitShards
+// refuses it).
 func broadcastable(op *storage.WriteOp) bool {
 	switch op.Kind {
 	case storage.UpdateOp:
@@ -118,19 +119,19 @@ func broadcastable(op *storage.WriteOp) bool {
 // sub-batch of each of them, in its batch position, so a chunk of broadcast
 // multi-updates costs one call per shard instead of one per op and shard.
 // The shards run it independently: one that fails it does not keep the
-// others from applying it, unlike the scalar path's sequential visit, which
-// stops at the first shard to return an error. The remaining multi-shard ops
-// run through the scalar path afterwards.
+// others from applying it, unlike the sequential visit, which stops at the
+// first shard to return an error. The remaining multi-shard ops go through
+// that visit afterwards.
 func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadata, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
 	var res storage.BulkResult
 	groups := make(map[string]*subBatch)
-	var scalars []int
+	var visits []int
 	broadcast := false
 	for i := range ops {
 		targets := r.bulkTargets(meta, &ops[i])
 		if len(targets) != 1 {
 			if !broadcastable(&ops[i]) {
-				scalars = append(scalars, i)
+				visits = append(visits, i)
 				continue
 			}
 			broadcast = true
@@ -166,7 +167,7 @@ func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadat
 	wg.Wait()
 	// An op that went to several shards was attempted once, and fails once:
 	// its error is the one from the first shard, in name order, that
-	// reported one — what the sequential scalar visit would have returned.
+	// reported one — what the sequential visit would have returned.
 	attempted := make([]bool, len(ops))
 	failed := make([]bool, len(ops))
 	for si, sb := range subs {
@@ -188,13 +189,14 @@ func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadat
 		sub.Errors = kept
 		res.Merge(sub, sb.indices, len(ops))
 	}
-	for _, i := range scalars {
-		r.applyScalar(db, coll, &ops[i], i, &res, len(ops), opts)
+	for _, i := range visits {
+		// Unordered: a failed visit is in res.Errors and the batch goes on.
+		_ = r.visitShards(db, coll, meta, &ops[i], i, &res, opts)
 	}
-	// The grouped dispatch is one logical routed operation; scalar ops
-	// already record themselves inside Update/Delete.
+	// The grouped dispatch is one logical routed operation; each visit
+	// records itself.
 	if len(subs) > 0 {
-		r.recordRouting(len(scalars) == 0 && !broadcast, 0)
+		r.recordRouting(len(visits) == 0 && !broadcast, 0)
 	}
 	return res
 }
@@ -210,7 +212,7 @@ func (r *Router) bulkOrdered(db, coll string, meta *sharding.CollectionMetadata,
 	for i < len(ops) {
 		if len(targets) != 1 {
 			targeted = false
-			err := r.applyScalar(db, coll, &ops[i], i, &res, len(ops), opts)
+			err := r.visitShards(db, coll, meta, &ops[i], i, &res, opts)
 			i++
 			if err != nil {
 				break
@@ -244,51 +246,60 @@ func (r *Router) bulkOrdered(db, coll string, meta *sharding.CollectionMetadata,
 		i = j
 	}
 	// As in the unordered path, only the grouped runs count as one routed
-	// operation; scalar fallbacks record themselves.
+	// operation; each multi-shard visit records itself.
 	if runs > 0 {
 		r.recordRouting(targeted, 0)
 	}
 	return res
 }
 
-// applyScalar executes one multi-shard op through the router's scalar
-// update/delete semantics (sequential shard visits, first-match stop for
-// non-multi ops) and folds the outcome into res. When the batch carries an
-// acknowledgement contract ({j: true} or a write concern), the per-shard
-// calls go through one-op sub-batches instead of the plain scalar paths —
-// which cannot carry a writeConcern — so the contract reaches every shard
-// the broadcast touches.
-func (r *Router) applyScalar(db, coll string, op *storage.WriteOp, i int, res *storage.BulkResult, total int, opts storage.BulkOptions) error {
+// visitShards executes one update or delete whose filter spans several
+// shards, folding its outcome into res at batch position i. It is the only
+// place the router visits more than one shard for one op: the shards are
+// visited in name order, each as a one-op sub-batch carrying the batch's
+// acknowledgement contract ({j: true}, write concern) and trace, the visit
+// stops at the first shard to fail, and a non-multi op stops at the first
+// shard that matches. An upsert is refused, as the thesis-era mongos refuses
+// it: a filter that does not pin the shard key cannot say which shard owns
+// the document to insert, and forwarding the upsert to each shard visited
+// would insert one there.
+func (r *Router) visitShards(db, coll string, meta *sharding.CollectionMetadata, op *storage.WriteOp, i int, res *storage.BulkResult, opts storage.BulkOptions) error {
 	res.Attempted++
-	switch op.Kind {
-	case storage.UpdateOp:
-		ur, err := r.UpdateWithOptions(db, coll, op.Update, opts)
-		res.Matched += ur.Matched
-		res.Modified += ur.Modified
-		if ur.UpsertedID != nil {
-			res.Upserted++
-			if res.UpsertedIDs == nil {
-				res.UpsertedIDs = make([]any, total)
-			}
-			res.UpsertedIDs[i] = ur.UpsertedID
-		}
-		if err != nil {
-			res.Errors = append(res.Errors, storage.BulkError{Index: i, Err: err})
-			return err
-		}
-	case storage.DeleteOp:
-		n, err := r.DeleteWithOptions(db, coll, op.Filter, op.Multi, opts)
-		res.Deleted += n
-		if err != nil {
-			res.Errors = append(res.Errors, storage.BulkError{Index: i, Err: err})
-			return err
-		}
-	default:
-		// Mirror the storage engine so both Store adapters reject the
-		// same malformed op the same way.
-		err := fmt.Errorf("mongos: unknown bulk op kind %d", int(op.Kind))
+	fail := func(err error) error {
 		res.Errors = append(res.Errors, storage.BulkError{Index: i, Err: err})
 		return err
 	}
+	var filter *bson.Doc
+	var multi bool
+	switch op.Kind {
+	case storage.UpdateOp:
+		if op.Update.Upsert {
+			return fail(fmt.Errorf("mongos: upsert on %s.%s must target one shard: the filter needs an equality on the shard key {%s}", db, coll, meta.Key))
+		}
+		filter, multi = op.Update.Query, op.Update.Multi
+	case storage.DeleteOp:
+		filter, multi = op.Filter, op.Multi
+	default:
+		// Mirror the storage engine so both Store adapters reject the
+		// same malformed op the same way.
+		return fail(fmt.Errorf("mongos: unknown bulk op kind %d", int(op.Kind)))
+	}
+	targets, targeted := r.targetShards(meta, filter)
+	opts.Ordered = true
+	one := []storage.WriteOp{*op}
+	for _, shard := range targets {
+		r.remoteCall()
+		sub := r.shardBulkWrite(shard, db, coll, one, opts)
+		res.Matched += sub.Matched
+		res.Modified += sub.Modified
+		res.Deleted += sub.Deleted
+		if err := sub.FirstError(); err != nil {
+			return fail(err)
+		}
+		if !multi && sub.Matched+sub.Deleted > 0 {
+			break
+		}
+	}
+	r.recordRouting(targeted, 0)
 	return nil
 }

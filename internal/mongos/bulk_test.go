@@ -343,7 +343,7 @@ func TestBulkWriteGroupsBroadcastMultiOpsPerShard(t *testing.T) {
 	}
 
 	// A broadcast op that fails on one shard is still applied on the others
-	// (the scalar path would have stopped at the first shard to fail): one
+	// (the sequential visit would have stopped at the first shard to fail): one
 	// document holds a string where the rest can $inc.
 	if _, err := r.Update("db", "sales", query.UpdateSpec{Query: bson.D(bson.IDKey, 0), Update: bson.D("$set", bson.D("n", "not a number"))}); err != nil {
 		t.Fatal(err)
@@ -374,22 +374,23 @@ func TestBulkWriteGroupsBroadcastMultiOpsPerShard(t *testing.T) {
 		t.Fatalf("modified %d, but %d documents changed on the shards without the failure", res.Modified, applied)
 	}
 
-	// Ops that need a cross-shard decision stay on the scalar path: a
-	// non-multi update stops at the first shard that matches, an upsert
-	// inserts once.
+	// Ops that need a cross-shard decision take the sequential visit: a
+	// non-multi update or delete stops at the first shard that matches. An
+	// upsert that pins the shard key goes to its one shard and inserts once
+	// (TestBroadcastUpsertRefused covers the one that does not).
 	r.ResetStats()
 	res = r.BulkWrite("db", "sales", []storage.WriteOp{
 		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("fk.pk", 7), Update: bson.D("$set", bson.D("one", true))}),
-		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("nobody", 1), Update: bson.D("$set", bson.D("k", 1000)), Multi: true, Upsert: true}),
+		storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("k", 1000), Update: bson.D("$set", bson.D("up", true)), Multi: true, Upsert: true}),
 		storage.DeleteWriteOp(bson.D("fk.pk", 8), false),
 	}, storage.BulkOptions{})
 	if res.FirstError() != nil || res.Modified != 1 || res.Upserted != 1 || res.Deleted != 1 || res.Attempted != 3 {
-		t.Fatalf("scalar ops: %+v", res)
+		t.Fatalf("cross-shard ops: %+v", res)
 	}
 	if n, _ := r.Count("db", "sales", bson.D("one", true)); n != 1 {
 		t.Fatalf("non-multi update touched %d documents", n)
 	}
-	if n, _ := r.Count("db", "sales", bson.D("k", 1000)); n != 1 {
+	if n, _ := r.Count("db", "sales", bson.D("up", true)); n != 1 {
 		t.Fatalf("upsert inserted %d documents", n)
 	}
 }
@@ -450,7 +451,7 @@ func TestBulkWriteJournaledBroadcast(t *testing.T) {
 		ops = append(ops, storage.InsertWriteOp(bson.D(bson.IDKey, i, "k", i, "v", 0)))
 	}
 	// A multi-update with no shard-key filter broadcasts to every shard:
-	// the scalar fallback the journaled path must cover.
+	// the sequential visit the journaled path must cover.
 	ops = append(ops, storage.UpdateWriteOp(query.UpdateSpec{
 		Query: bson.D("v", 0), Update: bson.D("$set", bson.D("touched", true)), Multi: true,
 	}))

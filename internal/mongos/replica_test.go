@@ -58,10 +58,11 @@ func TestReplicaShardWriteConcernThreading(t *testing.T) {
 		t.Fatalf("majority bulk visible on %d member(s), want >= 2", applied)
 	}
 
-	// Updates and deletes carry the concern through their options structs.
-	if _, err := r.UpdateWithOptions("db", "c",
-		query.UpdateSpec{Query: bson.D(bson.IDKey, 2), Update: bson.D("$set", bson.D("x", 1))},
-		storage.BulkOptions{WriteConcern: storage.WriteConcern{W: 3}}); err != nil {
+	// Updates and deletes carry the concern as one-op batches.
+	res = r.BulkWrite("db", "c", []storage.WriteOp{storage.UpdateWriteOp(
+		query.UpdateSpec{Query: bson.D(bson.IDKey, 2), Update: bson.D("$set", bson.D("x", 1))})},
+		storage.BulkOptions{Ordered: true, WriteConcern: storage.WriteConcern{W: 3}})
+	if err := res.FirstError(); err != nil {
 		t.Fatalf("w:3 update: %v", err)
 	}
 	for _, m := range rs.Members() {

@@ -8,7 +8,6 @@
 package mongos
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -223,34 +222,14 @@ func (r *Router) EnableSharding(db, coll string, keySpec *bson.Doc, chunkSizeByt
 	return meta, nil
 }
 
-// Insert routes a document insert. Sharded collections route by shard key;
-// unsharded collections go to the primary shard. On a replica-backed shard
-// the insert dispatches through the set so the shard's default write
-// concern applies; use BulkWrite with an explicit WriteConcern to override
-// per request.
+// Insert routes a document insert: a one-op ordered BulkWrite, so a sharded
+// collection routes it by shard key through the chunk map, an unsharded one
+// sends it to the primary shard, and a replica-backed shard acknowledges it
+// under the set's default write concern. Use BulkWrite with an explicit
+// WriteConcern to override per request.
 func (r *Router) Insert(db, coll string, doc *bson.Doc) (any, error) {
-	meta := r.config.Metadata(namespace(db, coll))
-	var shardName string
-	if meta == nil {
-		names := r.ShardNames()
-		if len(names) == 0 {
-			return nil, fmt.Errorf("mongos: no shards registered")
-		}
-		shardName = names[0]
-	} else {
-		routing := meta.Key.ValueOf(doc)
-		shardName = meta.RecordInsert(routing, bson.EncodedSize(doc))
-	}
-	r.remoteCall()
-	if rep := r.replica(shardName); rep != nil {
-		res := rep.BulkWrite(db, coll, []storage.WriteOp{storage.InsertWriteOp(doc)}, storage.BulkOptions{Ordered: true})
-		var id any
-		if len(res.InsertedIDs) > 0 {
-			id = res.InsertedIDs[0]
-		}
-		return id, res.FirstError()
-	}
-	return r.Shard(shardName).Database(db).Insert(coll, doc)
+	res := r.BulkWrite(db, coll, []storage.WriteOp{storage.InsertWriteOp(doc)}, storage.BulkOptions{Ordered: true})
+	return res.InsertedID()
 }
 
 // InsertMany routes a batch of inserts through the bulk-write engine: the
@@ -335,93 +314,18 @@ func (r *Router) Count(db, coll string, filter *bson.Doc) (int, error) {
 	return len(docs), nil
 }
 
-// updateShards visits the shards targeted by spec.Query in order, applying
-// perShard on each, accumulating the result and honouring the non-multi
-// first-match stop. The plain scalar path and the write-concern bulk
-// fallback differ only in the per-shard call, so both route through here.
-func (r *Router) updateShards(db, coll string, spec query.UpdateSpec, perShard func(shard string) (storage.UpdateResult, error)) (storage.UpdateResult, error) {
-	meta := r.config.Metadata(namespace(db, coll))
-	targets, targeted := r.targetShards(meta, spec.Query)
-	var total storage.UpdateResult
-	for _, name := range targets {
-		r.remoteCall()
-		res, err := perShard(name)
-		total.Matched += res.Matched
-		total.Modified += res.Modified
-		if res.UpsertedID != nil {
-			total.UpsertedID = res.UpsertedID
-		}
-		if err != nil {
-			return total, err
-		}
-		if !spec.Multi && total.Matched > 0 {
-			break
-		}
-	}
-	r.recordRouting(targeted, 0)
-	return total, nil
-}
-
-// Update routes an update to the shards owning matching documents.
+// Update routes an update to the shards owning matching documents, as a
+// one-op ordered BulkWrite.
 func (r *Router) Update(db, coll string, spec query.UpdateSpec) (storage.UpdateResult, error) {
-	return r.UpdateWithOptions(db, coll, spec, storage.BulkOptions{})
+	res := r.BulkWrite(db, coll, []storage.WriteOp{storage.UpdateWriteOp(spec)}, storage.BulkOptions{Ordered: true})
+	return res.UpdateResult()
 }
 
-// UpdateWithOptions is Update carrying an acknowledgement contract: each
-// shard visit that needs one (a journal escalation, a write concern, or a
-// replica-backed shard) dispatches as a one-op bulk so the contract reaches
-// every shard the routing touches; plain visits keep the scalar fast path.
-func (r *Router) UpdateWithOptions(db, coll string, spec query.UpdateSpec, opts storage.BulkOptions) (storage.UpdateResult, error) {
-	return r.updateShards(db, coll, spec, func(shard string) (storage.UpdateResult, error) {
-		if r.replica(shard) == nil && !opts.Journaled && opts.WriteConcern.IsZero() {
-			return r.Shard(shard).Database(db).Update(coll, spec)
-		}
-		sub := r.shardBulkWrite(shard, db, coll, []storage.WriteOp{storage.UpdateWriteOp(spec)},
-			storage.BulkOptions{Ordered: true, Journaled: opts.Journaled, WriteConcern: opts.WriteConcern})
-		res := storage.UpdateResult{Matched: sub.Matched, Modified: sub.Modified}
-		if len(sub.UpsertedIDs) > 0 {
-			res.UpsertedID = sub.UpsertedIDs[0]
-		}
-		return res, sub.FirstError()
-	})
-}
-
-// deleteShards is updateShards for deletes.
-func (r *Router) deleteShards(db, coll string, filter *bson.Doc, multi bool, perShard func(shard string) (int, error)) (int, error) {
-	meta := r.config.Metadata(namespace(db, coll))
-	targets, targeted := r.targetShards(meta, filter)
-	removed := 0
-	for _, name := range targets {
-		r.remoteCall()
-		n, err := perShard(name)
-		removed += n
-		if err != nil {
-			return removed, err
-		}
-		if !multi && removed > 0 {
-			break
-		}
-	}
-	r.recordRouting(targeted, 0)
-	return removed, nil
-}
-
-// Delete routes a delete to the shards owning matching documents.
+// Delete routes a delete to the shards owning matching documents, as a
+// one-op ordered BulkWrite.
 func (r *Router) Delete(db, coll string, filter *bson.Doc, multi bool) (int, error) {
-	return r.DeleteWithOptions(db, coll, filter, multi, storage.BulkOptions{})
-}
-
-// DeleteWithOptions is Delete with per-shard acknowledgement semantics; see
-// UpdateWithOptions.
-func (r *Router) DeleteWithOptions(db, coll string, filter *bson.Doc, multi bool, opts storage.BulkOptions) (int, error) {
-	return r.deleteShards(db, coll, filter, multi, func(shard string) (int, error) {
-		if r.replica(shard) == nil && !opts.Journaled && opts.WriteConcern.IsZero() {
-			return r.Shard(shard).Database(db).Delete(coll, filter, multi)
-		}
-		sub := r.shardBulkWrite(shard, db, coll, []storage.WriteOp{storage.DeleteWriteOp(filter, multi)},
-			storage.BulkOptions{Ordered: true, Journaled: opts.Journaled, WriteConcern: opts.WriteConcern})
-		return sub.Deleted, sub.FirstError()
-	})
+	res := r.BulkWrite(db, coll, []storage.WriteOp{storage.DeleteWriteOp(filter, multi)}, storage.BulkOptions{Ordered: true})
+	return res.Deleted, res.FirstError()
 }
 
 // EnsureIndex creates an index on every shard holding the collection.

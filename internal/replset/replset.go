@@ -209,22 +209,14 @@ func (rs *ReplicaSet) Oplog() []OplogEntry {
 // SetDefaultWriteConcern raised it); BulkWrite takes an explicit concern.
 func (rs *ReplicaSet) Insert(db, coll string, doc *bson.Doc) (any, error) {
 	res := rs.BulkWrite(db, coll, []storage.WriteOp{storage.InsertWriteOp(doc)}, storage.BulkOptions{Ordered: true})
-	var id any
-	if len(res.InsertedIDs) > 0 {
-		id = res.InsertedIDs[0]
-	}
-	return id, res.FirstError()
+	return res.InsertedID()
 }
 
 // Update writes through the primary and appends an oplog entry; see Insert
 // for the ordering and acknowledgement contract.
 func (rs *ReplicaSet) Update(db, coll string, spec query.UpdateSpec) (storage.UpdateResult, error) {
 	res := rs.BulkWrite(db, coll, []storage.WriteOp{storage.UpdateWriteOp(spec)}, storage.BulkOptions{Ordered: true})
-	ur := storage.UpdateResult{Matched: res.Matched, Modified: res.Modified}
-	if len(res.UpsertedIDs) > 0 {
-		ur.UpsertedID = res.UpsertedIDs[0]
-	}
-	return ur, res.FirstError()
+	return res.UpdateResult()
 }
 
 // Delete writes through the primary and appends an oplog entry; see Insert

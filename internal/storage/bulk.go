@@ -151,6 +151,26 @@ func (r *BulkResult) FirstError() error {
 	return r.Errors[0].Err
 }
 
+// InsertedID reads a one-op insert batch's result as the scalar Insert entry
+// points return it: the id the op produced (nil when it failed) and its error.
+func (r *BulkResult) InsertedID() (any, error) {
+	var id any
+	if len(r.InsertedIDs) > 0 {
+		id = r.InsertedIDs[0]
+	}
+	return id, r.FirstError()
+}
+
+// UpdateResult reads a one-op update batch's result as the scalar Update
+// entry points return it.
+func (r *BulkResult) UpdateResult() (UpdateResult, error) {
+	ur := UpdateResult{Matched: r.Matched, Modified: r.Modified}
+	if len(r.UpsertedIDs) > 0 {
+		ur.UpsertedID = r.UpsertedIDs[0]
+	}
+	return ur, r.FirstError()
+}
+
 // CompactInsertedIDs returns the inserted ids in batch order with the empty
 // slots (non-insert ops, failed or unattempted inserts) dropped — the shape
 // the InsertMany wrappers return.

@@ -369,7 +369,7 @@ func (c *Collection) retireTreeLocked(ix *index.Index) {
 // Delete, it is a thin wrapper over BulkWrite.
 func (c *Collection) Insert(doc *bson.Doc) (any, error) {
 	res := c.BulkWrite([]WriteOp{InsertWriteOp(doc)}, BulkOptions{Ordered: true})
-	return res.InsertedIDs[0], res.FirstError()
+	return res.InsertedID()
 }
 
 // ensureID assigns a fresh ObjectID to a document without one, rebuilding

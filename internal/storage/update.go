@@ -21,11 +21,7 @@ type UpdateResult struct {
 // path for journaling, COW page accounting and write-concern threading.
 func (c *Collection) Update(spec query.UpdateSpec) (UpdateResult, error) {
 	res := c.BulkWrite([]WriteOp{UpdateWriteOp(spec)}, BulkOptions{Ordered: true})
-	ur := UpdateResult{Matched: res.Matched, Modified: res.Modified}
-	if len(res.UpsertedIDs) > 0 {
-		ur.UpsertedID = res.UpsertedIDs[0]
-	}
-	return ur, res.FirstError()
+	return res.UpdateResult()
 }
 
 // updateLocked executes a pre-compiled update under the caller's write lock;
@@ -134,8 +130,16 @@ func (c *Collection) eachMatchLocked(filter *bson.Doc, matcher *query.Matcher, f
 func buildUpsertDocument(spec query.UpdateSpec) *bson.Doc {
 	base := bson.NewDoc(4)
 	if spec.Query != nil {
-		for field, cons := range query.FieldConstraints(spec.Query) {
-			if cons.IsPoint() && len(cons.Points) == 1 {
+		constraints := query.FieldConstraints(spec.Query)
+		fields := make([]string, 0, len(constraints))
+		for field := range constraints {
+			fields = append(fields, field)
+		}
+		// In name order: map order would give the stored document a different
+		// field order from one run, replay or server to the next.
+		sort.Strings(fields)
+		for _, field := range fields {
+			if cons := constraints[field]; cons.IsPoint() && len(cons.Points) == 1 {
 				_ = base.SetPath(field, cons.Points[0])
 			}
 		}

@@ -82,19 +82,20 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// The labeled family: the insert executed on shard primary A as a
-	// bulkWrite against db.c, so exactly that series must hold the sample —
+	// one-op batch against db.c, which is labeled by its op's kind whatever
+	// the write concern, so exactly that series must hold the sample —
 	// with an exemplar, because the trace was sampled at start. Exemplars
 	// ride only the OpenMetrics exposition; the classic format (checked
 	// below) must stay parseable by version=0.0.4 scrapers.
 	var b strings.Builder
 	primary.Metrics().WriteOpenMetrics(&b)
 	exposition := b.String()
-	series := `docstore_mongod_collection_op_duration_seconds_count{collection="db.c",op="bulkWrite",shard="A"} 1`
+	series := `docstore_mongod_collection_op_duration_seconds_count{collection="db.c",op="insert",shard="A"} 1`
 	if !strings.Contains(exposition, series) {
 		t.Fatalf("labeled histogram series missing, want %q in:\n%s", series, exposition)
 	}
 	exemplarRE := regexp.MustCompile(
-		`docstore_mongod_collection_op_duration_seconds_bucket\{collection="db\.c",op="bulkWrite",shard="A",le="[^"]+"\} \d+ # \{trace_id="([0-9a-f]+)"\}`)
+		`docstore_mongod_collection_op_duration_seconds_bucket\{collection="db\.c",op="insert",shard="A",le="[^"]+"\} \d+ # \{trace_id="([0-9a-f]+)"\}`)
 	m := exemplarRE.FindStringSubmatch(exposition)
 	if m == nil {
 		t.Fatalf("no exemplar on the labeled series:\n%s", exposition)

@@ -11,6 +11,7 @@ import (
 	"docstore/internal/aggregate"
 	"docstore/internal/bson"
 	"docstore/internal/changestream"
+	"docstore/internal/driver"
 	"docstore/internal/mongod"
 	"docstore/internal/mongos"
 	"docstore/internal/query"
@@ -472,12 +473,16 @@ func (s *Server) handle(req *Request) *Response {
 	if req.DB == "" && req.Op != OpPing && req.Op != OpCheckpoint {
 		return &Response{Error: "db is required"}
 	}
+	// The deployment is chosen here, once: reads, counts, aggregates and
+	// index and collection management go through the driver's Store, the
+	// interface the thesis' programs run against a stand-alone server and a
+	// sharded cluster unchanged; writes go through execBatch.
+	var store driver.Store
 	if s.router != nil {
-		if resp, handled := s.handleRouted(req); handled {
-			return resp
-		}
+		store = driver.NewSharded(s.router, req.DB)
+	} else {
+		store = driver.NewStandalone(s.backend.Database(req.DB))
 	}
-	db := s.backend.Database(req.DB)
 	switch req.Op {
 	case OpPing:
 		return &Response{OK: true}
@@ -485,38 +490,18 @@ func (s *Server) handle(req *Request) *Response {
 		if req.Doc == nil {
 			return &Response{Error: "doc is required"}
 		}
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp
-		}
-		if s.repl == nil && wc.IsZero() && !req.Journaled {
-			if _, err := db.Insert(req.Collection, req.Doc); err != nil {
-				return &Response{Error: err.Error()}
-			}
-			return &Response{OK: true, N: 1}
-		}
-		res := s.execBatch(req, []storage.WriteOp{storage.InsertWriteOp(req.Doc)}, true, wc)
-		if err := res.FirstError(); err != nil {
-			return &Response{Error: err.Error()}
-		}
-		return &Response{OK: true, N: 1}
+		return s.execWrite(req, []storage.WriteOp{storage.InsertWriteOp(req.Doc)}, true)
 	case OpInsertMany:
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp
-		}
-		if s.repl == nil && wc.IsZero() && !req.Journaled {
-			ids, err := db.InsertMany(req.Collection, req.Docs)
-			if err != nil {
-				return &Response{Error: err.Error(), N: int64(len(ids))}
-			}
-			return &Response{OK: true, N: int64(len(ids))}
-		}
-		res := s.execBatch(req, storage.InsertOps(req.Docs), true, wc)
-		if err := res.FirstError(); err != nil {
-			return &Response{Error: err.Error(), N: int64(res.Inserted)}
-		}
-		return &Response{OK: true, N: int64(res.Inserted)}
+		// Ordered on one server; through a router the unordered batch of
+		// driver.Store's InsertMany — one parallel sub-batch per shard, where
+		// ordered costs a round trip per run of same-shard documents.
+		return s.execWrite(req, storage.InsertOps(req.Docs), s.router == nil)
+	case OpUpdate:
+		return s.execWrite(req, []storage.WriteOp{storage.UpdateWriteOp(query.UpdateSpec{
+			Query: req.Filter, Update: req.Update, Upsert: req.Upsert, Multi: req.Multi,
+		})}, true)
+	case OpDelete:
+		return s.execWrite(req, []storage.WriteOp{storage.DeleteWriteOp(req.Filter, req.Multi)}, true)
 	case OpBulkWrite:
 		wc, errResp := s.writeConcernFor(req)
 		if errResp != nil {
@@ -550,69 +535,32 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		if req.BatchSize > 0 {
 			opts.BatchSize = req.BatchSize
-			cur, err := db.FindCursor(req.Collection, req.Filter, opts)
+			cur, err := store.FindCursor(req.Collection, req.Filter, opts)
 			if err != nil {
 				return &Response{Error: err.Error()}
 			}
-			return s.cursorResponse(req.DB+"."+req.Collection, mongod.Iter(cur), req.BatchSize)
+			return s.cursorResponse(req.DB+"."+req.Collection, cur, req.BatchSize)
 		}
-		docs, err := db.Find(req.Collection, req.Filter, opts)
+		docs, err := store.Find(req.Collection, req.Filter, opts)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true, Docs: docs, N: int64(len(docs))}
 	case OpCount:
-		n, err := db.Collection(req.Collection).CountDocs(req.Filter)
+		n, err := store.Count(req.Collection, req.Filter)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true, N: int64(n)}
-	case OpUpdate:
-		spec := query.UpdateSpec{
-			Query: req.Filter, Update: req.Update, Upsert: req.Upsert, Multi: req.Multi,
-		}
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp
-		}
-		if s.repl == nil && wc.IsZero() && !req.Journaled {
-			res, err := db.Update(req.Collection, spec)
-			if err != nil {
-				return &Response{Error: err.Error()}
-			}
-			return &Response{OK: true, N: int64(res.Modified)}
-		}
-		res := s.execBatch(req, []storage.WriteOp{storage.UpdateWriteOp(spec)}, true, wc)
-		if err := res.FirstError(); err != nil {
-			return &Response{Error: err.Error()}
-		}
-		return &Response{OK: true, N: int64(res.Modified)}
-	case OpDelete:
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp
-		}
-		if s.repl == nil && wc.IsZero() && !req.Journaled {
-			n, err := db.Delete(req.Collection, req.Filter, req.Multi)
-			if err != nil {
-				return &Response{Error: err.Error()}
-			}
-			return &Response{OK: true, N: int64(n)}
-		}
-		res := s.execBatch(req, []storage.WriteOp{storage.DeleteWriteOp(req.Filter, req.Multi)}, true, wc)
-		if err := res.FirstError(); err != nil {
-			return &Response{Error: err.Error()}
-		}
-		return &Response{OK: true, N: int64(res.Deleted)}
 	case OpAggregate:
 		if req.BatchSize > 0 {
-			it, err := db.AggregateCursor(req.Collection, req.Docs)
+			it, err := store.AggregateCursor(req.Collection, req.Docs)
 			if err != nil {
 				return &Response{Error: err.Error()}
 			}
 			return s.cursorResponse(req.DB+"."+req.Collection, it, req.BatchSize)
 		}
-		docs, err := db.Aggregate(req.Collection, req.Docs)
+		docs, err := store.Aggregate(req.Collection, req.Docs)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
@@ -685,28 +633,34 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		return &Response{OK: true, N: boolToN(ok)}
 	case OpEnsureIndex:
-		if _, err := db.EnsureIndex(req.Collection, req.Keys, req.Unique); err != nil {
+		if err := store.EnsureIndex(req.Collection, req.Keys, req.Unique); err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true}
 	case OpCheckpoint:
+		if s.router != nil {
+			return s.clusterCheckpoint()
+		}
 		st, err := s.backend.Checkpoint()
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
-		return &Response{OK: true, N: 1, Result: bson.D(
-			"lsn", st.LSN,
-			"collections", st.Collections,
-			"segmentsPruned", st.SegmentsPruned,
-			"skipped", st.Skipped,
-		)}
+		return &Response{OK: true, N: 1, Result: checkpointDoc(st)}
 	case OpShardCollection:
-		return &Response{Error: "shardCollection requires a query router (docstored -shards)"}
+		if s.router == nil {
+			return &Response{Error: "shardCollection requires a query router (docstored -shards)"}
+		}
+		if req.Keys == nil {
+			return &Response{Error: "keys is required"}
+		}
+		if _, err := s.router.EnableSharding(req.DB, req.Collection, req.Keys, 0); err != nil {
+			return &Response{Error: err.Error()}
+		}
+		return &Response{OK: true}
 	case OpDrop:
-		dropped := db.DropCollection(req.Collection)
-		return &Response{OK: true, N: boolToN(dropped)}
+		return &Response{OK: true, N: boolToN(store.DropCollection(req.Collection))}
 	case OpListColls:
-		names := db.CollectionNames()
+		names := s.collectionNames(req.DB)
 		docs := make([]*bson.Doc, len(names))
 		for i, n := range names {
 			docs[i] = bson.D("name", n)
@@ -867,207 +821,53 @@ func (s *Server) findOptions(req *Request) (storage.FindOptions, *Response) {
 	return opts, nil
 }
 
-// handleRouted serves the data-plane ops of a router-attached server by
-// fanning them out through the query router. The second return reports
-// whether the op was one of them; anything else (introspection, change
-// streams, cursor bookkeeping) falls through to the local backend.
-func (s *Server) handleRouted(req *Request) (*Response, bool) {
-	r := s.router
-	switch req.Op {
-	case OpInsert:
-		if req.Doc == nil {
-			return &Response{Error: "doc is required"}, true
-		}
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp, true
-		}
-		if wc.IsZero() && !req.Journaled {
-			if _, err := r.Insert(req.DB, req.Collection, req.Doc); err != nil {
-				return &Response{Error: err.Error()}, true
-			}
-			return &Response{OK: true, N: 1}, true
-		}
-		res := r.BulkWrite(req.DB, req.Collection, []storage.WriteOp{storage.InsertWriteOp(req.Doc)},
-			storage.BulkOptions{Ordered: true, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span})
-		if err := res.FirstError(); err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true, N: 1}, true
-	case OpInsertMany:
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp, true
-		}
-		if wc.IsZero() && !req.Journaled {
-			ids, err := r.InsertMany(req.DB, req.Collection, req.Docs)
-			if err != nil {
-				return &Response{Error: err.Error(), N: int64(len(ids))}, true
-			}
-			return &Response{OK: true, N: int64(len(ids))}, true
-		}
-		res := r.BulkWrite(req.DB, req.Collection, storage.InsertOps(req.Docs),
-			storage.BulkOptions{Ordered: true, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span})
-		if err := res.FirstError(); err != nil {
-			return &Response{Error: err.Error(), N: int64(res.Inserted)}, true
-		}
-		return &Response{OK: true, N: int64(res.Inserted)}, true
-	case OpBulkWrite:
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp, true
-		}
-		ops := make([]storage.WriteOp, len(req.Docs))
-		for i, opDoc := range req.Docs {
-			op, err := decodeWriteOp(opDoc)
-			if err != nil {
-				return &Response{Error: fmt.Sprintf("bulkWrite op %d: %v", i, err)}, true
-			}
-			ops[i] = op
-		}
-		res := r.BulkWrite(req.DB, req.Collection, ops,
-			storage.BulkOptions{Ordered: req.Ordered, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span})
-		if res.DurabilityErr != nil && res.Attempted == 0 {
-			return &Response{Error: res.DurabilityErr.Error(), Result: encodeBulkResult(res)}, true
-		}
-		return &Response{
-			OK:     true,
-			N:      int64(res.Inserted + res.Modified + res.Upserted + res.Deleted),
-			Result: encodeBulkResult(res),
-		}, true
-	case OpFind:
-		opts, errResp := s.findOptions(req)
-		if errResp != nil {
-			return errResp, true
-		}
-		if req.BatchSize > 0 {
-			opts.BatchSize = req.BatchSize
-			cur, err := r.FindCursor(req.DB, req.Collection, req.Filter, opts)
-			if err != nil {
-				return &Response{Error: err.Error()}, true
-			}
-			return s.cursorResponse(req.DB+"."+req.Collection, cur, req.BatchSize), true
-		}
-		docs, err := r.Find(req.DB, req.Collection, req.Filter, opts)
-		if err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true, Docs: docs, N: int64(len(docs))}, true
-	case OpCount:
-		n, err := r.Count(req.DB, req.Collection, req.Filter)
-		if err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true, N: int64(n)}, true
-	case OpUpdate:
-		spec := query.UpdateSpec{Query: req.Filter, Update: req.Update, Upsert: req.Upsert, Multi: req.Multi}
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp, true
-		}
-		var res storage.UpdateResult
-		var err error
-		if wc.IsZero() && !req.Journaled {
-			res, err = r.Update(req.DB, req.Collection, spec)
-		} else {
-			res, err = r.UpdateWithOptions(req.DB, req.Collection, spec,
-				storage.BulkOptions{Ordered: true, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span})
-		}
-		if err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true, N: int64(res.Modified)}, true
-	case OpDelete:
-		wc, errResp := s.writeConcernFor(req)
-		if errResp != nil {
-			return errResp, true
-		}
-		var n int
-		var err error
-		if wc.IsZero() && !req.Journaled {
-			n, err = r.Delete(req.DB, req.Collection, req.Filter, req.Multi)
-		} else {
-			n, err = r.DeleteWithOptions(req.DB, req.Collection, req.Filter, req.Multi,
-				storage.BulkOptions{Ordered: true, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span})
-		}
-		if err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true, N: int64(n)}, true
-	case OpAggregate:
-		if req.BatchSize > 0 {
-			it, err := r.AggregateCursor(req.DB, req.Collection, req.Docs)
-			if err != nil {
-				return &Response{Error: err.Error()}, true
-			}
-			return s.cursorResponse(req.DB+"."+req.Collection, it, req.BatchSize), true
-		}
-		docs, err := r.Aggregate(req.DB, req.Collection, req.Docs)
-		if err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true, Docs: docs, N: int64(len(docs))}, true
-	case OpEnsureIndex:
-		if err := r.EnsureIndex(req.DB, req.Collection, req.Keys, req.Unique); err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true}, true
-	case OpDrop:
-		dropped := false
-		for _, name := range r.ShardNames() {
-			if r.Shard(name).Database(req.DB).DropCollection(req.Collection) {
-				dropped = true
-			}
-		}
-		return &Response{OK: true, N: boolToN(dropped)}, true
-	case OpListColls:
-		seen := make(map[string]bool)
-		var names []string
-		for _, shard := range r.ShardNames() {
-			for _, n := range r.Shard(shard).Database(req.DB).CollectionNames() {
-				if !seen[n] {
-					seen[n] = true
-					names = append(names, n)
-				}
-			}
-		}
-		sort.Strings(names)
-		docs := make([]*bson.Doc, len(names))
-		for i, n := range names {
-			docs[i] = bson.D("name", n)
-		}
-		return &Response{OK: true, Docs: docs, N: int64(len(names))}, true
-	case OpShardCollection:
-		if req.Keys == nil {
-			return &Response{Error: "keys is required"}, true
-		}
-		if _, err := r.EnableSharding(req.DB, req.Collection, req.Keys, 0); err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		return &Response{OK: true}, true
-	case OpCheckpoint:
-		st, err := r.Checkpoint()
-		if err != nil {
-			return &Response{Error: err.Error()}, true
-		}
-		shardNames := make([]string, 0, len(st.Shards))
-		for name := range st.Shards {
-			shardNames = append(shardNames, name)
-		}
-		sort.Strings(shardNames)
-		result := bson.NewDoc(len(shardNames))
-		for _, name := range shardNames {
-			sst := st.Shards[name]
-			result.Set(name, bson.D(
-				"lsn", sst.LSN,
-				"collections", sst.Collections,
-				"segmentsPruned", sst.SegmentsPruned,
-				"skipped", sst.Skipped,
-			))
-		}
-		return &Response{OK: true, N: int64(len(st.Shards)), Result: bson.D("shards", result)}, true
+// collectionNames lists a database's collections in sorted order: the
+// backend's, or with a router attached the union over every shard.
+func (s *Server) collectionNames(db string) []string {
+	if s.router == nil {
+		return s.backend.Database(db).CollectionNames()
 	}
-	return nil, false
+	seen := make(map[string]bool)
+	var names []string
+	for _, shard := range s.router.ShardNames() {
+		for _, n := range s.router.Shard(shard).Database(db).CollectionNames() {
+			if !seen[n] {
+				seen[n] = true
+				names = append(names, n)
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
+}
+
+// checkpointDoc renders one server's checkpoint outcome.
+func checkpointDoc(st mongod.CheckpointStats) *bson.Doc {
+	return bson.D(
+		"lsn", st.LSN,
+		"collections", st.Collections,
+		"segmentsPruned", st.SegmentsPruned,
+		"skipped", st.Skipped,
+	)
+}
+
+// clusterCheckpoint serves checkpoint on a router-attached server: one
+// cluster-consistent capture, reported per shard in name order.
+func (s *Server) clusterCheckpoint() *Response {
+	st, err := s.router.Checkpoint()
+	if err != nil {
+		return &Response{Error: err.Error()}
+	}
+	shardNames := make([]string, 0, len(st.Shards))
+	for name := range st.Shards {
+		shardNames = append(shardNames, name)
+	}
+	sort.Strings(shardNames)
+	result := bson.NewDoc(len(shardNames))
+	for _, name := range shardNames {
+		result.Set(name, checkpointDoc(st.Shards[name]))
+	}
+	return &Response{OK: true, N: int64(len(st.Shards)), Result: bson.D("shards", result)}
 }
 
 func boolToN(b bool) int64 {
@@ -1100,14 +900,35 @@ func (s *Server) writeConcernFor(req *Request) (storage.WriteConcern, *Response)
 	return wc, nil
 }
 
+// execWrite serves insert, insertMany, update and delete: the request's ops
+// as one batch, answered with the number of documents written — on failure,
+// the number that were written all the same.
+func (s *Server) execWrite(req *Request, ops []storage.WriteOp, ordered bool) *Response {
+	wc, errResp := s.writeConcernFor(req)
+	if errResp != nil {
+		return errResp
+	}
+	res := s.execBatch(req, ops, ordered, wc)
+	resp := &Response{N: int64(res.Inserted + res.Modified + res.Deleted)}
+	if err := res.FirstError(); err != nil {
+		resp.Error = err.Error()
+	} else {
+		resp.OK = true
+	}
+	return resp
+}
+
 // execBatch is the single write path behind every insert/insertMany/update/
-// delete/bulkWrite request that carries an acknowledgement contract: one
-// logged batch, routed through the replica set when one is attached so the
-// response can wait on quorum, so the five ops cannot drift in how they
-// acknowledge.
+// delete/bulkWrite request, with or without an acknowledgement contract: one
+// logged batch, handed to the query router when one is attached, else to the
+// replica set so the response can wait on quorum, else to the server itself —
+// so the five ops cannot drift in how they route, trace or acknowledge.
 func (s *Server) execBatch(req *Request, ops []storage.WriteOp, ordered bool, wc storage.WriteConcern) storage.BulkResult {
 	opts := storage.BulkOptions{Ordered: ordered, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span}
-	if s.repl != nil {
+	switch {
+	case s.router != nil:
+		return s.router.BulkWrite(req.DB, req.Collection, ops, opts)
+	case s.repl != nil:
 		return s.repl.BulkWrite(req.DB, req.Collection, ops, opts)
 	}
 	return s.backend.Database(req.DB).BulkWrite(req.Collection, ops, opts)
