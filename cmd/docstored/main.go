@@ -1,8 +1,27 @@
 // Command docstored runs the document store as a stand-alone server process
-// speaking the line-delimited JSON wire protocol, the analogue of the mongod
-// daemon in the thesis' deployments:
+// speaking the binary wire protocol of internal/wire, the analogue of the
+// mongod daemon in the thesis' deployments:
 //
 //	docstored -addr 127.0.0.1:27017 -name Shard1
+//
+// A connection carries one request frame and then its reply frame at a time.
+// A frame is one document in the binary encoding of internal/bson (the
+// encoding of the write-ahead log and the snapshots), and its own leading
+// little-endian int32 length is the frame header. A frame is at most 48 MB
+// (maxFrameSize) and nests, as anything a decoder reads, at most
+// bson.MaxDepth = 100 levels of documents and arrays; the storage engine
+// holds what is written to bson.MaxDocumentDepth = 92, so that a stored
+// document still decodes wrapped in a log record or a reply. A length
+// outside [5, 48 MB], a frame that ends early, or bytes that do not decode
+// as a request close that connection, after a last reply saying why, and no
+// other; the event shows as op="other" in docstore_wire_request_errors_total.
+// A result too large for one frame arrives as the documents that fit and a
+// cursor id for the rest (getMore), whether or not the request named a
+// batch size.
+// There is no JSON on the socket: docstore-shell parses and prints extended
+// JSON at its standard input and output and speaks frames to the server (the
+// ops below are written in its notation), and a checkpoint's manifest keeps
+// its index specifications as JSON in a file.
 //
 // With -data-dir the server is durable: every write is recorded in a
 // write-ahead log before it applies, startup recovers the last checkpoint

@@ -38,7 +38,21 @@
 //   - driver.Store is the deployment-independent interface (cursors
 //     included), implemented by both the stand-alone and the sharded
 //     adapters; driver.Capabilities reports what a store supports.
-//   - the wire protocol carries cursor batching through batchSize/cursorId:
+//   - the wire protocol (internal/wire) frames a request and its reply as
+//     one binary document each, in the encoding of the log and the
+//     snapshots (internal/bson): the document's own int32 length is the
+//     frame header, a reader checks it against maxFrameSize (48 MB) before
+//     buffering anything, and both codecs append to and read from the
+//     frame directly, reply documents straight from the stored ones. The
+//     decoder descends at most bson.MaxDepth = 100 levels, and the storage
+//     engine refuses to log or store a document deeper than
+//     bson.MaxDocumentDepth = 92 (storage.ErrDocumentTooDeep), which is
+//     what keeps a log record, a snapshot and a reply decodable. A length
+//     out of bounds, a frame cut short or bytes that do not decode close
+//     the one connection that sent them; a reply carries the documents
+//     that fit its frame and leaves the rest on a cursor. Extended JSON is
+//     spoken only by docstore-shell, at its standard input and output.
+//     The protocol carries cursor batching through batchSize/cursorId:
 //     a find or aggregate with batchSize > 0 returns one batch plus a
 //     cursor id, getMore pages through the rest, killCursors releases a
 //     half-consumed cursor, and wire.Client.FindCursor/AggregateCursor wrap

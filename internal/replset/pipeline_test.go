@@ -1,6 +1,7 @@
 package replset
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -306,6 +307,45 @@ func TestPipelinedCommitOplogFailureNotifiesJournal(t *testing.T) {
 		}
 		if id, _ := ev.DocumentKey.Get(bson.IDKey); id != want {
 			t.Fatalf("change stream delivered %v, want %q", id, want)
+		}
+	}
+}
+
+// TestTooDeepDocumentNeverReachesTheOplog hands the set a batch with a
+// document no decoder would read back out of a log record: the primary
+// refuses the batch whole, so the oplog, which the secondaries and recovery
+// read, must not see it either — and a healthy write behind it replicates.
+func TestTooDeepDocumentNeverReachesTheOplog(t *testing.T) {
+	rs, primary, oplog := newDurableSet(t, t.TempDir())
+	defer oplog.Close()
+	defer primary.CloseDurability()
+	defer rs.Close()
+	deep := bson.D("leaf", 1)
+	for i := 1; i < bson.MaxDepth; i++ {
+		deep = bson.D("a", deep)
+	}
+	oplogLen, oplogAppends := rs.OplogLength(), oplog.Stats().Appends
+	wc := storage.WriteConcern{Majority: true, Journal: true}
+	res := rs.BulkWrite("db", "c", []storage.WriteOp{
+		storage.InsertWriteOp(bson.D("_id", "beside")),
+		storage.InsertWriteOp(bson.D("_id", "deep", "v", deep)),
+	}, storage.BulkOptions{WriteConcern: wc})
+	if !errors.Is(res.FirstError(), storage.ErrDocumentTooDeep) || res.Attempted != 0 || len(res.Errors) != 1 || res.Errors[0].Index != 1 {
+		t.Fatalf("batch with a too-deep document: attempted %d, errors %v", res.Attempted, res.Errors)
+	}
+	if rs.OplogLength() != oplogLen || oplog.Stats().Appends != oplogAppends {
+		t.Fatalf("the oplog took a batch the primary refused: %d entries, %d appends", rs.OplogLength(), oplog.Stats().Appends)
+	}
+	res = rs.BulkWrite("db", "c", []storage.WriteOp{storage.InsertWriteOp(bson.D("_id", "after"))}, storage.BulkOptions{WriteConcern: wc})
+	if err := res.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range rs.Members() {
+		if coll := m.Database("db").Collection("c"); coll.Count() != 1 || coll.FindID("after") == nil {
+			t.Fatalf("member %s holds %d documents, want only the one written after the refusal", m.Name(), coll.Count())
 		}
 	}
 }

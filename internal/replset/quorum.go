@@ -219,9 +219,10 @@ func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts sto
 		// here rather than after the set's own work below.
 		_ = journal.Wait()
 	}
-	if res.DurabilityErr != nil {
-		// The journal refused the record, so the primary applied nothing;
-		// logging the batch would have the secondaries apply what it did not.
+	if res.DurabilityErr != nil || res.Attempted == 0 {
+		// The journal refused the record, or the primary refused the batch
+		// whole (storage.ErrDocumentTooDeep), so it applied nothing; logging
+		// the batch would have the secondaries apply what it did not.
 		rs.mu.Unlock()
 		return res
 	}

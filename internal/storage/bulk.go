@@ -221,6 +221,20 @@ func (r *BulkResult) Merge(sub BulkResult, indices []int, total int) {
 	}
 }
 
+// firstTooDeep returns the index of the first op carrying a document that
+// nests past bson.MaxDocumentDepth, or -1.
+func firstTooDeep(ops []WriteOp) int {
+	for i := range ops {
+		op := &ops[i]
+		for _, d := range [...]*bson.Doc{op.Doc, op.Filter, op.Update.Query, op.Update.Update} {
+			if !bson.NestsWithin(d, bson.MaxDocumentDepth) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // preparedOp is the per-op state computable without the collection lock.
 type preparedOp struct {
 	matcher *query.Matcher
@@ -328,10 +342,16 @@ func (c *Collection) BulkWrite(ops []WriteOp, opts BulkOptions) BulkResult {
 // batch: matchers compile before the lock is taken, the record array grows
 // once for all inserts, and tombstone compaction is considered once at the
 // end instead of per delete. When the batch could not be logged nothing is
-// applied and DurabilityErr says why.
+// applied and DurabilityErr says why. A batch with an op whose documents nest
+// past bson.MaxDocumentDepth is refused whole, nothing attempted, with that
+// op's error: the log record of a batch holds every op of it, the failed ones
+// too, and no reader of the log would get past this one.
 func (c *Collection) BulkApply(ops []WriteOp, opts BulkOptions) (BulkResult, PendingCommit) {
 	if len(ops) == 0 {
 		return BulkResult{}, PendingCommit{}
+	}
+	if i := firstTooDeep(ops); i >= 0 {
+		return BulkResult{Errors: []BulkError{{Index: i, Err: ErrDocumentTooDeep}}}, PendingCommit{}
 	}
 	span := opts.Trace.Child("storage.bulkWrite")
 	span.SetAttr("collection", c.name)

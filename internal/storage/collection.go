@@ -27,6 +27,12 @@ func (e *ErrDocumentTooLarge) Error() string {
 	return fmt.Sprintf("storage: document of %d bytes exceeds the %d byte limit", e.Size, bson.MaxDocumentSize)
 }
 
+// ErrDocumentTooDeep is returned for a document — one to store, or the filter
+// or the update of a write — that nests more than bson.MaxDocumentDepth
+// levels: a decoder would refuse it where it comes back wrapped, in a log
+// record, a snapshot or a reply.
+var ErrDocumentTooDeep = fmt.Errorf("storage: document nests more than %d levels", bson.MaxDocumentDepth)
+
 // ErrDuplicateID is returned when inserting a document whose _id already
 // exists in the collection.
 type ErrDuplicateID struct {
@@ -389,6 +395,19 @@ func ensureID(doc *bson.Doc) any {
 	return id
 }
 
+// storedSize returns the encoded size of a document about to be stored, or
+// why it cannot be: the one check behind every insert, upsert and update.
+func storedSize(doc *bson.Doc) (int, error) {
+	size := bson.EncodedSize(doc)
+	if size > bson.MaxDocumentSize {
+		return 0, &ErrDocumentTooLarge{Size: size}
+	}
+	if !bson.NestsWithin(doc, bson.MaxDocumentDepth) {
+		return 0, ErrDocumentTooDeep
+	}
+	return size, nil
+}
+
 func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	id := ensureID(doc)
 	if _, isArray := id.([]any); isArray {
@@ -396,9 +415,9 @@ func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 		// collide with [2, 3].
 		return nil, fmt.Errorf("storage: the %s field cannot be an array", bson.IDKey)
 	}
-	size := bson.EncodedSize(doc)
-	if size > bson.MaxDocumentSize {
-		return nil, &ErrDocumentTooLarge{Size: size}
+	size, err := storedSize(doc)
+	if err != nil {
+		return nil, err
 	}
 	// The position the document is about to take; index entries carry it.
 	pos := c.length

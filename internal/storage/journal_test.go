@@ -2,7 +2,9 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -265,5 +267,68 @@ func TestReadSnapshotRejectsCountMismatch(t *testing.T) {
 	}
 	if good.Count() != 3 {
 		t.Fatalf("loaded %d docs", good.Count())
+	}
+}
+
+// TestTooDeepDocumentIsRefusedBeforeTheLog holds the engine to
+// bson.MaxDocumentDepth where documents enter it. A batch with an op whose
+// document, filter or update nests deeper is refused whole and the journal
+// never hears of it, because a log record holds every op of its batch and a
+// decoder would not get past this one. An update or an upsert that builds a
+// document too deep out of shallow parts is logged, as any op that fails
+// when applied, and fails the same way on replay; the document stays as it
+// was, in the records and in the indexes.
+func TestTooDeepDocumentIsRefusedBeforeTheLog(t *testing.T) {
+	chain := func(levels int) *bson.Doc {
+		d := bson.D("leaf", 1)
+		for i := 1; i < levels; i++ {
+			d = bson.D("a", d)
+		}
+		return d
+	}
+	j := &fakeJournal{}
+	c := NewCollection("c")
+	c.SetJournal(j)
+	if _, err := c.EnsureIndexDoc(bson.D("k", 1), false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Insert(bson.D(bson.IDKey, 1, "k", 1, "v", chain(bson.MaxDocumentDepth-1))); err != nil {
+		t.Fatalf("insert at the limit: %v", err)
+	}
+	logged := len(j.batches)
+
+	tooDeep := chain(bson.MaxDocumentDepth + 1)
+	for name, op := range map[string]WriteOp{
+		"insert":        InsertWriteOp(bson.D(bson.IDKey, 2, "v", chain(bson.MaxDocumentDepth))),
+		"update filter": UpdateWriteOp(query.UpdateSpec{Query: tooDeep, Update: bson.D("$set", bson.D("k", 2))}),
+		"update":        UpdateWriteOp(query.UpdateSpec{Query: bson.D(bson.IDKey, 1), Update: bson.D("$set", tooDeep)}),
+		"delete filter": DeleteWriteOp(tooDeep, true),
+	} {
+		res := c.BulkWrite([]WriteOp{InsertWriteOp(bson.D(bson.IDKey, "beside "+name)), op}, BulkOptions{})
+		if !errors.Is(res.FirstError(), ErrDocumentTooDeep) || len(res.Errors) != 1 || res.Errors[0].Index != 1 || res.Attempted != 0 {
+			t.Errorf("%s too deep: attempted %d, errors %v", name, res.Attempted, res.Errors)
+		}
+	}
+	if len(j.batches) != logged || c.Count() != 1 {
+		t.Fatalf("refused batches left %d log records and %d documents behind", len(j.batches)-logged, c.Count()-1)
+	}
+
+	// Built too deep: 40 steps of path over 60 levels of value.
+	path := strings.Repeat("a.", 39) + "a"
+	_, err := c.Update(query.UpdateSpec{Query: bson.D("k", 1), Update: bson.D("$set", bson.D(path, chain(60), "k", 5))})
+	if !errors.Is(err, ErrDocumentTooDeep) {
+		t.Fatalf("update building %d levels: %v", 101, err)
+	}
+	_, err = c.Update(query.UpdateSpec{Query: bson.D(bson.IDKey, 9), Update: bson.D("$set", bson.D(path, chain(60))), Upsert: true})
+	if !errors.Is(err, ErrDocumentTooDeep) {
+		t.Fatalf("upsert building %d levels: %v", 101, err)
+	}
+	if len(j.batches) != logged+2 {
+		t.Errorf("%d log records for two updates that failed when applied, want 2", len(j.batches)-logged)
+	}
+	one, _ := c.CountDocs(bson.D("k", 1))
+	five, _ := c.CountDocs(bson.D("k", 5))
+	if c.Count() != 1 || one != 1 || five != 0 {
+		t.Errorf("the refused update changed the collection: %d documents, %d with k=1, %d with k=5", c.Count(), one, five)
 	}
 }

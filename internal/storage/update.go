@@ -44,10 +44,9 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 			return false
 		}
 		if changed {
-			newSize := bson.EncodedSize(updated)
-			if newSize > bson.MaxDocumentSize {
+			var newSize int
+			if newSize, err = storedSize(updated); err != nil {
 				// Nothing was installed; the stored document is untouched.
-				err = &ErrDocumentTooLarge{Size: newSize}
 				return false
 			}
 			// Indexes first: the document keeps its position, so its entries

@@ -16,7 +16,7 @@ type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	reader *bufio.Reader
-	writer *bufio.Writer
+	buf    []byte // one buffer, reused: a request frame, then its reply
 }
 
 // Dial connects to a docstored server.
@@ -25,7 +25,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
-	return &Client{conn: conn, reader: bufio.NewReader(conn), writer: bufio.NewWriter(conn)}, nil
+	return &Client{conn: conn, reader: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the connection.
@@ -36,25 +36,41 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) Do(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, err := c.writer.Write(append([]byte(req.encode().ToJSON()), '\n')); err != nil {
+	defer func() { c.buf = recycle(c.buf) }()
+	c.buf = req.appendFrame(c.buf[:0])
+	if len(c.buf) > maxFrameSize {
+		return nil, fmt.Errorf("wire: request of %d bytes exceeds the %d-byte frame limit", len(c.buf), maxFrameSize)
+	}
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return nil, err
 	}
-	if err := c.writer.Flush(); err != nil {
+	var err error
+	if c.buf, err = readFrame(c.reader, c.buf); err != nil {
 		return nil, err
 	}
-	line, err := c.reader.ReadBytes('\n')
-	if err != nil {
-		return nil, err
-	}
-	doc, err := bson.FromJSON(line)
+	resp, err := readResponse(c.buf)
 	if err != nil {
 		return nil, fmt.Errorf("wire: malformed response: %w", err)
 	}
-	resp := decodeResponse(doc)
 	if !resp.OK {
 		return resp, fmt.Errorf("wire: server error: %s", resp.Error)
 	}
 	return resp, nil
+}
+
+// docs sends a request whose answer is a list of documents and returns all
+// of them. A result too large for one frame arrives as the documents that fit
+// and a cursor over the rest, which is drained here.
+func (c *Client) docs(req *Request) ([]*bson.Doc, error) {
+	resp, err := c.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.CursorID == 0 {
+		return resp.Docs, nil
+	}
+	rest := &Cursor{c: c, db: req.DB, id: resp.CursorID, batch: resp.Docs}
+	return rest.All()
 }
 
 // Ping checks connectivity.
@@ -88,11 +104,7 @@ func (c *Client) InsertMany(db, coll string, docs []*bson.Doc) (int64, error) {
 
 // Find runs a query.
 func (c *Client) Find(db, coll string, filter, sort *bson.Doc, limit int) ([]*bson.Doc, error) {
-	resp, err := c.Do(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Docs, nil
+	return c.docs(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, Limit: limit})
 }
 
 // FindWithHint is Find forcing the named index through the wire protocol's
@@ -100,11 +112,7 @@ func (c *Client) Find(db, coll string, filter, sort *bson.Doc, limit int) ([]*bs
 // with the server's unknown-index error rather than silently degrading to a
 // collection scan.
 func (c *Client) FindWithHint(db, coll string, filter, sort *bson.Doc, hint string, limit int) ([]*bson.Doc, error) {
-	resp, err := c.Do(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, Hint: hint, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Docs, nil
+	return c.docs(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, Hint: hint, Limit: limit})
 }
 
 // FindAtVersion is Find pinned to a committed collection version — the
@@ -114,11 +122,7 @@ func (c *Client) FindWithHint(db, coll string, filter, sort *bson.Doc, hint stri
 // result describes one committed state; the server fails the request when
 // the version is no longer retained.
 func (c *Client) FindAtVersion(db, coll string, filter, sort *bson.Doc, atVersion int64, limit int) ([]*bson.Doc, error) {
-	resp, err := c.Do(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, AtVersion: atVersion, Limit: limit})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Docs, nil
+	return c.docs(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, AtVersion: atVersion, Limit: limit})
 }
 
 // Checkpoint asks the server to take a durable checkpoint now. Against a
@@ -170,11 +174,7 @@ func (c *Client) Delete(db, coll string, filter *bson.Doc, multi bool) (int64, e
 
 // Aggregate runs an aggregation pipeline.
 func (c *Client) Aggregate(db, coll string, stages []*bson.Doc) ([]*bson.Doc, error) {
-	resp, err := c.Do(&Request{Op: OpAggregate, DB: db, Collection: coll, Docs: stages})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Docs, nil
+	return c.docs(&Request{Op: OpAggregate, DB: db, Collection: coll, Docs: stages})
 }
 
 // Cursor is a client-side cursor over a server-side result stream: it holds

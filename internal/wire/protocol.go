@@ -1,27 +1,130 @@
 // Package wire implements a minimal client/server wire protocol for the
 // document store so it can run as a separate process (cmd/docstored) and be
 // queried remotely, the way the thesis' application server talks to mongod
-// over the network. The protocol is line-delimited JSON: each request and
-// each response is a single JSON object on one line.
+// over the network.
 //
-// Request shape:
+// A connection carries frames, a request and then its reply, one at a time
+// (the client sends no second request before the first reply). A frame is one
+// document in internal/bson's binary encoding — the encoding of the
+// write-ahead log and the snapshots — and the document's own leading int32
+// length, little-endian and counting itself, is the frame header:
 //
-//	{"op": "find", "db": "Dataset_1GB", "coll": "store_sales",
-//	 "filter": {...}, "sort": {...}, "limit": 10}
+//	[int32 length][elements...][0x00]
 //
-// Response shape:
+// The reader takes the four bytes, checks 5 <= length <= maxFrameSize
+// (48 MB) and reads the rest into a buffer the connection reuses; the writer
+// sends a frame with one Write. The elements of a request frame are the
+// fields of Request under the names its codec gives them — what
+// docstore-shell reads as JSON, in binary:
 //
-//	{"ok": true, "docs": [...], "n": 3}
-//	{"ok": false, "error": "..."}
+//	{op: "find", db: "Dataset_1GB", coll: "store_sales",
+//	 filter: {...}, sort: {...}, limit: 10}
+//
+// and those of a reply frame the fields of Response:
+//
+//	{ok: true, docs: [...], n: 3}
+//	{ok: false, error: "..."}
+//
+// Both codecs append to and read from the frame directly: there is no
+// document for the envelope, and the documents of a reply are appended from
+// the stored documents as they are. Values keep their types — an int64 stays
+// an int64 and a double a double, an ObjectID, a null, an empty array and an
+// empty document arrive as what they were — except that a date arrives at
+// millisecond precision, as it does from the log and a snapshot.
+//
+// A frame nests at most bson.MaxDepth levels, as everything the decoders
+// read. What a client may have written is held lower, to
+// bson.MaxDocumentDepth, by the storage engine (storage.ErrDocumentTooDeep),
+// so that a stored document still decodes inside a reply; only an aggregation
+// can build a reply the client then refuses.
+//
+// The server closes a connection, and that connection only, when a frame's
+// length is outside the bounds, when the frame ends early, or when its bytes
+// do not decode as a request: an element that is malformed or too deep,
+// wanted or not, or a field of Request given twice. It sends a last reply
+// naming the reason where there is someone to read it and counts the event
+// under op="other" in docstore_wire_requests_total and
+// docstore_wire_request_errors_total.
+//
+// A reply holds as many of its documents as fit the frame, at least one; the
+// rest stay on a server-side cursor whose id the reply carries, as if the
+// request had asked for a batch of that size, and the Client's helpers fetch
+// them with getMore. A reply that cannot fit whatever is left out (a
+// bulkWrite result with millions of write errors) is replaced by an error
+// reply, and the client refuses to send a request over maxFrameSize.
+// Extended JSON is spoken at one edge only, docstore-shell's standard input
+// and output.
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"math"
+	"slices"
 
 	"docstore/internal/bson"
 	"docstore/internal/index"
 	"docstore/internal/trace"
 )
+
+const (
+	// maxFrameSize is the largest frame either end sends or accepts (the
+	// real server's maxMessageSizeBytes): room for a batch of documents of
+	// bson.MaxDocumentSize, and the bound on what one length prefix can make
+	// a reader buffer.
+	maxFrameSize = 48 << 20
+	// replyTailSize is the room a reply frame keeps behind its documents
+	// for the two fields written after them, n and cursorId.
+	replyTailSize = 64
+	// frameBufferKeep is the largest buffer a connection keeps between
+	// frames; one grown past it by a bulk load is dropped after use.
+	frameBufferKeep = 1 << 20
+)
+
+// errFrameLength reports a length prefix outside [5, maxFrameSize].
+var errFrameLength = errors.New("wire: frame length out of bounds")
+
+// readFrame reads one frame from r into buf, which it grows as needed, and
+// returns it. The buffer grows with the bytes that have arrived, not with
+// what the length prefix announces: at most doubling per read, so a peer
+// must send a large frame to make the reader hold one. io.EOF means r ended
+// between frames, io.ErrUnexpectedEOF inside one.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return buf, err
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if n < 5 || n > maxFrameSize {
+		return buf, fmt.Errorf("%w: %d", errFrameLength, n)
+	}
+	for len(buf) < n {
+		have, end := len(buf), n
+		if n > cap(buf) {
+			end = min(n, max(2*have, 4096))
+		}
+		buf = slices.Grow(buf, end-have)[:end]
+		if _, err := io.ReadFull(r, buf[have:]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// recycle returns buf emptied for the connection's next frame, or nil when
+// it has grown past frameBufferKeep.
+func recycle(buf []byte) []byte {
+	if cap(buf) > frameBufferKeep {
+		return nil
+	}
+	return buf[:0]
+}
 
 // HintString normalizes a request's "hint" value to an index name. Strings
 // pass through; a key-specification document ({"g": 1}, the form real
@@ -115,8 +218,7 @@ const (
 	OpGetExemplars = "getExemplars"
 )
 
-// Request is one client request. It is encoded as a flat document so that
-// both ends can use the bson JSON codec.
+// Request is one client request; on the wire, the elements of one frame.
 type Request struct {
 	Op         string
 	DB         string
@@ -163,9 +265,9 @@ type Request struct {
 	// than silently weakening it — and w > 1 is refused by a standalone
 	// server (no replica set attached). Nil uses the server's default.
 	WriteConcern *bson.Doc
-	// invalidWC records that the wire carried a "writeConcern" key that was
-	// not a document; Handle rejects the request. decodeRequest cannot
-	// return an error, so the rejection is deferred.
+	// invalidWC records that the wire carried a "writeConcern" that was not a
+	// document. The frame is well formed, so the connection stays open and
+	// Handle rejects the request.
 	invalidWC bool
 	// ResumeAfter is a watch request's resume token: the stream replays
 	// history strictly after it before tailing live.
@@ -188,194 +290,223 @@ type Request struct {
 	span *trace.Span
 }
 
-// encode renders the request as a document.
-func (r *Request) encode() *bson.Doc {
-	d := bson.NewDoc(8)
-	d.Set("op", r.Op)
-	if r.DB != "" {
-		d.Set("db", r.DB)
+// The codecs leave a field at its zero value out of the frame.
+
+func appendStr(buf []byte, key, s string) []byte {
+	if s == "" {
+		return buf
 	}
-	if r.Collection != "" {
-		d.Set("coll", r.Collection)
+	return bson.AppendString(buf, key, s)
+}
+
+func appendInt(buf []byte, key string, n int64) []byte {
+	if n == 0 {
+		return buf
 	}
-	if r.Doc != nil {
-		d.Set("doc", r.Doc)
+	return bson.AppendInt64(buf, key, n)
+}
+
+func appendFlag(buf []byte, key string, set bool) []byte {
+	if !set {
+		return buf
 	}
-	if r.Docs != nil {
-		arr := make([]any, len(r.Docs))
-		for i, doc := range r.Docs {
-			arr[i] = doc
+	return bson.AppendValue(buf, key, true)
+}
+
+func appendDoc(buf []byte, key string, d *bson.Doc) []byte {
+	if d == nil {
+		return buf
+	}
+	return bson.AppendValue(buf, key, d)
+}
+
+func appendDocs(buf []byte, key string, docs []*bson.Doc) []byte {
+	if docs == nil {
+		return buf
+	}
+	buf, _ = bson.AppendDocs(buf, key, docs, math.MaxInt)
+	return buf
+}
+
+// appendFrame appends the request to buf as one frame.
+func (r *Request) appendFrame(buf []byte) []byte {
+	buf, start := bson.BeginDoc(buf)
+	buf = bson.AppendString(buf, "op", r.Op)
+	buf = appendStr(buf, "db", r.DB)
+	buf = appendStr(buf, "coll", r.Collection)
+	buf = appendDoc(buf, "doc", r.Doc)
+	buf = appendDocs(buf, "docs", r.Docs)
+	buf = appendDoc(buf, "filter", r.Filter)
+	buf = appendDoc(buf, "update", r.Update)
+	buf = appendDoc(buf, "sort", r.Sort)
+	buf = appendDoc(buf, "projection", r.Projection)
+	buf = appendDoc(buf, "keys", r.Keys)
+	buf = appendStr(buf, "hint", r.Hint)
+	buf = appendInt(buf, "limit", int64(r.Limit))
+	buf = appendInt(buf, "skip", int64(r.Skip))
+	buf = appendInt(buf, "atVersion", r.AtVersion)
+	buf = appendInt(buf, "batchSize", int64(r.BatchSize))
+	buf = appendInt(buf, "cursorId", r.CursorID)
+	buf = appendFlag(buf, "multi", r.Multi)
+	buf = appendFlag(buf, "upsert", r.Upsert)
+	buf = appendFlag(buf, "unique", r.Unique)
+	buf = appendFlag(buf, "ordered", r.Ordered)
+	buf = appendFlag(buf, "j", r.Journaled)
+	buf = appendDoc(buf, "writeConcern", r.WriteConcern)
+	buf = appendStr(buf, "resumeAfter", r.ResumeAfter)
+	buf = appendInt(buf, "maxTimeMS", int64(r.MaxTimeMS))
+	buf = appendStr(buf, "opName", r.OpName)
+	buf = appendInt(buf, "minDurationUS", r.MinDurationUS)
+	buf = appendStr(buf, "metric", r.Metric)
+	return bson.EndDoc(buf, start)
+}
+
+// fieldReader reads the elements of a frame as the types the codecs want. An
+// element of another type reads as the zero value, as a field left out does,
+// but every element is decoded, wanted or not, so that a frame is refused for
+// what is wrong anywhere in it; the reader keeps the first error for the end
+// of the frame.
+type fieldReader struct {
+	err error
+	// The names of the codec's fields read so far; each comes once, and
+	// neither codec has this many.
+	seen [32][]byte
+	n    int
+}
+
+func (f *fieldReader) keep(err error) {
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+// once refuses a frame that gives the field named key a second time: which
+// of the two values the sender meant is not the codec's to choose.
+func (f *fieldReader) once(key []byte) {
+	for _, name := range f.seen[:f.n] {
+		if bytes.Equal(name, key) {
+			f.keep(fmt.Errorf("wire: field %q given twice", key))
+			return
 		}
-		d.Set("docs", arr)
 	}
-	if r.Filter != nil {
-		d.Set("filter", r.Filter)
+	f.seen[f.n] = key
+	f.n++
+}
+
+func (f *fieldReader) value(e bson.Element) any {
+	v, err := e.Value()
+	f.keep(err)
+	return v
+}
+
+func (f *fieldReader) str(e bson.Element) string {
+	s, ok := e.Str()
+	if !ok {
+		f.value(e)
 	}
-	if r.Update != nil {
-		d.Set("update", r.Update)
-	}
-	if r.Sort != nil {
-		d.Set("sort", r.Sort)
-	}
-	if r.Projection != nil {
-		d.Set("projection", r.Projection)
-	}
-	if r.Keys != nil {
-		d.Set("keys", r.Keys)
-	}
-	if r.Hint != "" {
-		d.Set("hint", r.Hint)
-	}
-	if r.Limit != 0 {
-		d.Set("limit", r.Limit)
-	}
-	if r.Skip != 0 {
-		d.Set("skip", r.Skip)
-	}
-	if r.AtVersion != 0 {
-		d.Set("atVersion", r.AtVersion)
-	}
-	if r.BatchSize != 0 {
-		d.Set("batchSize", r.BatchSize)
-	}
-	if r.CursorID != 0 {
-		d.Set("cursorId", r.CursorID)
-	}
-	if r.Multi {
-		d.Set("multi", true)
-	}
-	if r.Upsert {
-		d.Set("upsert", true)
-	}
-	if r.Unique {
-		d.Set("unique", true)
-	}
-	if r.Ordered {
-		d.Set("ordered", true)
-	}
-	if r.Journaled {
-		d.Set("j", true)
-	}
-	if r.WriteConcern != nil {
-		d.Set("writeConcern", r.WriteConcern)
-	}
-	if r.ResumeAfter != "" {
-		d.Set("resumeAfter", r.ResumeAfter)
-	}
-	if r.MaxTimeMS != 0 {
-		d.Set("maxTimeMS", r.MaxTimeMS)
-	}
-	if r.OpName != "" {
-		d.Set("opName", r.OpName)
-	}
-	if r.MinDurationUS != 0 {
-		d.Set("minDurationUS", r.MinDurationUS)
-	}
-	if r.Metric != "" {
-		d.Set("metric", r.Metric)
-	}
+	return s
+}
+
+func (f *fieldReader) int(e bson.Element) int64 {
+	n, _ := bson.AsInt(f.value(e))
+	return n
+}
+
+func (f *fieldReader) flag(e bson.Element) bool { return bson.Truthy(f.value(e)) }
+
+func (f *fieldReader) doc(e bson.Element) *bson.Doc {
+	d, _ := f.value(e).(*bson.Doc)
 	return d
 }
 
-// decodeRequest parses a request document.
-func decodeRequest(d *bson.Doc) *Request {
+func (f *fieldReader) docs(e bson.Element) []*bson.Doc {
+	docs, err := e.Docs()
+	f.keep(err)
+	return docs
+}
+
+// readRequest decodes a request frame.
+func readRequest(frame []byte) (*Request, error) {
+	it, err := bson.ReadElements(frame)
+	if err != nil {
+		return nil, err
+	}
 	r := &Request{}
-	if v, ok := d.Get("op"); ok {
-		r.Op, _ = v.(string)
-	}
-	if v, ok := d.Get("db"); ok {
-		r.DB, _ = v.(string)
-	}
-	if v, ok := d.Get("coll"); ok {
-		r.Collection, _ = v.(string)
-	}
-	if v, ok := d.Get("doc"); ok {
-		r.Doc, _ = v.(*bson.Doc)
-	}
-	if v, ok := d.Get("docs"); ok {
-		if arr, isArr := v.([]any); isArr {
-			for _, e := range arr {
-				if doc, isDoc := e.(*bson.Doc); isDoc {
-					r.Docs = append(r.Docs, doc)
-				}
-			}
+	var f fieldReader
+	for it.More() {
+		e, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		known := true
+		switch string(e.Key) {
+		case "op":
+			r.Op = f.str(e)
+		case "db":
+			r.DB = f.str(e)
+		case "coll":
+			r.Collection = f.str(e)
+		case "doc":
+			r.Doc = f.doc(e)
+		case "docs":
+			r.Docs = f.docs(e)
+		case "filter":
+			r.Filter = f.doc(e)
+		case "update":
+			r.Update = f.doc(e)
+		case "sort":
+			r.Sort = f.doc(e)
+		case "projection":
+			r.Projection = f.doc(e)
+		case "keys":
+			r.Keys = f.doc(e)
+		case "hint":
+			r.Hint = HintString(f.value(e))
+		case "limit":
+			r.Limit = int(f.int(e))
+		case "skip":
+			r.Skip = int(f.int(e))
+		case "atVersion":
+			r.AtVersion = f.int(e)
+		case "batchSize":
+			r.BatchSize = int(f.int(e))
+		case "cursorId":
+			r.CursorID = f.int(e)
+		case "multi":
+			r.Multi = f.flag(e)
+		case "upsert":
+			r.Upsert = f.flag(e)
+		case "unique":
+			r.Unique = f.flag(e)
+		case "ordered":
+			r.Ordered = f.flag(e)
+		case "j":
+			r.Journaled = f.flag(e)
+		case "writeConcern":
+			r.WriteConcern = f.doc(e)
+			r.invalidWC = r.WriteConcern == nil
+		case "resumeAfter":
+			r.ResumeAfter = f.str(e)
+		case "maxTimeMS":
+			r.MaxTimeMS = int(f.int(e))
+		case "opName":
+			r.OpName = f.str(e)
+		case "minDurationUS":
+			r.MinDurationUS = f.int(e)
+		case "metric":
+			r.Metric = f.str(e)
+		default:
+			known = false
+			f.value(e)
+		}
+		if known {
+			f.once(e.Key)
 		}
 	}
-	if v, ok := d.Get("filter"); ok {
-		r.Filter, _ = v.(*bson.Doc)
+	if f.err != nil {
+		return nil, f.err
 	}
-	if v, ok := d.Get("update"); ok {
-		r.Update, _ = v.(*bson.Doc)
-	}
-	if v, ok := d.Get("sort"); ok {
-		r.Sort, _ = v.(*bson.Doc)
-	}
-	if v, ok := d.Get("projection"); ok {
-		r.Projection, _ = v.(*bson.Doc)
-	}
-	if v, ok := d.Get("keys"); ok {
-		r.Keys, _ = v.(*bson.Doc)
-	}
-	if v, ok := d.Get("hint"); ok {
-		r.Hint = HintString(v)
-	}
-	if v, ok := d.Get("limit"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.Limit = int(n)
-		}
-	}
-	if v, ok := d.Get("skip"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.Skip = int(n)
-		}
-	}
-	if v, ok := d.Get("atVersion"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.AtVersion = n
-		}
-	}
-	if v, ok := d.Get("batchSize"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.BatchSize = int(n)
-		}
-	}
-	if v, ok := d.Get("cursorId"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.CursorID = n
-		}
-	}
-	if v, ok := d.Get("resumeAfter"); ok {
-		r.ResumeAfter, _ = v.(string)
-	}
-	if v, ok := d.Get("maxTimeMS"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.MaxTimeMS = int(n)
-		}
-	}
-	if v, ok := d.Get("opName"); ok {
-		r.OpName, _ = v.(string)
-	}
-	if v, ok := d.Get("minDurationUS"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			r.MinDurationUS = n
-		}
-	}
-	if v, ok := d.Get("metric"); ok {
-		r.Metric, _ = v.(string)
-	}
-	if v, ok := d.Get("writeConcern"); ok {
-		if wcDoc, isDoc := v.(*bson.Doc); isDoc {
-			r.WriteConcern = wcDoc
-		} else {
-			r.invalidWC = true
-		}
-	}
-	r.Multi = bson.Truthy(d.GetOr("multi", false))
-	r.Upsert = bson.Truthy(d.GetOr("upsert", false))
-	r.Unique = bson.Truthy(d.GetOr("unique", false))
-	r.Ordered = bson.Truthy(d.GetOr("ordered", false))
-	r.Journaled = bson.Truthy(d.GetOr("j", false))
-	return r
+	return r, nil
 }
 
 // Response is the server's reply.
@@ -397,58 +528,73 @@ type Response struct {
 	ResumeToken string
 }
 
-func (r *Response) encode() *bson.Doc {
-	d := bson.NewDoc(5)
-	d.Set("ok", r.OK)
-	if r.Error != "" {
-		d.Set("error", r.Error)
-	}
+// appendFrame appends the reply to buf as one frame, its documents encoded
+// from the *bson.Docs the store returned. With a spill, the frame stays
+// within maxFrameSize: the documents that would take it past that are handed
+// to spill, which keeps them on a cursor and returns its id, and the frame
+// says so in n and cursorId. A change-stream batch is never cut — its resume
+// token names its last event — and is bounded where it is drained instead.
+func (r *Response) appendFrame(buf []byte, spill func(rest []*bson.Doc) int64) []byte {
+	buf, start := bson.BeginDoc(buf)
+	buf = bson.AppendValue(buf, "ok", r.OK)
+	buf = appendStr(buf, "error", r.Error)
+	buf = appendDoc(buf, "result", r.Result)
+	buf = appendStr(buf, "resumeToken", r.ResumeToken)
+	n, cursorID := r.N, r.CursorID
 	if r.Docs != nil {
-		arr := make([]any, len(r.Docs))
-		for i, doc := range r.Docs {
-			arr[i] = doc
+		limit := math.MaxInt
+		if spill != nil && r.ResumeToken == "" {
+			limit = start + maxFrameSize - replyTailSize
 		}
-		d.Set("docs", arr)
+		var sent int
+		if buf, sent = bson.AppendDocs(buf, "docs", r.Docs, limit); sent < len(r.Docs) {
+			n, cursorID = int64(sent), spill(r.Docs[sent:])
+		}
 	}
-	d.Set("n", r.N)
-	if r.CursorID != 0 {
-		d.Set("cursorId", r.CursorID)
-	}
-	if r.Result != nil {
-		d.Set("result", r.Result)
-	}
-	if r.ResumeToken != "" {
-		d.Set("resumeToken", r.ResumeToken)
-	}
-	return d
+	buf = bson.AppendInt64(buf, "n", n)
+	buf = appendInt(buf, "cursorId", cursorID)
+	return bson.EndDoc(buf, start)
 }
 
-func decodeResponse(d *bson.Doc) *Response {
-	r := &Response{}
-	r.OK = bson.Truthy(d.GetOr("ok", false))
-	if v, ok := d.Get("error"); ok {
-		r.Error, _ = v.(string)
+// readResponse decodes a reply frame.
+func readResponse(frame []byte) (*Response, error) {
+	it, err := bson.ReadElements(frame)
+	if err != nil {
+		return nil, err
 	}
-	if v, ok := d.Get("docs"); ok {
-		if arr, isArr := v.([]any); isArr {
-			for _, e := range arr {
-				if doc, isDoc := e.(*bson.Doc); isDoc {
-					r.Docs = append(r.Docs, doc)
-				}
-			}
+	r := &Response{}
+	var f fieldReader
+	for it.More() {
+		e, err := it.Next()
+		if err != nil {
+			return nil, err
+		}
+		known := true
+		switch string(e.Key) {
+		case "ok":
+			r.OK = f.flag(e)
+		case "error":
+			r.Error = f.str(e)
+		case "docs":
+			r.Docs = f.docs(e)
+		case "n":
+			r.N = f.int(e)
+		case "cursorId":
+			r.CursorID = f.int(e)
+		case "result":
+			r.Result = f.doc(e)
+		case "resumeToken":
+			r.ResumeToken = f.str(e)
+		default:
+			known = false
+			f.value(e)
+		}
+		if known {
+			f.once(e.Key)
 		}
 	}
-	if v, ok := d.Get("n"); ok {
-		r.N, _ = bson.AsInt(v)
+	if f.err != nil {
+		return nil, f.err
 	}
-	if v, ok := d.Get("cursorId"); ok {
-		r.CursorID, _ = bson.AsInt(v)
-	}
-	if v, ok := d.Get("result"); ok {
-		r.Result, _ = v.(*bson.Doc)
-	}
-	if v, ok := d.Get("resumeToken"); ok {
-		r.ResumeToken, _ = v.(string)
-	}
-	return r
+	return r, nil
 }

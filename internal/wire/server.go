@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -299,12 +301,50 @@ func (s *Server) cursorResponse(ns string, it aggregate.Iterator, batchSize int)
 	return resp
 }
 
+// restFirst is a result cursor's stream behind the documents a reply had no
+// room for.
+type restFirst struct {
+	rest []*bson.Doc
+	aggregate.Iterator
+}
+
+func (r *restFirst) Next() (*bson.Doc, bool) {
+	if len(r.rest) == 0 {
+		return r.Iterator.Next()
+	}
+	d := r.rest[0]
+	r.rest = r.rest[1:]
+	return d, true
+}
+
+// keepRest keeps the documents a reply frame had no room for on a cursor and
+// returns its id: the reply's own cursor, which then gives them before it
+// gives anything else, or a new one over ns when the reply had none (the
+// request named no batch size, or its cursor was exhausted by this batch).
+func (s *Server) keepRest(ns string, cursorID int64, rest []*bson.Doc) int64 {
+	s.cursorMu.Lock()
+	if oc, ok := s.cursors[cursorID]; ok && oc.it != nil {
+		oc.it = &restFirst{rest: rest, Iterator: oc.it}
+		s.cursorMu.Unlock()
+		return cursorID
+	}
+	s.cursorMu.Unlock()
+	return s.registerCursor(&openCursor{it: aggregate.FromSlice(rest), ns: ns})
+}
+
+// watchBatchBytes is the encoded size at which a change-stream batch stops
+// taking events, whatever batch size was asked for: a quarter of a frame,
+// since the event that crosses it may carry two documents of the largest
+// size, and a batch cannot be cut once drained.
+const watchBatchBytes = maxFrameSize / 4
+
 // drainWatch pulls up to batchSize events off a change-stream subscription,
 // blocking up to maxWait for the first one (the awaitData contract) and
 // collecting whatever else is already buffered. It renders events in their
 // wire document form.
 func drainWatch(sub *changestream.Subscription, batchSize int, maxWait time.Duration) ([]*bson.Doc, error) {
 	docs := make([]*bson.Doc, 0, batchSize)
+	size := 0
 	for len(docs) < batchSize {
 		ev, err := sub.Next(maxWait)
 		if err != nil {
@@ -314,6 +354,9 @@ func drainWatch(sub *changestream.Subscription, batchSize int, maxWait time.Dura
 			break
 		}
 		docs = append(docs, ev.Doc())
+		if size += bson.EncodedSize(ev.Doc()); size > watchBatchBytes {
+			break
+		}
 		maxWait = 0 // only the first event blocks
 	}
 	return docs, nil
@@ -388,26 +431,46 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	reader := bufio.NewReader(conn)
-	writer := bufio.NewWriter(conn)
+	var buf []byte // the connection's one buffer: a request frame, then its reply
 	for {
-		line, err := reader.ReadBytes('\n')
+		var err error
+		if buf, err = readFrame(reader, buf); err != nil {
+			// Between frames the peer hung up, or Close closed the
+			// connection; anything a peer sent that is not a frame is refused.
+			if errors.Is(err, errFrameLength) || err == io.ErrUnexpectedEOF {
+				s.refuseFrame(conn, err)
+			}
+			return
+		}
+		req, err := readRequest(buf)
 		if err != nil {
+			s.refuseFrame(conn, err)
 			return
 		}
-		var resp *Response
-		reqDoc, err := bson.FromJSON(line)
-		if err != nil {
-			resp = &Response{Error: fmt.Sprintf("malformed request: %v", err)}
-		} else {
-			resp = s.Handle(decodeRequest(reqDoc))
+		// req shares nothing with buf, so the reply can overwrite the request.
+		resp := s.Handle(req)
+		buf = resp.appendFrame(buf[:0], func(rest []*bson.Doc) int64 {
+			return s.keepRest(req.DB+"."+req.Collection, resp.CursorID, rest)
+		})
+		if len(buf) > maxFrameSize {
+			tooLarge := &Response{Error: fmt.Sprintf("reply of %d bytes exceeds the %d-byte frame limit", len(buf), maxFrameSize)}
+			buf = tooLarge.appendFrame(buf[:0], nil)
 		}
-		if _, err := writer.Write(append([]byte(resp.encode().ToJSON()), '\n')); err != nil {
+		if _, err := conn.Write(buf); err != nil {
 			return
 		}
-		if err := writer.Flush(); err != nil {
-			return
-		}
+		buf = recycle(buf)
 	}
+}
+
+// refuseFrame is the end of a connection that sent something other than a
+// request frame: the event is counted as a failed request of no known op,
+// and the peer, if it still reads, is told why before serveConn closes the
+// connection. Other connections are not affected.
+func (s *Server) refuseFrame(conn net.Conn, reason error) {
+	s.wm.observeRefused()
+	refusal := &Response{Error: fmt.Sprintf("malformed frame, closing the connection: %v", reason)}
+	_, _ = conn.Write(refusal.appendFrame(nil, nil)) // best effort: the peer may be gone
 }
 
 // Handle executes one request against the backend. It is exported so tests

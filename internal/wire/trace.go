@@ -67,6 +67,13 @@ func (wm *wireMetrics) observe(op string, elapsed time.Duration, failed bool, tr
 	wm.hists[op].ObserveExemplar(elapsed, traceID)
 }
 
+// observeRefused records a frame the server could not read as a request: a
+// request, and an error, of no known op.
+func (wm *wireMetrics) observeRefused() {
+	wm.counts["other"].Inc()
+	wm.errors["other"].Inc()
+}
+
 // SetTracer attaches a tracer: every request gets a root span (child spans
 // accumulate as it descends the stack), currentOp lists in-flight requests,
 // and getTraces serves the completed ring. Call before the server starts
