@@ -8,7 +8,7 @@
 //	BenchmarkTable44Selectivity/*      — Table 4.4 (result-set sizes per query)
 //	BenchmarkExperiment*/Query*        — Table 4.5, Figures 4.10 and 4.11 (runtimes for
 //	                                     Experiments 1–6 × Queries 7/21/46/50)
-//	BenchmarkAblation*                 — the ablation studies DESIGN.md calls out
+//	BenchmarkAblation*                 — the ablation studies of internal/core/ablation.go
 //
 // Run with:  go test -bench=. -benchmem
 //

@@ -6,9 +6,9 @@
 // query translation algorithms; and a benchmark harness that regenerates
 // every table and figure of the evaluation.
 //
-// The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); cmd/ holds the executables and examples/ holds runnable
-// walkthroughs of the public API surface.
+// The implementation lives under internal/ (the sections below are the
+// system inventory, one per mechanism); cmd/ holds the executables and
+// examples/ holds runnable walkthroughs of the public API surface.
 //
 // # Streaming cursor execution
 //
@@ -172,6 +172,92 @@
 // same bulk helper. The per-key loop survives in internal/denorm's tests as
 // the reference the set-oriented path is checked against on randomized data,
 // stand-alone and sharded.
+//
+// # Compiled pipelines
+//
+// A filter, a sort, an index key specification and an aggregation pipeline
+// are each compiled once and evaluated against many documents; nothing
+// about them is interpreted per document. They share one primitive,
+// bson.Path, a dotted field name split once.
+//
+// Two rules for reading a path exist, and a Path keeps them apart.
+// Path.Get is the rule of aggregation expressions ("$a.b"), sorts, $unwind,
+// $lookup and update operators: only documents are traversed, and an array
+// in the middle of the path makes it missing. Path.Lookup is the rule of
+// filters and index keys: an array in the middle fans out, so {"books.pages":
+// 216} sees the pages of every element of books and a single-field index
+// over such a path is multikey. Lookup returns its one value inline and
+// allocates only when an array was actually crossed. Path.Set and
+// Path.Delete are the writes; bson.Doc's GetPath, LookupPathAll, SetPath
+// and DeletePath are one-shot wrappers that compile the path on the stack,
+// for callers that resolve a path once (an update operator, a shard key).
+// There is no other path walker.
+//
+// Each segment of a Path remembers the position at which it last found its
+// field and tries that position first: fields[slot].Key == segment, then
+// the linear search. Documents of one collection share a layout, so a
+// lookup usually costs one key comparison, on one cache line of a field
+// array that is cold, instead of a search through it (a denormalized fact
+// has 24 fields and a query's $match examines hundreds of candidates the
+// index could not rule out). The position is a hint and nothing else. It is
+// believed only after the key at it compared equal, so a stale or wrong one
+// — the document is shorter, the field moved, was deleted and added again,
+// another goroutine just looked at a document laid out differently — costs
+// the search it would have saved and is then overwritten. Nothing
+// invalidates it, because nothing depends on it; it is an atomic int32
+// because Matchers, Pipelines and index handles are shared between
+// goroutines. Nothing was added to bson.Doc: no key map, no shape pointer,
+// no per-document state at all.
+//
+// aggregate.Parse compiles every stage. An expression becomes a tree of
+// closures: "$a.b" is a Path.Get; literals are normalized once; the
+// operator, the number of its arguments and the shape of a $cond are
+// resolved and checked; operators of one and two arguments and $cond
+// evaluate theirs without building a slice; $and and $or stop at the
+// argument that decides them. What is wrong with an expression whatever
+// the documents hold — an unknown operator, $subtract with three
+// arguments, a $cond without an else — is therefore an error from Parse,
+// naming the stage by index, and a pipeline cannot succeed on an empty
+// collection and fail on a full one; what depends on values ($divide by
+// zero, $concat of a number) stays an error of the run. $add, $multiply,
+// $subtract, $mod, $abs and $sum compute in int64 while every operand is
+// one and promote to float64 on overflow, as the real server does. $group
+// compiles its _id and its accumulators (each operator resolved to a pair
+// of functions); the bucket key is appended to a buffer reused from row to
+// row, in an encoding under which two values have the same bytes exactly
+// when bson.Compare calls them equal — 1 and 1.0 are one group, as they are
+// one value to $match and $sort — and probed as m[string(buf)], so a row
+// that lands in an existing bucket allocates nothing; a compound _id is
+// bucketed by its parts and built as a document for the first row only.
+// $project and $addFields hold their output paths, inclusion flags and
+// expressions, and decide at Parse whether the input's _id leads the
+// output, so a row is built once, in order, in one document. A leading
+// $match is compiled by Parse and handed to the scan as it is
+// (Pipeline.LeadingMatch, storage.Collection.FindCursorCompiled).
+//
+// The Appendix B scripts run as compiled, with two corrections
+// (internal/queries): a field reference carries its "$" prefix, without
+// which it is a string literal, and Query 21's ratio is a $cond that yields
+// null where the SQL CASE does, instead of dividing by zero.
+//
+// What is deliberately not cached: compiled pipelines and query plans. A
+// pipeline is compiled per request — about 6 % of a denormalized query's
+// CPU — because a cache keyed by the stage documents needs a size, an
+// eviction rule and invalidation when indexes change, and no workload's
+// trace asks for them yet.
+//
+// The interpreter the compile step replaced survives in
+// internal/aggregate's tests as the specification: TestCompiledEquivalence
+// checks value, error-or-not and field order against it on seeded random
+// expressions and stages and on every pipeline the four queries run in
+// both data models; bson's TestPathSlotIsOnlyAHint checks a Path against
+// the linear walk over documents that disagree about positions.
+//
+// A pipeline can nest a result deeper than anything stored ($project and a
+// $group key wrap). Results are held to bson.MaxDocumentDepth where they
+// leave — a database's Aggregate, AggregateCursor and $out, and the
+// router's merge — with storage.ErrDocumentTooDeep, so an aggregation
+// cannot build a reply its client refuses to decode.
 //
 // # Concurrency & isolation
 //

@@ -1,8 +1,10 @@
 package aggregate
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"math"
+	"time"
 
 	"docstore/internal/bson"
 )
@@ -10,20 +12,108 @@ import (
 // groupStage implements $group: documents are bucketed by the value of the
 // _id expression and each accumulator folds over the bucket's documents.
 type groupStage struct {
-	idExpr       any
-	accumulators []accumulatorSpec
+	// The _id expression, compiled. When it is a document literal — the
+	// compound keys of Queries 21 and 46 — idKeys names its fields and id
+	// holds their expressions, so that a row is bucketed by its parts and
+	// the document is built only for the first row of a bucket.
+	id           []expr
+	idKeys       []string
+	idIsDoc      bool
+	accumulators []accumulator
 }
 
-type accumulatorSpec struct {
+// accumulator is one output field of a $group: the operator's two functions
+// and its compiled argument (nil for $count, which has none).
+type accumulator struct {
 	field string
-	op    string
-	expr  any
+	arg   expr
+	accumulatorOp
 }
 
-var supportedAccumulators = map[string]bool{
-	"$sum": true, "$avg": true, "$min": true, "$max": true,
-	"$first": true, "$last": true, "$push": true, "$addToSet": true,
-	"$count": true,
+type accumulatorOp struct {
+	fold   func(st *accumulatorState, v any)
+	result func(st *accumulatorState) any
+}
+
+// accumulatorState is one accumulator's state in one bucket.
+type accumulatorState struct {
+	total  number // $sum, $avg
+	count  int64  // $avg, $count
+	val    any    // $min, $max, $first, $last
+	has    bool   // val is set
+	values []any  // $push, $addToSet
+}
+
+func (st *accumulatorState) value() any { return st.val }
+
+func (st *accumulatorState) list() any {
+	if st.values == nil {
+		return []any{}
+	}
+	return st.values
+}
+
+// extreme keeps the value that compares sign-most: the least for -1, the
+// greatest for +1. Nulls are skipped.
+func extreme(sign int) func(st *accumulatorState, v any) {
+	return func(st *accumulatorState, v any) {
+		if v != nil && (!st.has || bson.Compare(v, st.val)*sign > 0) {
+			st.val, st.has = v, true
+		}
+	}
+}
+
+var accumulatorOps = map[string]accumulatorOp{
+	"$sum": {
+		fold:   func(st *accumulatorState, v any) { st.total.add(v) }, // non-numbers add nothing
+		result: func(st *accumulatorState) any { return st.total.value() },
+	},
+	"$avg": {
+		fold: func(st *accumulatorState, v any) {
+			if st.total.add(v) {
+				st.count++
+			}
+		},
+		result: func(st *accumulatorState) any {
+			if st.count == 0 {
+				return nil
+			}
+			return st.total.float() / float64(st.count)
+		},
+	},
+	"$count": {
+		fold:   func(st *accumulatorState, _ any) { st.count++ },
+		result: func(st *accumulatorState) any { return st.count },
+	},
+	"$min": {fold: extreme(-1), result: (*accumulatorState).value},
+	"$max": {fold: extreme(+1), result: (*accumulatorState).value},
+	"$first": {
+		fold: func(st *accumulatorState, v any) {
+			if !st.has {
+				st.val, st.has = v, true
+			}
+		},
+		result: (*accumulatorState).value,
+	},
+	"$last": {
+		fold:   func(st *accumulatorState, v any) { st.val = v },
+		result: (*accumulatorState).value,
+	},
+	"$push": {
+		fold:   func(st *accumulatorState, v any) { st.values = append(st.values, v) },
+		result: (*accumulatorState).list,
+	},
+	"$addToSet": {
+		fold: func(st *accumulatorState, v any) {
+			for _, existing := range st.values {
+				if bson.Compare(existing, v) == 0 {
+					return
+				}
+			}
+			st.values = append(st.values, v)
+		},
+		result: (*accumulatorState).list,
+	},
 }
 
 func parseGroupStage(spec *bson.Doc) (Stage, error) {
@@ -31,7 +121,20 @@ func parseGroupStage(spec *bson.Doc) (Stage, error) {
 	if !ok {
 		return nil, fmt.Errorf("$group requires an _id expression")
 	}
-	g := &groupStage{idExpr: idExpr}
+	g := &groupStage{}
+	parts := []any{idExpr}
+	if doc, isDoc := idExpr.(*bson.Doc); isDoc {
+		if _, _, isOp := singleOperator(doc); !isOp {
+			g.idIsDoc, g.idKeys, parts = true, doc.Keys(), parts[:0]
+			for _, f := range doc.Fields() {
+				parts = append(parts, f.Value)
+			}
+		}
+	}
+	var err error
+	if g.id, err = compileAll(parts); err != nil {
+		return nil, fmt.Errorf("_id: %w", err)
+	}
 	for _, f := range spec.Fields() {
 		if f.Key == bson.IDKey {
 			continue
@@ -40,15 +143,17 @@ func parseGroupStage(spec *bson.Doc) (Stage, error) {
 		if !ok || accDoc.Len() != 1 {
 			return nil, fmt.Errorf("accumulator for %q must be a single-operator document", f.Key)
 		}
-		op := accDoc.Fields()[0].Key
-		if !supportedAccumulators[op] {
-			return nil, fmt.Errorf("unknown accumulator %s for %q", op, f.Key)
+		name, arg := accDoc.Fields()[0].Key, accDoc.Fields()[0].Value
+		acc := accumulator{field: f.Key}
+		if acc.accumulatorOp, ok = accumulatorOps[name]; !ok {
+			return nil, fmt.Errorf("unknown accumulator %s for %q", name, f.Key)
 		}
-		g.accumulators = append(g.accumulators, accumulatorSpec{
-			field: f.Key,
-			op:    op,
-			expr:  accDoc.Fields()[0].Value,
-		})
+		if name != "$count" {
+			if acc.arg, err = compileExpr(arg); err != nil {
+				return nil, fmt.Errorf("accumulator for %q: %w", f.Key, err)
+			}
+		}
+		g.accumulators = append(g.accumulators, acc)
 	}
 	return g, nil
 }
@@ -56,27 +161,8 @@ func parseGroupStage(spec *bson.Doc) (Stage, error) {
 func (s *groupStage) Name() string { return "$group" }
 func (s *groupStage) Local() bool  { return false }
 
-// groupBucket accumulates state for one distinct _id value.
-type groupBucket struct {
-	id    any
-	order int
-	accs  []accumulatorState
-}
-
-type accumulatorState struct {
-	sum      float64
-	sumIsInt bool
-	count    int64
-	min, max any
-	hasMin   bool
-	first    any
-	hasFirst bool
-	last     any
-	values   []any
-}
-
 func (s *groupStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
-	acc := s.startAccum().(*groupAccum)
+	acc := s.startAccum()
 	for _, d := range docs {
 		if err := acc.absorb(d); err != nil {
 			return nil, err
@@ -89,156 +175,156 @@ func (s *groupStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
 // table of buckets is the only state kept, so a streamed group holds
 // O(groups) memory instead of O(input)+O(groups).
 func (s *groupStage) startAccum() docAccum {
-	return &groupAccum{s: s, buckets: make(map[string]*groupBucket)}
+	return &groupAccum{s: s, index: make(map[string]int), idVals: make([]any, len(s.id))}
+}
+
+// groupBucket accumulates state for one distinct _id value.
+type groupBucket struct {
+	id   any
+	accs []accumulatorState
 }
 
 type groupAccum struct {
-	s            *groupStage
-	buckets      map[string]*groupBucket
-	orderCounter int
+	s       *groupStage
+	buckets []groupBucket  // in first-seen order, which is the output order
+	index   map[string]int // bucket key → position in buckets
+	// Scratch reused from row to row: the values of the _id parts and their
+	// key. A row that lands in an existing bucket allocates nothing.
+	idVals []any
+	key    []byte
 }
 
 func (a *groupAccum) absorb(d *bson.Doc) error {
 	s := a.s
-	idVal, err := Evaluate(s.idExpr, d)
-	if err != nil {
-		return err
-	}
-	key := canonicalKey(idVal)
-	b, ok := a.buckets[key]
-	if !ok {
-		b = &groupBucket{id: idVal, order: a.orderCounter, accs: make([]accumulatorState, len(s.accumulators))}
-		for i := range b.accs {
-			b.accs[i].sumIsInt = true
-		}
-		a.orderCounter++
-		a.buckets[key] = b
-	}
-	for i, acc := range s.accumulators {
-		if err := b.accs[i].fold(acc, d); err != nil {
+	a.key = a.key[:0]
+	for i, part := range s.id {
+		v, err := part(d)
+		if err != nil {
 			return err
 		}
+		a.idVals[i] = v
+		a.key = appendKey(a.key, v)
+	}
+	at, ok := a.index[string(a.key)]
+	if !ok {
+		at = len(a.buckets)
+		a.index[string(a.key)] = at
+		a.buckets = append(a.buckets, groupBucket{id: a.bucketID(), accs: make([]accumulatorState, len(s.accumulators))})
+	}
+	accs := a.buckets[at].accs
+	for i := range s.accumulators {
+		acc := &s.accumulators[i]
+		var v any
+		if acc.arg != nil {
+			var err error
+			if v, err = acc.arg(d); err != nil {
+				return err
+			}
+		}
+		acc.fold(&accs[i], v)
 	}
 	return nil
 }
 
+// bucketID builds the _id of a new bucket from the row's part values: it
+// reports the first row's value, as the values a bucket collects may differ
+// in representation (1 and 1.0) though not in order.
+func (a *groupAccum) bucketID() any {
+	if !a.s.idIsDoc {
+		return a.idVals[0]
+	}
+	id := bson.NewDoc(len(a.idVals))
+	for i, v := range a.idVals {
+		id.Set(a.s.idKeys[i], v)
+	}
+	return id
+}
+
 func (a *groupAccum) finish() ([]*bson.Doc, error) {
 	s := a.s
-	// Deterministic output: buckets in first-seen order.
-	ordered := make([]*groupBucket, 0, len(a.buckets))
-	for _, b := range a.buckets {
-		ordered = append(ordered, b)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
-
-	out := make([]*bson.Doc, 0, len(ordered))
-	for _, b := range ordered {
+	out := make([]*bson.Doc, 0, len(a.buckets))
+	for i := range a.buckets {
+		b := &a.buckets[i]
 		d := bson.NewDoc(len(s.accumulators) + 1)
 		d.Set(bson.IDKey, b.id)
-		for i, acc := range s.accumulators {
-			d.Set(acc.field, b.accs[i].result(acc))
+		for i := range s.accumulators {
+			d.Set(s.accumulators[i].field, s.accumulators[i].result(&b.accs[i]))
 		}
 		out = append(out, d)
 	}
 	return out, nil
 }
 
-func (st *accumulatorState) fold(spec accumulatorSpec, d *bson.Doc) error {
-	switch spec.op {
-	case "$count":
-		st.count++
-		return nil
-	}
-	v, err := Evaluate(spec.expr, d)
-	if err != nil {
-		return err
-	}
-	switch spec.op {
-	case "$sum":
-		if f, ok := bson.AsFloat(v); ok {
-			st.sum += f
-			if _, isInt := v.(int64); !isInt {
-				st.sumIsInt = false
-			}
-			st.count++
-		}
-	case "$avg":
-		if f, ok := bson.AsFloat(v); ok {
-			st.sum += f
-			st.count++
-		}
-	case "$min":
-		if v == nil {
-			return nil
-		}
-		if !st.hasMin || bson.Compare(v, st.min) < 0 {
-			st.min = v
-			st.hasMin = true
-		}
-	case "$max":
-		if v == nil {
-			return nil
-		}
-		if !st.hasMin || bson.Compare(v, st.max) > 0 {
-			st.max = v
-			st.hasMin = true
-		}
-	case "$first":
-		if !st.hasFirst {
-			st.first = v
-			st.hasFirst = true
-		}
-	case "$last":
-		st.last = v
-		st.hasFirst = true
-	case "$push":
-		st.values = append(st.values, v)
-	case "$addToSet":
-		for _, existing := range st.values {
-			if bson.Compare(existing, v) == 0 {
-				return nil
-			}
-		}
-		st.values = append(st.values, v)
-	}
-	return nil
-}
+// Tags of appendKey's encoding.
+const (
+	keyNull byte = iota
+	keyNumber
+	keyString
+	keyDocument
+	keyArray
+	keyObjectID
+	keyFalse
+	keyTrue
+	keyDate
+)
 
-func (st *accumulatorState) result(spec accumulatorSpec) any {
-	switch spec.op {
-	case "$sum":
-		if st.sumIsInt {
-			return int64(st.sum)
+// appendKey appends an encoding of v under which two values have the same
+// bytes exactly when bson.Compare calls them equal — int64(1) and 1.0 are one
+// key, as they are one value to $match, $sort and $addToSet — and no
+// encoding is a prefix of another, so that the encodings of several values
+// can be concatenated into one key. $group buckets by it and $lookup joins
+// by it.
+func appendKey(dst []byte, v any) []byte {
+	switch t := v.(type) {
+	case nil:
+		return append(dst, keyNull)
+	case int64:
+		return appendNumberKey(dst, float64(t))
+	case float64:
+		return appendNumberKey(dst, t)
+	case string:
+		return appendStringKey(dst, t)
+	case *bson.Doc:
+		dst = binary.AppendUvarint(append(dst, keyDocument), uint64(t.Len()))
+		for _, f := range t.Fields() {
+			dst = appendKey(appendStringKey(dst, f.Key), f.Value)
 		}
-		return st.sum
-	case "$count":
-		return st.count
-	case "$avg":
-		if st.count == 0 {
-			return nil
+		return dst
+	case []any:
+		dst = binary.AppendUvarint(append(dst, keyArray), uint64(len(t)))
+		for _, e := range t {
+			dst = appendKey(dst, e)
 		}
-		return st.sum / float64(st.count)
-	case "$min":
-		return st.min
-	case "$max":
-		return st.max
-	case "$first":
-		return st.first
-	case "$last":
-		return st.last
-	case "$push", "$addToSet":
-		if st.values == nil {
-			return []any{}
+		return dst
+	case bson.ObjectID:
+		return append(append(dst, keyObjectID), t[:]...)
+	case bool:
+		if t {
+			return append(dst, keyTrue)
 		}
-		return st.values
+		return append(dst, keyFalse)
+	case time.Time:
+		dst = binary.BigEndian.AppendUint64(append(dst, keyDate), uint64(t.Unix()))
+		return binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
 	default:
-		return nil
+		// Not a canonical value: bson.Compare orders it with null.
+		return append(dst, keyNull)
 	}
 }
 
-// canonicalKey produces a hashable string for a group key value.
-func canonicalKey(v any) string {
-	d := bson.NewDoc(1)
-	d.Set("k", v)
-	return string(bson.Marshal(d))
+func appendStringKey(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(append(dst, keyString), uint64(len(s)))
+	return append(dst, s...)
+}
+
+// appendNumberKey encodes a number as bson.Compare sees it: as a float64,
+// with one zero and one NaN.
+func appendNumberKey(dst []byte, f float64) []byte {
+	switch {
+	case f == 0:
+		f = 0 // -0 compares equal to 0
+	case f != f:
+		f = math.NaN()
+	}
+	return binary.BigEndian.AppendUint64(append(dst, keyNumber), math.Float64bits(f))
 }

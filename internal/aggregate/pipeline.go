@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"docstore/internal/bson"
+	"docstore/internal/query"
 )
 
 // Env gives pipeline stages access to other collections: $lookup reads a
@@ -36,7 +37,11 @@ type Pipeline struct {
 }
 
 // Parse compiles a pipeline definition — a list of single-stage documents —
-// into a Pipeline.
+// into a Pipeline: filters, field paths and expressions are compiled here,
+// once, and what can be wrong with them whatever the documents hold — an
+// unknown operator, a wrong argument count — is an error here, with the
+// stage's index, not at the first document that reaches it. A Pipeline holds
+// no per-run state and may be run from many goroutines at once.
 func Parse(stageDocs []*bson.Doc) (*Pipeline, error) {
 	p := &Pipeline{}
 	for i, sd := range stageDocs {
@@ -115,6 +120,18 @@ func (p *Pipeline) Tail(n int) *Pipeline {
 		n = len(p.stages)
 	}
 	return &Pipeline{stages: p.stages[n:], out: p.out}
+}
+
+// LeadingMatch returns the compiled filter of the first stage when that is a
+// $match, and nil otherwise: what a caller that pushes the $match down into an
+// index scan hands the scan, before running Tail(1) over its result.
+func (p *Pipeline) LeadingMatch() *query.Matcher {
+	if len(p.stages) > 0 {
+		if m, ok := p.stages[0].(*matchStage); ok {
+			return m.matcher
+		}
+	}
+	return nil
 }
 
 // StageNames lists the stage operators in order.

@@ -25,13 +25,13 @@ func parseStage(name string, arg any) (Stage, error) {
 		if !ok || spec.Len() == 0 {
 			return nil, fmt.Errorf("argument must be a non-empty document")
 		}
-		return &projectStage{spec: spec}, nil
+		return parseProjectStage(spec)
 	case "$addFields", "$set":
 		spec, ok := arg.(*bson.Doc)
 		if !ok || spec.Len() == 0 {
 			return nil, fmt.Errorf("argument must be a non-empty document")
 		}
-		return &addFieldsStage{spec: spec}, nil
+		return parseAddFieldsStage(spec)
 	case "$group":
 		spec, ok := arg.(*bson.Doc)
 		if !ok {
@@ -66,7 +66,7 @@ func parseStage(name string, arg any) (Stage, error) {
 			if !strings.HasPrefix(t, "$") {
 				return nil, fmt.Errorf("path must start with $")
 			}
-			return &unwindStage{path: strings.TrimPrefix(t, "$")}, nil
+			return &unwindStage{path: bson.NewPath(t[1:])}, nil
 		case *bson.Doc:
 			pathVal, ok := t.Get("path")
 			path, isStr := pathVal.(string)
@@ -74,7 +74,7 @@ func parseStage(name string, arg any) (Stage, error) {
 				return nil, fmt.Errorf("path must start with $")
 			}
 			preserve := bson.Truthy(t.GetOr("preserveNullAndEmptyArrays", false))
-			return &unwindStage{path: strings.TrimPrefix(path, "$"), preserveEmpty: preserve}, nil
+			return &unwindStage{path: bson.NewPath(path[1:]), preserveEmpty: preserve}, nil
 		default:
 			return nil, fmt.Errorf("argument must be a path string or document")
 		}
@@ -95,21 +95,18 @@ func parseStage(name string, arg any) (Stage, error) {
 		if !ok {
 			return nil, fmt.Errorf("argument must be a document")
 		}
-		ls := &lookupStage{}
-		var strOK bool
-		if ls.from, strOK = spec.GetOr("from", "").(string); !strOK || ls.from == "" {
-			return nil, fmt.Errorf("from is required")
+		var names [4]string
+		for i, key := range [...]string{"from", "localField", "foreignField", "as"} {
+			if names[i], _ = spec.GetOr(key, "").(string); names[i] == "" {
+				return nil, fmt.Errorf("%s is required", key)
+			}
 		}
-		if ls.localField, strOK = spec.GetOr("localField", "").(string); !strOK || ls.localField == "" {
-			return nil, fmt.Errorf("localField is required")
-		}
-		if ls.foreignField, strOK = spec.GetOr("foreignField", "").(string); !strOK || ls.foreignField == "" {
-			return nil, fmt.Errorf("foreignField is required")
-		}
-		if ls.as, strOK = spec.GetOr("as", "").(string); !strOK || ls.as == "" {
-			return nil, fmt.Errorf("as is required")
-		}
-		return ls, nil
+		return &lookupStage{
+			from:         names[0],
+			localField:   bson.NewPath(names[1]),
+			foreignField: bson.NewPath(names[2]),
+			as:           bson.NewPath(names[3]),
+		}, nil
 	default:
 		return nil, fmt.Errorf("unknown stage operator %s", name)
 	}
@@ -147,15 +144,104 @@ func (st matchStream) push(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, bool, err
 // ---------------------------------------------------------------------------
 // $project
 
-type projectStage struct{ spec *bson.Doc }
+// projectStage builds each output row once, in specification order: 1/true
+// includes a field, 0/false excludes it (only _id), any other value is an
+// expression computing a new field.
+type projectStage struct {
+	fields []projectField
+	// leadID puts the input's own _id first: the default, switched off by
+	// _id: 0, by a computed _id — which takes its place in the specification
+	// order instead — and by a path below _id.
+	leadID bool
+}
+
+// projectField is one output field: where it goes, and either the input path
+// it is copied from when present or the expression that computes it. The two
+// paths of an included field are compiled apart because input and output
+// documents are laid out differently.
+type projectField struct {
+	out  *bson.Path
+	from *bson.Path
+	expr expr
+}
+
+func parseProjectStage(spec *bson.Doc) (Stage, error) {
+	s := &projectStage{leadID: true}
+	for _, f := range spec.Fields() {
+		if strings.HasPrefix(f.Key, bson.IDKey+".") {
+			s.leadID = false
+		}
+		field := projectField{out: bson.NewPath(f.Key)}
+		switch v := f.Value.(type) {
+		case int64, float64, bool:
+			included := bson.Truthy(v)
+			if f.Key == bson.IDKey {
+				s.leadID = s.leadID && included
+				continue
+			}
+			if !included {
+				continue
+			}
+			field.from = bson.NewPath(f.Key)
+		default:
+			if f.Key == bson.IDKey {
+				s.leadID = false
+			}
+			var err error
+			if field.expr, err = compileExpr(f.Value); err != nil {
+				return nil, fmt.Errorf("field %q: %w", f.Key, err)
+			}
+		}
+		s.fields = append(s.fields, field)
+	}
+	return s, nil
+}
 
 func (s *projectStage) Name() string { return "$project" }
 func (s *projectStage) Local() bool  { return true }
 
 func (s *projectStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
+	return mapStream(s.applyDoc).all(docs)
+}
+
+func (s *projectStage) applyDoc(d *bson.Doc) (*bson.Doc, error) {
+	out := bson.NewDoc(len(s.fields) + 1)
+	if s.leadID {
+		if id, ok := d.Get(bson.IDKey); ok {
+			out.Set(bson.IDKey, id)
+		}
+	}
+	for i := range s.fields {
+		f := &s.fields[i]
+		var v any
+		if f.from != nil {
+			var ok bool
+			if v, ok = f.from.Get(d); !ok {
+				continue
+			}
+		} else {
+			var err error
+			if v, err = f.expr(d); err != nil {
+				return nil, err
+			}
+		}
+		if err := f.out.Set(out, v); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func (s *projectStage) startStream() docStream { return mapStream(s.applyDoc) }
+
+// mapStream is a stage that turns each document into one, as a stream and
+// over a slice.
+type mapStream func(d *bson.Doc) (*bson.Doc, error)
+
+func (apply mapStream) all(docs []*bson.Doc) ([]*bson.Doc, error) {
 	out := make([]*bson.Doc, 0, len(docs))
 	for _, d := range docs {
-		nd, err := projectDoc(s.spec, d)
+		nd, err := apply(d)
 		if err != nil {
 			return nil, err
 		}
@@ -164,116 +250,55 @@ func (s *projectStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
 	return out, nil
 }
 
-func (s *projectStage) startStream() docStream { return projectStream{s} }
-
-type projectStream struct{ s *projectStage }
-
-func (st projectStream) push(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, bool, error) {
-	nd, err := projectDoc(st.s.spec, d)
+func (apply mapStream) push(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, bool, error) {
+	nd, err := apply(d)
 	if err != nil {
 		return out, false, err
 	}
 	return append(out, nd), true, nil
 }
 
-// projectDoc evaluates a $project specification against one document:
-// 1/true includes a field, 0/false excludes it (only _id), any other value is
-// an expression computing a new field.
-func projectDoc(spec *bson.Doc, d *bson.Doc) (*bson.Doc, error) {
-	out := bson.NewDoc(spec.Len() + 1)
-	includeID := true
-	idSetExplicitly := false
-	for _, f := range spec.Fields() {
-		switch v := f.Value.(type) {
-		case int64, float64, bool:
-			included := bson.Truthy(bson.Normalize(v))
-			if f.Key == bson.IDKey {
-				includeID = included
-				idSetExplicitly = true
-				continue
-			}
-			if included {
-				if val, ok := d.GetPath(f.Key); ok {
-					if err := out.SetPath(f.Key, val); err != nil {
-						return nil, err
-					}
-				}
-			}
-		default:
-			val, err := Evaluate(f.Value, d)
-			if err != nil {
-				return nil, err
-			}
-			if f.Key == bson.IDKey {
-				idSetExplicitly = true
-				includeID = false // replaced by the computed value below
-				out.Set(bson.IDKey, val)
-				continue
-			}
-			if err := out.SetPath(f.Key, val); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if includeID || !idSetExplicitly {
-		if id, ok := d.Get(bson.IDKey); ok && !out.Has(bson.IDKey) {
-			// _id keeps its customary leading position.
-			withID := bson.NewDoc(out.Len() + 1)
-			withID.Set(bson.IDKey, id)
-			for _, f := range out.Fields() {
-				withID.Set(f.Key, f.Value)
-			}
-			out = withID
-		}
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // $addFields / $set
 
-type addFieldsStage struct{ spec *bson.Doc }
+// addFieldsStage sets computed fields into a copy of each document; every
+// expression sees the document as it came in.
+type addFieldsStage struct{ fields []projectField }
+
+func parseAddFieldsStage(spec *bson.Doc) (Stage, error) {
+	s := &addFieldsStage{fields: make([]projectField, spec.Len())}
+	for i, f := range spec.Fields() {
+		e, err := compileExpr(f.Value)
+		if err != nil {
+			return nil, fmt.Errorf("field %q: %w", f.Key, err)
+		}
+		s.fields[i] = projectField{out: bson.NewPath(f.Key), expr: e}
+	}
+	return s, nil
+}
 
 func (s *addFieldsStage) Name() string { return "$addFields" }
 func (s *addFieldsStage) Local() bool  { return true }
 
 func (s *addFieldsStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
-	out := make([]*bson.Doc, 0, len(docs))
-	for _, d := range docs {
-		nd, err := s.applyDoc(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, nd)
-	}
-	return out, nil
+	return mapStream(s.applyDoc).all(docs)
 }
 
 func (s *addFieldsStage) applyDoc(d *bson.Doc) (*bson.Doc, error) {
 	nd := d.Clone()
-	for _, f := range s.spec.Fields() {
-		v, err := Evaluate(f.Value, d)
+	for i := range s.fields {
+		v, err := s.fields[i].expr(d)
 		if err != nil {
 			return nil, err
 		}
-		if err := nd.SetPath(f.Key, v); err != nil {
+		if err := s.fields[i].out.Set(nd, v); err != nil {
 			return nil, err
 		}
 	}
 	return nd, nil
 }
 
-func (s *addFieldsStage) startStream() docStream { return addFieldsStream{s} }
-
-type addFieldsStream struct{ s *addFieldsStage }
-
-func (st addFieldsStream) push(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, bool, error) {
-	nd, err := st.s.applyDoc(d)
-	if err != nil {
-		return out, false, err
-	}
-	return append(out, nd), true, nil
-}
+func (s *addFieldsStage) startStream() docStream { return mapStream(s.applyDoc) }
 
 // ---------------------------------------------------------------------------
 // $sort, $limit, $skip
@@ -343,7 +368,7 @@ func (st *skipStream) push(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, bool, err
 // $unwind
 
 type unwindStage struct {
-	path          string
+	path          *bson.Path
 	preserveEmpty bool
 }
 
@@ -363,7 +388,7 @@ func (s *unwindStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
 }
 
 func (s *unwindStage) unwindDoc(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, error) {
-	v, ok := d.GetPath(s.path)
+	v, ok := s.path.Get(d)
 	arr, isArr := v.([]any)
 	switch {
 	case !ok || (isArr && len(arr) == 0) || v == nil:
@@ -373,7 +398,7 @@ func (s *unwindStage) unwindDoc(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, erro
 	case isArr:
 		for _, e := range arr {
 			nd := d.Clone()
-			if err := nd.SetPath(s.path, e); err != nil {
+			if err := s.path.Set(nd, e); err != nil {
 				return nil, err
 			}
 			out = append(out, nd)
@@ -429,9 +454,9 @@ func (s *outStage) Apply(docs []*bson.Doc, env Env) ([]*bson.Doc, error) {
 
 type lookupStage struct {
 	from         string
-	localField   string
-	foreignField string
-	as           string
+	localField   *bson.Path
+	foreignField *bson.Path
+	as           *bson.Path
 }
 
 func (s *lookupStage) Name() string { return "$lookup" }
@@ -446,26 +471,19 @@ func (s *lookupStage) Apply(docs []*bson.Doc, env Env) ([]*bson.Doc, error) {
 		return nil, err
 	}
 	// Build a hash join table over the foreign collection.
-	table := make(map[string][]*bson.Doc, len(foreign))
-	keyOf := func(v any) string {
-		d := bson.NewDoc(1)
-		d.Set("k", v)
-		return string(bson.Marshal(d))
-	}
+	var key []byte
+	table := make(map[string][]any, len(foreign))
 	for _, fd := range foreign {
-		v, _ := fd.GetPath(s.foreignField)
-		table[keyOf(v)] = append(table[keyOf(v)], fd)
+		v, _ := s.foreignField.Get(fd)
+		key = appendKey(key[:0], v)
+		table[string(key)] = append(table[string(key)], fd)
 	}
 	out := make([]*bson.Doc, 0, len(docs))
 	for _, d := range docs {
-		v, _ := d.GetPath(s.localField)
-		matches := table[keyOf(v)]
+		v, _ := s.localField.Get(d)
+		key = appendKey(key[:0], v)
 		nd := d.Clone()
-		arr := make([]any, len(matches))
-		for i, m := range matches {
-			arr[i] = m
-		}
-		if err := nd.SetPath(s.as, arr); err != nil {
+		if err := s.as.Set(nd, append([]any{}, table[string(key)]...)); err != nil {
 			return nil, err
 		}
 		out = append(out, nd)

@@ -186,115 +186,42 @@ func CloneValue(v any) any {
 	}
 }
 
-// GetPath resolves a dotted path ("a.b.c") against the document. Intermediate
-// documents are traversed; if an intermediate value is an array, the first
-// element that resolves wins (array-of-document traversal is handled by the
-// query matcher, which needs all candidates — see LookupPathAll).
+// GetPath resolves a dotted path ("a.b.c") against the document, traversing
+// intermediate documents only (see Path.Get). It compiles the path on every
+// call: a caller that resolves the same path in many documents holds a Path.
 func (d *Doc) GetPath(path string) (any, bool) {
-	if d == nil {
-		return nil, false
-	}
-	if !strings.Contains(path, ".") {
-		return d.Get(path)
-	}
-	parts := strings.Split(path, ".")
-	var cur any = d
-	for _, p := range parts {
-		doc, ok := cur.(*Doc)
-		if !ok {
-			return nil, false
-		}
-		cur, ok = doc.Get(p)
-		if !ok {
-			return nil, false
-		}
-	}
-	return cur, true
+	var p Path
+	p.Init(path)
+	return p.Get(d)
 }
 
-// LookupPathAll resolves a dotted path and returns every value reachable
-// through arrays along the way. This matches query semantics where a filter
-// on "books.pages" must consider every element of the "books" array.
+// LookupPathAll resolves a dotted path once and returns every value
+// reachable through arrays along the way (see Path.Lookup).
 func (d *Doc) LookupPathAll(path string) []any {
-	if !strings.Contains(path, ".") {
-		if v, ok := d.Get(path); ok {
-			return []any{v}
-		}
+	var p Path
+	p.Init(path)
+	vs := p.Lookup(d)
+	if vs.fanned {
+		return vs.v.([]any)
+	}
+	if vs.n == 0 {
 		return nil
 	}
-	return lookupParts(d, strings.Split(path, "."))
+	return []any{vs.v}
 }
 
-// LookupParts is LookupPathAll for a path the caller split at the dots in
-// advance: what a compiled filter, which resolves the same path in every
-// document it examines, calls instead of splitting each time.
-func (d *Doc) LookupParts(parts []string) []any {
-	return lookupParts(d, parts)
-}
-
-func lookupParts(v any, parts []string) []any {
-	if len(parts) == 0 {
-		return []any{v}
-	}
-	switch t := v.(type) {
-	case *Doc:
-		val, ok := t.Get(parts[0])
-		if !ok {
-			return nil
-		}
-		return lookupParts(val, parts[1:])
-	case []any:
-		var out []any
-		for _, e := range t {
-			out = append(out, lookupParts(e, parts)...)
-		}
-		return out
-	default:
-		return nil
-	}
-}
-
-// SetPath stores value at a dotted path, creating intermediate documents as
-// needed. It returns an error when an intermediate value exists but is not a
-// document.
+// SetPath stores value at a dotted path once (see Path.Set).
 func (d *Doc) SetPath(path string, value any) error {
-	parts := strings.Split(path, ".")
-	cur := d
-	for i := 0; i < len(parts)-1; i++ {
-		next, ok := cur.Get(parts[i])
-		if !ok {
-			nd := NewDoc(1)
-			cur.Set(parts[i], nd)
-			cur = nd
-			continue
-		}
-		nd, ok := next.(*Doc)
-		if !ok {
-			return fmt.Errorf("bson: cannot create field %q in element of type %T", parts[i+1], next)
-		}
-		cur = nd
-	}
-	cur.Set(parts[len(parts)-1], value)
-	return nil
+	var p Path
+	p.Init(path)
+	return p.Set(d, value)
 }
 
-// DeletePath removes the value at a dotted path and reports whether anything
-// was removed.
+// DeletePath removes the value at a dotted path once (see Path.Delete).
 func (d *Doc) DeletePath(path string) bool {
-	parts := strings.Split(path, ".")
-	cur := d
-	for i := 0; i < len(parts)-1; i++ {
-		next, ok := cur.Get(parts[i])
-		if !ok {
-			return false
-		}
-		nd, ok := next.(*Doc)
-		if !ok {
-			return false
-		}
-		cur = nd
-	}
-	return cur.Delete(parts[len(parts)-1])
+	var p Path
+	p.Init(path)
+	return p.Delete(d)
 }
 
 // Equal reports whether two documents have the same fields, in the same

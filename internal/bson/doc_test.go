@@ -106,9 +106,9 @@ func TestDocLookupPathAllThroughArrays(t *testing.T) {
 	if got := d.LookupPathAll("books.missing"); len(got) != 0 {
 		t.Fatalf("missing leaf should yield nothing, got %v", got)
 	}
-	// A path split in advance resolves to the same values.
-	if parts := d.LookupParts([]string{"books", "pages"}); len(parts) != 2 || parts[0] != vals[0] || parts[1] != vals[1] {
-		t.Fatalf("LookupParts = %v, want %v", parts, vals)
+	// A path compiled in advance resolves to the same values.
+	if vs := NewPath("books.pages").Lookup(d); vs.Len() != 2 || vs.At(0) != vals[0] || vs.At(1) != vals[1] {
+		t.Fatalf("Path.Lookup = %v, want %v", vs, vals)
 	}
 	// A single segment is the field itself, an array included, or nothing.
 	if got := d.LookupPathAll("books"); len(got) != 1 || len(got[0].([]any)) != 2 {

@@ -12,7 +12,8 @@ import (
 	"docstore/internal/tpcds"
 )
 
-// Ablations isolate the design choices DESIGN.md calls out: the shard-key
+// Ablations isolate three design choices (doc.go's "Streaming cursor
+// execution" and "Write path" describe the mechanisms): the shard-key
 // choice (targeted vs broadcast routing), secondary indexes on the normalized
 // model, and sequential vs parallel scatter-gather at the router. Each
 // returns a small report and the raw numbers so the benchmarks can assert on

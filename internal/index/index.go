@@ -140,6 +140,7 @@ func (s Spec) Doc() *bson.Doc {
 type Index struct {
 	name     string
 	spec     Spec
+	paths    []*bson.Path // spec.Fields' names, compiled; shared with frozen handles
 	unique   bool
 	tree     *BTree
 	multikey bool
@@ -151,7 +152,11 @@ func New(name string, spec Spec, unique bool) *Index {
 	if name == "" {
 		name = spec.Name()
 	}
-	return &Index{name: name, spec: spec, unique: unique, tree: NewBTree()}
+	paths := make([]*bson.Path, len(spec.Fields))
+	for i, f := range spec.Fields {
+		paths[i] = bson.NewPath(f.Name)
+	}
+	return &Index{name: name, spec: spec, paths: paths, unique: unique, tree: NewBTree()}
 }
 
 // Name returns the index name.
@@ -229,44 +234,39 @@ func HashValue(v any) int64 { return hashValue(v) }
 // over an array value produces one key per element (multikey); compound
 // indexes use the first reachable value per field.
 func (ix *Index) keysForDoc(d *bson.Doc) []Key {
-	if len(ix.spec.Fields) == 1 {
-		f := ix.spec.Fields[0]
-		vals := d.LookupPathAll(f.Name)
-		if len(vals) == 0 {
-			vals = []any{nil}
-		}
-		if len(vals) == 1 {
-			if arr, ok := vals[0].([]any); ok {
-				if len(arr) == 0 {
-					vals = []any{nil}
-				} else {
-					vals = arr
-					ix.multikey = true
-				}
+	if len(ix.paths) == 1 {
+		vals := ix.paths[0].Lookup(d)
+		switch vals.Len() {
+		case 0:
+			vals = bson.OneValue(nil)
+		case 1:
+			if arr, ok := vals.At(0).([]any); ok && len(arr) > 0 {
+				ix.multikey = true
+				vals = bson.ManyValues(arr)
+			} else if ok {
+				vals = bson.OneValue(nil)
 			}
-		} else {
+		default:
 			ix.multikey = true
 		}
-		keys := make([]Key, 0, len(vals))
-		for _, v := range vals {
-			if f.Hashed {
+		keys := make([]Key, vals.Len())
+		for i := range keys {
+			v := vals.At(i)
+			if ix.spec.Fields[0].Hashed {
 				v = hashValue(v)
 			}
-			keys = append(keys, Key{v})
+			keys[i] = Key{v}
 		}
 		return keys
 	}
-	key := make(Key, len(ix.spec.Fields))
-	for i, f := range ix.spec.Fields {
-		vals := d.LookupPathAll(f.Name)
-		switch {
-		case len(vals) == 0:
-			key[i] = nil
-		default:
-			if len(vals) > 1 {
-				ix.multikey = true
-			}
-			key[i] = vals[0]
+	key := make(Key, len(ix.paths))
+	for i, p := range ix.paths {
+		vals := p.Lookup(d)
+		if vals.Len() > 1 {
+			ix.multikey = true
+		}
+		if vals.Len() > 0 {
+			key[i] = vals.At(0)
 		}
 	}
 	return []Key{key}

@@ -32,7 +32,7 @@ func (db *Database) FindCursor(coll string, filter *bson.Doc, opts storage.FindO
 	start := db.server.clockTime()
 	cur, err := db.Collection(coll).FindCursor(filter, opts)
 	if err != nil {
-		db.record(ProfileEntry{Op: "find", Collection: coll, At: start})
+		db.record(ProfileEntry{Op: "find", Collection: coll, At: start}, nil)
 		return nil, err
 	}
 	cur.OnFinish(func() { db.recordPlan("find", coll, start, cur.Plan(), opts.Trace.SampledTraceID()) })
@@ -57,58 +57,76 @@ func (db *Database) AggregateCursor(coll string, stages []*bson.Doc) (aggregate.
 		stop()
 		return nil, err
 	}
-	return &finishIter{it: it, stop: stop}, nil
-}
-
-// finishIter invokes stop exactly once when the wrapped iterator ends or is
-// closed.
-type finishIter struct {
-	it   aggregate.Iterator
-	stop func()
-}
-
-func (f *finishIter) Next() (*bson.Doc, bool) {
-	d, ok := f.it.Next()
-	if !ok {
-		f.fire()
-	}
-	return d, ok
-}
-
-func (f *finishIter) Err() error { return f.it.Err() }
-
-func (f *finishIter) Close() {
-	f.it.Close()
-	f.fire()
-}
-
-func (f *finishIter) fire() {
-	if f.stop != nil {
-		stop := f.stop
-		f.stop = nil
-		stop()
-	}
+	it.stop = stop
+	return it, nil
 }
 
 // aggregateIter is the shared streaming implementation behind Aggregate and
-// AggregateCursor.
-func (db *Database) aggregateIter(coll string, stages []*bson.Doc) (aggregate.Iterator, error) {
+// AggregateCursor. The pipeline is compiled once: a leading $match is pushed
+// down into the storage engine, which scans with the filter Parse compiled,
+// and the remaining stages run over the narrowed stream.
+func (db *Database) aggregateIter(coll string, stages []*bson.Doc) (*resultIter, error) {
 	pipeline, err := aggregate.Parse(stages)
 	if err != nil {
 		return nil, err
 	}
-	scanFilter := (*bson.Doc)(nil)
-	if len(stages) > 0 {
-		if matchArg, ok := stages[0].Get("$match"); ok {
-			if filter, isDoc := matchArg.(*bson.Doc); isDoc {
-				scanFilter = filter
-				pipeline = pipeline.Tail(1)
-			}
-		}
+	scan := pipeline.LeadingMatch()
+	if scan != nil {
+		pipeline = pipeline.Tail(1)
 	}
-	cur, err := db.Collection(coll).FindCursor(scanFilter, storage.FindOptions{})
+	cur, err := db.Collection(coll).FindCursorCompiled(scan, storage.FindOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return pipeline.RunIter(Iter(cur), db.Env()), nil
+	return &resultIter{it: pipeline.RunIter(Iter(cur), db.Env())}, nil
+}
+
+// Results wraps the output of a pipeline that ran outside a Database — the
+// merge half of a routed aggregation — in the check its results would have
+// met leaving one.
+func Results(it aggregate.Iterator) aggregate.Iterator { return &resultIter{it: it} }
+
+// resultIter is what an aggregation's results leave the server through. A
+// pipeline can wrap a stored document in more levels than a reply may carry
+// ($project, $group); such a result fails the aggregation with the error a
+// write of the same document gets, checked here, once, on what leaves and
+// not on every intermediate row. stop, when set, is invoked exactly once,
+// when the iterator ends or is closed.
+type resultIter struct {
+	it   aggregate.Iterator
+	err  error
+	stop func()
+}
+
+func (r *resultIter) Next() (*bson.Doc, bool) {
+	d, ok := r.it.Next()
+	if ok && !bson.NestsWithin(d, bson.MaxDocumentDepth) {
+		r.err = storage.ErrDocumentTooDeep
+		r.it.Close()
+		d, ok = nil, false
+	}
+	if !ok {
+		r.finish()
+	}
+	return d, ok
+}
+
+func (r *resultIter) Err() error {
+	if r.err != nil {
+		return r.err
+	}
+	return r.it.Err()
+}
+
+func (r *resultIter) Close() {
+	r.it.Close()
+	r.finish()
+}
+
+func (r *resultIter) finish() {
+	if r.stop != nil {
+		stop := r.stop
+		r.stop = nil
+		stop()
+	}
 }

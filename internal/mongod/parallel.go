@@ -26,6 +26,14 @@ import (
 func (db *Database) AggregateParallel(coll string, stages []*bson.Doc, workers int) ([]*bson.Doc, error) {
 	db.server.countOp("command")
 	defer db.profile("aggregate-parallel", coll)()
+	docs, err := db.aggregateParallel(coll, stages, workers)
+	if err != nil {
+		return nil, err
+	}
+	return aggregate.Drain(&resultIter{it: aggregate.FromSlice(docs)})
+}
+
+func (db *Database) aggregateParallel(coll string, stages []*bson.Doc, workers int) ([]*bson.Doc, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -96,7 +96,7 @@ func (s *Server) clockTime() time.Time {
 func (db *Database) profile(op, coll string) func() {
 	start := db.server.clockTime()
 	return func() {
-		db.record(ProfileEntry{Op: op, Collection: coll, At: start})
+		db.record(ProfileEntry{Op: op, Collection: coll, At: start}, nil)
 	}
 }
 
@@ -120,7 +120,7 @@ func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID stri
 			BatchOps: len(ops), BatchErrors: batchErrors,
 			COWBytesCopied: c.COWBytesCopied() - cowStart,
 			TraceID:        traceID,
-		})
+		}, nil)
 	}
 }
 
@@ -131,18 +131,19 @@ func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID stri
 func (db *Database) recordPlan(op, coll string, start time.Time, plan storage.Plan, traceID string) {
 	db.record(ProfileEntry{
 		Op: op, Collection: coll, At: start,
-		PlanSummary:     plan.String(),
 		DocsExamined:    plan.DocsExamined,
 		SnapshotVersion: plan.SnapshotVersion,
 		Isolation:       plan.Isolation,
 		TraceID:         traceID,
-	})
+	}, &plan)
 }
 
 // record stamps the entry's duration, feeds the always-on per-op latency
 // histogram, and keeps the entry in the profile ring when the elapsed time
 // clears the server's slow-op threshold. entry.At must hold the start time.
-func (db *Database) record(entry ProfileEntry) {
+// plan, when not nil, is rendered into the entry's PlanSummary — two
+// fmt.Sprintf — only for an entry the ring keeps.
+func (db *Database) record(entry ProfileEntry, plan *storage.Plan) {
 	elapsed := db.server.clockTime().Sub(entry.At)
 	// Every op lands in its histogram regardless of the slow-op threshold —
 	// the threshold gates only what the bounded profile ring retains. The
@@ -154,6 +155,9 @@ func (db *Database) record(entry ProfileEntry) {
 	}
 	entry.Database = db.name
 	entry.Duration = elapsed
+	if plan != nil {
+		entry.PlanSummary = plan.String()
+	}
 	p := &db.server.profiler
 	p.mu.Lock()
 	p.record(entry)

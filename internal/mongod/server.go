@@ -587,7 +587,7 @@ func (db *Database) RunPipeline(coll string, pipeline *aggregate.Pipeline) ([]*b
 	if err != nil {
 		return nil, err
 	}
-	return aggregate.Drain(pipeline.RunIter(Iter(cur), db.Env()))
+	return aggregate.Drain(&resultIter{it: pipeline.RunIter(Iter(cur), db.Env())})
 }
 
 // Env returns the aggregation environment backed by this database.
@@ -609,9 +609,13 @@ func (e *dbEnv) ReadCollection(name string) ([]*bson.Doc, error) {
 
 func (e *dbEnv) WriteCollection(name string, docs []*bson.Doc) error {
 	// $out replaces the target collection; documents are cloned so later
-	// pipeline stages (or callers) cannot alias stored state.
+	// pipeline stages (or callers) cannot alias stored state. One the engine
+	// would refuse is refused before the target is emptied.
 	cloned := make([]*bson.Doc, len(docs))
 	for i, d := range docs {
+		if !bson.NestsWithin(d, bson.MaxDocumentDepth) {
+			return storage.ErrDocumentTooDeep
+		}
 		cloned[i] = d.Clone()
 	}
 	return e.db.Collection(name).ReplaceContents(cloned)

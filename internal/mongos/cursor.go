@@ -518,5 +518,5 @@ func (r *Router) AggregateCursor(db, coll string, stages []*bson.Doc) (aggregate
 		concat.Close()
 		return nil, fmt.Errorf("mongos: no shards registered")
 	}
-	return mergePipeline.RunIter(concat, primary.Database(db).Env()), nil
+	return mongod.Results(mergePipeline.RunIter(concat, primary.Database(db).Env())), nil
 }

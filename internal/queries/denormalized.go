@@ -12,9 +12,9 @@ import (
 
 // DenormalizedPipeline returns the aggregation pipeline the query runs
 // against its denormalized fact collection — the Appendix B scripts, with
-// two corrections noted in DESIGN.md: field-path references carry their "$"
-// prefix, and the Query 21 ratio guards against division by zero the way the
-// SQL CASE expression does.
+// two corrections noted in doc.go ("Compiled pipelines"): field-path
+// references carry their "$" prefix, and the Query 21 ratio guards against
+// division by zero the way the SQL CASE expression does.
 func (q *Query) DenormalizedPipeline(p Params) []*bson.Doc {
 	switch q.ID {
 	case 7:

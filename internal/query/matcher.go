@@ -60,7 +60,12 @@ func (m *Matcher) Matches(d *bson.Doc) bool {
 }
 
 // Filter returns the source filter document the matcher was compiled from.
-func (m *Matcher) Filter() *bson.Doc { return m.src }
+func (m *Matcher) Filter() *bson.Doc {
+	if m == nil {
+		return nil
+	}
+	return m.src
+}
 
 // String renders the original filter.
 func (m *Matcher) String() string {
@@ -110,35 +115,16 @@ type notNode struct{ child matchNode }
 
 func (n *notNode) matches(d *bson.Doc) bool { return !n.child.matches(d) }
 
-// fieldNode applies a predicate to the values reachable at a dotted path.
-// The path is split once, at compile time; parts is nil for the common
-// single-segment path, which is one field lookup with nothing to traverse.
+// fieldNode applies a predicate to the values reachable at a dotted path,
+// which is compiled once, here, with the filter.
 type fieldNode struct {
-	path  string
-	parts []string
-	pred  fieldPredicate
+	path bson.Path
+	pred fieldPredicate
 }
 
 // fieldValues is what a field path resolved to in one document: nothing, one
-// value, or — when the path fanned out through arrays — several. The single
-// value travels inline, so matching a top-level field allocates nothing.
-type fieldValues struct {
-	one  any
-	many []any
-	n    int
-}
-
-func oneValue(v any) fieldValues { return fieldValues{one: v, n: 1} }
-
-// exists is false when the path resolved to nothing.
-func (vs fieldValues) exists() bool { return vs.n > 0 }
-
-func (vs fieldValues) at(i int) any {
-	if vs.many != nil {
-		return vs.many[i]
-	}
-	return vs.one
-}
+// value, or — when the path fanned out through arrays — several.
+type fieldValues = bson.Values
 
 type fieldPredicate interface {
 	// match is invoked with all values reachable at the path.
@@ -146,14 +132,7 @@ type fieldPredicate interface {
 }
 
 func (n *fieldNode) matches(d *bson.Doc) bool {
-	if n.parts == nil {
-		if v, ok := d.Get(n.path); ok {
-			return n.pred.match(oneValue(v))
-		}
-		return n.pred.match(fieldValues{})
-	}
-	values := d.LookupParts(n.parts)
-	return n.pred.match(fieldValues{many: values, n: len(values)})
+	return n.pred.match(n.path.Lookup(d))
 }
 
 func compileFilter(filter *bson.Doc) (matchNode, error) {
@@ -221,10 +200,8 @@ func compileClause(key string, value any) (matchNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: field %q: %w", key, err)
 	}
-	node := &fieldNode{path: key, pred: pred}
-	if strings.Contains(key, ".") {
-		node.parts = strings.Split(key, ".")
-	}
+	node := &fieldNode{pred: pred}
+	node.path.Init(key)
 	return node, nil
 }
 
@@ -377,12 +354,12 @@ func (p notPredicate) match(vs fieldValues) bool {
 type eqPredicate struct{ val any }
 
 func (p eqPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		// {field: null} matches documents where the field is missing.
 		return p.val == nil
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		if valueMatchesEq(v, p.val) {
 			return true
 		}
@@ -410,11 +387,11 @@ type cmpPredicate struct {
 }
 
 func (p cmpPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		if valueMatchesCmp(v, p.op, p.val) {
 			return true
 		}
@@ -459,7 +436,7 @@ func valueMatchesCmp(v any, op string, target any) bool {
 type inPredicate struct{ vals []any }
 
 func (p inPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		for _, t := range p.vals {
 			if t == nil {
 				return true
@@ -467,8 +444,8 @@ func (p inPredicate) match(vs fieldValues) bool {
 		}
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		for _, t := range p.vals {
 			if valueMatchesEq(v, t) {
 				return true
@@ -480,16 +457,16 @@ func (p inPredicate) match(vs fieldValues) bool {
 
 type existsPredicate struct{ want bool }
 
-func (p existsPredicate) match(vs fieldValues) bool { return vs.exists() == p.want }
+func (p existsPredicate) match(vs fieldValues) bool { return (vs.Len() > 0) == p.want }
 
 type typePredicate struct{ name string }
 
 func (p typePredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		if bson.TypeOf(v).String() == p.name {
 			return true
 		}
@@ -500,11 +477,11 @@ func (p typePredicate) match(vs fieldValues) bool {
 type sizePredicate struct{ n int }
 
 func (p sizePredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		if arr, ok := v.([]any); ok && len(arr) == p.n {
 			return true
 		}
@@ -515,11 +492,11 @@ func (p sizePredicate) match(vs fieldValues) bool {
 type modPredicate struct{ div, rem int64 }
 
 func (p modPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		candidates := []any{v}
 		if arr, ok := v.([]any); ok {
 			candidates = arr
@@ -536,11 +513,11 @@ func (p modPredicate) match(vs fieldValues) bool {
 type regexPredicate struct{ re *regexp.Regexp }
 
 func (p regexPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		candidates := []any{v}
 		if arr, ok := v.([]any); ok {
 			candidates = arr
@@ -559,13 +536,13 @@ func (p regexPredicate) match(vs fieldValues) bool {
 type allPredicate struct{ vals []any }
 
 func (p allPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
 	for _, t := range p.vals {
 		found := false
-		for i := 0; i < vs.n; i++ {
-			v := vs.at(i)
+		for i := 0; i < vs.Len(); i++ {
+			v := vs.At(i)
 			if valueMatchesEq(v, t) {
 				found = true
 				break
@@ -583,11 +560,11 @@ func (p allPredicate) match(vs fieldValues) bool {
 type elemMatchDocPredicate struct{ node matchNode }
 
 func (p elemMatchDocPredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		arr, ok := v.([]any)
 		if !ok {
 			continue
@@ -606,17 +583,17 @@ func (p elemMatchDocPredicate) match(vs fieldValues) bool {
 type elemMatchValuePredicate struct{ pred fieldPredicate }
 
 func (p elemMatchValuePredicate) match(vs fieldValues) bool {
-	if !vs.exists() {
+	if vs.Len() == 0 {
 		return false
 	}
-	for i := 0; i < vs.n; i++ {
-		v := vs.at(i)
+	for i := 0; i < vs.Len(); i++ {
+		v := vs.At(i)
 		arr, ok := v.([]any)
 		if !ok {
 			continue
 		}
 		for _, e := range arr {
-			if p.pred.match(oneValue(e)) {
+			if p.pred.match(bson.OneValue(e)) {
 				return true
 			}
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"docstore/internal/bson"
@@ -304,4 +305,108 @@ func TestMatchingTopLevelFieldsAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { m.Matches(doc) }); allocs != 0 {
 		t.Fatalf("matching four top-level fields allocated %.1f times a document, want 0", allocs)
 	}
+}
+
+// denormalizedSale is a document shaped like the denormalized store_sales
+// fact: top-level measures and one embedded document per dimension.
+func denormalizedSale(ticket int) *bson.Doc {
+	return bson.D(
+		bson.IDKey, ticket,
+		"ss_ticket_number", ticket,
+		"ss_quantity", 10+ticket%7,
+		"ss_sold_date_sk", bson.D("d_date_sk", 2451000+ticket, "d_year", 2001, "d_dow", 6),
+		"ss_store_sk", bson.D("s_store_sk", 4, "s_city", "Midway", "s_state", "TN"),
+		"ss_hdemo_sk", bson.D("hd_demo_sk", 77, "hd_dep_count", 5, "hd_vehicle_count", 3),
+		"ss_addr_sk", bson.D("ca_address_sk", 9000+ticket, "ca_city", "Fairview"),
+		"ss_customer_sk", bson.D("c_customer_sk", 100+ticket, "c_last_name", "Garrison"),
+	)
+}
+
+// TestDottedFilterMatchAllocates: a six-clause $and over two-segment paths —
+// the shape of Query 46's $match — examines a denormalized document without
+// allocating: 0 a document. The parent commit allocated 6, the one-element
+// result slice of every clause evaluated.
+func TestDottedFilterMatchAllocates(t *testing.T) {
+	m := MustCompile(bson.D("$and", bson.A(
+		bson.D("ss_store_sk.s_city", bson.D("$in", bson.A("Midway", "Fairview"))),
+		bson.D("ss_sold_date_sk.d_dow", bson.D("$in", bson.A(6, 0))),
+		bson.D("ss_sold_date_sk.d_year", bson.D("$in", bson.A(1999, 2000, 2001))),
+		bson.D("ss_hdemo_sk.hd_dep_count", 5),
+		bson.D("ss_addr_sk.ca_address_sk", bson.D("$exists", true)),
+		bson.D("ss_customer_sk.c_customer_sk", bson.D("$exists", true)),
+	)))
+	doc := denormalizedSale(3)
+	if !m.Matches(doc) {
+		t.Fatalf("filter should match %v", doc)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { m.Matches(doc) }); allocs != 0 {
+		t.Fatalf("matching six dotted clauses allocated %.1f times a document, want 0", allocs)
+	}
+}
+
+// TestSharedAcrossGoroutines: a Matcher is shared by every scan that uses it,
+// and its paths remember positions. Eight goroutines match one Matcher
+// against documents of two layouts, interleaved, so the remembered positions
+// are wrong about half the time and are written concurrently (the race
+// detector watches); every verdict equals the single-goroutine run's.
+func TestSharedAcrossGoroutines(t *testing.T) {
+	m := MustCompile(bson.D(
+		"ss_store_sk.s_city", "Midway",
+		"ss_hdemo_sk.hd_dep_count", bson.D("$gte", 5),
+		"ss_quantity", bson.D("$lt", 15),
+		"ss_items.i_class", bson.D("$in", bson.A("dresses", "pants")),
+	))
+	var docs []*bson.Doc
+	for i := 0; i < 400; i++ {
+		d := denormalizedSale(i)
+		if i%3 == 0 {
+			d.Set("ss_store_sk", bson.D("s_city", "Oakland"))
+		}
+		if i%2 == 1 {
+			// The other layout: the same fields in reverse order, inside the
+			// embedded documents too.
+			rev := bson.NewDoc(d.Len())
+			for j := d.Len() - 1; j >= 0; j-- {
+				f := d.Fields()[j]
+				if sub, ok := f.Value.(*bson.Doc); ok {
+					r := bson.NewDoc(sub.Len())
+					for k := sub.Len() - 1; k >= 0; k-- {
+						r.Set(sub.Fields()[k].Key, sub.Fields()[k].Value)
+					}
+					f.Value = r
+				}
+				rev.Set(f.Key, f.Value)
+			}
+			d = rev
+		}
+		d.Set("ss_items", bson.A(bson.D("i_class", "shirts"), bson.D("i_class", []string{"dresses", "pants", "hats"}[i%3])))
+		docs = append(docs, d)
+	}
+	want := make([]bool, len(docs))
+	matched := 0
+	for i, d := range docs {
+		if want[i] = m.Matches(d); want[i] {
+			matched++
+		}
+	}
+	if matched == 0 || matched == len(docs) {
+		t.Fatalf("%d of %d documents match; the test needs both verdicts", matched, len(docs))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				for i := range docs {
+					at := (i*7 + g*13 + round) % len(docs)
+					if got := m.Matches(docs[at]); got != want[at] {
+						t.Errorf("goroutine %d: document %d matched %v, alone %v", g, at, got, want[at])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

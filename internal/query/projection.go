@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"strings"
 
 	"docstore/internal/bson"
 )
@@ -13,7 +12,7 @@ import (
 // explicitly in either mode.
 type Projection struct {
 	include   bool
-	fields    []string // dotted paths, in specification order
+	fields    []*bson.Path // in specification order
 	includeID bool
 	empty     bool
 }
@@ -59,7 +58,7 @@ func ParseProjection(spec *bson.Doc) (*Projection, error) {
 		}
 		if !seen[f.Key] {
 			seen[f.Key] = true
-			p.fields = append(p.fields, f.Key)
+			p.fields = append(p.fields, bson.NewPath(f.Key))
 		}
 	}
 	if mode == 0 {
@@ -93,8 +92,8 @@ func (p *Projection) Apply(d *bson.Doc) *bson.Doc {
 			}
 		}
 		for _, path := range p.fields {
-			if v, ok := d.GetPath(path); ok {
-				setProjected(out, path, v)
+			if v, ok := path.Get(d); ok {
+				_ = path.Set(out, v) // an error means a shorter path already put a scalar there
 			}
 		}
 		return out
@@ -102,21 +101,12 @@ func (p *Projection) Apply(d *bson.Doc) *bson.Doc {
 	// Exclusion projection: deep-copy then remove.
 	out := d.Clone()
 	for _, path := range p.fields {
-		out.DeletePath(path)
+		path.Delete(out)
 	}
 	if !p.includeID {
 		out.Delete(bson.IDKey)
 	}
 	return out
-}
-
-// setProjected writes a possibly dotted path into out, preserving nesting.
-func setProjected(out *bson.Doc, path string, v any) {
-	if !strings.Contains(path, ".") {
-		out.Set(path, v)
-		return
-	}
-	_ = out.SetPath(path, v)
 }
 
 // IsInclusion reports whether the projection is an inclusion projection.
@@ -128,5 +118,9 @@ func (p *Projection) Fields() []string {
 	if p == nil {
 		return nil
 	}
-	return append([]string(nil), p.fields...)
+	out := make([]string, len(p.fields))
+	for i, path := range p.fields {
+		out[i] = path.String()
+	}
+	return out
 }

@@ -7,10 +7,22 @@ import (
 	"docstore/internal/bson"
 )
 
-// SortField is one component of a sort specification.
+// SortField is one component of a sort specification. ParseSort compiles
+// the field's path; a SortField built by hand resolves it on every
+// comparison.
 type SortField struct {
 	Field string
 	Desc  bool
+	path  *bson.Path
+}
+
+func (f *SortField) value(d *bson.Doc) any {
+	if f.path == nil {
+		v, _ := d.GetPath(f.Field)
+		return v
+	}
+	v, _ := f.path.Get(d)
+	return v
 }
 
 // Sort is an ordered list of sort fields, e.g. last name ascending then first
@@ -29,7 +41,7 @@ func ParseSort(spec *bson.Doc) (Sort, error) {
 		if !ok || (dir != 1 && dir != -1) {
 			return nil, fmt.Errorf("query: sort direction for %q must be 1 or -1, got %v", f.Key, f.Value)
 		}
-		s = append(s, SortField{Field: f.Key, Desc: dir == -1})
+		s = append(s, SortField{Field: f.Key, Desc: dir == -1, path: bson.NewPath(f.Key)})
 	}
 	return s, nil
 }
@@ -59,10 +71,9 @@ func (s Sort) Spec() *bson.Doc {
 // Compare orders two documents under the sort specification. Missing fields
 // sort as null (first ascending, last descending).
 func (s Sort) Compare(a, b *bson.Doc) int {
-	for _, f := range s {
-		av, _ := a.GetPath(f.Field)
-		bv, _ := b.GetPath(f.Field)
-		c := bson.Compare(av, bv)
+	for i := range s {
+		f := &s[i]
+		c := bson.Compare(f.value(a), f.value(b))
 		if c == 0 {
 			continue
 		}

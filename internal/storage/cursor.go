@@ -295,6 +295,14 @@ func (c *Collection) FindCursor(filter *bson.Doc, opts FindOptions) (*Cursor, er
 	if err != nil {
 		return nil, err
 	}
+	return c.FindCursorCompiled(matcher, opts)
+}
+
+// FindCursorCompiled is FindCursor for a filter the caller has compiled
+// already, an aggregation's leading $match for one. A nil matcher matches
+// every document.
+func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions) (*Cursor, error) {
+	filter := matcher.Filter()
 	batchSize := opts.BatchSize
 	if batchSize == 0 {
 		batchSize = DefaultBatchSize

@@ -259,8 +259,10 @@ func (c *Collection) Distinct(field string, filter *bson.Doc) ([]any, error) {
 		return nil, err
 	}
 	var out []any
+	path := bson.NewPath(field)
 	for _, d := range docs {
-		for _, v := range d.LookupPathAll(field) {
+		for vs, i := path.Lookup(d), 0; i < vs.Len(); i++ {
+			v := vs.At(i)
 			found := false
 			for _, existing := range out {
 				if bson.Compare(existing, v) == 0 {

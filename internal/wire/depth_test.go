@@ -161,3 +161,67 @@ func TestDocumentDepthLimitOverTheWire(t *testing.T) {
 	}
 	recover("a checkpoint")
 }
+
+// TestAggregateErrorsKeepTheConnection: two ways an aggregation is refused,
+// over a socket to each of the three deployments. A pipeline that is wrong
+// whatever the collection holds — here an unknown operator in a branch no
+// document would reach — is answered with Parse's error, stage index
+// included, even on an empty collection. And a pipeline that wraps a stored
+// document of 90 levels ten levels deeper, in a $project (the shard's half of
+// a routed pipeline) or in a $group key (the router's), is answered with the
+// storage engine's depth error instead of a reply the client could not
+// decode. Either way the connection answers the next request.
+func TestAggregateErrorsKeepTheConnection(t *testing.T) {
+	wrapped := func(levels int) any {
+		var v any = "$v"
+		for i := 0; i < levels; i++ {
+			v = bson.D("a", v)
+		}
+		return v
+	}
+	for _, d := range threeDeployments(t) {
+		addr, err := d.srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(addr, time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+
+		static := []*bson.Doc{
+			bson.D("$match", bson.D("k", bson.D("$gte", 0))),
+			bson.D("$project", bson.D("x", bson.D("$cond", bson.A(true, "$k", bson.D("$subtract", bson.A("$k", 1, 2)))))),
+		}
+		if _, err := c.Aggregate("db", "empty", static); err == nil || !strings.Contains(err.Error(), "stage 1") || !strings.Contains(err.Error(), "$subtract") {
+			t.Fatalf("%s: a statically wrong pipeline over an empty collection: %v, want Parse's error naming stage 1", d.name, err)
+		}
+		if _, err := c.AggregateCursor("db", "empty", static, 5); err == nil || !strings.Contains(err.Error(), "stage 1") {
+			t.Fatalf("%s: the same through a cursor: %v", d.name, err)
+		}
+
+		if err := c.Insert("db", "c", bson.D(bson.IDKey, 1, "k", 1, "v", chain(89))); err != nil {
+			t.Fatalf("%s: insert of 90 levels: %v", d.name, err)
+		}
+		for name, stage := range map[string]*bson.Doc{
+			"$project": bson.D("$project", bson.D("w", wrapped(10))),
+			"$group":   bson.D("$group", bson.D(bson.IDKey, wrapped(10))),
+		} {
+			if _, err := c.Aggregate("db", "c", []*bson.Doc{stage}); err == nil || !strings.Contains(err.Error(), "nests more than") {
+				t.Fatalf("%s: %s ten levels deeper: %v, want the storage engine's depth error", d.name, name, err)
+			}
+			cur, err := c.AggregateCursor("db", "c", []*bson.Doc{stage}, 5)
+			if err == nil {
+				_, err = cur.All()
+			}
+			if err == nil || !strings.Contains(err.Error(), "nests more than") {
+				t.Fatalf("%s: %s ten levels deeper through a cursor: %v", d.name, name, err)
+			}
+		}
+		out, err := c.Aggregate("db", "c", []*bson.Doc{bson.D("$project", bson.D("w", wrapped(2)))})
+		if err != nil || len(out) != 1 || !bson.NestsWithin(out[0], bson.MaxDocumentDepth) {
+			t.Fatalf("%s: the same connection, a result at the limit: %d documents, %v", d.name, len(out), err)
+		}
+	}
+}
