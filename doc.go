@@ -124,10 +124,16 @@
 //     exchange, and docstore-shell passes "ordered" through and prints the
 //     result document.
 //
-// InsertMany at every layer (and ReplaceContents, which $out uses) is a
-// thin wrapper over this path, so the migration and denormalization loaders
-// batch for free. BenchmarkBulkInsertVsLoop measures the win on the wire
-// and router paths.
+// InsertMany at every layer is a thin wrapper over this path, so the
+// migration and denormalization loaders batch for free.
+// BenchmarkBulkInsertVsLoop measures the win on the wire and router paths.
+// ReplaceContents, which $out uses, is the one batch with a prologue: it
+// wipes the collection and applies its ordered inserts under one lock
+// acquisition, published as one version and acknowledged by one durability
+// wait — a reader of the target sees the old result or the new one, never
+// the empty collection between them, and two $outs to one target leave one
+// of the two results, whole. The log still receives a wipe record and a
+// batch record, in that order.
 //
 // An update maintains only the indexes whose keys it changed: an updated
 // document keeps its record position, which is what its index entries
@@ -259,6 +265,118 @@
 // router's merge — with storage.ErrDocumentTooDeep, so an aggregation
 // cannot build a reply its client refuses to decode.
 //
+// # Plans
+//
+// Every find, every update and delete, an aggregation's leading $match and
+// each shard's side of a routed query get their candidates from one place,
+// storage's planEnv.plan (internal/storage/find.go), and it is the one place
+// that knows which clauses of the filter an index has already answered.
+//
+//   - Posting lists. An index is a B-tree of items {key, positions}: under
+//     each distinct key the record positions of the documents that hold it,
+//     in entry order — the key's posting list. index.Index.Postings reads
+//     the lists a constraint on the index's leading field admits (a Get per
+//     point of an $eq/$in, a walk over the keys of a range, the range
+//     [{p}, {p, MAX}] for a point on a compound index) and hands them back
+//     as they are, the frozen tree's own slices, with their total length. No
+//     entry is visited to do so and no callback runs: planning compares keys
+//     and copies slice headers. A document whose leading field is an array
+//     has one key per element, in a compound index as in a single-field one,
+//     and the index is multikey from then on.
+//   - The driving index and the order guarantee. The chooser is what it
+//     was: the longest constrained prefix, points before ranges, then the
+//     index with the most distinct keys, then the name. The candidates are
+//     the driving index's postings in scan order (the points as the filter
+//     lists them, a range in key order, a document under several scanned
+//     keys once, where it first appears), so a find without a sort returns
+//     its documents in the order it always did; whatever narrows them
+//     afterwards only removes. A single point on a non-multikey index is
+//     one list, and the cursor reads it in place: no candidate slice.
+//   - Intersection. Every other non-multikey, non-hashed index whose
+//     leading field the filter constrains is a second opinion on the
+//     candidates: its postings are walked once to set a bit a position, and
+//     the candidates without a bit are dropped before a document is
+//     fetched. Cheapest list first, as long as the cost rule holds: at most
+//     64 entries a surviving candidate (intersectMaxEntriesPerCandidate),
+//     and at least 8 candidates left to narrow. Measured, an entry walked
+//     costs 0.7 to 1.4 ns and a candidate examined ~140 ns (a cold 4.4 KB
+//     denormalized document), so at the bound the walk still pays if it
+//     removes a third to a half of them. Two costs besides the entries
+//     come out of the same budget, each at its measured rate: reading the
+//     lists, index.KeyCost = 16 entries a key passed (21 to 26 ns: under a
+//     unique index a range is all keys), and zeroing the membership bits,
+//     an entry per 512 positions (1.3 ns a cache line). The read of a second
+//     index is itself held to the budget: it stops at the key that
+//     overdraws what the driving index's candidates could repay, so a key
+//     beside "every date since" costs a few dozen keys of the date index,
+//     not a walk to its end — and those keys are counted in KeysExamined
+//     though nothing was intersected. The planner cannot know the share a
+//     list will remove beforehand; list lengths are all it reads. Query 7
+//     examines 51
+//     documents instead of 386 (education ∩ year ∩ gender), Query 21 175
+//     instead of 1,250 (date ∩ price: every survivor matches), Query 46 538
+//     instead of 915 (city ∩ year); Query 50 has one usable index and is
+//     left alone.
+//   - Covered clauses and the residual. A scan answers the filter's clauses
+//     on its field exactly — document in the postings if and only if the
+//     clauses hold — under the conditions tabled below, and then the cursor
+//     checks its candidates against query.Matcher.Residual, the compiled
+//     filter without those clauses; a filter the scans answer whole leaves
+//     the nil matcher. Where any condition fails the scan is still a
+//     superset and the clause stays.
+//   - Constrained to no value. An empty $in, two different equalities, a
+//     lower bound above the upper: query.Constraint.IsEmpty. An index that
+//     holds one key a document answers it as an index scan that reads
+//     nothing (IXSCAN, keys=0 examined=0) — the translation layer's $in over
+//     a dimension find that matched no row used to cost every shard a scan
+//     of its chunk. A multikey index must not: {a: 1} and {a: 2} both hold
+//     for a: [1, 2]. For the same reason it reads one bound of a two-sided
+//     range and does not read the intersection of two point sets.
+//   - What a plan reports. storage.Plan names the driving index and the
+//     ones intersected, and counts KeysExamined (index entries read, all
+//     indexes) beside DocsExamined and ClausesCovered; Plan.String is
+//     "IXSCAN a_1 ∩ b_1 on c keys=810 examined=30 returned=30 covered=2".
+//     The profiler entry, the storage.plan span and storage.Stats carry the
+//     same counts: documents examined cannot fall without the index work
+//     that bought it showing.
+//   - Deliberately absent. No plan cache (see above). No statistics beyond
+//     the lengths of the lists read, and no adaptive constant. No
+//     intersection under a hint: the hinted index is read and nothing else.
+//     No intersection through a multikey or hashed index, no index union for
+//     $or, no sort served from an index. No option: the cost rule is one
+//     function, intersectBudget, over named constants beside their
+//     measurements.
+//
+// What a scan answers exactly, clause by clause:
+//
+//	clauses on the field (top level or under $and)      answered exactly
+//	{a: v}, {a: {$eq: v}}, {a: {$in: [...]}}, together  yes: non-null scalars
+//	{a: {$gte: x, $lte: y}} ($gt/$lt alike, or split    yes: both bounds, scalars
+//	over two clauses)                                   of one canonical type
+//	{a: {$gte: x}}, {a: {$lt: y}}                       no: the matcher brackets a
+//	                                                    bound to its type, the open
+//	                                                    side of a scan does not
+//	{a: {$gte: 3, $lte: "z"}}, two bounds of two types  no
+//	on one side
+//	{a: null}, null in an $in, null bounds              no: null matches a missing
+//	                                                    field, [] indexes as null
+//	an array or document operand                        no: whole-value comparison
+//	a point set beside a bound                          no
+//	$ne, $nin, $exists, $not, $regex, ... on any        no, and the operators it
+//	clause naming the field                             sits beside stay as well
+//	anything under $or, $nor, $not, $elemMatch          not looked at
+//	through a multikey or hashed index                  no: an array meets each
+//	                                                    condition with a different
+//	                                                    element; a hash has no order
+//
+// The specification the plan is held to is the declarative form: the whole
+// filter over a scan of the same pinned version. TestIndexChurnEquivalence
+// draws conjunctive filters from a seeded generator after every step of its
+// churn and runs each three ways — collection scan, plan with every
+// candidate checked against the whole filter, plan with the residual — and
+// query's TestResidualDropsOnlyExactClauses has one row for each line of
+// the table above.
+//
 // # Concurrency & isolation
 //
 // The storage engine is a multi-version copy-on-write store: reads never
@@ -352,7 +470,7 @@
 //     reading newer state.
 //   - Surfacing: storage.Plan carries SnapshotVersion and Isolation
 //     ("snapshot"), shown by explain (FindWithPlan) and recorded by the
-//     mongod profiler (ProfileEntry.PlanSummary/DocsExamined/
+//     mongod profiler (ProfileEntry.PlanSummary/KeysExamined/DocsExamined/
 //     SnapshotVersion/Isolation) when a cursor finishes its drain. Wire
 //     getMore batches of one cursor are mutually consistent; mongos
 //     prefetch pumps scan per-shard snapshots while bulk writes keep
@@ -650,7 +768,8 @@
 //     "mongos.shard" (per-shard fan-out, shard name attr),
 //     "mongod.bulkWrite"/"mongod.find" (db/collection attrs),
 //     "storage.bulkWrite" + "storage.apply" (ops, COW bytes copied, LSN),
-//     "storage.plan" (chosen index, snapshot version), "wal.commitWait"
+//     "storage.plan" (chosen and intersected indexes, keys examined, clauses
+//     covered, snapshot version), "wal.commitWait"
 //     (the journal's group-commit fsync wait, beside "storage.bulkWrite"
 //     under "mongod.bulkWrite", which stays open until the write is
 //     acknowledged), and "replset.oplogCommitWait" / "replset.quorumWait"

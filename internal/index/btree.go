@@ -574,40 +574,72 @@ func (r Range) belowMax(key Key) bool {
 	return c < 0 || (c == 0 && r.MaxIncl)
 }
 
-// Scan walks entries whose keys fall inside the range, in key order, invoking
-// fn until it returns false.
-func (t *BTree) Scan(r Range, fn func(key Key, p uint32) bool) {
-	t.scan(t.root, r, fn)
+// KeyCost is what passing one key costs a Postings read, in entries of a
+// posting list walked afterwards: a comparison against the range's end and a
+// slice header appended are 21 to 26 ns a key over a million keys
+// (BenchmarkPostingsKey), where an entry walked is 0.7 to 1.4 ns
+// (storage.BenchmarkIntersectEntry). A reader that weighs a read against
+// something else counts entries + KeyCost × keys.
+const KeyCost = 16
+
+// Postings appends to lists the position list of every key inside the range,
+// in key order, and returns the grown slice with the number of positions in
+// the lists it added. It compares keys and copies slice headers: no position
+// is visited. The lists are the tree's own storage, as with Get. Once what it
+// added costs more than budget — positions, and KeyCost for each list — the
+// walk stops and the last result is false: a caller that would not walk that
+// much anyway does not pay for reading the rest of a long range either.
+func (t *BTree) Postings(r Range, lists [][]uint32, budget int) ([][]uint32, int, bool) {
+	w := postingsWalk{r: r, held: len(lists), budget: budget}
+	lists, total, _ := t.postings(t.root, &w, lists, 0)
+	return lists, total, !w.overdrawn(lists, total)
 }
 
-func (t *BTree) scan(n *node, r Range, fn func(Key, uint32) bool) bool {
+// postingsWalk is what stays the same throughout one Postings read.
+type postingsWalk struct {
+	r      Range
+	held   int // lists the caller had already
+	budget int
+}
+
+func (w *postingsWalk) overdrawn(lists [][]uint32, total int) bool {
+	return total+KeyCost*(len(lists)-w.held) > w.budget
+}
+
+// postings walks one subtree; its last result is false once a key past the
+// range's maximum, or the budget, ended the walk.
+func (t *BTree) postings(n *node, w *postingsWalk, lists [][]uint32, total int) ([][]uint32, int, bool) {
 	// Seek: everything left of the first item >= Min — items and the subtrees
 	// between them — is below the range.
 	start, atMin := 0, false
-	if !r.unboundedMin {
-		start, atMin = findInNode(n, r.Min)
+	if !w.r.unboundedMin {
+		start, atMin = findInNode(n, w.r.Min)
 	}
+	more := true
 	for i := start; i < len(n.items); i++ {
 		it := &n.items[i]
-		if !n.leaf() && !t.scan(n.children[i], r, fn) {
-			return false
+		if !n.leaf() {
+			if lists, total, more = t.postings(n.children[i], w, lists, total); !more {
+				return lists, total, false
+			}
 		}
-		if !r.belowMax(it.key) {
-			return false
+		if !w.r.belowMax(it.key) {
+			return lists, total, false
 		}
-		if i == start && atMin && !r.MinInclusive {
+		if i == start && atMin && !w.r.MinInclusive {
 			continue // the one key equal to an exclusive minimum
 		}
-		for _, p := range it.pos {
-			if !fn(it.key, p) {
-				return false
+		if len(it.pos) > 0 { // an interior slot a lazy delete emptied holds none
+			lists = append(lists, it.pos)
+			if total += len(it.pos); w.overdrawn(lists, total) {
+				return lists, total, false
 			}
 		}
 	}
 	if !n.leaf() {
-		return t.scan(n.children[len(n.items)], r, fn)
+		return t.postings(n.children[len(n.items)], w, lists, total)
 	}
-	return true
+	return lists, total, true
 }
 
 // Keys returns every distinct key in order. Intended for tests and for

@@ -1,6 +1,8 @@
 package index
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -151,11 +153,11 @@ func TestBTreeAscendingKeysFillNodes(t *testing.T) {
 				want = append(want, k)
 			}
 		}
+		// Position i sits under key i, so the positions are the keys.
 		var got []int64
-		tr.Scan(NewRange(Key{lo}, minIncl, Key{hi}, maxIncl), func(k Key, _ uint32) bool {
-			got = append(got, k[0].(int64))
-			return true
-		})
+		for _, p := range rangePositions(t, tr, NewRange(Key{lo}, minIncl, Key{hi}, maxIncl)) {
+			got = append(got, int64(p))
+		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("scan %d(%v)..%d(%v) = %v, want %v", lo, minIncl, hi, maxIncl, got, want)
 		}
@@ -174,19 +176,30 @@ func TestBTreeAscendingKeysFillNodes(t *testing.T) {
 	}
 }
 
-func TestBTreeScanRange(t *testing.T) {
+// rangePositions flattens the posting lists of a range, in scan order.
+func rangePositions(t *testing.T, tr *BTree, r Range) []uint32 {
+	t.Helper()
+	held := [][]uint32{{7}} // what the caller already had stays in front
+	lists, total, _ := tr.Postings(r, held, math.MaxInt)
+	var out []uint32
+	for _, l := range lists[1:] {
+		if len(l) == 0 {
+			t.Fatalf("Postings handed back an empty list")
+		}
+		out = append(out, l...)
+	}
+	if len(lists[0]) != 1 || lists[0][0] != 7 || len(out) != total {
+		t.Fatalf("Postings: kept %v in front, %d positions in the lists, total %d", lists[0], len(out), total)
+	}
+	return out
+}
+
+func TestBTreePostings(t *testing.T) {
 	tr := NewBTree()
 	for i := 0; i < 1000; i++ {
 		tr.Insert(Key{int64(i)}, uint32(i))
 	}
-	collect := func(r Range) []int64 {
-		var out []int64
-		tr.Scan(r, func(k Key, _ uint32) bool {
-			out = append(out, k[0].(int64))
-			return true
-		})
-		return out
-	}
+	collect := func(r Range) []uint32 { return rangePositions(t, tr, r) }
 	got := collect(NewRange(Key{int64(100)}, true, Key{int64(105)}, true))
 	want := []int64{100, 101, 102, 103, 104, 105}
 	if len(got) != len(want) {
@@ -208,14 +221,35 @@ func TestBTreeScanRange(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("out-of-range scan = %v", got)
 	}
-	// Early termination.
-	n := 0
-	tr.Scan(NewRange(nil, true, nil, true), func(Key, uint32) bool {
-		n++
-		return n < 7
-	})
-	if n != 7 {
-		t.Fatalf("early stop visited %d", n)
+	if got = collect(NewRange(nil, true, nil, true)); len(got) != 1000 || !slices.IsSorted(got) {
+		t.Fatalf("unbounded scan = %d positions", len(got))
+	}
+	// Keys a lazy delete emptied — interior slots stay as separators — hold
+	// no list; several positions under one key are one list.
+	for i := 0; i < 1000; i += 2 {
+		tr.Delete(Key{int64(i)}, uint32(i))
+		tr.Insert(Key{int64(i + 1)}, uint32(i))
+	}
+	lists, total, _ := tr.Postings(NewRange(Key{int64(10)}, true, Key{int64(19)}, true), nil, math.MaxInt)
+	if len(lists) != 5 || total != 10 {
+		t.Fatalf("after moving the even keys: %d lists, %d positions, want 5 and 10", len(lists), total)
+	}
+	for i, l := range lists {
+		if want := []uint32{uint32(11 + 2*i), uint32(10 + 2*i)}; !slices.Equal(l, want) {
+			t.Fatalf("list %d = %v, want %v (entry order)", i, l, want)
+		}
+	}
+	// A budget ends the walk at the key that overdraws it, however many keys
+	// the range holds beyond: each costs its two positions and KeyCost.
+	all, perKey := NewRange(nil, true, nil, true), 2+KeyCost
+	for _, budget := range []int{-1, 0, perKey - 1, perKey, 4*perKey - 1, 4 * perKey, 500*perKey - 1} {
+		lists, total, ok := tr.Postings(all, [][]uint32{{7}}, budget)
+		if want := budget/perKey + 1; ok || len(lists) != 1+want || total != 2*want {
+			t.Fatalf("budget %d: ok=%v, %d lists, %d positions; want the walk to stop after %d keys", budget, ok, len(lists)-1, total, want)
+		}
+	}
+	if lists, total, ok := tr.Postings(all, nil, 500*perKey); !ok || len(lists) != 500 || total != 1000 {
+		t.Fatalf("budget for all of it: ok=%v, %d lists, %d positions", ok, len(lists), total)
 	}
 }
 
@@ -314,11 +348,7 @@ func TestBTreeEquivalentToSortedSliceProperty(t *testing.T) {
 				wantCount++
 			}
 		}
-		gotCount := 0
-		tr.Scan(NewRange(Key{lo}, true, Key{hi}, true), func(Key, uint32) bool {
-			gotCount++
-			return true
-		})
+		_, gotCount, _ := tr.Postings(NewRange(Key{lo}, true, Key{hi}, true), nil, math.MaxInt)
 		if gotCount != wantCount {
 			t.Fatalf("range [%d,%d]: got %d, want %d", lo, hi, gotCount, wantCount)
 		}
@@ -362,5 +392,32 @@ func TestBTreeMixedTypeKeysOrdered(t *testing.T) {
 		if types[i] < types[i-1] {
 			t.Fatalf("cross-type order violated: %v", types)
 		}
+	}
+}
+
+// BenchmarkPostingsKey measures what a range read costs per key it passes
+// (ns/op is per key): a comparison against the range's maximum and a slice
+// header appended, over int64 and over string keys, one position under each.
+func BenchmarkPostingsKey(b *testing.B) {
+	const n, span = 1 << 20, 1 << 14
+	for _, bc := range []struct {
+		name string
+		key  func(i int) Key
+	}{
+		{"int64", func(i int) Key { return Key{int64(i)} }},
+		{"string", func(i int) Key { return Key{fmt.Sprintf("1998-%09d", i)} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tr := NewBTree()
+			for i := 0; i < n; i++ {
+				tr.Insert(bc.key(i), uint32(i))
+			}
+			lists := make([][]uint32, 0, span)
+			b.ResetTimer()
+			for i := 0; i < b.N; i += span {
+				from := i % (n - span)
+				lists, _, _ = tr.Postings(NewRange(bc.key(from), true, bc.key(from+span-1), true), lists[:0], math.MaxInt)
+			}
+		})
 	}
 }

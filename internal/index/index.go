@@ -203,7 +203,7 @@ func (ix *Index) SetCopyHook(fn func(bytes int64)) { ix.tree.SetCopyHook(fn) }
 // Freeze returns an immutable point-in-time handle of the index: an O(1)
 // shallow copy whose tree clone shares the current nodes. Provided the owner
 // advances the mutation stamp before the next mutating batch (the collection
-// does so at publish), readers may Lookup/ScanRange/PrefixMatches the frozen
+// does so at publish), readers may Lookup/Postings/PrefixMatches the frozen
 // handle with no locking while the writer keeps mutating the original. The
 // handle and its tree clone land in one allocation — every publish freezes
 // every index, so the publish path's allocation count matters.
@@ -230,46 +230,45 @@ func hashValue(v any) int64 {
 // partitioner uses the same function so that routing and indexing agree.
 func HashValue(v any) int64 { return hashValue(v) }
 
-// keysForDoc extracts the index keys for a document. A single-field index
-// over an array value produces one key per element (multikey); compound
-// indexes use the first reachable value per field.
+// keysForDoc extracts the index keys for a document. An array under the
+// leading field produces one key per element (multikey), in a compound index
+// as in a single-field one: the leading component is what a scan reads, and a
+// filter matches an array by its elements. The other components of a compound
+// key are the first reachable value of their field.
 func (ix *Index) keysForDoc(d *bson.Doc) []Key {
-	if len(ix.paths) == 1 {
-		vals := ix.paths[0].Lookup(d)
-		switch vals.Len() {
-		case 0:
+	vals := ix.paths[0].Lookup(d)
+	switch vals.Len() {
+	case 0:
+		vals = bson.OneValue(nil)
+	case 1:
+		if arr, ok := vals.At(0).([]any); ok && len(arr) > 0 {
+			ix.multikey = true
+			vals = bson.ManyValues(arr)
+		} else if ok {
 			vals = bson.OneValue(nil)
-		case 1:
-			if arr, ok := vals.At(0).([]any); ok && len(arr) > 0 {
-				ix.multikey = true
-				vals = bson.ManyValues(arr)
-			} else if ok {
-				vals = bson.OneValue(nil)
-			}
-		default:
-			ix.multikey = true
 		}
-		keys := make([]Key, vals.Len())
-		for i := range keys {
-			v := vals.At(i)
-			if ix.spec.Fields[0].Hashed {
-				v = hashValue(v)
-			}
-			keys[i] = Key{v}
-		}
-		return keys
+	default:
+		ix.multikey = true
 	}
-	key := make(Key, len(ix.paths))
-	for i, p := range ix.paths {
-		vals := p.Lookup(d)
-		if vals.Len() > 1 {
-			ix.multikey = true
-		}
-		if vals.Len() > 0 {
-			key[i] = vals.At(0)
+	keys := make([]Key, vals.Len())
+	for i := range keys {
+		keys[i] = make(Key, len(ix.paths))
+		if keys[i][0] = vals.At(i); ix.spec.Fields[0].Hashed {
+			keys[i][0] = hashValue(keys[i][0])
 		}
 	}
-	return []Key{key}
+	for j, p := range ix.paths[1:] {
+		rest := p.Lookup(d)
+		if rest.Len() > 1 {
+			ix.multikey = true
+		}
+		if rest.Len() > 0 {
+			for _, key := range keys {
+				key[j+1] = rest.At(0)
+			}
+		}
+	}
+	return keys
 }
 
 // ErrDuplicateKey is returned when inserting a document whose key already
@@ -411,66 +410,100 @@ func (ix *Index) LookupKey(k Key) []int {
 	return out
 }
 
-// ScanRange walks index entries whose leading field falls within the
-// constraint bounds, invoking fn for each record position in key order; it
-// allocates nothing per entry. It returns false when the constraint cannot
-// be used with this index (for example a range constraint against a hashed
-// index).
-func (ix *Index) ScanRange(c *query.Constraint, fn func(pos int) bool) bool {
-	if c == nil {
-		return false
+// How an index reads a constraint on its leading field.
+const (
+	readNot    = iota // it cannot
+	readEmpty         // as no key at all
+	readPoints        // key by key
+	readRange         // between two keys
+)
+
+// reads says how ix serves c. A constraint that admits no single value
+// (IsEmpty) is read as nothing, and a point set as given — but not by a
+// multikey index when an array could satisfy what no single value can: two
+// contradictory conditions, or several point conditions each through a
+// different element (Constraint.Intersected). A hashed index has no order to
+// read a range by.
+func (ix *Index) reads(c *query.Constraint) int {
+	switch {
+	case c == nil:
+		return readNot
+	case c.IsEmpty() && !ix.multikey:
+		return readEmpty
+	case c.IsPoint() && !(ix.multikey && c.Intersected()):
+		return readPoints
+	case c.IsRange() && !ix.spec.hashed():
+		return readRange
 	}
-	if ix.spec.hashed() {
-		if !c.IsPoint() {
-			return false
-		}
+	return readNot
+}
+
+// Postings reads the index for a constraint on its leading field without
+// visiting an entry: it appends to lists the posting list — the record
+// positions under one key, the tree's own slice, which the caller must not
+// write to — of every key the constraint admits, in the order a scan meets
+// them (the constraint's points in the order given, a range in key order),
+// and returns the grown slice with the number of entries in the lists it
+// added. That total is what a scan of them would cost; the caller may well
+// decide against walking them, and says beforehand how much reading is worth
+// to it at most: budget, in entries, a key counting as KeyCost of them. The
+// read stops at the key that overdraws it.
+//
+// It returns false, and lists as given, when the index cannot serve the
+// constraint (see reads); false with the lists read so far when the budget
+// ran out.
+//
+// What the lists hold is a superset of the matching documents' positions,
+// and exactly them where Constraint.Exact holds and the index is neither
+// multikey nor hashed. A multikey index reads only one bound of a two-sided
+// range: an array can meet each bound with a different element.
+func (ix *Index) Postings(c *query.Constraint, lists [][]uint32, budget int) ([][]uint32, int, bool) {
+	total, within := 0, true
+	switch ix.reads(c) {
+	case readNot:
+		return lists, 0, false
+	case readPoints:
 		for _, p := range c.Points {
-			for _, e := range ix.tree.Get(Key{hashValue(p)}) {
-				if !fn(int(e)) {
-					return true
-				}
+			if ix.spec.hashed() {
+				p = hashValue(p)
+			}
+			var n int
+			if len(ix.paths) > 1 {
+				// [ {p}, {p, MAX} ] covers every compound key whose leading
+				// component equals p.
+				before := len(lists)
+				lists, n, within = ix.tree.Postings(NewRange(Key{p}, true, Key{p, MaxSentinel{}}, true), lists, budget)
+				budget -= KeyCost * (len(lists) - before)
+			} else if ps := ix.tree.Get(Key{p}); len(ps) > 0 {
+				lists, n = append(lists, ps), len(ps)
+				budget -= KeyCost
+			}
+			total += n
+			if budget -= n; !within || budget < 0 {
+				return lists, total, false
 			}
 		}
-		return true
-	}
-	if c.IsPoint() {
-		for _, p := range c.Points {
-			// [ {p}, {p, MAX} ] covers every compound key whose leading
-			// component equals p.
-			r := NewRange(Key{p}, true, Key{p, MaxSentinel{}}, true)
-			stopped := false
-			ix.tree.Scan(r, func(_ Key, e uint32) bool {
-				if !fn(int(e)) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			if stopped {
-				return true
+	case readRange:
+		// Over compound keys {v, ...}: {v} sorts before all of them and
+		// {v, MAX} after, so an inclusive bound takes the near one and an
+		// exclusive bound the far one.
+		var min, max Key
+		compound := len(ix.paths) > 1
+		if c.HasMin {
+			min = Key{c.Min}
+			if compound && !c.MinInclusive {
+				min = Key{c.Min, MaxSentinel{}}
 			}
 		}
-		return true
-	}
-	if !c.IsRange() {
-		return false
-	}
-	var min, max Key
-	minIncl, maxIncl := true, true
-	if c.HasMin {
-		min = Key{c.Min}
-		minIncl = c.MinInclusive
-	}
-	if c.HasMax {
-		max = Key{c.Max, MaxSentinel{}}
-		maxIncl = true
-		if !c.MaxInclusive {
+		if c.HasMax && !(ix.multikey && c.HasMin) {
 			max = Key{c.Max}
-			maxIncl = false
+			if compound && c.MaxInclusive {
+				max = Key{c.Max, MaxSentinel{}}
+			}
 		}
+		lists, total, within = ix.tree.Postings(NewRange(min, c.MinInclusive, max, c.MaxInclusive), lists, budget)
 	}
-	ix.tree.Scan(NewRange(min, minIncl, max, maxIncl), func(_ Key, e uint32) bool { return fn(int(e)) })
-	return true
+	return lists, total, within
 }
 
 // CoversSort reports whether the index natively provides the requested sort
@@ -492,8 +525,7 @@ func (ix *Index) CoversSort(s query.Sort) bool {
 func (ix *Index) PrefixMatches(constraints map[string]*query.Constraint) int {
 	n := 0
 	for _, f := range ix.spec.Fields {
-		c, ok := constraints[f.Name]
-		if !ok || (!c.IsPoint() && !c.IsRange()) {
+		if ix.reads(constraints[f.Name]) == readNot {
 			break
 		}
 		n++

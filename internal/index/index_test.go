@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"docstore/internal/bson"
@@ -147,6 +148,79 @@ func TestMultikeyIndex(t *testing.T) {
 	}
 }
 
+// An array under the leading field of a compound index is one key per
+// element, as in a single-field index, and the index says it is multikey: a
+// filter matches the array by its elements, so a key holding the array whole
+// would hide the document from every point and range on the field.
+func TestCompoundIndexOverLeadingArray(t *testing.T) {
+	ix := New("", MustParseSpec(bson.D("tags", 1, "n", 1)), false)
+	_ = ix.Insert(bson.D(bson.IDKey, 0, "tags", 3, "n", 1), 0)
+	if ix.Multikey() {
+		t.Fatal("scalars only: not multikey yet")
+	}
+	doc := bson.D(bson.IDKey, 1, "tags", bson.A(3, 100), "n", 7)
+	_ = ix.Insert(doc, 1)
+	_ = ix.Insert(bson.D(bson.IDKey, 2, "tags", bson.A(), "n", 7), 2)
+	if !ix.Multikey() || ix.Len() != 4 {
+		t.Fatalf("Multikey = %v, Len = %d; want one entry per element of the leading array", ix.Multikey(), ix.Len())
+	}
+	if got := ix.LookupKey(Key{int64(100), int64(7)}); !slices.Equal(got, []int{1}) {
+		t.Fatalf("LookupKey({100, 7}) = %v", got)
+	}
+	if ids, ok := postings(t, ix, bson.D("tags", 3), "tags"); !ok || !slices.Equal(ids, []int{0, 1}) {
+		t.Fatalf("postings of tags: 3 = %v, ok=%v", ids, ok)
+	}
+	if ids, ok := postings(t, ix, bson.D("tags", bson.D("$gte", 50, "$lte", 4)), "tags"); !ok || !slices.Contains(ids, 1) {
+		t.Fatalf("one bound through each element: %v, ok=%v", ids, ok)
+	}
+	if ids, _ := postings(t, ix, bson.D("tags", nil), "tags"); !slices.Equal(ids, []int{2}) {
+		t.Fatalf("an empty leading array should index as null, got %v", ids)
+	}
+	ix.Remove(doc, 1)
+	if ix.Len() != 2 {
+		t.Fatalf("Len after remove = %d", ix.Len())
+	}
+}
+
+// Postings stops reading at the key that overdraws the budget — its entries,
+// and KeyCost for the key — in a point set, a range and a compound prefix
+// alike.
+func TestPostingsBudget(t *testing.T) {
+	single := New("", MustParseSpec(bson.D("a", 1)), false)
+	compound := New("", MustParseSpec(bson.D("a", 1, "b", 1)), false)
+	for i := 0; i < 1000; i++ {
+		d := bson.D(bson.IDKey, i, "a", i%100, "b", i)
+		_, _ = single.Insert(d, i), compound.Insert(d, i)
+	}
+	// A key of the single-field index holds ten entries, a key of the compound
+	// one (ten to a value of a) one.
+	const one, many = 1 + KeyCost, 10 + KeyCost
+	for _, tc := range []struct {
+		ix     *Index
+		cond   any
+		budget int
+		lists  int // read before it gave up; -1: it did not
+	}{
+		{single, bson.D("$gte", 0), 100 * many, -1},
+		{single, bson.D("$gte", 0), 100*many - 1, 100},
+		{single, bson.D("$gte", 0), 2*many + 5, 3},
+		{single, bson.D("$in", bson.A(1, 2, 3, 4)), 4 * many, -1},
+		{single, bson.D("$in", bson.A(1, 2, 3, 4)), 4*many - 1, 4},
+		{single, bson.D("$in", bson.A(1, 2, 3, 4)), many + 5, 2},
+		{single, 5, many - 1, 1},
+		{compound, bson.D("$gte", 0), 25 * one, 26},
+		{compound, bson.D("$in", bson.A(1, 2, 3, 4)), 15 * one, 16},
+		{compound, bson.D("$in", bson.A(1, 2, 3, 4)), 40*one - 1, 40},
+		{compound, bson.D("$in", bson.A(1, 2, 3, 4)), 40 * one, -1},
+	} {
+		lists, total, ok := tc.ix.Postings(query.ConstraintFor(bson.D("a", tc.cond), "a"), nil, tc.budget)
+		if want := tc.lists < 0; ok != want || ok != (total+KeyCost*len(lists) <= tc.budget) || !ok && len(lists) != tc.lists {
+			t.Errorf("%s, a: %v, budget %d: ok=%v after %d lists of %d entries; want %d lists",
+				tc.ix.Name(), tc.cond, tc.budget, ok, len(lists), total, tc.lists)
+		}
+	}
+}
+
 func TestHashedIndexLookup(t *testing.T) {
 	ix := New("", MustParseSpec(bson.D("k", "hashed")), false)
 	for i := 0; i < 100; i++ {
@@ -196,83 +270,118 @@ func TestCompoundIndexAndPrefix(t *testing.T) {
 	}
 	// Scanning a point constraint on the leading field returns every doc
 	// with that price.
-	var ids []int
-	ok := ix.ScanRange(query.ConstraintFor(bson.D("ItemPrice", 3), "ItemPrice"), func(id int) bool {
-		ids = append(ids, id)
-		return true
-	})
+	ids, ok := postings(t, ix, bson.D("ItemPrice", 3), "ItemPrice")
 	if !ok || len(ids) != 10 {
-		t.Fatalf("ScanRange point on compound prefix: ok=%v ids=%d", ok, len(ids))
+		t.Fatalf("Postings point on compound prefix: ok=%v ids=%d", ok, len(ids))
+	}
+	// Bounds on the leading field of a compound key: {v} sorts before every
+	// {v, ...} and {v, MAX} after, whichever way the bound is closed.
+	for _, tc := range []struct {
+		cond *bson.Doc
+		want int
+	}{
+		{bson.D("$gte", 1, "$lte", 3), 30},
+		{bson.D("$gt", 1, "$lte", 3), 20},
+		{bson.D("$gte", 1, "$lt", 3), 20},
+		{bson.D("$gt", 1, "$lt", 3), 10},
+		{bson.D("$gt", 3), 10},
+		{bson.D("$lt", 1), 10},
+		{bson.D("$gte", 3, "$lte", 1), 0},
+	} {
+		if ids, ok = postings(t, ix, bson.D("ItemPrice", tc.cond), "ItemPrice"); !ok || len(ids) != tc.want {
+			t.Fatalf("Postings %s on compound prefix: ok=%v, %d positions, want %d", tc.cond, ok, len(ids), tc.want)
+		}
 	}
 }
 
-func TestScanRangeOnSingleFieldIndex(t *testing.T) {
+// postings reads the index for the filter's constraint on field and flattens
+// the lists, in scan order.
+func postings(t *testing.T, ix *Index, filter *bson.Doc, field string) ([]int, bool) {
+	t.Helper()
+	lists, total, ok := ix.Postings(query.ConstraintFor(filter, field), nil, math.MaxInt)
+	var ids []int
+	for _, l := range lists {
+		for _, p := range l {
+			ids = append(ids, int(p))
+		}
+	}
+	if len(ids) != total || !ok && total != 0 {
+		t.Fatalf("Postings(%s): %d positions in the lists, total %d, ok %v", filter, len(ids), total, ok)
+	}
+	return ids, ok
+}
+
+func TestPostingsOnSingleFieldIndex(t *testing.T) {
 	ix := New("", MustParseSpec(bson.D("price", 1)), false)
 	for i := 0; i < 100; i++ {
 		_ = ix.Insert(bson.D(bson.IDKey, i, "price", float64(i)/10), i)
 	}
-	c := query.ConstraintFor(bson.D("price", bson.D("$gte", 0.99, "$lte", 1.49)), "price")
-	var ids []int
-	if !ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true }) {
-		t.Fatalf("ScanRange returned false")
-	}
 	// 1.0 .. 1.4 → ids 10..14 plus 0.99..: price values are i/10, so >=0.99
 	// means i >= 10 (i=10 → 1.0) and <= 1.49 means i <= 14.
-	if len(ids) != 5 {
-		t.Fatalf("range scan ids = %v", ids)
+	ids, ok := postings(t, ix, bson.D("price", bson.D("$gte", 0.99, "$lte", 1.49)), "price")
+	if !ok || len(ids) != 5 {
+		t.Fatalf("range postings: ok=%v ids = %v", ok, ids)
 	}
 	// Exclusive bounds.
-	c = query.ConstraintFor(bson.D("price", bson.D("$gt", 1.0, "$lt", 1.4)), "price")
-	ids = nil
-	ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true })
-	if len(ids) != 3 {
-		t.Fatalf("exclusive range scan ids = %v", ids)
+	if ids, _ = postings(t, ix, bson.D("price", bson.D("$gt", 1.0, "$lt", 1.4)), "price"); len(ids) != 3 {
+		t.Fatalf("exclusive range postings ids = %v", ids)
 	}
-	// Early stop.
-	c = query.ConstraintFor(bson.D("price", bson.D("$gte", 0.0)), "price")
-	n := 0
-	ix.ScanRange(c, func(int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("early stop visited %d", n)
+	// No constraint on the field cannot be used.
+	if _, ok = postings(t, ix, bson.D("other", 1), "price"); ok {
+		t.Fatalf("a nil constraint should not be readable")
 	}
-	// A nil constraint cannot be used.
-	if ix.ScanRange(nil, func(int) bool { return true }) {
-		t.Fatalf("nil constraint should not be scannable")
+	// Point-set constraints ($in) read each point, in the order given.
+	if ids, _ = postings(t, ix, bson.D("price", bson.D("$in", bson.A(2.0, 0.5, 77.0))), "price"); !slices.Equal(ids, []int{20, 5}) {
+		t.Fatalf("$in postings ids = %v", ids)
 	}
-	// Point-set constraints ($in) scan each point.
-	c = query.ConstraintFor(bson.D("price", bson.D("$in", bson.A(0.5, 2.0))), "price")
-	ids = nil
-	ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true })
-	if len(ids) != 2 {
-		t.Fatalf("$in scan ids = %v", ids)
+	// No value at all: read as nothing — until an array makes the index
+	// multikey, whose documents can satisfy what no single value can.
+	for _, f := range []*bson.Doc{
+		bson.D("price", bson.D("$in", bson.A())),
+		bson.D("$and", bson.A(bson.D("price", 1.0), bson.D("price", 2.0))),
+		bson.D("price", bson.D("$gt", 3.0, "$lt", 3.0)),
+	} {
+		if ids, ok = postings(t, ix, f, "price"); !ok || len(ids) != 0 {
+			t.Fatalf("postings of %s: ok=%v ids=%v, want an empty read", f, ok, ids)
+		}
+		if n := ix.PrefixMatches(query.FieldConstraints(f)); n != 1 {
+			t.Fatalf("PrefixMatches(%s) = %d, want 1", f, n)
+		}
+	}
+	_ = ix.Insert(bson.D(bson.IDKey, 100, "price", bson.A(1.0, 2.0, 9.5)), 100)
+	if !ix.Multikey() {
+		t.Fatal("an array value should make the index multikey")
+	}
+	if _, ok = postings(t, ix, bson.D("price", bson.D("$in", bson.A())), "price"); ok {
+		t.Fatalf("a multikey index answered a point set it does not have")
+	}
+	if n := ix.PrefixMatches(query.FieldConstraints(bson.D("price", bson.D("$in", bson.A())))); n != 0 {
+		t.Fatalf("PrefixMatches(empty $in) on a multikey index = %d, want 0", n)
+	}
+	// {$gte: 9, $lte: 1.5} holds for [1, 2, 9.5] — 9.5 above, 1 below — and
+	// {$gte: 3, $lte: 5} as well: a multikey index reads one bound only.
+	for _, cond := range []*bson.Doc{bson.D("$gte", 9.0, "$lte", 1.5), bson.D("$gte", 3.0, "$lte", 5.0)} {
+		if ids, ok = postings(t, ix, bson.D("price", cond), "price"); !ok || !slices.Contains(ids, 100) {
+			t.Fatalf("multikey postings of %s: ok=%v, position 100 missing from %v", cond, ok, ids)
+		}
 	}
 }
 
-func TestScanRangeHashedIndexLimitations(t *testing.T) {
+func TestPostingsHashedIndexLimitations(t *testing.T) {
 	ix := New("", MustParseSpec(bson.D("k", "hashed")), false)
 	for i := 0; i < 20; i++ {
 		_ = ix.Insert(bson.D(bson.IDKey, i, "k", i), i)
 	}
 	// Point constraints work.
-	c := query.ConstraintFor(bson.D("k", 7), "k")
-	var ids []int
-	if !ix.ScanRange(c, func(id int) bool { ids = append(ids, id); return true }) {
-		t.Fatalf("hashed point scan should work")
+	if ids, ok := postings(t, ix, bson.D("k", 7), "k"); !ok || len(ids) != 1 || ids[0] != 7 {
+		t.Fatalf("hashed point postings: ok=%v ids = %v", ok, ids)
 	}
-	if len(ids) != 1 || ids[0] != 7 {
-		t.Fatalf("hashed point scan ids = %v", ids)
+	if ids, _ := postings(t, ix, bson.D("k", bson.D("$in", bson.A(1, 2, 3))), "k"); !slices.Equal(ids, []int{1, 2, 3}) {
+		t.Fatalf("hashed $in postings ids = %v", ids)
 	}
 	// Range constraints cannot use a hashed index.
-	c = query.ConstraintFor(bson.D("k", bson.D("$gte", 3)), "k")
-	if ix.ScanRange(c, func(int) bool { return true }) {
-		t.Fatalf("hashed index should reject range scans")
-	}
-	// Early stop on hashed point sets.
-	c = query.ConstraintFor(bson.D("k", bson.D("$in", bson.A(1, 2, 3))), "k")
-	n := 0
-	ix.ScanRange(c, func(int) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
+	if _, ok := postings(t, ix, bson.D("k", bson.D("$gte", 3)), "k"); ok {
+		t.Fatalf("hashed index should reject range constraints")
 	}
 }
 
@@ -357,8 +466,7 @@ func TestReplaceSkipsUnchangedKeys(t *testing.T) {
 			t.Fatalf("%s: changed keys copied %d bytes, %d entries", ix.Name(), copied, ix.Len())
 		}
 		at := func(ix *Index, a int) int {
-			n := 0
-			ix.ScanRange(&query.Constraint{Field: "a", Points: []any{int64(a)}}, func(int) bool { n++; return true })
+			_, n, _ := ix.Postings(&query.Constraint{Field: "a", Points: []any{int64(a)}}, nil, math.MaxInt)
 			return n
 		}
 		if at(ix, 5) != 1 || at(ix, 6) != 1 {

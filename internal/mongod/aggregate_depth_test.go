@@ -120,7 +120,8 @@ func TestPlanSummaryOnlyForKeptEntries(t *testing.T) {
 			t.Fatalf("%s: %d find entries, want %d", c.name, len(finds), c.kept)
 		}
 		for _, e := range finds {
-			if e.PlanSummary != plan.String() || !strings.Contains(e.PlanSummary, "k_1") || e.DocsExamined != plan.DocsExamined {
+			if e.PlanSummary != plan.String() || !strings.Contains(e.PlanSummary, "k_1 on c keys=1 ") ||
+				e.DocsExamined != plan.DocsExamined || e.KeysExamined != 1 {
 				t.Fatalf("%s: entry %+v does not carry the plan %q", c.name, e, plan.String())
 			}
 		}

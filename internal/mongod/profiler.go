@@ -25,11 +25,14 @@ type ProfileEntry struct {
 	// their view. Zero for reads and for writes that only touched pages the
 	// batch already owned.
 	COWBytesCopied int64
-	// PlanSummary, DocsExamined, SnapshotVersion and Isolation describe a
-	// profiled query's execution: the access path, the work it did, and the
-	// storage version its scan was pinned to (see storage.Plan). They are
-	// zero for writes and for queries profiled before their plan is known.
+	// PlanSummary, KeysExamined, DocsExamined, SnapshotVersion and Isolation
+	// describe a profiled query's execution: the access path (the driving
+	// index and the ones intersected with it), the work it did — index
+	// entries read, then documents fetched — and the storage version its scan
+	// was pinned to (see storage.Plan). They are zero for writes and for
+	// queries profiled before their plan is known.
 	PlanSummary     string
+	KeysExamined    int
 	DocsExamined    int
 	SnapshotVersion int64
 	Isolation       string
@@ -131,6 +134,7 @@ func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID stri
 func (db *Database) recordPlan(op, coll string, start time.Time, plan storage.Plan, traceID string) {
 	db.record(ProfileEntry{
 		Op: op, Collection: coll, At: start,
+		KeysExamined:    plan.KeysExamined,
 		DocsExamined:    plan.DocsExamined,
 		SnapshotVersion: plan.SnapshotVersion,
 		Isolation:       plan.Isolation,
@@ -141,8 +145,8 @@ func (db *Database) recordPlan(op, coll string, start time.Time, plan storage.Pl
 // record stamps the entry's duration, feeds the always-on per-op latency
 // histogram, and keeps the entry in the profile ring when the elapsed time
 // clears the server's slow-op threshold. entry.At must hold the start time.
-// plan, when not nil, is rendered into the entry's PlanSummary — two
-// fmt.Sprintf — only for an entry the ring keeps.
+// plan, when not nil, is rendered into the entry's PlanSummary only for an
+// entry the ring keeps.
 func (db *Database) record(entry ProfileEntry, plan *storage.Plan) {
 	elapsed := db.server.clockTime().Sub(entry.At)
 	// Every op lands in its histogram regardless of the slow-op threshold —

@@ -540,6 +540,7 @@ func (db *Database) FindWithPlan(coll string, filter *bson.Doc, opts storage.Fin
 	start := db.server.clockTime()
 	docs, plan, err := db.Collection(coll).FindWithPlan(filter, opts)
 	db.recordPlan("find", coll, start, plan, span.SampledTraceID())
+	span.SetAttr("keysExamined", plan.KeysExamined)
 	span.SetAttr("docsExamined", plan.DocsExamined)
 	span.Finish()
 	return docs, plan, err

@@ -123,6 +123,29 @@ func TestShardedInsertDistributionAndTargetedFind(t *testing.T) {
 		t.Fatalf("stats after broadcast find = %+v", st)
 	}
 
+	// A shard key constrained to no value at all ($in over a dimension find
+	// that matched nothing) is routed as it was — no worse: every shard is
+	// asked — but each shard answers from the shard-key index without
+	// examining a document, where it used to scan its whole chunk.
+	r.ResetStats()
+	examined := func() (n int64) {
+		for _, name := range r.ShardNames() {
+			n += r.Shard(name).DocsExamined()
+		}
+		return n
+	}
+	before := examined()
+	out, err = r.Find("db", "sales", bson.D("k", bson.D("$in", bson.A()), "v", 3), storage.FindOptions{})
+	if err != nil || len(out) != 0 {
+		t.Fatalf("find on an empty $in = %d docs, %v", len(out), err)
+	}
+	if st = r.Stats(); st.ShardCalls > 3 {
+		t.Fatalf("find on an empty $in used %d shard calls, want at most one per shard", st.ShardCalls)
+	}
+	if got := examined() - before; got != 0 {
+		t.Fatalf("find on an empty $in examined %d documents across the shards, want 0", got)
+	}
+
 	// Count goes through Find.
 	n, err := r.Count("db", "sales", bson.D("v", 3))
 	if err != nil || n != 90 {

@@ -117,3 +117,39 @@ func TestConstraintFor(t *testing.T) {
 		t.Fatalf("nil filter should have no constraint")
 	}
 }
+
+func TestConstraintIsEmpty(t *testing.T) {
+	for _, tc := range []struct {
+		filter *bson.Doc
+		empty  bool
+	}{
+		{bson.D("k", bson.D("$in", bson.A())), true},
+		{bson.D("$and", bson.A(bson.D("k", 1), bson.D("k", 2))), true},
+		{bson.D("$and", bson.A(bson.D("k", bson.D("$in", bson.A(1, 2))), bson.D("k", bson.D("$eq", 3)))), true},
+		{bson.D("k", bson.D("$gte", 5, "$lte", 3)), true},
+		{bson.D("k", bson.D("$gt", 3, "$lte", 3)), true},
+		{bson.D("k", bson.D("$gte", "a", "$lte", 9)), true}, // every string sorts above every number
+		{bson.D("k", bson.D("$gte", 3, "$lte", 3)), false},
+		{bson.D("k", bson.D("$gte", 3, "$lte", "z")), false},
+		{bson.D("k", bson.D("$in", bson.A(1))), false},
+		{bson.D("k", bson.D("$gte", 3)), false},
+		{bson.D("k", bson.D("$exists", true)), false},
+	} {
+		c := ConstraintFor(tc.filter, "k")
+		if c.IsEmpty() != tc.empty {
+			t.Errorf("%s: IsEmpty = %v, want %v (%+v)", tc.filter, c.IsEmpty(), tc.empty, c)
+		}
+		if tc.empty && c.IsPoint() {
+			t.Errorf("%s: an empty constraint reads as a point set: %+v", tc.filter, c)
+		}
+	}
+	// Of two equal bounds the exclusive one is the tighter.
+	c := ConstraintFor(bson.D("$and", bson.A(bson.D("k", bson.D("$gte", 3)), bson.D("k", bson.D("$gt", 3)))), "k")
+	if c.MinInclusive {
+		t.Fatalf("$gte 3 and $gt 3 left an inclusive bound: %+v", c)
+	}
+	c = ConstraintFor(bson.D("$and", bson.A(bson.D("k", bson.D("$lt", 3)), bson.D("k", bson.D("$lte", 3)))), "k")
+	if c.MaxInclusive {
+		t.Fatalf("$lt 3 and $lte 3 left an inclusive bound: %+v", c)
+	}
+}

@@ -15,6 +15,7 @@ package query
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"docstore/internal/bson"
@@ -65,6 +66,72 @@ func (m *Matcher) Filter() *bson.Doc {
 		return nil
 	}
 	return m.src
+}
+
+// Residual returns what is left of the predicate once every conjunctive
+// clause on the covered fields — a top-level field condition or one reached
+// through $and, the clauses FieldConstraints folds into a Constraint — is
+// known to hold: the planner names the fields whose clauses its index scans
+// answered exactly (Constraint.Exact), and the candidates are checked
+// against the rest only. Clauses under $or, $nor, $not and $elemMatch stay
+// whole. The result is m itself when no clause goes, and nil — the matcher
+// of every document — when none stays; Filter still returns the full filter.
+func (m *Matcher) Residual(covered []string) *Matcher {
+	if m == nil || m.root == nil || len(covered) == 0 {
+		return m
+	}
+	root := residualNode(m.root, covered)
+	switch root {
+	case m.root:
+		return m
+	case nil:
+		return nil
+	}
+	return &Matcher{root: root, src: m.src}
+}
+
+// residualNode returns n without the covered field clauses of its
+// conjunctive part, n itself when it has none, nil when nothing is left.
+func residualNode(n matchNode, covered []string) matchNode {
+	switch t := n.(type) {
+	case *fieldNode:
+		if slices.Contains(covered, t.path.String()) {
+			return nil
+		}
+	case *andNode:
+		// kept is built from the first child that changes on, and allocated
+		// only once there is something to put in it.
+		var kept []matchNode
+		changed := false
+		for i, child := range t.children {
+			r := residualNode(child, covered)
+			if r == child && !changed {
+				continue
+			}
+			if !changed {
+				changed = true
+				if i > 0 {
+					kept = append(make([]matchNode, 0, len(t.children)-1), t.children[:i]...)
+				}
+			}
+			if r != nil {
+				if kept == nil {
+					kept = make([]matchNode, 0, len(t.children)-1)
+				}
+				kept = append(kept, r)
+			}
+		}
+		switch {
+		case !changed:
+			return n
+		case len(kept) == 0:
+			return nil
+		case len(kept) == 1:
+			return kept[0]
+		}
+		return &andNode{children: kept}
+	}
+	return n
 }
 
 // String renders the original filter.

@@ -410,3 +410,135 @@ func TestSharedAcrossGoroutines(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestResidualDropsOnlyExactClauses has one row per rule of
+// Constraint.Exact and Matcher.Residual: the clauses on field a are dropped
+// from the residual exactly when an index scan over a's constraint means what
+// they mean. Every filter also asks for b: 1, and each row carries a document
+// that has it but breaks a clause on a: the residual matches that document if
+// and only if the clauses went — so a row that says "kept" fails the moment
+// its rule is loosened, and one that says "dropped" the moment it is lost.
+func TestResidualDropsOnlyExactClauses(t *testing.T) {
+	and := func(clauses ...any) *bson.Doc { return bson.D("$and", bson.A(clauses...)) }
+	rows := []struct {
+		rule    string
+		a       *bson.Doc // the conjunctive clauses on a
+		breaks  any       // a value of a that violates them
+		dropped bool
+	}{
+		{"literal equality", bson.D("a", 5), 6, true},
+		{"$eq of a scalar", bson.D("a", bson.D("$eq", "x")), "y", true},
+		{"$in of scalars, one repeated", bson.D("a", bson.D("$in", bson.A(1, 2, 2))), 3, true},
+		{"$in and $eq intersected", and(bson.D("a", bson.D("$in", bson.A(1, 2, 3))), bson.D("a", 2)), 1, true},
+		{"an empty $in", bson.D("a", bson.D("$in", bson.A())), 1, true},
+		{"closed range of one type", bson.D("a", bson.D("$gte", 1, "$lte", 5)), 6, true},
+		{"open range of one type", bson.D("a", bson.D("$gt", 1, "$lt", 5)), 5, true},
+		{"half-open range", bson.D("a", bson.D("$gte", 1.5, "$lt", 5)), 1, true},
+		{"the two bounds in two clauses", and(bson.D("a", bson.D("$gte", 1)), bson.D("a", bson.D("$lte", 5))), 0, true},
+		{"a range of strings", bson.D("a", bson.D("$gte", "b", "$lte", "d")), "e", true},
+		{"$in of a bool", bson.D("a", bson.D("$in", bson.A(true))), false, true},
+
+		{"no upper bound: the scan runs on into other types", bson.D("a", bson.D("$gte", 1)), "s", false},
+		{"no lower bound", bson.D("a", bson.D("$lt", 5)), nil, false},
+		{"bounds of two types", bson.D("a", bson.D("$gte", 3, "$lte", "z")), 4, false},
+		{"two lower bounds of two types", and(bson.D("a", bson.D("$gte", 1)), bson.D("a", bson.D("$gte", "b", "$lte", "z"))), "c", false},
+		{"two upper bounds of two types", and(bson.D("a", bson.D("$lte", "z")), bson.D("a", bson.D("$gte", 1, "$lte", 9))), 5, false},
+		{"$ne beside the bounds", bson.D("a", bson.D("$gte", 1, "$lte", 5, "$ne", 3)), 3, false},
+		{"$nin beside the bounds", bson.D("a", bson.D("$gte", 1, "$lte", 5, "$nin", bson.A(3))), 3, false},
+		{"$exists beside a point", bson.D("a", bson.D("$eq", 5, "$exists", false)), 5, false},
+		{"an unfolded operator in another clause", and(bson.D("a", 5), bson.D("a", bson.D("$type", "string"))), 5, false},
+		{"null also matches a missing field", bson.D("a", nil), 1, false},
+		{"null among the $in values", bson.D("a", bson.D("$in", bson.A(1, nil))), 2, false},
+		{"an array operand compares whole values", bson.D("a", bson.A(1, 2)), 3, false},
+		{"a document operand", bson.D("a", bson.D("x", 1)), 3, false},
+		{"array bounds", bson.D("a", bson.D("$gte", bson.A(1), "$lte", bson.A(5))), 3, false},
+		{"null bounds", bson.D("a", bson.D("$gte", nil, "$lte", nil)), 3, false},
+		{"points beside a bound", bson.D("a", bson.D("$in", bson.A(1, 2), "$gte", 2)), 1, false},
+		{"$not around a point", bson.D("a", bson.D("$not", bson.D("$eq", 5))), 5, false},
+	}
+	for _, row := range rows {
+		filter := bson.D("b", 1)
+		for _, f := range row.a.Fields() {
+			filter.Set(f.Key, f.Value)
+		}
+		m := MustCompile(filter)
+		var covered []string
+		for field, c := range FieldConstraints(filter) {
+			if field == "a" && c.Exact() {
+				covered = append(covered, field)
+			}
+		}
+		res := m.Residual(covered)
+		probe := bson.D("a", row.breaks, "b", 1)
+		if m.Matches(probe) {
+			t.Fatalf("%s: %s matches %s, which should break it", row.rule, filter, probe)
+		}
+		if got := res.Matches(probe); got != row.dropped {
+			t.Errorf("%s: the residual of %s matches %s: %v, so the clauses on a were dropped: %v, want %v",
+				row.rule, filter, probe, got, got, row.dropped)
+		}
+		if res.Matches(bson.D("a", row.breaks, "b", 2)) {
+			t.Errorf("%s: the residual of %s lost the clause on b", row.rule, filter)
+		}
+		if !row.dropped && res != m {
+			t.Errorf("%s: nothing to drop, yet Residual built a new matcher", row.rule)
+		}
+		if res.Filter() != filter {
+			t.Errorf("%s: the residual forgot the filter it came from", row.rule)
+		}
+		// With nothing else in the filter an exact scan answers all of it.
+		if alone := MustCompile(row.a); row.dropped && alone.Residual([]string{"a"}) != nil {
+			t.Errorf("%s: %s fully covered should leave the nil matcher", row.rule, row.a)
+		}
+	}
+
+	// A dotted path is a field like any other.
+	dotted := MustCompile(bson.D("x.y", 5, "b", 1)).Residual([]string{"x.y"})
+	if !dotted.Matches(bson.D("x", bson.D("y", 6), "b", 1)) || dotted.Matches(bson.D("x", bson.D("y", 5), "b", 2)) {
+		t.Errorf("the residual of a dotted clause kept it, or lost its sibling")
+	}
+
+	// What Residual may touch is the conjunctive part and nothing else,
+	// whatever the caller claims to have covered.
+	five := bson.D("a", 5)
+	for _, tc := range []struct {
+		filter *bson.Doc
+		probe  *bson.Doc
+	}{
+		{bson.D("$or", bson.A(five, bson.D("b", 1))), bson.D("a", 6, "b", 2)},
+		{bson.D("$nor", bson.A(five)), bson.D("a", 5)},
+		{bson.D("$not", five), bson.D("a", 5)},
+		{bson.D("arr", bson.D("$elemMatch", five)), bson.D("arr", bson.A(bson.D("a", 6)))},
+		{bson.D("$and", bson.A(bson.D("$or", bson.A(five, bson.D("a", 7))), bson.D("b", 1))), bson.D("a", 6, "b", 1)},
+	} {
+		m := MustCompile(tc.filter)
+		if res := m.Residual([]string{"a"}); res != m || res.Matches(tc.probe) {
+			t.Errorf("Residual reached into %s", tc.filter)
+		}
+	}
+	// A covered clause goes from every level of $and, its siblings stay, and
+	// the original matcher is left as it was.
+	nested := MustCompile(bson.D("a", 5, "$and", bson.A(
+		bson.D("b", 1),
+		bson.D("$and", bson.A(bson.D("a", bson.D("$in", bson.A(5, 6))), bson.D("c", bson.D("$exists", true)))),
+		bson.D("$or", bson.A(bson.D("a", 5), bson.D("d", 1))),
+	)))
+	res := nested.Residual([]string{"a"})
+	for _, tc := range []struct {
+		doc        *bson.Doc
+		full, rest bool
+	}{
+		{bson.D("a", 5, "b", 1, "c", 0), true, true},
+		{bson.D("a", 9, "b", 1, "c", 0, "d", 1), false, true},
+		{bson.D("a", 9, "b", 1, "c", 0), false, false}, // the $or still wants a: 5 or d: 1
+		{bson.D("a", 5, "b", 2, "c", 0), false, false},
+		{bson.D("a", 5, "b", 1), false, false},
+	} {
+		if got := nested.Matches(tc.doc); got != tc.full {
+			t.Errorf("full matcher on %s = %v, want %v", tc.doc, got, tc.full)
+		}
+		if got := res.Matches(tc.doc); got != tc.rest {
+			t.Errorf("residual on %s = %v, want %v", tc.doc, got, tc.rest)
+		}
+	}
+}

@@ -460,7 +460,7 @@ func (c *Collection) applyLocked(op *WriteOp, prep preparedOp, res *BulkResult, 
 		}
 		return err
 	default: // DeleteOp
-		res.Deleted += c.deleteLocked(op.Filter, prep.matcher, op.Multi)
+		res.Deleted += c.deleteLocked(prep.matcher, op.Multi)
 		return nil
 	}
 }

@@ -208,6 +208,7 @@ type Collection struct {
 	scans          atomic.Int64 // collection scans performed
 	indexScans     atomic.Int64 // index scans performed
 	docsExamined   atomic.Int64 // documents examined by read cursors
+	keysExamined   atomic.Int64 // index entries read to plan them
 	cowBytesCopied atomic.Int64 // record bytes duplicated by COW page copies
 	cowBytesShared atomic.Int64 // record bytes shared instead of copied
 	reclaimedBytes atomic.Int64 // bytes whose last pinned reference was recycled
@@ -503,12 +504,20 @@ func (c *Collection) Scan(fn func(*bson.Doc) bool) {
 
 // Drop removes every document and user-created index. With a journal attached
 // the wipe is logged first so recovery reproduces it; a journal failure here
-// is best-effort (Drop predates durability and has no error return), but the
-// only caller that can observe one, ReplaceContents, surfaces the wait error
-// of the insert batch that follows.
+// is best-effort (Drop predates durability and has no error return).
 func (c *Collection) Drop() {
 	c.mu.Lock()
 	commit, _ := c.logClearLocked()
+	c.clearLocked()
+	c.publishLocked()
+	c.mu.Unlock()
+	_ = waitCommit(commit, false)
+}
+
+// clearLocked empties the writer's state — records, user-created indexes,
+// counters — without publishing: what Drop does, and the first half of
+// ReplaceContents.
+func (c *Collection) clearLocked() {
 	c.retireAllPagesLocked()
 	for _, e := range c.indexes {
 		c.retireTreeLocked(e.ix)
@@ -521,9 +530,6 @@ func (c *Collection) Drop() {
 	c.tombs = 0
 	c.spineShared = false
 	c.indexesChanged = true
-	c.publishLocked()
-	c.mu.Unlock()
-	_ = waitCommit(commit, false)
 }
 
 // retireAllPagesLocked parks the writer's whole page set for recycling; the
@@ -600,7 +606,10 @@ type Stats struct {
 	IndexScans      int64
 	// DocsExamined counts the documents read-path cursors looked at: a
 	// deterministic work measure independent of wall-clock noise.
+	// KeysExamined counts the index entries their plans read to get there,
+	// intersected indexes included: fewer documents can mean more of these.
 	DocsExamined int64
+	KeysExamined int64
 }
 
 // Stats returns current collection statistics. Everything is read from the
@@ -617,6 +626,7 @@ func (c *Collection) Stats() Stats {
 		CollScans:      c.scans.Load(),
 		IndexScans:     c.indexScans.Load(),
 		DocsExamined:   c.docsExamined.Load(),
+		KeysExamined:   c.keysExamined.Load(),
 	}
 	if v.count > 0 {
 		s.AvgObjSizeBytes = v.dataSize / v.count

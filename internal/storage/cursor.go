@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"strings"
 	"sync"
 
 	"docstore/internal/bson"
@@ -34,9 +35,10 @@ const DefaultBatchSize = 256
 type Cursor struct {
 	// Streaming state (snap == nil for slice-backed cursors).
 	snap    *Snapshot
-	order   []int // index-scan positions into the snapshot; nil = sequential scan
+	indexed bool     // order holds the candidates; otherwise a sequential scan
+	order   []uint32 // index-scan positions into the snapshot, never written
 	next    int
-	matcher *query.Matcher
+	matcher *query.Matcher // what the plan left to check: the residual
 	proj    *query.Projection
 
 	skipLeft  int
@@ -203,14 +205,14 @@ func (cur *Cursor) fill() {
 	examinedBefore := cur.plan.DocsExamined
 	for !cur.done && (cur.batchSize <= 0 || len(cur.buf) < cur.batchSize) {
 		var r *record
-		if cur.order != nil {
+		if cur.indexed {
 			if cur.next >= len(cur.order) {
 				cur.done = true
 				break
 			}
-			pos := cur.order[cur.next]
+			pos := int(cur.order[cur.next])
 			cur.next++
-			if pos < 0 || pos >= v.length {
+			if pos >= v.length {
 				continue
 			}
 			r = v.record(pos)
@@ -260,17 +262,17 @@ func (cur *Cursor) fill() {
 // agrees with the pinned records by construction. A non-zero opts.AtVersion
 // pins the named committed version instead of the current one; see
 // SnapshotAt.
-func (c *Collection) openScan(filter *bson.Doc, opts FindOptions) (*Snapshot, []int, string, error) {
+func (c *Collection) openScan(matcher *query.Matcher, opts FindOptions) (*Snapshot, access, error) {
 	snap, err := c.SnapshotAt(opts.AtVersion)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, access{}, err
 	}
-	order, indexUsed, err := planEnv{coll: c.name, indexes: snap.v.indexes}.plan(filter, opts)
+	acc, err := planEnv{coll: c.name, indexes: snap.v.indexes}.plan(matcher, opts)
 	if err != nil {
 		snap.Release()
-		return nil, nil, "", err
+		return nil, access{}, err
 	}
-	return snap, order, indexUsed, nil
+	return snap, acc, nil
 }
 
 // HoldWrites blocks every mutation on the collection until the returned
@@ -302,7 +304,6 @@ func (c *Collection) FindCursor(filter *bson.Doc, opts FindOptions) (*Cursor, er
 // already, an aggregation's leading $match for one. A nil matcher matches
 // every document.
 func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions) (*Cursor, error) {
-	filter := matcher.Filter()
 	batchSize := opts.BatchSize
 	if batchSize == 0 {
 		batchSize = DefaultBatchSize
@@ -312,32 +313,42 @@ func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions
 	// part of a query that may contend on the writer mutex; the batch fills
 	// that follow are lock-free and belong to the caller's drain time.
 	planSpan := opts.Trace.Child("storage.plan")
-	snap, order, indexUsed, err := c.openScan(filter, opts)
+	snap, acc, err := c.openScan(matcher, opts)
 	if err != nil {
 		planSpan.Finish()
 		return nil, err
 	}
 	if planSpan != nil {
 		planSpan.SetAttr("collection", c.name)
-		planSpan.SetAttr("index", indexUsed)
+		planSpan.SetAttr("index", acc.index)
+		if len(acc.intersected) > 0 {
+			planSpan.SetAttr("intersected", strings.Join(acc.intersected, ","))
+		}
+		planSpan.SetAttr("keysExamined", acc.keys)
+		planSpan.SetAttr("clausesCovered", acc.covered)
 		planSpan.SetAttr("snapshotVersion", snap.Version())
 		planSpan.Finish()
 	}
-	if order == nil {
+	if acc.index == "" {
 		c.scans.Add(1)
 	} else {
 		c.indexScans.Add(1)
+		c.keysExamined.Add(int64(acc.keys))
 	}
 
 	cur := &Cursor{
 		snap:      snap,
-		order:     order,
-		matcher:   matcher,
+		indexed:   acc.index != "",
+		order:     acc.positions,
+		matcher:   acc.residual,
 		batchSize: batchSize,
 		limitLeft: -1,
 		plan: Plan{
 			Collection:      c.name,
-			IndexUsed:       indexUsed,
+			IndexUsed:       acc.index,
+			Intersected:     acc.intersected,
+			KeysExamined:    acc.keys,
+			ClausesCovered:  acc.covered,
 			SnapshotVersion: snap.Version(),
 			Isolation:       IsolationSnapshot,
 		},

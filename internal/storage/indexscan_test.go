@@ -7,10 +7,10 @@ import (
 )
 
 // TestIndexScanAllocatesNothingPerEntry guards the positional index entries:
-// an index hit is a record position, read straight into the plan's candidate
-// list, so an index-served find costs the same handful of allocations
-// whether its key holds one entry or ten thousand — only the candidate and
-// result slices grow, a doubling at a time. Resolving each hit through its
+// an index hit is a record position, and the plan's candidate list is the
+// tree's own posting list, so an index-served find costs the same handful of
+// allocations whether its key holds one entry or ten thousand — only the
+// result slice grows, a doubling at a time. Resolving each hit through its
 // _id (a marshalled key and a map probe per entry) cost five allocations an
 // entry; the bounds below are far under one. _id_ is such an index too.
 func TestIndexScanAllocatesNothingPerEntry(t *testing.T) {

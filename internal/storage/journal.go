@@ -16,8 +16,8 @@ type Journal interface {
 	// fsync. Insert ops have their _id already assigned, so a replay
 	// regenerates identical documents.
 	LogBatch(ops []WriteOp, ordered bool) (CommitWaiter, error)
-	// LogClear records the collection being wiped in place (Drop, which
-	// ReplaceContents and the aggregation $out stage use).
+	// LogClear records the collection being wiped in place (Drop, and
+	// ReplaceContents ahead of its insert batch: the aggregation $out stage).
 	LogClear() (CommitWaiter, error)
 	// LogEnsureIndex records a secondary index creation, so recovery
 	// rebuilds the index and replayed writes see the same unique-key
@@ -152,8 +152,14 @@ func waitCommit(commit CommitWaiter, journaled bool) error {
 		return nil
 	}
 	err := commit.Wait(journaled)
+	notifyCommit(commit)
+	return err
+}
+
+// notifyCommit fires the post-commit hook of a logged record, once the wait
+// that covers it has resolved. A nil commit is a no-op.
+func notifyCommit(commit CommitWaiter) {
 	if n, ok := commit.(CommitNotifier); ok {
 		n.Notify()
 	}
-	return err
 }

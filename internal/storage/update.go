@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 
 	"docstore/internal/bson"
@@ -36,7 +37,7 @@ func (c *Collection) Update(spec query.UpdateSpec) (UpdateResult, error) {
 func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher) (UpdateResult, error) {
 	var res UpdateResult
 	var err error
-	c.eachMatchLocked(spec.Query, matcher, func(i int, r *record) bool {
+	c.eachMatchLocked(matcher, func(i int, r *record) bool {
 		res.Matched++
 		updated := r.doc.Clone()
 		var changed bool
@@ -98,23 +99,31 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 // ascending position order, so a multi: false write lands on the document a
 // collection scan would have found first: which document that is does not
 // depend on how the trees were built, and replay and secondaries pick the
-// same one. fn may rewrite the record it is handed (through ownSlotLocked)
-// but must not insert or compact.
-func (c *Collection) eachMatchLocked(filter *bson.Doc, matcher *query.Matcher, fn func(pos int, r *record) bool) {
+// same one. The plan is Find's own (planEnv.plan), read from the writer's
+// trees: the candidates may have been narrowed by several indexes and each
+// is checked against the residual only. fn may rewrite the record it is
+// handed (through ownSlotLocked) and move its index entries, but must not
+// insert or compact.
+func (c *Collection) eachMatchLocked(matcher *query.Matcher, fn func(pos int, r *record) bool) {
 	// The error is structurally impossible here (writes carry no hint).
-	positions, _, _ := planEnv{coll: c.name, indexes: c.indexes}.plan(filter, FindOptions{})
+	acc, _ := planEnv{coll: c.name, indexes: c.indexes}.plan(matcher, FindOptions{})
 	n := c.length // nothing narrows: every position, in place
-	if positions != nil {
-		sort.Ints(positions)
-		n = len(positions)
+	if acc.index != "" {
+		if acc.shared {
+			// The writer's own posting list, which fn's index maintenance
+			// may splice while this loop reads it.
+			acc.positions = slices.Clone(acc.positions)
+		}
+		slices.Sort(acc.positions)
+		n = len(acc.positions)
 	}
 	for k := 0; k < n; k++ {
 		pos := k
-		if positions != nil {
-			pos = positions[k]
+		if acc.index != "" {
+			pos = int(acc.positions[k])
 		}
 		r := c.writerRecord(pos)
-		if r == nil || r.deleted || !matcher.Matches(r.doc) {
+		if r == nil || r.deleted || !acc.residual.Matches(r.doc) {
 			continue
 		}
 		if !fn(pos, r) {
@@ -166,10 +175,44 @@ func (c *Collection) UpdateOne(filter, update *bson.Doc) (UpdateResult, error) {
 
 // ReplaceContents drops every document and inserts the given ones; it is the
 // semantics of the aggregation $out stage writing its result collection. The
-// batch runs through the bulk-write engine under one lock acquisition.
+// wipe and the ordered insert batch happen under one write-lock acquisition
+// and become visible as one version: a reader sees the old contents or the
+// new, never the empty collection between them, and two concurrent calls
+// leave one caller's documents, not a mix. The journal still receives the two
+// records a Drop and a BulkWrite would have written, in that order, so
+// recovery replays them as it always did; the batch's record is the later of
+// the two in one sequential log, so one wait covers both.
 func (c *Collection) ReplaceContents(docs []*bson.Doc) error {
-	c.Drop()
-	res := c.BulkWrite(InsertOps(docs), BulkOptions{Ordered: true})
+	ops := InsertOps(docs)
+	if firstTooDeep(ops) >= 0 {
+		return ErrDocumentTooDeep // as BulkApply would, but before the wipe
+	}
+	prep, res, inserts := prepareBulk(ops)
+	c.mu.Lock()
+	// A journal failure on the wipe is best-effort, as in Drop.
+	cleared, _ := c.logClearLocked()
+	c.clearLocked()
+	var logged CommitWaiter
+	var err error
+	if len(ops) > 0 {
+		if logged, err = c.logLocked(ops, true); err == nil {
+			c.applyOpsLocked(ops, prep, inserts, true, &res)
+		}
+	}
+	c.publishLocked()
+	c.mu.Unlock()
+	last := logged
+	if last == nil {
+		last = cleared
+	}
+	if last != nil {
+		res.DurabilityErr = last.Wait(false)
+	}
+	notifyCommit(cleared)
+	notifyCommit(logged)
+	if err != nil {
+		return err
+	}
 	return res.FirstError()
 }
 
@@ -189,9 +232,9 @@ func (c *Collection) Delete(filter *bson.Doc, multi bool) (int, error) {
 // The tombstone drops its document reference — once no pinned version covers
 // the page, the document's memory is gone, and a fully tombstoned page is
 // nilled out of the spine by the incremental GC.
-func (c *Collection) deleteLocked(filter *bson.Doc, matcher *query.Matcher, multi bool) int {
+func (c *Collection) deleteLocked(matcher *query.Matcher, multi bool) int {
 	removed := 0
-	c.eachMatchLocked(filter, matcher, func(i int, r *record) bool {
+	c.eachMatchLocked(matcher, func(i int, r *record) bool {
 		doc := r.doc
 		r = c.ownSlotLocked(i)
 		for _, e := range c.indexes {

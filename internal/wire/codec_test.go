@@ -430,8 +430,10 @@ func TestResultLargerThanAFrameArrivesInBatches(t *testing.T) {
 
 // TestPointFindRoundTripAllocates bounds what one indexed point find costs
 // in allocations from Client.Do to the reply, client and server together
-// (they share the process, so AllocsPerRun sees both). Measured: 40 — 23 in
-// Handle and below, 7 to encode and decode the request, 10 the reply. The
+// (they share the process, so AllocsPerRun sees both). Measured: 35 — 18 in
+// Handle and below, 7 to encode and decode the request, 10 the reply (40
+// until a point find took its candidates from the tree's own posting list
+// and the profiler's plan line was written into one builder). The
 // line-delimited JSON codec this replaced measured 298.
 func TestPointFindRoundTripAllocates(t *testing.T) {
 	_, c := startServer(t)

@@ -168,6 +168,14 @@ func TestTracedFindRecordsQueryPlan(t *testing.T) {
 	} else if idx == "" {
 		t.Fatalf("plan index attr empty")
 	}
+	// The index work is on the span as it is on the plan line: one entry
+	// read, and the filter's one clause answered by reading it.
+	if keys, _ := plan.Attr("keysExamined"); keys != 1 {
+		t.Fatalf("plan keysExamined attr = %v, want 1; attrs = %v", keys, plan.Attrs)
+	}
+	if covered, _ := plan.Attr("clausesCovered"); covered != 1 {
+		t.Fatalf("plan clausesCovered attr = %v, want 1; attrs = %v", covered, plan.Attrs)
+	}
 	assertFinished(t, &root, root.TraceID)
 }
 
