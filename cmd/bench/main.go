@@ -32,52 +32,7 @@ func main() {
 	figure := flag.String("figure", "", "render only one figure (4.9, 4.10, 4.11)")
 	ablation := flag.String("ablation", "", "run one ablation instead of the suite (shardkey, index, scatter)")
 	extended := flag.Bool("extended", false, "also run the future-work experiments 7/8 (denormalized model on the sharded cluster)")
-	sweep := flag.Bool("sweep", false, "run the write-concern latency sweep instead of the experiment suite")
-	updateStream := flag.Bool("update-stream", false, "run the single-doc update-stream benchmark instead of the experiment suite")
-	streamDocs := flag.Int("stream-docs", 100_000, "update-stream: collection size the stream mutates")
-	streamOps := flag.Int("stream-ops", 5000, "update-stream: single-doc updates measured per variant")
-	indexedFind := flag.Bool("indexed-find", false, "run the indexed-find-under-writes benchmark instead of the experiment suite")
-	findDocs := flag.Int("find-docs", 4000, "indexed-find: collection size the readers query")
-	findQueries := flag.Int("find-queries", 256, "indexed-find: index-backed queries per reader thread")
-	sweepThreads := flag.String("sweep-threads", "1,4", "sweep: comma-separated client thread counts")
-	sweepMembers := flag.String("sweep-members", "1,3", "sweep: comma-separated replica set sizes")
-	sweepWC := flag.String("sweep-wc", "w1,majority,majority+j", "sweep: comma-separated write concerns (w<N>, majority, optional +j)")
-	sweepShards := flag.String("sweep-shards", "1", "sweep: comma-separated shard counts (replica set per shard)")
-	sweepRequests := flag.Int("sweep-requests", 400, "sweep: acknowledged writes measured per cell")
 	flag.Parse()
-
-	if *updateStream {
-		if err := runUpdateStream(updateStreamConfig{docs: *streamDocs, ops: *streamOps}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *indexedFind {
-		cfg := indexedFindConfig{docs: *findDocs, queries: *findQueries, readers: 8, shards: *shards}
-		if err := runIndexedFind(cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sweep {
-		cfg := sweepConfig{requests: *sweepRequests, concerns: splitTrim(*sweepWC)}
-		var err error
-		if cfg.threads, err = parseIntList("sweep-threads", *sweepThreads); err != nil {
-			fatal(err)
-		}
-		if cfg.members, err = parseIntList("sweep-members", *sweepMembers); err != nil {
-			fatal(err)
-		}
-		if cfg.shards, err = parseIntList("sweep-shards", *sweepShards); err != nil {
-			fatal(err)
-		}
-		if err := runSweep(cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	small := tpcds.ScaleSmall.WithDivisor(*divisor)
 	large := tpcds.ScaleLarge.WithDivisor(*divisor)
@@ -177,17 +132,6 @@ func runAblation(name string, scale tpcds.Scale, cfg core.Config) {
 	default:
 		fatal(fmt.Errorf("unknown ablation %q (use shardkey, index or scatter)", name))
 	}
-}
-
-func splitTrim(s string) []string {
-	parts := strings.Split(s, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -125,8 +125,8 @@
 //     result document.
 //
 // InsertMany at every layer is a thin wrapper over this path, so the
-// migration and denormalization loaders batch for free.
-// BenchmarkBulkInsertVsLoop measures the win on the wire and router paths.
+// migration and denormalization loaders batch for free; benchmark/ measures
+// the batched load as migrate.us_per_doc and each workload's setup_s.
 // ReplaceContents, which $out uses, is the one batch with a prologue: it
 // wipes the collection and applies its ordered inserts under one lock
 // acquisition, published as one version and acknowledged by one durability
@@ -407,7 +407,8 @@
 //     nothing; updates install modified clones instead of mutating stored
 //     documents; an {_id: x} filter plans through the _id_ index like any
 //     indexed filter, making a single-document update one page copy plus
-//     one tree descent (BenchmarkSingleDocUpdateStream) — an update cannot
+//     one tree descent (benchmark/: storage.update_us,
+//     storage.cow_b_per_write) — an update cannot
 //     change _id, so the _id_ tree itself is not copied. A single-document
 //     insert copies no page but path-copies one root-to-leaf path of _id_
 //     and of every other index (the node-copy protocol below); a batch
@@ -435,8 +436,8 @@
 //     position, unboxed in a slice per key — the way a real store's index
 //     points at a record id: an index hit is read straight out of the tree
 //     into the plan's candidate list, with no _id to marshal, no map to
-//     probe and no allocation per entry (BenchmarkIndexScan: ~50 ns a hit
-//     all told, against ~350-600 when every hit went back through its _id).
+//     probe and no allocation per entry (benchmark/: index.lookup_ns times
+//     a hit, storage.scan_us a range of them).
 //     The positions in a version's frozen trees name records in that
 //     version's own pages, so candidate lists are snapshot-consistent by
 //     construction and EnsureIndex/DropIndex cannot disturb an open
@@ -456,9 +457,6 @@
 //     through every layer instead of silently degrading to a collection
 //     scan (a hint can therefore succeed at an old version after the index
 //     is dropped from the current one).
-//     BenchmarkIndexedFindUnderWrites measures the win: 8 readers issuing
-//     index-backed group queries keep their throughput while a bulk writer
-//     rewrites every index position list per batch.
 //   - Read-at-version: FindOptions.AtVersion (wire "atVersion", the
 //     atClusterTime analogue) pins a find to a named committed version:
 //     run one query, read its snapshot version from explain or the
@@ -476,9 +474,8 @@
 //     prefetch pumps scan per-shard snapshots while bulk writes keep
 //     scattering; checkpoints stream pinned snapshots without stalling
 //     writers; replset.FindCursor reads one member version under
-//     replication. BenchmarkConcurrentScanUnderWrites measures the win: at
-//     8 readers + 1 bulk writer the reader throughput is ~49x the locked
-//     engine's.
+//     replication. benchmark/'s oltp_wire workload runs index scans beside
+//     its writers (time2_ms); storage.scan_us times one alone.
 //
 // # MVCC memory management
 //
@@ -573,8 +570,9 @@
 //     write; "group" (the default) runs group commit — the first waiter
 //     leads an fsync that covers every record appended before it, so
 //     concurrent writers share disk flushes and acknowledged-write
-//     throughput scales with concurrency (BenchmarkWALGroupCommit measures
-//     the win over per-write fsync); "none" defers to rotation and
+//     throughput scales with concurrency (benchmark/: wal.fsync_p50_us is
+//     one append and the fsync that covers it, wal.syncs_per_write the
+//     fsyncs a write pays); "none" defers to rotation and
 //     shutdown. The flush happens under the append lock but the fsync does
 //     not, which is what lets the next batch fill while the disk works.
 //   - writeConcern semantics: a write on a journaled collection is
@@ -752,9 +750,9 @@
 //     the durable server as primary; -write-concern sets the default for
 //     writes that carry none ("majority", "2+j", ...). On a durable server
 //     the oplog has its own WAL under <data-dir>/oplog and is reloaded on
-//     restart. cmd/bench -sweep measures acknowledged-write latency
-//     (p50/p99/p999 per cell) across threads x members x writeConcern x
-//     shards.
+//     restart. benchmark/'s ingest_replicated workload measures majority+j
+//     write latency against such a deployment, and replset.ack_wait_us the
+//     quorum wait alone.
 //
 // # Observability
 //
@@ -797,8 +795,7 @@
 //     wire.Client.CurrentOp/Traces and docstore-shell drive them.
 //   - Metrics: internal/metrics provides lock-free log-bucketed latency
 //     histograms (4 sub-buckets per power-of-two octave, ~12.5% bucket
-//     error, mergeable by addition — the structure cmd/bench's percentile
-//     harness also records into) and monotonic counters in a registry that
+//     error) and monotonic counters in a registry that
 //     renders Prometheus text exposition. The mongod layer always records
 //     docstore_mongod_ops_total{op} and
 //     docstore_mongod_op_duration_seconds{op} (the profiler ring is gated
@@ -847,11 +844,9 @@
 //     member documents, aggregated across shards behind a mongos), WAL fsync
 //     latency and group-commit batch-size histograms
 //     (docstore_wal_fsync_duration_seconds, from the WAL's own histograms
-//     attached to the registry — rotation/shutdown fsyncs excluded), per
+//     attached to the registry — rotation/shutdown fsyncs excluded) and per
 //     watcher change-stream buffer depth (serverStatus
-//     changeStreams.watcherDepths and docstore_changestream_* gauges), and
-//     per-shard router dispatch state
-//     (docstore_mongos_shard_{in_flight,calls,errors}).
+//     changeStreams.watcherDepths and docstore_changestream_* gauges).
 //   - Endpoint: docstored -metrics-addr serves /metrics (both registries
 //     merged) and net/http/pprof's /debug/pprof on one listener;
 //     -trace-sample, -trace-ring and -profile-slowms tune the tracer. The

@@ -11,7 +11,7 @@ import (
 
 // This file renders the paper's tables and figures from measured results.
 // Each function mirrors one table or figure of the thesis and is regenerated
-// by `cmd/bench` and by the root-level benchmarks.
+// by `cmd/bench` and by `bench_test.go`.
 
 // Table41 renders the experimental-setup matrix (Table 4.1).
 func Table41(specs []ExperimentSpec) string {
@@ -180,7 +180,7 @@ func Figure411(suite *SuiteResult, largeName string) string {
 }
 
 // Observations checks the qualitative findings of §4.3 against a suite result
-// and reports each as satisfied or not; EXPERIMENTS.md records the output.
+// and reports each as satisfied or not.
 func Observations(suite *SuiteResult, smallName, largeName string) string {
 	var b strings.Builder
 	check := func(name string, ok bool) {

@@ -21,8 +21,7 @@ type Gauge struct {
 	Unit string
 	// Labels are optional label pairs ("member", "rs0-sec1", ...): gauges
 	// sharing a Name but differing in Labels render as one Prometheus
-	// family with per-label-set samples (replication lag per member,
-	// in-flight calls per shard).
+	// family with per-label-set samples (replication lag per member).
 	Labels []string
 }
 

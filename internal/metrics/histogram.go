@@ -10,8 +10,7 @@ import (
 // each power-of-two octave of nanoseconds is split into 4 sub-buckets, so
 // relative bucket error is bounded at ~12.5% across the full int64 range
 // while the whole histogram stays a fixed array of atomic counters. That
-// fixed shape is what makes histograms mergeable — merging is element-wise
-// addition — and makes concurrent Observe/Snapshot safe without locks.
+// fixed shape is what makes concurrent Observe/Snapshot safe without locks.
 //
 // Values are durations in nanoseconds. Negative observations clamp to 0.
 //
@@ -128,11 +127,10 @@ type BucketExemplar struct {
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Snapshot captures the histogram for quantile queries, merging, and
-// exposition. Concurrent Observe calls may land between counter reads —
-// the snapshot is a consistent-enough view for monitoring, never torn in a
-// way that breaks cumulative bucket ordering by more than in-flight
-// observations.
+// Snapshot captures the histogram for quantile queries and exposition.
+// Concurrent Observe calls may land between counter reads — the snapshot is
+// a consistent-enough view for monitoring, never torn in a way that breaks
+// cumulative bucket ordering by more than in-flight observations.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	for i := range h.counts {
@@ -149,16 +147,6 @@ type HistogramSnapshot struct {
 	Counts [numBuckets]int64
 	Count  int64
 	Sum    int64
-}
-
-// Merge adds another snapshot's counts into this one (histograms from
-// different shards or workers aggregate by addition).
-func (s *HistogramSnapshot) Merge(other HistogramSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += other.Counts[i]
-	}
-	s.Count += other.Count
-	s.Sum += other.Sum
 }
 
 // Quantile returns the latency at quantile q in [0, 1], interpolated to the
@@ -190,10 +178,9 @@ func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 	return time.Duration(bucketLower(numBuckets - 1))
 }
 
-// P50, P99 and P999 are the export quantiles the bench harness compares.
-func (s *HistogramSnapshot) P50() time.Duration  { return s.Quantile(0.50) }
-func (s *HistogramSnapshot) P99() time.Duration  { return s.Quantile(0.99) }
-func (s *HistogramSnapshot) P999() time.Duration { return s.Quantile(0.999) }
+// P50 and P99 are the quantiles serverStatus reports.
+func (s *HistogramSnapshot) P50() time.Duration { return s.Quantile(0.50) }
+func (s *HistogramSnapshot) P99() time.Duration { return s.Quantile(0.99) }
 
 // Mean returns the average observed duration (exact, from the running sum).
 func (s *HistogramSnapshot) Mean() time.Duration {

@@ -83,28 +83,6 @@ func TestHistogramEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Observe(time.Millisecond)
-		b.Observe(time.Second)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	if sa.Count != 200 {
-		t.Fatalf("merged count = %d", sa.Count)
-	}
-	if p50 := sa.Quantile(0.49); p50 > 2*time.Millisecond {
-		t.Fatalf("merged p49 = %v, want ~1ms", p50)
-	}
-	if p99 := sa.Quantile(0.99); p99 < 500*time.Millisecond {
-		t.Fatalf("merged p99 = %v, want ~1s", p99)
-	}
-	if sa.Sum != 100*int64(time.Millisecond)+100*int64(time.Second) {
-		t.Fatalf("merged sum = %d", sa.Sum)
-	}
-}
-
 // TestHistogramConcurrentStress records from many goroutines while others
 // snapshot and query concurrently, verifying the lock-free counters under
 // the race detector. No sleeps.

@@ -5,12 +5,16 @@ package metrics
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 	"time"
 )
 
 // FormatDuration renders a duration the way the thesis reports runtimes:
-// "1h53m51.00s", "4m50.00s", "15.71s", "0.62s".
+// "1h53m51.00s", "4m50.00s", "15.71s", "0.62s". Below one second, where two
+// decimals would print most reduced-scale runtimes as "0.00s", it keeps
+// three significant digits: "0.0123s", "0.00041s".
 func FormatDuration(d time.Duration) string {
 	if d < 0 {
 		d = 0
@@ -24,6 +28,14 @@ func FormatDuration(d time.Duration) string {
 		return fmt.Sprintf("%dh%dm%05.2fs", hours, minutes, seconds)
 	case minutes > 0:
 		return fmt.Sprintf("%dm%05.2fs", minutes, seconds)
+	case d > 0 && d < time.Second:
+		decimals := 2 - int(math.Floor(math.Log10(total)))
+		out := strconv.FormatFloat(total, 'f', decimals, 64)
+		// Zeros past the thesis' two decimals are not significant digits.
+		for ; decimals > 2 && strings.HasSuffix(out, "0"); decimals-- {
+			out = out[:len(out)-1]
+		}
+		return out + "s"
 	default:
 		return fmt.Sprintf("%.2fs", seconds)
 	}

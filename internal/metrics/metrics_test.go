@@ -20,6 +20,11 @@ func TestFormatDurationThesisStyle(t *testing.T) {
 		{3*time.Hour + 31*time.Minute + 53720*time.Millisecond, "3h31m53.72s"},
 		{0, "0.00s"},
 		{-5 * time.Second, "0.00s"},
+		{500 * time.Millisecond, "0.50s"},
+		{12300 * time.Microsecond, "0.0123s"},
+		{410 * time.Microsecond, "0.00041s"},
+		{45 * time.Microsecond, "0.000045s"},
+		{999700 * time.Microsecond, "1.00s"},
 	}
 	for _, c := range cases {
 		if got := FormatDuration(c.d); got != c.want {

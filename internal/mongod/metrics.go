@@ -103,12 +103,3 @@ func (s *Server) OpDurations(op string) metrics.HistogramSnapshot {
 	}
 	return h.Snapshot()
 }
-
-// CollectionOpDurations returns a snapshot of the labeled latency histogram
-// for one namespace ("db.coll") and op kind — the per-collection series the
-// bench harness records so a regression can be attributed to a namespace.
-// A namespace past the cardinality cap resolves to the shared overflow
-// series.
-func (s *Server) CollectionOpDurations(ns, op string) metrics.HistogramSnapshot {
-	return s.om.collDur.With(ns, op, s.om.shard).Snapshot()
-}

@@ -151,56 +151,67 @@ func TestWatchPipelineFilter(t *testing.T) {
 }
 
 // TestWatchConcurrentBulkWrites runs concurrent unordered bulk writers
-// against a watched collection and checks the watcher observes every
-// committed write exactly once, in non-decreasing LSN order.
+// against a watched collection and checks every watcher observes every
+// committed write exactly once, in non-decreasing LSN order — one watcher,
+// and several sharing the same publishes.
 func TestWatchConcurrentBulkWrites(t *testing.T) {
-	s, _ := durableServer(t, t.TempDir(), wal.SyncGroupCommit)
-	defer s.CloseDurability()
-	db := s.Database("app")
+	for _, watchers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("watchers=%d", watchers), func(t *testing.T) {
+			s, _ := durableServer(t, t.TempDir(), wal.SyncGroupCommit)
+			defer s.CloseDurability()
+			db := s.Database("app")
 
-	stream, err := s.Watch("app", "rows", WatchOptions{BufferSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Close()
-
-	const writers, perWriter = 4, 100
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i += 10 {
-				docs := make([]*bson.Doc, 0, 10)
-				for k := 0; k < 10; k++ {
-					docs = append(docs, bson.D(bson.IDKey, fmt.Sprintf("w%d-%d", w, i+k)))
+			streams := make([]changestream.Stream, watchers)
+			for i := range streams {
+				stream, err := s.Watch("app", "rows", WatchOptions{BufferSize: 4096})
+				if err != nil {
+					t.Fatal(err)
 				}
-				res := db.BulkWrite("rows", storage.InsertOps(docs), storage.BulkOptions{})
-				if err := res.FirstError(); err != nil {
-					t.Error(err)
-					return
-				}
+				defer stream.Close()
+				streams[i] = stream
 			}
-		}(w)
-	}
-	wg.Wait()
 
-	seen := make(map[string]bool)
-	lastLSN := int64(0)
-	for len(seen) < writers*perWriter {
-		ev := nextEvent(t, stream)
-		if ev.Token.LSN < lastLSN {
-			t.Fatalf("LSN went backwards: %d after %d", ev.Token.LSN, lastLSN)
-		}
-		lastLSN = ev.Token.LSN
-		id, _ := ev.DocumentKey.Get(bson.IDKey)
-		key := fmt.Sprint(id)
-		if seen[key] {
-			t.Fatalf("duplicate event for %s", key)
-		}
-		seen[key] = true
+			const writers, perWriter = 4, 100
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i += 10 {
+						docs := make([]*bson.Doc, 0, 10)
+						for k := 0; k < 10; k++ {
+							docs = append(docs, bson.D(bson.IDKey, fmt.Sprintf("w%d-%d", w, i+k)))
+						}
+						res := db.BulkWrite("rows", storage.InsertOps(docs), storage.BulkOptions{})
+						if err := res.FirstError(); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+
+			for _, stream := range streams {
+				seen := make(map[string]bool)
+				lastLSN := int64(0)
+				for len(seen) < writers*perWriter {
+					ev := nextEvent(t, stream)
+					if ev.Token.LSN < lastLSN {
+						t.Fatalf("LSN went backwards: %d after %d", ev.Token.LSN, lastLSN)
+					}
+					lastLSN = ev.Token.LSN
+					id, _ := ev.DocumentKey.Get(bson.IDKey)
+					key := fmt.Sprint(id)
+					if seen[key] {
+						t.Fatalf("duplicate event for %s", key)
+					}
+					seen[key] = true
+				}
+				noEvent(t, stream)
+			}
+		})
 	}
-	noEvent(t, stream)
 }
 
 // TestWatchResumeAcrossRestart is the crash-resume satellite: write, consume

@@ -148,14 +148,20 @@ func TestRouterCursorEarlyClose(t *testing.T) {
 
 // TestStressParallelRouterFind runs concurrent Router.Find and FindCursor
 // calls with Options.Parallel enabled while writers keep inserting — the
-// scatter-gather race surface the -race run is meant to cover.
+// scatter-gather race surface the -race run is meant to cover. One kind of
+// read has a fixed answer while the writers run: a group's seeded documents,
+// found through each shard's g_1 index.
 func TestStressParallelRouterFind(t *testing.T) {
-	r := shardedFixture(t, Options{Parallel: true}, 300)
 	const (
+		seeded  = 300
 		readers = 6
 		writers = 2
 		ops     = 100
 	)
+	r := shardedFixture(t, Options{Parallel: true}, seeded)
+	if err := r.EnsureIndex("db", "events", bson.D("g", 1), false); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -176,14 +182,15 @@ func TestStressParallelRouterFind(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < ops; i++ {
-				if i%2 == 0 {
+				switch i % 3 {
+				case 0:
 					docs, err := r.Find("db", "events", bson.D("g", i%11), storage.FindOptions{})
 					if err != nil {
 						t.Errorf("find: %v", err)
 						return
 					}
 					_ = docs
-				} else {
+				case 1:
 					cur, err := r.FindCursor("db", "events", nil, storage.FindOptions{BatchSize: 32, Limit: 64})
 					if err != nil {
 						t.Errorf("cursor: %v", err)
@@ -191,6 +198,19 @@ func TestStressParallelRouterFind(t *testing.T) {
 					}
 					if _, err := cur.All(); err != nil {
 						t.Errorf("drain: %v", err)
+						return
+					}
+				case 2:
+					// The writers' ids start at 10000, so the seeded part of a
+					// group does not change under them.
+					grp := i % 11
+					docs, err := r.Find("db", "events", bson.D("g", grp, "k", bson.D("$lt", seeded)), storage.FindOptions{})
+					if err != nil {
+						t.Errorf("group find: %v", err)
+						return
+					}
+					if want := (seeded - grp + 10) / 11; len(docs) != want {
+						t.Errorf("group %d: %d seeded documents, want %d", grp, len(docs), want)
 						return
 					}
 				}
@@ -203,7 +223,13 @@ func TestStressParallelRouterFind(t *testing.T) {
 	for _, name := range r.ShardNames() {
 		total += r.Shard(name).Database("db").Collection("events").Count()
 	}
-	if total != 300+writers*ops {
-		t.Fatalf("cluster holds %d docs, want %d", total, 300+writers*ops)
+	if total != seeded+writers*ops {
+		t.Fatalf("cluster holds %d docs, want %d", total, seeded+writers*ops)
+	}
+	for _, name := range r.ShardNames() {
+		_, plan, err := r.Shard(name).Database("db").Collection("events").FindWithPlan(bson.D("g", 3), storage.FindOptions{})
+		if err != nil || plan.IndexUsed != "g_1" {
+			t.Fatalf("shard %s plan = %v, %v; want IXSCAN g_1", name, plan, err)
+		}
 	}
 }

@@ -1,57 +1,6 @@
 package mongos
 
-import (
-	"sync/atomic"
-
-	"docstore/internal/bson"
-	"docstore/internal/metrics"
-)
-
-// shardCounters is one shard's dispatch health, updated lock-free on the
-// scatter path (unordered batches dispatch to shards from parallel
-// goroutines).
-type shardCounters struct {
-	inFlight atomic.Int64 // dispatches currently executing on the shard
-	calls    atomic.Int64 // write dispatches issued
-	errors   atomic.Int64 // dispatches whose batch reported any failure
-}
-
-// ShardHealth is one shard's dispatch-health snapshot.
-type ShardHealth struct {
-	Shard    string
-	InFlight int64
-	Calls    int64
-	Errors   int64
-}
-
-// healthFor returns the shard's counters, nil for an unknown shard.
-func (r *Router) healthFor(name string) *shardCounters {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.health[name]
-}
-
-// ShardHealth snapshots every shard's dispatch health in registration
-// order: how many writes are in flight on it right now, how many it has
-// served, and how many came back with failures.
-func (r *Router) ShardHealth() []ShardHealth {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]ShardHealth, 0, len(r.order))
-	for _, name := range r.order {
-		hc := r.health[name]
-		if hc == nil {
-			continue
-		}
-		out = append(out, ShardHealth{
-			Shard:    name,
-			InFlight: hc.inFlight.Load(),
-			Calls:    hc.calls.Load(),
-			Errors:   hc.errors.Load(),
-		})
-	}
-	return out
-}
+import "docstore/internal/bson"
 
 // HealthDocs aggregates replication health from every replica-backed shard,
 // tagging each member document with its shard name: the serverStatus "repl"
@@ -79,26 +28,6 @@ func (r *Router) HealthDocs() []*bson.Doc {
 			doc.Set("shard", names[i])
 			out = append(out, doc)
 		}
-	}
-	return out
-}
-
-// HealthGauges renders ShardHealth as labeled gauges, one series per shard,
-// for registration as a polled gauge source on a metrics registry. The
-// calls/errors counts are cumulative but export without the `_total` suffix:
-// the registry renders polled gauge sources with `# TYPE ... gauge`, and a
-// `_total` gauge would contradict the Prometheus naming convention that
-// tooling infers counter semantics from.
-func (r *Router) HealthGauges() []metrics.Gauge {
-	health := r.ShardHealth()
-	out := make([]metrics.Gauge, 0, 3*len(health))
-	for _, h := range health {
-		labels := []string{"shard", h.Shard}
-		out = append(out,
-			metrics.Gauge{Name: "docstore_mongos_shard_in_flight", Value: h.InFlight, Labels: labels},
-			metrics.Gauge{Name: "docstore_mongos_shard_calls", Value: h.Calls, Labels: labels},
-			metrics.Gauge{Name: "docstore_mongos_shard_errors", Value: h.Errors, Labels: labels},
-		)
 	}
 	return out
 }

@@ -88,6 +88,42 @@ func TestReplicaShardWriteConcernThreading(t *testing.T) {
 	}
 }
 
+// TestReplicaShardReadsFollowStepDown registers a replica set once and steps
+// its primary down: the router's reads must reach the new primary without
+// re-registration, so a majority write routed after the election is found
+// by a routed find.
+func TestReplicaShardReadsFollowStepDown(t *testing.T) {
+	rs := newReplicaShard(t, "A", "B", "C")
+	r := NewRouter(sharding.NewConfigServer(), Options{})
+	r.AddReplicaShard("rs0", rs)
+	before := rs.Primary()
+
+	next := rs.StepDown()
+	if next == before {
+		t.Fatalf("StepDown kept %s as primary", before.Name())
+	}
+	if got := r.Shard("rs0"); got != rs.Primary() {
+		t.Fatalf("Shard(rs0) = %s, want the new primary %s", got.Name(), rs.Primary().Name())
+	}
+	if got := r.PrimaryShard(); got != rs.Primary() {
+		t.Fatalf("PrimaryShard() = %s, want the new primary %s", got.Name(), rs.Primary().Name())
+	}
+
+	res := r.BulkWrite("db", "c", []storage.WriteOp{
+		storage.InsertWriteOp(bson.D(bson.IDKey, "after-stepdown")),
+	}, storage.BulkOptions{WriteConcern: storage.WriteConcern{Majority: true}})
+	if err := res.FirstError(); err != nil {
+		t.Fatalf("majority insert after step-down: %v", err)
+	}
+	docs, err := r.Find("db", "c", bson.D(bson.IDKey, "after-stepdown"), storage.FindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) != 1 {
+		t.Fatalf("routed find after step-down returned %d documents, want 1", len(docs))
+	}
+}
+
 func TestReplicaShardShardedBulk(t *testing.T) {
 	rsA := newReplicaShard(t, "A1", "A2", "A3")
 	rsB := newReplicaShard(t, "B1", "B2", "B3")

@@ -59,7 +59,6 @@ type Router struct {
 	replicas map[string]ReplicaShard // shard name -> replica set, when the shard is replicated
 	order    []string                // shard names in registration order; order[0] is the primary shard
 	stats    RoutingStats
-	health   map[string]*shardCounters // shard name -> dispatch-health counters
 }
 
 // NewRouter creates a router over a config server.
@@ -69,7 +68,6 @@ func NewRouter(config *sharding.ConfigServer, opts Options) *Router {
 		opts:     opts,
 		shards:   make(map[string]*mongod.Server),
 		replicas: make(map[string]ReplicaShard),
-		health:   make(map[string]*shardCounters),
 	}
 }
 
@@ -79,18 +77,15 @@ func (r *Router) AddShard(name string, server *mongod.Server) {
 	if _, exists := r.shards[name]; !exists {
 		r.shards[name] = server
 		r.order = append(r.order, name)
-		r.health[name] = &shardCounters{}
 	}
 	r.mu.Unlock()
 	r.config.AddShard(name)
 }
 
 // AddReplicaShard registers a replica-set-backed shard: reads and index
-// builds target the set's primary (the registered shard server), while every
-// write dispatches through the set's BulkWrite so acknowledgement honours
-// the request's write concern across the set's members. Note the primary is
-// captured at registration — a post-failover Router must be told about the
-// new primary by re-registering.
+// builds target the set's current primary, while every write dispatches
+// through the set's BulkWrite so acknowledgement honours the request's write
+// concern across the set's members.
 func (r *Router) AddReplicaShard(name string, rs ReplicaShard) {
 	r.AddShard(name, rs.Primary())
 	r.mu.Lock()
@@ -116,32 +111,27 @@ func (r *Router) shardBulkWrite(name, db, coll string, ops []storage.WriteOp, op
 	span.SetAttr("shard", name)
 	span.SetAttr("ops", len(ops))
 	opts.Trace = span
-	hc := r.healthFor(name)
-	if hc != nil {
-		hc.inFlight.Add(1)
-		hc.calls.Add(1)
-	}
 	var res storage.BulkResult
 	if rep := r.replica(name); rep != nil {
 		res = rep.BulkWrite(db, coll, ops, opts)
 	} else {
 		res = r.Shard(name).Database(db).BulkWrite(coll, ops, opts)
 	}
-	if hc != nil {
-		hc.inFlight.Add(-1)
-		if res.FirstError() != nil {
-			hc.errors.Add(1)
-		}
-	}
 	span.Finish()
 	return res
 }
 
-// Shard returns the named shard server, or nil.
+// Shard returns the named shard server, or nil. For a replica-backed shard
+// it is the set's primary at the time of the call, so reads follow a
+// failover.
 func (r *Router) Shard(name string) *mongod.Server {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.shards[name]
+	server, rep := r.shards[name], r.replicas[name]
+	r.mu.RUnlock()
+	if rep != nil {
+		return rep.Primary()
+	}
+	return server
 }
 
 // ShardNames returns the registered shard names in registration order.
@@ -154,11 +144,13 @@ func (r *Router) ShardNames() []string {
 // PrimaryShard returns the shard that stores unsharded collections.
 func (r *Router) PrimaryShard() *mongod.Server {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.order) == 0 {
+		r.mu.RUnlock()
 		return nil
 	}
-	return r.shards[r.order[0]]
+	name := r.order[0]
+	r.mu.RUnlock()
+	return r.Shard(name)
 }
 
 // Config returns the config server.
