@@ -31,13 +31,17 @@
 //     blocking stages ($sort, $lookup, $out, $count) materialize.
 //   - mongod.Database.FindCursor and AggregateCursor expose both, with a
 //     leading $match pushed down to the storage engine's indexes.
-//   - mongos.Router.FindCursor merges per-shard cursors with a streaming
-//     k-way merge (one prefetching goroutine per shard when
-//     Options.Parallel is set); Router.AggregateCursor streams the shard
-//     prefix of a pipeline into the router-side merge pipeline.
+//   - mongos.Cursor is the router's one merge: a stream per targeted
+//     shard — a find's shard cursor, or the shard prefix of a pipeline —
+//     merged k-way when the query sorts and concatenated in target order
+//     when it does not, pulled lazily or pumped by one prefetching
+//     goroutine per shard when Options.Parallel is set. Router.FindCursor
+//     returns it; Router.AggregateCursor feeds it into the router-side
+//     merge pipeline. A shard stream's error ends the merge as
+//     "mongos: shard <name>: …".
 //   - driver.Store is the deployment-independent interface (cursors
 //     included), implemented by both the stand-alone and the sharded
-//     adapters; driver.Capabilities reports what a store supports.
+//     adapters.
 //   - the wire protocol (internal/wire) frames a request and its reply as
 //     one binary document each, in the encoding of the log and the
 //     snapshots (internal/bson): the document's own int32 length is the
@@ -101,8 +105,7 @@
 //     (the router's one multi-shard visit). An upsert whose filter does not
 //     resolve to one shard is refused with an error naming the shard key.
 //   - bulk writes are part of the one driver.Store interface, implemented
-//     by both adapters (discover what works against a deployment with
-//     driver.Capabilities, not type assertions).
+//     by both adapters.
 //   - there is one write path, from the wire to the shard. Every scalar
 //     entry point — Insert/Update/Delete on storage.Collection,
 //     mongod.Database, replset.ReplicaSet and mongos.Router, and
@@ -695,9 +698,8 @@
 //     forever, an abandoned one still ages out), and killCursors tears
 //     the subscription down, even mid-getMore. wire.Client.Watch wraps
 //     the exchange, driver.Store.Watch abstracts over both deployments
-//     (driver.Capabilities reports whether the deployment can watch),
-//     and docstore-shell passes watch/getMore/resumeAfter straight
-//     through.
+//     (and errors when a server under it is not durable), and
+//     docstore-shell passes watch/getMore/resumeAfter straight through.
 //
 // # Replication & write concern
 //

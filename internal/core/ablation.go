@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"docstore/internal/bson"
+	"docstore/internal/driver"
 	"docstore/internal/metrics"
+	"docstore/internal/migrate"
 	"docstore/internal/mongos"
 	"docstore/internal/queries"
 	"docstore/internal/storage"
@@ -81,8 +83,8 @@ func setupShardedWithKeys(spec ExperimentSpec, cfg Config, keys map[string]*bson
 			return nil, err
 		}
 	}
-	d.Store = newShardedStore(c, dbName)
-	if d.Load, err = loadAndIndex(d); err != nil {
+	d.Store = driver.NewSharded(c.Router(), dbName)
+	if err := loadAndIndex(d); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -125,8 +127,8 @@ func RunIndexAblation(scale tpcds.Scale, cfg Config) (*IndexAblationResult, erro
 
 	without := &Deployment{Spec: spec, Config: cfg, generator: tpcds.NewGenerator(scale, cfg.Seed)}
 	without.Standalone = newStandaloneServer()
-	without.Store = newStandaloneStore(without.Standalone, DatabaseName(scale))
-	if without.Load, err = loadOnly(without); err != nil {
+	without.Store = driver.NewStandalone(without.Standalone.Database(DatabaseName(scale)))
+	if without.Load, err = migrate.LoadDataset(without.Store, without.generator); err != nil {
 		return nil, err
 	}
 	if _, res.WithoutIndexes, err = queries.RunNormalized(without.Store, q, cfg.Params); err != nil {

@@ -67,9 +67,6 @@ func TestBenchmarkQueryCursorEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("setting up %s: %v", spec.Label(), err)
 		}
-		if caps := driver.Capabilities(d.Store); !caps.Cursors {
-			t.Fatalf("%s store reports no cursor capability (%s)", spec.Label(), caps)
-		}
 		cs := d.Store
 		for _, q := range queries.All() {
 			t.Run(fmt.Sprintf("%s/Query%d", spec.Env, q.ID), func(t *testing.T) {

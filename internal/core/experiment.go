@@ -171,16 +171,10 @@ func Setup(spec ExperimentSpec, cfg Config) (*Deployment, error) {
 
 	switch spec.Env {
 	case StandAlone:
-		d.Standalone = mongod.NewServer(mongod.Options{Name: "standalone-m4.4xlarge", RAMBytes: 64 << 30})
+		d.Standalone = newStandaloneServer()
 		d.Store = driver.NewStandalone(d.Standalone.Database(dbName))
 	case Sharded:
-		c, err := cluster.Build(cluster.Config{
-			Shards:          cfg.Shards,
-			ShardRAMBytes:   8 << 30,
-			NetworkLatency:  cfg.NetworkLatency,
-			ParallelScatter: cfg.ParallelScatter,
-			ChunkSizeBytes:  cfg.ChunkSizeBytes,
-		})
+		c, err := buildCluster(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -195,13 +189,8 @@ func Setup(spec ExperimentSpec, cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("core: unknown environment %q", spec.Env)
 	}
 
-	load, err := migrate.LoadDataset(d.Store, d.generator)
-	if err != nil {
-		return nil, fmt.Errorf("core: loading dataset for %s: %w", spec.Label(), err)
-	}
-	d.Load = load
-	if err := migrate.EnsureQueryIndexes(d.Store, d.generator.Schema()); err != nil {
-		return nil, fmt.Errorf("core: building indexes for %s: %w", spec.Label(), err)
+	if err := loadAndIndex(d); err != nil {
+		return nil, err
 	}
 
 	if spec.Model == Denormalized {

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"fmt"
+
 	"docstore/internal/cluster"
-	"docstore/internal/driver"
 	"docstore/internal/migrate"
 	"docstore/internal/mongod"
 )
@@ -23,31 +24,20 @@ func buildCluster(cfg Config) (*cluster.Cluster, error) {
 	})
 }
 
-func newShardedStore(c *cluster.Cluster, dbName string) driver.Store {
-	return driver.NewSharded(c.Router(), dbName)
-}
-
 func newStandaloneServer() *mongod.Server {
 	return mongod.NewServer(mongod.Options{Name: "standalone-m4.4xlarge", RAMBytes: 64 << 30})
 }
 
-func newStandaloneStore(s *mongod.Server, dbName string) driver.Store {
-	return driver.NewStandalone(s.Database(dbName))
-}
-
-// loadOnly migrates the dataset into the deployment without building indexes.
-func loadOnly(d *Deployment) (*migrate.DatasetLoadResult, error) {
-	return migrate.LoadDataset(d.Store, d.generator)
-}
-
-// loadAndIndex migrates the dataset and builds the benchmark indexes.
-func loadAndIndex(d *Deployment) (*migrate.DatasetLoadResult, error) {
+// loadAndIndex migrates the dataset into d.Load and builds the benchmark
+// indexes.
+func loadAndIndex(d *Deployment) error {
 	load, err := migrate.LoadDataset(d.Store, d.generator)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("core: loading dataset for %s: %w", d.Spec.Label(), err)
 	}
+	d.Load = load
 	if err := migrate.EnsureQueryIndexes(d.Store, d.generator.Schema()); err != nil {
-		return nil, err
+		return fmt.Errorf("core: building indexes for %s: %w", d.Spec.Label(), err)
 	}
-	return load, nil
+	return nil
 }

@@ -24,9 +24,8 @@ type Cursor = aggregate.Iterator
 // Store is the full operation set the algorithms need from a deployment:
 // slice and cursor reads, scalar and bulk writes, aggregation, change
 // streams, and index/collection management. Both deployment adapters
-// implement every method; what may vary at runtime is whether a capability
-// is usable (change streams require durability on the underlying servers),
-// which Capabilities reports without a single type assertion.
+// implement every method; the one that can fail for want of a capability is
+// Watch, which errors when an underlying server is not durable.
 type Store interface {
 	// Name identifies the deployment ("stand-alone" or "sharded").
 	Name() string
@@ -64,8 +63,7 @@ type Store interface {
 	// resumeAfter, when non-empty, is a token from a previous stream's
 	// ResumeToken — the deployment-matching format (per-server token
 	// stand-alone, composite token sharded). Requires durability on the
-	// underlying server(s); Capabilities reports whether it is available
-	// without opening one.
+	// underlying server(s), and errors without it.
 	Watch(coll string, pipeline []*bson.Doc, resumeAfter string) (changestream.Stream, error)
 	// Count returns the number of documents matching filter.
 	Count(coll string, filter *bson.Doc) (int, error)
@@ -83,60 +81,6 @@ var (
 	_ Store = (*Sharded)(nil)
 )
 
-// CapabilitySet reports which optional behaviours of a Store are usable
-// right now against its deployment. Interface satisfaction alone cannot say
-// this — every Store has a Watch method, but change streams only work when
-// the underlying servers run durable — so capability discovery is a runtime
-// question, answered here, instead of a compile-time type-assertion ladder.
-type CapabilitySet struct {
-	// Cursors: FindCursor/AggregateCursor stream in batches.
-	Cursors bool
-	// Bulk: BulkWrite executes mixed batches with per-op attribution.
-	Bulk bool
-	// Watch: change streams can be opened (requires durability on every
-	// underlying server of the deployment).
-	Watch bool
-}
-
-// String renders the set compactly, e.g. "cursors,bulk" or "none".
-func (c CapabilitySet) String() string {
-	s := ""
-	for _, f := range []struct {
-		on   bool
-		name string
-	}{{c.Cursors, "cursors"}, {c.Bulk, "bulk"}, {c.Watch, "watch"}} {
-		if !f.on {
-			continue
-		}
-		if s != "" {
-			s += ","
-		}
-		s += f.name
-	}
-	if s == "" {
-		return "none"
-	}
-	return s
-}
-
-// CapabilityReporter is implemented by stores that can report their own
-// capability set; both adapters of this package do. Stores without it are
-// assumed fully capable (they implement every Store method, after all) —
-// the report exists to catch the cases where a method would fail at runtime.
-type CapabilityReporter interface {
-	Capabilities() CapabilitySet
-}
-
-// Capabilities reports what the store supports against its current
-// deployment: instead of asking "does this value have the method", callers
-// ask "will the method work".
-func Capabilities(s Store) CapabilitySet {
-	if r, ok := s.(CapabilityReporter); ok {
-		return r.Capabilities()
-	}
-	return CapabilitySet{Cursors: true, Bulk: true, Watch: true}
-}
-
 // Standalone adapts a database on a single server to the Store interface.
 type Standalone struct {
 	DB *mongod.Database
@@ -147,12 +91,6 @@ func NewStandalone(db *mongod.Database) *Standalone { return &Standalone{DB: db}
 
 // Name implements Store.
 func (s *Standalone) Name() string { return "stand-alone" }
-
-// Capabilities implements CapabilityReporter: cursors and bulk writes are
-// native; change streams require the server to run durable.
-func (s *Standalone) Capabilities() CapabilitySet {
-	return CapabilitySet{Cursors: true, Bulk: true, Watch: s.DB.Server().DurabilityEnabled()}
-}
 
 // Find implements Store.
 func (s *Standalone) Find(coll string, filter *bson.Doc, opts storage.FindOptions) ([]*bson.Doc, error) {
@@ -233,25 +171,6 @@ func NewSharded(router *mongos.Router, dbName string) *Sharded {
 
 // Name implements Store.
 func (s *Sharded) Name() string { return "sharded" }
-
-// Capabilities implements CapabilityReporter: a cluster-wide change stream
-// needs every shard durable (the merge has no token for a shard that cannot
-// produce events).
-func (s *Sharded) Capabilities() CapabilitySet {
-	c := CapabilitySet{Cursors: true, Bulk: true, Watch: true}
-	names := s.Router.ShardNames()
-	if len(names) == 0 {
-		c.Watch = false
-		return c
-	}
-	for _, name := range names {
-		if !s.Router.Shard(name).DurabilityEnabled() {
-			c.Watch = false
-			break
-		}
-	}
-	return c
-}
 
 // Find implements Store.
 func (s *Sharded) Find(coll string, filter *bson.Doc, opts storage.FindOptions) ([]*bson.Doc, error) {

@@ -44,9 +44,6 @@ func TestWatchStoreBothAdapters(t *testing.T) {
 	}
 	for _, store := range stores {
 		t.Run(store.Name(), func(t *testing.T) {
-			if caps := Capabilities(store); !caps.Watch {
-				t.Fatalf("%s reports no watch capability (%s) despite durable servers", store.Name(), caps)
-			}
 			stream, err := store.Watch("rows", []*bson.Doc{
 				bson.D("$match", bson.D("operationType", "insert")),
 			}, "")
@@ -82,5 +79,34 @@ func TestWatchStoreBothAdapters(t *testing.T) {
 				t.Fatal("stream has no resume token")
 			}
 		})
+	}
+}
+
+// TestWatchTracksDurability checks that whether a store can watch follows
+// the deployment's durability at runtime: Watch errors on a volatile
+// stand-alone server, succeeds once it is durable, and errors behind a
+// router while one of its shards is volatile.
+func TestWatchTracksDurability(t *testing.T) {
+	server := mongod.NewServer(mongod.Options{})
+	store := NewStandalone(server.Database("app"))
+	if _, err := store.Watch("rows", nil, ""); err == nil {
+		t.Fatal("Watch succeeded against a volatile server")
+	}
+
+	if _, err := server.EnableDurability(mongod.Durability{Dir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	defer server.CloseDurability()
+	stream, err := store.Watch("rows", nil, "")
+	if err != nil {
+		t.Fatalf("Watch after EnableDurability: %v", err)
+	}
+	stream.Close()
+
+	router := mongos.NewRouter(sharding.NewConfigServer(), mongos.Options{})
+	router.AddShard("Shard1", server)
+	router.AddShard("Shard2", mongod.NewServer(mongod.Options{Name: "Shard2"}))
+	if _, err := NewSharded(router, "app").Watch("rows", nil, ""); err == nil {
+		t.Fatal("Watch succeeded on a router with a volatile shard")
 	}
 }

@@ -84,7 +84,7 @@ func (r *Router) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.
 			return res
 		}
 		r.remoteCall()
-		r.recordRouting(true, 0)
+		r.recordRouting(true)
 		return r.shardBulkWrite(names[0], db, coll, ops, opts)
 	}
 	if opts.Ordered {
@@ -196,7 +196,7 @@ func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadat
 	// The grouped dispatch is one logical routed operation; each visit
 	// records itself.
 	if len(subs) > 0 {
-		r.recordRouting(len(visits) == 0 && !broadcast, 0)
+		r.recordRouting(len(visits) == 0 && !broadcast)
 	}
 	return res
 }
@@ -248,7 +248,7 @@ func (r *Router) bulkOrdered(db, coll string, meta *sharding.CollectionMetadata,
 	// As in the unordered path, only the grouped runs count as one routed
 	// operation; each multi-shard visit records itself.
 	if runs > 0 {
-		r.recordRouting(targeted, 0)
+		r.recordRouting(targeted)
 	}
 	return res
 }
@@ -300,6 +300,6 @@ func (r *Router) visitShards(db, coll string, meta *sharding.CollectionMetadata,
 			break
 		}
 	}
-	r.recordRouting(targeted, 0)
+	r.recordRouting(targeted)
 	return nil
 }

@@ -2,9 +2,11 @@ package mongos
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"docstore/internal/aggregate"
 	"docstore/internal/bson"
 	"docstore/internal/query"
 	"docstore/internal/storage"
@@ -127,22 +129,70 @@ func TestRouterAggregateCursorMatchesAggregate(t *testing.T) {
 	}
 }
 
-// TestRouterCursorEarlyClose verifies closing a merge cursor mid-stream
-// shuts down the parallel prefetch pumps without leaking or deadlocking.
+// TestRouterCursorEarlyClose verifies closing a merge cursor mid-stream, a
+// find's or an aggregation's, shuts down the parallel prefetch pumps without
+// leaking or deadlocking.
 func TestRouterCursorEarlyClose(t *testing.T) {
 	r := shardedFixture(t, Options{Parallel: true}, 600)
-	for i := 0; i < 10; i++ {
-		cur, err := r.FindCursor("db", "events", nil, storage.FindOptions{BatchSize: 8})
-		if err != nil {
-			t.Fatal(err)
+	opens := map[string]func() (aggregate.Iterator, error){
+		"find": func() (aggregate.Iterator, error) {
+			return r.FindCursor("db", "events", nil, storage.FindOptions{BatchSize: 8})
+		},
+		"aggregate": func() (aggregate.Iterator, error) {
+			return r.AggregateCursor("db", "events", []*bson.Doc{bson.D("$project", bson.D("name", 1))})
+		},
+	}
+	for name, open := range opens {
+		for i := 0; i < 10; i++ {
+			cur, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := cur.Next(); !ok {
+				t.Fatalf("%s: expected at least one document", name)
+			}
+			cur.Close()
+			if _, ok := cur.Next(); ok {
+				t.Fatalf("%s: Next succeeded after Close", name)
+			}
 		}
-		if _, ok := cur.Next(); !ok {
-			t.Fatal("expected at least one document")
-		}
-		cur.Close()
-		if _, ok := cur.Next(); ok {
-			t.Fatal("Next succeeded after Close")
-		}
+	}
+}
+
+// TestRouterShardErrorSurvivesMerge: one shard's half of a pipeline fails
+// ($divide by zero on the one document with d: 0), and in both scatter
+// modes the routed aggregation fails with that shard's name, through
+// Aggregate and through the merge cursor's Err.
+func TestRouterShardErrorSurvivesMerge(t *testing.T) {
+	stages := []*bson.Doc{bson.D("$project", bson.D("q", bson.D("$divide", bson.A(1, bson.D("$ifNull", bson.A("$d", 1))))))}
+	for _, parallel := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
+			r := shardedFixture(t, Options{Parallel: parallel}, 300)
+			if _, err := r.Insert("db", "events", bson.D(bson.IDKey, 1000, "k", 1000, "d", 0)); err != nil {
+				t.Fatal(err)
+			}
+			owner, _ := r.targetShards(r.Config().Metadata("db.events"), bson.D("k", 1000))
+			prefix := fmt.Sprintf("mongos: shard %s: ", owner[0])
+			check := func(via string, err error) {
+				t.Helper()
+				if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), "$divide by zero") {
+					t.Fatalf("%s: error %v, want %q… $divide by zero", via, err, prefix)
+				}
+			}
+			_, err := r.Aggregate("db", "events", stages)
+			check("Aggregate", err)
+			it, err := r.AggregateCursor("db", "events", stages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				if _, ok := it.Next(); !ok {
+					break
+				}
+			}
+			check("AggregateCursor", it.Err())
+			it.Close()
+		})
 	}
 }
 

@@ -13,14 +13,14 @@ func (r *Router) HealthDocs() []*bson.Doc {
 	}
 	r.mu.RLock()
 	names := append([]string(nil), r.order...)
-	replicas := make([]ReplicaShard, len(names))
+	shards := make([]ReplicaShard, len(names))
 	for i, n := range names {
-		replicas[i] = r.replicas[n]
+		shards[i] = r.shards[n]
 	}
 	r.mu.RUnlock()
 	var out []*bson.Doc
-	for i, rep := range replicas {
-		hs, ok := rep.(memberHealthSource)
+	for i, shard := range shards {
+		hs, ok := shard.(memberHealthSource)
 		if !ok {
 			continue
 		}

@@ -2,6 +2,8 @@ package mongos
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"docstore/internal/bson"
@@ -121,6 +123,118 @@ func TestReplicaShardReadsFollowStepDown(t *testing.T) {
 	}
 	if len(docs) != 1 {
 		t.Fatalf("routed find after step-down returned %d documents, want 1", len(docs))
+	}
+}
+
+// TestRoutedFailoverMidWriteStream registers three replica-set shards once
+// and fails one over in the middle of a routed write stream: three writers
+// each send routed majority inserts, each followed by a routed find; a
+// quarter of the way in shard s1's primary is killed, and two writes per
+// writer later it is stepped down. Nothing is re-registered. Once the old
+// primary rejoins and every set syncs, a routed find returns every
+// acknowledged id and nothing outside the attempted set; the only write
+// failures allowed are the ones the failover contract names.
+func TestRoutedFailoverMidWriteStream(t *testing.T) {
+	r := NewRouter(sharding.NewConfigServer(), Options{Parallel: true})
+	sets := make(map[string]*replset.ReplicaSet)
+	for _, name := range []string{"s0", "s1", "s2"} {
+		sets[name] = newReplicaShard(t, name+"-a", name+"-b", name+"-c")
+		r.AddReplicaShard(name, sets[name])
+	}
+	if _, err := r.EnableSharding("db", "c", bson.D("k", "hashed"), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	const writers, attempts = 3, 40
+	type outcome struct {
+		id    string
+		acked bool
+	}
+	// Unbuffered: the writers advance only as fast as the outcomes are read,
+	// so the kill lands a quarter of the way in and the writes read between
+	// the kill and the step-down meet a dead primary.
+	results := make(chan outcome)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < attempts; j++ {
+				id := fmt.Sprintf("w%d-%d", w, j)
+				res := r.BulkWrite("db", "c", []storage.WriteOp{storage.InsertWriteOp(bson.D(bson.IDKey, id, "k", id))},
+					storage.BulkOptions{WriteConcern: storage.WriteConcern{Majority: true}})
+				err := res.DurabilityErr
+				if err == nil {
+					err = res.FirstError()
+				}
+				var wce *storage.WriteConcernError
+				if err != nil && !errors.Is(err, replset.ErrPrimaryDown) && !errors.As(err, &wce) {
+					t.Errorf("insert %s failed outside the failover contract: %v", id, err)
+				}
+				if _, ferr := r.Find("db", "c", bson.D("k", id), storage.FindOptions{}); ferr != nil {
+					t.Errorf("routed find of %s: %v", id, ferr)
+				}
+				results <- outcome{id: id, acked: err == nil}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(results)
+	}()
+
+	rs := sets["s1"]
+	old := rs.Primary().Name()
+	acked := make(map[string]bool)
+	attempted := make(map[string]bool)
+	for o := range results {
+		attempted[o.id] = true
+		if o.acked {
+			acked[o.id] = true
+		}
+		switch len(attempted) {
+		case writers * attempts / 4:
+			if err := rs.Kill(old); err != nil {
+				t.Error(err)
+			}
+		case writers*attempts/4 + 2*writers:
+			if next := rs.StepDown(); next.Name() == old {
+				t.Error("step down re-elected the killed primary")
+			}
+		}
+	}
+	if len(acked) == 0 {
+		t.Fatal("no write acked; the failover window swallowed everything")
+	}
+	t.Logf("%d of %d routed writes acknowledged", len(acked), len(attempted))
+
+	if err := rs.Restart(old); err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range sets {
+		if _, err := set.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs, err := r.Find("db", "c", nil, storage.FindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := make(map[string]bool)
+	for _, d := range docs {
+		id, _ := d.GetOr(bson.IDKey, "").(string)
+		if found[id] {
+			t.Fatalf("routed find returned %s twice", id)
+		}
+		if !attempted[id] {
+			t.Fatalf("routed find returned %s, which no writer attempted", id)
+		}
+		found[id] = true
+	}
+	for id := range acked {
+		if !found[id] {
+			t.Fatalf("acknowledged write %s missing from the routed find", id)
+		}
 	}
 }
 

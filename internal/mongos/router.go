@@ -8,6 +8,7 @@
 package mongos
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -40,13 +41,24 @@ type RoutingStats struct {
 	DocsMerged       int64
 }
 
-// ReplicaShard is a shard backed by a replica set instead of a single
-// server: writes route through its quorum-aware bulk path so per-request
-// write concerns survive the scatter, while reads keep hitting the primary.
-// *replset.ReplicaSet implements it.
+// ReplicaShard is one shard as the router sees it: a replica set, or a plain
+// server registered as a set of one. Reads and index builds go to Primary(),
+// the set's primary at the time of the call, so they follow a failover;
+// every write goes through BulkWrite, so a per-request write concern
+// survives the scatter. *replset.ReplicaSet implements it.
 type ReplicaShard interface {
 	BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult
 	Primary() *mongod.Server
+}
+
+// setOfOne is a plain server registered as a replica set of one: it is its
+// own primary, and a bulk write is acknowledged once it has applied it.
+type setOfOne struct{ server *mongod.Server }
+
+func (s setOfOne) Primary() *mongod.Server { return s.server }
+
+func (s setOfOne) BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
+	return s.server.Database(db).BulkWrite(coll, ops, opts)
 }
 
 // Router is the query router (mongos).
@@ -54,55 +66,39 @@ type Router struct {
 	config *sharding.ConfigServer
 	opts   Options
 
-	mu       sync.RWMutex
-	shards   map[string]*mongod.Server
-	replicas map[string]ReplicaShard // shard name -> replica set, when the shard is replicated
-	order    []string                // shard names in registration order; order[0] is the primary shard
-	stats    RoutingStats
+	mu     sync.RWMutex
+	shards map[string]ReplicaShard
+	order  []string // shard names in registration order; order[0] is the primary shard
+	stats  RoutingStats
 }
 
 // NewRouter creates a router over a config server.
 func NewRouter(config *sharding.ConfigServer, opts Options) *Router {
-	return &Router{
-		config:   config,
-		opts:     opts,
-		shards:   make(map[string]*mongod.Server),
-		replicas: make(map[string]ReplicaShard),
-	}
+	return &Router{config: config, opts: opts, shards: make(map[string]ReplicaShard)}
 }
 
-// AddShard registers a shard server with the router and the config server.
+// AddShard registers a shard server with the router and the config server,
+// as a replica set of one.
 func (r *Router) AddShard(name string, server *mongod.Server) {
+	r.AddReplicaShard(name, setOfOne{server})
+}
+
+// AddReplicaShard registers a replica-set-backed shard: reads and index
+// builds target the set's current primary, while every write dispatches
+// through the set's BulkWrite so acknowledgement honours the request's write
+// concern across the set's members. Registering a name twice is a no-op.
+func (r *Router) AddReplicaShard(name string, rs ReplicaShard) {
 	r.mu.Lock()
 	if _, exists := r.shards[name]; !exists {
-		r.shards[name] = server
+		r.shards[name] = rs
 		r.order = append(r.order, name)
 	}
 	r.mu.Unlock()
 	r.config.AddShard(name)
 }
 
-// AddReplicaShard registers a replica-set-backed shard: reads and index
-// builds target the set's current primary, while every write dispatches
-// through the set's BulkWrite so acknowledgement honours the request's write
-// concern across the set's members.
-func (r *Router) AddReplicaShard(name string, rs ReplicaShard) {
-	r.AddShard(name, rs.Primary())
-	r.mu.Lock()
-	r.replicas[name] = rs
-	r.mu.Unlock()
-}
-
-// replica returns the replica set backing a shard, nil for plain shards.
-func (r *Router) replica(name string) ReplicaShard {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.replicas[name]
-}
-
-// shardBulkWrite dispatches one sub-batch to a shard, through the replica
-// set when the shard is replicated so the write concern gates the
-// acknowledgement, directly to the shard server otherwise.
+// shardBulkWrite dispatches one sub-batch to a shard through its BulkWrite,
+// so the write concern gates the acknowledgement.
 func (r *Router) shardBulkWrite(name, db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
 	// Every per-shard dispatch gets its own child span — unordered batches
 	// fan out in parallel goroutines, so a traced scatter shows one
@@ -111,27 +107,24 @@ func (r *Router) shardBulkWrite(name, db, coll string, ops []storage.WriteOp, op
 	span.SetAttr("shard", name)
 	span.SetAttr("ops", len(ops))
 	opts.Trace = span
-	var res storage.BulkResult
-	if rep := r.replica(name); rep != nil {
-		res = rep.BulkWrite(db, coll, ops, opts)
-	} else {
-		res = r.Shard(name).Database(db).BulkWrite(coll, ops, opts)
-	}
+	r.mu.RLock()
+	shard := r.shards[name]
+	r.mu.RUnlock()
+	res := shard.BulkWrite(db, coll, ops, opts)
 	span.Finish()
 	return res
 }
 
-// Shard returns the named shard server, or nil. For a replica-backed shard
-// it is the set's primary at the time of the call, so reads follow a
-// failover.
+// Shard returns the named shard's primary at the time of the call, so reads
+// follow a failover, or nil for an unknown name.
 func (r *Router) Shard(name string) *mongod.Server {
 	r.mu.RLock()
-	server, rep := r.shards[name], r.replicas[name]
+	shard := r.shards[name]
 	r.mu.RUnlock()
-	if rep != nil {
-		return rep.Primary()
+	if shard == nil {
+		return nil
 	}
-	return server
+	return shard.Primary()
 }
 
 // ShardNames returns the registered shard names in registration order.
@@ -183,14 +176,13 @@ func (r *Router) remoteCall() {
 	}
 }
 
-func (r *Router) recordRouting(targeted bool, merged int) {
+func (r *Router) recordRouting(targeted bool) {
 	r.mu.Lock()
 	if targeted {
 		r.stats.TargetedQueries++
 	} else {
 		r.stats.BroadcastQueries++
 	}
-	r.stats.DocsMerged += int64(merged)
 	r.mu.Unlock()
 }
 
@@ -297,13 +289,22 @@ func (r *Router) Find(db, coll string, filter *bson.Doc, opts storage.FindOption
 	return cur.All()
 }
 
-// Count routes a count.
+// Count routes a count: each shard targetShards selects counts its matches
+// on its current primary, one shard call each, and the router adds the
+// counts up without fetching a document.
 func (r *Router) Count(db, coll string, filter *bson.Doc) (int, error) {
-	docs, err := r.Find(db, coll, filter, storage.FindOptions{})
-	if err != nil {
-		return 0, err
+	targets, targeted := r.targetShards(r.config.Metadata(namespace(db, coll)), filter)
+	total := 0
+	for _, name := range targets {
+		r.remoteCall()
+		n, err := r.Shard(name).Database(db).Collection(coll).CountDocs(filter)
+		if err != nil {
+			return 0, fmt.Errorf("mongos: shard %s: %w", name, err)
+		}
+		total += n
 	}
-	return len(docs), nil
+	r.recordRouting(targeted)
+	return total, nil
 }
 
 // Update routes an update to the shards owning matching documents, as a

@@ -146,10 +146,52 @@ func TestShardedInsertDistributionAndTargetedFind(t *testing.T) {
 		t.Fatalf("find on an empty $in examined %d documents across the shards, want 0", got)
 	}
 
-	// Count goes through Find.
 	n, err := r.Count("db", "sales", bson.D("v", 3))
 	if err != nil || n != 90 {
 		t.Fatalf("Count = %d, %v", n, err)
+	}
+}
+
+// TestRouterCountMatchesFind checks the per-shard count against a routed
+// find, over nil, broadcast and targeted filters on a sharded and an
+// unsharded collection: the same number, one shard call per targeted shard,
+// and no document merged.
+func TestRouterCountMatchesFind(t *testing.T) {
+	r := newTestRouter(t, Options{})
+	if _, err := r.EnableSharding("db", "sharded", bson.D("k", "hashed"), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, coll := range []string{"sharded", "plain"} {
+		for i := 0; i < 300; i++ {
+			if _, err := r.Insert("db", coll, bson.D(bson.IDKey, i, "k", i, "v", i%7)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	filters := []*bson.Doc{nil, bson.D("v", 3), bson.D("k", 42), bson.D("k", bson.D("$in", bson.A(1, 2, 400)))}
+	for _, coll := range []string{"sharded", "plain"} {
+		for _, filter := range filters {
+			docs, err := r.Find("db", coll, filter, storage.FindOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			targets, _ := r.targetShards(r.Config().Metadata(namespace("db", coll)), filter)
+			before := r.Stats()
+			n, err := r.Count("db", coll, filter)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := r.Stats()
+			if n != len(docs) {
+				t.Fatalf("%s %v: Count = %d, Find returned %d", coll, filter, n, len(docs))
+			}
+			if calls := after.ShardCalls - before.ShardCalls; calls != int64(len(targets)) {
+				t.Fatalf("%s %v: Count made %d shard calls, want %d", coll, filter, calls, len(targets))
+			}
+			if after.DocsMerged != before.DocsMerged {
+				t.Fatalf("%s %v: Count merged %d documents", coll, filter, after.DocsMerged-before.DocsMerged)
+			}
+		}
 	}
 }
 
