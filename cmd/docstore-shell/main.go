@@ -63,12 +63,6 @@
 // "minDurationUS" filters, applied before the limit — so
 // {"op":"getTraces","opName":"wire.insert","minDurationUS":5000,"limit":3}
 // returns the three most recent retained inserts that took at least 5ms.
-// {"op":"getExemplars"} lists the latency-histogram exemplars (optionally
-// narrowed with "metric": a family name): each document links one labeled
-// series' buckets to the trace IDs of the requests that landed in them,
-// resolvable with getTraces. When docstored runs with -trace-export, every
-// retained trace is also exported as OTLP-shaped JSON to that file or
-// collector URL.
 //
 // A write's tree shows where its latency went — the mongos shard fan-out,
 // the storage apply, the WAL group-commit wait ("wal.commitWait") and, for
@@ -233,9 +227,6 @@ func execute(client *wire.Client, doc *bson.Doc) (*wire.Response, error) {
 		if n, isNum := bson.AsInt(v); isNum {
 			req.MinDurationUS = n
 		}
-	}
-	if v, ok := doc.Get("metric"); ok {
-		req.Metric, _ = v.(string)
 	}
 	if v, ok := doc.Get("maxTimeMS"); ok {
 		if n, isNum := bson.AsInt(v); isNum {

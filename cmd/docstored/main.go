@@ -69,22 +69,14 @@
 // Observability: every request is traced into a span tree (wire → router →
 // mongod → storage → WAL/quorum waits) queryable over the wire with
 // {"op":"currentOp"} (in flight) and {"op":"getTraces"} (completed); both
-// accept opName/minDurationUS filters, and {"op":"getExemplars"} lists the
-// latency-histogram exemplars linking /metrics buckets to retained traces.
-// -trace-sample sets the fraction retained, -trace-ring the retention ring
-// size, and -profile-slowms the slow-op threshold that both admits
-// operations to the profiler ring and force-retains their traces. With
-// -metrics-addr the process serves Prometheus-style counters, labeled
-// {collection, op, shard} latency histograms (with exemplars), engine and
-// cluster-health gauges on /metrics and the Go profiler on /debug/pprof.
-// -trace-export streams every retained trace out of the process as
-// OTLP-shaped JSON: an http(s):// value posts each trace to a collector
-// endpoint (with retry and backoff), anything else appends NDJSON to that
-// file; the export queue is bounded and never blocks request handling —
-// overflow drops are counted on the docstore_trace_exporter gauges:
+// accept opName/minDurationUS filters. -trace-sample sets the fraction
+// retained, -trace-ring the retention ring size, and -profile-slowms the
+// slow-op threshold that both admits operations to the profiler ring and
+// force-retains their traces. With -metrics-addr the process serves per-op
+// counters and latency histograms, engine and cluster-health gauges on
+// /metrics (Prometheus text format) and the Go profiler on /debug/pprof:
 //
-//	docstored -metrics-addr 127.0.0.1:9216 -trace-sample 0.05 -profile-slowms 50 \
-//	          -trace-export /var/log/docstore/spans.ndjson
+//	docstored -metrics-addr 127.0.0.1:9216 -trace-sample 0.05 -profile-slowms 50
 //
 // Clients connect with the wire.Client API or cmd/docstore-shell.
 package main
@@ -97,7 +89,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -130,7 +121,6 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof (empty = off)")
 	traceSample := flag.Float64("trace-sample", 0.01, "fraction of requests whose span trees are retained for getTraces; slow requests are always retained")
 	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "completed traces kept in memory for getTraces (oldest evicted first)")
-	traceExport := flag.String("trace-export", "", "where retained traces are exported as OTLP-shaped JSON: an http(s):// collector URL (one POST per trace, with retry) or a file path appended to as NDJSON (empty = off)")
 	profileSlowMS := flag.Int("profile-slowms", 100, "slow-op threshold in milliseconds: operations at or above it enter the profiler ring and force trace retention")
 	flag.Parse()
 
@@ -268,33 +258,6 @@ func main() {
 		RingSize:      *traceRing,
 	})
 	srv.SetTracer(tracer)
-	var exporter *trace.Exporter
-	if *traceExport != "" {
-		var sink trace.Sink
-		if strings.HasPrefix(*traceExport, "http://") || strings.HasPrefix(*traceExport, "https://") {
-			sink = trace.NewHTTPSink(*traceExport, trace.HTTPSinkOptions{})
-		} else {
-			fileSink, err := trace.NewFileSink(*traceExport)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "docstored: trace export: %v\n", err)
-				os.Exit(1)
-			}
-			sink = fileSink
-		}
-		exporter = trace.NewExporter(sink, *name, 0)
-		tracer.SetExporter(exporter)
-		// Exporter throughput and drop counters ride the /metrics exposition
-		// so a saturated or failing sink is visible without log scraping.
-		srv.Metrics().AddGaugeSource("docstore_trace_exporter", func() []metrics.Gauge {
-			st := exporter.Stats()
-			return []metrics.Gauge{
-				{Name: "exported", Value: st.Exported},
-				{Name: "dropped", Value: st.Dropped},
-				{Name: "failed", Value: st.Failed},
-			}
-		})
-		fmt.Printf("docstored: exporting retained traces to %s\n", *traceExport)
-	}
 	if rs != nil {
 		// Per-member replication lag and apply recency as labeled gauges.
 		backend.Metrics().AddGaugeSource("", rs.HealthGauges)
@@ -380,13 +343,6 @@ func main() {
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "docstored: close: %v\n", err)
 		os.Exit(1)
-	}
-	if exporter != nil {
-		// The wire server is closed, so no new traces can finish: draining
-		// the queue here flushes every retained trace to the sink.
-		if err := exporter.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: closing trace exporter: %v\n", err)
-		}
 	}
 	if rs != nil {
 		// Fails any write still waiting on a quorum and stops the appliers

@@ -805,37 +805,8 @@
 //     docstore_wire_requests_total{op}, docstore_wire_request_errors_total
 //     {op} and docstore_wire_request_duration_seconds{op}, and the MVCC
 //     engine gauges plus tracer activity export as docstore_engine_* and
-//     docstore_trace_* gauges.
-//   - Labeled families: the mongod layer also records every operation into
-//     docstore_mongod_collection_ops_total and
-//     docstore_mongod_collection_op_duration_seconds, keyed by the bounded
-//     label schema {collection="db.coll", op, shard=<server name>}. A
-//     CounterVec/HistogramVec materializes at most maxSeries label sets
-//     (metrics.DefaultMaxSeries = 128); past the cap, unseen sets share one
-//     {...="other"} overflow series and a <family>_dropped_label_sets gauge
-//     counts the refusals — a hostile stream of generated collection names
-//     cannot explode the registry. Label values and HELP text are escaped
-//     per the Prometheus text format (\n, \", \\).
-//   - Exemplars: histogram buckets retain the most recent traced
-//     observation as an OpenMetrics exemplar — rendered as
-//     `... # {trace_id="..."} <value>`, but only when the scraper negotiates
-//     the OpenMetrics format (Accept: application/openmetrics-text on
-//     /metrics; the classic text format's parsers reject the suffix, so
-//     plain scrapes stay exemplar-free) — and queryable as
-//     documents with the wire op {"op": "getExemplars", "metric": <family>}.
-//     An exemplar is recorded only when the request's trace was sampled at
-//     start, so every exemplar's trace ID resolves through getTraces; a tail
-//     bucket therefore links a latency outlier directly to the span tree
-//     that produced it.
-//   - Trace export: docstored -trace-export streams every retained trace out
-//     of the process as OTLP-shaped JSON (resourceSpans → scopeSpans →
-//     spans; 32-hex trace IDs, span/parent IDs, unix-nano timestamps,
-//     attributes) with no external dependencies. An http(s):// value POSTs
-//     one payload per trace to a collector with retry/backoff (4xx is
-//     permanent, 5xx retried); any other value appends NDJSON to that file.
-//     The export queue is bounded and non-blocking: a saturated sink drops
-//     traces and counts them on the docstore_trace_exporter_{exported,
-//     dropped,failed} gauges instead of ever stalling request handling.
+//     docstore_trace_* gauges. Label values and HELP text are escaped per
+//     the Prometheus text format (\n, \", \\).
 //   - Filtered introspection: currentOp and getTraces accept "opName" (root
 //     span name prefix) and "minDurationUS" filters, applied over the whole
 //     ring before "limit" — "the five slowest inserts" does not depend on
@@ -850,8 +821,9 @@
 //     watcher change-stream buffer depth (serverStatus
 //     changeStreams.watcherDepths and docstore_changestream_* gauges).
 //   - Endpoint: docstored -metrics-addr serves /metrics (both registries
-//     merged) and net/http/pprof's /debug/pprof on one listener;
-//     -trace-sample, -trace-ring and -profile-slowms tune the tracer. The
+//     merged, always the classic text format) and net/http/pprof's
+//     /debug/pprof on one listener; -trace-sample, -trace-ring and
+//     -profile-slowms are the tracer's only flags. The
 //     mongod profiler keeps the most recent entries in a fixed O(1) ring
 //     (overwrite, no reslicing) rather than an appended slice.
 package docstore

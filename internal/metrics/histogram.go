@@ -13,26 +13,10 @@ import (
 // fixed shape is what makes concurrent Observe/Snapshot safe without locks.
 //
 // Values are durations in nanoseconds. Negative observations clamp to 0.
-//
-// Each bucket can also retain one exemplar: the most recent traced
-// observation that landed in it (trace ID + exact value). Exemplars are
-// stored through per-bucket atomic pointers, so ObserveExemplar stays
-// lock-free and a scrape never sees a torn {traceID, value} pair.
 type Histogram struct {
-	counts    [numBuckets]atomic.Int64
-	count     atomic.Int64
-	sum       atomic.Int64
-	exemplars [numBuckets]atomic.Pointer[Exemplar]
-}
-
-// Exemplar links one histogram bucket to the trace that produced its most
-// recent sampled observation, in the OpenMetrics sense: the exposition
-// appends it to the bucket line so a p999 spike points at a retained trace.
-type Exemplar struct {
-	TraceID string
-	// Value is the exact observed value in the histogram's native unit
-	// (nanoseconds for latency histograms).
-	Value int64
+	counts [numBuckets]atomic.Int64
+	count  atomic.Int64
+	sum    atomic.Int64
 }
 
 // numBuckets covers 0ns through the top of the int64 range: values 0..3 get
@@ -72,56 +56,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.counts[bucketIndex(ns)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(ns)
-}
-
-// ObserveExemplar records one duration and, when traceID is non-empty,
-// retains it as the bucket's exemplar. Callers pass the trace ID only for
-// requests whose trace is actually retained (sampled roots), so every
-// exemplar in the exposition resolves through getTraces; an empty traceID
-// makes this exactly Observe — the untraced path allocates nothing.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
-	ns := int64(d)
-	if ns < 0 {
-		ns = 0
-	}
-	idx := bucketIndex(ns)
-	h.counts[idx].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
-	if traceID != "" {
-		h.exemplars[idx].Store(&Exemplar{TraceID: traceID, Value: ns})
-	}
-}
-
-// exemplarIn returns the retained exemplar of the highest bucket in
-// [lo, hi) that has one, or nil. The exposition uses it to attach one
-// exemplar per rendered `le` bucket (which spans several internal
-// sub-buckets).
-func (h *Histogram) exemplarIn(lo, hi int) *Exemplar {
-	for i := hi - 1; i >= lo; i-- {
-		if e := h.exemplars[i].Load(); e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// Exemplars lists the retained exemplars, one per internal bucket that has
-// one, ordered by bucket. BucketLower is the bucket's smallest value.
-func (h *Histogram) Exemplars() []BucketExemplar {
-	var out []BucketExemplar
-	for i := 0; i < numBuckets; i++ {
-		if e := h.exemplars[i].Load(); e != nil {
-			out = append(out, BucketExemplar{BucketLower: bucketLower(i), Exemplar: *e})
-		}
-	}
-	return out
-}
-
-// BucketExemplar is one bucket's retained exemplar with its bucket bound.
-type BucketExemplar struct {
-	BucketLower int64
-	Exemplar
 }
 
 // Count returns the number of recorded observations.

@@ -41,15 +41,6 @@ type Registry struct {
 	counters map[string]*series[*Counter]
 	hists    map[string]*series[*Histogram]
 	gauges   []gaugeSource
-
-	// Vec families dedupe by name under their own lock (vec construction
-	// registers series and a gauge source under mu, so it cannot run while
-	// holding mu). Without the dedup, a second same-named vec would register
-	// a second <name>_dropped_label_sets gauge source and the exposition
-	// would carry duplicate samples — a scrape error for Prometheus.
-	vecMu       sync.Mutex
-	counterVecs map[string]*CounterVec
-	histVecs    map[string]*HistogramVec
 }
 
 type series[T any] struct {
@@ -72,10 +63,8 @@ type gaugeSource struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*series[*Counter]),
-		hists:       make(map[string]*series[*Histogram]),
-		counterVecs: make(map[string]*CounterVec),
-		histVecs:    make(map[string]*HistogramVec),
+		counters: make(map[string]*series[*Counter]),
+		hists:    make(map[string]*series[*Histogram]),
 	}
 }
 
@@ -254,32 +243,8 @@ var expositionBounds = func() []int64 {
 
 // WritePrometheus renders every registered series in the classic Prometheus
 // text exposition format (text/plain; version=0.0.4). Durations export in
-// seconds per convention. Exemplars are omitted: the classic format's
-// parsers reject the OpenMetrics ` # {...}` suffix after a sample value, so
-// exemplars only appear when the scraper negotiates OpenMetrics (see
-// WriteOpenMetrics).
+// seconds per convention.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.write(w, false)
-}
-
-// WriteOpenMetrics renders every registered series in OpenMetrics format:
-// counter families drop their `_total` suffix on the HELP/TYPE lines (the
-// samples keep it, per spec), and histogram buckets carry their retained
-// exemplars. The caller terminates the full exposition with `# EOF` —
-// Handler merges several registries into one body, so the terminator is not
-// written here.
-func (r *Registry) WriteOpenMetrics(w io.Writer) {
-	r.write(w, true)
-}
-
-// openMetricsFamily returns the MetricFamily name of a counter for the
-// OpenMetrics HELP/TYPE lines: the sample name without the mandated
-// `_total` suffix.
-func openMetricsFamily(name string) string {
-	return strings.TrimSuffix(name, "_total")
-}
-
-func (r *Registry) write(w io.Writer, openMetrics bool) {
 	r.mu.Lock()
 	counters := make([]*series[*Counter], 0, len(r.counters))
 	for _, s := range r.counters {
@@ -302,14 +267,10 @@ func (r *Registry) write(w io.Writer, openMetrics bool) {
 	lastFamily := ""
 	for _, s := range counters {
 		if s.name != lastFamily {
-			family := s.name
-			if openMetrics {
-				family = openMetricsFamily(s.name)
-			}
 			if s.help != "" {
-				fmt.Fprintf(w, "# HELP %s %s\n", family, escapeHelp(s.help))
+				fmt.Fprintf(w, "# HELP %s %s\n", s.name, escapeHelp(s.help))
 			}
-			fmt.Fprintf(w, "# TYPE %s counter\n", family)
+			fmt.Fprintf(w, "# TYPE %s counter\n", s.name)
 			lastFamily = s.name
 		}
 		fmt.Fprintf(w, "%s%s %d\n", s.name, s.labels, s.val.Value())
@@ -338,23 +299,11 @@ func (r *Registry) write(w io.Writer, openMetrics bool) {
 		for _, bound := range expositionBounds {
 			// Octave alignment means a bucket starting below a power-of-two
 			// bound lies entirely at or below it, so strict < is exact.
-			lo := bi
 			for bi < numBuckets && bucketLower(bi) < bound {
 				cum += snap.Counts[bi]
 				bi++
 			}
-			fmt.Fprintf(w, "%s_bucket%sle=\"%g\"} %d", s.name, labelPrefix, float64(bound)/scale, cum)
-			// OpenMetrics exemplar syntax: the bucket's most recent traced
-			// observation, appended after the sample so a tail bucket links
-			// to the trace that landed in it. Classic-format parsers reject
-			// a `#` after the value, so only the OpenMetrics exposition
-			// carries exemplars.
-			if openMetrics {
-				if e := s.val.exemplarIn(lo, bi); e != nil {
-					fmt.Fprintf(w, " # {trace_id=\"%s\"} %g", escapeLabelValue(e.TraceID), float64(e.Value)/scale)
-				}
-			}
-			fmt.Fprintf(w, "\n")
+			fmt.Fprintf(w, "%s_bucket%sle=\"%g\"} %d\n", s.name, labelPrefix, float64(bound)/scale, cum)
 		}
 		fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d\n", s.name, labelPrefix, snap.Count)
 		fmt.Fprintf(w, "%s_sum%s %g\n", s.name, s.labels, float64(snap.Sum)/scale)
@@ -383,59 +332,11 @@ func (r *Registry) write(w io.Writer, openMetrics bool) {
 	}
 }
 
-// SeriesExemplars is one histogram series' retained exemplars, as served by
-// the wire getExemplars op: the family name, the rendered label set, and
-// per-bucket {trace ID, value} pairs.
-type SeriesExemplars struct {
-	Name   string
-	Labels string
-	Unit   string // "seconds" or "" (raw)
-	Values []BucketExemplar
-}
-
-// Exemplars collects the retained exemplars of every histogram series whose
-// family name matches (all families when name is ""), sorted by series.
-func (r *Registry) Exemplars(name string) []SeriesExemplars {
-	r.mu.Lock()
-	hists := make([]*series[*Histogram], 0, len(r.hists))
-	for _, s := range r.hists {
-		if name == "" || s.name == name {
-			hists = append(hists, s)
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(hists, func(i, j int) bool {
-		return hists[i].name+hists[i].labels < hists[j].name+hists[j].labels
-	})
-	out := make([]SeriesExemplars, 0, len(hists))
-	for _, s := range hists {
-		vals := s.val.Exemplars()
-		if len(vals) == 0 {
-			continue
-		}
-		out = append(out, SeriesExemplars{Name: s.name, Labels: s.labels, Unit: s.unit, Values: vals})
-	}
-	return out
-}
-
 // Handler serves the registries' merged exposition as an http.Handler for
-// docstored's -metrics-addr listener. The format is negotiated from the
-// Accept header: scrapers asking for application/openmetrics-text get the
-// OpenMetrics exposition (exemplars included, `# EOF` terminated); everyone
-// else gets the classic text format, which carries no exemplars because its
-// parsers reject the OpenMetrics suffix syntax.
+// docstored's -metrics-addr listener, always in the classic text format
+// whatever the scraper's Accept header asks for.
 func Handler(regs ...*Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if acceptsOpenMetrics(req.Header.Get("Accept")) {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			for _, r := range regs {
-				if r != nil {
-					r.WriteOpenMetrics(w)
-				}
-			}
-			io.WriteString(w, "# EOF\n")
-			return
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		for _, r := range regs {
 			if r != nil {
@@ -443,23 +344,4 @@ func Handler(regs ...*Registry) http.Handler {
 			}
 		}
 	})
-}
-
-// acceptsOpenMetrics reports whether an Accept header offers the
-// application/openmetrics-text media type with non-zero quality.
-func acceptsOpenMetrics(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mediaType, params, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if !strings.EqualFold(strings.TrimSpace(mediaType), "application/openmetrics-text") {
-			continue
-		}
-		for _, p := range strings.Split(params, ";") {
-			k, v, _ := strings.Cut(strings.TrimSpace(p), "=")
-			if strings.EqualFold(strings.TrimSpace(k), "q") && strings.TrimSpace(v) == "0" {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }

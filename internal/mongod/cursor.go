@@ -35,7 +35,7 @@ func (db *Database) FindCursor(coll string, filter *bson.Doc, opts storage.FindO
 		db.record(ProfileEntry{Op: "find", Collection: coll, At: start}, nil)
 		return nil, err
 	}
-	cur.OnFinish(func() { db.recordPlan("find", coll, start, cur.Plan(), opts.Trace.SampledTraceID()) })
+	cur.OnFinish(func() { db.recordPlan("find", coll, start, cur.Plan()) })
 	return cur, nil
 }
 

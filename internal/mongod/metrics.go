@@ -12,14 +12,6 @@ import (
 const (
 	metricOpsTotal   = "docstore_mongod_ops_total"
 	metricOpDuration = "docstore_mongod_op_duration_seconds"
-	// The labeled families break the same signals down by namespace: every
-	// series carries {collection, shard, op}, where collection is the full
-	// "db.coll" namespace and shard is the server's name. Cardinality is
-	// capped (see metrics.DefaultMaxSeries): past the cap a namespace
-	// records into the shared overflow series instead of minting a new one,
-	// so a hostile stream of unique namespaces cannot grow the registry.
-	metricCollOpsTotal   = "docstore_mongod_collection_ops_total"
-	metricCollOpDuration = "docstore_mongod_collection_op_duration_seconds"
 	// WAL health families, attached when durability is enabled: fsync
 	// latency and the group-commit batch size each fsync covered.
 	metricWALFsyncDuration = "docstore_wal_fsync_duration_seconds"
@@ -39,28 +31,18 @@ type opMetrics struct {
 	registry *metrics.Registry
 	counts   map[string]*metrics.Counter
 	hists    map[string]*metrics.Histogram
-	shard    string
-	collOps  *metrics.CounterVec
-	collDur  *metrics.HistogramVec
 }
 
-func newOpMetrics(shard string) opMetrics {
+func newOpMetrics() opMetrics {
 	om := opMetrics{
 		registry: metrics.NewRegistry(),
 		counts:   make(map[string]*metrics.Counter, len(knownOps)),
 		hists:    make(map[string]*metrics.Histogram, len(knownOps)),
-		shard:    shard,
 	}
 	for _, op := range knownOps {
 		om.counts[op] = om.registry.Counter(metricOpsTotal, "operations executed by the mongod layer", "op", op)
 		om.hists[op] = om.registry.Histogram(metricOpDuration, "mongod operation latency", "op", op)
 	}
-	om.collOps = om.registry.CounterVec(metricCollOpsTotal,
-		"operations executed by the mongod layer, by namespace",
-		metrics.DefaultMaxSeries, "collection", "op", "shard")
-	om.collDur = om.registry.HistogramVec(metricCollOpDuration,
-		"mongod operation latency by namespace",
-		metrics.DefaultMaxSeries, "collection", "op", "shard")
 	return om
 }
 
@@ -75,17 +57,6 @@ func (om *opMetrics) observe(op string, elapsed time.Duration) {
 	}
 	c.Inc()
 	om.hists[op].Observe(elapsed)
-}
-
-// observeNS records one completed operation under both the per-op families
-// and the labeled per-namespace families. ns is the full "db.coll"
-// namespace; traceID, when non-empty, is a retained trace's ID and becomes
-// the latency bucket's exemplar — an empty traceID (the untraced fast path)
-// records without touching exemplar storage.
-func (om *opMetrics) observeNS(op, ns, traceID string, elapsed time.Duration) {
-	om.observe(op, elapsed)
-	om.collOps.With(ns, op, om.shard).Inc()
-	om.collDur.With(ns, op, om.shard).ObserveExemplar(elapsed, traceID)
 }
 
 // Metrics returns the server's metric registry: per-op counters and latency

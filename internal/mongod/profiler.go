@@ -36,11 +36,6 @@ type ProfileEntry struct {
 	DocsExamined    int
 	SnapshotVersion int64
 	Isolation       string
-	// TraceID links the entry to a retained trace: it is set only when the
-	// operation carried a span whose trace was sampled at start, so every
-	// non-empty TraceID resolves through getTraces. It also rides into the
-	// labeled latency histogram as the bucket's exemplar.
-	TraceID string
 }
 
 // profileCap bounds the profiler's memory: the ring keeps the most recent
@@ -109,7 +104,7 @@ func (db *Database) profile(op, coll string) func() {
 // point or write concern produced it; any other batch is "bulkWrite". The
 // returned function stops the timer and records the entry together with the
 // per-op failure count the batch produced.
-func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID string) func(batchErrors int) {
+func (db *Database) profileBulk(coll string, ops []storage.WriteOp) func(batchErrors int) {
 	op := "bulkWrite"
 	if len(ops) == 1 {
 		op = ops[0].Kind.String()
@@ -122,7 +117,6 @@ func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID stri
 			Op: op, Collection: coll, At: start,
 			BatchOps: len(ops), BatchErrors: batchErrors,
 			COWBytesCopied: c.COWBytesCopied() - cowStart,
-			TraceID:        traceID,
 		}, nil)
 	}
 }
@@ -131,14 +125,13 @@ func (db *Database) profileBulk(coll string, ops []storage.WriteOp, traceID stri
 // access path summary, the examined-document count, and the snapshot
 // version/isolation the scan was pinned to. Streamed queries call it when
 // their cursor finishes, so the duration spans the whole drain.
-func (db *Database) recordPlan(op, coll string, start time.Time, plan storage.Plan, traceID string) {
+func (db *Database) recordPlan(op, coll string, start time.Time, plan storage.Plan) {
 	db.record(ProfileEntry{
 		Op: op, Collection: coll, At: start,
 		KeysExamined:    plan.KeysExamined,
 		DocsExamined:    plan.DocsExamined,
 		SnapshotVersion: plan.SnapshotVersion,
 		Isolation:       plan.Isolation,
-		TraceID:         traceID,
 	}, &plan)
 }
 
@@ -150,10 +143,8 @@ func (db *Database) recordPlan(op, coll string, start time.Time, plan storage.Pl
 func (db *Database) record(entry ProfileEntry, plan *storage.Plan) {
 	elapsed := db.server.clockTime().Sub(entry.At)
 	// Every op lands in its histogram regardless of the slow-op threshold —
-	// the threshold gates only what the bounded profile ring retains. The
-	// labeled families key on the full namespace; the entry's trace ID (set
-	// only for sampled traces) becomes the latency bucket's exemplar.
-	db.server.om.observeNS(entry.Op, db.name+"."+entry.Collection, entry.TraceID, elapsed)
+	// the threshold gates only what the bounded profile ring retains.
+	db.server.om.observe(entry.Op, elapsed)
 	if elapsed < db.server.opts.SlowOpThreshold {
 		return
 	}

@@ -2,6 +2,7 @@ package mongod
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,6 +67,66 @@ func TestProfilerResetClearsRingState(t *testing.T) {
 	}
 	if got := s.Profile(); len(got) != 5 {
 		t.Fatalf("profile after reset+5 inserts has %d entries", len(got))
+	}
+}
+
+// TestRecordOpAllocatesNothing guards the cost every mongod operation pays to
+// be counted: an op below the slow-op threshold lands in its counter and
+// histogram without allocating.
+func TestRecordOpAllocatesNothing(t *testing.T) {
+	s := NewServer(Options{Name: "prof", SlowOpThreshold: time.Hour})
+	db := s.Database("testdb")
+	start := time.Now()
+	got := testing.AllocsPerRun(1000, func() {
+		db.record(ProfileEntry{Op: "find", Collection: "c", At: start}, nil)
+	})
+	if got != 0 {
+		t.Errorf("recording a fast op allocates %.0f times, want 0", got)
+	}
+	if snap := s.OpDurations("find"); snap.Count != 1001 {
+		t.Fatalf("find histogram count = %d, want 1001", snap.Count)
+	}
+}
+
+// TestEachOpLandsInOneSeries records one op of each kind, and one of a kind
+// outside the list, on a fresh server: it must show in exactly one
+// docstore_mongod_ops_total series and one histogram, its own or "other".
+func TestEachOpLandsInOneSeries(t *testing.T) {
+	for _, tc := range []struct{ op, series string }{
+		{"insert", "insert"},
+		{"find", "find"},
+		{"update", "update"},
+		{"delete", "delete"},
+		{"aggregate", "aggregate"},
+		{"bulkWrite", "bulkWrite"},
+		{"other", "other"},
+		{"count", "other"},
+	} {
+		t.Run(tc.op, func(t *testing.T) {
+			s := NewServer(Options{Name: "ops", SlowOpThreshold: time.Hour})
+			s.Database("testdb").record(ProfileEntry{Op: tc.op, Collection: "c", At: time.Now()}, nil)
+
+			var b strings.Builder
+			s.Metrics().WritePrometheus(&b)
+			out := b.String()
+			for _, op := range knownOps {
+				want := 0
+				if op == tc.series {
+					want = 1
+				}
+				for _, series := range []string{
+					fmt.Sprintf("%s{op=%q} %d\n", metricOpsTotal, op, want),
+					fmt.Sprintf("%s_count{op=%q} %d\n", metricOpDuration, op, want),
+				} {
+					if !strings.Contains(out, series) {
+						t.Fatalf("exposition lacks %q:\n%s", series, out)
+					}
+				}
+				if got := s.OpDurations(op).Count; got != int64(want) {
+					t.Fatalf("OpDurations(%q).Count = %d, want %d", op, got, want)
+				}
+			}
+		})
 	}
 }
 

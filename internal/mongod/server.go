@@ -75,7 +75,7 @@ func NewServer(opts Options) *Server {
 	if opts.Name == "" {
 		opts.Name = "mongod"
 	}
-	s := &Server{opts: opts, dbs: make(map[string]*Database), om: newOpMetrics(opts.Name)}
+	s := &Server{opts: opts, dbs: make(map[string]*Database), om: newOpMetrics()}
 	// A zero threshold retains every operation, so the profile ring is
 	// certain to reach its capacity; paying the full backing array here
 	// keeps the append-doubling reallocation out of the serving path.
@@ -504,7 +504,7 @@ func (db *Database) BulkApply(coll string, ops []storage.WriteOp, opts storage.B
 	span.SetAttr("collection", coll)
 	span.SetAttr("ops", len(ops))
 	opts.Trace = span
-	stop := db.profileBulk(coll, ops, span.SampledTraceID())
+	stop := db.profileBulk(coll, ops)
 	res, commit := db.Collection(coll).BulkApply(ops, opts)
 	var inserts, updates, deletes int64
 	for i := range ops[:res.Attempted] {
@@ -539,7 +539,7 @@ func (db *Database) FindWithPlan(coll string, filter *bson.Doc, opts storage.Fin
 	opts.Trace = span
 	start := db.server.clockTime()
 	docs, plan, err := db.Collection(coll).FindWithPlan(filter, opts)
-	db.recordPlan("find", coll, start, plan, span.SampledTraceID())
+	db.recordPlan("find", coll, start, plan)
 	span.SetAttr("keysExamined", plan.KeysExamined)
 	span.SetAttr("docsExamined", plan.DocsExamined)
 	span.Finish()

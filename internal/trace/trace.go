@@ -81,8 +81,6 @@ type Tracer struct {
 	inflight map[uint64]*Span
 	ring     []*Span // completed roots, ring[head] is the oldest once full
 	head     int
-
-	exporter atomic.Pointer[Exporter]
 }
 
 // New creates a Tracer. A nil Tracer is itself valid — StartSpan on it
@@ -171,10 +169,6 @@ func (t *Tracer) StartSpan(name string) *Span {
 }
 
 // finishRoot decides retention for a completed root and maintains the ring.
-// Retained traces also flow to the exporter, when one is attached: the
-// finished tree is snapshotted into a View here (span mutation has ended,
-// so the snapshot is stable) and offered to the export queue without
-// blocking.
 func (t *Tracer) finishRoot(s *Span, dur time.Duration) {
 	keep := s.sampled
 	if !keep && t.slow > 0 && dur >= t.slow {
@@ -194,30 +188,9 @@ func (t *Tracer) finishRoot(s *Span, dur time.Duration) {
 	t.mu.Unlock()
 	if keep {
 		t.retained.Add(1)
-		if e := t.exporter.Load(); e != nil {
-			e.enqueue(s.view(time.Time{}))
-		}
 	} else {
 		t.dropped.Add(1)
 	}
-}
-
-// SetExporter attaches (or, with nil, detaches) a span exporter. Every
-// trace retained after the call — sampled or slow — is enqueued for export.
-// The tracer does not own the exporter: callers Close it on shutdown.
-func (t *Tracer) SetExporter(e *Exporter) {
-	if t == nil {
-		return
-	}
-	t.exporter.Store(e)
-}
-
-// Exporter returns the attached exporter, or nil.
-func (t *Tracer) Exporter() *Exporter {
-	if t == nil {
-		return nil
-	}
-	return t.exporter.Load()
 }
 
 // Stats returns a snapshot of tracer counters.
@@ -370,26 +343,6 @@ func (s *Span) Finish() {
 // TraceID returns the span's trace identifier as a 16-hex-digit string.
 func (s *Span) TraceID() string {
 	if s == nil {
-		return ""
-	}
-	return fmt.Sprintf("%016x", s.traceID)
-}
-
-// SampledTraceID returns the trace ID only when the trace is guaranteed to
-// be retained — the root was probabilistically sampled at start — and ""
-// otherwise. Exemplar producers use it so every trace ID attached to a
-// histogram bucket resolves to a trace queryable via getTraces (slow-only
-// retention is decided after the fact, too late for an exemplar already
-// emitted).
-func (s *Span) SampledTraceID() string {
-	if s == nil {
-		return ""
-	}
-	root := s.root
-	if root == nil {
-		root = s
-	}
-	if !root.sampled {
 		return ""
 	}
 	return fmt.Sprintf("%016x", s.traceID)

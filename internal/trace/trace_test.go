@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -41,6 +42,58 @@ func TestNilTracerAndSpanAreNoOps(t *testing.T) {
 	}
 	if st := tr.Stats(); st != (Stats{}) {
 		t.Fatalf("nil tracer Stats = %+v", st)
+	}
+}
+
+// TestNilTracerAllocatesNothing holds the package's first promise: with
+// tracing off, the span calls every layer makes on each request cost no
+// allocation.
+func TestNilTracerAllocatesNothing(t *testing.T) {
+	var tr *Tracer
+	got := testing.AllocsPerRun(1000, func() {
+		root := tr.StartSpan("wire.find")
+		child := root.Child("mongod.find")
+		child.SetAttr("coll", "c")
+		child.Finish()
+		root.Finish()
+	})
+	if got != 0 {
+		t.Fatalf("a span chain on a nil tracer allocates %.0f times, want 0", got)
+	}
+}
+
+// TestTraceIDNamesTheRetainedTree: the ID a live span reports is the one
+// its retained tree and every child carry, so a request's trace can be found
+// in getTraces by the ID it was served under.
+func TestTraceIDNamesTheRetainedTree(t *testing.T) {
+	clk := newClock(0)
+	tr := New(Options{SampleRate: 1, Clock: clk.Now})
+	root := tr.StartSpan("wire.insert")
+	child := root.Child("mongod.insert")
+	if child.TraceID() != root.TraceID() {
+		t.Fatalf("child trace %s, root trace %s", child.TraceID(), root.TraceID())
+	}
+	if id := root.TraceID(); len(id) != 16 || strings.Trim(id, "0123456789abcdef") != "" {
+		t.Fatalf("TraceID = %q, want 16 lowercase hex digits", id)
+	}
+	child.Finish()
+	root.Finish()
+	other := tr.StartSpan("wire.find")
+	other.Finish()
+
+	traces := tr.Traces(0)
+	if len(traces) != 2 {
+		t.Fatalf("retained %d traces, want 2", len(traces))
+	}
+	if traces[0].TraceID == traces[1].TraceID {
+		t.Fatalf("two roots share trace %s", traces[0].TraceID)
+	}
+	v := traces[1]
+	if v.Name != "wire.insert" || v.TraceID != root.TraceID() {
+		t.Fatalf("retained root %q under trace %s, want wire.insert under %s", v.Name, v.TraceID, root.TraceID())
+	}
+	if c := v.Find("mongod.insert"); c == nil || c.TraceID != root.TraceID() {
+		t.Fatalf("retained child = %+v, want trace %s", c, root.TraceID())
 	}
 }
 

@@ -462,18 +462,6 @@ func (c *Client) TracesFiltered(f TraceFilter) ([]*bson.Doc, error) {
 	return resp.Docs, nil
 }
 
-// Exemplars lists the server's retained latency-histogram exemplars: one
-// document per histogram series with a buckets array of {bucketLower,
-// traceId, value} entries. metric filters to one family name; "" returns
-// every family that has exemplars.
-func (c *Client) Exemplars(metric string) ([]*bson.Doc, error) {
-	resp, err := c.Do(&Request{Op: OpGetExemplars, Metric: metric})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Docs, nil
-}
-
 // Stats returns the server status summary document.
 func (c *Client) Stats(db string) (*bson.Doc, error) {
 	resp, err := c.Do(&Request{Op: OpStats, DB: db})

@@ -430,11 +430,12 @@ func TestResultLargerThanAFrameArrivesInBatches(t *testing.T) {
 
 // TestPointFindRoundTripAllocates bounds what one indexed point find costs
 // in allocations from Client.Do to the reply, client and server together
-// (they share the process, so AllocsPerRun sees both). Measured: 35 — 18 in
-// Handle and below, 7 to encode and decode the request, 10 the reply (40
-// until a point find took its candidates from the tree's own posting list
-// and the profiler's plan line was written into one builder). The
-// line-delimited JSON codec this replaced measured 298.
+// (they share the process, so AllocsPerRun sees both). Measured: 34 — 17 in
+// Handle and below, 7 to encode and decode the request, 10 the reply (35
+// until mongod stopped building a "db.coll" string per op for per-namespace
+// metric families; 40 until a point find took its candidates from the
+// tree's own posting list and the profiler's plan line was written into one
+// builder). The line-delimited JSON codec this replaced measured 298.
 func TestPointFindRoundTripAllocates(t *testing.T) {
 	_, c := startServer(t)
 	if err := c.EnsureIndex("db", "items", bson.D("k", 1), true); err != nil {

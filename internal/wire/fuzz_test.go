@@ -36,9 +36,9 @@ func FuzzFrameDecode(f *testing.F) {
 		{Op: OpWatch, DB: "db", Collection: "c", ResumeAfter: "token"},
 		{Op: OpCurrentOp, OpName: "wire.find", MinDurationUS: 5},
 		{Op: OpGetTraces, Limit: 5},
+		{Op: OpGetTraces, OpName: "wire.insert", MinDurationUS: 1000, Limit: 1},
 		{Op: OpCheckpoint},
 		{Op: OpShardCollection, DB: "db", Collection: "c", Keys: bson.D("k", "hashed")},
-		{Op: OpGetExemplars, Metric: metricRequestDuration},
 	} {
 		f.Add(req.appendFrame(nil))
 	}

@@ -1,71 +1,24 @@
 package wire
 
 import (
-	"encoding/json"
-	"regexp"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/mongod"
-	"docstore/internal/mongos"
-	"docstore/internal/replset"
-	"docstore/internal/sharding"
-	"docstore/internal/trace"
-	"docstore/internal/wal"
 )
 
-// startObservedCluster is startTracedCluster plus the export pipeline: the
-// tracer drains retained traces into an in-memory OTLP sink, and the primary
-// member is returned so tests can scrape its metric registry directly.
-func startObservedCluster(t *testing.T) (*Server, *mongod.Server, *trace.MemorySink) {
-	t.Helper()
-	members := []*mongod.Server{
-		mongod.NewServer(mongod.Options{Name: "A"}),
-		mongod.NewServer(mongod.Options{Name: "B"}),
-		mongod.NewServer(mongod.Options{Name: "C"}),
-	}
-	if _, err := members[0].EnableDurability(mongod.Durability{Dir: t.TempDir(), Sync: wal.SyncGroupCommit}); err != nil {
-		t.Fatalf("enabling durability: %v", err)
-	}
-	t.Cleanup(func() { members[0].CloseDurability() })
-	rs, err := replset.New("rs0", members...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs.StartReplication()
-	t.Cleanup(rs.Close)
-
-	router := mongos.NewRouter(sharding.NewConfigServer(), mongos.Options{})
-	router.AddReplicaShard("shard0", rs)
-	if _, err := router.EnableSharding("db", "c", bson.D("k", 1), 1<<20); err != nil {
-		t.Fatal(err)
-	}
-
-	srv := NewServer(rs.Primary())
-	srv.SetReplicaSet(router)
-	tr := trace.New(trace.Options{SampleRate: 1})
-	sink := &trace.MemorySink{}
-	exp := trace.NewExporter(sink, "docstored-test", 0)
-	tr.SetExporter(exp)
-	srv.SetTracer(tr)
-	t.Cleanup(func() { exp.Close() })
-	t.Cleanup(func() { srv.Close() })
-	return srv, members[0], sink
-}
-
-// TestObservabilityEndToEnd is the acceptance path for the labeled-telemetry
-// pipeline: one traced w:2 write against a named collection must yield
+// TestObservabilityEndToEnd is the acceptance path for the telemetry the
+// server serves: one traced w:2 write against a named collection must yield
 //
-//   - a {collection, shard, op} labeled duration histogram in the Prometheus
-//     exposition, carrying an exemplar,
-//   - a span tree exported through the OTLP-shaped sink whose trace ID
-//     matches that exemplar (and resolves via getTraces),
+//   - one sample in the primary's per-op duration histogram on /metrics,
+//   - a span tree retained for getTraces,
 //   - replication-lag, WAL-fsync and change-stream watcher-depth health in
 //     serverStatus.
 func TestObservabilityEndToEnd(t *testing.T) {
-	srv, primary, sink := startObservedCluster(t)
+	srv := startTracedCluster(t)
 
 	// A live watcher, so serverStatus has a buffer depth to report.
 	if resp := srv.Handle(&Request{Op: OpWatch, DB: "db", Collection: "c"}); resp.Error != "" {
@@ -81,95 +34,28 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Fatalf("insert: %s", resp.Error)
 	}
 
-	// The labeled family: the insert executed on shard primary A as a
-	// one-op batch against db.c, which is labeled by its op's kind whatever
-	// the write concern, so exactly that series must hold the sample —
-	// with an exemplar, because the trace was sampled at start. Exemplars
-	// ride only the OpenMetrics exposition; the classic format (checked
-	// below) must stay parseable by version=0.0.4 scrapers.
+	// The insert executed on shard primary A as a one-op batch, which is
+	// labeled by its op's kind whatever the write concern.
 	var b strings.Builder
-	primary.Metrics().WriteOpenMetrics(&b)
-	exposition := b.String()
-	series := `docstore_mongod_collection_op_duration_seconds_count{collection="db.c",op="insert",shard="A"} 1`
-	if !strings.Contains(exposition, series) {
-		t.Fatalf("labeled histogram series missing, want %q in:\n%s", series, exposition)
-	}
-	exemplarRE := regexp.MustCompile(
-		`docstore_mongod_collection_op_duration_seconds_bucket\{collection="db\.c",op="insert",shard="A",le="[^"]+"\} \d+ # \{trace_id="([0-9a-f]+)"\}`)
-	m := exemplarRE.FindStringSubmatch(exposition)
-	if m == nil {
-		t.Fatalf("no exemplar on the labeled series:\n%s", exposition)
-	}
-	exemplarID := m[1]
-
-	// The same registry rendered classically must carry the series but no
-	// exemplar suffix — classic-format parsers reject `#` after the value.
-	b.Reset()
-	primary.Metrics().WritePrometheus(&b)
-	if classic := b.String(); !strings.Contains(classic, series) {
-		t.Fatalf("labeled series missing from classic exposition:\n%s", classic)
-	} else if strings.Contains(classic, "# {trace_id=") {
-		t.Fatalf("classic exposition carries an exemplar:\n%s", classic)
+	srv.backend.Metrics().WritePrometheus(&b)
+	series := `docstore_mongod_op_duration_seconds_count{op="insert"} 1`
+	if exposition := b.String(); !strings.Contains(exposition, series) {
+		t.Fatalf("per-op histogram series missing, want %q in:\n%s", series, exposition)
 	}
 
-	// The exemplar's trace resolves through getTraces as the insert's tree.
-	views := srv.Tracer().Traces(0)
-	var root *trace.View
-	for i := range views {
-		if views[i].TraceID == exemplarID {
-			root = &views[i]
+	// The insert's tree is retained and served by getTraces.
+	traces := srv.Handle(&Request{Op: OpGetTraces})
+	if traces.Error != "" {
+		t.Fatalf("getTraces: %s", traces.Error)
+	}
+	found := false
+	for _, d := range traces.Docs {
+		if name, _ := d.Get("name"); name == "wire.insert" {
+			found = true
 		}
 	}
-	if root == nil || root.Name != "wire.insert" {
-		t.Fatalf("exemplar trace %s not retained as wire.insert (views: %+v)", exemplarID, views)
-	}
-
-	// The same trace went through the OTLP export path: one NDJSON-able
-	// payload whose 32-hex trace id ends in our 16-hex id, shaped as
-	// resourceSpans -> scopeSpans -> spans.
-	srv.Tracer().Exporter().Flush()
-	var payload []byte
-	for _, p := range sink.Exports() {
-		if strings.Contains(string(p), `"wire.insert"`) {
-			payload = p
-		}
-	}
-	if payload == nil {
-		t.Fatalf("insert trace never reached the OTLP sink (%d payloads)", len(sink.Exports()))
-	}
-	var otlp struct {
-		ResourceSpans []struct {
-			ScopeSpans []struct {
-				Spans []struct {
-					TraceID string `json:"traceId"`
-					Name    string `json:"name"`
-				} `json:"spans"`
-			} `json:"scopeSpans"`
-		} `json:"resourceSpans"`
-	}
-	if err := json.Unmarshal(payload, &otlp); err != nil {
-		t.Fatalf("payload is not OTLP-shaped JSON: %v\n%s", err, payload)
-	}
-	spans := otlp.ResourceSpans[0].ScopeSpans[0].Spans
-	if len(spans) < 2 {
-		t.Fatalf("exported %d spans, want the whole tree", len(spans))
-	}
-	for _, sp := range spans {
-		if len(sp.TraceID) != 32 || !strings.HasSuffix(sp.TraceID, exemplarID) {
-			t.Fatalf("exported span %q trace id %q does not match exemplar %s", sp.Name, sp.TraceID, exemplarID)
-		}
-	}
-
-	// The exemplar is also queryable through the wire op.
-	eRes := srv.Handle(&Request{Op: OpGetExemplars, Metric: "docstore_mongod_collection_op_duration_seconds"})
-	if eRes.Error != "" || len(eRes.Docs) == 0 {
-		t.Fatalf("getExemplars: %q, %d docs", eRes.Error, len(eRes.Docs))
-	}
-	if labels, _ := eRes.Docs[0].Get("labels"); !strings.Contains(labels.(string), `collection="db.c"`) {
-		t.Fatalf("exemplar doc labels = %v", labels)
-	}
-	if !strings.Contains(eRes.Docs[0].ToJSON(), exemplarID) {
-		t.Fatalf("exemplar doc lost the trace id: %s", eRes.Docs[0].ToJSON())
+	if !found {
+		t.Fatalf("getTraces has no wire.insert root: %d traces", len(traces.Docs))
 	}
 
 	// serverStatus: cluster health gauges.
@@ -242,12 +128,73 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceFiltersAndExemplarsOverTheWire drives the filtered introspection
-// ops through a real socket: opName narrows getTraces to one root, an
-// unsatisfiable duration floor empties it, idle currentOp stays empty under
-// any filter, and getExemplars returns the wire layer's own series.
-func TestTraceFiltersAndExemplarsOverTheWire(t *testing.T) {
-	srv, _, _ := startObservedCluster(t)
+// TestWireRequestMetricsPerOp sends each request to a fresh server and reads
+// the wire layer's exposition: the request lands in its op's counter and
+// latency histogram, a failed one in its op's error counter too, and an op
+// the protocol does not know under "other". No other op's series moves.
+func TestWireRequestMetricsPerOp(t *testing.T) {
+	doc := bson.D(bson.IDKey, 1, "k", 1)
+	for _, tc := range []struct {
+		name   string
+		before []*Request
+		req    *Request
+		op     string
+		failed bool
+	}{
+		{name: "ping", req: &Request{Op: OpPing}, op: OpPing},
+		{name: "find", req: &Request{Op: OpFind, DB: "db", Collection: "c"}, op: OpFind},
+		{name: "duplicate insert",
+			before: []*Request{{Op: OpInsert, DB: "db", Collection: "c", Doc: doc}},
+			req:    &Request{Op: OpInsert, DB: "db", Collection: "c", Doc: doc}, op: OpInsert, failed: true},
+		{name: "getExemplars", req: &Request{Op: "getExemplars", DB: "db"}, op: "other", failed: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(mongod.NewServer(mongod.Options{Name: "metrics"}))
+			for _, req := range tc.before {
+				if resp := srv.Handle(req); resp.Error != "" {
+					t.Fatalf("%s: %s", req.Op, resp.Error)
+				}
+			}
+			baseline := make(map[string]int64, len(knownWireOps))
+			for _, op := range knownWireOps {
+				baseline[op] = srv.wm.counts[op].Value()
+			}
+			if resp := srv.Handle(tc.req); (resp.Error != "") != tc.failed {
+				t.Fatalf("%s answered error %q, want failed=%v", tc.req.Op, resp.Error, tc.failed)
+			}
+
+			var b strings.Builder
+			srv.Metrics().WritePrometheus(&b)
+			out := b.String()
+			calls := baseline[tc.op] + 1
+			errs := 0
+			if tc.failed {
+				errs = 1
+			}
+			for _, series := range []string{
+				fmt.Sprintf("%s{op=%q} %d\n", metricRequestsTotal, tc.op, calls),
+				fmt.Sprintf("%s{op=%q} %d\n", metricRequestErrors, tc.op, errs),
+				fmt.Sprintf("%s_count{op=%q} %d\n", metricRequestDuration, tc.op, calls),
+			} {
+				if !strings.Contains(out, series) {
+					t.Fatalf("exposition lacks %q:\n%s", series, out)
+				}
+			}
+			for _, op := range knownWireOps {
+				if got := srv.wm.counts[op].Value(); op != tc.op && got != baseline[op] {
+					t.Fatalf("%s request moved the %s counter from %d to %d", tc.req.Op, op, baseline[op], got)
+				}
+			}
+		})
+	}
+}
+
+// TestTraceFiltersOverTheWire drives the filtered introspection ops through
+// a real socket: opName narrows getTraces to one root, an unsatisfiable
+// duration floor empties it, idle currentOp stays empty under any filter,
+// and the exemplar listing is no longer an op.
+func TestTraceFiltersOverTheWire(t *testing.T) {
+	srv := startTracedCluster(t)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -299,17 +246,8 @@ func TestTraceFiltersAndExemplarsOverTheWire(t *testing.T) {
 		t.Fatalf("idle filtered currentOp = %d ops", len(ops))
 	}
 
-	// Both handled ops were traced, so the wire latency family has exemplars.
-	ex, err := c.Exemplars(metricRequestDuration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ex) == 0 {
-		t.Fatalf("no exemplars for %s", metricRequestDuration)
-	}
-	for _, doc := range ex {
-		if name, _ := doc.Get("name"); name != metricRequestDuration {
-			t.Fatalf("metric filter leaked series %v", name)
-		}
+	// The shell sends getExemplars with its default db, as here.
+	if _, err := c.Do(&Request{Op: "getExemplars", DB: "db"}); err == nil || !strings.Contains(err.Error(), `unknown op "getExemplars"`) {
+		t.Fatalf("getExemplars: %v, want unknown op", err)
 	}
 }

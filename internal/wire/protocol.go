@@ -209,13 +209,6 @@ const (
 	// specification ("keys", like ensureIndex) so the router hash-partitions
 	// it. Only meaningful against a router; a stand-alone server rejects it.
 	OpShardCollection = "shardCollection"
-	// OpGetExemplars lists the labeled latency-histogram exemplars the
-	// server currently retains: per histogram series, each bucket's most
-	// recent sampled observation with the trace ID that produced it — the
-	// queryable form of the `# {trace_id="..."}` annotations on /metrics.
-	// "metric" filters to one metric family name; empty returns every
-	// family that has exemplars.
-	OpGetExemplars = "getExemplars"
 )
 
 // Request is one client request; on the wire, the elements of one frame.
@@ -282,9 +275,6 @@ type Request struct {
 	// MinDurationUS filters currentOp/getTraces to traces at least this
 	// many microseconds long (elapsed-so-far for in-flight ops).
 	MinDurationUS int64
-	// Metric filters getExemplars to one metric family name; empty lists
-	// every family that has exemplars.
-	Metric string
 	// span is the request's root trace span, attached server-side by Handle
 	// when tracing is on. It never travels on the wire.
 	span *trace.Span
@@ -357,7 +347,6 @@ func (r *Request) appendFrame(buf []byte) []byte {
 	buf = appendInt(buf, "maxTimeMS", int64(r.MaxTimeMS))
 	buf = appendStr(buf, "opName", r.OpName)
 	buf = appendInt(buf, "minDurationUS", r.MinDurationUS)
-	buf = appendStr(buf, "metric", r.Metric)
 	return bson.EndDoc(buf, start)
 }
 
@@ -493,8 +482,6 @@ func readRequest(frame []byte) (*Request, error) {
 			r.OpName = f.str(e)
 		case "minDurationUS":
 			r.MinDurationUS = f.int(e)
-		case "metric":
-			r.Metric = f.str(e)
 		default:
 			known = false
 			f.value(e)

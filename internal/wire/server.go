@@ -65,7 +65,7 @@ type Server struct {
 	// end (the mongos role, docstored -shards): data-plane requests fan out
 	// across the cluster's shards, shardCollection declares a shard key, and
 	// checkpoint becomes a cluster-consistent capture across every shard.
-	// Introspection (stats, traces, exemplars, currentOp) and change streams
+	// Introspection (stats, traces, currentOp) and change streams
 	// keep reading the local backend.
 	router *mongos.Router
 	// defaultWC applies to write requests that carry no writeConcern.
@@ -499,10 +499,7 @@ func (s *Server) Handle(req *Request) *Response {
 		}
 		req.span.Finish()
 	}
-	// SampledTraceID is non-empty only for roots sampled at start — traces
-	// guaranteed to be retained — so every exemplar the histogram keeps
-	// resolves through getTraces.
-	s.wm.observe(req.Op, s.now().Sub(start), resp.Error != "", req.span.SampledTraceID())
+	s.wm.observe(req.Op, s.now().Sub(start), resp.Error != "")
 	return resp
 }
 
@@ -526,11 +523,6 @@ func (s *Server) handle(req *Request) *Response {
 			views = filterViews(s.tracer.Traces(0), req.OpName, time.Duration(req.MinDurationUS)*time.Microsecond)
 		}
 		docs := viewDocs(views, limit)
-		return &Response{OK: true, Docs: docs, N: int64(len(docs))}
-	case OpGetExemplars:
-		series := s.backend.Metrics().Exemplars(req.Metric)
-		series = append(series, s.wm.registry.Exemplars(req.Metric)...)
-		docs := exemplarDocs(series)
 		return &Response{OK: true, Docs: docs, N: int64(len(docs))}
 	}
 	if req.DB == "" && req.Op != OpPing && req.Op != OpCheckpoint {

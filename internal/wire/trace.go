@@ -23,7 +23,7 @@ const (
 var knownWireOps = []string{
 	OpPing, OpInsert, OpInsertMany, OpBulkWrite, OpFind, OpCount, OpUpdate,
 	OpDelete, OpAggregate, OpWatch, OpGetMore, OpKillCursors, OpEnsureIndex,
-	OpDrop, OpListColls, OpStats, OpCurrentOp, OpGetTraces, OpGetExemplars,
+	OpDrop, OpListColls, OpStats, OpCurrentOp, OpGetTraces,
 	"other",
 }
 
@@ -52,11 +52,8 @@ func newWireMetrics() wireMetrics {
 	return wm
 }
 
-// observe records one handled request. traceID, when non-empty, is the ID
-// of a trace guaranteed to be retained (the request's root span was sampled
-// at start); the latency histogram keeps it as the bucket's exemplar so the
-// /metrics exposition links latency outliers to queryable traces.
-func (wm *wireMetrics) observe(op string, elapsed time.Duration, failed bool, traceID string) {
+// observe records one handled request.
+func (wm *wireMetrics) observe(op string, elapsed time.Duration, failed bool) {
 	if _, ok := wm.counts[op]; !ok {
 		op = "other"
 	}
@@ -64,7 +61,7 @@ func (wm *wireMetrics) observe(op string, elapsed time.Duration, failed bool, tr
 	if failed {
 		wm.errors[op].Inc()
 	}
-	wm.hists[op].ObserveExemplar(elapsed, traceID)
+	wm.hists[op].Observe(elapsed)
 }
 
 // observeRefused records a frame the server could not read as a request: a
@@ -109,7 +106,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.wm.registry }
 // excluded so currentOp never lists itself and the trace ring is not
 // churned by the observer.
 func traced(op string) bool {
-	return op != OpCurrentOp && op != OpGetTraces && op != OpGetExemplars && op != OpPing
+	return op != OpCurrentOp && op != OpGetTraces && op != OpPing
 }
 
 // filterViews applies the currentOp/getTraces request filters: a root-name
@@ -129,28 +126,6 @@ func filterViews(views []trace.View, opName string, minDuration time.Duration) [
 		out = append(out, views[i])
 	}
 	return out
-}
-
-// exemplarDocs renders histogram-series exemplars as wire documents: one
-// document per series, with a "buckets" array of {bucketLower, traceId,
-// value} entries. Latency values convert to microseconds for seconds-unit
-// histograms and stay raw otherwise.
-func exemplarDocs(series []metrics.SeriesExemplars) []*bson.Doc {
-	docs := make([]*bson.Doc, 0, len(series))
-	for _, s := range series {
-		buckets := make([]any, 0, len(s.Values))
-		for _, b := range s.Values {
-			bd := bson.D("bucketLower", b.BucketLower, "traceId", b.TraceID)
-			if s.Unit == "seconds" {
-				bd.Set("valueUS", b.Value/int64(time.Microsecond))
-			} else {
-				bd.Set("value", b.Value)
-			}
-			buckets = append(buckets, bd)
-		}
-		docs = append(docs, bson.D("name", s.Name, "labels", s.Labels, "buckets", buckets))
-	}
-	return docs
 }
 
 // viewDoc renders one span view (and its subtree) as a wire document.
