@@ -176,7 +176,7 @@ func main() {
 	// router, each durable under its own <data-dir>/shardN so the shards
 	// recover independently while the router's checkpoint keeps their
 	// durable states mutually consistent. The backend server holds no data
-	// in this mode; it serves introspection (stats, traces).
+	// in this mode; stats and watch reach the shards through the router.
 	var router *mongos.Router
 	var shardServers []*mongod.Server
 	if sharded {

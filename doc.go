@@ -476,9 +476,11 @@
 //     getMore batches of one cursor are mutually consistent; mongos
 //     prefetch pumps scan per-shard snapshots while bulk writes keep
 //     scattering; checkpoints stream pinned snapshots without stalling
-//     writers; replset.FindCursor reads one member version under
-//     replication. benchmark/'s oltp_wire workload runs index scans beside
-//     its writers (time2_ms); storage.scan_us times one alone.
+//     writers; a cursor on a replica-set secondary reads one member
+//     version while that member's applier keeps landing oplog entries
+//     (replset's TestFindCursorPinsMemberSnapshot). benchmark/'s oltp_wire
+//     workload runs index scans beside its writers (time2_ms);
+//     storage.scan_us times one alone.
 //
 // # MVCC memory management
 //
@@ -630,12 +632,14 @@
 //     an index path a run touches many times is copied once. Any other
 //     record kind, or another collection, ends the run.
 //   - replset shares the log format: oplog entries carry wal.Records,
-//     AttachWAL makes the oplog durable, and LoadOplogFromWAL +
-//     ApplyAll/Sync rebuild members from the log alone. A replicated
-//     durable server therefore keeps two logs, the primary's journal and
-//     the oplog; a write appends to both under the replica set's lock and
-//     waits for both fsyncs at once after releasing it (see "Replication &
-//     write concern").
+//     AttachWAL makes the oplog durable, and LoadOplogFromWAL reloads it
+//     on restart, after which each member's applier (StartReplication)
+//     replays what the member lacks — all of it on a volatile secondary,
+//     nothing on a primary that recovered from its own journal and was
+//     marked with MarkApplied. A replicated durable server therefore keeps
+//     two logs, the primary's journal and the oplog; a write appends to
+//     both under the replica set's lock and waits for both fsyncs at once
+//     after releasing it (see "Replication & write concern").
 //   - docstored enables all of this with -data-dir, selects the policy
 //     with -wal-sync, tunes the coalescing window and segment size with
 //     -wal-group-interval / -wal-segment-mb, and checkpoints periodically
@@ -698,7 +702,8 @@
 //     forever, an abandoned one still ages out), and killCursors tears
 //     the subscription down, even mid-getMore. wire.Client.Watch wraps
 //     the exchange, driver.Store.Watch abstracts over both deployments
-//     (and errors when a server under it is not durable), and
+//     (and errors when a server under it is not durable) and serves the
+//     wire op on every deployment docstored runs, and
 //     docstore-shell passes watch/getMore/resumeAfter straight through.
 //
 // # Replication & write concern

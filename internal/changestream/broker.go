@@ -70,6 +70,9 @@ type Stream interface {
 	// stream's starting position before any delivery): the value to pass
 	// as resumeAfter to continue exactly after what was consumed.
 	ResumeToken() string
+	// Alive reports whether the stream can still deliver events; the wire
+	// layer keeps a live tailable cursor exempt from idle reaping.
+	Alive() bool
 	// Close tears the stream down. Safe to call multiple times.
 	Close()
 }
@@ -423,8 +426,7 @@ type Subscription struct {
 
 var _ Stream = (*Subscription)(nil)
 
-// Alive reports whether the subscription can still deliver events. The wire
-// layer uses it to keep live tailable cursors exempt from idle reaping.
+// Alive implements Stream: false once the subscription died or was closed.
 func (s *Subscription) Alive() bool {
 	select {
 	case <-s.dead:

@@ -39,8 +39,8 @@ func TestReplicaShardWriteConcernThreading(t *testing.T) {
 	if _, err := r.Insert("db", "c", bson.D(bson.IDKey, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if rs.OplogLength() != 1 {
-		t.Fatalf("oplog length = %d after routed insert, want 1", rs.OplogLength())
+	if len(rs.Oplog()) != 1 {
+		t.Fatalf("oplog length = %d after routed insert, want 1", len(rs.Oplog()))
 	}
 
 	// A majority bulk through the router blocks until a quorum applied it.
@@ -212,7 +212,7 @@ func TestRoutedFailoverMidWriteStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, set := range sets {
-		if _, err := set.Sync(); err != nil {
+		if err := set.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,7 +262,7 @@ func TestReplicaShardShardedBulk(t *testing.T) {
 		t.Fatalf("inserted %d, want 40", res.Inserted)
 	}
 	// Every sub-batch went through its replica set's oplog.
-	if rsA.OplogLength() == 0 && rsB.OplogLength() == 0 {
+	if len(rsA.Oplog()) == 0 && len(rsB.Oplog()) == 0 {
 		t.Fatal("no replica shard logged the routed sub-batches")
 	}
 	total, err := r.Count("db", "c", nil)

@@ -221,6 +221,17 @@ func (cs *ClusterStream) ResumeToken() string {
 	return cs.tokens.String()
 }
 
+// Alive implements changestream.Stream: false once a shard stream died or
+// the merged stream was closed.
+func (cs *ClusterStream) Alive() bool {
+	select {
+	case <-cs.done:
+		return false
+	default:
+		return true
+	}
+}
+
 // teardown closes every shard stream and stops the pumps without waiting
 // them out; a failing pump calls it on itself, so it must not self-join.
 func (cs *ClusterStream) teardown() {

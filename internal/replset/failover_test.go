@@ -14,8 +14,8 @@ import (
 
 // TestFailoverEquivalence steps the primary down under concurrent unordered
 // bulk writes and proves the surviving document set equals the acknowledged
-// set at every layer: each member's storage, the replica set's query
-// surface, and a mongos routing through the set. Writes acked at w:majority
+// set at every layer: each member's storage, the new primary's mongod query
+// path, and a mongos routing through the set. Writes acked at w:majority
 // must all survive the election; writes the failover window rejected must
 // not be required to survive — and nothing outside the attempted set may
 // appear.
@@ -93,7 +93,7 @@ func TestFailoverEquivalence(t *testing.T) {
 	if err := rs.Restart(old); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,13 +123,13 @@ func TestFailoverEquivalence(t *testing.T) {
 		}
 	}
 
-	// Replica-set query layer: the primary read path reports the same set.
-	docs, err := rs.Find(ReadPrimary, "db", "c", nil, storage.FindOptions{})
+	// Mongod layer: the new primary's query path reports the same set.
+	docs, err := rs.Primary().Database("db").Find("c", nil, storage.FindOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(docs) != len(survivors) {
-		t.Fatalf("rs.Find sees %d docs, storage holds %d", len(docs), len(survivors))
+		t.Fatalf("the primary's find sees %d docs, storage holds %d", len(docs), len(survivors))
 	}
 
 	// Mongos layer: a router fronting the set (registered post-election, so
@@ -150,7 +150,7 @@ func TestFailoverEquivalence(t *testing.T) {
 	if res.DurabilityErr != nil {
 		t.Fatalf("routed majority write after failover: %v", res.DurabilityErr)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {

@@ -115,7 +115,7 @@ func TestFaultInjectionKillRestartMidBulkWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]string, 0, writers*batches)
@@ -195,7 +195,7 @@ func TestFaultInjectionMidChangeStreamTail(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 

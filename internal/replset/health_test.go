@@ -49,9 +49,11 @@ func TestHealthTracksLagAndApplyAge(t *testing.T) {
 		}
 	}
 
-	// Sync catches the secondaries up: lag collapses to zero everywhere and
-	// their apply stamps take the clock at sync time.
-	if _, err := rs.Sync(); err != nil {
+	// The appliers catch the secondaries up: lag collapses to zero everywhere
+	// and their apply stamps take the clock at catch-up time.
+	rs.StartReplication()
+	defer rs.Close()
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	syncedAt := now

@@ -142,7 +142,7 @@ func TestPipelinedCommitOrderingAndSharing(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,19 +250,19 @@ func TestJournalFailureDoesNotReplicate(t *testing.T) {
 	if err := primary.CloseDurability(); err != nil {
 		t.Fatal(err)
 	}
-	oplogLen, oplogAppends := rs.OplogLength(), oplog.Stats().Appends
+	oplogLen, oplogAppends := len(rs.Oplog()), oplog.Stats().Appends
 
 	res := insert("after")
 	if res.DurabilityErr == nil || res.Attempted != 0 {
 		t.Fatalf("write through a closed journal: attempted %d, err %v; want nothing attempted and the journal's error", res.Attempted, res.DurabilityErr)
 	}
-	if got := rs.OplogLength(); got != oplogLen {
+	if got := len(rs.Oplog()); got != oplogLen {
 		t.Fatalf("oplog grew from %d to %d entries for a batch the primary never applied", oplogLen, got)
 	}
 	if got := oplog.Stats().Appends; got != oplogAppends {
 		t.Fatalf("oplog WAL took %d appends, want %d", got, oplogAppends)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {
@@ -324,7 +324,7 @@ func TestTooDeepDocumentNeverReachesTheOplog(t *testing.T) {
 	for i := 1; i < bson.MaxDepth; i++ {
 		deep = bson.D("a", deep)
 	}
-	oplogLen, oplogAppends := rs.OplogLength(), oplog.Stats().Appends
+	oplogLen, oplogAppends := len(rs.Oplog()), oplog.Stats().Appends
 	wc := storage.WriteConcern{Majority: true, Journal: true}
 	res := rs.BulkWrite("db", "c", []storage.WriteOp{
 		storage.InsertWriteOp(bson.D("_id", "beside")),
@@ -333,14 +333,14 @@ func TestTooDeepDocumentNeverReachesTheOplog(t *testing.T) {
 	if !errors.Is(res.FirstError(), storage.ErrDocumentTooDeep) || res.Attempted != 0 || len(res.Errors) != 1 || res.Errors[0].Index != 1 {
 		t.Fatalf("batch with a too-deep document: attempted %d, errors %v", res.Attempted, res.Errors)
 	}
-	if rs.OplogLength() != oplogLen || oplog.Stats().Appends != oplogAppends {
-		t.Fatalf("the oplog took a batch the primary refused: %d entries, %d appends", rs.OplogLength(), oplog.Stats().Appends)
+	if len(rs.Oplog()) != oplogLen || oplog.Stats().Appends != oplogAppends {
+		t.Fatalf("the oplog took a batch the primary refused: %d entries, %d appends", len(rs.Oplog()), oplog.Stats().Appends)
 	}
 	res = rs.BulkWrite("db", "c", []storage.WriteOp{storage.InsertWriteOp(bson.D("_id", "after"))}, storage.BulkOptions{WriteConcern: wc})
 	if err := res.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {

@@ -1,9 +1,9 @@
 // Quorum replication: background per-member appliers, write-concern waiters,
 // fault injection (kill/restart), and rollback-epoch resync. The lifecycle
-// is StartReplication → writes via BulkWrite block in AwaitReplication until
-// enough members have applied their oplog entry → Close. Without
-// StartReplication the set behaves as before: writes acknowledge at the
-// primary and secondaries converge through Sync/ApplyAll.
+// is StartReplication → writes via BulkWrite wait on a quorum waiter until
+// enough members have applied their oplog entry → Close. Until
+// StartReplication runs no applier does: writes land on the primary and in
+// the oplog, secondaries stay where they are, and a w>1 write waits.
 package replset
 
 import (
@@ -22,7 +22,7 @@ import (
 // old one.
 var ErrPrimaryDown = errors.New("replset: primary is down; step down to elect a new one")
 
-// quorumWaiter is one write blocked in AwaitReplication. err is written
+// quorumWaiter is one write blocked in BulkWrite's quorum wait. err is written
 // under rs.mu before done is closed, so a receiver on done reads it safely.
 type quorumWaiter struct {
 	lsn  int64
@@ -62,13 +62,6 @@ func (rs *ReplicaSet) SetDefaultWriteConcern(wc storage.WriteConcern) {
 	rs.defaultWC = wc
 }
 
-// DefaultWriteConcern returns the concern set by SetDefaultWriteConcern.
-func (rs *ReplicaSet) DefaultWriteConcern() storage.WriteConcern {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.defaultWC
-}
-
 // StartReplication launches one applier goroutine per member. Each applier
 // tails the oplog from its member's applied watermark, so secondaries catch
 // up continuously instead of waiting for Sync, and quorum waiters resolve as
@@ -86,11 +79,23 @@ func (rs *ReplicaSet) StartReplication() {
 	}
 }
 
-// Replicating reports whether background appliers are running.
-func (rs *ReplicaSet) Replicating() bool {
+// Sync waits until every live member has applied the oplog tip, so the
+// caller can read any member's state after its writes. Killed members are
+// left out; they catch up after Restart. The appliers are the only path an
+// entry takes to a member, so Sync on a set whose appliers were never
+// started, or have stopped, returns an error instead of waiting for
+// progress that cannot come.
+func (rs *ReplicaSet) Sync() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	return rs.replicating
+	if !rs.replicating {
+		return errors.New("replset: Sync before StartReplication: no applier is running")
+	}
+	rs.waitCaughtUpLocked()
+	if rs.closed {
+		return errors.New("replset: Sync on a closed replica set")
+	}
+	return nil
 }
 
 // Close stops the appliers and fails every outstanding quorum waiter with a
@@ -113,8 +118,8 @@ func (rs *ReplicaSet) Close() {
 	rs.appliers.Wait()
 }
 
-// Kill marks a member down: its applier parks, it stops serving reads, and
-// writes fail with ErrPrimaryDown if it was the primary. Waiters whose
+// Kill marks a member down: its applier parks, and writes fail with
+// ErrPrimaryDown if it was the primary. Waiters whose
 // quorum just became unreachable fail immediately rather than hang until
 // wtimeout. The member's data is left intact — a kill models a crashed
 // process whose disk survives.
@@ -323,37 +328,6 @@ func loggedOps(primary *mongod.Server, db, coll string, ops []storage.WriteOp, r
 		}
 	}
 	return logged
-}
-
-// AwaitReplication blocks until wc.NeedAck members have applied the oplog
-// entry at lsn, the concern's wtimeout expires, or the quorum becomes
-// impossible (members down, entry rolled back, set closed). A non-nil error
-// is always a *storage.WriteConcernError carrying how many members had
-// applied the entry when the wait failed.
-func (rs *ReplicaSet) AwaitReplication(lsn int64, wc storage.WriteConcern) error {
-	rs.mu.Lock()
-	need := wc.NeedAck(len(rs.members))
-	if rs.ackCountLocked(lsn) >= need {
-		rs.mu.Unlock()
-		return nil
-	}
-	if rs.closed {
-		replicated := rs.ackCountLocked(lsn)
-		rs.mu.Unlock()
-		return &storage.WriteConcernError{W: wc.WString(), Replicated: replicated, Reason: "replica set closed"}
-	}
-	if lsn > rs.tipLocked() {
-		// The entry was truncated by an election; no applier will ever reach
-		// this LSN, so waiting would hang forever.
-		rs.mu.Unlock()
-		return &storage.WriteConcernError{W: wc.WString(), Replicated: 0, Reason: "rolled back"}
-	}
-	w := &quorumWaiter{lsn: lsn, need: need, wstr: wc.WString(), done: make(chan struct{})}
-	rs.waiters[w] = struct{}{}
-	rs.failUnreachableWaitersLocked() // quorum may be impossible already
-	timer := rs.wcTimer
-	rs.mu.Unlock()
-	return rs.waitQuorum(w, lsn, wc, timer)
 }
 
 // waitQuorum blocks on a registered waiter until it resolves or the

@@ -11,8 +11,9 @@ import (
 
 // No test in this package may sleep to "give replication time": CI greps for
 // wall-clock sleeps in replset tests and fails the build. Timeout expiry is driven
-// through the injected wtimeout timer, and ordering through channels and the
-// set's own blocking calls (AwaitReplication, Sync, quorum-blocked writes).
+// through the injected wtimeout timer, and ordering through channels, the
+// set's own blocking calls (Sync, quorum-blocked writes) and a member whose
+// writes are held (mongod.Server.HoldAllWrites), which stalls its applier.
 
 func insertOp(pairs ...any) storage.WriteOp {
 	return storage.InsertWriteOp(bson.D(pairs...))
@@ -27,7 +28,7 @@ func wcErr(t *testing.T, err error) *storage.WriteConcernError {
 	return wce
 }
 
-func TestAwaitReplicationWTimeout(t *testing.T) {
+func TestQuorumWaitWTimeout(t *testing.T) {
 	rs := newTestSet(t, 3) // appliers off: nothing will ever ack beyond the primary
 
 	timerCh := make(chan time.Time)
@@ -61,8 +62,8 @@ func TestAwaitReplicationWTimeout(t *testing.T) {
 	if rs.Primary().Database("db").Collection("c").FindID(int64(1)) == nil {
 		t.Fatal("timed-out write missing from primary")
 	}
-	if rs.OplogLength() != 1 {
-		t.Fatalf("oplog length = %d, want 1", rs.OplogLength())
+	if n := len(rs.Oplog()); n != 1 {
+		t.Fatalf("oplog length = %d, want 1", n)
 	}
 }
 
@@ -125,13 +126,21 @@ func TestKillMakesQuorumUnreachable(t *testing.T) {
 		t.Fatalf("got %+v, want immediate quorum-unreachable with 1 replica", wce)
 	}
 
-	// Reviving one member makes the majority reachable again; the pending
-	// entry replicates and a fresh wait on the same LSN succeeds.
+	// Reviving one member makes the majority reachable again: the entry
+	// whose acknowledgement failed still replicates to it.
 	if err := rs.Restart("B"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.AwaitReplication(res.LastLSN, storage.WriteConcern{Majority: true}); err != nil {
-		t.Fatalf("await after restart: %v", err)
+	if err := rs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range rs.Health() {
+		if h.Member == "B" && h.Applied < res.LastLSN {
+			t.Fatalf("restarted B applied up to %d, want the unacknowledged entry %d", h.Applied, res.LastLSN)
+		}
+	}
+	if rs.Members()[1].Database("db").Collection("c").FindID(int64(1)) == nil {
+		t.Fatal("restarted B is missing the entry that missed its quorum")
 	}
 	if !rs.Alive("B") || rs.Alive("C") {
 		t.Fatal("liveness flags wrong after kill/restart")
@@ -187,8 +196,8 @@ func TestElectionRollsBackWaiter(t *testing.T) {
 	if wce.Reason != "rolled back" || wce.Replicated != 0 {
 		t.Fatalf("got %+v, want rolled-back with 0 surviving replicas", wce)
 	}
-	if rs.OplogLength() != 0 {
-		t.Fatalf("oplog length = %d after rollback, want 0", rs.OplogLength())
+	if n := len(rs.Oplog()); n != 0 {
+		t.Fatalf("oplog length = %d after rollback, want 0", n)
 	}
 }
 
@@ -217,21 +226,36 @@ func TestCloseFailsOutstandingWaiters(t *testing.T) {
 	}
 }
 
-// TestStepDownRollbackResync drives the full rollback/resync cycle in legacy
-// (Sync-driven) mode: entries past the new primary's watermark are truncated,
-// and the deposed primary — whose state includes discarded writes — is wiped
-// and rebuilt from the surviving log when it rejoins.
+// TestStepDownRollbackResync drives the rollback/resync cycle through the
+// appliers. Both secondaries' writes are held, so their appliers stall on
+// entry 6 while entries 6 and 7 reach the primary, which then crashes. The
+// election truncates the log past the new primary's watermark: entry 7
+// always goes, and entry 6 stays exactly when the elected member had
+// already taken it up (an entry being applied counts). The deposed primary,
+// whose state includes entry 7, is wiped and rebuilt from the surviving log
+// when it rejoins.
 func TestStepDownRollbackResync(t *testing.T) {
 	rs := newTestSet(t, 3)
+	rs.StartReplication()
+	defer rs.Close()
 	for i := 1; i <= 5; i++ {
 		if _, err := rs.Insert("db", "c", bson.D("_id", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Two more writes reach only the primary before it crashes.
+	var releases []func()
+	for _, m := range rs.Secondaries() {
+		releases = append(releases, m.HoldAllWrites())
+	}
+	releaseAll := func() {
+		for _, release := range releases {
+			release()
+		}
+	}
+	defer releaseAll() // before rs.Close, which waits for the stalled appliers
 	for i := 6; i <= 7; i++ {
 		if _, err := rs.Insert("db", "c", bson.D("_id", i)); err != nil {
 			t.Fatal(err)
@@ -245,24 +269,26 @@ func TestStepDownRollbackResync(t *testing.T) {
 	if next.Name() == old {
 		t.Fatal("step down kept the killed primary")
 	}
-	if rs.OplogLength() != 5 {
-		t.Fatalf("oplog length = %d after election, want 5 (unreplicated tail truncated)", rs.OplogLength())
+	survivors := len(rs.Oplog())
+	if survivors != 5 && survivors != 6 {
+		t.Fatalf("oplog length = %d after election, want 5 or 6 (entry 7 reached no secondary)", survivors)
 	}
 
+	releaseAll()
 	if err := rs.Restart(old); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {
 		coll := m.Database("db").Collection("c")
-		if coll.Count() != 5 {
-			t.Fatalf("member %s has %d docs after resync, want 5", m.Name(), coll.Count())
+		if coll.Count() != survivors {
+			t.Fatalf("member %s has %d docs after resync, want the %d surviving entries", m.Name(), coll.Count(), survivors)
 		}
-		for i := 6; i <= 7; i++ {
-			if coll.FindID(int64(i)) != nil {
-				t.Fatalf("rolled-back doc %d survived on member %s", i, m.Name())
+		for i := 1; i <= 7; i++ {
+			if kept := coll.FindID(int64(i)) != nil; kept != (i <= survivors) {
+				t.Fatalf("doc %d kept=%v on member %s, want kept=%v", i, kept, m.Name(), i <= survivors)
 			}
 		}
 	}

@@ -1,9 +1,15 @@
 // Package replset implements a minimal replica set: a primary that accepts
-// writes, secondaries that apply the primary's oplog, read preferences, and
-// fail-over by promotion. The thesis describes replica sets as the
-// redundancy mechanism backing shards (§2.1.3.1); the sharded experiments use
-// single-member shards, so this package exists to complete the substrate and
-// is exercised by its own tests and the ablation benchmarks.
+// writes, secondaries that apply the primary's oplog, write-concern quorum
+// waits, and fail-over by promotion. The thesis describes replica sets as the
+// redundancy mechanism backing shards (§2.1.3.1). docstored -replicas runs
+// one, the router takes one as a shard (mongos.AddReplicaShard), and
+// benchmark/'s ingest_replicated workload measures its write path. Reads go
+// to a member server directly; the set itself only writes.
+//
+// An oplog entry reaches a member one way only: that member's applier
+// (StartReplication), which tails the oplog from the member's applied
+// watermark and rebuilds the member by wipe-and-replay after an election
+// discarded entries it held.
 //
 // Since the durability subsystem landed, the oplog and the write-ahead log
 // share one format: every oplog entry carries a wal.Record, the same logical
@@ -35,16 +41,6 @@ import (
 	"docstore/internal/wal"
 )
 
-// ReadPreference selects which member serves reads.
-type ReadPreference int
-
-// Read preferences.
-const (
-	ReadPrimary ReadPreference = iota
-	ReadSecondary
-	ReadNearest
-)
-
 // OplogEntry is one replicated operation: a WAL record plus the wall-clock
 // time the primary accepted it. The entry's sequence number is the record's
 // LSN — assigned by the attached WAL when the oplog is durable, or by the
@@ -65,17 +61,16 @@ type ReplicaSet struct {
 	// and the per-member apply timestamps behind the health gauges.
 	now func() time.Time
 
-	mu          sync.Mutex
-	replCond    *sync.Cond // signals oplog growth, applier progress, liveness flips
-	members     []*mongod.Server
-	primary     int
-	oplog       []OplogEntry
-	wal         *wal.WAL             // nil: volatile oplog with in-memory seqs
-	applied     map[string]int64     // member name -> last applied seq
-	applying    map[string]int64     // member name -> seq its applier holds outside the lock (0: none)
-	lastApply   map[string]time.Time // member name -> when applied last advanced
-	nextSeq     int64
-	chainedRead int // round-robin cursor for ReadNearest
+	mu        sync.Mutex
+	replCond  *sync.Cond // signals oplog growth, applier progress, liveness flips
+	members   []*mongod.Server
+	primary   int
+	oplog     []OplogEntry
+	wal       *wal.WAL             // nil: volatile oplog with in-memory seqs
+	applied   map[string]int64     // member name -> last applied seq
+	applying  map[string]int64     // member name -> seq its applier holds outside the lock (0: none)
+	lastApply map[string]time.Time // member name -> when applied last advanced
+	nextSeq   int64
 
 	// Quorum replication state; the machinery lives in quorum.go.
 	replicating bool
@@ -129,10 +124,11 @@ func (rs *ReplicaSet) AttachWAL(w *wal.WAL) {
 }
 
 // LoadOplogFromWAL reads every record of a WAL directory into the oplog
-// buffer, replacing its contents. It is how a restarted set (or a test
-// standing in for one) resumes replication from the durable log: secondaries
-// then converge through the ordinary Sync/ApplyAll path. No member is marked
-// as having applied anything; pair it with ApplyAll to rebuild member state.
+// buffer, replacing its contents. It is how a restarted set resumes
+// replication from the durable log: once StartReplication runs, every
+// member's applier replays the log from the start. No member is marked as
+// having applied anything; a member that rebuilt itself through its own
+// recovery is marked with MarkApplied before the appliers start.
 func (rs *ReplicaSet) LoadOplogFromWAL(dir string) (int, error) {
 	records, err := wal.ReadAll(dir)
 	if err != nil {
@@ -181,13 +177,6 @@ func (rs *ReplicaSet) Members() []*mongod.Server {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	return append([]*mongod.Server(nil), rs.members...)
-}
-
-// OplogLength returns the number of oplog entries retained.
-func (rs *ReplicaSet) OplogLength() int {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return len(rs.oplog)
 }
 
 // Oplog returns a copy of the retained oplog entries in sequence order.
@@ -268,82 +257,6 @@ func waitOplog(commit *wal.Commit, journaled bool) error {
 	return commit.Wait(journaled)
 }
 
-// Sync applies pending oplog entries to every secondary, bringing the set to
-// a consistent state. It returns the number of entries applied across
-// members.
-func (rs *ReplicaSet) Sync() (int, error) {
-	return rs.sync(false)
-}
-
-// ApplyAll applies pending oplog entries to every member, primary included.
-// It is the catch-up path after LoadOplogFromWAL, where no member has the
-// oplog's state yet.
-func (rs *ReplicaSet) ApplyAll() (int, error) {
-	return rs.sync(true)
-}
-
-func (rs *ReplicaSet) sync(includePrimary bool) (int, error) {
-	rs.mu.Lock()
-	if rs.replicating {
-		// The background appliers own entry application; replaying here too
-		// would race them into double applies. Syncing degenerates to waiting
-		// for every live member to reach the oplog tip.
-		rs.waitCaughtUpLocked()
-		rs.mu.Unlock()
-		return 0, nil
-	}
-	oplog := append([]OplogEntry(nil), rs.oplog...)
-	members := append([]*mongod.Server(nil), rs.members...)
-	primaryIdx := rs.primary
-	epoch := rs.epoch
-	applied := make(map[string]int64, len(rs.applied))
-	for k, v := range rs.applied {
-		applied[k] = v
-	}
-	stale := make(map[string]bool, len(members))
-	for _, m := range members {
-		stale[m.Name()] = rs.memberEpoch[m.Name()] != epoch
-	}
-	rs.mu.Unlock()
-
-	total := 0
-	for i, m := range members {
-		if i == primaryIdx && !includePrimary {
-			continue
-		}
-		name := m.Name()
-		if stale[name] {
-			// An election rolled back entries this member had applied; its
-			// state is not a prefix of the surviving log, so rebuild it from
-			// scratch by full replay.
-			wipeMember(m)
-			applied[name] = 0
-			rs.mu.Lock()
-			rs.applied[name] = 0
-			rs.memberEpoch[name] = epoch
-			rs.mu.Unlock()
-		}
-		last := applied[name]
-		for _, e := range oplog {
-			if e.Seq() <= last {
-				continue
-			}
-			if err := applyEntry(m, e); err != nil {
-				return total, fmt.Errorf("replset: applying op %d to %s: %w", e.Seq(), name, err)
-			}
-			last = e.Seq()
-			total++
-		}
-		rs.mu.Lock()
-		if last > rs.applied[name] {
-			rs.applied[name] = last
-			rs.lastApply[name] = rs.now()
-		}
-		rs.mu.Unlock()
-	}
-	return total, nil
-}
-
 // applyEntry replays one oplog record against a member. The record is cloned
 // before applying because inserted documents are stored by reference and
 // every member needs its own copy.
@@ -355,7 +268,7 @@ func applyEntry(m *mongod.Server, e OplogEntry) error {
 		// Per-op failures are not apply errors: the record replays the exact
 		// batch the primary ran, so an op that failed there (duplicate _id,
 		// malformed spec) fails identically here — same outcome, converged
-		// state. Only infrastructure failures abort the replay.
+		// state. Only infrastructure failures are errors.
 		return res.DurabilityErr
 	case wal.KindClear:
 		m.Database(rec.DB).Collection(rec.Coll).Drop()
@@ -405,47 +318,6 @@ func (rs *ReplicaSet) tipLocked() int64 {
 		return rs.oplog[n-1].Seq()
 	}
 	return 0
-}
-
-// Find reads from a member chosen by the read preference.
-func (rs *ReplicaSet) Find(pref ReadPreference, db, coll string, filter *bson.Doc, opts storage.FindOptions) ([]*bson.Doc, error) {
-	member := rs.pickMember(pref)
-	return member.Database(db).Find(coll, filter, opts)
-}
-
-// FindCursor opens a streaming cursor on a member chosen by the read
-// preference. The cursor pins the member's committed storage version at
-// open, so a long drain observes one point-in-time state of that member
-// even while replication keeps applying oplog entries underneath it — a
-// secondary read never blocks behind the apply stream, and the apply stream
-// never waits for slow readers.
-func (rs *ReplicaSet) FindCursor(pref ReadPreference, db, coll string, filter *bson.Doc, opts storage.FindOptions) (*storage.Cursor, error) {
-	member := rs.pickMember(pref)
-	return member.Database(db).FindCursor(coll, filter, opts)
-}
-
-func (rs *ReplicaSet) pickMember(pref ReadPreference) *mongod.Server {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	switch pref {
-	case ReadPrimary:
-		return rs.members[rs.primary]
-	case ReadSecondary:
-		for i, m := range rs.members {
-			if i != rs.primary && !rs.down[m.Name()] {
-				return m
-			}
-		}
-		return rs.members[rs.primary]
-	default:
-		for range rs.members {
-			rs.chainedRead++
-			if m := rs.members[rs.chainedRead%len(rs.members)]; !rs.down[m.Name()] {
-				return m
-			}
-		}
-		return rs.members[rs.primary]
-	}
 }
 
 // StepDown demotes the current primary and elects the live secondary with

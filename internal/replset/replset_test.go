@@ -1,6 +1,7 @@
 package replset
 
 import (
+	"path/filepath"
 	"testing"
 
 	"docstore/internal/bson"
@@ -23,6 +24,20 @@ func newTestSet(t *testing.T, members int) *ReplicaSet {
 	return rs
 }
 
+// mustWrite sends one ordered batch and fails the test unless every op
+// applied and the concern was met.
+func mustWrite(t *testing.T, rs *ReplicaSet, wc storage.WriteConcern, ops ...storage.WriteOp) storage.BulkResult {
+	t.Helper()
+	res := rs.BulkWrite("db", "c", ops, storage.BulkOptions{Ordered: true, WriteConcern: wc})
+	if res.DurabilityErr != nil {
+		t.Fatalf("write not acknowledged: %v", res.DurabilityErr)
+	}
+	if err := res.FirstError(); err != nil {
+		t.Fatalf("write failed: %v", err)
+	}
+	return res
+}
+
 func TestNewRequiresMembers(t *testing.T) {
 	if _, err := New("rs0"); err == nil {
 		t.Fatalf("empty member list should fail")
@@ -39,6 +54,11 @@ func TestNewRequiresMembers(t *testing.T) {
 	}
 }
 
+// TestWriteReplicationAndLag: before the appliers start, a write lands on
+// the primary and in the oplog only, each secondary's lag is exactly the
+// oplog's length, and Sync refuses to wait for progress no applier will
+// make; once they run, Sync returns with every member at the tip, and
+// updates and deletes replicate like inserts.
 func TestWriteReplicationAndLag(t *testing.T) {
 	rs := newTestSet(t, 3)
 	for i := 0; i < 20; i++ {
@@ -46,28 +66,39 @@ func TestWriteReplicationAndLag(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs.OplogLength() != 20 {
-		t.Fatalf("oplog length = %d", rs.OplogLength())
+	if n := len(rs.Oplog()); n != 20 {
+		t.Fatalf("oplog length = %d", n)
 	}
 	lag := rs.ReplicationLag()
 	if lag["B"] != 20 || lag["C"] != 20 {
-		t.Fatalf("lag before sync = %v", lag)
+		t.Fatalf("lag before the appliers start = %v", lag)
 	}
-	applied, err := rs.Sync()
-	if err != nil || applied != 40 {
-		t.Fatalf("Sync applied %d, %v", applied, err)
+	if got := rs.Primary().Database("db").Collection("c").Count(); got != 20 {
+		t.Fatalf("primary has %d docs, want 20", got)
+	}
+	for _, m := range rs.Secondaries() {
+		if got := m.Database("db").Collection("c").Count(); got != 0 {
+			t.Fatalf("secondary %s has %d docs before its applier started", m.Name(), got)
+		}
+	}
+	if err := rs.Sync(); err == nil {
+		t.Fatal("Sync with no applier running returned nil")
+	}
+
+	rs.StartReplication()
+	defer rs.Close()
+	if err := rs.Sync(); err != nil {
+		t.Fatal(err)
 	}
 	lag = rs.ReplicationLag()
 	if lag["B"] != 0 || lag["C"] != 0 {
 		t.Fatalf("lag after sync = %v", lag)
 	}
-	// Every member has the same data.
 	for _, m := range rs.Members() {
 		if got := m.Database("db").Collection("c").Count(); got != 20 {
 			t.Fatalf("member %s has %d docs", m.Name(), got)
 		}
 	}
-	// Updates and deletes replicate too.
 	if _, err := rs.Update("db", "c", query.UpdateSpec{
 		Query: bson.D("v", bson.D("$lt", 5)), Update: bson.D("$set", bson.D("small", true)), Multi: true,
 	}); err != nil {
@@ -76,7 +107,7 @@ func TestWriteReplicationAndLag(t *testing.T) {
 	if _, err := rs.Delete("db", "c", bson.D("v", bson.D("$gte", 15)), true); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {
@@ -89,124 +120,97 @@ func TestWriteReplicationAndLag(t *testing.T) {
 			t.Fatalf("member %s small count = %d", m.Name(), small)
 		}
 	}
-	// Idempotent: a second sync applies nothing.
-	applied, _ = rs.Sync()
-	if applied != 0 {
-		t.Fatalf("second sync applied %d entries", applied)
-	}
 }
 
-func TestReadPreferences(t *testing.T) {
-	rs := newTestSet(t, 2)
-	if _, err := rs.Insert("db", "c", bson.D(bson.IDKey, 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Before syncing, a primary read sees the document but a secondary read
-	// does not (eventual consistency).
-	docs, err := rs.Find(ReadPrimary, "db", "c", nil, storage.FindOptions{})
-	if err != nil || len(docs) != 1 {
-		t.Fatalf("primary read = %d docs, %v", len(docs), err)
-	}
-	docs, err = rs.Find(ReadSecondary, "db", "c", nil, storage.FindOptions{})
-	if err != nil || len(docs) != 0 {
-		t.Fatalf("stale secondary read = %d docs, %v", len(docs), err)
-	}
-	if _, err := rs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	docs, _ = rs.Find(ReadSecondary, "db", "c", nil, storage.FindOptions{})
-	if len(docs) != 1 {
-		t.Fatalf("secondary read after sync = %d docs", len(docs))
-	}
-	// Nearest rotates across members without failing.
-	for i := 0; i < 4; i++ {
-		if _, err := rs.Find(ReadNearest, "db", "c", nil, storage.FindOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Single-member set serves "secondary" reads from the primary.
-	single := newTestSet(t, 1)
-	if _, err := single.Insert("db", "c", bson.D(bson.IDKey, 1)); err != nil {
-		t.Fatal(err)
-	}
-	docs, _ = single.Find(ReadSecondary, "db", "c", nil, storage.FindOptions{})
-	if len(docs) != 1 {
-		t.Fatalf("single-member secondary read = %d docs", len(docs))
-	}
-}
-
-// TestWALSourcedOplogConvergence drives a replica set whose oplog is backed
-// by a WAL, "crashes" it, rebuilds a fresh set from the durable log alone,
-// and checks that a secondary replaying the WAL-sourced oplog entries
-// converges to exactly the primary's state.
+// TestWALSourcedOplogConvergence restarts a durable replica set the way
+// docstored does: the primary recovers from its own journal
+// (EnableDurability), the oplog is reloaded from its WAL (LoadOplogFromWAL),
+// the primary is marked as holding the reloaded tip (MarkApplied), the oplog
+// WAL is reopened and attached (AttachWAL), and only then do the appliers
+// start. The volatile secondaries must converge on the primary's state
+// through their appliers, the primary must not be replayed onto a second
+// time (its $inc would double), and the next write must take an oplog LSN
+// above the reloaded tip and replicate.
 func TestWALSourcedOplogConvergence(t *testing.T) {
 	dir := t.TempDir()
-	w, err := wal.Open(wal.Options{Dir: dir, Sync: wal.SyncAlways})
+	majorityJ := storage.WriteConcern{Majority: true, Journal: true}
+	rs, primary, oplog := newDurableSet(t, dir)
+	for i := 0; i < 12; i++ {
+		mustWrite(t, rs, majorityJ, storage.InsertWriteOp(bson.D(bson.IDKey, i, "v", i)))
+	}
+	mustWrite(t, rs, majorityJ, storage.UpdateWriteOp(query.UpdateSpec{
+		Query: bson.D("v", bson.D("$lt", 4)), Update: bson.D("$inc", bson.D("n", 1)), Multi: true,
+	}))
+	mustWrite(t, rs, majorityJ, storage.DeleteWriteOp(bson.D("v", bson.D("$gte", 10)), true))
+	want := sortedDocs(primary)
+	// Crash: only the primary's journal and the oplog WAL under dir survive.
+	rs.Close()
+	if err := oplog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+
+	primary = mongod.NewServer(mongod.Options{Name: "A"})
+	if _, err := primary.EnableDurability(mongod.Durability{Dir: dir, Sync: wal.SyncGroupCommit}); err != nil {
+		t.Fatal(err)
+	}
+	defer primary.CloseDurability()
+	rs, err := New("rs0", primary, mongod.NewServer(mongod.Options{Name: "B"}), mongod.NewServer(mongod.Options{Name: "C"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := newTestSet(t, 2)
-	rs.AttachWAL(w)
-	for i := 0; i < 12; i++ {
-		if _, err := rs.Insert("db", "c", bson.D(bson.IDKey, i, "v", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := rs.Update("db", "c", query.UpdateSpec{
-		Query: bson.D("v", bson.D("$lt", 4)), Update: bson.D("$set", bson.D("low", true)), Multi: true,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rs.Delete("db", "c", bson.D("v", bson.D("$gte", 10)), true); err != nil {
-		t.Fatal(err)
-	}
-	wantPrimary := rs.Primary()
-	// Crash: abandon the set; the WAL is the only survivor.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	rs2 := newTestSet(t, 2)
-	loaded, err := rs2.LoadOplogFromWAL(dir)
+	oplogDir := filepath.Join(dir, "oplog")
+	loaded, err := rs.LoadOplogFromWAL(oplogDir)
 	if err != nil {
 		t.Fatalf("LoadOplogFromWAL: %v", err)
 	}
 	if loaded != 14 {
 		t.Fatalf("loaded %d oplog entries, want 14", loaded)
 	}
-	applied, err := rs2.ApplyAll()
+	entries := rs.Oplog()
+	tip := entries[len(entries)-1].Seq()
+	rs.MarkApplied(primary.Name(), tip)
+	oplog, err = wal.Open(wal.Options{Dir: oplogDir, Sync: wal.SyncGroupCommit})
 	if err != nil {
-		t.Fatalf("ApplyAll: %v", err)
+		t.Fatal(err)
 	}
-	if applied != 28 {
-		t.Fatalf("applied %d entries across members, want 28", applied)
+	defer oplog.Close()
+	rs.AttachWAL(oplog)
+	rs.StartReplication()
+	defer rs.Close()
+
+	if err := rs.Sync(); err != nil {
+		t.Fatal(err)
 	}
-	// Every member converged to the original primary's state.
-	for _, m := range rs2.Members() {
-		coll := m.Database("db").Collection("c")
-		wantColl := wantPrimary.Database("db").Collection("c")
-		if coll.Count() != wantColl.Count() {
-			t.Fatalf("member %s has %d docs, want %d", m.Name(), coll.Count(), wantColl.Count())
+	for _, m := range rs.Members() {
+		got := sortedDocs(m)
+		if len(got) != len(want) {
+			t.Fatalf("member %s holds %d documents, want %d", m.Name(), len(got), len(want))
 		}
-		wantColl.Scan(func(d *bson.Doc) bool {
-			got := coll.FindID(d.ID())
-			if got == nil || !got.Equal(d) {
-				t.Fatalf("member %s diverges at _id %v", m.Name(), d.ID())
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("member %s diverges from the crashed primary:\n got: %s\nwant: %s", m.Name(), got[i], want[i])
 			}
-			return true
-		})
+		}
 	}
-	// New writes continue from the recovered sequence and replicate.
-	if _, err := rs2.Insert("db", "c", bson.D(bson.IDKey, 100)); err != nil {
+
+	res := mustWrite(t, rs, majorityJ, storage.InsertWriteOp(bson.D(bson.IDKey, 100)))
+	if res.LastLSN <= tip {
+		t.Fatalf("write after restart took oplog LSN %d, not above the reloaded tip %d", res.LastLSN, tip)
+	}
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rs2.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	lag := rs2.ReplicationLag()
-	for name, n := range lag {
+	for name, n := range rs.ReplicationLag() {
 		if n != 0 {
 			t.Fatalf("member %s lag = %d after sync", name, n)
+		}
+	}
+	for _, m := range rs.Members() {
+		if m.Database("db").Collection("c").FindID(int64(100)) == nil {
+			t.Fatalf("member %s is missing the write made after the restart", m.Name())
 		}
 	}
 }
@@ -228,7 +232,16 @@ func TestUpsertReplicatesDeterministically(t *testing.T) {
 	if res.UpsertedID == nil {
 		t.Fatal("upsert did not insert")
 	}
-	if _, err := rs.Sync(); err != nil {
+	entries := rs.Oplog()
+	if len(entries) != 1 || len(entries[0].Record.Ops) != 1 {
+		t.Fatalf("oplog = %d entries, want one single-op entry", len(entries))
+	}
+	if op := entries[0].Record.Ops[0]; op.Kind != storage.InsertOp || op.Doc.ID() != res.UpsertedID {
+		t.Fatalf("oplog carries op kind %v, want an insert of the post-image with _id %v", op.Kind, res.UpsertedID)
+	}
+	rs.StartReplication()
+	defer rs.Close()
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {
@@ -239,26 +252,32 @@ func TestUpsertReplicatesDeterministically(t *testing.T) {
 	}
 }
 
+// TestStepDownPromotesMostCaughtUpSecondary stalls B's applier by holding
+// B's writes while majority writes reach A and C: the election must pick C,
+// and once B is released, writes through the new primary reach every
+// member.
 func TestStepDownPromotesMostCaughtUpSecondary(t *testing.T) {
 	rs := newTestSet(t, 3)
-	for i := 0; i < 10; i++ {
-		if _, err := rs.Insert("db", "c", bson.D(bson.IDKey, i)); err != nil {
-			t.Fatal(err)
-		}
+	rs.StartReplication()
+	defer rs.Close()
+	majority := storage.WriteConcern{Majority: true}
+	for i := 0; i < 5; i++ {
+		mustWrite(t, rs, majority, storage.InsertWriteOp(bson.D(bson.IDKey, i)))
 	}
-	if _, err := rs.Sync(); err != nil {
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	old := rs.Primary().Name()
-	newPrimary := rs.StepDown()
-	if newPrimary.Name() == old {
-		t.Fatalf("step down did not change the primary")
+	release := rs.Members()[1].HoldAllWrites()
+	defer release() // before rs.Close, which waits for B's applier
+	for i := 5; i < 10; i++ {
+		mustWrite(t, rs, majority, storage.InsertWriteOp(bson.D(bson.IDKey, i)))
 	}
-	// Writes continue through the new primary and still replicate.
-	if _, err := rs.Insert("db", "c", bson.D(bson.IDKey, 100)); err != nil {
-		t.Fatal(err)
+	if next := rs.StepDown(); next.Name() != "C" {
+		t.Fatalf("step down elected %s, want C, the only secondary holding every write", next.Name())
 	}
-	if _, err := rs.Sync(); err != nil {
+	release()
+	mustWrite(t, rs, majority, storage.InsertWriteOp(bson.D(bson.IDKey, 100)))
+	if err := rs.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range rs.Members() {
@@ -273,25 +292,34 @@ func TestStepDownPromotesMostCaughtUpSecondary(t *testing.T) {
 	}
 }
 
-// TestFindCursorPinsMemberSnapshot checks a replica-set read cursor pins its
-// member's committed version: replicated writes landing mid-drain do not
-// leak into the open cursor.
+// TestFindCursorPinsMemberSnapshot opens a cursor on a secondary while its
+// applier runs: the writes acknowledged by both members between batches —
+// so applied on the secondary mid-drain — do not leak into the open cursor,
+// and a read after the drain sees them.
 func TestFindCursorPinsMemberSnapshot(t *testing.T) {
 	rs := newTestSet(t, 2)
-	for i := 0; i < 60; i++ {
-		if _, err := rs.Insert("db", "rows", bson.D(bson.IDKey, i, "v", i)); err != nil {
-			t.Fatal(err)
-		}
+	rs.StartReplication()
+	defer rs.Close()
+	both := storage.WriteConcern{W: 2}
+	ops := make([]storage.WriteOp, 60)
+	for i := range ops {
+		ops[i] = storage.InsertWriteOp(bson.D(bson.IDKey, i, "v", i))
 	}
-	want, err := rs.Find(ReadPrimary, "db", "rows", nil, storage.FindOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mustWrite(t, rs, both, ops...)
 
-	cur, err := rs.FindCursor(ReadPrimary, "db", "rows", nil, storage.FindOptions{BatchSize: 10})
+	secondary := rs.Secondaries()[0].Database("db")
+	want, err := secondary.Find("c", nil, storage.FindOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(want) != 60 {
+		t.Fatalf("secondary holds %d docs after a w:2 write of 60", len(want))
+	}
+	cur, err := secondary.FindCursor("c", nil, storage.FindOptions{BatchSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
 	var got []*bson.Doc
 	for {
 		b := cur.NextBatch()
@@ -299,14 +327,9 @@ func TestFindCursorPinsMemberSnapshot(t *testing.T) {
 			break
 		}
 		got = append(got, b...)
-		if _, err := rs.Insert("db", "rows", bson.D(bson.IDKey, 1000+len(got))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rs.Update("db", "rows", query.UpdateSpec{
-			Query: bson.D(), Update: bson.D("$set", bson.D("v", -7)), Multi: true,
-		}); err != nil {
-			t.Fatal(err)
-		}
+		mustWrite(t, rs, both,
+			storage.InsertWriteOp(bson.D(bson.IDKey, 1000+len(got))),
+			storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D(), Update: bson.D("$set", bson.D("v", -7)), Multi: true}))
 	}
 	if len(got) != len(want) {
 		t.Fatalf("cursor drained %d docs, want %d", len(got), len(want))
@@ -316,15 +339,7 @@ func TestFindCursorPinsMemberSnapshot(t *testing.T) {
 			t.Fatalf("doc %d differs from at-open state: %s", i, got[i])
 		}
 	}
-	// Secondaries converge on the post-write state once synced.
-	if _, err := rs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	docs, err := rs.Find(ReadSecondary, "db", "rows", bson.D("v", -7), storage.FindOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(docs) == 0 {
-		t.Fatalf("secondary missed the replicated update")
+	if n, err := secondary.Collection("c").CountDocs(bson.D("v", -7)); err != nil || n != 66 {
+		t.Fatalf("secondary shows the mid-drain update on %d docs (%v), want all 66", n, err)
 	}
 }

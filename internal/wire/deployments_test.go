@@ -260,3 +260,99 @@ func TestBroadcastUpsertRefusedOverTheWire(t *testing.T) {
 		t.Fatalf("targeted upsert left %d documents, want 1", n)
 	}
 }
+
+// watchIDs returns the documentKey _ids of a watch cursor's next n events,
+// starting with those its last reply carried, and the resume token after
+// them.
+func watchIDs(t *testing.T, srv *Server, resp *Response, n int) ([]int64, string) {
+	t.Helper()
+	var ids []int64
+	for {
+		for _, ev := range resp.Docs {
+			key, _ := ev.GetOr("documentKey", bson.D()).(*bson.Doc)
+			id, _ := bson.AsInt(key.GetOr(bson.IDKey, nil))
+			ids = append(ids, id)
+		}
+		if len(ids) >= n {
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			return ids, resp.ResumeToken
+		}
+		cursorID := resp.CursorID
+		resp = srv.Handle(&Request{Op: OpGetMore, DB: "db", CursorID: cursorID, MaxTimeMS: 5000})
+		if !resp.OK {
+			t.Fatalf("getMore on watch cursor %d: %s", cursorID, resp.Error)
+		}
+		if len(resp.Docs) == 0 {
+			t.Fatalf("no event within 5s after %d of %d", len(ids), n)
+		}
+	}
+}
+
+// TestRoutedWatchAndResume: a router-attached server answers watch with the
+// cluster's merged change stream (the shards are durable, the front server
+// is not), so a getMore after an insert returns its events, and a watch
+// resumed from a reply's composite token returns exactly what came after.
+func TestRoutedWatchAndResume(t *testing.T) {
+	routed := threeDeployments(t)[2].srv
+	watch := func(resumeAfter string) *Response {
+		t.Helper()
+		resp := routed.Handle(&Request{Op: OpWatch, DB: "db", Collection: "c", ResumeAfter: resumeAfter})
+		if !resp.OK || resp.CursorID == 0 {
+			t.Fatalf("routed watch (resumeAfter %q): %+v", resumeAfter, resp)
+		}
+		return resp
+	}
+	insert := func(lo, hi int) {
+		t.Helper()
+		if resp := routed.Handle(&Request{Op: OpInsertMany, DB: "db", Collection: "c", Docs: items(lo, hi)}); !resp.OK {
+			t.Fatalf("insertMany: %s", resp.Error)
+		}
+	}
+
+	first := watch("")
+	insert(0, 4)
+	ids, token := watchIDs(t, routed, first, 4)
+	if fmt.Sprint(ids) != "[0 1 2 3]" {
+		t.Fatalf("routed watch delivered %v, want the four inserts", ids)
+	}
+	if kill := routed.Handle(&Request{Op: OpKillCursors, DB: "db", CursorID: first.CursorID}); kill.N != 1 {
+		t.Fatalf("watch cursor %d could not be killed", first.CursorID)
+	}
+	insert(4, 6)
+	if ids, _ = watchIDs(t, routed, watch(token), 2); fmt.Sprint(ids) != "[4 5]" {
+		t.Fatalf("watch resumed from %q delivered %v, want only the two later inserts", token, ids)
+	}
+}
+
+// TestRoutedStatsSumsShards: stats on a router-attached server reports what
+// the shards hold, not the empty front server.
+func TestRoutedStatsSumsShards(t *testing.T) {
+	routed := threeDeployments(t)[2]
+	for coll, docs := range map[string][]*bson.Doc{"c": items(0, 10), "other": items(10, 11)} {
+		if resp := routed.srv.Handle(&Request{Op: OpInsertMany, DB: "db", Collection: coll, Docs: docs}); !resp.OK {
+			t.Fatalf("insertMany into %s: %s", coll, resp.Error)
+		}
+	}
+	resp := routed.srv.Handle(&Request{Op: OpStats, DB: "db"})
+	if !resp.OK || len(resp.Docs) != 1 {
+		t.Fatalf("routed stats: %+v", resp)
+	}
+	var dataSize, indexSize int64
+	for _, s := range routed.executors {
+		st := s.Status()
+		dataSize += st.DataSizeBytes
+		indexSize += st.IndexSizeBytes
+	}
+	stats := resp.Docs[0]
+	for field, want := range map[string]int64{
+		"databases": 1, "collections": 2, "documents": 11, "dataSizeBytes": dataSize, "indexSizeBytes": indexSize,
+	} {
+		if got, _ := bson.AsInt(stats.GetOr(field, nil)); got != want || want == 0 {
+			t.Fatalf("routed stats %s = %d, want %d: %s", field, got, want, stats.ToJSON())
+		}
+	}
+	engine, _ := stats.GetOr("engine", bson.D()).(*bson.Doc)
+	if pages, _ := bson.AsInt(engine.GetOr("pages", nil)); pages < 2 {
+		t.Fatalf("routed stats engine.pages = %d, want one page per shard collection at least", pages)
+	}
+}

@@ -65,8 +65,8 @@ type Server struct {
 	// end (the mongos role, docstored -shards): data-plane requests fan out
 	// across the cluster's shards, shardCollection declares a shard key, and
 	// checkpoint becomes a cluster-consistent capture across every shard.
-	// Introspection (stats, traces, currentOp) and change streams
-	// keep reading the local backend.
+	// watch merges the shards' change streams, stats sums the shards, and
+	// traces and currentOp keep reading the local tracer.
 	router *mongos.Router
 	// defaultWC applies to write requests that carry no writeConcern.
 	defaultWC storage.WriteConcern
@@ -98,11 +98,10 @@ type Server struct {
 }
 
 // openCursor is one registered server-side cursor with its idle clock:
-// either a result iterator (find/aggregate) or a tailable change-stream
-// subscription.
+// either a result iterator (find/aggregate) or a tailable change stream.
 type openCursor struct {
 	it  aggregate.Iterator
-	sub *changestream.Subscription
+	sub changestream.Stream
 	// ns is the cursor's target namespace ("db.collection"): serverStatus
 	// reports it so an operator can tell WHICH cursor is pinning a snapshot
 	// and retaining superseded MVCC versions.
@@ -338,11 +337,11 @@ func (s *Server) keepRest(ns string, cursorID int64, rest []*bson.Doc) int64 {
 // size, and a batch cannot be cut once drained.
 const watchBatchBytes = maxFrameSize / 4
 
-// drainWatch pulls up to batchSize events off a change-stream subscription,
+// drainWatch pulls up to batchSize events off a change stream,
 // blocking up to maxWait for the first one (the awaitData contract) and
 // collecting whatever else is already buffered. It renders events in their
 // wire document form.
-func drainWatch(sub *changestream.Subscription, batchSize int, maxWait time.Duration) ([]*bson.Doc, error) {
+func drainWatch(sub changestream.Stream, batchSize int, maxWait time.Duration) ([]*bson.Doc, error) {
 	docs := make([]*bson.Doc, 0, batchSize)
 	size := 0
 	for len(docs) < batchSize {
@@ -621,10 +620,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		return &Response{OK: true, Docs: docs, N: int64(len(docs))}
 	case OpWatch:
-		sub, err := s.backend.Watch(req.DB, req.Collection, mongod.WatchOptions{
-			Pipeline:    req.Docs,
-			ResumeAfter: req.ResumeAfter,
-		})
+		sub, err := store.Watch(req.Collection, req.Docs, req.ResumeAfter)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
@@ -722,7 +718,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		return &Response{OK: true, Docs: docs, N: int64(len(names))}
 	case OpStats:
-		st := s.backend.Status()
+		st := s.status()
 		doc := bson.D(
 			"name", st.Name,
 			"databases", st.Databases,
@@ -894,6 +890,33 @@ func (s *Server) collectionNames(db string) []string {
 	}
 	sort.Strings(names)
 	return names
+}
+
+// status is the data half of stats: the backend's, or with a router attached
+// the shard primaries' documents, sizes and engine gauges summed, and their
+// databases and collections counted once however many shards hold them.
+func (s *Server) status() mongod.ServerStatus {
+	if s.router == nil {
+		return s.backend.Status()
+	}
+	st := mongod.ServerStatus{Name: s.backend.Name()}
+	dbs := make(map[string]bool)
+	for _, name := range s.router.ShardNames() {
+		shard := s.router.Shard(name)
+		ss := shard.Status()
+		st.Documents += ss.Documents
+		st.DataSizeBytes += ss.DataSizeBytes
+		st.IndexSizeBytes += ss.IndexSizeBytes
+		st.Engine.Add(ss.Engine)
+		for _, db := range shard.DatabaseNames() {
+			dbs[db] = true
+		}
+	}
+	st.Databases = len(dbs)
+	for db := range dbs {
+		st.Collections += len(s.collectionNames(db))
+	}
+	return st
 }
 
 // checkpointDoc renders one server's checkpoint outcome.
