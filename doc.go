@@ -176,11 +176,17 @@
 // the cost model: denormalizing a sharded fact collection (Experiment 6)
 // takes one hop per shard per chunk, and translate.Run (Figure 4.8, steps
 // unchanged) makes O(filters + embeddings) store calls instead of
-// O(dimension rows). Query 50's normalized runner embeds through the same
-// function, and denorm.EmbedReturnsIntoSales ships its updates through the
-// same bulk helper. The per-key loop survives in internal/denorm's tests as
-// the reference the set-oriented path is checked against on randomized data,
-// stand-alone and sharded.
+// O(dimension rows). It also waits once per dependency, not once per call:
+// the dimension finds go out together, the semi-join is one server-side
+// aggregate ending in $out, so the client never sends the fact subset back,
+// and the embeddings run in levels, a dotted one after the one it reaches
+// into.
+// Its critical path is 1 + 1 + 3 × embedding depth + 1 calls, where it was
+// filters + 2 + 3 × embeddings + 1. Query 50's normalized runner embeds
+// through the same function, and denorm.EmbedReturnsIntoSales ships its
+// updates through the same bulk helper. The per-key loop survives in
+// internal/denorm's tests as the reference the set-oriented path is checked
+// against on randomized data, stand-alone and sharded.
 //
 // # Compiled pipelines
 //

@@ -29,16 +29,25 @@ func FormatDuration(d time.Duration) string {
 	case minutes > 0:
 		return fmt.Sprintf("%dm%05.2fs", minutes, seconds)
 	case d > 0 && d < time.Second:
-		decimals := 2 - int(math.Floor(math.Log10(total)))
-		out := strconv.FormatFloat(total, 'f', decimals, 64)
-		// Zeros past the thesis' two decimals are not significant digits.
-		for ; decimals > 2 && strings.HasSuffix(out, "0"); decimals-- {
-			out = out[:len(out)-1]
-		}
-		return out + "s"
+		return significant(total, 2) + "s"
 	default:
 		return fmt.Sprintf("%.2fs", seconds)
 	}
+}
+
+// significant renders v with the given number of decimals, or, between 0 and
+// 1, with three significant digits and at least that many decimals.
+func significant(v float64, decimals int) string {
+	if v <= 0 || v >= 1 {
+		return strconv.FormatFloat(v, 'f', decimals, 64)
+	}
+	digits := 2 - int(math.Floor(math.Log10(v)))
+	out := strconv.FormatFloat(v, 'f', digits, 64)
+	// Zeros past the given decimals are not significant digits.
+	for ; digits > decimals && strings.HasSuffix(out, "0"); digits-- {
+		out = out[:len(out)-1]
+	}
+	return out
 }
 
 // FormatBytes renders a byte count in the unit the thesis uses for
@@ -171,7 +180,7 @@ func (f *Figure) String() string {
 			if maxVal > 0 {
 				bar = int(v / maxVal * barWidth)
 			}
-			fmt.Fprintf(&b, "  %-12s %10.3f %s %s\n", label, v, f.YLabel, strings.Repeat("#", bar))
+			fmt.Fprintf(&b, "  %-12s %10s %s %s\n", label, significant(v, 3), f.YLabel, strings.Repeat("#", bar))
 		}
 	}
 	return b.String()

@@ -92,6 +92,22 @@ func TestFigureRendering(t *testing.T) {
 	}
 }
 
+// TestFigureKeepsThreeSignificantDigits: a bar far below one unit reads as
+// its value, not as 0.000; from one unit up a bar keeps three decimals.
+func TestFigureKeepsThreeSignificantDigits(t *testing.T) {
+	f := Figure{YLabel: "s"}
+	f.AddSeries("sharded", []string{"Query 7", "Query 50", "Query 21"}, []float64{0.000412, 0.0123, 7.3})
+	out := f.String()
+	for _, want := range []string{" 0.000412 s", " 0.0123 s", " 7.300 s"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("figure output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, " 0.000 s") {
+		t.Errorf("a small bar rendered as 0.000:\n%s", out)
+	}
+}
+
 func TestTimer(t *testing.T) {
 	// An injected clock makes the measured durations exact: each Measure
 	// call advances the fake clock by a known amount inside fn, so the

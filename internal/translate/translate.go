@@ -15,10 +15,20 @@
 // Step 3 uses denorm's set-oriented embedding (per embedding one aggregate
 // for the referenced keys, one find and the updates in bulk), so a plan costs
 // O(filters + embeddings) store calls however many rows its dimensions hold.
+//
+// A plan waits once per dependency, not once per call. The dimension finds of
+// step 1 depend on nothing and are issued together. Step 2 is one server-side
+// aggregate, {$match: semi-join} then {$out: intermediate}, so the client never
+// sends the fact subset back. Step 3 runs in levels: the embeddings of one level
+// run together, and an embedding whose foreign key lies inside another's
+// embedded document (q46's customer address, under the customer) waits for
+// the level before. Each step starts once the one before it has finished.
 package translate
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"time"
 
 	"docstore/internal/bson"
@@ -72,7 +82,8 @@ type Result struct {
 	Docs []*bson.Doc
 	// IntermediateDocs is the size of the semi-joined fact subset.
 	IntermediateDocs int
-	// Phase durations.
+	// Phase durations. FilterDims and Embedding are wall time over calls
+	// that overlap, not the sum of the calls.
 	FilterDims time.Duration
 	SemiJoin   time.Duration
 	Embedding  time.Duration
@@ -94,72 +105,71 @@ func (p *Plan) outputName() string {
 	return p.Name + "_output"
 }
 
-// Run executes the plan against a deployment.
+// Run executes the plan against a deployment. It returns once every call it
+// started has returned; when calls that ran together fail, the error is the
+// one of the first in plan order.
 func Run(store driver.Store, p Plan) (Result, error) {
 	var res Result
 	start := time.Now()
 
 	// Step 1: filter each dimension and collect the primary keys (the
-	// ArrayList per dimension of Figure 4.8).
+	// ArrayList per dimension of Figure 4.8), all filters at once.
 	phase := time.Now()
-	type keyList struct {
-		fk   string
-		keys []any
-	}
-	var lists []keyList
+	var filters []DimFilter
 	for _, f := range p.Filters {
-		if f.Where == nil {
-			continue
+		if f.Where != nil {
+			filters = append(filters, f)
 		}
+	}
+	keys := make([][]any, len(filters))
+	err := together(len(filters), func(i int) error {
+		f := filters[i]
 		dimDocs, err := store.Find(f.Dimension, f.Where, storage.FindOptions{})
 		if err != nil {
-			return res, fmt.Errorf("translate: filtering %s: %w", f.Dimension, err)
+			return fmt.Errorf("translate: filtering %s: %w", f.Dimension, err)
 		}
-		keys := make([]any, 0, len(dimDocs))
+		keys[i] = make([]any, 0, len(dimDocs))
 		for _, d := range dimDocs {
 			if pk, ok := d.Get(f.PKField); ok {
-				keys = append(keys, pk)
+				keys[i] = append(keys[i], pk)
 			}
 		}
-		lists = append(lists, keyList{fk: f.FKField, keys: keys})
-	}
+		return nil
+	})
 	res.FilterDims = time.Since(phase)
+	if err != nil {
+		return res, err
+	}
 
 	// Step 2: semi-join the fact collection with $in over each key list and
-	// store the surviving documents in the intermediate collection.
+	// store the surviving documents in the intermediate collection, on the
+	// server: $out replaces whatever the collection held.
 	phase = time.Now()
-	semiJoin := bson.NewDoc(len(lists))
-	for _, l := range lists {
-		semiJoin.Set(l.fk, bson.D("$in", l.keys))
+	semiJoin := bson.NewDoc(len(filters))
+	for i, f := range filters {
+		semiJoin.Set(f.FKField, bson.D("$in", keys[i]))
 	}
-	factDocs, err := store.Find(p.Fact, semiJoin, storage.FindOptions{})
+	intermediate := p.intermediateName()
+	factDocs, err := store.Aggregate(p.Fact, []*bson.Doc{bson.D("$match", semiJoin), bson.D("$out", intermediate)})
 	if err != nil {
 		return res, fmt.Errorf("translate: semi-joining %s: %w", p.Fact, err)
 	}
-	intermediate := p.intermediateName()
-	store.DropCollection(intermediate)
 	if !p.KeepIntermediate {
 		// On every exit, error paths included.
 		defer store.DropCollection(intermediate)
 	}
-	batch := make([]*bson.Doc, 0, len(factDocs))
-	for _, d := range factDocs {
-		clone := d.Clone()
-		clone.Delete(bson.IDKey)
-		batch = append(batch, clone)
-	}
-	if len(batch) > 0 {
-		if _, err := store.InsertMany(intermediate, batch); err != nil {
-			return res, fmt.Errorf("translate: writing intermediate collection: %w", err)
-		}
-	}
-	res.IntermediateDocs = len(batch)
+	res.IntermediateDocs = len(factDocs)
 	res.SemiJoin = time.Since(phase)
 
-	// Step 3: embed the dimensions whose attributes the aggregation uses.
+	// Step 3: embed the dimensions whose attributes the aggregation uses, one
+	// level at a time.
 	phase = time.Now()
-	for _, emb := range p.Embed {
-		if _, err := denorm.EmbedDocuments(store, intermediate, emb); err != nil {
+	for _, level := range embeddingLevels(p.Embed) {
+		err := together(len(level), func(i int) error {
+			_, err := denorm.EmbedDocuments(store, intermediate, level[i])
+			return err
+		})
+		if err != nil {
 			return res, err
 		}
 	}
@@ -177,4 +187,61 @@ func Run(store driver.Store, p Plan) (Result, error) {
 	res.Docs = docs
 	res.Total = time.Since(start)
 	return res, nil
+}
+
+// together runs call(0) … call(n-1) concurrently and returns once all of them
+// have returned, with the error of the lowest i that failed.
+func together(n int, call func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() {
+			defer wg.Done()
+			errs[i] = call(i)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// embeddingLevels splits the embeddings into levels that run one after
+// another. A level holds every embedding not yet run whose foreign key is not
+// equal to, a prefix of, or under the foreign key of an earlier one still
+// pending, so no embedding of a level reads or writes what another writes.
+func embeddingLevels(embs []denorm.Embedding) [][]denorm.Embedding {
+	var levels [][]denorm.Embedding
+	for pending := embs; len(pending) > 0; {
+		var level, rest []denorm.Embedding
+		for i, e := range pending {
+			if dependsOnAny(e, pending[:i]) {
+				rest = append(rest, e)
+			} else {
+				level = append(level, e)
+			}
+		}
+		levels = append(levels, level)
+		pending = rest
+	}
+	return levels
+}
+
+// dependsOnAny reports whether e's foreign key shares a path with the key of
+// any of earlier: the same field, or one inside the other.
+func dependsOnAny(e denorm.Embedding, earlier []denorm.Embedding) bool {
+	for _, o := range earlier {
+		a, b := e.FKField, o.FKField
+		if len(a) > len(b) {
+			a, b = b, a
+		}
+		if strings.HasPrefix(b, a) && (len(a) == len(b) || b[len(a)] == '.') {
+			return true
+		}
+	}
+	return false
 }
