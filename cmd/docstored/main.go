@@ -71,8 +71,8 @@
 // {"op":"currentOp"} (in flight) and {"op":"getTraces"} (completed); both
 // accept opName/minDurationUS filters. -trace-sample sets the fraction
 // retained, -trace-ring the retention ring size, and -profile-slowms the
-// slow-op threshold that both admits operations to the profiler ring and
-// force-retains their traces. With -metrics-addr the process serves per-op
+// slow-op threshold at which a request's trace is kept whatever the sample
+// rate (0 disables that). With -metrics-addr the process serves per-op
 // counters and latency histograms, engine and cluster-health gauges on
 // /metrics (Prometheus text format) and the Go profiler on /debug/pprof:
 //
@@ -121,7 +121,7 @@ func main() {
 	metricsAddr := flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof (empty = off)")
 	traceSample := flag.Float64("trace-sample", 0.01, "fraction of requests whose span trees are retained for getTraces; slow requests are always retained")
 	traceRing := flag.Int("trace-ring", trace.DefaultRingSize, "completed traces kept in memory for getTraces (oldest evicted first)")
-	profileSlowMS := flag.Int("profile-slowms", 100, "slow-op threshold in milliseconds: operations at or above it enter the profiler ring and force trace retention")
+	profileSlowMS := flag.Int("profile-slowms", 100, "slow-op threshold in milliseconds: a request at or above it has its trace retained whatever -trace-sample says (0 disables force retention)")
 	flag.Parse()
 
 	defaultWC, err := storage.ParseWriteConcernString(*writeConcern)
@@ -144,8 +144,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	slowThreshold := time.Duration(*profileSlowMS) * time.Millisecond
-	backend := mongod.NewServer(mongod.Options{Name: *name, RAMBytes: *ramGB << 30, SlowOpThreshold: slowThreshold})
+	backend := mongod.NewServer(mongod.Options{Name: *name, RAMBytes: *ramGB << 30})
 	durable := *dataDir != ""
 	durabilityFor := func(srv *mongod.Server, dir string) mongod.RecoveryStats {
 		policy, err := wal.ParseSyncPolicy(*walSync)
@@ -183,7 +182,7 @@ func main() {
 		router = mongos.NewRouter(sharding.NewConfigServer(), mongos.Options{Parallel: true})
 		for i := 0; i < *shards; i++ {
 			shardName := fmt.Sprintf("%s-shard%d", *name, i)
-			shard := mongod.NewServer(mongod.Options{Name: shardName, SlowOpThreshold: slowThreshold})
+			shard := mongod.NewServer(mongod.Options{Name: shardName})
 			if durable {
 				dir := filepath.Join(*dataDir, fmt.Sprintf("shard%d", i))
 				stats := durabilityFor(shard, dir)
@@ -254,7 +253,7 @@ func main() {
 	srv.SetDefaultWriteConcern(defaultWC)
 	tracer := trace.New(trace.Options{
 		SampleRate:    *traceSample,
-		SlowThreshold: slowThreshold,
+		SlowThreshold: time.Duration(*profileSlowMS) * time.Millisecond,
 		RingSize:      *traceRing,
 	})
 	srv.SetTracer(tracer)

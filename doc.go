@@ -80,12 +80,12 @@
 //     array grows once for all inserts, and tombstone compaction is
 //     considered once per batch. Ordered mode stops at the first failure;
 //     unordered mode attempts every op.
-//   - mongod.Database.BulkWrite profiles each batch as one entry carrying
-//     the batch size and per-op failure count, and counts each op under its
-//     own opcounter kind. The entry (and the op label of
-//     docstore_mongod_op_duration_seconds) is the op's kind for a one-op
-//     batch — "insert", "update", "delete", whatever entry point or write
-//     concern produced it — and "bulkWrite" for any other.
+//   - mongod.Database.BulkWrite times each batch as one operation, from
+//     before its apply to the end of its journal wait. Its op label in
+//     docstore_mongod_ops_total and docstore_mongod_op_duration_seconds is
+//     the op's kind for a one-op batch — "insert", "update", "delete",
+//     whatever entry point or write concern produced it — and "bulkWrite"
+//     for any other.
 //   - both are an apply followed by a wait: BulkApply journals, applies and
 //     publishes the batch under the collection lock and returns a pending
 //     commit; BulkWrite then waits on it. A caller that orders the batch
@@ -115,7 +115,7 @@
 //     execBatch), which picks the router, the replica set or the server
 //     itself; each of those ends in storage.Collection.BulkApply. So
 //     routing, COW accounting, journaling, write-concern threading,
-//     profiling and tracing each happen in one place: a plain insert and a
+//     op timing and tracing each happen in one place: a plain insert and a
 //     {j: true} insert produce the same span tree, "mongod.bulkWrite" over
 //     "storage.bulkWrite" and "wal.commitWait". Reads, counts, aggregates
 //     and index and collection management reach the deployment through
@@ -345,9 +345,9 @@
 //     ones intersected, and counts KeysExamined (index entries read, all
 //     indexes) beside DocsExamined and ClausesCovered; Plan.String is
 //     "IXSCAN a_1 ∩ b_1 on c keys=810 examined=30 returned=30 covered=2".
-//     The profiler entry, the storage.plan span and storage.Stats carry the
-//     same counts: documents examined cannot fall without the index work
-//     that bought it showing.
+//     Explain (FindWithPlan), the mongod.find and storage.plan spans and
+//     storage.Stats carry the same counts: documents examined cannot fall
+//     without the index work that bought it showing.
 //   - Deliberately absent. No plan cache (see above). No statistics beyond
 //     the lengths of the lists read, and no adaptive constant. No
 //     intersection under a hint: the hinted index is read and nothing else.
@@ -476,9 +476,9 @@
 //     request fails with storage.ErrVersionRetired rather than silently
 //     reading newer state.
 //   - Surfacing: storage.Plan carries SnapshotVersion and Isolation
-//     ("snapshot"), shown by explain (FindWithPlan) and recorded by the
-//     mongod profiler (ProfileEntry.PlanSummary/KeysExamined/DocsExamined/
-//     SnapshotVersion/Isolation) when a cursor finishes its drain. Wire
+//     ("snapshot"), shown by explain (FindWithPlan) and a cursor's Plan
+//     once it finishes its drain, and carried by the storage.plan span
+//     (snapshotVersion). Wire
 //     getMore batches of one cursor are mutually consistent; mongos
 //     prefetch pumps scan per-shard snapshots while bulk writes keep
 //     scattering; checkpoints stream pinned snapshots without stalling
@@ -553,8 +553,7 @@
 //     snapshots, oldest-pin age, retained bytes, COW bytes copied vs
 //     shared (their ratio is the paging win), reclaimed bytes and page
 //     churn. They aggregate through mongod.ServerStatus.Engine (also as
-//     metrics gauges via Server.EngineGauges), every bulk write's profile
-//     entry carries its COWBytesCopied, and wire stats exposes the
+//     metrics gauges via Server.EngineGauges), and wire stats exposes the
 //     "engine" subdocument plus an "openCursors" list (cursor id,
 //     namespace, kind, idle ms) — so docstore-shell can show which cursor
 //     is retaining memory: the stuck cursor on the namespace whose gauges
@@ -809,10 +808,11 @@
 //   - Metrics: internal/metrics provides lock-free log-bucketed latency
 //     histograms (4 sub-buckets per power-of-two octave, ~12.5% bucket
 //     error) and monotonic counters in a registry that
-//     renders Prometheus text exposition. The mongod layer always records
-//     docstore_mongod_ops_total{op} and
-//     docstore_mongod_op_duration_seconds{op} (the profiler ring is gated
-//     by -profile-slowms; the histograms are not), the wire layer records
+//     renders Prometheus text exposition. The mongod layer records every
+//     operation once, in docstore_mongod_ops_total{op} and
+//     docstore_mongod_op_duration_seconds{op}: that is the per-op record,
+//     and a slow operation's record is its trace, force-retained at
+//     -profile-slowms. The wire layer records
 //     docstore_wire_requests_total{op}, docstore_wire_request_errors_total
 //     {op} and docstore_wire_request_duration_seconds{op}, and the MVCC
 //     engine gauges plus tracer activity export as docstore_engine_* and
@@ -834,7 +834,6 @@
 //   - Endpoint: docstored -metrics-addr serves /metrics (both registries
 //     merged, always the classic text format) and net/http/pprof's
 //     /debug/pprof on one listener; -trace-sample, -trace-ring and
-//     -profile-slowms are the tracer's only flags. The
-//     mongod profiler keeps the most recent entries in a fixed O(1) ring
-//     (overwrite, no reslicing) rather than an appended slice.
+//     -profile-slowms are the tracer's only flags (-profile-slowms 0
+//     disables force retention).
 package docstore

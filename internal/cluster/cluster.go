@@ -90,64 +90,6 @@ func (c *Cluster) ShardCollection(db, coll string, keySpec *bson.Doc) (*sharding
 	return c.router.EnableSharding(db, coll, keySpec, c.cfg.ChunkSizeBytes)
 }
 
-// Balance runs the balancer for one namespace, moving the affected documents
-// between shard servers and committing the ownership changes. It returns the
-// number of chunk migrations performed.
-func (c *Cluster) Balance(db, coll string) (int, error) {
-	ns := db + "." + coll
-	meta := c.config.Metadata(ns)
-	if meta == nil {
-		return 0, fmt.Errorf("cluster: %s is not sharded", ns)
-	}
-	balancer := sharding.NewBalancer(c.config)
-	migrations := balancer.Plan(ns)
-	for _, mig := range migrations {
-		if err := c.migrateChunk(db, coll, meta, mig); err != nil {
-			return 0, err
-		}
-		if !balancer.ApplyMigration(mig) {
-			return 0, fmt.Errorf("cluster: migration of chunk %d could not be committed", mig.ChunkID)
-		}
-	}
-	return len(migrations), nil
-}
-
-// migrateChunk moves the documents of one chunk between shard servers.
-func (c *Cluster) migrateChunk(db, coll string, meta *sharding.CollectionMetadata, mig sharding.Migration) error {
-	var chunk *sharding.Chunk
-	for _, ch := range meta.Chunks() {
-		if ch.ID == mig.ChunkID {
-			chunk = ch
-			break
-		}
-	}
-	if chunk == nil {
-		return fmt.Errorf("cluster: chunk %d not found", mig.ChunkID)
-	}
-	from := c.router.Shard(mig.From)
-	to := c.router.Shard(mig.To)
-	if from == nil || to == nil {
-		return fmt.Errorf("cluster: migration endpoints missing (%s -> %s)", mig.From, mig.To)
-	}
-	// Select the documents whose routing value falls inside the chunk.
-	var moving []*bson.Doc
-	from.Database(db).Collection(coll).Scan(func(d *bson.Doc) bool {
-		if chunk.Contains(meta.Key.ValueOf(d)) {
-			moving = append(moving, d)
-		}
-		return true
-	})
-	for _, d := range moving {
-		if _, err := to.Database(db).Insert(coll, d.Clone()); err != nil {
-			return err
-		}
-		if _, err := from.Database(db).Delete(coll, bson.D(bson.IDKey, d.ID()), false); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Status summarizes the cluster.
 type Status struct {
 	Shards        []mongod.ServerStatus

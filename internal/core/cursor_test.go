@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"docstore/internal/bson"
-	"docstore/internal/driver"
 	"docstore/internal/queries"
 )
 
@@ -94,49 +93,6 @@ func TestBenchmarkQueryCursorEquivalence(t *testing.T) {
 				assertSameDocs(t, q.Name, got, want, pipelineOrdered(stages))
 			})
 		}
-	}
-}
-
-// TestBenchmarkQueryParallelEquivalence asserts AggregateParallel agrees
-// with the cursor path for every benchmark query on the stand-alone
-// denormalized deployment.
-func TestBenchmarkQueryParallelEquivalence(t *testing.T) {
-	small, _ := testScales()
-	cfg := testConfig()
-	params := cfg.Params
-	d, err := Setup(ExperimentSpec{Number: 3, Scale: small, Model: Denormalized, Env: StandAlone}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	standalone, ok := d.Store.(*driver.Standalone)
-	if !ok {
-		t.Fatalf("expected stand-alone deployment, got %T", d.Store)
-	}
-	for _, q := range queries.All() {
-		t.Run(fmt.Sprintf("Query%d", q.ID), func(t *testing.T) {
-			stages := q.DenormalizedPipeline(params)
-			want, err := standalone.DB.AggregateParallel(q.Fact, stages, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			it, err := standalone.DB.AggregateCursor(q.Fact, stages)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []*bson.Doc
-			for {
-				doc, ok := it.Next()
-				if !ok {
-					break
-				}
-				got = append(got, doc)
-			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
-			it.Close()
-			assertSameDocs(t, q.Name, got, want, pipelineOrdered(stages))
-		})
 	}
 }
 

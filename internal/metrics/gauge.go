@@ -12,7 +12,7 @@ import (
 // how long something took, a gauge records how much of something exists
 // right now (live MVCC versions, retained bytes, oldest pin age). The
 // storage engine's memory-economics gauges render through GaugeSet in
-// serverStatus-style reports and the profiler's engine summaries.
+// serverStatus-style reports and the /metrics exposition.
 type Gauge struct {
 	Name  string
 	Value int64

@@ -21,9 +21,9 @@ func nest(inner any, levels int) any {
 // TestAggregateResultDepth: a pipeline can build, from documents the store
 // accepted, a result deeper than a reply may carry. A stored document of 90
 // levels wrapped ten levels deeper by $project (or by a $group key) fails the
-// aggregation with the error a write of that document gets — for the slice,
-// the cursor and the parallel entry points, and for $out before the target
-// is emptied — and one wrapped up to the limit passes.
+// aggregation with the error a write of that document gets — for the slice
+// and the cursor entry points, and for $out before the target is emptied —
+// and one wrapped up to the limit passes.
 func TestAggregateResultDepth(t *testing.T) {
 	db := NewServer(Options{}).Database("db")
 	stored := bson.D(bson.IDKey, 1, "v", nest("leaf", 89)) // 90 levels, itself included
@@ -63,9 +63,6 @@ func TestAggregateResultDepth(t *testing.T) {
 		if out, err := aggregate.Drain(it); !errors.Is(err, storage.ErrDocumentTooDeep) {
 			t.Errorf("%s: AggregateCursor drained %d documents, %v; want storage.ErrDocumentTooDeep", name, len(out), err)
 		}
-		if _, err := db.AggregateParallel("c", stages, 2); !errors.Is(err, storage.ErrDocumentTooDeep) {
-			t.Errorf("%s: AggregateParallel = %v; want storage.ErrDocumentTooDeep", name, err)
-		}
 		if _, err := db.Aggregate("c", append(stages[:len(stages):len(stages)], bson.D("$out", "kept"))); !errors.Is(err, storage.ErrDocumentTooDeep) {
 			t.Errorf("%s into $out = %v; want storage.ErrDocumentTooDeep", name, err)
 		}
@@ -81,49 +78,5 @@ func TestAggregateResultDepth(t *testing.T) {
 	}
 	if !strings.Contains(storage.ErrDocumentTooDeep.Error(), "nests more than") {
 		t.Fatal("the wire test matches the error by this text")
-	}
-}
-
-// TestPlanSummaryOnlyForKeptEntries: an entry the profile ring keeps carries
-// its plan summary, rendered after the slow-op threshold decided to keep it;
-// a find below the threshold leaves no entry and so renders nothing, and is
-// still counted in its histogram.
-func TestPlanSummaryOnlyForKeptEntries(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		opts Options
-		kept int
-	}{
-		{"every op kept", Options{}, 1},
-		{"under the threshold", Options{SlowOpThreshold: 1 << 40}, 0},
-	} {
-		s := NewServer(c.opts)
-		db := s.Database("db")
-		if _, err := db.InsertMany("c", []*bson.Doc{bson.D(bson.IDKey, 1, "k", 1), bson.D(bson.IDKey, 2, "k", 2)}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := db.EnsureIndex("c", bson.D("k", 1), false); err != nil {
-			t.Fatal(err)
-		}
-		s.ResetProfile()
-		_, plan, err := db.FindWithPlan("c", bson.D("k", 2), storage.FindOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var finds []ProfileEntry
-		for _, e := range s.Profile() {
-			if e.Op == "find" {
-				finds = append(finds, e)
-			}
-		}
-		if len(finds) != c.kept {
-			t.Fatalf("%s: %d find entries, want %d", c.name, len(finds), c.kept)
-		}
-		for _, e := range finds {
-			if e.PlanSummary != plan.String() || !strings.Contains(e.PlanSummary, "k_1 on c keys=1 ") ||
-				e.DocsExamined != plan.DocsExamined || e.KeysExamined != 1 {
-				t.Fatalf("%s: entry %+v does not carry the plan %q", c.name, e, plan.String())
-			}
-		}
 	}
 }

@@ -24,18 +24,16 @@ func (i cursorIter) Close()                  { _ = i.cur.Close() }
 // opts.BatchSize (zero uses storage.DefaultBatchSize). The cursor pins one
 // storage snapshot for its whole lifetime, so every batch it ever returns —
 // wire getMore batches included — belongs to the same committed version.
-// The profiler records the operation when the cursor is exhausted or
-// closed, so a streamed query is timed over its whole drain and the entry
-// carries the finished plan (access path, docs examined, snapshot version).
+// The operation is timed when the cursor is exhausted or closed, so a
+// streamed query's duration spans its whole drain.
 func (db *Database) FindCursor(coll string, filter *bson.Doc, opts storage.FindOptions) (*storage.Cursor, error) {
-	db.server.countOp("query")
 	start := db.server.clockTime()
 	cur, err := db.Collection(coll).FindCursor(filter, opts)
 	if err != nil {
-		db.record(ProfileEntry{Op: "find", Collection: coll, At: start}, nil)
+		db.server.record("find", start)
 		return nil, err
 	}
-	cur.OnFinish(func() { db.recordPlan("find", coll, start, cur.Plan()) })
+	cur.OnFinish(func() { db.server.record("find", start) })
 	return cur, nil
 }
 
@@ -44,20 +42,19 @@ func (db *Database) FindCursor(coll string, filter *bson.Doc, opts storage.FindO
 // pipeline ($match/$project/$addFields/$unwind/$limit/$skip, plus an
 // incrementally accumulated $group) pulls documents off the collection scan
 // in cursor batches, so peak memory is O(batch) plus any blocking stage's
-// state rather than O(collection). Like FindCursor, the profiler records the
-// operation when the iterator finishes, not when it is built.
+// state rather than O(collection). Like FindCursor, the operation is timed
+// when the iterator finishes, not when it is built.
 //
 // A leading $match is pushed down into the storage engine so it can use the
 // collection's indexes, exactly as Aggregate does.
 func (db *Database) AggregateCursor(coll string, stages []*bson.Doc) (aggregate.Iterator, error) {
-	db.server.countOp("command")
-	stop := db.profile("aggregate", coll)
+	start := db.server.clockTime()
 	it, err := db.aggregateIter(coll, stages)
 	if err != nil {
-		stop()
+		db.server.record("aggregate", start)
 		return nil, err
 	}
-	it.stop = stop
+	it.stop = func() { db.server.record("aggregate", start) }
 	return it, nil
 }
 

@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"docstore/internal/aggregate"
 	"docstore/internal/bson"
 	"docstore/internal/query"
 	"docstore/internal/storage"
+	"docstore/internal/trace"
 )
 
 func cursorTestDB(t *testing.T) *Database {
@@ -34,7 +33,7 @@ func cursorTestDB(t *testing.T) *Database {
 	return db
 }
 
-// TestDatabaseFindCursorMatchesFind checks the profiled cursor entry point
+// TestDatabaseFindCursorMatchesFind checks the timed cursor entry point
 // streams exactly what Find materializes.
 func TestDatabaseFindCursorMatchesFind(t *testing.T) {
 	db := cursorTestDB(t)
@@ -61,11 +60,11 @@ func TestDatabaseFindCursorMatchesFind(t *testing.T) {
 	}
 }
 
-// TestAggregateCursorMatchesAggregateAndParallel checks the three execution
-// strategies — slice Aggregate, streaming AggregateCursor and
-// AggregateParallel — agree on pipelines with and without a pushed-down
-// leading $match, including a $out whose side effect must land identically.
-func TestAggregateCursorMatchesAggregateAndParallel(t *testing.T) {
+// TestAggregateCursorMatchesAggregate checks the two execution strategies —
+// slice Aggregate and streaming AggregateCursor — agree on pipelines with and
+// without a pushed-down leading $match, including a $out whose side effect
+// must land identically.
+func TestAggregateCursorMatchesAggregate(t *testing.T) {
 	pipelines := map[string][]*bson.Doc{
 		"pushdown match": {
 			bson.D("$match", bson.D("g", bson.D("$lt", 5))),
@@ -88,7 +87,6 @@ func TestAggregateCursorMatchesAggregateAndParallel(t *testing.T) {
 			// Fresh databases per strategy so $out side effects are isolated.
 			sliceDB := cursorTestDB(t)
 			cursorDB := cursorTestDB(t)
-			parallelDB := cursorTestDB(t)
 
 			want, err := sliceDB.Aggregate("rows", stages)
 			if err != nil {
@@ -102,19 +100,12 @@ func TestAggregateCursorMatchesAggregateAndParallel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := parallelDB.AggregateParallel("rows", stages, 4)
-			if err != nil {
-				t.Fatal(err)
+			if len(got) != len(want) {
+				t.Fatalf("cursor produced %d docs, Aggregate produced %d", len(got), len(want))
 			}
-
-			for label, docs := range map[string][]*bson.Doc{"cursor": got, "parallel": par} {
-				if len(docs) != len(want) {
-					t.Fatalf("%s produced %d docs, Aggregate produced %d", label, len(docs), len(want))
-				}
-				for i := range docs {
-					if !docs[i].Equal(want[i]) {
-						t.Fatalf("%s doc %d differs:\n got  %v\n want %v", label, i, docs[i], want[i])
-					}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("cursor doc %d differs:\n got  %v\n want %v", i, got[i], want[i])
 				}
 			}
 
@@ -140,78 +131,6 @@ func TestAggregateCursorMatchesAggregateAndParallel(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestCursorProfilingSpansDrain checks a streamed query is profiled over
-// its whole drain, not just cursor construction: the recorded duration must
-// include time spent between batches. The server's profiling clock is
-// injected and advanced explicitly between open and drain, so the assertion
-// is exact on any scheduler — no sleeping.
-func TestCursorProfilingSpansDrain(t *testing.T) {
-	srv := NewServer(Options{}) // zero threshold records every op
-	var mu sync.Mutex
-	now := time.Unix(1_000_000, 0)
-	srv.clock = func() time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		mu.Lock()
-		now = now.Add(d)
-		mu.Unlock()
-	}
-	db := srv.Database("db")
-	for i := 0; i < 50; i++ {
-		if _, err := db.Insert("rows", bson.D(bson.IDKey, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.ResetProfile()
-	cur, err := db.FindCursor("rows", nil, storage.FindOptions{BatchSize: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(profileOf(srv, "find")); got != 0 {
-		t.Fatalf("find profiled before the cursor was drained (%d entries)", got)
-	}
-	const pause = 20 * time.Millisecond
-	advance(pause)
-	if _, err := cur.All(); err != nil {
-		t.Fatal(err)
-	}
-	entries := profileOf(srv, "find")
-	if len(entries) != 1 {
-		t.Fatalf("expected 1 find profile entry after drain, got %d", len(entries))
-	}
-	if entries[0].Duration != pause {
-		t.Fatalf("profiled duration %v does not span the drain (want exactly %v)", entries[0].Duration, pause)
-	}
-
-	// Closing an undrained AggregateCursor must record exactly once too.
-	srv.ResetProfile()
-	it, err := db.AggregateCursor("rows", []*bson.Doc{bson.D("$match", bson.D(bson.IDKey, bson.D("$lt", 10)))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := it.Next(); !ok {
-		t.Fatal("expected a first document")
-	}
-	it.Close()
-	it.Close()
-	if got := len(profileOf(srv, "aggregate")); got != 1 {
-		t.Fatalf("expected 1 aggregate profile entry after close, got %d", got)
-	}
-}
-
-func profileOf(srv *Server, op string) []ProfileEntry {
-	var out []ProfileEntry
-	for _, e := range srv.Profile() {
-		if e.Op == op {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // TestAggregateCursorStopsScanOnLimit checks the cursor path's laziness pays
@@ -289,70 +208,78 @@ func TestFindCursorSnapshotAcrossDatabaseWrites(t *testing.T) {
 	}
 }
 
-// TestProfilerRecordsPlanFields checks the profiler surfaces the execution
-// plan of streamed and materializing queries: access path summary, docs
-// examined, and the snapshot version/isolation the scan pinned.
-func TestProfilerRecordsPlanFields(t *testing.T) {
-	srv := NewServer(Options{}) // zero threshold: every op records
+// TestFindReportsPlanFields checks the execution plan of streamed and
+// materializing queries reaches their caller: access path summary, docs
+// examined, and the snapshot version/isolation the scan pinned — on the
+// cursor, on FindWithPlan's result, and on the mongod.find and storage.plan
+// spans of a traced find.
+func TestFindReportsPlanFields(t *testing.T) {
+	srv := NewServer(Options{})
 	db := srv.Database("db")
 	for i := 0; i < 30; i++ {
 		if _, err := db.Insert("rows", bson.D(bson.IDKey, i, "g", i%3)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv.ResetProfile()
 
 	cur, err := db.FindCursor("rows", bson.D("g", 1), storage.FindOptions{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not recorded until the drain finishes.
-	for _, e := range srv.Profile() {
-		if e.Op == "find" {
-			t.Fatalf("find profiled before the cursor finished")
-		}
-	}
 	if _, err := cur.All(); err != nil {
 		t.Fatal(err)
 	}
-
-	var entry *ProfileEntry
-	for _, e := range srv.Profile() {
-		if e.Op == "find" {
-			entry = &e
-			break
-		}
+	streamed := cur.Plan()
+	if streamed.DocsExamined != 30 {
+		t.Fatalf("DocsExamined = %d, want 30", streamed.DocsExamined)
 	}
-	if entry == nil {
-		t.Fatalf("no find profile entry after drain")
+	if streamed.SnapshotVersion <= 0 {
+		t.Fatalf("SnapshotVersion = %d", streamed.SnapshotVersion)
 	}
-	if entry.DocsExamined != 30 {
-		t.Fatalf("DocsExamined = %d, want 30", entry.DocsExamined)
+	if streamed.Isolation != storage.IsolationSnapshot {
+		t.Fatalf("Isolation = %q", streamed.Isolation)
 	}
-	if entry.SnapshotVersion <= 0 {
-		t.Fatalf("SnapshotVersion = %d", entry.SnapshotVersion)
-	}
-	if entry.Isolation != storage.IsolationSnapshot {
-		t.Fatalf("Isolation = %q", entry.Isolation)
-	}
-	if !strings.Contains(entry.PlanSummary, "COLLSCAN") {
-		t.Fatalf("PlanSummary = %q", entry.PlanSummary)
+	if !strings.Contains(streamed.String(), "COLLSCAN") {
+		t.Fatalf("plan = %q", streamed.String())
 	}
 
-	// The slice path (FindWithPlan) records the same fields.
-	srv.ResetProfile()
-	_, plan, err := db.FindWithPlan("rows", bson.D("g", 1), storage.FindOptions{})
+	// The slice path (FindWithPlan) returns the same fields and puts them on
+	// its spans.
+	if _, err := db.EnsureIndex("rows", bson.D("g", 1), false); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(trace.Options{SampleRate: 1})
+	root := tr.StartSpan("test.find")
+	_, plan, err := db.FindWithPlan("rows", bson.D("g", 1), storage.FindOptions{Trace: root})
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, e := range srv.Profile() {
-		if e.Op == "find" && e.SnapshotVersion == plan.SnapshotVersion && e.Isolation == storage.IsolationSnapshot {
-			found = true
+	root.Finish()
+	if plan.SnapshotVersion < streamed.SnapshotVersion || plan.Isolation != storage.IsolationSnapshot ||
+		!strings.Contains(plan.String(), "IXSCAN g_1 on rows keys=10 examined=10 ") {
+		t.Fatalf("FindWithPlan plan = %+v (%s)", plan, plan.String())
+	}
+	views := tr.Traces(1)
+	if len(views) != 1 {
+		t.Fatalf("retained %d traces, want 1", len(views))
+	}
+	find := views[0].Find("mongod.find")
+	if find == nil {
+		t.Fatal("mongod.find span missing")
+	}
+	for key, want := range map[string]any{"db": "db", "collection": "rows", "keysExamined": plan.KeysExamined, "docsExamined": plan.DocsExamined} {
+		if got, _ := find.Attr(key); got != want {
+			t.Fatalf("mongod.find %s = %v, want %v; attrs = %v", key, got, want, find.Attrs)
 		}
 	}
-	if !found {
-		t.Fatalf("FindWithPlan did not profile its plan; entries=%+v", srv.Profile())
+	planSpan := views[0].Find("storage.plan")
+	if planSpan == nil {
+		t.Fatal("storage.plan span missing")
+	}
+	for key, want := range map[string]any{"index": plan.IndexUsed, "keysExamined": plan.KeysExamined, "snapshotVersion": plan.SnapshotVersion} {
+		if got, _ := planSpan.Attr(key); got != want {
+			t.Fatalf("storage.plan %s = %v, want %v; attrs = %v", key, got, want, planSpan.Attrs)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ const (
 	metricWALBatchSize     = "docstore_wal_group_commit_batch_size"
 )
 
-// knownOps are the op kinds the execution layer profiles. They are
+// knownOps are the op kinds the execution layer times. They are
 // registered eagerly at server construction so a metrics scrape sees every
 // family (and every op series) before any traffic arrives; an op outside
 // the list records under "other".
@@ -46,9 +46,8 @@ func newOpMetrics() opMetrics {
 	return om
 }
 
-// observe records one completed operation. Unlike the profiler, which keeps
-// only slow ops, every operation lands in its histogram — the histograms
-// are the always-on percentile source the /metrics endpoint exports.
+// observe records one completed operation: every operation lands in its
+// counter and histogram, the always-on source the /metrics endpoint exports.
 func (om *opMetrics) observe(op string, elapsed time.Duration) {
 	c, ok := om.counts[op]
 	if !ok {
@@ -57,6 +56,22 @@ func (om *opMetrics) observe(op string, elapsed time.Duration) {
 	}
 	c.Inc()
 	om.hists[op].Observe(elapsed)
+}
+
+// clockTime returns the server's op-timing clock: the wall clock unless a
+// test injected one (see Server.clock), so drain-spanning duration
+// assertions can advance time explicitly instead of sleeping.
+func (s *Server) clockTime() time.Time {
+	if s.clock != nil {
+		return s.clock()
+	}
+	return time.Now()
+}
+
+// record observes one operation of kind op that started at start and ends
+// now. It is the server's only record of an operation.
+func (s *Server) record(op string, start time.Time) {
+	s.om.observe(op, s.clockTime().Sub(start))
 }
 
 // Metrics returns the server's metric registry: per-op counters and latency

@@ -1,8 +1,8 @@
 // Package mongod implements the stand-alone document store server: named
 // databases holding collections, CRUD and aggregation entry points, index
-// management, an operation profiler, and server statistics. It is the
-// process-level analogue of the mongod daemon described in §2.1.3.1 of the
-// thesis.
+// management, per-operation counters and latency histograms, and server
+// statistics. It is the process-level analogue of the mongod daemon
+// described in §2.1.3.1 of the thesis.
 package mongod
 
 import (
@@ -31,9 +31,6 @@ type Options struct {
 	RAMBytes int64
 	// DiskBytes is the advertised disk capacity. Zero means unspecified.
 	DiskBytes int64
-	// SlowOpThreshold controls the profiler: operations at or above the
-	// threshold are recorded. Zero records every operation.
-	SlowOpThreshold time.Duration
 }
 
 // Server is a stand-alone document store instance.
@@ -43,14 +40,12 @@ type Server struct {
 	mu  sync.RWMutex
 	dbs map[string]*Database
 
-	counters OpCounters
-	profiler profiler
 	// om holds the always-on per-op counters and latency histograms the
 	// /metrics endpoint exports (see metrics.go). Built at construction;
 	// recording is lock-free.
 	om opMetrics
 
-	// clock, when non-nil, replaces the wall clock for profiling. Tests
+	// clock, when non-nil, replaces the wall clock for op timing. Tests
 	// inject one (before the server serves operations) so duration
 	// assertions are deterministic.
 	clock func() time.Time
@@ -61,27 +56,12 @@ type Server struct {
 	durable atomic.Pointer[durableState]
 }
 
-// OpCounters mirrors serverStatus opcounters.
-type OpCounters struct {
-	Insert  int64
-	Query   int64
-	Update  int64
-	Delete  int64
-	Command int64
-}
-
 // NewServer creates an empty server.
 func NewServer(opts Options) *Server {
 	if opts.Name == "" {
 		opts.Name = "mongod"
 	}
 	s := &Server{opts: opts, dbs: make(map[string]*Database), om: newOpMetrics()}
-	// A zero threshold retains every operation, so the profile ring is
-	// certain to reach its capacity; paying the full backing array here
-	// keeps the append-doubling reallocation out of the serving path.
-	if opts.SlowOpThreshold == 0 {
-		s.profiler.entries = make([]ProfileEntry, 0, profileCap)
-	}
 	s.om.registry.AddGaugeSource("docstore", func() []metrics.Gauge {
 		return s.EngineGauges().Snapshot()
 	})
@@ -179,13 +159,6 @@ func (s *Server) reattachJournals(db *Database) {
 	}
 }
 
-// Counters returns a snapshot of the operation counters.
-func (s *Server) Counters() OpCounters {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.counters
-}
-
 // WorkingSetBytes sums data and index sizes across all databases: the
 // working-set measure used to size shards in §2.1.3.2.
 func (s *Server) WorkingSetBytes() int64 {
@@ -232,7 +205,6 @@ type ServerStatus struct {
 	WorkingSetBytes int64
 	RAMBytes        int64
 	DiskBytes       int64
-	OpCounters      OpCounters
 	// RAMPressure is working set / RAM; above 1.0 the thesis predicts the
 	// working set no longer fits and reads hit "disk".
 	RAMPressure float64
@@ -249,15 +221,13 @@ func (s *Server) Status() ServerStatus {
 	for _, db := range s.dbs {
 		dbs = append(dbs, db)
 	}
-	counters := s.counters
 	s.mu.RUnlock()
 
 	st := ServerStatus{
-		Name:       s.opts.Name,
-		Databases:  len(dbs),
-		RAMBytes:   s.opts.RAMBytes,
-		DiskBytes:  s.opts.DiskBytes,
-		OpCounters: counters,
+		Name:      s.opts.Name,
+		Databases: len(dbs),
+		RAMBytes:  s.opts.RAMBytes,
+		DiskBytes: s.opts.DiskBytes,
 	}
 	for _, db := range dbs {
 		for _, coll := range db.Collections() {
@@ -298,27 +268,6 @@ func (s *Server) EngineGauges() *metrics.GaugeSet {
 	g.Set("engine.treeNodesReclaimed", e.TreeNodesReclaimed, "")
 	g.Set("engine.treeBytesReclaimed", e.TreeBytesReclaimed, "bytes")
 	return g
-}
-
-// countOps bumps the write counters once for a whole batch (every write is
-// one), mirroring how real opcounters count per document operation.
-func (s *Server) countOps(insert, update, del int64) {
-	s.mu.Lock()
-	s.counters.Insert += insert
-	s.counters.Update += update
-	s.counters.Delete += del
-	s.mu.Unlock()
-}
-
-// countOp bumps the query or command counter; writes count through countOps.
-func (s *Server) countOp(kind string) {
-	s.mu.Lock()
-	if kind == "query" {
-		s.counters.Query++
-	} else {
-		s.counters.Command++
-	}
-	s.mu.Unlock()
 }
 
 // Database is a named set of collections on a server.
@@ -443,18 +392,18 @@ func (db *Database) WorkingSetBytes() int64 {
 }
 
 // ---------------------------------------------------------------------------
-// Operation entry points (profiled, counted)
+// Operation entry points (timed into the per-op metrics)
 
 // Insert adds a document to the named collection. Like Update and Delete it
-// is a one-op ordered BulkWrite, so a scalar write is counted, profiled,
-// traced and journaled by the same code as a batch.
+// is a one-op ordered BulkWrite, so a scalar write is counted, timed, traced
+// and journaled by the same code as a batch.
 func (db *Database) Insert(coll string, doc *bson.Doc) (any, error) {
 	res := db.BulkWrite(coll, []storage.WriteOp{storage.InsertWriteOp(doc)}, storage.BulkOptions{Ordered: true})
 	return res.InsertedID()
 }
 
 // InsertMany adds documents to the named collection. It is a thin wrapper
-// over the bulk-write engine: one profiled batch, one lock acquisition.
+// over the bulk-write engine: one timed batch, one lock acquisition.
 func (db *Database) InsertMany(coll string, docs []*bson.Doc) ([]any, error) {
 	res := db.BulkWrite(coll, storage.InsertOps(docs), storage.BulkOptions{Ordered: true})
 	return res.CompactInsertedIDs(), res.FirstError()
@@ -472,57 +421,49 @@ func (db *Database) BulkWrite(coll string, ops []storage.WriteOp, opts storage.B
 }
 
 // PendingBulk is a bulk write that has been journaled and applied but not
-// yet acknowledged: the journal wait, the profile entry and the
+// yet acknowledged: the journal wait, the op's timing and the
 // "mongod.bulkWrite" span are all still open. Wait must be called exactly
 // once, holding no lock that other writers need (see
 // storage.PendingCommit).
 type PendingBulk struct {
 	commit storage.PendingCommit
 	span   *trace.Span
-	stop   func(batchErrors int)
-	failed int
+	server *Server
+	op     string
+	start  time.Time
 }
 
-// Wait blocks until the batch's journal record is durable, then closes the
-// batch's profile entry and span, so both cover the whole acknowledged write.
+// Wait blocks until the batch's journal record is durable, then records the
+// batch's duration and closes its span, so both cover the whole
+// acknowledged write.
 func (p PendingBulk) Wait() error {
 	err := p.commit.Wait()
-	p.stop(p.failed)
+	p.server.record(p.op, p.start)
 	p.span.Finish()
 	return err
 }
 
 // BulkApply is the ordered half of BulkWrite (see storage.BulkApply): the
 // batch is journaled, applied and visible when it returns, and the caller
-// owes the returned PendingBulk one Wait. The profiler records the batch
-// size and how many of its ops failed; the opcounters count each attempted
-// op under its own kind — ops an ordered batch never reached are not
-// counted.
+// owes the returned PendingBulk one Wait. A one-op batch is timed under its
+// op's kind ("insert", "update", "delete"), whichever entry point or write
+// concern produced it; any other batch is one "bulkWrite".
 func (db *Database) BulkApply(coll string, ops []storage.WriteOp, opts storage.BulkOptions) (storage.BulkResult, PendingBulk) {
 	span := opts.Trace.Child("mongod.bulkWrite")
 	span.SetAttr("db", db.name)
 	span.SetAttr("collection", coll)
 	span.SetAttr("ops", len(ops))
 	opts.Trace = span
-	stop := db.profileBulk(coll, ops)
-	res, commit := db.Collection(coll).BulkApply(ops, opts)
-	var inserts, updates, deletes int64
-	for i := range ops[:res.Attempted] {
-		switch ops[i].Kind {
-		case storage.InsertOp:
-			inserts++
-		case storage.UpdateOp:
-			updates++
-		case storage.DeleteOp:
-			deletes++
-		}
+	op := "bulkWrite"
+	if len(ops) == 1 {
+		op = ops[0].Kind.String()
 	}
-	db.server.countOps(inserts, updates, deletes)
-	return res, PendingBulk{commit: commit, span: span, stop: stop, failed: len(res.Errors)}
+	start := db.server.clockTime()
+	res, commit := db.Collection(coll).BulkApply(ops, opts)
+	return res, PendingBulk{commit: commit, span: span, server: db.server, op: op, start: start}
 }
 
-// Find runs a query against the named collection. The profile entry carries
-// the execution plan, including the snapshot version the scan pinned.
+// Find runs a query against the named collection.
 func (db *Database) Find(coll string, filter *bson.Doc, opts storage.FindOptions) ([]*bson.Doc, error) {
 	docs, _, err := db.FindWithPlan(coll, filter, opts)
 	return docs, err
@@ -532,14 +473,13 @@ func (db *Database) Find(coll string, filter *bson.Doc, opts storage.FindOptions
 // entry point): access path, work counters, and the snapshot version /
 // isolation level of the scan.
 func (db *Database) FindWithPlan(coll string, filter *bson.Doc, opts storage.FindOptions) ([]*bson.Doc, storage.Plan, error) {
-	db.server.countOp("query")
 	span := opts.Trace.Child("mongod.find")
 	span.SetAttr("db", db.name)
 	span.SetAttr("collection", coll)
 	opts.Trace = span
 	start := db.server.clockTime()
 	docs, plan, err := db.Collection(coll).FindWithPlan(filter, opts)
-	db.recordPlan("find", coll, start, plan)
+	db.server.record("find", start)
 	span.SetAttr("keysExamined", plan.KeysExamined)
 	span.SetAttr("docsExamined", plan.DocsExamined)
 	span.Finish()
@@ -560,7 +500,6 @@ func (db *Database) Delete(coll string, filter *bson.Doc, multi bool) (int, erro
 
 // EnsureIndex creates an index on the named collection.
 func (db *Database) EnsureIndex(coll string, spec *bson.Doc, unique bool) (*index.Index, error) {
-	db.server.countOp("command")
 	return db.Collection(coll).EnsureIndexDoc(spec, unique)
 }
 
@@ -572,8 +511,7 @@ func (db *Database) EnsureIndex(coll string, spec *bson.Doc, unique bool) (*inde
 // the collection's indexes, matching the real engine's behaviour; the
 // remaining stages run over the narrowed document set.
 func (db *Database) Aggregate(coll string, stages []*bson.Doc) ([]*bson.Doc, error) {
-	db.server.countOp("command")
-	defer db.profile("aggregate", coll)()
+	defer db.server.record("aggregate", db.server.clockTime())
 	it, err := db.aggregateIter(coll, stages)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,6 @@ package mongod
 
 import (
 	"testing"
-	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/query"
@@ -81,11 +80,6 @@ func TestDatabaseCollectionsAndCRUD(t *testing.T) {
 	if !db.DropCollection("c") || db.DropCollection("c") {
 		t.Fatalf("DropCollection misbehaves")
 	}
-	// Counters reflect the operations issued.
-	counters := s.Counters()
-	if counters.Insert == 0 || counters.Query == 0 || counters.Update == 0 || counters.Delete == 0 || counters.Command == 0 {
-		t.Fatalf("counters = %+v", counters)
-	}
 }
 
 func TestDatabaseAggregateWithOutAndLookup(t *testing.T) {
@@ -153,36 +147,5 @@ func TestServerStatusAndWorkingSet(t *testing.T) {
 	}
 	if s.WorkingSetBytes() != st.WorkingSetBytes {
 		t.Fatalf("WorkingSetBytes mismatch")
-	}
-}
-
-func TestProfilerRecordsSlowOps(t *testing.T) {
-	s := NewServer(Options{SlowOpThreshold: 0}) // record everything
-	db := s.Database("d")
-	_, _ = db.Insert("c", bson.D(bson.IDKey, 1))
-	_, _ = db.Find("c", nil, storage.FindOptions{})
-	entries := s.Profile()
-	if len(entries) < 2 {
-		t.Fatalf("profile entries = %d", len(entries))
-	}
-	ops := map[string]bool{}
-	for _, e := range entries {
-		ops[e.Op] = true
-		if e.Database != "d" || e.Collection != "c" || e.Duration < 0 {
-			t.Fatalf("entry = %+v", e)
-		}
-	}
-	if !ops["insert"] || !ops["find"] {
-		t.Fatalf("ops recorded = %v", ops)
-	}
-	s.ResetProfile()
-	if len(s.Profile()) != 0 {
-		t.Fatalf("ResetProfile did not clear entries")
-	}
-	// A high threshold suppresses recording.
-	s2 := NewServer(Options{SlowOpThreshold: time.Hour})
-	_, _ = s2.Database("d").Insert("c", bson.D(bson.IDKey, 1))
-	if len(s2.Profile()) != 0 {
-		t.Fatalf("fast op should not be profiled")
 	}
 }

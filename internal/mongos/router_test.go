@@ -34,8 +34,14 @@ func TestRouterShardRegistration(t *testing.T) {
 	if r.PrimaryShard() == nil || r.PrimaryShard().Name() != "Shard1" {
 		t.Fatalf("primary shard wrong")
 	}
-	if len(r.Config().Shards()) != 3 {
-		t.Fatalf("config server shards = %v", r.Config().Shards())
+	// Every shard is registered with the config server: a hashed collection
+	// pre-splits over all three.
+	meta, err := r.EnableSharding("db", "h", bson.D("k", "hashed"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := meta.AllShards(); len(got) != 3 {
+		t.Fatalf("config server shards = %v", got)
 	}
 	// Duplicate registration is a no-op.
 	r.AddShard("Shard1", mongod.NewServer(mongod.Options{Name: "Shard1"}))

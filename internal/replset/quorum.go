@@ -220,7 +220,7 @@ func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts sto
 	journaled := res.LastLSN != 0
 	if !journaled {
 		// A volatile primary, or a journal that refused the record: there is
-		// nothing to wait for, so the primary's profile entry and span close
+		// nothing to wait for, so the primary's op timing and span close
 		// here rather than after the set's own work below.
 		_ = journal.Wait()
 	}

@@ -28,17 +28,6 @@ type Chunk struct {
 	values []any
 }
 
-// Contains reports whether a routing value falls inside the chunk.
-func (c *Chunk) Contains(v any) bool {
-	if c.HasMin && bson.Compare(v, c.Min) < 0 {
-		return false
-	}
-	if c.HasMax && bson.Compare(v, c.Max) >= 0 {
-		return false
-	}
-	return true
-}
-
 // String renders the chunk range for diagnostics.
 func (c *Chunk) String() string {
 	min, max := "-inf", "+inf"
@@ -132,18 +121,6 @@ func (m *CollectionMetadata) ChunkCountByShard() map[string]int {
 	out := make(map[string]int)
 	for _, c := range m.chunks {
 		out[c.Shard]++
-	}
-	return out
-}
-
-// DocCountByShard returns how many documents each shard owns according to
-// chunk accounting.
-func (m *CollectionMetadata) DocCountByShard() map[string]int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string]int)
-	for _, c := range m.chunks {
-		out[c.Shard] += c.DocCount
 	}
 	return out
 }
@@ -313,7 +290,8 @@ func (m *CollectionMetadata) JumboChunks() []*Chunk {
 }
 
 // Validate checks the chunk invariants: full coverage of the key space,
-// ordering, and non-overlap. It is used by property tests and the balancer.
+// ordering, and non-overlap. The chunk property tests use it as their
+// oracle.
 func (m *CollectionMetadata) Validate() error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

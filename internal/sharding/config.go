@@ -33,13 +33,6 @@ func (cs *ConfigServer) AddShard(name string) {
 	sort.Strings(cs.shards)
 }
 
-// Shards returns the registered shard names.
-func (cs *ConfigServer) Shards() []string {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	return append([]string(nil), cs.shards...)
-}
-
 // ShardCollection registers a collection as sharded with the given key.
 // It fails when the collection is already sharded (the shard key is
 // immutable, as §4.4 notes) or when no shards are registered.

@@ -7,6 +7,18 @@ import (
 	"docstore/internal/bson"
 )
 
+// contains reports whether a routing value falls inside the chunk's
+// [Min, Max): the oracle the routing tests check ShardForValue against.
+func contains(c *Chunk, v any) bool {
+	if c.HasMin && bson.Compare(v, c.Min) < 0 {
+		return false
+	}
+	if c.HasMax && bson.Compare(v, c.Max) >= 0 {
+		return false
+	}
+	return true
+}
+
 func TestParseShardKey(t *testing.T) {
 	k := MustParseShardKey(bson.D("ss_item_sk", 1))
 	if len(k.Fields) != 1 || k.Hashed || k.String() != "ss_item_sk" {
@@ -93,7 +105,7 @@ func TestSingleChunkRoutingAndSplit(t *testing.T) {
 	// Every key routes to exactly the chunk containing it.
 	for i := 0; i < 2000; i += 37 {
 		shard, chunk := m.ShardForValue(int64(i))
-		if !chunk.Contains(int64(i)) {
+		if !contains(chunk, int64(i)) {
 			t.Fatalf("value %d routed to chunk %s that does not contain it", i, chunk)
 		}
 		if shard == "" {
@@ -159,13 +171,12 @@ func TestHashedPreSplitDistributesAcrossShards(t *testing.T) {
 	if got := m.AllShards(); len(got) != 3 {
 		t.Fatalf("AllShards = %v", got)
 	}
-	byShard := m.DocCountByShard()
 	sum := 0
-	for _, n := range byShard {
-		sum += n
+	for _, c := range m.Chunks() {
+		sum += c.DocCount
 	}
 	if sum != 3000 {
-		t.Fatalf("DocCountByShard sum = %d", sum)
+		t.Fatalf("chunk DocCount sum = %d", sum)
 	}
 }
 
@@ -211,8 +222,12 @@ func TestConfigServerShardCollection(t *testing.T) {
 	cs.AddShard("Shard1")
 	cs.AddShard("Shard2")
 	cs.AddShard("Shard1") // duplicate is a no-op
-	if got := cs.Shards(); len(got) != 2 {
-		t.Fatalf("Shards = %v", got)
+	hashed, err := cs.ShardCollection("db.h", MustParseShardKey(bson.D("k", "hashed")), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hashed.AllShards(); len(got) != 2 || got[0] != "Shard1" || got[1] != "Shard2" {
+		t.Fatalf("a hashed collection pre-split over %v, want [Shard1 Shard2]", got)
 	}
 	meta, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("k", 1)), 0)
 	if err != nil || meta == nil {
@@ -228,56 +243,8 @@ func TestConfigServerShardCollection(t *testing.T) {
 	if _, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("other", 1)), 0); err == nil {
 		t.Fatalf("re-sharding should fail")
 	}
-	if got := cs.ShardedNamespaces(); len(got) != 1 || got[0] != "db.c" {
+	if got := cs.ShardedNamespaces(); len(got) != 2 || got[0] != "db.c" || got[1] != "db.h" {
 		t.Fatalf("ShardedNamespaces = %v", got)
-	}
-}
-
-func TestBalancerEvensChunkCounts(t *testing.T) {
-	cs := NewConfigServer()
-	for _, s := range []string{"Shard1", "Shard2", "Shard3"} {
-		cs.AddShard(s)
-	}
-	meta, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("k", 1)), 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Range sharding starts with every chunk on Shard1: splits keep them there.
-	for i := 0; i < 3000; i++ {
-		meta.RecordInsert(int64(i), 64)
-	}
-	b := NewBalancer(cs)
-	if b.Imbalance("db.c") < 2 {
-		t.Fatalf("expected significant imbalance before balancing, got %d", b.Imbalance("db.c"))
-	}
-	plan := b.Plan("db.c")
-	if len(plan) == 0 {
-		t.Fatalf("balancer proposed no migrations")
-	}
-	for _, mig := range plan {
-		if !b.ApplyMigration(mig) {
-			t.Fatalf("migration %+v could not be applied", mig)
-		}
-	}
-	if got := b.Imbalance("db.c"); got > 1 {
-		t.Fatalf("imbalance after balancing = %d", got)
-	}
-	if err := meta.Validate(); err != nil {
-		t.Fatalf("metadata invalid after balancing: %v", err)
-	}
-	// A second plan proposes nothing further.
-	if len(b.Plan("db.c")) != 0 {
-		t.Fatalf("balanced collection should need no migrations")
-	}
-	// Unknown namespace.
-	if b.Plan("db.missing") != nil || b.Imbalance("db.missing") != 0 {
-		t.Fatalf("unknown namespace should be a no-op")
-	}
-	if b.ApplyMigration(Migration{Namespace: "db.missing"}) {
-		t.Fatalf("migration for unknown namespace should fail")
-	}
-	if b.ApplyMigration(Migration{Namespace: "db.c", ChunkID: 99999, From: "Shard1", To: "Shard2"}) {
-		t.Fatalf("migration of unknown chunk should fail")
 	}
 }
 
@@ -299,12 +266,12 @@ func TestChunkInvariantsUnderRandomInsertsProperty(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			v := int64(r.Intn(6000))
 			_, chunk := m.ShardForValue(v)
-			if !chunk.Contains(v) {
+			if !contains(chunk, v) {
 				t.Fatalf("value %d routed to non-containing chunk %s", v, chunk)
 			}
 			containing := 0
 			for _, c := range m.Chunks() {
-				if c.Contains(v) {
+				if contains(c, v) {
 					containing++
 				}
 			}

@@ -1,7 +1,8 @@
 // Package sharding implements the data-distribution substrate of the sharded
 // cluster: shard keys, chunks, range- and hash-based partitioning, chunk
-// splitting with jumbo detection, the balancer, and the config metadata that
-// maps chunks to shards (§2.1.3 of the thesis).
+// splitting with jumbo detection, and the config metadata that maps chunks
+// to shards (§2.1.3 of the thesis). Chunks are not migrated: a shard keeps
+// every chunk split from one it owns.
 package sharding
 
 import (

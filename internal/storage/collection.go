@@ -77,7 +77,7 @@ type record struct {
 type version struct {
 	// seq is the monotonically increasing version number, starting at 1 for
 	// a fresh collection; Plan.SnapshotVersion and Snapshot.Version surface
-	// it through explain and the profiler.
+	// it through explain and the storage.plan span.
 	seq    int64
 	pages  []*page
 	length int // record positions in use: [0, length)

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -750,13 +751,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		_, _ = c.Insert(bson.D(bson.IDKey, i, "payload", strings.Repeat("p", i%40), "n", i))
 	}
-	path := t.TempDir() + "/snap.bin"
-	if err := c.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
+	var buf bytes.Buffer
+	snap := c.Snapshot()
+	err := snap.WriteData(&buf)
+	snap.Release()
+	if err != nil {
+		t.Fatalf("WriteData: %v", err)
 	}
 	restored := NewCollection("dst")
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatalf("LoadFile: %v", err)
+	if err := restored.ReadSnapshot(&buf); err != nil {
+		t.Fatalf("ReadSnapshot: %v", err)
 	}
 	if restored.Count() != c.Count() {
 		t.Fatalf("restored %d docs, want %d", restored.Count(), c.Count())
@@ -775,8 +779,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := bad.ReadSnapshot(strings.NewReader("")); err == nil {
 		t.Fatalf("empty snapshot should error")
 	}
-	if err := bad.LoadFile(t.TempDir() + "/missing.bin"); err == nil {
-		t.Fatalf("missing file should error")
+	if err := bad.ReadSnapshot(strings.NewReader("DSC1\x01")); err == nil {
+		t.Fatalf("truncated count should error")
 	}
 }
 

@@ -58,8 +58,8 @@ type Cursor struct {
 }
 
 // OnFinish registers a hook invoked exactly once when the cursor is
-// exhausted or closed, whichever happens first. The profiler uses it to
-// time a streamed query over its whole drain rather than its construction.
+// exhausted or closed, whichever happens first. mongod uses it to time a
+// streamed query over its whole drain rather than its construction.
 func (cur *Cursor) OnFinish(fn func()) { cur.onFinish = fn }
 
 func (cur *Cursor) finishOnce() {

@@ -94,7 +94,7 @@ type Plan struct {
 // examined=30 returned=30 covered=2 snapshot=7".
 func (p Plan) String() string {
 	var b strings.Builder
-	b.Grow(128) // the profiler renders one for every entry it keeps
+	b.Grow(128)
 	if p.IndexUsed == "" {
 		fmt.Fprintf(&b, "COLLSCAN on %s", p.Collection)
 	} else {

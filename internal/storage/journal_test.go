@@ -249,7 +249,10 @@ func TestReadSnapshotRejectsCountMismatch(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
+	snap := c.Snapshot()
+	err := snap.WriteData(&buf)
+	snap.Release()
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Trailing documents beyond the header count must be rejected, not

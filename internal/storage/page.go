@@ -445,7 +445,7 @@ func (c *Collection) GC() {
 }
 
 // COWBytesCopied returns the lifetime count of record bytes duplicated by
-// page copies. It reads a single atomic, so the profiler can sample it
-// around each bulk write to attribute copy cost to the batch without
-// touching the collection mutex.
+// page copies. It reads a single atomic, so a traced bulk write can sample
+// it around the batch to attribute copy cost to its span without touching
+// the collection mutex.
 func (c *Collection) COWBytesCopied() int64 { return c.cowBytesCopied.Load() }

@@ -5,17 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"docstore/internal/bson"
 )
 
 // Snapshot persistence: a collection is written as a stream of
-// length-prefixed binary documents preceded by a small header. This is the
-// storage analogue of a data directory; the experiment harness uses it to
-// avoid regenerating datasets between runs, and checkpoints stream it
-// through Snapshot.WriteData (see snapshot.go) so the disk write happens
-// entirely outside the write path's critical section.
+// length-prefixed binary documents preceded by a small header. Checkpoints
+// write it through Snapshot.WriteData (see snapshot.go), so the disk write
+// happens entirely outside the write path's critical section, and recovery
+// loads it back with ReadSnapshot.
 
 var snapshotMagic = [4]byte{'D', 'S', 'C', '1'}
 
@@ -42,14 +40,6 @@ type SnapshotInfo struct {
 type IndexMeta struct {
 	Spec   *bson.Doc
 	Unique bool
-}
-
-// WriteSnapshot writes every live document of the current committed version
-// to w. It pins a snapshot for the duration of the write and releases it.
-func (c *Collection) WriteSnapshot(w io.Writer) error {
-	s := c.Snapshot()
-	defer s.Release()
-	return s.WriteData(w)
 }
 
 // ReadSnapshot loads documents from r into the collection, appending to its
@@ -109,27 +99,4 @@ func readLengthPrefixedDoc(br *bufio.Reader) (*bson.Doc, error) {
 		return nil, err
 	}
 	return bson.Unmarshal(buf)
-}
-
-// SaveFile writes the snapshot to a file path.
-func (c *Collection) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := c.WriteSnapshot(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// LoadFile reads a snapshot file into the collection.
-func (c *Collection) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.ReadSnapshot(f)
 }

@@ -114,8 +114,8 @@ func (s *Snapshot) Close() error {
 func (s *Snapshot) Collection() string { return s.coll.name }
 
 // Version returns the snapshot's version number: a per-collection sequence
-// that increments with every committed write batch. Plans and the profiler
-// surface it as snapshotVersion.
+// that increments with every committed write batch. Plans and the
+// storage.plan span surface it as snapshotVersion.
 func (s *Snapshot) Version() int64 { return s.v.seq }
 
 // Count returns the number of live documents in the snapshot.

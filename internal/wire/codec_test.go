@@ -430,12 +430,13 @@ func TestResultLargerThanAFrameArrivesInBatches(t *testing.T) {
 
 // TestPointFindRoundTripAllocates bounds what one indexed point find costs
 // in allocations from Client.Do to the reply, client and server together
-// (they share the process, so AllocsPerRun sees both). Measured: 34 — 17 in
-// Handle and below, 7 to encode and decode the request, 10 the reply (35
-// until mongod stopped building a "db.coll" string per op for per-namespace
-// metric families; 40 until a point find took its candidates from the
-// tree's own posting list and the profiler's plan line was written into one
-// builder). The line-delimited JSON codec this replaced measured 298.
+// (they share the process, so AllocsPerRun sees both). Measured: 31 — 14 in
+// Handle and below, 7 to encode and decode the request, 10 the reply (34
+// until mongod stopped keeping a profile entry, with its rendered plan line,
+// per op; 35 until it stopped building a "db.coll" string per op for
+// per-namespace metric families; 40 until a point find took its candidates
+// from the tree's own posting list). The line-delimited JSON codec this
+// replaced measured 298.
 func TestPointFindRoundTripAllocates(t *testing.T) {
 	_, c := startServer(t)
 	if err := c.EnsureIndex("db", "items", bson.D("k", 1), true); err != nil {
