@@ -81,6 +81,16 @@ func TestAggregateCursorMatchesAggregate(t *testing.T) {
 			bson.D("$sort", bson.D("v", 1)),
 			bson.D("$out", "result"),
 		},
+		"computed field grouped": {
+			bson.D("$match", bson.D("g", bson.D("$gte", 6))),
+			bson.D("$project", bson.D("g", 1, "double", bson.D("$multiply", bson.A("$v", 2)))),
+			bson.D("$group", bson.D(bson.IDKey, "$g", "total", bson.D("$sum", "$double"), "n", bson.D("$sum", 1))),
+			bson.D("$sort", bson.D(bson.IDKey, 1)),
+		},
+		"one group over everything": {
+			bson.D("$project", bson.D("v", 1)),
+			bson.D("$group", bson.D(bson.IDKey, nil, "total", bson.D("$sum", "$v"))),
+		},
 	}
 	for name, stages := range pipelines {
 		t.Run(name, func(t *testing.T) {
@@ -130,6 +140,36 @@ func TestAggregateCursorMatchesAggregate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAggregateCursorErrorsMatchAggregate checks both entry points fail the
+// same pipelines: one that does not compile fails to open, and an expression
+// that fails on a streamed row surfaces through the iterator's Err.
+func TestAggregateCursorErrorsMatchAggregate(t *testing.T) {
+	db := cursorTestDB(t)
+	if _, err := db.Aggregate("rows", []*bson.Doc{bson.D("$bogus", 1)}); err == nil {
+		t.Fatal("Aggregate of an unknown stage succeeded")
+	}
+	if _, err := db.AggregateCursor("rows", []*bson.Doc{bson.D("$bogus", 1)}); err == nil {
+		t.Fatal("AggregateCursor of an unknown stage opened")
+	}
+
+	divide := []*bson.Doc{
+		bson.D("$match", bson.D("g", 1)),
+		bson.D("$project", bson.D("x", bson.D("$divide", bson.A(1, 0)))),
+		bson.D("$group", bson.D(bson.IDKey, nil, "n", bson.D("$sum", 1))),
+	}
+	_, want := db.Aggregate("rows", divide)
+	if want == nil {
+		t.Fatal("Aggregate divided by zero without an error")
+	}
+	it, err := db.AggregateCursor("rows", divide)
+	if err != nil {
+		t.Fatalf("AggregateCursor failed to open: %v", err)
+	}
+	if out, err := aggregate.Drain(it); err == nil || err.Error() != want.Error() {
+		t.Fatalf("AggregateCursor drained %d documents, %v; want %v", len(out), err, want)
 	}
 }
 

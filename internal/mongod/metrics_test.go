@@ -89,24 +89,26 @@ func TestEachOpLandsInOneSeries(t *testing.T) {
 	}
 }
 
-// TestEntryPointsRecordTheirOp drives each Database entry point once and
-// checks it lands in its own op's histogram and in no other: a one-op batch
-// under its op's kind whichever entry point produced it, a larger batch as
-// one bulkWrite.
+// TestEntryPointsRecordTheirOp drives each Database entry point once, in
+// turn on one server, and checks it lands in its own op's histogram and in no
+// other: a one-op batch under its op's kind whichever entry point produced
+// it, a larger batch as one bulkWrite, and a cursor that fails to open at
+// once.
 func TestEntryPointsRecordTheirOp(t *testing.T) {
 	s := NewServer(Options{})
 	db := s.Database("d")
 	for _, step := range []struct {
-		op  string
-		run func() error
+		name, op string
+		fails    bool
+		run      func() error
 	}{
-		{"insert", func() error { _, err := db.Insert("c", bson.D(bson.IDKey, 1, "v", 1)); return err }},
-		{"bulkWrite", func() error {
+		{"Insert", "insert", false, func() error { _, err := db.Insert("c", bson.D(bson.IDKey, 1, "v", 1)); return err }},
+		{"InsertMany", "bulkWrite", false, func() error {
 			_, err := db.InsertMany("c", []*bson.Doc{bson.D(bson.IDKey, 2), bson.D(bson.IDKey, 3)})
 			return err
 		}},
-		{"find", func() error { _, err := db.Find("c", nil, storage.FindOptions{}); return err }},
-		{"find", func() error {
+		{"Find", "find", false, func() error { _, err := db.Find("c", nil, storage.FindOptions{}); return err }},
+		{"FindCursor", "find", false, func() error {
 			cur, err := db.FindCursor("c", nil, storage.FindOptions{BatchSize: 1})
 			if err != nil {
 				return err
@@ -114,21 +116,25 @@ func TestEntryPointsRecordTheirOp(t *testing.T) {
 			_, err = cur.All()
 			return err
 		}},
-		{"update", func() error {
+		{"FindCursor unknown hint", "find", true, func() error {
+			_, err := db.FindCursor("c", nil, storage.FindOptions{Hint: "nope_1"})
+			return err
+		}},
+		{"Update", "update", false, func() error {
 			_, err := db.Update("c", query.UpdateSpec{Query: bson.D(bson.IDKey, 1), Update: bson.D("$set", bson.D("v", 2))})
 			return err
 		}},
-		{"update", func() error {
+		{"BulkWrite of one update", "update", false, func() error {
 			ops := []storage.WriteOp{storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D(bson.IDKey, 2), Update: bson.D("$set", bson.D("v", 3))})}
 			res := db.BulkWrite("c", ops, storage.BulkOptions{})
 			return res.FirstError()
 		}},
-		{"delete", func() error { _, err := db.Delete("c", bson.D(bson.IDKey, 3), false); return err }},
-		{"aggregate", func() error {
+		{"Delete", "delete", false, func() error { _, err := db.Delete("c", bson.D(bson.IDKey, 3), false); return err }},
+		{"Aggregate", "aggregate", false, func() error {
 			_, err := db.Aggregate("c", []*bson.Doc{bson.D("$match", bson.D("v", 2))})
 			return err
 		}},
-		{"aggregate", func() error {
+		{"AggregateCursor", "aggregate", false, func() error {
 			it, err := db.AggregateCursor("c", []*bson.Doc{bson.D("$project", bson.D("v", 1))})
 			if err != nil {
 				return err
@@ -136,20 +142,26 @@ func TestEntryPointsRecordTheirOp(t *testing.T) {
 			_, err = aggregate.Drain(it)
 			return err
 		}},
+		{"AggregateCursor unknown stage", "aggregate", true, func() error {
+			_, err := db.AggregateCursor("c", []*bson.Doc{bson.D("$bogus", 1)})
+			return err
+		}},
 	} {
-		before := opCounts(s)
-		if err := step.run(); err != nil {
-			t.Fatalf("%s: %v", step.op, err)
-		}
-		for op, n := range opCounts(s) {
-			want := before[op]
-			if op == step.op {
-				want++
+		t.Run(step.name, func(t *testing.T) {
+			before := opCounts(s)
+			if err := step.run(); (err != nil) != step.fails {
+				t.Fatalf("error = %v, want failure %v", err, step.fails)
 			}
-			if n != want {
-				t.Fatalf("after one %s: %s count = %d, want %d", step.op, op, n, want)
+			for op, n := range opCounts(s) {
+				want := before[op]
+				if op == step.op {
+					want++
+				}
+				if n != want {
+					t.Fatalf("after one %s: %s count = %d, want %d", step.op, op, n, want)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -159,50 +171,64 @@ func TestEntryPointsRecordTheirOp(t *testing.T) {
 // advanced explicitly between open and drain, so the assertion is exact on
 // any scheduler — no sleeping.
 func TestCursorDurationSpansDrain(t *testing.T) {
-	srv := NewServer(Options{})
-	clk := &testClock{}
-	srv.clock = clk.Now
-	db := srv.Database("db")
-	for i := 0; i < 50; i++ {
-		if _, err := db.Insert("rows", bson.D(bson.IDKey, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cur, err := db.FindCursor("rows", nil, storage.FindOptions{BatchSize: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.OpDurations("find").Count; got != 0 {
-		t.Fatalf("find counted before the cursor was drained (%d)", got)
-	}
 	const pause = 20 * time.Millisecond
-	clk.Advance(pause)
-	if _, err := cur.All(); err != nil {
-		t.Fatal(err)
-	}
-	find := srv.OpDurations("find")
-	if find.Count != 1 {
-		t.Fatalf("expected 1 find after drain, got %d", find.Count)
-	}
-	if time.Duration(find.Sum) != pause {
-		t.Fatalf("find duration %v does not span the drain (want exactly %v)", time.Duration(find.Sum), pause)
+	open := func(t *testing.T) (*Server, *testClock, *Database) {
+		t.Helper()
+		srv := NewServer(Options{})
+		clk := &testClock{}
+		srv.clock = clk.Now
+		db := srv.Database("db")
+		for i := 0; i < 50; i++ {
+			if _, err := db.Insert("rows", bson.D(bson.IDKey, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return srv, clk, db
 	}
 
+	t.Run("FindCursor drained", func(t *testing.T) {
+		srv, clk, db := open(t)
+		cur, err := db.FindCursor("rows", nil, storage.FindOptions{BatchSize: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.OpDurations("find").Count; got != 0 {
+			t.Fatalf("find counted before the cursor was drained (%d)", got)
+		}
+		clk.Advance(pause)
+		if _, err := cur.All(); err != nil {
+			t.Fatal(err)
+		}
+		find := srv.OpDurations("find")
+		if find.Count != 1 {
+			t.Fatalf("expected 1 find after drain, got %d", find.Count)
+		}
+		if time.Duration(find.Sum) != pause {
+			t.Fatalf("find duration %v does not span the drain (want exactly %v)", time.Duration(find.Sum), pause)
+		}
+	})
+
 	// Closing an undrained AggregateCursor must record exactly once too.
-	it, err := db.AggregateCursor("rows", []*bson.Doc{bson.D("$match", bson.D(bson.IDKey, bson.D("$lt", 10)))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := it.Next(); !ok {
-		t.Fatal("expected a first document")
-	}
-	clk.Advance(pause)
-	it.Close()
-	it.Close()
-	agg := srv.OpDurations("aggregate")
-	if agg.Count != 1 || time.Duration(agg.Sum) != pause {
-		t.Fatalf("aggregate after two closes: count %d, duration %v; want 1, %v", agg.Count, time.Duration(agg.Sum), pause)
-	}
+	t.Run("AggregateCursor closed twice", func(t *testing.T) {
+		srv, clk, db := open(t)
+		it, err := db.AggregateCursor("rows", []*bson.Doc{bson.D("$match", bson.D(bson.IDKey, bson.D("$lt", 10)))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := it.Next(); !ok {
+			t.Fatal("expected a first document")
+		}
+		if got := srv.OpDurations("aggregate").Count; got != 0 {
+			t.Fatalf("aggregate counted before the cursor was closed (%d)", got)
+		}
+		clk.Advance(pause)
+		it.Close()
+		it.Close()
+		agg := srv.OpDurations("aggregate")
+		if agg.Count != 1 || time.Duration(agg.Sum) != pause {
+			t.Fatalf("aggregate after two closes: count %d, duration %v; want 1, %v", agg.Count, time.Duration(agg.Sum), pause)
+		}
+	})
 }
 
 // TestBulkBatchIsOneObservation checks the mongod-level bulk surface: a
