@@ -180,10 +180,16 @@
 // the dimension finds go out together, the semi-join is one server-side
 // aggregate ending in $out, so the client never sends the fact subset back,
 // and the embeddings run in levels, a dotted one after the one it reaches
-// into.
-// Its critical path is 1 + 1 + 3 × embedding depth + 1 calls, where it was
-// filters + 2 + 3 × embeddings + 1. Query 50's normalized runner embeds
-// through the same function, and denorm.EmbedReturnsIntoSales ships its
+// into. Step 1 of the embedding is not a call there: the semi-join returned
+// the documents whose keys it asks for, and denorm.ReferencedKeys runs the
+// same $group over them in process (a dotted key under an earlier
+// embedding's adds the remainder of its path over that embedding's fetched
+// dimension documents, a superset whose extra keys match nothing). A
+// level's finds go out beside the bulk writes of the level before. Its
+// critical path is 1 + 1 + (embedding depth + 1) + 1 calls, where it was
+// filters + 2 + 3 × embeddings + 1. Query 50's normalized runner takes its
+// store keys from the joined documents it built the same way and reads the
+// stores while it writes them; denorm.EmbedReturnsIntoSales ships its
 // updates through the same bulk helper. The per-key loop survives in
 // internal/denorm's tests as the reference the set-oriented path is checked
 // against on randomized data, stand-alone and sharded.

@@ -545,29 +545,6 @@ func TestGroupNumericKeys(t *testing.T) {
 	}
 }
 
-// TestKeyEncodingFollowsCompare: two values have the same key exactly when
-// bson.Compare calls them equal, and no key is a prefix of another.
-func TestKeyEncodingFollowsCompare(t *testing.T) {
-	id := bson.NewObjectID()
-	values := []any{
-		nil, int64(0), 0.0, math.Copysign(0, -1), int64(1), 1.0, 1.5, math.NaN(), math.Inf(1), int64(1) << 53, float64(1 << 53),
-		"", "a", "ab", "a\x00b", true, false, id, bson.NewObjectID(),
-		bson.A(), bson.A(1), bson.A(1.0), bson.A(1, 2), bson.A(bson.A(1), 2), bson.A("a", "b"), bson.A("ab"),
-		bson.NewDoc(0), bson.D("a", 1), bson.D("a", 1.0), bson.D("a", 1, "b", 2), bson.D("b", 2, "a", 1), bson.D("a", bson.D("b", 2)), bson.D("", ""),
-	}
-	for _, a := range values {
-		for _, b := range values {
-			ka, kb := appendKey(nil, a), appendKey(nil, b)
-			if equal := bson.Compare(a, b) == 0; equal != bytes.Equal(ka, kb) {
-				t.Errorf("Compare(%v, %v) == 0 is %v, keys %x and %x", a, b, equal, ka, kb)
-			}
-			if !bytes.Equal(ka, kb) && bytes.HasPrefix(ka, kb) {
-				t.Errorf("the key of %v (%x) is a prefix of the key of %v (%x)", b, kb, a, ka)
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Sharing and allocation.
 

@@ -1,10 +1,7 @@
 package aggregate
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
 
 	"docstore/internal/bson"
 )
@@ -203,7 +200,7 @@ func (a *groupAccum) absorb(d *bson.Doc) error {
 			return err
 		}
 		a.idVals[i] = v
-		a.key = appendKey(a.key, v)
+		a.key = bson.AppendKey(a.key, v)
 	}
 	at, ok := a.index[string(a.key)]
 	if !ok {
@@ -253,78 +250,4 @@ func (a *groupAccum) finish() ([]*bson.Doc, error) {
 		out = append(out, d)
 	}
 	return out, nil
-}
-
-// Tags of appendKey's encoding.
-const (
-	keyNull byte = iota
-	keyNumber
-	keyString
-	keyDocument
-	keyArray
-	keyObjectID
-	keyFalse
-	keyTrue
-	keyDate
-)
-
-// appendKey appends an encoding of v under which two values have the same
-// bytes exactly when bson.Compare calls them equal — int64(1) and 1.0 are one
-// key, as they are one value to $match, $sort and $addToSet — and no
-// encoding is a prefix of another, so that the encodings of several values
-// can be concatenated into one key. $group buckets by it and $lookup joins
-// by it.
-func appendKey(dst []byte, v any) []byte {
-	switch t := v.(type) {
-	case nil:
-		return append(dst, keyNull)
-	case int64:
-		return appendNumberKey(dst, float64(t))
-	case float64:
-		return appendNumberKey(dst, t)
-	case string:
-		return appendStringKey(dst, t)
-	case *bson.Doc:
-		dst = binary.AppendUvarint(append(dst, keyDocument), uint64(t.Len()))
-		for _, f := range t.Fields() {
-			dst = appendKey(appendStringKey(dst, f.Key), f.Value)
-		}
-		return dst
-	case []any:
-		dst = binary.AppendUvarint(append(dst, keyArray), uint64(len(t)))
-		for _, e := range t {
-			dst = appendKey(dst, e)
-		}
-		return dst
-	case bson.ObjectID:
-		return append(append(dst, keyObjectID), t[:]...)
-	case bool:
-		if t {
-			return append(dst, keyTrue)
-		}
-		return append(dst, keyFalse)
-	case time.Time:
-		dst = binary.BigEndian.AppendUint64(append(dst, keyDate), uint64(t.Unix()))
-		return binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
-	default:
-		// Not a canonical value: bson.Compare orders it with null.
-		return append(dst, keyNull)
-	}
-}
-
-func appendStringKey(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(append(dst, keyString), uint64(len(s)))
-	return append(dst, s...)
-}
-
-// appendNumberKey encodes a number as bson.Compare sees it: as a float64,
-// with one zero and one NaN.
-func appendNumberKey(dst []byte, f float64) []byte {
-	switch {
-	case f == 0:
-		f = 0 // -0 compares equal to 0
-	case f != f:
-		f = math.NaN()
-	}
-	return binary.BigEndian.AppendUint64(append(dst, keyNumber), math.Float64bits(f))
 }

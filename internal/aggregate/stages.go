@@ -475,13 +475,13 @@ func (s *lookupStage) Apply(docs []*bson.Doc, env Env) ([]*bson.Doc, error) {
 	table := make(map[string][]any, len(foreign))
 	for _, fd := range foreign {
 		v, _ := s.foreignField.Get(fd)
-		key = appendKey(key[:0], v)
+		key = bson.AppendKey(key[:0], v)
 		table[string(key)] = append(table[string(key)], fd)
 	}
 	out := make([]*bson.Doc, 0, len(docs))
 	for _, d := range docs {
 		v, _ := s.localField.Get(d)
-		key = appendKey(key[:0], v)
+		key = bson.AppendKey(key[:0], v)
 		nd := d.Clone()
 		if err := s.as.Set(nd, append([]any{}, table[string(key)]...)); err != nil {
 			return nil, err

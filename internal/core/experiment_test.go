@@ -83,7 +83,7 @@ func TestSetupStandaloneAndShardedDeployments(t *testing.T) {
 	}
 	// The fact collections are sharded; data is spread over the shards.
 	for fact := range ShardKeys() {
-		if !sharded.Cluster.ConfigServer().IsSharded(DatabaseName(small) + "." + fact) {
+		if sharded.Cluster.ConfigServer().Metadata(DatabaseName(small)+"."+fact) == nil {
 			t.Fatalf("%s is not sharded", fact)
 		}
 	}

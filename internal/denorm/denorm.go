@@ -7,18 +7,21 @@
 // The figure walks a HashMap of primary key → dimension document and sends
 // one multi-document update per key, so an embedding costs one round trip per
 // dimension row whether or not any fact document references it. This package
-// runs the same join set-oriented: one aggregate for the keys the fact
-// actually references, one find for those dimension documents, and the
-// figure's updates in bulk writes of embedChunk. The collection ends in the
-// same state and the same number of documents is reported modified; what
-// changes is that round trips grow with the number of embeddings, not with
-// the size of the dimensions.
+// runs the same join set-oriented, in three parts: the keys the fact actually
+// references (StoredKeys asks the server; ReferencedKeys computes the same
+// $group over fact documents the caller holds), one find for those dimension
+// documents (FetchDimension), and the figure's updates in bulk writes of
+// embedChunk (ApplyEmbedding). EmbedDocuments is the three in a row. The
+// collection ends in the same state and the same number of documents is
+// reported modified; what changes is that round trips grow with the number of
+// embeddings, not with the size of the dimensions.
 package denorm
 
 import (
 	"fmt"
 	"time"
 
+	"docstore/internal/aggregate"
 	"docstore/internal/bson"
 	"docstore/internal/driver"
 	"docstore/internal/query"
@@ -44,29 +47,88 @@ const embedChunk = 1000
 // EmbedDocuments is Figure 4.7 as a set-oriented hash join. The figure builds
 // a HashMap of every dimension primary key and issues one multi-update per
 // entry; here the target collection is first asked which keys it references
-// (one $group over the foreign-key path), only those dimension documents are
-// fetched ({pk: {$in: keys}}), and the same {query: fk=pk, update: $set
-// fk=doc, upsert:false, multi:true} updates ship as unordered bulk writes.
-// A key no target document references would match nothing, and each target
-// document matches at most one update (once embedded, its fk is no longer a
-// key), so the final collection state and the returned number of modified
-// documents are those of the figure, whatever the order the updates run in.
+// (StoredKeys: one $group over the foreign-key path), only those dimension
+// documents are fetched (FetchDimension: {pk: {$in: keys}}), and the same
+// {query: fk=pk, update: $set fk=doc, upsert:false, multi:true} updates ship
+// as unordered bulk writes (ApplyEmbedding). That is three round trips in a
+// row; a caller that already holds the fact documents learns the keys from
+// them with ReferencedKeys instead, and saves the first.
 func EmbedDocuments(store driver.Store, fact string, emb Embedding) (int, error) {
-	groups, err := store.Aggregate(fact, []*bson.Doc{bson.D("$group", bson.D(bson.IDKey, "$"+emb.FKField))})
+	keys, err := StoredKeys(store, fact, emb.FKField)
 	if err != nil {
-		return 0, fmt.Errorf("denorm: reading the %s keys of %s: %w", emb.FKField, fact, err)
+		return 0, err
 	}
-	if len(groups) == 0 {
-		return 0, nil
+	dimDocs, err := FetchDimension(store, emb, keys)
+	if err != nil {
+		return 0, err
 	}
+	return ApplyEmbedding(store, fact, emb, dimDocs)
+}
+
+// keysStage is the $group whose _ids are the distinct values of fk: the keys
+// an embedding at fk can meet. A document without the field contributes
+// null.
+func keysStage(fk string) []*bson.Doc {
+	return []*bson.Doc{bson.D("$group", bson.D(bson.IDKey, "$"+fk))}
+}
+
+func groupIDs(groups []*bson.Doc) []any {
 	keys := make([]any, len(groups))
 	for i, g := range groups {
 		keys[i], _ = g.Get(bson.IDKey)
 	}
+	return keys
+}
+
+// StoredKeys asks the server for the distinct values of fk in coll.
+func StoredKeys(store driver.Store, coll, fk string) ([]any, error) {
+	groups, err := store.Aggregate(coll, keysStage(fk))
+	if err != nil {
+		return nil, fmt.Errorf("denorm: reading the %s keys of %s: %w", fk, coll, err)
+	}
+	return groupIDs(groups), nil
+}
+
+// ReferencedKeys returns the distinct values of fk over docs, the documents
+// of a fact collection the caller already holds. It runs StoredKeys' $group
+// in process, so the two cannot disagree about what a key is: numbers of
+// equal value are one key and a string is never a number, a missing field is
+// null, and a path through an array yields the array of what it reaches.
+func ReferencedKeys(docs []*bson.Doc, fk string) ([]any, error) {
+	p, err := aggregate.Parse(keysStage(fk))
+	if err != nil {
+		return nil, fmt.Errorf("denorm: grouping by %s: %w", fk, err)
+	}
+	groups, err := p.Run(docs, aggregate.NewSliceEnv())
+	if err != nil {
+		return nil, fmt.Errorf("denorm: grouping by %s: %w", fk, err)
+	}
+	return groupIDs(groups), nil
+}
+
+// FetchDimension reads the documents of emb's dimension whose primary key is
+// one of keys; with no keys it reads nothing and makes no call. keys may name
+// more than the fact references: the updates of ApplyEmbedding for a key no
+// fact document holds match nothing, as the figure's do for every dimension
+// row nothing references.
+func FetchDimension(store driver.Store, emb Embedding, keys []any) ([]*bson.Doc, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
 	dimDocs, err := store.Find(emb.Dimension, bson.D(emb.PKField, bson.D("$in", keys)), storage.FindOptions{})
 	if err != nil {
-		return 0, fmt.Errorf("denorm: reading dimension %s: %w", emb.Dimension, err)
+		return nil, fmt.Errorf("denorm: reading dimension %s: %w", emb.Dimension, err)
 	}
+	return dimDocs, nil
+}
+
+// ApplyEmbedding replaces fact's emb.FKField values by the dimension
+// documents (minus their _id) whose primary key they hold, in bulk writes of
+// embedChunk updates, and returns the number of documents modified. Each fact
+// document matches at most one update (once embedded, its fk is no longer a
+// key), so the final state and the count are those of the figure whatever
+// order the updates run in.
+func ApplyEmbedding(store driver.Store, fact string, emb Embedding, dimDocs []*bson.Doc) (int, error) {
 	ops := make([]storage.WriteOp, 0, len(dimDocs))
 	for _, d := range dimDocs {
 		pk, ok := d.Get(emb.PKField)

@@ -171,7 +171,7 @@ func TestRouterShardErrorSurvivesMerge(t *testing.T) {
 			if _, err := r.Insert("db", "events", bson.D(bson.IDKey, 1000, "k", 1000, "d", 0)); err != nil {
 				t.Fatal(err)
 			}
-			owner, _ := r.targetShards(r.Config().Metadata("db.events"), bson.D("k", 1000))
+			owner, _ := r.targetShards(r.config.Metadata("db.events"), bson.D("k", 1000))
 			prefix := fmt.Sprintf("mongos: shard %s: ", owner[0])
 			check := func(via string, err error) {
 				t.Helper()

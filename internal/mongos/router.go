@@ -146,9 +146,6 @@ func (r *Router) PrimaryShard() *mongod.Server {
 	return r.Shard(name)
 }
 
-// Config returns the config server.
-func (r *Router) Config() *sharding.ConfigServer { return r.config }
-
 // Stats returns a snapshot of the routing statistics.
 func (r *Router) Stats() RoutingStats {
 	r.mu.RLock()

@@ -181,7 +181,7 @@ func TestRouterCountMatchesFind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			targets, _ := r.targetShards(r.Config().Metadata(namespace("db", coll)), filter)
+			targets, _ := r.targetShards(r.config.Metadata(namespace("db", coll)), filter)
 			before := r.Stats()
 			n, err := r.Count("db", coll, filter)
 			if err != nil {
@@ -213,7 +213,7 @@ func TestRangeShardedTargeting(t *testing.T) {
 	}
 	// Range sharding keeps all chunks on one shard until balanced; reassign
 	// some chunks so range targeting is observable.
-	meta := r.Config().Metadata("db.orders")
+	meta := r.config.Metadata("db.orders")
 	// Move documents according to a balanced chunk layout: simulate by simply
 	// checking that a shard-key range query is not broadcast when the chunks
 	// it needs live on fewer shards than the cluster has.

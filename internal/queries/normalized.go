@@ -176,7 +176,55 @@ func query46NormalizedPlan(p Params) translate.Plan {
 //  4. write the joined documents (sale + sr_returned_date_sk) into an
 //     intermediate collection, embed the store dimension, and aggregate the
 //     day-difference buckets per store.
+//
+// The store keys of step 4 come from the joined documents the client built,
+// so the stores are read while the joined documents are written: the two
+// calls overlap, and the embedding's bulk write waits for both.
 func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
+	joined, err := query50Join(store, p)
+	if err != nil {
+		return nil, err
+	}
+	intermediate := "store_sales_query50_intermediate"
+	store.DropCollection(intermediate)
+	defer store.DropCollection(intermediate)
+
+	// Step 4: write the joined documents beside the store find, embed the
+	// store dimension and aggregate.
+	keys, err := denorm.ReferencedKeys(joined, query50Store.FKField)
+	if err != nil {
+		return nil, err
+	}
+	var stores []*bson.Doc
+	var storesErr error
+	found := make(chan struct{})
+	go func() {
+		defer close(found)
+		stores, storesErr = denorm.FetchDimension(store, query50Store, keys)
+	}()
+	if len(joined) > 0 {
+		_, err = store.InsertMany(intermediate, joined)
+	}
+	<-found
+	if err != nil {
+		return nil, err
+	}
+	if storesErr != nil {
+		return nil, storesErr
+	}
+	if _, err := denorm.ApplyEmbedding(store, intermediate, query50Store, stores); err != nil {
+		return nil, err
+	}
+	return store.Aggregate(intermediate, query50NormalizedStages())
+}
+
+// query50Store is the one dimension Query 50's normalized run embeds.
+var query50Store = denorm.Embedding{Dimension: "store", FKField: "ss_store_sk", PKField: "s_store_sk"}
+
+// query50Join is steps 1-3 of Query 50's normalized run: the sales that
+// match a return of the target month on (ticket, item, customer), each
+// without its _id and with the return's sr_returned_date_sk.
+func query50Join(store driver.Store, p Params) ([]*bson.Doc, error) {
 	// Step 1: the d2 dimension filter.
 	dates, err := store.Find("date_dim", bson.D("d_year", p.ReturnYear, "d_moy", p.ReturnMonth), storage.FindOptions{})
 	if err != nil {
@@ -194,21 +242,19 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	type joinKey struct{ ticket, item, customer string }
-	keyOf := func(t, i, c any) joinKey {
-		return joinKey{fmt.Sprintf("%v", t), fmt.Sprintf("%v", i), fmt.Sprintf("%v", c)}
-	}
-	returnByKey := make(map[joinKey]*bson.Doc, len(returns))
+	var key []byte
+	returnByKey := make(map[string]*bson.Doc, len(returns))
 	ticketSet := make(map[string]bool)
 	var tickets []any
 	for _, r := range returns {
 		t, _ := r.Get("sr_ticket_number")
 		i, _ := r.Get("sr_item_sk")
 		c, _ := r.Get("sr_customer_sk")
-		returnByKey[keyOf(t, i, c)] = r
-		ts := fmt.Sprintf("%v", t)
-		if !ticketSet[ts] {
-			ticketSet[ts] = true
+		key = joinKey(key[:0], t, i, c)
+		returnByKey[string(key)] = r
+		key = bson.AppendKey(key[:0], t)
+		if !ticketSet[string(key)] {
+			ticketSet[string(key)] = true
 			tickets = append(tickets, t)
 		}
 	}
@@ -220,15 +266,12 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	intermediate := "store_sales_query50_intermediate"
-	store.DropCollection(intermediate)
-	defer store.DropCollection(intermediate)
 	var joined []*bson.Doc
 	for _, s := range sales {
 		t, _ := s.Get("ss_ticket_number")
 		i, _ := s.Get("ss_item_sk")
 		c, _ := s.Get("ss_customer_sk")
-		r, ok := returnByKey[keyOf(t, i, c)]
+		r, ok := returnByKey[string(joinKey(key[:0], t, i, c))]
 		if !ok {
 			continue
 		}
@@ -238,18 +281,19 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
 		doc.Set("sr_returned_date_sk", returnedSk)
 		joined = append(joined, doc)
 	}
-	if len(joined) > 0 {
-		if _, err := store.InsertMany(intermediate, joined); err != nil {
-			return nil, err
-		}
-	}
+	return joined, nil
+}
 
-	// Step 4: embed the store dimension and aggregate.
-	if _, err := denorm.EmbedDocuments(store, intermediate, denorm.Embedding{
-		Dimension: "store", FKField: "ss_store_sk", PKField: "s_store_sk",
-	}); err != nil {
-		return nil, err
-	}
+// joinKey appends the key of a (ticket, item, customer) triple: two triples
+// have the same key when the server's equality matches their parts, so the
+// number 7 meets 7.0 and the string "7" meets neither.
+func joinKey(dst []byte, ticket, item, customer any) []byte {
+	return bson.AppendKey(bson.AppendKey(bson.AppendKey(dst, ticket), item), customer)
+}
+
+// query50NormalizedStages is step 4's aggregation over the embedded
+// intermediate collection.
+func query50NormalizedStages() []*bson.Doc {
 	stages := []*bson.Doc{
 		bson.D("$project", bson.D(
 			"diff", bson.D("$subtract", bson.A("$sr_returned_date_sk", "$ss_sold_date_sk")),
@@ -265,10 +309,5 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
 			"s_zip", "$ss_store_sk.s_zip",
 		)),
 	}
-	stages = append(stages, query50BucketStages("query50_norm_output")...)
-	docs, err := store.Aggregate(intermediate, stages)
-	if err != nil {
-		return nil, err
-	}
-	return docs, nil
+	return append(stages, query50BucketStages("query50_norm_output")...)
 }

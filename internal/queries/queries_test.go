@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/denorm"
@@ -206,39 +207,124 @@ func TestQueriesAgainstHandBuiltDataset(t *testing.T) {
 }
 
 // TestQuery50DropsIntermediateOnError: Query 50's intermediate collection
-// does not outlive a failed run. The embedding's bulk write fails after the
-// joined documents were written.
+// does not outlive a failed run: neither when the embedding's bulk write
+// fails after the joined documents were written, nor when the write of the
+// joined documents fails while the store find it overlaps is in flight.
 func TestQuery50DropsIntermediateOnError(t *testing.T) {
 	store := driver.NewStandalone(mongod.NewServer(mongod.Options{}).Database("norm"))
 	if _, err := migrate.LoadDataset(store, tpcds.NewGenerator(tpcds.ScaleSmall.WithDivisor(8000), 1)); err != nil {
 		t.Fatal(err)
 	}
-	failing := &failingBulk{Store: store}
-	if _, _, err := RunNormalized(failing, MustByID(50), DefaultParams()); err == nil || !strings.Contains(err.Error(), "injected") {
-		t.Fatalf("query 50 over a failing store: %v, want the injected error", err)
+	cases := []struct {
+		name  string
+		store *failingStore
+	}{
+		{"bulk write fails", &failingStore{Store: store, failBulk: true}},
+		{"overlapped intermediate write fails", &failingStore{Store: store, failInsert: true, storeFind: make(chan struct{})}},
 	}
-	if failing.wrote == 0 {
-		t.Fatalf("query 50 wrote no intermediate documents; the leak check proves nothing")
-	}
-	if n, _ := store.Count("store_sales_query50_intermediate", nil); n != 0 {
-		t.Fatalf("query 50 left %d documents in its intermediate collection after failing", n)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if _, _, err := RunNormalized(c.store, MustByID(50), DefaultParams()); err == nil || !strings.Contains(err.Error(), "injected") {
+				t.Fatalf("query 50 over a failing store: %v, want the injected error", err)
+			}
+			if c.store.wrote == 0 {
+				t.Fatalf("query 50 wrote no intermediate documents; the leak check proves nothing")
+			}
+			if n, _ := store.Count("store_sales_query50_intermediate", nil); n != 0 {
+				t.Fatalf("query 50 left %d documents in its intermediate collection after failing", n)
+			}
+		})
 	}
 }
 
-// failingBulk is a store whose bulk writes fail; wrote counts the documents
-// that reached it through InsertMany.
-type failingBulk struct {
+// failingStore fails every bulk write (failBulk), or every InsertMany after
+// it has written its documents (failInsert); wrote counts the documents that
+// reached it through InsertMany. With storeFind set, InsertMany first waits
+// for the store dimension's find to start, which it overlaps.
+type failingStore struct {
 	driver.Store
-	wrote int
+	failBulk, failInsert bool
+	storeFind            chan struct{}
+	wrote                int
 }
 
-func (s *failingBulk) InsertMany(coll string, docs []*bson.Doc) ([]any, error) {
+func (s *failingStore) Find(coll string, filter *bson.Doc, opts storage.FindOptions) ([]*bson.Doc, error) {
+	if coll == "store" && s.storeFind != nil {
+		close(s.storeFind)
+	}
+	return s.Store.Find(coll, filter, opts)
+}
+
+func (s *failingStore) InsertMany(coll string, docs []*bson.Doc) ([]any, error) {
+	if s.storeFind != nil {
+		select {
+		case <-s.storeFind:
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("the store find did not start beside the intermediate write")
+		}
+	}
 	s.wrote += len(docs)
-	return s.Store.InsertMany(coll, docs)
+	ids, err := s.Store.InsertMany(coll, docs)
+	if s.failInsert {
+		return nil, errors.New("injected insert failure")
+	}
+	return ids, err
 }
 
-func (s *failingBulk) BulkWrite(string, []storage.WriteOp, storage.BulkOptions) storage.BulkResult {
-	return storage.BulkResult{DurabilityErr: errors.New("injected bulk failure")}
+func (s *failingStore) BulkWrite(coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult {
+	if s.failBulk {
+		return storage.BulkResult{DurabilityErr: errors.New("injected bulk failure")}
+	}
+	return s.Store.BulkWrite(coll, ops, opts)
+}
+
+// TestQuery50JoinKeepsStringTicketsApart: the join of sales to returns keys
+// (ticket, item, customer) as the server's equality does. A return whose
+// ticket is the string "7" and one whose ticket is the number 7, for the same
+// item and customer, are two returns: each sale meets the one of its own
+// ticket, and both tickets are fetched. A sale whose ticket and item are 7.0
+// and 1.0 meets the number's return, as server equality would.
+func TestQuery50JoinKeepsStringTicketsApart(t *testing.T) {
+	params := DefaultParams()
+	store := driver.NewStandalone(mongod.NewServer(mongod.Options{}).Database("norm"))
+	load := map[string][]*bson.Doc{
+		"date_dim": {
+			bson.D("d_date_sk", 1000, "d_year", params.ReturnYear, "d_moy", params.ReturnMonth),
+			bson.D("d_date_sk", 1090, "d_year", params.ReturnYear, "d_moy", params.ReturnMonth),
+		},
+		"store": {bson.D("s_store_sk", 1, "s_store_name", "able")},
+		// The number's return first, so a key that confused the two would
+		// keep the string's, and fetch the number's ticket only.
+		"store_returns": {
+			bson.D("sr_ticket_number", 7, "sr_item_sk", 1, "sr_customer_sk", 1, "sr_returned_date_sk", 1000),
+			bson.D("sr_ticket_number", "7", "sr_item_sk", 1, "sr_customer_sk", 1, "sr_returned_date_sk", 1090),
+		},
+		"store_sales": {
+			// 10 days before the number's return, 100 before the string's.
+			bson.D("ss_ticket_number", 7, "ss_item_sk", 1, "ss_customer_sk", 1, "ss_sold_date_sk", 990, "ss_store_sk", 1),
+			// 45 days before the string's return.
+			bson.D("ss_ticket_number", "7", "ss_item_sk", 1, "ss_customer_sk", 1, "ss_sold_date_sk", 1045, "ss_store_sk", 1),
+			// The number 7 as a float: 20 days before the number's return.
+			bson.D("ss_ticket_number", 7.0, "ss_item_sk", 1.0, "ss_customer_sk", 1, "ss_sold_date_sk", 980, "ss_store_sk", 1),
+		},
+	}
+	for coll, docs := range load {
+		if _, err := store.InsertMany(coll, docs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	docs, _, err := RunNormalized(store, MustByID(50), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(docs) != 1 {
+		t.Fatalf("%d result rows, want one for the one store: %v", len(docs), docs)
+	}
+	for bucket, want := range map[string]int64{"30 days": 2, "31-60 days": 1, "61-90 days": 0, "91-120 days": 0, ">120 days": 0} {
+		if got, _ := docs[0].Get(bucket); got != want {
+			t.Errorf("bucket %q = %v, want %d: %s", bucket, got, want, docs[0])
+		}
+	}
 }
 
 func TestShiftDate(t *testing.T) {

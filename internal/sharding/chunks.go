@@ -102,9 +102,6 @@ func (m *CollectionMetadata) preSplitHashed(shards []string) {
 	}
 }
 
-// ChunkSizeBytes returns the configured maximum chunk size.
-func (m *CollectionMetadata) ChunkSizeBytes() int { return m.chunkSizeBytes }
-
 // Chunks returns a snapshot of the chunk list in key order.
 func (m *CollectionMetadata) Chunks() []*Chunk {
 	m.mu.RLock()
@@ -274,19 +271,6 @@ func (m *CollectionMetadata) splitChunkLocked(c *Chunk) {
 	m.chunks = append(m.chunks, nil)
 	copy(m.chunks[pos+2:], m.chunks[pos+1:])
 	m.chunks[pos+1] = right
-}
-
-// JumboChunks returns the chunks marked jumbo.
-func (m *CollectionMetadata) JumboChunks() []*Chunk {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []*Chunk
-	for _, c := range m.chunks {
-		if c.Jumbo {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Validate checks the chunk invariants: full coverage of the key space,

@@ -58,11 +58,6 @@ func (cs *ConfigServer) Metadata(namespace string) *CollectionMetadata {
 	return cs.collections[namespace]
 }
 
-// IsSharded reports whether the namespace is sharded.
-func (cs *ConfigServer) IsSharded(namespace string) bool {
-	return cs.Metadata(namespace) != nil
-}
-
 // ShardedNamespaces lists sharded collections in sorted order.
 func (cs *ConfigServer) ShardedNamespaces() []string {
 	cs.mu.RLock()

@@ -86,8 +86,8 @@ func TestSingleChunkRoutingAndSplit(t *testing.T) {
 	if len(m.Chunks()) != 1 {
 		t.Fatalf("range-sharded collection should start with one chunk")
 	}
-	if m.ChunkSizeBytes() != 4096 {
-		t.Fatalf("chunk size = %d", m.ChunkSizeBytes())
+	if m.chunkSizeBytes != 4096 {
+		t.Fatalf("chunk size = %d", m.chunkSizeBytes)
 	}
 	// Insert documents with increasing keys until splits happen.
 	for i := 0; i < 2000; i++ {
@@ -99,7 +99,7 @@ func TestSingleChunkRoutingAndSplit(t *testing.T) {
 	if len(m.Chunks()) < 4 {
 		t.Fatalf("expected multiple chunks after 128KB of inserts, got %d", len(m.Chunks()))
 	}
-	if len(m.JumboChunks()) != 0 {
+	if len(jumboChunks(m)) != 0 {
 		t.Fatalf("no jumbo chunks expected for distinct keys")
 	}
 	// Every key routes to exactly the chunk containing it.
@@ -130,7 +130,7 @@ func TestJumboChunkDetection(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.RecordInsert(int64(36), 64)
 	}
-	jumbo := m.JumboChunks()
+	jumbo := jumboChunks(m)
 	if len(jumbo) != 1 {
 		t.Fatalf("expected one jumbo chunk, got %d", len(jumbo))
 	}
@@ -143,6 +143,17 @@ func TestJumboChunkDetection(t *testing.T) {
 	if jumbo[0].String() == "" {
 		t.Fatalf("chunk String should render")
 	}
+}
+
+// jumboChunks is the chunks of m marked jumbo.
+func jumboChunks(m *CollectionMetadata) []*Chunk {
+	var out []*Chunk
+	for _, c := range m.Chunks() {
+		if c.Jumbo {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func TestHashedPreSplitDistributesAcrossShards(t *testing.T) {
@@ -233,8 +244,8 @@ func TestConfigServerShardCollection(t *testing.T) {
 	if err != nil || meta == nil {
 		t.Fatalf("ShardCollection: %v", err)
 	}
-	if !cs.IsSharded("db.c") || cs.IsSharded("db.other") {
-		t.Fatalf("IsSharded misbehaves")
+	if cs.Metadata("db.other") != nil {
+		t.Fatalf("an unsharded namespace has metadata")
 	}
 	if cs.Metadata("db.c") != meta {
 		t.Fatalf("Metadata lookup mismatch")

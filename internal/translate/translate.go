@@ -12,21 +12,27 @@
 //  4. run the aggregation pipeline over the embedded intermediate collection
 //     and store the result in an output collection.
 //
-// Step 3 uses denorm's set-oriented embedding (per embedding one aggregate
-// for the referenced keys, one find and the updates in bulk), so a plan costs
-// O(filters + embeddings) store calls however many rows its dimensions hold.
+// Step 3 uses denorm's set-oriented embedding (per embedding one find and the
+// updates in bulk), so a plan costs O(filters + embeddings) store calls
+// however many rows its dimensions hold. The keys an embedding looks up come
+// from the documents step 2 returned, by the $group the server would run
+// (denorm.ReferencedKeys), so they cost no call.
 //
 // A plan waits once per dependency, not once per call. The dimension finds of
 // step 1 depend on nothing and are issued together. Step 2 is one server-side
 // aggregate, {$match: semi-join} then {$out: intermediate}, so the client never
 // sends the fact subset back. Step 3 runs in levels: the embeddings of one level
 // run together, and an embedding whose foreign key lies inside another's
-// embedded document (q46's customer address, under the customer) waits for
-// the level before. Each step starts once the one before it has finished.
+// embedded document (q46's customer address, under the customer) is in the
+// level after. A level's finds run beside the bulk writes of the level
+// before, so the critical path of a plan is 1 + 1 + (embedding depth + 1) + 1
+// hops: the filters, the semi-join, the finds and writes of step 3, and the
+// aggregation. Each step starts once the one before it has finished.
 package translate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -161,17 +167,10 @@ func Run(store driver.Store, p Plan) (Result, error) {
 	res.IntermediateDocs = len(factDocs)
 	res.SemiJoin = time.Since(phase)
 
-	// Step 3: embed the dimensions whose attributes the aggregation uses, one
-	// level at a time.
+	// Step 3: embed the dimensions whose attributes the aggregation uses.
 	phase = time.Now()
-	for _, level := range embeddingLevels(p.Embed) {
-		err := together(len(level), func(i int) error {
-			_, err := denorm.EmbedDocuments(store, intermediate, level[i])
-			return err
-		})
-		if err != nil {
-			return res, err
-		}
+	if err := embed(store, intermediate, p.Embed, factDocs); err != nil {
+		return res, err
 	}
 	res.Embedding = time.Since(phase)
 
@@ -210,19 +209,117 @@ func together(n int, call func(i int) error) error {
 	return nil
 }
 
-// embeddingLevels splits the embeddings into levels that run one after
-// another. A level holds every embedding not yet run whose foreign key is not
-// equal to, a prefix of, or under the foreign key of an earlier one still
-// pending, so no embedding of a level reads or writes what another writes.
-func embeddingLevels(embs []denorm.Embedding) [][]denorm.Embedding {
-	var levels [][]denorm.Embedding
-	for pending := embs; len(pending) > 0; {
-		var level, rest []denorm.Embedding
-		for i, e := range pending {
-			if dependsOnAny(e, pending[:i]) {
-				rest = append(rest, e)
+// embed runs step 3 over coll, whose documents the semi-join returned as
+// docs. Each embedding is denorm's find of the dimension documents its keys
+// name, then its bulk write. The keys come from docs (denorm.ReferencedKeys),
+// not from a $group on the server: the documents are already here. A foreign
+// key under an earlier embedding's (q46's ss_customer_sk.c_current_addr_sk,
+// under ss_customer_sk) takes, besides, the same keys of the remainder of its
+// path over that embedding's dimension documents, since the value of the path
+// after that write comes from one or the other. The union may name a key
+// twice, or one no document holds, whose update matches nothing. Only a
+// foreign key equal to or a prefix of an earlier one's is asked of the
+// server, after the earlier writes.
+//
+// The finds of a level run together with the bulk writes of the level before
+// (a find reads a dimension, not coll), so embeddings d levels deep wait d+1
+// times. When calls that ran together fail, the error is the one of the
+// first: the bulk writes in plan order, then the finds.
+func embed(store driver.Store, coll string, embs []denorm.Embedding, docs []*bson.Doc) error {
+	dims := make([][]*bson.Doc, len(embs))
+	fetch := func(i int) error {
+		var keys []any
+		var err error
+		if keysOnServer(embs, i) {
+			keys, err = denorm.StoredKeys(store, coll, embs[i].FKField)
+		} else {
+			keys, err = localKeys(embs, i, docs, dims)
+		}
+		if err != nil {
+			return err
+		}
+		dims[i], err = denorm.FetchDimension(store, embs[i], keys)
+		return err
+	}
+	apply := func(i int) error {
+		_, err := denorm.ApplyEmbedding(store, coll, embs[i], dims[i])
+		return err
+	}
+	var unwritten []int // the level whose finds have returned and whose writes have not run
+	for _, level := range embeddingLevels(embs) {
+		if slices.ContainsFunc(level, func(i int) bool { return keysOnServer(embs, i) }) {
+			// Its $group reads what the level before writes.
+			if err := together(len(unwritten), func(j int) error { return apply(unwritten[j]) }); err != nil {
+				return err
+			}
+			unwritten = nil
+		}
+		err := together(len(unwritten)+len(level), func(j int) error {
+			if j < len(unwritten) {
+				return apply(unwritten[j])
+			}
+			return fetch(level[j-len(unwritten)])
+		})
+		if err != nil {
+			return err
+		}
+		unwritten = level
+	}
+	return together(len(unwritten), func(j int) error { return apply(unwritten[j]) })
+}
+
+// localKeys is the key set of embedding i computed from the semi-joined
+// documents and the dimension documents fetched for the earlier embeddings
+// its foreign key lies under.
+func localKeys(embs []denorm.Embedding, i int, docs []*bson.Doc, dims [][]*bson.Doc) ([]any, error) {
+	fk := embs[i].FKField
+	keys, err := denorm.ReferencedKeys(docs, fk)
+	if err != nil {
+		return nil, err
+	}
+	for j, o := range embs[:i] {
+		if !under(fk, o.FKField) {
+			continue
+		}
+		more, err := denorm.ReferencedKeys(dims[j], fk[len(o.FKField)+1:])
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, more...)
+	}
+	return keys, nil
+}
+
+// keysOnServer reports whether an earlier embedding writes at or under
+// embedding i's foreign key, changing values the semi-joined documents hold
+// there: its keys must then be read from the collection.
+func keysOnServer(embs []denorm.Embedding, i int) bool {
+	for _, o := range embs[:i] {
+		if o.FKField == embs[i].FKField || under(o.FKField, embs[i].FKField) {
+			return true
+		}
+	}
+	return false
+}
+
+// embeddingLevels splits the embeddings, by their position in embs, into
+// levels that run one after another. A level holds every embedding not yet
+// run whose foreign key is not equal to, a prefix of, or under the foreign key
+// of an earlier one still pending, so no embedding of a level reads or writes
+// what another writes.
+func embeddingLevels(embs []denorm.Embedding) [][]int {
+	var levels [][]int
+	pending := make([]int, len(embs))
+	for i := range pending {
+		pending[i] = i
+	}
+	for len(pending) > 0 {
+		var level, rest []int
+		for k, i := range pending {
+			if slices.ContainsFunc(pending[:k], func(j int) bool { return overlaps(embs[i].FKField, embs[j].FKField) }) {
+				rest = append(rest, i)
 			} else {
-				level = append(level, e)
+				level = append(level, i)
 			}
 		}
 		levels = append(levels, level)
@@ -231,17 +328,13 @@ func embeddingLevels(embs []denorm.Embedding) [][]denorm.Embedding {
 	return levels
 }
 
-// dependsOnAny reports whether e's foreign key shares a path with the key of
-// any of earlier: the same field, or one inside the other.
-func dependsOnAny(e denorm.Embedding, earlier []denorm.Embedding) bool {
-	for _, o := range earlier {
-		a, b := e.FKField, o.FKField
-		if len(a) > len(b) {
-			a, b = b, a
-		}
-		if strings.HasPrefix(b, a) && (len(a) == len(b) || b[len(a)] == '.') {
-			return true
-		}
-	}
-	return false
+// overlaps reports whether two foreign keys share a path: the same field, or
+// one inside the other.
+func overlaps(a, b string) bool {
+	return a == b || under(a, b) || under(b, a)
+}
+
+// under reports whether path lies strictly inside parent.
+func under(path, parent string) bool {
+	return len(path) > len(parent) && path[len(parent)] == '.' && strings.HasPrefix(path, parent)
 }

@@ -3,6 +3,7 @@ package translate
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -295,9 +296,10 @@ func TestRunFiltersInFlightTogether(t *testing.T) {
 }
 
 // TestRunCallsDoNotGrowWithDimensionSize: a plan costs a fixed number of
-// store calls — its filters, the semi-join, three per embedding, the
-// aggregation and the intermediate collection's drop — whether the embedded
-// dimension has four rows or four thousand.
+// store calls — its filters, the semi-join, two per embedding (the find and
+// the bulk write: the keys come from the semi-joined documents, with no call),
+// the aggregation and the intermediate collection's drop — whether the
+// embedded dimension has four rows or four thousand.
 func TestRunCallsDoNotGrowWithDimensionSize(t *testing.T) {
 	var calls []int
 	var groups [][]*bson.Doc
@@ -321,9 +323,9 @@ func TestRunCallsDoNotGrowWithDimensionSize(t *testing.T) {
 		calls = append(calls, counting.count())
 		groups = append(groups, res.Docs)
 	}
-	// 2 filters + semi-join aggregate + (keys, find, bulk) + aggregate + drop.
-	if calls[0] != 8 {
-		t.Fatalf("the plan took %d store calls, want 8", calls[0])
+	// 2 filters + semi-join aggregate + (find, bulk) + aggregate + drop.
+	if calls[0] != 7 {
+		t.Fatalf("the plan took %d store calls, want 7", calls[0])
 	}
 	for i := range calls {
 		if calls[i] != calls[0] {
@@ -341,11 +343,13 @@ func TestRunCallsDoNotGrowWithDimensionSize(t *testing.T) {
 }
 
 // TestRunEmbedsNestedDimensionAfterItsParent: the embeddings run in levels.
-// The dotted one — a brand inside the embedded item — starts after the
-// item's bulk write has returned, so it finds the document its path reaches
-// into; the two independent ones, date and item, run together (the first
-// call of each is held until the other's has started). KeepIntermediate lets
-// the test read the embedded documents back.
+// The dotted one — a brand inside the embedded item — finds its brands after
+// the item's find has returned, whose documents name them, and writes after
+// the item's bulk write has returned, so its updates find the document their
+// path reaches into. The two independent ones, date and item, run together
+// (each find is held until the other's has started), and the brand's find
+// runs beside the item's bulk write (each is held until the other has
+// started). KeepIntermediate lets the test read the embedded documents back.
 func TestRunEmbedsNestedDimensionAfterItsParent(t *testing.T) {
 	store := buildMiniRetail(t)
 	for b := 1; b <= 2; b++ {
@@ -371,12 +375,17 @@ func TestRunEmbedsNestedDimensionAfterItsParent(t *testing.T) {
 		bson.D("$sort", bson.D(bson.IDKey, 1)),
 	}
 	p.KeepIntermediate = true
-	met := newRendezvous(2)
+	finds, brandBesideItem := newRendezvous(2), newRendezvous(2)
 	probed := &probeStore{Store: store, enter: func(c probe) error {
-		// An embedding's first call is its $group over the intermediate
-		// collection.
-		if c.op == "Aggregate" && (c.field == "ss_sold_date_sk" || c.field == "ss_item_sk") && !met.arrive() {
-			return fmt.Errorf("the %s embedding waited %v for the other to start", c.field, meetLimit)
+		switch {
+		case c.op == "Find" && (c.coll == "date_dim" && c.field == "d_date_sk" || c.coll == "item" && c.field == "i_item_sk"):
+			if !finds.arrive() {
+				return fmt.Errorf("the %s find waited %v for the other to start", c.coll, meetLimit)
+			}
+		case c.op == "Find" && c.coll == "brand", c.op == "BulkWrite" && c.field == "ss_item_sk":
+			if !brandBesideItem.arrive() {
+				return fmt.Errorf("the %s %s waited %v for the other to start", c.coll, c.op, meetLimit)
+			}
 		}
 		return nil
 	}}
@@ -405,21 +414,122 @@ func TestRunEmbedsNestedDimensionAfterItsParent(t *testing.T) {
 		}
 	}
 
-	embedding := func(e denorm.Embedding) func(probe) bool {
-		return func(c probe) bool {
-			return (c.op == "Aggregate" || c.op == "BulkWrite") && c.field == e.FKField ||
-				c.op == "Find" && c.coll == e.Dimension && c.field == e.PKField
+	find := func(e denorm.Embedding) func(probe) bool {
+		return func(c probe) bool { return c.op == "Find" && c.coll == e.Dimension && c.field == e.PKField }
+	}
+	write := func(e denorm.Embedding) func(probe) bool {
+		return func(c probe) bool { return c.op == "BulkWrite" && c.field == e.FKField }
+	}
+	dateStart, dateEnd := probed.interval(t, find(p.Embed[0]))
+	itemStart, itemFound := probed.interval(t, find(p.Embed[1]))
+	brandStart, _ := probed.interval(t, find(p.Embed[2]))
+	_, itemWritten := probed.interval(t, write(p.Embed[1]))
+	brandWriteStart, _ := probed.interval(t, write(p.Embed[2]))
+	if brandStart < itemFound {
+		t.Fatalf("the brand find started at %d, before the item's find returned at %d", brandStart, itemFound)
+	}
+	if brandWriteStart < itemWritten {
+		t.Fatalf("the brand bulk write started at %d, before the item's returned at %d", brandWriteStart, itemWritten)
+	}
+	if dateStart > itemFound || itemStart > dateEnd {
+		t.Fatalf("the date [%d, %d] and item [%d, %d] finds did not overlap", dateStart, dateEnd, itemStart, itemFound)
+	}
+}
+
+// TestRunOverlappingEmbeddingsMatchSequential: embedding lists whose keys
+// cannot all come from the semi-joined documents give what the sequential
+// specification gives, in the results and in the embedded intermediate
+// documents. An embedding at the same key as an earlier one, or at a prefix
+// of an earlier one's key, reads its keys from the server after the earlier
+// writes; one under an earlier key takes the union with the earlier
+// embedding's dimension documents, which here names a brand that only a
+// second item 1 — the one that loses to the first — refers to.
+func TestRunOverlappingEmbeddingsMatchSequential(t *testing.T) {
+	item := denorm.Embedding{Dimension: "item", FKField: "ss_item_sk", PKField: "i_item_sk"}
+	brand := denorm.Embedding{Dimension: "brand", FKField: "ss_item_sk.i_brand_sk", PKField: "b_sk"}
+	date := denorm.Embedding{Dimension: "date_dim", FKField: "ss_sold_date_sk", PKField: "d_date_sk"}
+	for _, c := range []struct {
+		embs []denorm.Embedding
+		// serverKeys is how many of the embeddings ask the server for keys.
+		serverKeys int
+	}{
+		{[]denorm.Embedding{item, brand, date}, 0},
+		{[]denorm.Embedding{item, brand, item}, 1},
+		{[]denorm.Embedding{brand, item, brand}, 2},
+		{[]denorm.Embedding{date, item, brand, brand}, 1},
+	} {
+		var names []string
+		for _, e := range c.embs {
+			names = append(names, e.FKField)
 		}
-	}
-	dateStart, dateEnd := probed.interval(t, embedding(p.Embed[0]))
-	itemStart, itemEnd := probed.interval(t, embedding(p.Embed[1]))
-	brandStart, _ := probed.interval(t, embedding(p.Embed[2]))
-	_, itemWritten := probed.interval(t, func(c probe) bool { return c.op == "BulkWrite" && c.field == p.Embed[1].FKField })
-	if brandStart < itemWritten {
-		t.Fatalf("the brand embedding started at %d, before the item's bulk write returned at %d", brandStart, itemWritten)
-	}
-	if dateStart > itemEnd || itemStart > dateEnd {
-		t.Fatalf("the date [%d, %d] and item [%d, %d] embeddings did not overlap", dateStart, dateEnd, itemStart, itemEnd)
+		t.Run(strings.Join(names, ","), func(t *testing.T) {
+			store := buildMiniRetail(t)
+			for b := 1; b <= 3; b++ {
+				if _, err := store.Insert("brand", bson.D("b_sk", b, "b_name", fmt.Sprintf("brand-%d", b))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 1; i <= 4; i++ {
+				if _, err := store.Update("item", query.UpdateSpec{Query: bson.D("i_item_sk", i), Update: bson.D("$set", bson.D("i_brand_sk", (i+1)/2))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := store.Insert("item", bson.D("i_item_sk", 1, "i_item_id", "second item 1", "i_brand_sk", 3)); err != nil {
+				t.Fatal(err)
+			}
+			p := plan()
+			p.Filters = p.Filters[:1]
+			p.Embed = c.embs
+			p.Aggregation = []*bson.Doc{
+				bson.D("$group", bson.D(bson.IDKey, "$ss_item_sk.i_brand_sk.b_name", "sales", bson.D("$sum", 1))),
+				bson.D("$sort", bson.D(bson.IDKey, 1)),
+			}
+			p.KeepIntermediate = true
+			intermediate := func() []string {
+				docs, err := store.Find(p.intermediateName(), nil, storage.FindOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]string, len(docs))
+				for i, d := range docs {
+					d.Delete(bson.IDKey)
+					out[i] = d.ToJSON()
+				}
+				slices.Sort(out)
+				return out
+			}
+			want, err := runSequential(store, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantDocs := intermediate()
+			store.DropCollection(p.intermediateName())
+			probed := &probeStore{Store: store}
+			got, err := Run(probed, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keyReads := 0
+			for _, call := range probed.calls {
+				if call.op == "Aggregate" && call.coll == p.intermediateName() && slices.ContainsFunc(c.embs, func(e denorm.Embedding) bool { return e.FKField == call.field }) {
+					keyReads++
+				}
+			}
+			if keyReads != c.serverKeys {
+				t.Fatalf("%d embeddings read their keys on the server, want %d", keyReads, c.serverKeys)
+			}
+			if len(got.Docs) != len(want.Docs) {
+				t.Fatalf("%d results, sequential %d: %v vs %v", len(got.Docs), len(want.Docs), got.Docs, want.Docs)
+			}
+			for i := range want.Docs {
+				if !got.Docs[i].Equal(want.Docs[i]) {
+					t.Fatalf("result %d: %s, sequential %s", i, got.Docs[i], want.Docs[i])
+				}
+			}
+			if gotDocs := intermediate(); !slices.Equal(gotDocs, wantDocs) {
+				t.Fatalf("embedded documents differ:\n got        %v\n sequential %v", gotDocs, wantDocs)
+			}
+		})
 	}
 }
 
