@@ -177,19 +177,22 @@
 // takes one hop per shard per chunk, and translate.Run (Figure 4.8, steps
 // unchanged) makes O(filters + embeddings) store calls instead of
 // O(dimension rows). It also waits once per dependency, not once per call:
-// the dimension finds go out together, the semi-join is one server-side
+// a plan is compiled into one list of calls, each naming the earlier calls
+// it reads, and translate.Exec starts each once those have returned. The
+// dimension finds go out together, the semi-join is one server-side
 // aggregate ending in $out, so the client never sends the fact subset back,
-// and the embeddings run in levels, a dotted one after the one it reaches
-// into. Step 1 of the embedding is not a call there: the semi-join returned
+// and each embedding's find goes out after the semi-join, a dotted one's
+// after the find of the one it reaches into, and its bulk write after its
+// find. Step 1 of the embedding is not a call there: the semi-join returned
 // the documents whose keys it asks for, and denorm.ReferencedKeys runs the
 // same $group over them in process (a dotted key under an earlier
 // embedding's adds the remainder of its path over that embedding's fetched
-// dimension documents, a superset whose extra keys match nothing). A
-// level's finds go out beside the bulk writes of the level before. Its
-// critical path is 1 + 1 + (embedding depth + 1) + 1 calls, where it was
-// filters + 2 + 3 × embeddings + 1. Query 50's normalized runner takes its
-// store keys from the joined documents it built the same way and reads the
-// stores while it writes them; denorm.EmbedReturnsIntoSales ships its
+// dimension documents, a superset whose extra keys match nothing). Its
+// critical path, which Exec reports, is 1 + 1 + (embedding depth + 1) + 1
+// calls, where it was filters + 2 + 3 × embeddings + 1. Query 50's
+// normalized run is another list of calls for the same executor: it takes
+// its store keys from the joined documents it built the same way and reads
+// the stores while it writes them; denorm.EmbedReturnsIntoSales ships its
 // updates through the same bulk helper. The per-key loop survives in
 // internal/denorm's tests as the reference the set-oriented path is checked
 // against on randomized data, stand-alone and sharded.

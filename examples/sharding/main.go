@@ -83,17 +83,4 @@ func main() {
 	for _, d := range out {
 		fmt.Printf("  %s\n", d)
 	}
-
-	// The shard-count calculator of §2.1.3.2.
-	rec, err := cluster.RecommendShards(cluster.SizingInputs{
-		StorageBytes:    1536 << 30,
-		ShardDiskBytes:  256 << 30,
-		WorkingSetBytes: 200 << 30,
-		ShardRAMBytes:   64 << 30,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nshard sizing for 1.5TB data / 200GB working set: disk=%d RAM=%d -> recommend %d shards\n",
-		rec.ByDisk, rec.ByRAM, rec.Recommended)
 }

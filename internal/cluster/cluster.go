@@ -1,3 +1,7 @@
+// Package cluster assembles sharded deployments: it builds clusters of shard
+// servers plus a config server and query router, and reproduces the thesis'
+// deployment topologies (Figure 3.1: 3 shards, 1 config server, 1 combined
+// application server / query router).
 package cluster
 
 import (

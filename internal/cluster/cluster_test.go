@@ -7,99 +7,6 @@ import (
 	"docstore/internal/storage"
 )
 
-func TestShardCalculatorThesisExamples(t *testing.T) {
-	// §2.1.3.2 example i: 1.5 TB data / 256 GB per shard ≈ 6 shards.
-	n, err := ShardsForDiskStorage(1536<<30, 256<<30)
-	if err != nil || n != 6 {
-		t.Fatalf("disk sizing = %d, %v; want 6", n, err)
-	}
-	// Example ii: 200 GB working set / 64 GB RAM ≈ 4 shards (no reserve in
-	// the thesis' example).
-	n, err = ShardsForRAM(200<<30, 64<<30, 0)
-	if err != nil || n != 4 {
-		t.Fatalf("RAM sizing = %d, %v; want 4", n, err)
-	}
-	// Example iii: 12000 required IOPS / 5000 per shard ≈ 3 shards.
-	n, err = ShardsForIOPS(12000, 5000)
-	if err != nil || n != 3 {
-		t.Fatalf("IOPS sizing = %d, %v; want 3", n, err)
-	}
-	// Example iv: N = G / (S * 0.7).
-	n, err = ShardsForOPS(10000, 3000, 0)
-	if err != nil || n != 5 {
-		t.Fatalf("OPS sizing = %d, %v; want 5", n, err)
-	}
-	// The thesis' own cluster: 9.94 GB of data, 8 GB RAM shards with a 2 GB
-	// reserve -> ceil(9.94/6) = 2 by RAM, which the thesis rounds up to 3
-	// to leave room for indexes and intermediate collections.
-	gb := float64(1 << 30)
-	n, err = ShardsForRAM(int64(9.94*gb), 8<<30, 2<<30)
-	if err != nil || n != 2 {
-		t.Fatalf("thesis RAM sizing = %d, %v; want 2", n, err)
-	}
-}
-
-func TestShardCalculatorEdgeCases(t *testing.T) {
-	if _, err := ShardsForDiskStorage(1, 0); err == nil {
-		t.Fatalf("zero shard disk should error")
-	}
-	if _, err := ShardsForRAM(1, 1<<30, 2<<30); err == nil {
-		t.Fatalf("reserve exceeding RAM should error")
-	}
-	if _, err := ShardsForIOPS(1, 0); err == nil {
-		t.Fatalf("zero shard IOPS should error")
-	}
-	if _, err := ShardsForOPS(1, 0, 0.7); err == nil {
-		t.Fatalf("zero single-server OPS should error")
-	}
-	if n, _ := ShardsForDiskStorage(0, 1<<30); n != 1 {
-		t.Fatalf("zero storage should still need one shard")
-	}
-	if n, _ := ShardsForRAM(0, 4<<30, 0); n != 1 {
-		t.Fatalf("zero working set should still need one shard")
-	}
-	if n, _ := ShardsForIOPS(0, 100); n != 1 {
-		t.Fatalf("zero IOPS should still need one shard")
-	}
-	if n, _ := ShardsForOPS(0, 100, 0.7); n != 1 {
-		t.Fatalf("zero OPS should still need one shard")
-	}
-}
-
-func TestRecommendShards(t *testing.T) {
-	res, err := RecommendShards(SizingInputs{
-		StorageBytes:    1536 << 30,
-		ShardDiskBytes:  256 << 30,
-		WorkingSetBytes: 200 << 30,
-		ShardRAMBytes:   64 << 30,
-		RequiredIOPS:    12000,
-		ShardIOPS:       5000,
-		RequiredOPS:     10000,
-		SingleServerOPS: 3000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ByDisk != 6 || res.ByRAM != 4 || res.ByIOPS != 3 || res.ByOPS != 5 {
-		t.Fatalf("per-factor results = %+v", res)
-	}
-	if res.Recommended != 6 {
-		t.Fatalf("Recommended = %d, want the max (6)", res.Recommended)
-	}
-	// No inputs: one shard.
-	res, err = RecommendShards(SizingInputs{})
-	if err != nil || res.Recommended != 1 {
-		t.Fatalf("empty inputs = %+v, %v", res, err)
-	}
-	// Errors propagate.
-	if _, err := RecommendShards(SizingInputs{WorkingSetBytes: 1, ShardRAMBytes: 1, ReserveRAMBytes: 2}); err == nil {
-		t.Fatalf("invalid RAM inputs should error")
-	}
-	if _, err := RecommendShards(SizingInputs{RequiredOPS: 1, SingleServerOPS: 1, ShardingOverhead: -1}); err == nil {
-		t.Fatalf("invalid OPS inputs should error")
-	}
-}
-
 func TestBuildClusterTopology(t *testing.T) {
 	c := MustBuild(Config{Shards: 3, ShardRAMBytes: 8 << 30})
 	if c.ShardCount() != 3 || len(c.Shards()) != 3 {

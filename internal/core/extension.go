@@ -13,8 +13,8 @@ import (
 // model on the sharded cluster and studying its performance, and using
 // multiple threads for aggregation. This file implements the first as two
 // additional experiments (7 and 8) that extend Table 4.1, and the comparison
-// report that goes with them. The multithreading item is translate.Run's
-// overlapped dimension finds and embeddings.
+// report that goes with them. The multithreading item is translate.Exec,
+// which runs a normalized plan's independent calls side by side.
 
 // ExtensionExperiments returns the two future-work setups: the denormalized
 // data model deployed on the sharded cluster at both scales.

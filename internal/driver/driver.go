@@ -34,10 +34,13 @@ type Store interface {
 	// FindCursor streams documents matching filter; batch size comes from
 	// opts.BatchSize (zero = storage.DefaultBatchSize).
 	FindCursor(coll string, filter *bson.Doc, opts storage.FindOptions) (Cursor, error)
-	// Insert adds one document.
+	// Insert adds one document. A document without an _id is given one in
+	// place, so the caller's document carries the id it was stored under;
+	// nothing else may read that document while the call runs.
 	Insert(coll string, doc *bson.Doc) (any, error)
 	// InsertMany adds a batch of documents, returning the inserted ids in
-	// document order. Both adapters route it through the bulk-write engine;
+	// document order. Each document without an _id is given one in place, as
+	// by Insert. Both adapters route it through the bulk-write engine;
 	// on a mid-batch failure the stand-alone adapter stops at the failing
 	// document (ordered) while the sharded adapter still attempts the
 	// remaining per-shard sub-batches in parallel (unordered) — callers that

@@ -77,6 +77,38 @@ func TestStoreParity(t *testing.T) {
 			if s.Name() == "" {
 				t.Fatalf("Name should not be empty")
 			}
+			// Insert and InsertMany give a document that lacks an _id one in
+			// the caller's document itself, the id they return, leading its
+			// fields; a document that has one keeps it.
+			docs = []*bson.Doc{bson.D("k", 1, "v", "a"), bson.D(bson.IDKey, "mine", "k", 2), bson.D("k", 3)}
+			ids, err := s.InsertMany("events", docs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := bson.D("k", 4)
+			id, err := s.Insert("events", one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range append(docs, one) {
+				want := id
+				if i < len(ids) {
+					want = ids[i]
+				}
+				if keys := d.Keys(); len(keys) == 0 || keys[0] != bson.IDKey {
+					t.Fatalf("document %d = %s, want _id first", i, d)
+				}
+				if got, _ := d.Get(bson.IDKey); bson.Compare(got, want) != 0 {
+					t.Fatalf("document %d has _id %v, the call returned %v", i, got, want)
+				}
+				stored, err := s.Find("events", bson.D(bson.IDKey, want), storage.FindOptions{})
+				if err != nil || len(stored) != 1 {
+					t.Fatalf("document %d: %d stored under %v, %v", i, len(stored), want, err)
+				}
+			}
+			if got, _ := docs[1].Get(bson.IDKey); got != "mine" {
+				t.Fatalf("a given _id became %v", got)
+			}
 		})
 	}
 }

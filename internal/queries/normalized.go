@@ -13,8 +13,9 @@ import (
 
 // NormalizedPlan returns the Figure 4.8 translation of the query for the
 // normalized data model. Query 50 joins two fact collections and does not fit
-// the single-fact plan shape; it is executed by runQuery50Normalized instead,
-// and NormalizedPlan reports ok=false for it.
+// the single-fact plan shape, so NormalizedPlan reports ok=false for it:
+// runQuery50Normalized builds its own list of calls for the same executor,
+// translate.Exec.
 func (q *Query) NormalizedPlan(p Params) (translate.Plan, bool) {
 	switch q.ID {
 	case 7:
@@ -33,7 +34,7 @@ func (q *Query) NormalizedPlan(p Params) (translate.Plan, bool) {
 func RunNormalized(store driver.Store, q *Query, p Params) ([]*bson.Doc, time.Duration, error) {
 	start := time.Now()
 	if q.ID == 50 {
-		docs, err := runQuery50Normalized(store, p)
+		docs, _, err := runQuery50Normalized(store, p)
 		if err != nil {
 			return nil, 0, fmt.Errorf("queries: %s normalized: %w", q.Name, err)
 		}
@@ -163,126 +164,129 @@ func query46NormalizedPlan(p Params) translate.Plan {
 	}
 }
 
-// runQuery50Normalized executes Query 50 against the normalized model. The
-// query joins two fact collections (store_sales ⋈ store_returns), which the
-// generic Figure 4.8 plan does not cover; the steps below follow the same
-// predetermined order, treating the pre-filtered store_returns set as the
-// driving side of the join:
+// runQuery50Normalized executes Query 50 against the normalized model and
+// returns its critical path in calls beside the result. The query joins two
+// fact collections (store_sales ⋈ store_returns), which the generic Figure
+// 4.8 plan does not cover; it is its own list of calls for translate.Exec,
+// treating the pre-filtered store_returns set as the driving side of the join:
 //
 //  1. filter date_dim on the return year/month and collect d_date_sk keys,
 //  2. semi-join store_returns on sr_returned_date_sk with $in,
 //  3. fetch the store_sales documents whose ticket numbers appear in those
 //     returns and keep the ones matching a return on (ticket, item, customer),
 //  4. write the joined documents (sale + sr_returned_date_sk) into an
-//     intermediate collection, embed the store dimension, and aggregate the
-//     day-difference buckets per store.
+//     intermediate collection beside the find of the stores they name,
+//  5. embed the store dimension into them and
+//  6. aggregate the day-difference buckets per store.
 //
-// The store keys of step 4 come from the joined documents the client built,
-// so the stores are read while the joined documents are written: the two
-// calls overlap, and the embedding's bulk write waits for both.
-func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, error) {
-	joined, err := query50Join(store, p)
-	if err != nil {
-		return nil, err
+// The store keys come from the joined documents, read by step 3 before step 4
+// hands them to InsertMany, which gives each an _id in place.
+func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, int, error) {
+	const intermediate = "store_sales_query50_intermediate"
+	var (
+		dateKeys, tickets, storeKeys []any
+		returnByKey                  map[string]*bson.Doc
+		joined, stores, docs         []*bson.Doc
+		written                      bool
+	)
+	calls := []translate.Call{
+		// Step 1: the d2 dimension filter.
+		{Do: func() error {
+			dates, err := store.Find("date_dim", bson.D("d_year", p.ReturnYear, "d_moy", p.ReturnMonth), storage.FindOptions{})
+			if err != nil {
+				return err
+			}
+			dateKeys = make([]any, 0, len(dates))
+			for _, d := range dates {
+				if sk, ok := d.Get("d_date_sk"); ok {
+					dateKeys = append(dateKeys, sk)
+				}
+			}
+			return nil
+		}},
+		// Step 2: returns in the target month.
+		{After: []int{0}, Do: func() error {
+			returns, err := store.Find("store_returns", bson.D("sr_returned_date_sk", bson.D("$in", dateKeys)), storage.FindOptions{})
+			if err != nil {
+				return err
+			}
+			var key []byte
+			returnByKey = make(map[string]*bson.Doc, len(returns))
+			ticketSet := make(map[string]bool)
+			for _, r := range returns {
+				t, _ := r.Get("sr_ticket_number")
+				i, _ := r.Get("sr_item_sk")
+				c, _ := r.Get("sr_customer_sk")
+				key = joinKey(key[:0], t, i, c)
+				returnByKey[string(key)] = r
+				key = bson.AppendKey(key[:0], t)
+				if !ticketSet[string(key)] {
+					ticketSet[string(key)] = true
+					tickets = append(tickets, t)
+				}
+			}
+			return nil
+		}},
+		// Step 3: candidate sales by ticket number (the shard key of the
+		// sharded experiments, which is what lets the router target this
+		// query), joined in memory on the full (ticket, item, customer) key.
+		{After: []int{1}, Do: func() error {
+			sales, err := store.Find("store_sales", bson.D("ss_ticket_number", bson.D("$in", tickets)), storage.FindOptions{})
+			if err != nil {
+				return err
+			}
+			var key []byte
+			for _, s := range sales {
+				t, _ := s.Get("ss_ticket_number")
+				i, _ := s.Get("ss_item_sk")
+				c, _ := s.Get("ss_customer_sk")
+				r, ok := returnByKey[string(joinKey(key[:0], t, i, c))]
+				if !ok {
+					continue
+				}
+				doc := s.Clone()
+				doc.Delete(bson.IDKey)
+				returnedSk, _ := r.Get("sr_returned_date_sk")
+				doc.Set("sr_returned_date_sk", returnedSk)
+				joined = append(joined, doc)
+			}
+			storeKeys, err = denorm.ReferencedKeys(joined, query50Store.FKField)
+			return err
+		}},
+		// Step 4: the intermediate write and the store find.
+		{After: []int{2}, Do: func() error {
+			store.DropCollection(intermediate)
+			written = true
+			if len(joined) == 0 {
+				return nil
+			}
+			_, err := store.InsertMany(intermediate, joined)
+			return err
+		}},
+		{After: []int{2}, Do: func() (err error) {
+			stores, err = denorm.FetchDimension(store, query50Store, storeKeys)
+			return err
+		}},
+		// Step 5: embed the stores.
+		{After: []int{3, 4}, Do: func() error {
+			_, err := denorm.ApplyEmbedding(store, intermediate, query50Store, stores)
+			return err
+		}},
+		// Step 6: the buckets per store.
+		{After: []int{5}, Do: func() (err error) {
+			docs, err = store.Aggregate(intermediate, query50NormalizedStages())
+			return err
+		}},
 	}
-	intermediate := "store_sales_query50_intermediate"
-	store.DropCollection(intermediate)
-	defer store.DropCollection(intermediate)
-
-	// Step 4: write the joined documents beside the store find, embed the
-	// store dimension and aggregate.
-	keys, err := denorm.ReferencedKeys(joined, query50Store.FKField)
-	if err != nil {
-		return nil, err
+	hops, err := translate.Exec(calls)
+	if written {
+		store.DropCollection(intermediate)
 	}
-	var stores []*bson.Doc
-	var storesErr error
-	found := make(chan struct{})
-	go func() {
-		defer close(found)
-		stores, storesErr = denorm.FetchDimension(store, query50Store, keys)
-	}()
-	if len(joined) > 0 {
-		_, err = store.InsertMany(intermediate, joined)
-	}
-	<-found
-	if err != nil {
-		return nil, err
-	}
-	if storesErr != nil {
-		return nil, storesErr
-	}
-	if _, err := denorm.ApplyEmbedding(store, intermediate, query50Store, stores); err != nil {
-		return nil, err
-	}
-	return store.Aggregate(intermediate, query50NormalizedStages())
+	return docs, hops, err
 }
 
 // query50Store is the one dimension Query 50's normalized run embeds.
 var query50Store = denorm.Embedding{Dimension: "store", FKField: "ss_store_sk", PKField: "s_store_sk"}
-
-// query50Join is steps 1-3 of Query 50's normalized run: the sales that
-// match a return of the target month on (ticket, item, customer), each
-// without its _id and with the return's sr_returned_date_sk.
-func query50Join(store driver.Store, p Params) ([]*bson.Doc, error) {
-	// Step 1: the d2 dimension filter.
-	dates, err := store.Find("date_dim", bson.D("d_year", p.ReturnYear, "d_moy", p.ReturnMonth), storage.FindOptions{})
-	if err != nil {
-		return nil, err
-	}
-	dateKeys := make([]any, 0, len(dates))
-	for _, d := range dates {
-		if sk, ok := d.Get("d_date_sk"); ok {
-			dateKeys = append(dateKeys, sk)
-		}
-	}
-
-	// Step 2: returns in the target month.
-	returns, err := store.Find("store_returns", bson.D("sr_returned_date_sk", bson.D("$in", dateKeys)), storage.FindOptions{})
-	if err != nil {
-		return nil, err
-	}
-	var key []byte
-	returnByKey := make(map[string]*bson.Doc, len(returns))
-	ticketSet := make(map[string]bool)
-	var tickets []any
-	for _, r := range returns {
-		t, _ := r.Get("sr_ticket_number")
-		i, _ := r.Get("sr_item_sk")
-		c, _ := r.Get("sr_customer_sk")
-		key = joinKey(key[:0], t, i, c)
-		returnByKey[string(key)] = r
-		key = bson.AppendKey(key[:0], t)
-		if !ticketSet[string(key)] {
-			ticketSet[string(key)] = true
-			tickets = append(tickets, t)
-		}
-	}
-
-	// Step 3: candidate sales by ticket number (the shard key of the sharded
-	// experiments, which is what lets the router target this query), joined
-	// in memory on the full (ticket, item, customer) key.
-	sales, err := store.Find("store_sales", bson.D("ss_ticket_number", bson.D("$in", tickets)), storage.FindOptions{})
-	if err != nil {
-		return nil, err
-	}
-	var joined []*bson.Doc
-	for _, s := range sales {
-		t, _ := s.Get("ss_ticket_number")
-		i, _ := s.Get("ss_item_sk")
-		c, _ := s.Get("ss_customer_sk")
-		r, ok := returnByKey[string(joinKey(key[:0], t, i, c))]
-		if !ok {
-			continue
-		}
-		doc := s.Clone()
-		doc.Delete(bson.IDKey)
-		returnedSk, _ := r.Get("sr_returned_date_sk")
-		doc.Set("sr_returned_date_sk", returnedSk)
-		joined = append(joined, doc)
-	}
-	return joined, nil
-}
 
 // joinKey appends the key of a (ticket, item, customer) triple: two triples
 // have the same key when the server's equality matches their parts, so the
@@ -291,7 +295,7 @@ func joinKey(dst []byte, ticket, item, customer any) []byte {
 	return bson.AppendKey(bson.AppendKey(bson.AppendKey(dst, ticket), item), customer)
 }
 
-// query50NormalizedStages is step 4's aggregation over the embedded
+// query50NormalizedStages is step 6's aggregation over the embedded
 // intermediate collection.
 func query50NormalizedStages() []*bson.Doc {
 	stages := []*bson.Doc{

@@ -13,6 +13,7 @@ import (
 	"docstore/internal/mongod"
 	"docstore/internal/storage"
 	"docstore/internal/tpcds"
+	"docstore/internal/translate"
 )
 
 func TestCatalogAndFeaturesMatchTable35(t *testing.T) {
@@ -137,6 +138,39 @@ func TestNormalizedPlansShape(t *testing.T) {
 	}
 	if _, ok := MustByID(50).NormalizedPlan(p); ok {
 		t.Fatalf("query 50 is handled by the custom runner, not a generic plan")
+	}
+}
+
+// TestNormalizedCriticalPath pins each normalized run's critical path, as
+// translate.Exec computes it from the calls' dependencies, on a stand-alone
+// store: q7 and q21 are a filter, the semi-join, an embedding's find and
+// write, and the aggregation; q46's address under the customer adds a find
+// after the customer's; q50 is dates, returns, sales and the join, the
+// intermediate write beside the store find, the embedding's write, and the
+// aggregation.
+func TestNormalizedCriticalPath(t *testing.T) {
+	store := driver.NewStandalone(mongod.NewServer(mongod.Options{}).Database("norm"))
+	if _, err := migrate.LoadDataset(store, tpcds.NewGenerator(tpcds.ScaleSmall.WithDivisor(8000), 1)); err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams()
+	for id, want := range map[int]int{7: 5, 21: 5, 46: 6, 50: 6} {
+		var hops int
+		if plan, ok := MustByID(id).NormalizedPlan(params); ok {
+			res, err := translate.Run(store, plan)
+			if err != nil {
+				t.Fatalf("query %d: %v", id, err)
+			}
+			hops = res.Hops
+		} else {
+			var err error
+			if _, hops, err = runQuery50Normalized(store, params); err != nil {
+				t.Fatalf("query %d: %v", id, err)
+			}
+		}
+		if hops != want {
+			t.Errorf("query %d: critical path %d calls, want %d", id, hops, want)
+		}
 	}
 }
 

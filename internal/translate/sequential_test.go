@@ -2,7 +2,6 @@ package translate
 
 import (
 	"fmt"
-	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/denorm"
@@ -20,9 +19,6 @@ var RunSequential = runSequential
 // InsertMany, and the embeddings run in plan order.
 func runSequential(store driver.Store, p Plan) (Result, error) {
 	var res Result
-	start := time.Now()
-
-	phase := time.Now()
 	type keyList struct {
 		fk   string
 		keys []any
@@ -44,9 +40,7 @@ func runSequential(store driver.Store, p Plan) (Result, error) {
 		}
 		lists = append(lists, keyList{fk: f.FKField, keys: keys})
 	}
-	res.FilterDims = time.Since(phase)
 
-	phase = time.Now()
 	semiJoin := bson.NewDoc(len(lists))
 	for _, l := range lists {
 		semiJoin.Set(l.fk, bson.D("$in", l.keys))
@@ -72,24 +66,18 @@ func runSequential(store driver.Store, p Plan) (Result, error) {
 		}
 	}
 	res.IntermediateDocs = len(batch)
-	res.SemiJoin = time.Since(phase)
 
-	phase = time.Now()
 	for _, emb := range p.Embed {
 		if _, err := denorm.EmbedDocuments(store, intermediate, emb); err != nil {
 			return res, err
 		}
 	}
-	res.Embedding = time.Since(phase)
 
-	phase = time.Now()
 	stages := append(append([]*bson.Doc(nil), p.Aggregation...), bson.D("$out", p.outputName()))
 	docs, err := store.Aggregate(intermediate, stages)
 	if err != nil {
 		return res, fmt.Errorf("translate: aggregating %s: %w", intermediate, err)
 	}
-	res.Aggregate = time.Since(phase)
 	res.Docs = docs
-	res.Total = time.Since(start)
 	return res, nil
 }

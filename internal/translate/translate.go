@@ -18,24 +18,23 @@
 // from the documents step 2 returned, by the $group the server would run
 // (denorm.ReferencedKeys), so they cost no call.
 //
-// A plan waits once per dependency, not once per call. The dimension finds of
-// step 1 depend on nothing and are issued together. Step 2 is one server-side
-// aggregate, {$match: semi-join} then {$out: intermediate}, so the client never
-// sends the fact subset back. Step 3 runs in levels: the embeddings of one level
-// run together, and an embedding whose foreign key lies inside another's
-// embedded document (q46's customer address, under the customer) is in the
-// level after. A level's finds run beside the bulk writes of the level
-// before, so the critical path of a plan is 1 + 1 + (embedding depth + 1) + 1
-// hops: the filters, the semi-join, the finds and writes of step 3, and the
-// aggregation. Each step starts once the one before it has finished.
+// A plan waits once per dependency, not once per call. Run compiles it into
+// one list of calls, each naming the earlier calls it reads or must follow,
+// and Exec starts each call once those have returned. The dimension finds of
+// step 1 depend on nothing. Step 2 is one server-side aggregate, {$match:
+// semi-join} then {$out: intermediate}, after all of them, so the client never
+// sends the fact subset back. Step 3 is per embedding a find after the
+// semi-join and a bulk write after that find; an embedding whose foreign key
+// lies inside an earlier one's embedded document (q46's customer address,
+// under the customer) finds after that one's find and writes after its write.
+// Step 4 follows every write. The critical path of a plan (Result.Hops) is
+// 1 + 1 + (embedding depth + 1) + 1 calls: the filters, the semi-join, the
+// finds and writes of step 3, and the aggregation.
 package translate
 
 import (
 	"fmt"
-	"slices"
 	"strings"
-	"sync"
-	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/denorm"
@@ -88,13 +87,8 @@ type Result struct {
 	Docs []*bson.Doc
 	// IntermediateDocs is the size of the semi-joined fact subset.
 	IntermediateDocs int
-	// Phase durations. FilterDims and Embedding are wall time over calls
-	// that overlap, not the sum of the calls.
-	FilterDims time.Duration
-	SemiJoin   time.Duration
-	Embedding  time.Duration
-	Aggregate  time.Duration
-	Total      time.Duration
+	// Hops is the plan's critical path in calls (Exec).
+	Hops int
 }
 
 func (p *Plan) intermediateName() string {
@@ -111,16 +105,14 @@ func (p *Plan) outputName() string {
 	return p.Name + "_output"
 }
 
-// Run executes the plan against a deployment. It returns once every call it
-// started has returned; when calls that ran together fail, the error is the
-// one of the first in plan order.
+// Run executes the plan against a deployment as one list of calls (Exec). It
+// returns once every call it started has returned; when calls fail, the error
+// is the one of the first in plan order.
 func Run(store driver.Store, p Plan) (Result, error) {
-	var res Result
-	start := time.Now()
+	var calls []Call
 
 	// Step 1: filter each dimension and collect the primary keys (the
-	// ArrayList per dimension of Figure 4.8), all filters at once.
-	phase := time.Now()
+	// ArrayList per dimension of Figure 4.8).
 	var filters []DimFilter
 	for _, f := range p.Filters {
 		if f.Where != nil {
@@ -128,210 +120,141 @@ func Run(store driver.Store, p Plan) (Result, error) {
 		}
 	}
 	keys := make([][]any, len(filters))
-	err := together(len(filters), func(i int) error {
-		f := filters[i]
-		dimDocs, err := store.Find(f.Dimension, f.Where, storage.FindOptions{})
-		if err != nil {
-			return fmt.Errorf("translate: filtering %s: %w", f.Dimension, err)
-		}
-		keys[i] = make([]any, 0, len(dimDocs))
-		for _, d := range dimDocs {
-			if pk, ok := d.Get(f.PKField); ok {
-				keys[i] = append(keys[i], pk)
+	var filtered []int
+	for i, f := range filters {
+		filtered = append(filtered, len(calls))
+		calls = append(calls, Call{Do: func() error {
+			dimDocs, err := store.Find(f.Dimension, f.Where, storage.FindOptions{})
+			if err != nil {
+				return fmt.Errorf("translate: filtering %s: %w", f.Dimension, err)
 			}
-		}
-		return nil
-	})
-	res.FilterDims = time.Since(phase)
-	if err != nil {
-		return res, err
+			keys[i] = make([]any, 0, len(dimDocs))
+			for _, d := range dimDocs {
+				if pk, ok := d.Get(f.PKField); ok {
+					keys[i] = append(keys[i], pk)
+				}
+			}
+			return nil
+		}})
 	}
 
 	// Step 2: semi-join the fact collection with $in over each key list and
 	// store the surviving documents in the intermediate collection, on the
 	// server: $out replaces whatever the collection held.
-	phase = time.Now()
-	semiJoin := bson.NewDoc(len(filters))
-	for i, f := range filters {
-		semiJoin.Set(f.FKField, bson.D("$in", keys[i]))
-	}
 	intermediate := p.intermediateName()
-	factDocs, err := store.Aggregate(p.Fact, []*bson.Doc{bson.D("$match", semiJoin), bson.D("$out", intermediate)})
-	if err != nil {
-		return res, fmt.Errorf("translate: semi-joining %s: %w", p.Fact, err)
-	}
-	if !p.KeepIntermediate {
-		// On every exit, error paths included.
-		defer store.DropCollection(intermediate)
-	}
-	res.IntermediateDocs = len(factDocs)
-	res.SemiJoin = time.Since(phase)
+	var factDocs []*bson.Doc
+	written := false
+	semiJoin := len(calls)
+	calls = append(calls, Call{After: filtered, Do: func() error {
+		match := bson.NewDoc(len(filters))
+		for i, f := range filters {
+			match.Set(f.FKField, bson.D("$in", keys[i]))
+		}
+		var err error
+		factDocs, err = store.Aggregate(p.Fact, []*bson.Doc{bson.D("$match", match), bson.D("$out", intermediate)})
+		if err != nil {
+			return fmt.Errorf("translate: semi-joining %s: %w", p.Fact, err)
+		}
+		written = true
+		return nil
+	}})
 
-	// Step 3: embed the dimensions whose attributes the aggregation uses.
-	phase = time.Now()
-	if err := embed(store, intermediate, p.Embed, factDocs); err != nil {
-		return res, err
+	// Step 3: embed the dimensions whose attributes the aggregation uses,
+	// each by a find of the dimension documents its keys name and a bulk
+	// write. The keys come from the semi-joined documents (localKeys), with
+	// no call. A foreign key equal to or a prefix of an earlier one's has its
+	// values changed by the earlier write, so its keys are asked of the
+	// server, after every earlier write at an overlapping key.
+	dims := make([][]*bson.Doc, len(p.Embed))
+	fetches, writes := make([]int, len(p.Embed)), make([]int, len(p.Embed))
+	for i, e := range p.Embed {
+		fetch, write := Call{After: []int{semiJoin}}, Call{}
+		var parents []int
+		onServer := false
+		for j, o := range p.Embed[:i] {
+			switch {
+			case under(e.FKField, o.FKField):
+				parents = append(parents, j)
+				fetch.After = append(fetch.After, fetches[j])
+			case o.FKField == e.FKField || under(o.FKField, e.FKField):
+				onServer = true
+			default:
+				continue
+			}
+			write.After = append(write.After, writes[j])
+		}
+		if onServer {
+			fetch.After = append(fetch.After, write.After...)
+		}
+		fetch.Do = func() error {
+			var keys []any
+			var err error
+			if onServer {
+				keys, err = denorm.StoredKeys(store, intermediate, e.FKField)
+			} else {
+				keys, err = localKeys(e.FKField, factDocs, parents, p.Embed, dims)
+			}
+			if err != nil {
+				return err
+			}
+			dims[i], err = denorm.FetchDimension(store, e, keys)
+			return err
+		}
+		fetches[i] = len(calls)
+		calls = append(calls, fetch)
+		write.After = append(write.After, fetches[i])
+		write.Do = func() error {
+			_, err := denorm.ApplyEmbedding(store, intermediate, e, dims[i])
+			return err
+		}
+		writes[i] = len(calls)
+		calls = append(calls, write)
 	}
-	res.Embedding = time.Since(phase)
 
 	// Step 4: aggregate the embedded intermediate collection into the output
 	// collection.
-	phase = time.Now()
+	var res Result
 	stages := append(append([]*bson.Doc(nil), p.Aggregation...), bson.D("$out", p.outputName()))
-	docs, err := store.Aggregate(intermediate, stages)
-	if err != nil {
-		return res, fmt.Errorf("translate: aggregating %s: %w", intermediate, err)
-	}
-	res.Aggregate = time.Since(phase)
-	res.Docs = docs
-	res.Total = time.Since(start)
-	return res, nil
-}
-
-// together runs call(0) … call(n-1) concurrently and returns once all of them
-// have returned, with the error of the lowest i that failed.
-func together(n int, call func(i int) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := range n {
-		go func() {
-			defer wg.Done()
-			errs[i] = call(i)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// embed runs step 3 over coll, whose documents the semi-join returned as
-// docs. Each embedding is denorm's find of the dimension documents its keys
-// name, then its bulk write. The keys come from docs (denorm.ReferencedKeys),
-// not from a $group on the server: the documents are already here. A foreign
-// key under an earlier embedding's (q46's ss_customer_sk.c_current_addr_sk,
-// under ss_customer_sk) takes, besides, the same keys of the remainder of its
-// path over that embedding's dimension documents, since the value of the path
-// after that write comes from one or the other. The union may name a key
-// twice, or one no document holds, whose update matches nothing. Only a
-// foreign key equal to or a prefix of an earlier one's is asked of the
-// server, after the earlier writes.
-//
-// The finds of a level run together with the bulk writes of the level before
-// (a find reads a dimension, not coll), so embeddings d levels deep wait d+1
-// times. When calls that ran together fail, the error is the one of the
-// first: the bulk writes in plan order, then the finds.
-func embed(store driver.Store, coll string, embs []denorm.Embedding, docs []*bson.Doc) error {
-	dims := make([][]*bson.Doc, len(embs))
-	fetch := func(i int) error {
-		var keys []any
+	calls = append(calls, Call{After: append(writes, semiJoin), Do: func() error {
 		var err error
-		if keysOnServer(embs, i) {
-			keys, err = denorm.StoredKeys(store, coll, embs[i].FKField)
-		} else {
-			keys, err = localKeys(embs, i, docs, dims)
-		}
+		res.Docs, err = store.Aggregate(intermediate, stages)
 		if err != nil {
-			return err
+			return fmt.Errorf("translate: aggregating %s: %w", intermediate, err)
 		}
-		dims[i], err = denorm.FetchDimension(store, embs[i], keys)
-		return err
+		return nil
+	}})
+
+	var err error
+	res.Hops, err = Exec(calls)
+	if written && !p.KeepIntermediate {
+		// On every exit, error paths included.
+		store.DropCollection(intermediate)
 	}
-	apply := func(i int) error {
-		_, err := denorm.ApplyEmbedding(store, coll, embs[i], dims[i])
-		return err
-	}
-	var unwritten []int // the level whose finds have returned and whose writes have not run
-	for _, level := range embeddingLevels(embs) {
-		if slices.ContainsFunc(level, func(i int) bool { return keysOnServer(embs, i) }) {
-			// Its $group reads what the level before writes.
-			if err := together(len(unwritten), func(j int) error { return apply(unwritten[j]) }); err != nil {
-				return err
-			}
-			unwritten = nil
-		}
-		err := together(len(unwritten)+len(level), func(j int) error {
-			if j < len(unwritten) {
-				return apply(unwritten[j])
-			}
-			return fetch(level[j-len(unwritten)])
-		})
-		if err != nil {
-			return err
-		}
-		unwritten = level
-	}
-	return together(len(unwritten), func(j int) error { return apply(unwritten[j]) })
+	res.IntermediateDocs = len(factDocs)
+	return res, err
 }
 
-// localKeys is the key set of embedding i computed from the semi-joined
-// documents and the dimension documents fetched for the earlier embeddings
-// its foreign key lies under.
-func localKeys(embs []denorm.Embedding, i int, docs []*bson.Doc, dims [][]*bson.Doc) ([]any, error) {
-	fk := embs[i].FKField
+// localKeys is the key set of the embedding at fk: its values in the
+// semi-joined documents (denorm.ReferencedKeys, the $group the server would
+// run) and, for each earlier embedding in parents whose foreign key fk lies
+// under (q46's ss_customer_sk.c_current_addr_sk, under ss_customer_sk), the
+// values of the rest of fk's path over that embedding's dimension documents,
+// since after that write the path's value comes from one or the other. The
+// union may name a key twice, or one no document holds, whose update
+// matches nothing.
+func localKeys(fk string, docs []*bson.Doc, parents []int, embs []denorm.Embedding, dims [][]*bson.Doc) ([]any, error) {
 	keys, err := denorm.ReferencedKeys(docs, fk)
 	if err != nil {
 		return nil, err
 	}
-	for j, o := range embs[:i] {
-		if !under(fk, o.FKField) {
-			continue
-		}
-		more, err := denorm.ReferencedKeys(dims[j], fk[len(o.FKField)+1:])
+	for _, j := range parents {
+		more, err := denorm.ReferencedKeys(dims[j], fk[len(embs[j].FKField)+1:])
 		if err != nil {
 			return nil, err
 		}
 		keys = append(keys, more...)
 	}
 	return keys, nil
-}
-
-// keysOnServer reports whether an earlier embedding writes at or under
-// embedding i's foreign key, changing values the semi-joined documents hold
-// there: its keys must then be read from the collection.
-func keysOnServer(embs []denorm.Embedding, i int) bool {
-	for _, o := range embs[:i] {
-		if o.FKField == embs[i].FKField || under(o.FKField, embs[i].FKField) {
-			return true
-		}
-	}
-	return false
-}
-
-// embeddingLevels splits the embeddings, by their position in embs, into
-// levels that run one after another. A level holds every embedding not yet
-// run whose foreign key is not equal to, a prefix of, or under the foreign key
-// of an earlier one still pending, so no embedding of a level reads or writes
-// what another writes.
-func embeddingLevels(embs []denorm.Embedding) [][]int {
-	var levels [][]int
-	pending := make([]int, len(embs))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		var level, rest []int
-		for k, i := range pending {
-			if slices.ContainsFunc(pending[:k], func(j int) bool { return overlaps(embs[i].FKField, embs[j].FKField) }) {
-				rest = append(rest, i)
-			} else {
-				level = append(level, i)
-			}
-		}
-		levels = append(levels, level)
-		pending = rest
-	}
-	return levels
-}
-
-// overlaps reports whether two foreign keys share a path: the same field, or
-// one inside the other.
-func overlaps(a, b string) bool {
-	return a == b || under(a, b) || under(b, a)
 }
 
 // under reports whether path lies strictly inside parent.
