@@ -14,16 +14,7 @@
 // an unsatisfied concern comes back as a writeConcernError inside the result
 // document, with the count of members the write did reach. Find requests
 // accept a "hint": "index_name" field forcing the named index; a hint that
-// names no index fails the request instead of silently scanning. They also
-// accept an "atVersion": N field — the atClusterTime analogue — pinning the
-// query to the named committed collection version: run one query, read its
-// snapshot version from the server's engine gauges or a getTraces span
-// (storage.plan carries snapshotVersion), then pass it back so follow-up
-// queries all describe that one committed state no matter how many writes
-// land in between. Keep a cursor open at that version to anchor it against
-// retention; a version the engine no longer tracks fails the request.
-//
-//	{"op":"find","coll":"store_sales","filter":{...},"atVersion":412}
+// names no index fails the request instead of silently scanning.
 //
 // Against a sharded docstored (-shards N) the requests fan out through the
 // in-process query router; two extra ops appear:
@@ -148,104 +139,13 @@ func main() {
 	}
 }
 
-// execute converts the free-form request document into a typed request by
-// routing it through the wire codec (the document already uses the protocol's
-// field names).
+// execute decodes the request document with the wire codec, as the server
+// decodes a frame (the document already uses the protocol's field names),
+// and sends it.
 func execute(client *wire.Client, doc *bson.Doc) (*wire.Response, error) {
-	req := &wire.Request{}
-	if v, ok := doc.Get("op"); ok {
-		req.Op, _ = v.(string)
-	}
-	if v, ok := doc.Get("db"); ok {
-		req.DB, _ = v.(string)
-	}
-	if v, ok := doc.Get("coll"); ok {
-		req.Collection, _ = v.(string)
-	}
-	if v, ok := doc.Get("doc"); ok {
-		req.Doc, _ = v.(*bson.Doc)
-	}
-	if v, ok := doc.Get("filter"); ok {
-		req.Filter, _ = v.(*bson.Doc)
-	}
-	if v, ok := doc.Get("update"); ok {
-		req.Update, _ = v.(*bson.Doc)
-	}
-	if v, ok := doc.Get("sort"); ok {
-		req.Sort, _ = v.(*bson.Doc)
-	}
-	if v, ok := doc.Get("projection"); ok {
-		req.Projection, _ = v.(*bson.Doc)
-	}
-	if v, ok := doc.Get("keys"); ok {
-		req.Keys, _ = v.(*bson.Doc)
-	}
-	if v, ok := doc.Get("hint"); ok {
-		req.Hint = wire.HintString(v)
-	}
-	if v, ok := doc.Get("docs"); ok {
-		if arr, isArr := v.([]any); isArr {
-			for _, e := range arr {
-				if d, isDoc := e.(*bson.Doc); isDoc {
-					req.Docs = append(req.Docs, d)
-				}
-			}
-		}
-	}
-	if v, ok := doc.Get("limit"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.Limit = int(n)
-		}
-	}
-	if v, ok := doc.Get("skip"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.Skip = int(n)
-		}
-	}
-	if v, ok := doc.Get("atVersion"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.AtVersion = n
-		}
-	}
-	if v, ok := doc.Get("batchSize"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.BatchSize = int(n)
-		}
-	}
-	if v, ok := doc.Get("cursorId"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.CursorID = n
-		}
-	}
-	if v, ok := doc.Get("resumeAfter"); ok {
-		req.ResumeAfter, _ = v.(string)
-	}
-	if v, ok := doc.Get("opName"); ok {
-		req.OpName, _ = v.(string)
-	}
-	if v, ok := doc.Get("minDurationUS"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.MinDurationUS = n
-		}
-	}
-	if v, ok := doc.Get("maxTimeMS"); ok {
-		if n, isNum := bson.AsInt(v); isNum {
-			req.MaxTimeMS = int(n)
-		}
-	}
-	req.Multi = bson.Truthy(doc.GetOr("multi", false))
-	req.Upsert = bson.Truthy(doc.GetOr("upsert", false))
-	req.Unique = bson.Truthy(doc.GetOr("unique", false))
-	req.Ordered = bson.Truthy(doc.GetOr("ordered", false))
-	req.Journaled = bson.Truthy(doc.GetOr("j", false))
-	if v, ok := doc.Get("writeConcern"); ok {
-		// Pass the document through untouched: the server owns validation and
-		// a malformed concern must fail there, not be silently dropped here.
-		if wcDoc, isDoc := v.(*bson.Doc); isDoc {
-			req.WriteConcern = wcDoc
-		} else {
-			return nil, fmt.Errorf("writeConcern must be a document, got %T", v)
-		}
+	req, err := wire.DecodeRequest(doc)
+	if err != nil {
+		return nil, err
 	}
 	return client.Do(req)
 }

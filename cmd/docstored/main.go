@@ -56,6 +56,9 @@
 // Without -replicas, a write concern of w > 1 is refused — there is nothing
 // to replicate to — while {w: 1} and {j: true} behave as before.
 //
+// Each shape below is one driver.Deployment, built by driver.Open from the
+// flags and served by wire.Serve.
+//
 // With -shards N the process runs an in-process sharded cluster: N shard
 // servers behind a query router (the mongos role). Data-plane requests fan
 // out across the shards, "shardCollection" declares a collection's shard
@@ -88,16 +91,13 @@ import (
 	_ "net/http/pprof" // registers the /debug/pprof handlers on DefaultServeMux
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync"
 	"syscall"
 	"time"
 
+	"docstore/internal/driver"
 	"docstore/internal/metrics"
 	"docstore/internal/mongod"
-	"docstore/internal/mongos"
-	"docstore/internal/replset"
-	"docstore/internal/sharding"
 	"docstore/internal/storage"
 	"docstore/internal/trace"
 	"docstore/internal/wal"
@@ -138,129 +138,36 @@ func main() {
 		os.Exit(1)
 	}
 
-	sharded := *shards > 0
-	if sharded && *replicas > 1 {
-		fmt.Fprintf(os.Stderr, "docstored: -shards and -replicas > 1 are mutually exclusive\n")
+	syncPolicy, err := wal.ParseSyncPolicy(*walSync)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docstored: %v\n", err)
 		os.Exit(1)
 	}
-
-	backend := mongod.NewServer(mongod.Options{Name: *name, RAMBytes: *ramGB << 30})
-	durable := *dataDir != ""
-	durabilityFor := func(srv *mongod.Server, dir string) mongod.RecoveryStats {
-		policy, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: %v\n", err)
-			os.Exit(1)
-		}
-		stats, err := srv.EnableDurability(mongod.Durability{
-			Dir:                 dir,
-			Sync:                policy,
+	d, err := driver.Open(driver.Config{Name: *name, RAMBytes: *ramGB << 30, Replicas: *replicas, Shards: *shards,
+		Durability: mongod.Durability{
+			Dir:                 *dataDir,
+			Sync:                syncPolicy,
 			GroupCommitInterval: *walGroupInterval,
 			SegmentMaxBytes:     *walSegmentMB << 20,
 			ChangeStreamBuffer:  *changeStreamBuffer,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: durability: %v\n", err)
-			os.Exit(1)
-		}
-		return stats
+		},
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "docstored: %v\n", err)
+		os.Exit(1)
 	}
-	if durable && !sharded {
-		stats := durabilityFor(backend, *dataDir)
-		fmt.Printf("docstored: recovered from %s (checkpoint lsn %d, %d collection snapshots, %d wal records replayed)\n",
-			*dataDir, stats.CheckpointLSN, stats.CollectionsLoaded, stats.RecordsReplayed)
-	}
+	st := d.Status()
+	fmt.Printf("docstored: %d shard(s), %d replica(s), default write concern {w: %s}; holding %d documents in %d collections\n",
+		*shards, *replicas, defaultWC.WString(), st.Documents, st.Collections)
 
-	// -shards: an in-process cluster — N shard servers behind a query
-	// router, each durable under its own <data-dir>/shardN so the shards
-	// recover independently while the router's checkpoint keeps their
-	// durable states mutually consistent. The backend server holds no data
-	// in this mode; stats and watch reach the shards through the router.
-	var router *mongos.Router
-	var shardServers []*mongod.Server
-	if sharded {
-		router = mongos.NewRouter(sharding.NewConfigServer(), mongos.Options{Parallel: true})
-		for i := 0; i < *shards; i++ {
-			shardName := fmt.Sprintf("%s-shard%d", *name, i)
-			shard := mongod.NewServer(mongod.Options{Name: shardName})
-			if durable {
-				dir := filepath.Join(*dataDir, fmt.Sprintf("shard%d", i))
-				stats := durabilityFor(shard, dir)
-				fmt.Printf("docstored: shard %s recovered from %s (checkpoint lsn %d, %d collection snapshots, %d wal records replayed)\n",
-					shardName, dir, stats.CheckpointLSN, stats.CollectionsLoaded, stats.RecordsReplayed)
-			}
-			router.AddShard(shardName, shard)
-			shardServers = append(shardServers, shard)
-		}
-		fmt.Printf("docstored: routing across %d in-process shards\n", *shards)
-	}
-
-	var rs *replset.ReplicaSet
-	var oplogWAL *wal.WAL
-	if *replicas > 1 {
-		members := []*mongod.Server{backend}
-		for i := 1; i < *replicas; i++ {
-			members = append(members, mongod.NewServer(mongod.Options{Name: fmt.Sprintf("%s-sec%d", *name, i)}))
-		}
-		rs, err = replset.New(*name, members...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: %v\n", err)
-			os.Exit(1)
-		}
-		if durable {
-			// The oplog has its own WAL beside the primary's: reload it so
-			// replication resumes where the last process stopped. The primary
-			// already rebuilt its state through its own recovery, so it is
-			// marked caught up; the volatile secondaries replay from zero.
-			oplogDir := filepath.Join(*dataDir, "oplog")
-			n, err := rs.LoadOplogFromWAL(oplogDir)
-			if err != nil && !os.IsNotExist(err) {
-				fmt.Fprintf(os.Stderr, "docstored: reloading oplog: %v\n", err)
-				os.Exit(1)
-			}
-			if n > 0 {
-				entries := rs.Oplog()
-				rs.MarkApplied(backend.Name(), entries[len(entries)-1].Seq())
-				fmt.Printf("docstored: reloaded %d oplog entries from %s\n", n, oplogDir)
-			}
-			policy, _ := wal.ParseSyncPolicy(*walSync)
-			oplogWAL, err = wal.Open(wal.Options{
-				Dir:                 oplogDir,
-				Sync:                policy,
-				GroupCommitInterval: *walGroupInterval,
-				SegmentMaxBytes:     *walSegmentMB << 20,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "docstored: opening oplog wal: %v\n", err)
-				os.Exit(1)
-			}
-			rs.AttachWAL(oplogWAL)
-		}
-		rs.SetDefaultWriteConcern(defaultWC)
-		rs.StartReplication()
-		fmt.Printf("docstored: replica set %q with %d members, default write concern {w: %s}\n",
-			*name, *replicas, defaultWC.WString())
-	}
-
-	srv := wire.NewServer(backend)
+	srv := wire.Serve(d)
 	srv.SetCursorTimeout(*cursorTimeout)
-	if rs != nil {
-		srv.SetReplicaSet(rs)
-	}
-	if router != nil {
-		srv.SetRouter(router)
-	}
 	srv.SetDefaultWriteConcern(defaultWC)
-	tracer := trace.New(trace.Options{
+	srv.SetTracer(trace.New(trace.Options{
 		SampleRate:    *traceSample,
 		SlowThreshold: time.Duration(*profileSlowMS) * time.Millisecond,
 		RingSize:      *traceRing,
-	})
-	srv.SetTracer(tracer)
-	if rs != nil {
-		// Per-member replication lag and apply recency as labeled gauges.
-		backend.Metrics().AddGaugeSource("", rs.HealthGauges)
-	}
+	}))
 	bound, err := srv.Listen(*addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docstored: %v\n", err)
@@ -272,7 +179,7 @@ func main() {
 	if *metricsAddr != "" {
 		// The pprof import registered its handlers on DefaultServeMux; mount
 		// /metrics beside them so one listener serves both.
-		http.Handle("/metrics", metrics.Handler(srv.Metrics(), backend.Metrics()))
+		http.Handle("/metrics", metrics.Handler(srv.Metrics(), d.Server().Metrics()))
 		metricsSrv = &http.Server{Addr: *metricsAddr, Handler: http.DefaultServeMux}
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -282,35 +189,9 @@ func main() {
 		fmt.Printf("docstored: serving /metrics and /debug/pprof on %s\n", *metricsAddr)
 	}
 
-	// checkpointNow is the one checkpoint entry point: stand-alone it
-	// captures the backend; sharded it takes the router's cluster-consistent
-	// checkpoint (every shard captured under one simultaneous write hold).
-	checkpointNow := func() {
-		if router != nil {
-			st, err := router.Checkpoint()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "docstored: cluster checkpoint: %v\n", err)
-				return
-			}
-			for shardName, sst := range st.Shards {
-				if !sst.Skipped {
-					fmt.Printf("docstored: shard %s checkpoint at lsn %d (%d collections, %d segments pruned)\n",
-						shardName, sst.LSN, sst.Collections, sst.SegmentsPruned)
-				}
-			}
-			return
-		}
-		if st, err := backend.Checkpoint(); err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: checkpoint: %v\n", err)
-		} else if !st.Skipped {
-			fmt.Printf("docstored: checkpoint at lsn %d (%d collections, %d segments pruned)\n",
-				st.LSN, st.Collections, st.SegmentsPruned)
-		}
-	}
-
 	stopCheckpoints := make(chan struct{})
 	var checkpointLoop sync.WaitGroup
-	if durable && *checkpointEvery > 0 {
+	if *dataDir != "" && *checkpointEvery > 0 {
 		checkpointLoop.Add(1)
 		go func() {
 			defer checkpointLoop.Done()
@@ -319,7 +200,11 @@ func main() {
 			for {
 				select {
 				case <-ticker.C:
-					checkpointNow()
+					if report, _, err := d.Checkpoint(); err != nil {
+						fmt.Fprintf(os.Stderr, "docstored: checkpoint: %v\n", err)
+					} else {
+						fmt.Printf("docstored: checkpoint %s\n", report.ToJSON())
+					}
 				case <-stopCheckpoints:
 					return
 				}
@@ -333,8 +218,8 @@ func main() {
 	fmt.Println("docstored: shutting down")
 	close(stopCheckpoints)
 	// Wait out any in-flight periodic checkpoint: the shutdown checkpoint
-	// below would otherwise be refused as already-in-progress, and closing
-	// the WAL under a running checkpoint would fail its pruning.
+	// d.Close takes would otherwise be refused as already-in-progress, and
+	// closing the WAL under a running checkpoint would fail its pruning.
 	checkpointLoop.Wait()
 	if metricsSrv != nil {
 		metricsSrv.Close()
@@ -343,32 +228,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docstored: close: %v\n", err)
 		os.Exit(1)
 	}
-	if rs != nil {
-		// Fails any write still waiting on a quorum and stops the appliers
-		// before the logs underneath them close.
-		rs.Close()
-	}
-	if oplogWAL != nil {
-		if err := oplogWAL.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: closing oplog wal: %v\n", err)
-		}
-	}
-	if durable {
-		// A shutdown checkpoint makes the next startup a snapshot load
-		// instead of a long replay, and prunes the log while we are at it.
-		// Sharded, it is cluster-consistent: every shard's durable state
-		// restores to the same capture point.
-		checkpointNow()
-		if sharded {
-			for _, shard := range shardServers {
-				if err := shard.CloseDurability(); err != nil {
-					fmt.Fprintf(os.Stderr, "docstored: closing shard wal: %v\n", err)
-					os.Exit(1)
-				}
-			}
-		} else if err := backend.CloseDurability(); err != nil {
-			fmt.Fprintf(os.Stderr, "docstored: closing wal: %v\n", err)
-			os.Exit(1)
-		}
+	// A durable deployment's last checkpoint makes the next start a
+	// snapshot load instead of a long replay; sharded, it is
+	// cluster-consistent.
+	if err := d.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "docstored: closing: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -112,14 +112,16 @@
 //     UpdateOne/UpdateMany/DeleteID — is a one-op ordered BulkWrite at its
 //     own layer, and the wire server turns each of its five write ops into
 //     a []storage.WriteOp and hands it to one function (wire.Server's
-//     execBatch), which picks the router, the replica set or the server
-//     itself; each of those ends in storage.Collection.BulkApply. So
+//     execBatch), which calls the BulkWrite of its driver.Deployment's
+//     Store: the router's, the replica set's or the server's own; each of
+//     those ends in storage.Collection.BulkApply. So
 //     routing, COW accounting, journaling, write-concern threading,
 //     op timing and tracing each happen in one place: a plain insert and a
 //     {j: true} insert produce the same span tree, "mongod.bulkWrite" over
 //     "storage.bulkWrite" and "wal.commitWait". Reads, counts, aggregates
 //     and index and collection management reach the deployment through
-//     driver.Store, chosen once per request.
+//     the same driver.Store, asked for by data ops only, so a stats,
+//     listCollections or checkpoint request creates no database.
 //   - the wire protocol's bulkWrite op carries the batch ("docs", one op
 //     document each), the ordered flag and a result document with counters,
 //     aligned insertedIds and the writeErrors array; wire.Client.BulkWrite
@@ -475,15 +477,11 @@
 //     through every layer instead of silently degrading to a collection
 //     scan (a hint can therefore succeed at an old version after the index
 //     is dropped from the current one).
-//   - Read-at-version: FindOptions.AtVersion (wire "atVersion", the
-//     atClusterTime analogue) pins a find to a named committed version:
-//     run one query, read its snapshot version from explain or the
-//     storage.plan span, and point follow-up queries at it so a whole
-//     session describes one committed state no matter how many writes land
-//     in between. A version is addressable while the engine tracks it —
-//     anchor the session by keeping its first cursor open; afterwards the
-//     request fails with storage.ErrVersionRetired rather than silently
-//     reading newer state.
+//   - Read-at-version: storage.FindOptions.AtVersion pins a find to a
+//     named committed version while the engine still tracks it, and fails
+//     with storage.ErrVersionRetired after; it has no wire or shell
+//     surface, and the index-churn oracle reads through it to compare an
+//     index against a scan of the same version.
 //   - Surfacing: storage.Plan carries SnapshotVersion and Isolation
 //     ("snapshot"), shown by explain (FindWithPlan) and a cursor's Plan
 //     once it finishes its drain, and carried by the storage.plan span
@@ -717,7 +715,7 @@
 //     the subscription down, even mid-getMore. wire.Client.Watch wraps
 //     the exchange, driver.Store.Watch abstracts over both deployments
 //     (and errors when a server under it is not durable) and serves the
-//     wire op on every deployment docstored runs, and
+//     wire op on every driver.Deployment docstored runs, and
 //     docstore-shell passes watch/getMore/resumeAfter straight through.
 //
 // # Replication & write concern
@@ -769,10 +767,14 @@
 //     acknowledged set at the storage, mongod and mongos layers.
 //   - Deployment: docstored -replicas N runs an in-process replica set with
 //     the durable server as primary; -write-concern sets the default for
-//     writes that carry none ("majority", "2+j", ...). On a durable server
-//     the oplog has its own WAL under <data-dir>/oplog and is reloaded on
-//     restart. benchmark/'s ingest_replicated workload measures majority+j
-//     write latency against such a deployment, and replset.ack_wait_us the
+//     writes that carry none ("majority", "2+j", ...). docstored builds a
+//     stand-alone server, a replica set or a router over shards with one
+//     constructor, driver.Open, as one driver.Deployment that wire.Serve
+//     serves and whose Close keeps the shutdown order: the set, its oplog's
+//     WAL, a last checkpoint, the servers' WALs. On a durable server the
+//     oplog has its own WAL under <data-dir>/oplog, reloaded by Open on
+//     restart. benchmark/'s ingest_replicated workload measures majority+j write
+//     latency against such a deployment, and replset.ack_wait_us the
 //     quorum wait alone.
 //
 // # Observability

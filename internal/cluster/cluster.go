@@ -18,10 +18,9 @@ import (
 type Config struct {
 	// Shards is the number of shard servers (the thesis uses 3).
 	Shards int
-	// ShardRAMBytes / ShardDiskBytes size each shard server (informational,
-	// feeds working-set pressure reporting).
-	ShardRAMBytes  int64
-	ShardDiskBytes int64
+	// ShardRAMBytes sizes each shard server (informational, feeds
+	// working-set pressure reporting).
+	ShardRAMBytes int64
 	// NetworkLatency simulates the per-call network cost between the query
 	// router and the shards.
 	NetworkLatency time.Duration
@@ -29,12 +28,11 @@ type Config struct {
 	ParallelScatter bool
 	// ChunkSizeBytes overrides the 64 MB default chunk size.
 	ChunkSizeBytes int
-	// NamePrefix names the shard servers ("Shard1", "Shard2", ...).
-	NamePrefix string
 }
 
-// Cluster is a fully assembled sharded deployment: shard servers, a config
-// server and a query router, mirroring Figure 3.1.
+// Cluster is a fully assembled sharded deployment: shard servers named
+// Shard1, Shard2, ..., a config server and a query router, mirroring
+// Figure 3.1.
 type Cluster struct {
 	cfg    Config
 	shards []*mongod.Server
@@ -47,20 +45,13 @@ func Build(cfg Config) (*Cluster, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("cluster: at least one shard is required")
 	}
-	if cfg.NamePrefix == "" {
-		cfg.NamePrefix = "Shard"
-	}
 	c := &Cluster{cfg: cfg, config: sharding.NewConfigServer()}
 	c.router = mongos.NewRouter(c.config, mongos.Options{
 		NetworkLatency: cfg.NetworkLatency,
 		Parallel:       cfg.ParallelScatter,
 	})
 	for i := 0; i < cfg.Shards; i++ {
-		s := mongod.NewServer(mongod.Options{
-			Name:      fmt.Sprintf("%s%d", cfg.NamePrefix, i+1),
-			RAMBytes:  cfg.ShardRAMBytes,
-			DiskBytes: cfg.ShardDiskBytes,
-		})
+		s := mongod.NewServer(mongod.Options{Name: fmt.Sprintf("Shard%d", i+1), RAMBytes: cfg.ShardRAMBytes})
 		c.shards = append(c.shards, s)
 		c.router.AddShard(s.Name(), s)
 	}
@@ -86,32 +77,7 @@ func (c *Cluster) ConfigServer() *sharding.ConfigServer { return c.config }
 // Shards returns the shard servers.
 func (c *Cluster) Shards() []*mongod.Server { return append([]*mongod.Server(nil), c.shards...) }
 
-// ShardCount returns the number of shards.
-func (c *Cluster) ShardCount() int { return len(c.shards) }
-
 // ShardCollection shards db.coll on the given key and returns its metadata.
 func (c *Cluster) ShardCollection(db, coll string, keySpec *bson.Doc) (*sharding.CollectionMetadata, error) {
 	return c.router.EnableSharding(db, coll, keySpec, c.cfg.ChunkSizeBytes)
-}
-
-// Status summarizes the cluster.
-type Status struct {
-	Shards        []mongod.ServerStatus
-	ShardedColls  []string
-	Routing       mongos.RoutingStats
-	TotalDataSize int64
-}
-
-// Status gathers the current cluster status.
-func (c *Cluster) Status() Status {
-	st := Status{
-		ShardedColls: c.config.ShardedNamespaces(),
-		Routing:      c.router.Stats(),
-	}
-	for _, s := range c.shards {
-		ss := s.Status()
-		st.Shards = append(st.Shards, ss)
-		st.TotalDataSize += ss.DataSizeBytes
-	}
-	return st
 }

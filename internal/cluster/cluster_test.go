@@ -9,8 +9,8 @@ import (
 
 func TestBuildClusterTopology(t *testing.T) {
 	c := MustBuild(Config{Shards: 3, ShardRAMBytes: 8 << 30})
-	if c.ShardCount() != 3 || len(c.Shards()) != 3 {
-		t.Fatalf("shard count = %d", c.ShardCount())
+	if len(c.Shards()) != 3 {
+		t.Fatalf("shard count = %d", len(c.Shards()))
 	}
 	if c.Router() == nil || c.ConfigServer() == nil {
 		t.Fatalf("router or config server missing")
@@ -21,9 +21,10 @@ func TestBuildClusterTopology(t *testing.T) {
 	if _, err := Build(Config{Shards: 0}); err == nil {
 		t.Fatalf("zero shards should fail")
 	}
-	st := c.Status()
-	if len(st.Shards) != 3 {
-		t.Fatalf("status shards = %d", len(st.Shards))
+	for i, s := range c.Shards() {
+		if st := s.Status(); st.RAMBytes != 8<<30 {
+			t.Fatalf("shard %d status RAM = %d, want 8 GiB", i, st.RAMBytes)
+		}
 	}
 }
 
@@ -66,8 +67,11 @@ func TestClusterShardLoadAndQuery(t *testing.T) {
 	if err != nil || len(docs) != 4 {
 		t.Fatalf("targeted find = %d docs, %v", len(docs), err)
 	}
-	st := c.Status()
-	if len(st.ShardedColls) != 1 || st.TotalDataSize <= 0 {
-		t.Fatalf("cluster status = %+v", st)
+	var dataSize int64
+	for _, s := range c.Shards() {
+		dataSize += s.Status().DataSizeBytes
+	}
+	if sharded := c.ConfigServer().ShardedNamespaces(); len(sharded) != 1 || dataSize <= 0 {
+		t.Fatalf("sharded namespaces %v, data size %d", sharded, dataSize)
 	}
 }

@@ -78,7 +78,7 @@ func TestSetupStandaloneAndShardedDeployments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Cluster == nil || sharded.Cluster.ShardCount() != cfg.Shards {
+	if sharded.Cluster == nil || len(sharded.Cluster.Shards()) != cfg.Shards {
 		t.Fatalf("sharded deployment misconfigured")
 	}
 	// The fact collections are sharded; data is spread over the shards.

@@ -4,6 +4,12 @@
 // server and against a sharded cluster's query router. The data-migration,
 // denormalization and query-translation algorithms are all written against
 // this interface, so each experiment only swaps the deployment underneath.
+//
+// A Deployment is the same swap for a server front end: one value per shape
+// docstored runs (a stand-alone server, a replica set, a router over shards)
+// that hands out a Store per database and answers the admin questions
+// (collections, status, checkpoint, shardCollection, close) for its shape.
+// Open builds one from docstored's settings, recovering its data directory.
 package driver
 
 import (

@@ -108,6 +108,16 @@ func (s *Server) DatabaseNames() []string {
 	return names
 }
 
+// CollectionNames lists the named database's collections in sorted order
+// without creating the database: none when it does not exist.
+func (s *Server) CollectionNames(db string) []string {
+	d, ok := s.lookupDatabase(db)
+	if !ok {
+		return nil
+	}
+	return d.CollectionNames()
+}
+
 // DropDatabase removes the named database and reports whether it existed.
 // With durability enabled the drop is journaled under the same lock that
 // removes it — so it cannot interleave with writes to a recreated same-name

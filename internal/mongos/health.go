@@ -4,9 +4,8 @@ import "docstore/internal/bson"
 
 // HealthDocs aggregates replication health from every replica-backed shard,
 // tagging each member document with its shard name: the serverStatus "repl"
-// section for a routed deployment. Plain shards contribute nothing. The
-// method gives *Router the same replication-health face *replset.ReplicaSet
-// has, so the wire layer's interface assertion works behind a router too.
+// section of a routed deployment, as driver.NewRouted's Members. Plain shards
+// contribute nothing.
 func (r *Router) HealthDocs() []*bson.Doc {
 	type memberHealthSource interface {
 		HealthDocs() []*bson.Doc

@@ -134,6 +134,20 @@ func (r *Router) ShardNames() []string {
 	return append([]string(nil), r.order...)
 }
 
+// Replicated reports whether every shard is a replica set, which answers a
+// write concern of w > 1 itself; a plain shard would acknowledge it once it
+// alone had applied the write.
+func (r *Router) Replicated() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, shard := range r.shards {
+		if _, plain := shard.(setOfOne); plain {
+			return false
+		}
+	}
+	return len(r.shards) > 0
+}
+
 // PrimaryShard returns the shard that stores unsharded collections.
 func (r *Router) PrimaryShard() *mongod.Server {
 	r.mu.RLock()

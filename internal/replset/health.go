@@ -62,8 +62,8 @@ func (rs *ReplicaSet) Health() []MemberHealth {
 }
 
 // HealthDocs renders Health as wire documents: the serverStatus "repl"
-// member list. The wire layer reaches it through an interface assertion so
-// it does not import this package.
+// member list, which driver.NewReplicated's deployment reports as its
+// Members.
 func (rs *ReplicaSet) HealthDocs() []*bson.Doc {
 	health := rs.Health()
 	out := make([]*bson.Doc, 0, len(health))

@@ -6,124 +6,12 @@ import (
 	"time"
 
 	"docstore/internal/bson"
+	"docstore/internal/driver"
 	"docstore/internal/mongod"
 	"docstore/internal/mongos"
 	"docstore/internal/sharding"
-	"docstore/internal/storage"
-	"docstore/internal/trace"
 	"docstore/internal/wal"
 )
-
-// TestFindAtVersionOverTheWire drives the read-at-version session over a
-// real socket: a client anchors a committed version, keeps reading it while
-// another client's updates land, and gets a loud failure once the version
-// is no longer retained.
-func TestFindAtVersionOverTheWire(t *testing.T) {
-	srv, c := startServer(t)
-	for i := 0; i < 10; i++ {
-		if err := c.Insert("db", "c", bson.D(bson.IDKey, i, "k", i%2, "state", "before")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Anchor: hold a cursor open at the current version (the shell does the
-	// same with an un-drained batched find).
-	coll := srv.backend.Database("db").Collection("c")
-	anchor, err := coll.FindCursor(nil, storage.FindOptions{BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anchor.Close()
-	v := anchor.Plan().SnapshotVersion
-
-	if _, err := c.Update("db", "c", bson.D("k", 1), bson.D("$set", bson.D("state", "after")), true, false); err != nil {
-		t.Fatal(err)
-	}
-
-	pinned, err := c.FindAtVersion("db", "c", bson.D("k", 1), nil, v, 0)
-	if err != nil {
-		t.Fatalf("FindAtVersion: %v", err)
-	}
-	if len(pinned) != 5 {
-		t.Fatalf("pinned read returned %d docs, want 5", len(pinned))
-	}
-	for _, d := range pinned {
-		if state, _ := d.Get("state"); state != "before" {
-			t.Fatalf("pinned read leaked post-anchor state: %s", d)
-		}
-	}
-	current, err := c.Find("db", "c", bson.D("k", 1), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range current {
-		if state, _ := d.Get("state"); state != "after" {
-			t.Fatalf("current read missed the update: %s", d)
-		}
-	}
-
-	// A version the engine does not track fails the request instead of
-	// silently reading something else.
-	if _, err := c.FindAtVersion("db", "c", nil, nil, 1<<40, 0); err == nil || !strings.Contains(err.Error(), "not retained") {
-		t.Fatalf("untracked version read: %v, want a not-retained error", err)
-	}
-}
-
-// TestAtVersionPlanSymmetryOverTheWire is the explain-symmetry contract at
-// the wire layer: a find pinned to an old version reports — through the
-// storage.plan span the tracer retains — the pinned snapshot version and
-// the index it planned against, proving the plan came from that version's
-// frozen index set rather than the current one.
-func TestAtVersionPlanSymmetryOverTheWire(t *testing.T) {
-	srv := NewServer(mongod.NewServer(mongod.Options{Name: "traced"}))
-	srv.SetTracer(trace.New(trace.Options{SampleRate: 1}))
-	t.Cleanup(func() { srv.Close() })
-
-	for i := 0; i < 8; i++ {
-		if resp := srv.Handle(&Request{Op: OpInsert, DB: "db", Collection: "c", Doc: bson.D(bson.IDKey, i, "k", i)}); resp.Error != "" {
-			t.Fatalf("seed: %s", resp.Error)
-		}
-	}
-	if resp := srv.Handle(&Request{Op: OpEnsureIndex, DB: "db", Collection: "c", Keys: bson.D("k", 1)}); resp.Error != "" {
-		t.Fatalf("ensureIndex: %s", resp.Error)
-	}
-
-	coll := srv.backend.Database("db").Collection("c")
-	anchor, err := coll.FindCursor(nil, storage.FindOptions{BatchSize: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anchor.Close()
-	v := anchor.Plan().SnapshotVersion
-
-	// Writes move the current version past the anchor.
-	if resp := srv.Handle(&Request{Op: OpInsert, DB: "db", Collection: "c", Doc: bson.D(bson.IDKey, 100, "k", 100)}); resp.Error != "" {
-		t.Fatalf("post-anchor insert: %s", resp.Error)
-	}
-
-	resp := srv.Handle(&Request{Op: OpFind, DB: "db", Collection: "c", Filter: bson.D("k", 3), AtVersion: v})
-	if resp.Error != "" {
-		t.Fatalf("at-version find: %s", resp.Error)
-	}
-	if resp.N != 1 {
-		t.Fatalf("at-version find returned %d docs, want 1", resp.N)
-	}
-
-	views := srv.Tracer().Traces(1)
-	if len(views) != 1 || views[0].Name != "wire.find" {
-		t.Fatalf("latest trace = %+v, want wire.find", views)
-	}
-	plan := views[0].Find("storage.plan")
-	if plan == nil {
-		t.Fatalf("storage.plan missing from at-version find trace")
-	}
-	if idx, _ := plan.Attr("index"); idx != "k_1" {
-		t.Fatalf("plan index attr = %v, want k_1", idx)
-	}
-	if sv, _ := plan.Attr("snapshotVersion"); sv != v {
-		t.Fatalf("plan snapshotVersion attr = %v, want the pinned version %d", sv, v)
-	}
-}
 
 // TestCheckpointOpOverTheWire exercises the checkpoint request against a
 // stand-alone durable server: the response carries the capture LSN and
@@ -179,8 +67,8 @@ func TestCheckpointOpOverTheWire(t *testing.T) {
 	}
 }
 
-// TestRoutedClusterOverTheWire turns a wire server into the mongos role
-// with SetRouter and drives the sharded surface end to end over a socket:
+// TestRoutedClusterOverTheWire serves a router deployment (the mongos
+// role) and drives the sharded surface end to end over a socket:
 // shardCollection, fanned-out writes and reads, the shard-union collection
 // listing, and a cluster-consistent checkpoint reporting every shard.
 func TestRoutedClusterOverTheWire(t *testing.T) {
@@ -192,8 +80,7 @@ func TestRoutedClusterOverTheWire(t *testing.T) {
 		}
 		router.AddShard(name, shard)
 	}
-	srv := NewServer(mongod.NewServer(mongod.Options{Name: "router-front"}))
-	srv.SetRouter(router)
+	srv := Serve(driver.NewRouted(mongod.NewServer(mongod.Options{Name: "router-front"}), router))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

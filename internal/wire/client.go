@@ -115,16 +115,6 @@ func (c *Client) FindWithHint(db, coll string, filter, sort *bson.Doc, hint stri
 	return c.docs(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, Hint: hint, Limit: limit})
 }
 
-// FindAtVersion is Find pinned to a committed collection version — the
-// client face of the engine's read-at-version (atClusterTime analogue). A
-// session reads the version of its first query from the server's explain
-// output (or serverStatus) and passes it to follow-up queries so every
-// result describes one committed state; the server fails the request when
-// the version is no longer retained.
-func (c *Client) FindAtVersion(db, coll string, filter, sort *bson.Doc, atVersion int64, limit int) ([]*bson.Doc, error) {
-	return c.docs(&Request{Op: OpFind, DB: db, Collection: coll, Filter: filter, Sort: sort, AtVersion: atVersion, Limit: limit})
-}
-
 // Checkpoint asks the server to take a durable checkpoint now. Against a
 // stand-alone server it captures and streams one checkpoint; against a
 // router-fronted cluster it takes a cluster-consistent checkpoint across

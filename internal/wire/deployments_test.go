@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"docstore/internal/bson"
+	"docstore/internal/driver"
 	"docstore/internal/mongod"
 	"docstore/internal/mongos"
 	"docstore/internal/replset"
@@ -33,8 +34,9 @@ func durableServer(t *testing.T, name string) *mongod.Server {
 }
 
 // threeDeployments builds the three shapes docstored serves — a stand-alone
-// server, a replica set behind SetReplicaSet and a two-shard cluster behind
-// SetRouter — every executing server durable and every request traced.
+// server, a replica set and a two-shard cluster behind a router, each through
+// its deployment's constructor — every executing server durable and every
+// request traced.
 func threeDeployments(t *testing.T) []deployment {
 	t.Helper()
 	alone := durableServer(t, "alone")
@@ -46,22 +48,20 @@ func threeDeployments(t *testing.T) []deployment {
 	}
 	rs.StartReplication()
 	t.Cleanup(rs.Close)
-	replicated := NewServer(primary)
-	replicated.SetReplicaSet(rs)
+	replicated := Serve(driver.NewReplicated(rs))
 
 	router := mongos.NewRouter(sharding.NewConfigServer(), mongos.Options{})
 	shards := []*mongod.Server{durableServer(t, "s0"), durableServer(t, "s1")}
 	for _, s := range shards {
 		router.AddShard(s.Name(), s)
 	}
-	routed := NewServer(mongod.NewServer(mongod.Options{Name: "router-front"}))
-	routed.SetRouter(router)
+	routed := Serve(driver.NewRouted(mongod.NewServer(mongod.Options{Name: "router-front"}), router))
 	if resp := routed.Handle(&Request{Op: OpShardCollection, DB: "db", Collection: "c", Keys: bson.D("k", "hashed")}); !resp.OK {
 		t.Fatalf("shardCollection: %s", resp.Error)
 	}
 
 	ds := []deployment{
-		{"stand-alone", NewServer(alone), []*mongod.Server{alone}},
+		{"stand-alone", Serve(driver.NewSingle(alone)), []*mongod.Server{alone}},
 		{"replica set", replicated, []*mongod.Server{primary}},
 		{"router", routed, shards},
 	}
@@ -83,13 +83,21 @@ func items(lo, hi int) []*bson.Doc {
 	return docs
 }
 
+// A scriptStep is one request of the script and, when the shapes answer it
+// differently, each deployment's answer by name.
+type scriptStep struct {
+	req  *Request
+	want map[string]string
+}
+
 // requestScript is the sequence every deployment must answer alike: the five
 // write ops with and without a write concern, reads with and without a
-// cursor, and index and collection management. Reads sort, and no insertMany
-// fails (ordered on one server, unordered through a router, by design), so
-// the replies are meant to agree to the byte. It is built anew per
+// cursor, index and collection management, and the admin ops. Reads sort,
+// and no insertMany fails (ordered on one server, unordered through a
+// router, by design), so the replies are meant to agree to the byte; only
+// checkpoint, shardCollection and w: 2 answer by shape. It is built anew per
 // deployment because an insert stores the document it is sent.
-func requestScript() []*Request {
+func requestScript() []scriptStep {
 	journaled, majority := bson.D("j", true), bson.D("w", "majority")
 	inc := bson.D("$inc", bson.D("v", 1))
 	byID := bson.D(bson.IDKey, 1)
@@ -125,15 +133,61 @@ func requestScript() []*Request {
 		{Op: OpAggregate, Docs: groupByG},
 		{Op: OpAggregate, Docs: groupByG, BatchSize: 2},
 		{Op: OpListColls},
-		{Op: OpDrop},
-		{Op: OpDrop},
-		{Op: OpListColls},
-		{Op: OpCount},
+		{Op: OpStats},
 	}
+	steps := make([]scriptStep, 0, len(reqs)+10)
 	for _, r := range reqs {
-		r.DB, r.Collection = "db", "c"
+		steps = append(steps, scriptStep{req: r})
 	}
-	return reqs
+	byShape := func(alone, replicated, routed string) map[string]string {
+		return map[string]string{"stand-alone": alone, "replica set": replicated, "router": routed}
+	}
+	noRouter := `ok=false n=0 error="shardCollection requires a query router (docstored -shards)" cursor=false`
+	noSet := `ok=false n=0 error="writeConcern {w: 2} requires a replica set; this server is standalone" cursor=false`
+	oneCheckpoint := `ok=true n=1 error="" cursor=false result={"collections":1,"skipped":false}`
+	steps = append(steps,
+		scriptStep{&Request{Op: OpCheckpoint}, byShape(oneCheckpoint, oneCheckpoint,
+			`ok=true n=2 error="" cursor=false result={"shards":{"s0":{"collections":1,"skipped":false},"s1":{"collections":1,"skipped":false}}}`)},
+		scriptStep{&Request{Op: OpShardCollection, Keys: bson.D("k", "hashed")}, byShape(noRouter, noRouter,
+			`ok=false n=0 error="sharding: collection \"db.c\" is already sharded; the shard key is immutable" cursor=false`)},
+		scriptStep{&Request{Op: OpShardCollection}, byShape(noRouter, noRouter, `ok=false n=0 error="keys is required" cursor=false`)},
+		scriptStep{&Request{Op: OpInsert, Doc: item(30), WriteConcern: bson.D("w", 2)}, byShape(noSet,
+			`ok=true n=1 error="" cursor=false`, noSet)},
+		scriptStep{&Request{Op: OpBulkWrite, WriteConcern: bson.D("w", 2), Docs: []*bson.Doc{BulkInsertOp(item(31))}}, byShape(noSet,
+			`ok=true n=1 error="" cursor=false result={"nInserted":1,"nMatched":0,"nModified":0,"nUpserted":0,"nDeleted":0,"attempted":1,"insertedIds":[31]}`, noSet)},
+	)
+	for _, r := range []*Request{{Op: OpDrop}, {Op: OpDrop}, {Op: OpListColls}, {Op: OpCount}} {
+		steps = append(steps, scriptStep{req: r})
+	}
+	for _, st := range steps {
+		st.req.DB, st.req.Collection = "db", "c"
+	}
+	return steps
+}
+
+// comparable keeps what the shapes can agree on of an admin op's answer:
+// the data half of stats, and a checkpoint's outcome without the log
+// positions, which differ from server to server.
+func comparable(req *Request, resp *Response) *Response {
+	switch {
+	case req.Op == OpStats && len(resp.Docs) == 1:
+		st := resp.Docs[0]
+		resp.Docs = []*bson.Doc{bson.D("databases", st.GetOr("databases", nil),
+			"collections", st.GetOr("collections", nil), "documents", st.GetOr("documents", nil))}
+	case req.Op == OpCheckpoint && resp.Result != nil:
+		outcomes := []*bson.Doc{resp.Result}
+		if shards, ok := resp.Result.GetOr("shards", nil).(*bson.Doc); ok {
+			outcomes = outcomes[:0]
+			for _, name := range shards.Keys() {
+				outcomes = append(outcomes, shards.GetOr(name, nil).(*bson.Doc))
+			}
+		}
+		for _, o := range outcomes {
+			o.Delete("lsn")
+			o.Delete("segmentsPruned")
+		}
+	}
+	return resp
 }
 
 // reply renders what the deployments are meant to agree on: everything but
@@ -177,8 +231,9 @@ func TestOneRequestScriptThreeDeployments(t *testing.T) {
 	ds := threeDeployments(t)
 	want := make([]string, 0, 32)
 	for di, d := range ds {
-		for i, req := range requestScript() {
-			resp := d.srv.Handle(req)
+		for i, step := range requestScript() {
+			req := step.req
+			resp := comparable(req, d.srv.Handle(req))
 			got := reply(resp)
 			if resp.CursorID != 0 {
 				if kill := d.srv.Handle(&Request{Op: OpKillCursors, DB: "db", CursorID: resp.CursorID}); kill.N != 1 {
@@ -187,6 +242,11 @@ func TestOneRequestScriptThreeDeployments(t *testing.T) {
 			}
 			if di == 0 {
 				want = append(want, got)
+			}
+			if step.want != nil {
+				if got != step.want[d.name] {
+					t.Fatalf("request %d (%s): %s answered\n%s\nwant\n%s", i, req.Op, d.name, got, step.want[d.name])
+				}
 			} else if got != want[i] {
 				t.Fatalf("request %d (%s):\n%s answered\n%s\n%s answered\n%s", i, req.Op, d.name, got, ds[0].name, want[i])
 			}
@@ -354,5 +414,45 @@ func TestRoutedStatsSumsShards(t *testing.T) {
 	engine, _ := stats.GetOr("engine", bson.D()).(*bson.Doc)
 	if pages, _ := bson.AsInt(engine.GetOr("pages", nil)); pages < 2 {
 		t.Fatalf("routed stats engine.pages = %d, want one page per shard collection at least", pages)
+	}
+}
+
+// databaseNames lists, per executing server, the databases it holds.
+func (d deployment) databaseNames() string {
+	var names []string
+	for _, s := range d.executors {
+		names = append(names, s.Name()+fmt.Sprint(s.DatabaseNames()))
+	}
+	return strings.Join(names, " ")
+}
+
+// TestAdminOpsCreateNoDatabase: stats, listCollections and checkpoint name
+// a database without creating it, on every deployment, so stats counts what
+// the data ops created and nothing else.
+func TestAdminOpsCreateNoDatabase(t *testing.T) {
+	for _, d := range threeDeployments(t) {
+		t.Run(d.name, func(t *testing.T) {
+			before := d.databaseNames()
+			stats := func(db string) int64 {
+				t.Helper()
+				resp := d.srv.Handle(&Request{Op: OpStats, DB: db})
+				if !resp.OK {
+					t.Fatalf("stats on %s: %s", db, resp.Error)
+				}
+				n, _ := bson.AsInt(resp.Docs[0].GetOr("databases", nil))
+				return n
+			}
+			dbs := stats("admin")
+			if resp := d.srv.Handle(&Request{Op: OpListColls, DB: "ghost"}); !resp.OK || resp.N != 0 {
+				t.Fatalf("listCollections on ghost = %+v, want none", resp)
+			}
+			d.srv.Handle(&Request{Op: OpCheckpoint, DB: "ghost"})
+			if after := d.databaseNames(); after != before {
+				t.Fatalf("stats, listCollections and checkpoint turned databases %s into %s", before, after)
+			}
+			if again := stats("ghost"); again != dbs {
+				t.Fatalf("stats counts %d databases after reading ghost, %d before", again, dbs)
+			}
+		})
 	}
 }

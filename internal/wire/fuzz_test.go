@@ -21,7 +21,7 @@ func FuzzFrameDecode(f *testing.F) {
 		{Op: OpInsert, DB: "db", Collection: "c", Doc: doc, Journaled: true, WriteConcern: bson.D("w", "majority")},
 		{Op: OpInsertMany, DB: "db", Collection: "c", Docs: []*bson.Doc{doc, doc}},
 		{Op: OpFind, DB: "db", Collection: "c", Filter: bson.D("k", bson.D("$gte", 1)), Sort: bson.D("k", -1),
-			Projection: bson.D("k", 1), Hint: "k_1", Limit: 10, Skip: 2, AtVersion: 7, BatchSize: 4},
+			Projection: bson.D("k", 1), Hint: "k_1", Limit: 10, Skip: 2, BatchSize: 4},
 		{Op: OpCount, DB: "db", Collection: "c", Filter: bson.D("k", 1)},
 		{Op: OpUpdate, DB: "db", Collection: "c", Filter: bson.D("k", 1), Update: bson.D("$inc", bson.D("v", 1)), Multi: true, Upsert: true},
 		{Op: OpDelete, DB: "db", Collection: "c", Filter: bson.D("k", 1)},

@@ -37,7 +37,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// The insert executed on shard primary A as a one-op batch, which is
 	// labeled by its op's kind whatever the write concern.
 	var b strings.Builder
-	srv.backend.Metrics().WritePrometheus(&b)
+	srv.d.Server().Metrics().WritePrometheus(&b)
 	series := `docstore_mongod_op_duration_seconds_count{op="insert"} 1`
 	if exposition := b.String(); !strings.Contains(exposition, series) {
 		t.Fatalf("per-op histogram series missing, want %q in:\n%s", series, exposition)

@@ -229,12 +229,6 @@ type Request struct {
 	Hint  string
 	Limit int
 	Skip  int
-	// AtVersion pins a find to the named committed collection version — the
-	// wire form of the atClusterTime read. 0 reads current; a version the
-	// engine no longer retains fails the request (anchor it by holding a
-	// cursor open at that version). Against a router it pins the same
-	// version number on every targeted shard.
-	AtVersion int64
 	// BatchSize > 0 turns a find/aggregate into a cursor request: the
 	// response carries the first batch plus a CursorID to getMore against.
 	// It also sets the batch size of a getMore.
@@ -334,7 +328,6 @@ func (r *Request) appendFrame(buf []byte) []byte {
 	buf = appendStr(buf, "hint", r.Hint)
 	buf = appendInt(buf, "limit", int64(r.Limit))
 	buf = appendInt(buf, "skip", int64(r.Skip))
-	buf = appendInt(buf, "atVersion", r.AtVersion)
 	buf = appendInt(buf, "batchSize", int64(r.BatchSize))
 	buf = appendInt(buf, "cursorId", r.CursorID)
 	buf = appendFlag(buf, "multi", r.Multi)
@@ -414,6 +407,18 @@ func (f *fieldReader) docs(e bson.Element) []*bson.Doc {
 	return docs
 }
 
+// DecodeRequest reads a request written as a document under the protocol's
+// field names, as the server reads a request frame. A writeConcern that is
+// not a document is refused here, since the frame the request encodes to
+// would leave it out.
+func DecodeRequest(d *bson.Doc) (*Request, error) {
+	r, err := readRequest(bson.Marshal(d))
+	if err == nil && r.invalidWC {
+		err = errors.New("invalid writeConcern: must be a document")
+	}
+	return r, err
+}
+
 // readRequest decodes a request frame.
 func readRequest(frame []byte) (*Request, error) {
 	it, err := bson.ReadElements(frame)
@@ -455,8 +460,6 @@ func readRequest(frame []byte) (*Request, error) {
 			r.Limit = int(f.int(e))
 		case "skip":
 			r.Skip = int(f.int(e))
-		case "atVersion":
-			r.AtVersion = f.int(e)
 		case "batchSize":
 			r.BatchSize = int(f.int(e))
 		case "cursorId":

@@ -15,8 +15,8 @@ import (
 	"docstore/internal/changestream"
 	"docstore/internal/driver"
 	"docstore/internal/mongod"
-	"docstore/internal/mongos"
 	"docstore/internal/query"
+	"docstore/internal/replset"
 	"docstore/internal/storage"
 	"docstore/internal/trace"
 )
@@ -39,35 +39,15 @@ const DefaultAwaitDataTimeout = time.Second
 // and keep the whole server materializing events forever.
 const TailableCursorTimeoutMultiple = 6
 
-// ReplicatedBackend is the write path of a replica set: every write becomes
-// one logged batch whose acknowledgement honours its write concern.
-// *replset.ReplicaSet implements it; the wire package only needs this slice
-// of it, which keeps the dependency arrow pointing at storage types.
-type ReplicatedBackend interface {
-	BulkWrite(db, coll string, ops []storage.WriteOp, opts storage.BulkOptions) storage.BulkResult
-}
-
-// replHealthSource is the optional replication-health face of a replicated
-// backend: *replset.ReplicaSet implements it, and serverStatus includes a
-// per-member lag section when the attached backend does. An interface
-// assertion keeps wire from importing replset.
-type replHealthSource interface {
-	HealthDocs() []*bson.Doc
-}
-
-// Server serves the wire protocol for a mongod.Server over TCP.
+// Server serves the wire protocol over TCP for one driver.Deployment: a
+// stand-alone server, a replica set, or a query router over shards (the
+// mongos role, docstored -shards). Every request reaches the deployment
+// through the same methods whatever its shape: data operations through its
+// Store, whose BulkWrite is the one write path, and listCollections, stats,
+// checkpoint and shardCollection through the deployment itself. Traces,
+// currentOp and cursors stay in the server.
 type Server struct {
-	backend *mongod.Server
-	// repl, when set, receives every write so acknowledgement can wait on
-	// replica quorum; reads keep hitting backend (the primary).
-	repl ReplicatedBackend
-	// router, when set, turns this wire server into a query-router front
-	// end (the mongos role, docstored -shards): data-plane requests fan out
-	// across the cluster's shards, shardCollection declares a shard key, and
-	// checkpoint becomes a cluster-consistent capture across every shard.
-	// watch merges the shards' change streams, stats sums the shards, and
-	// traces and currentOp keep reading the local tracer.
-	router *mongos.Router
+	d driver.Deployment
 	// defaultWC applies to write requests that carry no writeConcern.
 	defaultWC storage.WriteConcern
 	// tracer, when set, roots a span tree on every traced request; nil keeps
@@ -132,26 +112,23 @@ func (s *Server) SetCursorTimeout(d time.Duration) {
 	}
 }
 
-// SetReplicaSet routes writes through a replicated backend so their
-// acknowledgement can wait on member quorum. backend should be the set's
-// primary (reads are served from it directly). Call before the server
-// starts handling requests.
-func (s *Server) SetReplicaSet(r ReplicatedBackend) { s.repl = r }
-
-// SetRouter attaches a query router: the server then serves the mongos role,
-// fanning data-plane requests out across the router's shards. Mutually
-// exclusive with SetReplicaSet. Call before the server starts handling
-// requests.
-func (s *Server) SetRouter(r *mongos.Router) { s.router = r }
+// SetReplicaSet serves rs in place of the deployment the server was built
+// with: it is Serve(driver.NewReplicated(rs)) for callers that assemble the
+// set by hand. Call before the server starts handling requests.
+func (s *Server) SetReplicaSet(rs *replset.ReplicaSet) { s.d = driver.NewReplicated(rs) }
 
 // SetDefaultWriteConcern sets the concern applied to write requests that do
 // not carry one. Call before the server starts handling requests.
 func (s *Server) SetDefaultWriteConcern(wc storage.WriteConcern) { s.defaultWC = wc }
 
-// NewServer wraps a document store server.
-func NewServer(backend *mongod.Server) *Server {
+// NewServer serves one stand-alone server: Serve(driver.NewSingle(backend)),
+// for callers that build the server by hand.
+func NewServer(backend *mongod.Server) *Server { return Serve(driver.NewSingle(backend)) }
+
+// Serve returns a wire server for a deployment; Listen starts serving it.
+func Serve(d driver.Deployment) *Server {
 	return &Server{
-		backend:       backend,
+		d:             d,
 		conns:         make(map[net.Conn]bool),
 		cursors:       make(map[int64]*openCursor),
 		cursorTimeout: DefaultCursorTimeout,
@@ -472,7 +449,7 @@ func (s *Server) refuseFrame(conn net.Conn, reason error) {
 	_, _ = conn.Write(refusal.appendFrame(nil, nil)) // best effort: the peer may be gone
 }
 
-// Handle executes one request against the backend. It is exported so tests
+// Handle executes one request against the deployment. It is exported so tests
 // and in-process callers can drive the protocol without a socket.
 //
 // Handle owns the request's observability: it roots the trace span the
@@ -527,16 +504,12 @@ func (s *Server) handle(req *Request) *Response {
 	if req.DB == "" && req.Op != OpPing && req.Op != OpCheckpoint {
 		return &Response{Error: "db is required"}
 	}
-	// The deployment is chosen here, once: reads, counts, aggregates and
-	// index and collection management go through the driver's Store, the
-	// interface the thesis' programs run against a stand-alone server and a
-	// sharded cluster unchanged; writes go through execBatch.
-	var store driver.Store
-	if s.router != nil {
-		store = driver.NewSharded(s.router, req.DB)
-	} else {
-		store = driver.NewStandalone(s.backend.Database(req.DB))
-	}
+	// Reads, counts, aggregates and index and collection management go
+	// through the deployment's Store, the interface the thesis' programs run
+	// against a stand-alone server and a sharded cluster unchanged; writes go
+	// through execBatch. Only data ops ask for a Store, which creates the
+	// database; listCollections, stats and checkpoint read the deployment
+	// without creating anything.
 	switch req.Op {
 	case OpPing:
 		return &Response{OK: true}
@@ -546,10 +519,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		return s.execWrite(req, []storage.WriteOp{storage.InsertWriteOp(req.Doc)}, true)
 	case OpInsertMany:
-		// Ordered on one server; through a router the unordered batch of
-		// driver.Store's InsertMany — one parallel sub-batch per shard, where
-		// ordered costs a round trip per run of same-shard documents.
-		return s.execWrite(req, storage.InsertOps(req.Docs), s.router == nil)
+		return s.execWrite(req, storage.InsertOps(req.Docs), s.d.OrderedInserts())
 	case OpUpdate:
 		return s.execWrite(req, []storage.WriteOp{storage.UpdateWriteOp(query.UpdateSpec{
 			Query: req.Filter, Update: req.Update, Upsert: req.Upsert, Multi: req.Multi,
@@ -589,38 +559,38 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		if req.BatchSize > 0 {
 			opts.BatchSize = req.BatchSize
-			cur, err := store.FindCursor(req.Collection, req.Filter, opts)
+			cur, err := s.d.Store(req.DB).FindCursor(req.Collection, req.Filter, opts)
 			if err != nil {
 				return &Response{Error: err.Error()}
 			}
 			return s.cursorResponse(req.DB+"."+req.Collection, cur, req.BatchSize)
 		}
-		docs, err := store.Find(req.Collection, req.Filter, opts)
+		docs, err := s.d.Store(req.DB).Find(req.Collection, req.Filter, opts)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true, Docs: docs, N: int64(len(docs))}
 	case OpCount:
-		n, err := store.Count(req.Collection, req.Filter)
+		n, err := s.d.Store(req.DB).Count(req.Collection, req.Filter)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true, N: int64(n)}
 	case OpAggregate:
 		if req.BatchSize > 0 {
-			it, err := store.AggregateCursor(req.Collection, req.Docs)
+			it, err := s.d.Store(req.DB).AggregateCursor(req.Collection, req.Docs)
 			if err != nil {
 				return &Response{Error: err.Error()}
 			}
 			return s.cursorResponse(req.DB+"."+req.Collection, it, req.BatchSize)
 		}
-		docs, err := store.Aggregate(req.Collection, req.Docs)
+		docs, err := s.d.Store(req.DB).Aggregate(req.Collection, req.Docs)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true, Docs: docs, N: int64(len(docs))}
 	case OpWatch:
-		sub, err := store.Watch(req.Collection, req.Docs, req.ResumeAfter)
+		sub, err := s.d.Store(req.DB).Watch(req.Collection, req.Docs, req.ResumeAfter)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
@@ -684,41 +654,32 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		return &Response{OK: true, N: boolToN(ok)}
 	case OpEnsureIndex:
-		if err := store.EnsureIndex(req.Collection, req.Keys, req.Unique); err != nil {
+		if err := s.d.Store(req.DB).EnsureIndex(req.Collection, req.Keys, req.Unique); err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true}
 	case OpCheckpoint:
-		if s.router != nil {
-			return s.clusterCheckpoint()
-		}
-		st, err := s.backend.Checkpoint()
+		report, n, err := s.d.Checkpoint()
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
-		return &Response{OK: true, N: 1, Result: checkpointDoc(st)}
+		return &Response{OK: true, N: int64(n), Result: report}
 	case OpShardCollection:
-		if s.router == nil {
-			return &Response{Error: "shardCollection requires a query router (docstored -shards)"}
-		}
-		if req.Keys == nil {
-			return &Response{Error: "keys is required"}
-		}
-		if _, err := s.router.EnableSharding(req.DB, req.Collection, req.Keys, 0); err != nil {
+		if err := s.d.ShardCollection(req.DB, req.Collection, req.Keys); err != nil {
 			return &Response{Error: err.Error()}
 		}
 		return &Response{OK: true}
 	case OpDrop:
-		return &Response{OK: true, N: boolToN(store.DropCollection(req.Collection))}
+		return &Response{OK: true, N: boolToN(s.d.Store(req.DB).DropCollection(req.Collection))}
 	case OpListColls:
-		names := s.collectionNames(req.DB)
+		names := s.d.CollectionNames(req.DB)
 		docs := make([]*bson.Doc, len(names))
 		for i, n := range names {
 			docs[i] = bson.D("name", n)
 		}
 		return &Response{OK: true, Docs: docs, N: int64(len(names))}
 	case OpStats:
-		st := s.status()
+		st := s.d.Status()
 		doc := bson.D(
 			"name", st.Name,
 			"databases", st.Databases,
@@ -727,7 +688,7 @@ func (s *Server) handle(req *Request) *Response {
 			"dataSizeBytes", st.DataSizeBytes,
 			"indexSizeBytes", st.IndexSizeBytes,
 		)
-		if broker := s.backend.ChangeStreams(); broker != nil {
+		if broker := s.d.Server().ChangeStreams(); broker != nil {
 			cs := broker.Stats()
 			csDoc := bson.D(
 				"watchers", cs.Watchers,
@@ -753,7 +714,7 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		// Durability health: write-path fsync latency and the group-commit
 		// batch size distribution, present only when a WAL is attached.
-		if fsync, batch, walStats, ok := s.backend.WALHealth(); ok {
+		if fsync, batch, walStats, ok := s.d.Server().WALHealth(); ok {
 			doc.Set("wal", bson.D(
 				"appends", walStats.Appends,
 				"syncs", walStats.Syncs,
@@ -764,16 +725,13 @@ func (s *Server) handle(req *Request) *Response {
 				"groupCommitBatches", batch.Count,
 			))
 		}
-		// Replication health: per-member lag and apply recency, reached
-		// through an interface so wire does not import replset.
-		if hs, ok := s.repl.(replHealthSource); ok {
-			if members := hs.HealthDocs(); len(members) > 0 {
-				arr := make([]any, len(members))
-				for i, m := range members {
-					arr[i] = m
-				}
-				doc.Set("repl", bson.D("members", arr))
+		// Replication health: per-member lag and apply recency.
+		if members := s.d.Members(); len(members) > 0 {
+			arr := make([]any, len(members))
+			for i, m := range members {
+				arr[i] = m
 			}
+			doc.Set("repl", bson.D("members", arr))
 		}
 		// The MVCC engine's memory-economics gauges, plus every open
 		// server-side cursor with its namespace and idle age: together they
@@ -852,8 +810,7 @@ func (s *Server) watchGetMore(req *Request, oc *openCursor, batchSize int) *Resp
 // second return is the error response of a malformed sort or projection.
 func (s *Server) findOptions(req *Request) (storage.FindOptions, *Response) {
 	opts := storage.FindOptions{
-		Limit: req.Limit, Skip: req.Skip, Hint: req.Hint,
-		AtVersion: req.AtVersion, Trace: req.span,
+		Limit: req.Limit, Skip: req.Skip, Hint: req.Hint, Trace: req.span,
 	}
 	if req.Sort != nil {
 		sortSpec, err := query.ParseSort(req.Sort)
@@ -872,82 +829,6 @@ func (s *Server) findOptions(req *Request) (storage.FindOptions, *Response) {
 	return opts, nil
 }
 
-// collectionNames lists a database's collections in sorted order: the
-// backend's, or with a router attached the union over every shard.
-func (s *Server) collectionNames(db string) []string {
-	if s.router == nil {
-		return s.backend.Database(db).CollectionNames()
-	}
-	seen := make(map[string]bool)
-	var names []string
-	for _, shard := range s.router.ShardNames() {
-		for _, n := range s.router.Shard(shard).Database(db).CollectionNames() {
-			if !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// status is the data half of stats: the backend's, or with a router attached
-// the shard primaries' documents, sizes and engine gauges summed, and their
-// databases and collections counted once however many shards hold them.
-func (s *Server) status() mongod.ServerStatus {
-	if s.router == nil {
-		return s.backend.Status()
-	}
-	st := mongod.ServerStatus{Name: s.backend.Name()}
-	dbs := make(map[string]bool)
-	for _, name := range s.router.ShardNames() {
-		shard := s.router.Shard(name)
-		ss := shard.Status()
-		st.Documents += ss.Documents
-		st.DataSizeBytes += ss.DataSizeBytes
-		st.IndexSizeBytes += ss.IndexSizeBytes
-		st.Engine.Add(ss.Engine)
-		for _, db := range shard.DatabaseNames() {
-			dbs[db] = true
-		}
-	}
-	st.Databases = len(dbs)
-	for db := range dbs {
-		st.Collections += len(s.collectionNames(db))
-	}
-	return st
-}
-
-// checkpointDoc renders one server's checkpoint outcome.
-func checkpointDoc(st mongod.CheckpointStats) *bson.Doc {
-	return bson.D(
-		"lsn", st.LSN,
-		"collections", st.Collections,
-		"segmentsPruned", st.SegmentsPruned,
-		"skipped", st.Skipped,
-	)
-}
-
-// clusterCheckpoint serves checkpoint on a router-attached server: one
-// cluster-consistent capture, reported per shard in name order.
-func (s *Server) clusterCheckpoint() *Response {
-	st, err := s.router.Checkpoint()
-	if err != nil {
-		return &Response{Error: err.Error()}
-	}
-	shardNames := make([]string, 0, len(st.Shards))
-	for name := range st.Shards {
-		shardNames = append(shardNames, name)
-	}
-	sort.Strings(shardNames)
-	result := bson.NewDoc(len(shardNames))
-	for _, name := range shardNames {
-		result.Set(name, checkpointDoc(st.Shards[name]))
-	}
-	return &Response{OK: true, N: int64(len(st.Shards)), Result: bson.D("shards", result)}
-}
-
 func boolToN(b bool) int64 {
 	if b {
 		return 1
@@ -958,9 +839,8 @@ func boolToN(b bool) int64 {
 // writeConcernFor validates and resolves a write request's concern: parse
 // failures (garbage types, unknown fields, a non-document writeConcern)
 // reject the request, an absent concern falls back to the server default,
-// and w > 1 is refused outright on a standalone server — there is no second
-// member that could ever acknowledge, so accepting it would hang or lie.
-// {w: "majority"} is one member on a standalone and passes.
+// and one the deployment can never acknowledge (w > 1 with no second member
+// to acknowledge it) is refused outright rather than hang or lie.
 func (s *Server) writeConcernFor(req *Request) (storage.WriteConcern, *Response) {
 	if req.invalidWC {
 		return storage.WriteConcern{}, &Response{Error: "invalid writeConcern: must be a document"}
@@ -972,8 +852,8 @@ func (s *Server) writeConcernFor(req *Request) (storage.WriteConcern, *Response)
 	if wc.IsZero() {
 		wc = s.defaultWC
 	}
-	if s.repl == nil && wc.W > 1 {
-		return storage.WriteConcern{}, &Response{Error: fmt.Sprintf("writeConcern {w: %d} requires a replica set; this server is standalone", wc.W)}
+	if err := s.d.CheckWriteConcern(wc); err != nil {
+		return storage.WriteConcern{}, &Response{Error: err.Error()}
 	}
 	return wc, nil
 }
@@ -998,16 +878,10 @@ func (s *Server) execWrite(req *Request, ops []storage.WriteOp, ordered bool) *R
 
 // execBatch is the single write path behind every insert/insertMany/update/
 // delete/bulkWrite request, with or without an acknowledgement contract: one
-// logged batch, handed to the query router when one is attached, else to the
-// replica set so the response can wait on quorum, else to the server itself —
-// so the five ops cannot drift in how they route, trace or acknowledge.
+// logged batch, handed to the deployment's BulkWrite — the router's scatter,
+// the replica set's quorum or the server itself — so the five ops cannot
+// drift in how they route, trace or acknowledge.
 func (s *Server) execBatch(req *Request, ops []storage.WriteOp, ordered bool, wc storage.WriteConcern) storage.BulkResult {
 	opts := storage.BulkOptions{Ordered: ordered, Journaled: req.Journaled, WriteConcern: wc, Trace: req.span}
-	switch {
-	case s.router != nil:
-		return s.router.BulkWrite(req.DB, req.Collection, ops, opts)
-	case s.repl != nil:
-		return s.repl.BulkWrite(req.DB, req.Collection, ops, opts)
-	}
-	return s.backend.Database(req.DB).BulkWrite(req.Collection, ops, opts)
+	return s.d.Store(req.DB).BulkWrite(req.Collection, ops, opts)
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"docstore/internal/bson"
+	"docstore/internal/driver"
 	"docstore/internal/mongod"
 	"docstore/internal/mongos"
 	"docstore/internal/replset"
@@ -41,8 +42,7 @@ func startTracedCluster(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 
-	srv := NewServer(rs.Primary())
-	srv.SetReplicaSet(router)
+	srv := Serve(driver.NewRouted(rs.Primary(), router))
 	srv.SetTracer(trace.New(trace.Options{SampleRate: 1}))
 	t.Cleanup(func() { srv.Close() })
 	return srv
