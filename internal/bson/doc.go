@@ -11,6 +11,7 @@ package bson
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -157,6 +158,17 @@ func (d *Doc) Delete(key string) bool {
 
 // ID returns the document's _id value, or nil when unset.
 func (d *Doc) ID() any { return d.GetOr(IDKey, nil) }
+
+// ShallowClone returns a copy of the document's field array over the same
+// values: the copy's fields can be set, added and removed without touching
+// d, but a nested document or array is still d's. It is what a write takes
+// of a stored document (see Path.Set), whose nested values are never written.
+func (d *Doc) ShallowClone() *Doc {
+	if d == nil {
+		return nil
+	}
+	return &Doc{fields: slices.Clone(d.fields)}
+}
 
 // Clone returns a deep copy of the document.
 func (d *Doc) Clone() *Doc {

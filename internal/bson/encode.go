@@ -92,12 +92,15 @@ func Marshal(d *Doc) []byte {
 func EncodedSize(d *Doc) int {
 	size := 4 + 1 // length prefix + terminator
 	for _, f := range d.Fields() {
-		size += 1 + len(f.Key) + 1 + valueSize(f.Value)
+		size += 1 + len(f.Key) + 1 + ValueSize(f.Value)
 	}
 	return size
 }
 
-func valueSize(v any) int {
+// ValueSize returns the size in bytes of v's encoding as an element value:
+// what follows the element's type tag and key. A value outside the canonical
+// set is sized as the string it would be stored as.
+func ValueSize(v any) int {
 	switch t := v.(type) {
 	case nil:
 		return 0
@@ -120,11 +123,11 @@ func valueSize(v any) int {
 			if i == next {
 				digits, next = digits+1, next*10
 			}
-			size += 1 + digits + 1 + valueSize(e)
+			size += 1 + digits + 1 + ValueSize(e)
 		}
 		return size
 	default:
-		return valueSize(fmt.Sprintf("%v", t))
+		return ValueSize(fmt.Sprintf("%v", t))
 	}
 }
 

@@ -167,19 +167,28 @@ func lookupAll(out []any, v any, segs []segment) []any {
 }
 
 // parent walks to the document that holds, or would hold, the path's last
-// segment, which it returns with it. With create set, missing intermediate
-// documents are added; an intermediate value that is not a document is an
-// error then, and a nil parent without one otherwise.
-func (p *Path) parent(d *Doc, create bool) (*Doc, *segment, error) {
+// segment, which it returns with it. Each nested document on the way is
+// replaced, in its parent, by a shallow copy before the walk goes down into
+// it, so what the caller then writes lands only in documents this walk made:
+// d's own field array is the one thing written in place. That is what lets
+// stored documents share sub-documents with each other and with pinned
+// versions — a write never reaches a document it did not copy. Missing
+// intermediate documents are added; an intermediate value that is not a
+// document is an error.
+func (p *Path) parent(d *Doc) (*Doc, *segment, error) {
 	cur, seg := d, &p.first
 	for i := range p.rest {
-		next, ok := seg.get(cur)
+		j := seg.index(cur)
+		var next any
+		if j >= 0 {
+			next = cur.fields[j].Value
+		}
 		sub, isDoc := next.(*Doc)
 		switch {
 		case isDoc:
-		case !create:
-			return nil, nil, nil
-		case ok:
+			sub = sub.ShallowClone()
+			cur.fields[j].Value = sub
+		case j >= 0:
 			return nil, nil, fmt.Errorf("bson: cannot create field %q in element of type %T", p.rest[i].key, next)
 		default:
 			sub = NewDoc(1)
@@ -192,9 +201,11 @@ func (p *Path) parent(d *Doc, create bool) (*Doc, *segment, error) {
 
 // Set stores value at the path, creating intermediate documents as needed
 // and keeping an existing field's position. It returns an error when an
-// intermediate value exists but is not a document.
+// intermediate value exists but is not a document. Only d and the copies
+// parent makes of the documents on the path are written; value is stored by
+// reference.
 func (p *Path) Set(d *Doc, value any) error {
-	parent, seg, err := p.parent(d, true)
+	parent, seg, err := p.parent(d)
 	if err != nil {
 		return err
 	}
@@ -208,16 +219,17 @@ func (p *Path) Set(d *Doc, value any) error {
 }
 
 // Delete removes the value at the path and reports whether anything was
-// removed.
+// removed. A path that resolves to nothing leaves d as it was, nested
+// documents included; otherwise the documents on the path are copied as
+// for Set.
 func (p *Path) Delete(d *Doc) bool {
-	parent, seg, _ := p.parent(d, false)
-	if parent == nil {
+	if _, ok := p.Get(d); !ok {
 		return false
 	}
+	// Get found every intermediate value a document: parent creates nothing
+	// and cannot fail.
+	parent, seg, _ := p.parent(d)
 	i := seg.index(parent)
-	if i < 0 {
-		return false
-	}
 	parent.fields = append(parent.fields[:i], parent.fields[i+1:]...)
 	return true
 }

@@ -271,6 +271,11 @@ func compareFloat(a, b float64) int {
 }
 
 func compareDocs(a, b *Doc) int {
+	if a == b {
+		// One document, shared: a write copies the documents on the path it
+		// changes and keeps the rest (see Path.Set).
+		return 0
+	}
 	af, bf := a.Fields(), b.Fields()
 	n := len(af)
 	if len(bf) < n {

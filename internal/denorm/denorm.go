@@ -144,10 +144,12 @@ func ApplyEmbedding(store driver.Store, fact string, emb Embedding, dimDocs []*b
 	return modified, nil
 }
 
-// embedOp is one Figure 4.7 update: every document matching filter gets a
-// copy of doc, minus its _id, under field.
+// embedOp is one Figure 4.7 update: every document matching filter gets
+// doc, minus its _id, under field. A shallow copy is enough to drop the _id:
+// the store copies an update before it keeps any of it, once per op, and the
+// documents the op writes all share that copy.
 func embedOp(filter *bson.Doc, field string, doc *bson.Doc) storage.WriteOp {
-	embedded := doc.Clone()
+	embedded := doc.ShallowClone()
 	embedded.Delete(bson.IDKey)
 	return storage.UpdateWriteOp(query.UpdateSpec{
 		Query:  filter,

@@ -337,15 +337,21 @@ func (ix *Index) removeKeys(keys []Key, p uint32) {
 
 // Replace maintains the index across an update of the document stored at
 // pos: the entries under old's keys move to updated's keys. When the update
-// left the indexed fields alone the two key lists are equal and the tree is
-// not touched at all — no descent, no path copy — which is the common case
-// for every index but the one on the field an update writes. When a unique
-// index refuses the new keys the old entries are put back, so a failed
-// Replace leaves the index as it found it.
+// left the indexed fields alone the tree is not touched at all — no descent,
+// no path copy — which is the common case for every index but the one on
+// the field an update writes. That case is found before any key is built,
+// and costs no allocation: the values at each key path are compared in the
+// two documents, and an update shares every value it did not write with the
+// document it replaced, so the comparison is mostly a pointer check. When a
+// unique index refuses the new keys the old entries are put back, so a
+// failed Replace leaves the index as it found it.
 func (ix *Index) Replace(old, updated *bson.Doc, pos int) error {
 	p, err := ix.entryPos(pos)
 	if err != nil {
 		return err
+	}
+	if ix.sameValues(old, updated) {
+		return nil
 	}
 	from, to := ix.keysForDoc(old), ix.keysForDoc(updated)
 	if sameKeys(from, to) {
@@ -366,6 +372,46 @@ func (ix *Index) Replace(old, updated *bson.Doc, pos int) error {
 // nodes, and with them the old numbering their version's pages still use.
 func (ix *Index) Remap(newPos []int) { ix.tree.Remap(newPos) }
 
+// sameValues reports whether a and b hold the same values at every key
+// path, and so have the same keys. keysForDoc reads a document only through
+// these lookups, and values that compare equal make equal keys, except under
+// a hash: 1 and 1.0 compare equal and hash apart. A hashed index's values
+// must be identical instead; where they are not, the keys are compared.
+func (ix *Index) sameValues(a, b *bson.Doc) bool {
+	for i, p := range ix.paths {
+		va, vb := p.Lookup(a), p.Lookup(b)
+		if va.Len() != vb.Len() {
+			return false
+		}
+		for k := 0; k < va.Len(); k++ {
+			x, y := va.At(k), vb.At(k)
+			if ix.spec.Fields[i].Hashed {
+				if !identical(x, y) {
+					return false
+				}
+			} else if bson.Compare(x, y) != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// identical reports whether x and y are one value: the same scalar of the
+// same type, or the same document or array, not merely equal ones.
+func identical(x, y any) bool {
+	switch tx := x.(type) {
+	case *bson.Doc:
+		ty, ok := y.(*bson.Doc)
+		return ok && tx == ty
+	case []any:
+		ty, ok := y.([]any)
+		return ok && len(tx) == len(ty) && (len(tx) == 0 || &tx[0] == &ty[0])
+	default:
+		return x == y
+	}
+}
+
 func sameKeys(a, b []Key) bool {
 	if len(a) != len(b) {
 		return false
@@ -378,12 +424,12 @@ func sameKeys(a, b []Key) bool {
 	return true
 }
 
+// keySize is a key's share of the index's size estimate: each value's
+// encoding, plus two bytes.
 func keySize(k Key) int {
 	size := 0
 	for _, v := range k {
-		d := bson.NewDoc(1)
-		d.Set("v", v)
-		size += bson.EncodedSize(d) - 6
+		size += bson.ValueSize(v) + 2
 	}
 	return size
 }

@@ -478,6 +478,68 @@ func TestReplaceSkipsUnchangedKeys(t *testing.T) {
 	}
 }
 
+// TestReplaceUnchangedAllocates: an update that leaves an index's values
+// alone — a shallow copy of the document with another field written, as
+// storage makes — costs Replace no allocation: the values at the key paths
+// are compared before any key is built. The parent commit built both key
+// lists first.
+func TestReplaceUnchangedAllocates(t *testing.T) {
+	for _, spec := range []*bson.Doc{
+		bson.D("a", 1),
+		bson.D("a", 1, "c.d", -1),
+		bson.D("c.d", 1),
+		bson.D("arr", 1),
+		bson.D("c", 1),
+		bson.D("a", "hashed"),
+	} {
+		ix := New("", MustParseSpec(spec), false)
+		old := bson.D(bson.IDKey, 1, "a", 5, "c", bson.D("d", "x", "e", 2), "arr", bson.A(3, 4), "other", 1)
+		if err := ix.Insert(old, 1); err != nil {
+			t.Fatal(err)
+		}
+		updated := old.ShallowClone()
+		updated.Set("other", 2)
+		if allocs := testing.AllocsPerRun(200, func() {
+			if err := ix.Replace(old, updated, 1); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%s: Replace with unchanged values allocated %.1f times, want 0", ix.Name(), allocs)
+		}
+	}
+}
+
+// TestReplaceHashedNumberTypeMoves: 5 and 5.0 are equal values but hash
+// apart, so a hashed index moves the entry of a document whose value changed
+// type, as a rebuild would file it.
+func TestReplaceHashedNumberTypeMoves(t *testing.T) {
+	ix := New("", MustParseSpec(bson.D("a", "hashed")), false)
+	old := bson.D(bson.IDKey, 1, "a", 5)
+	if err := ix.Insert(old, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Replace(old, bson.D(bson.IDKey, 1, "a", 5.0), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.Lookup(5.0); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("Lookup(5.0) = %v, want [1]", got)
+	}
+	if got := ix.Lookup(5); len(got) != 0 {
+		t.Fatalf("Lookup(5) = %v, want none", got)
+	}
+}
+
+// TestKeySizeMatchesEncodedElement: a key value's share of the size
+// estimate is what it was when it was measured by encoding {v: value}.
+func TestKeySizeMatchesEncodedElement(t *testing.T) {
+	for _, v := range []any{nil, int64(7), 2.5, "", "city", true, bson.NewObjectID(),
+		bson.D("a", 1, "b", bson.A(1, "x")), bson.A(), bson.A(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)} {
+		if got, want := keySize(Key{v, v}), 2*(bson.EncodedSize(bson.D("v", v))-6); got != want {
+			t.Fatalf("keySize of %v = %d, want %d", v, got, want)
+		}
+	}
+}
+
 // TestReplaceRestoresEntriesOnDuplicate: a unique index that refuses the new
 // keys leaves the document's old entries in place.
 func TestReplaceRestoresEntriesOnDuplicate(t *testing.T) {

@@ -94,6 +94,49 @@ func TestDurabilityAutoIDsSurviveReplay(t *testing.T) {
 	}
 }
 
+// TestDurabilityUpsertIDsSurviveReplay: an upsert that names no _id inserts
+// under the id it acknowledged, and recovery from the log finds the document
+// under that id. The log records an op before it applies, so the id has to be
+// drawn before the record is written; at the parent commit replay drew a
+// fresh ObjectID and FindID(UpsertedID) came back nil.
+func TestDurabilityUpsertIDsSurviveReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		update *bson.Doc
+	}{
+		{"operator", bson.D("$set", bson.D("v", 1))},
+		{"replacement", bson.D("k", 1, "v", 1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := durableServer(t, dir, wal.SyncAlways)
+			res := s.Database("db").BulkWrite("c", []storage.WriteOp{
+				storage.UpdateWriteOp(query.UpdateSpec{Query: bson.D("k", 1), Update: tc.update, Upsert: true}),
+			}, storage.BulkOptions{Ordered: true, Journaled: true})
+			if err := res.FirstError(); err != nil || res.Upserted != 1 {
+				t.Fatalf("upsert: %+v, %v", res, err)
+			}
+			id := res.UpsertedIDs[0]
+			if got := s.Database("db").Collection("c").FindID(id); got == nil {
+				t.Fatalf("FindID(%v) before recovery = nil", id)
+			}
+
+			s2, _ := durableServer(t, dir, wal.SyncAlways)
+			coll := s2.Database("db").Collection("c")
+			if coll.Count() != 1 {
+				t.Fatalf("recovered %d documents, want 1", coll.Count())
+			}
+			doc := coll.FindID(id)
+			if doc == nil {
+				t.Fatalf("the upserted document lost its acknowledged id %v across recovery", id)
+			}
+			if want := bson.D(bson.IDKey, id, "k", int64(1), "v", int64(1)); !doc.Equal(want) {
+				t.Fatalf("recovered %v, want %v", doc, want)
+			}
+		})
+	}
+}
+
 func TestCheckpointPrunesAndSeedsRecovery(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := durableServer(t, dir, wal.SyncAlways)

@@ -23,9 +23,17 @@ func IsOperatorUpdate(update *bson.Doc) bool {
 	return false
 }
 
-// ApplyUpdate applies an update document to doc in place and reports whether
-// the document changed. The _id field is immutable: a replacement keeps the
+// ApplyUpdate applies an update document to doc and reports whether the
+// document changed. The _id field is immutable: a replacement keeps the
 // existing _id and operator updates may not modify it.
+//
+// What it writes and what it shares: doc's own field array is written in
+// place, and a nested document on a path an operator writes is first
+// replaced in doc by a shallow copy (bson.Path.Set), so no other nested
+// document and no array doc holds is written — a shallow copy of a stored
+// document is all a caller has to make. The values of update are stored in
+// doc by reference, never copied: a caller that keeps doc gives it an update
+// nothing will write again (storage clones each op's update once).
 func ApplyUpdate(doc, update *bson.Doc) (bool, error) {
 	if !IsOperatorUpdate(update) {
 		return applyReplacement(doc, update)
@@ -67,7 +75,7 @@ func applyReplacement(doc, replacement *bson.Doc) (bool, error) {
 		if f.Key == bson.IDKey {
 			continue
 		}
-		doc.Set(f.Key, bson.CloneValue(f.Value))
+		doc.Set(f.Key, f.Value)
 	}
 	return true, nil
 }
@@ -80,7 +88,7 @@ func applyOperator(doc *bson.Doc, op, path string, arg any) (bool, error) {
 		if had && bson.Compare(cur, arg) == 0 {
 			return false, nil
 		}
-		return true, doc.SetPath(path, bson.CloneValue(arg))
+		return true, doc.SetPath(path, arg)
 	case "$unset":
 		return doc.DeletePath(path), nil
 	case "$inc", "$mul":
@@ -137,7 +145,7 @@ func applyOperator(doc *bson.Doc, op, path string, arg any) (bool, error) {
 		if !ok {
 			return false, fmt.Errorf("query: cannot $push to non-array field %q", path)
 		}
-		return true, doc.SetPath(path, append(arr, arg))
+		return true, doc.SetPath(path, appendShared(arr, arg))
 	case "$addToSet":
 		cur, had := doc.GetPath(path)
 		if !had {
@@ -152,7 +160,7 @@ func applyOperator(doc *bson.Doc, op, path string, arg any) (bool, error) {
 				return false, nil
 			}
 		}
-		return true, doc.SetPath(path, append(arr, arg))
+		return true, doc.SetPath(path, appendShared(arr, arg))
 	case "$pull":
 		cur, had := doc.GetPath(path)
 		if !had {
@@ -200,6 +208,12 @@ func applyOperator(doc *bson.Doc, op, path string, arg any) (bool, error) {
 	default:
 		return false, fmt.Errorf("query: unknown update operator %s", op)
 	}
+}
+
+// appendShared appends v to a copy of arr: arr may be another document's
+// array, and its spare capacity theirs to write.
+func appendShared(arr []any, v any) []any {
+	return append(arr[:len(arr):len(arr)], v)
 }
 
 // numericResult keeps integer arithmetic integral: when both the current

@@ -323,6 +323,7 @@ func loggedOps(primary *mongod.Server, db, coll string, ops []storage.WriteOp, r
 				Query: cloneOrNil(op.Update.Query), Update: cloneOrNil(op.Update.Update),
 				Upsert: op.Update.Upsert, Multi: op.Update.Multi,
 			})
+			logged[i].UpsertID = op.UpsertID
 		default:
 			logged[i] = storage.DeleteWriteOp(cloneOrNil(op.Filter), op.Multi)
 		}

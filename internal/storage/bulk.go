@@ -45,6 +45,13 @@ type WriteOp struct {
 	// match instead of the first.
 	Filter *bson.Doc
 	Multi  bool
+	// UpsertID is the _id an upsert (UpdateOp with Update.Upsert) gives the
+	// document it inserts when neither its filter nor its replacement names
+	// one. A journaled collection draws it in place before it logs the
+	// batch, as it assigns an insert's missing _id, so a replay inserts the
+	// document under the id the write acknowledged; nil draws a fresh
+	// ObjectID when the document is built.
+	UpsertID any
 }
 
 // InsertWriteOp builds an insert op.
@@ -451,7 +458,7 @@ func (c *Collection) applyLocked(op *WriteOp, prep preparedOp, res *BulkResult, 
 		res.Inserted++
 		return nil
 	case UpdateOp:
-		ur, err := c.updateLocked(op.Update, prep.matcher)
+		ur, err := c.updateLocked(op.Update, op.UpsertID, prep.matcher)
 		res.Matched += ur.Matched
 		res.Modified += ur.Modified
 		if ur.UpsertedID != nil {

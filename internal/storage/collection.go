@@ -67,10 +67,15 @@ type record struct {
 //     O(collection); writers that only append may share pages and spine,
 //     because appends write exclusively at positions >= the published
 //     length, which no reader of this version ever accesses.
-//   - every *bson.Doc reachable from the pages is frozen. Updates install a
-//     modified clone instead of mutating the stored document, so a pinned
-//     version observes point-in-time document contents, not just a
-//     point-in-time membership set.
+//   - every *bson.Doc reachable from the pages is frozen, and so is every
+//     array: nothing writes them again. Updates install a modified shallow
+//     copy instead of mutating the stored document, copying only the nested
+//     documents on the paths they write, so a pinned version observes
+//     point-in-time document contents, not just a point-in-time membership
+//     set. Because nothing is written, a nested value may be shared by many
+//     stored documents — the dimension document one Figure 4.7 multi-update
+//     embeds is one copy, held by every fact row it matched — and by many
+//     versions.
 //   - counters, the journal watermark and the index definitions are plain
 //     fields captured at publish time, so Count/Stats/checkpoint manifests
 //     are mutually consistent with the records they describe.
@@ -371,28 +376,31 @@ func (c *Collection) retireTreeLocked(ix *index.Index) {
 
 // Insert adds a document to the collection. When the document has no _id an
 // ObjectID is assigned (mirroring the behaviour described in §2.1). The
-// stored document is the one passed in; callers must not mutate it afterwards
-// (updates never mutate it either — they install clones). Like Update and
-// Delete, it is a thin wrapper over BulkWrite.
+// stored document is the one passed in, nested values and all; callers must
+// not mutate it, or anything it holds, afterwards (updates never mutate it
+// either — they install shallow copies that share what they did not write).
+// Like Update and Delete, it is a thin wrapper over BulkWrite.
 func (c *Collection) Insert(doc *bson.Doc) (any, error) {
 	res := c.BulkWrite([]WriteOp{InsertWriteOp(doc)}, BulkOptions{Ordered: true})
 	return res.InsertedID()
 }
 
-// ensureID assigns a fresh ObjectID to a document without one, rebuilding
-// the document so _id leads it, as the real engine stores it. It returns the
-// document's id.
-func ensureID(doc *bson.Doc) any {
-	id, ok := doc.Get(bson.IDKey)
-	if !ok {
-		id = bson.NewObjectID()
-		withID := bson.NewDoc(doc.Len() + 1)
-		withID.Set(bson.IDKey, id)
-		for _, f := range doc.Fields() {
-			withID.Set(f.Key, f.Value)
-		}
-		*doc = *withID
+// ensureID gives a document without an _id the id given, or a fresh
+// ObjectID when that is nil, rebuilding the document so _id leads it, as the
+// real engine stores it. It returns the document's id.
+func ensureID(doc *bson.Doc, id any) any {
+	if have, ok := doc.Get(bson.IDKey); ok {
+		return have
 	}
+	if id == nil {
+		id = bson.NewObjectID()
+	}
+	withID := bson.NewDoc(doc.Len() + 1)
+	withID.Set(bson.IDKey, id)
+	for _, f := range doc.Fields() {
+		withID.Set(f.Key, f.Value)
+	}
+	*doc = *withID
 	return id
 }
 
@@ -410,7 +418,7 @@ func storedSize(doc *bson.Doc) (int, error) {
 }
 
 func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
-	id := ensureID(doc)
+	id := ensureID(doc, nil)
 	if _, isArray := id.([]any); isArray {
 		// As the real server: _id_ would turn multikey, and [1, 2] would
 		// collide with [2, 3].

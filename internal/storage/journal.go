@@ -84,14 +84,20 @@ func (c *Collection) SetReplayLSN(lsn int64) {
 // logLocked journals a batch about to be applied under the held write lock.
 // It returns (nil, nil) when no journal is attached. Insert ops get their
 // _id assigned here — before the record is encoded — so the logged document
-// is byte-identical to the one a replay will insert.
+// is byte-identical to the one a replay will insert, and upserts draw the
+// _id a document they insert would get (WriteOp.UpsertID) for the same
+// reason.
 func (c *Collection) logLocked(ops []WriteOp, ordered bool) (CommitWaiter, error) {
 	if c.journal == nil {
 		return nil, nil
 	}
 	for i := range ops {
-		if ops[i].Kind == InsertOp && ops[i].Doc != nil {
-			ensureID(ops[i].Doc)
+		op := &ops[i]
+		switch {
+		case op.Kind == InsertOp && op.Doc != nil:
+			ensureID(op.Doc, nil)
+		case op.Kind == UpdateOp && op.Update.Upsert && op.UpsertID == nil:
+			op.UpsertID = bson.NewObjectID()
 		}
 	}
 	commit, err := c.journal.LogBatch(ops, ordered)

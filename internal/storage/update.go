@@ -27,21 +27,34 @@ func (c *Collection) Update(spec query.UpdateSpec) (UpdateResult, error) {
 
 // updateLocked executes a pre-compiled update under the caller's write lock;
 // it is the single implementation behind every update entry point (all of
-// which funnel through BulkWrite).
+// which funnel through BulkWrite). upsertID is the _id an upsert that matches
+// nothing gives the document it inserts when neither the filter nor a
+// replacement names one (nil: a fresh ObjectID).
 //
-// MVCC discipline: a modified document is never mutated in place — the
-// update applies to a clone, which is then installed into the privately
-// owned page slot. Readers pinned to older versions keep observing the
-// pre-update document through their own frozen pages. Only the touched
-// pages are copied (ownSlotLocked), not the whole record store.
-func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher) (UpdateResult, error) {
+// MVCC discipline: a stored document is never written. The update applies to
+// a shallow copy of it (bson.Doc.ShallowClone), which is then installed into
+// the privately owned page slot: the copy's field array is new, the nested
+// documents on the paths the update writes are copied as it writes them
+// (bson.Path.Set), and every other value is shared with the stored document,
+// which is frozen. The op's update document is deep-cloned once, at the first
+// match, and its values are stored by reference in every document the op
+// writes: a multi-update that embeds one dimension document leaves every
+// matched fact row holding the same copy. Readers pinned to older versions
+// keep observing the pre-update document through their own frozen pages.
+// Only the touched pages are copied (ownSlotLocked), not the whole record
+// store.
+func (c *Collection) updateLocked(spec query.UpdateSpec, upsertID any, matcher *query.Matcher) (UpdateResult, error) {
 	var res UpdateResult
 	var err error
+	var update *bson.Doc // spec.Update, cloned at the first use
 	c.eachMatchLocked(matcher, func(i int, r *record) bool {
 		res.Matched++
-		updated := r.doc.Clone()
+		if update == nil {
+			update = spec.Update.Clone()
+		}
+		updated := r.doc.ShallowClone()
 		var changed bool
-		if changed, err = query.ApplyUpdate(updated, spec.Update); err != nil {
+		if changed, err = query.ApplyUpdate(updated, update); err != nil {
 			return false
 		}
 		if changed {
@@ -79,7 +92,7 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, matcher *query.Matcher)
 	}
 
 	if res.Matched == 0 && spec.Upsert {
-		doc := buildUpsertDocument(spec)
+		doc := buildUpsertDocument(spec.Query, spec.Update.Clone(), upsertID)
 		id, err := c.insertLocked(doc)
 		if err != nil {
 			return res, err
@@ -135,10 +148,13 @@ func (c *Collection) eachMatchLocked(matcher *query.Matcher, fn func(pos int, r 
 // buildUpsertDocument constructs the document inserted by an upsert that
 // matched nothing: the equality fields of the query plus the update applied
 // to it (for operator updates) or the update document itself (replacement).
-func buildUpsertDocument(spec query.UpdateSpec) *bson.Doc {
+// update is the op's own copy, which the document may keep; the query's
+// values are copied. A document left without an _id gets id, when it is not
+// nil.
+func buildUpsertDocument(filter, update *bson.Doc, id any) *bson.Doc {
 	base := bson.NewDoc(4)
-	if spec.Query != nil {
-		constraints := query.FieldConstraints(spec.Query)
+	if filter != nil {
+		constraints := query.FieldConstraints(filter)
 		fields := make([]string, 0, len(constraints))
 		for field := range constraints {
 			fields = append(fields, field)
@@ -148,19 +164,23 @@ func buildUpsertDocument(spec query.UpdateSpec) *bson.Doc {
 		sort.Strings(fields)
 		for _, field := range fields {
 			if cons := constraints[field]; cons.IsPoint() && len(cons.Points) == 1 {
-				_ = base.SetPath(field, cons.Points[0])
+				_ = base.SetPath(field, bson.CloneValue(cons.Points[0]))
 			}
 		}
 	}
-	if !query.IsOperatorUpdate(spec.Update) {
-		doc := spec.Update.Clone()
+	doc := base
+	if !query.IsOperatorUpdate(update) {
+		doc = update
 		if id, ok := base.Get(bson.IDKey); ok && !doc.Has(bson.IDKey) {
 			doc.Set(bson.IDKey, id)
 		}
-		return doc
+	} else {
+		_, _ = query.ApplyUpdate(base, update)
 	}
-	_, _ = query.ApplyUpdate(base, spec.Update)
-	return base
+	if id != nil {
+		ensureID(doc, id)
+	}
+	return doc
 }
 
 // UpdateMany is shorthand for a multi-document operator update.

@@ -92,8 +92,9 @@ func (r *Record) Clone() *Record {
 					Upsert: op.Update.Upsert,
 					Multi:  op.Update.Multi,
 				},
-				Filter: op.Filter.Clone(),
-				Multi:  op.Multi,
+				Filter:   op.Filter.Clone(),
+				Multi:    op.Multi,
+				UpsertID: op.UpsertID,
 			}
 		}
 	}
@@ -282,6 +283,9 @@ func encodeOpDoc(op *storage.WriteOp) *bson.Doc {
 		if op.Update.Upsert {
 			d.Set("upsert", true)
 		}
+		if op.UpsertID != nil {
+			d.Set("uid", op.UpsertID)
+		}
 	case storage.DeleteOp:
 		if op.Filter != nil {
 			d.Set("q", op.Filter)
@@ -341,12 +345,16 @@ func decodeOpDoc(d *bson.Doc) (storage.WriteOp, error) {
 	case storage.UpdateOp:
 		q, _ := d.GetOr("q", nil).(*bson.Doc)
 		u, _ := d.GetOr("u", nil).(*bson.Doc)
-		return storage.UpdateWriteOp(query.UpdateSpec{
+		op := storage.UpdateWriteOp(query.UpdateSpec{
 			Query:  q,
 			Update: u,
 			Multi:  bson.Truthy(d.GetOr("multi", false)),
 			Upsert: bson.Truthy(d.GetOr("upsert", false)),
-		}), nil
+		})
+		// A record written before upserts journaled their _id has none, and
+		// replays drawing a fresh one, as it always did.
+		op.UpsertID = d.GetOr("uid", nil)
+		return op, nil
 	case storage.DeleteOp:
 		q, _ := d.GetOr("q", nil).(*bson.Doc)
 		return storage.DeleteWriteOp(q, bson.Truthy(d.GetOr("multi", false))), nil

@@ -54,6 +54,12 @@ func TestRecordRoundTrip(t *testing.T) {
 				Multi:  true, Upsert: true,
 			}),
 			storage.DeleteWriteOp(bson.D("v", 9), false),
+			// An upsert carries the _id a document it inserts gets; the one
+			// above, like a record written before ids were logged, has none
+			// and replays drawing a fresh one.
+			{Kind: storage.UpdateOp, Update: query.UpdateSpec{
+				Query: bson.D("k", 1), Update: bson.D("$set", bson.D("v", 1)), Upsert: true,
+			}, UpsertID: bson.NewObjectID()},
 		}},
 		{Kind: KindClear, DB: "db", Coll: "c"},
 		{Kind: KindDropCollection, DB: "db", Coll: "gone"},
@@ -85,6 +91,9 @@ func TestRecordRoundTrip(t *testing.T) {
 			}
 			if (want.Doc == nil) != (have.Doc == nil) || (want.Doc != nil && !have.Doc.Equal(want.Doc)) {
 				t.Fatalf("record %d op %d: doc mismatch", i, k)
+			}
+			if (want.UpsertID == nil) != (have.UpsertID == nil) || bson.Compare(have.UpsertID, want.UpsertID) != 0 {
+				t.Fatalf("record %d op %d: upsert id %v, want %v", i, k, have.UpsertID, want.UpsertID)
 			}
 		}
 	}
