@@ -133,12 +133,15 @@
 // migration and denormalization loaders batch for free; benchmark/ measures
 // the batched load as migrate.us_per_doc and each workload's setup_s.
 // ReplaceContents, which $out uses, is the one batch with a prologue: it
-// wipes the collection and applies its ordered inserts under one lock
-// acquisition, published as one version and acknowledged by one durability
-// wait — a reader of the target sees the old result or the new one, never
-// the empty collection between them, and two $outs to one target leave one
-// of the two results, whole. The log still receives a wipe record and a
-// batch record, in that order.
+// checks every row (depth, size, array _id, duplicate _id against an _id_
+// index it builds in the same pass) before it touches the target, so a
+// refused result leaves the target and its journal as they were; then it
+// wipes the collection and installs the new records and that _id_ under one
+// lock acquisition, published as one version and acknowledged by one
+// durability wait — a reader of the target sees the old result or the new
+// one, never the empty collection between them, and two $outs to one target
+// leave one of the two results, whole. The log still receives a wipe record
+// and a batch record, in that order.
 //
 // An update maintains only the indexes whose keys it changed: an updated
 // document keeps its record position, which is what its index entries
@@ -527,7 +530,19 @@
 //     storage.heap_b_per_user_b). Index maintenance compares the values at
 //     each key path in the two documents before building keys; a shared
 //     value compares equal by pointer, so an index the update did not
-//     touch costs no allocation.
+//     touch costs no allocation. The same rule holds across collections
+//     and servers. A replica set logs the document its primary stored, not
+//     a copy, and every member applies that one oplog record, so the
+//     primary, the oplog and each secondary hold one *bson.Doc until an
+//     update on a member installs that member's own shallow copy (on
+//     ingest_replicated storage.heap_b_per_user_b fell from 13.0 to 7.9).
+//     A $out target stores each result row that has an _id as the row
+//     itself. The source documents a $match passes to it stay shared with
+//     the collection they came from. $addFields, $unwind, $lookup and an
+//     exclusion projection copy only a row's field array and the paths
+//     they write. What is still copied is what a caller owns: update and
+//     delete specs, which the oplog and change-stream events copy once, and
+//     an insert the primary did not store.
 //   - Pin tracking: Snapshot/Cursor pin the version they read (one atomic
 //     add through a pin gate that closes the load-then-pin window);
 //     Release/Close unpin. Every publish prunes unpinned superseded
@@ -676,15 +691,16 @@
 //     -wal-group-interval / -wal-segment-mb, and checkpoints periodically
 //     with -checkpoint-every (plus once at shutdown).
 //
-// Two caveats are inherent to logging logical batches before applying
-// them. An upsert that inserts generates its document _id at apply time,
-// so a WAL replay of an upsert can assign a different generated _id than
-// the original run (plain inserts are not affected: ids are assigned
-// before logging; replset sidesteps it by logging the upserted post-image
-// as an insert, so replication stays deterministic). And one batch is one
-// log record, bounded by wal.MaxRecordSize (64 MiB encoded): a journaled
-// bulk write beyond that is rejected whole with a durability error before
-// anything applies — split such loads into smaller batches.
+// Logging logical batches before applying them needs every id a replay
+// would otherwise draw fixed in the record: an insert's missing _id is
+// assigned, and an upsert's (WriteOp.UpsertID) drawn, before the batch is
+// logged, so a replay inserts the documents the original run did. replset
+// logs an upserted post-image as an insert, or, when a later op of the
+// batch wrote that document, the upsert with the id it used. One caveat is
+// inherent: one batch is one log record, bounded by wal.MaxRecordSize
+// (64 MiB encoded), so a journaled bulk write beyond that is rejected whole
+// with a durability error before anything applies — split such loads into
+// smaller batches.
 //
 // # Change streams
 //

@@ -1,6 +1,7 @@
 package aggregate
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -465,6 +466,56 @@ func TestGroupSumMatchesDirectComputationProperty(t *testing.T) {
 			total, _ := g.Get("total")
 			if total != direct[id.(string)] {
 				t.Fatalf("trial %d: group %v total %v, want %v", trial, id, total, direct[id.(string)])
+			}
+		}
+	}
+}
+
+// TestStagesLeaveInputUnwritten: $addFields, $unwind and $lookup copy only
+// the field array of a row and the nested documents on the paths they write, so the rows they read — stored
+// documents, which other documents and pinned versions share — and the
+// foreign rows $lookup joins are never written, however deep the path. The
+// rows they emit carry the writes.
+func TestStagesLeaveInputUnwritten(t *testing.T) {
+	input := func() []*bson.Doc {
+		return []*bson.Doc{
+			bson.D(bson.IDKey, 1, "k", 1, "a", bson.D("b", bson.D("c", 1), "arr", bson.A(1, 2), "x", "gone")),
+			bson.D(bson.IDKey, 2, "k", 2, "a", bson.D("b", bson.D("c", 2), "arr", bson.A(3), "x", "gone")),
+		}
+	}
+	pipelines := map[string][]*bson.Doc{
+		"$addFields": {bson.D("$addFields", bson.D("a.b.c", "set", "a.b.d", bson.D("$add", bson.A("$k", 1))))},
+		"$unwind":    {bson.D("$unwind", "$a.arr")},
+		"$lookup":    {bson.D("$lookup", bson.D("from", "dims", "localField", "k", "foreignField", "k", "as", "a.b.joined"))},
+		"chained": {
+			bson.D("$lookup", bson.D("from", "dims", "localField", "k", "foreignField", "k", "as", "a.joined")),
+			bson.D("$unwind", "$a.joined"),
+			bson.D("$addFields", bson.D("a.joined.name", "overwritten", "a.joined.attrs.deep", false)),
+		},
+	}
+	for name, stages := range pipelines {
+		p := MustParse(stages)
+		for _, run := range []string{"Run", "RunIter"} {
+			docs := input()
+			env := &SliceEnv{Collections: map[string][]*bson.Doc{
+				"dims": {bson.D(bson.IDKey, 10, "k", 1, "name", "dim", "attrs", bson.D("deep", true))},
+			}}
+			want := fmt.Sprint(docs, env.Collections["dims"])
+			var out []*bson.Doc
+			var err error
+			if run == "Run" {
+				out, err = p.Run(docs, env)
+			} else {
+				out, err = Drain(p.RunIter(FromSlice(docs), env))
+			}
+			if err != nil {
+				t.Fatalf("%s (%s): %v", name, run, err)
+			}
+			if got := fmt.Sprint(docs, env.Collections["dims"]); got != want {
+				t.Errorf("%s (%s) wrote its input:\n got: %s\nwant: %s", name, run, got, want)
+			}
+			if len(out) == 0 || fmt.Sprint(out) == fmt.Sprint(docs) {
+				t.Errorf("%s (%s) emitted %v", name, run, out)
 			}
 		}
 	}

@@ -285,7 +285,9 @@ func (s *addFieldsStage) Apply(docs []*bson.Doc, _ Env) ([]*bson.Doc, error) {
 }
 
 func (s *addFieldsStage) applyDoc(d *bson.Doc) (*bson.Doc, error) {
-	nd := d.Clone()
+	// A shallow copy: Path.Set copies the nested documents on the path it
+	// writes, so d and what it holds are never written.
+	nd := d.ShallowClone()
 	for i := range s.fields {
 		v, err := s.fields[i].expr(d)
 		if err != nil {
@@ -397,7 +399,7 @@ func (s *unwindStage) unwindDoc(d *bson.Doc, out []*bson.Doc) ([]*bson.Doc, erro
 		}
 	case isArr:
 		for _, e := range arr {
-			nd := d.Clone()
+			nd := d.ShallowClone() // as in $addFields
 			if err := s.path.Set(nd, e); err != nil {
 				return nil, err
 			}
@@ -482,7 +484,7 @@ func (s *lookupStage) Apply(docs []*bson.Doc, env Env) ([]*bson.Doc, error) {
 	for _, d := range docs {
 		v, _ := s.localField.Get(d)
 		key = bson.AppendKey(key[:0], v)
-		nd := d.Clone()
+		nd := d.ShallowClone() // as in $addFields
 		if err := s.as.Set(nd, append([]any{}, table[string(key)]...)); err != nil {
 			return nil, err
 		}

@@ -159,6 +159,15 @@ func (d *Doc) Delete(key string) bool {
 // ID returns the document's _id value, or nil when unset.
 func (d *Doc) ID() any { return d.GetOr(IDKey, nil) }
 
+// WithID returns a new document holding _id = id first and then d's fields,
+// over d's own values: how a document that has no _id is stored. d, which
+// must hold no _id, is not written.
+func (d *Doc) WithID(id any) *Doc {
+	fields := make([]Field, 0, len(d.fields)+1)
+	fields = append(fields, Field{Key: IDKey, Value: Normalize(id)})
+	return &Doc{fields: append(fields, d.fields...)}
+}
+
 // ShallowClone returns a copy of the document's field array over the same
 // values: the copy's fields can be set, added and removed without touching
 // d, but a nested document or array is still d's. It is what a write takes

@@ -113,13 +113,14 @@ func (e *Event) ResetDocCache() { e.doc = nil }
 // live tail and the resume replay, which is what makes a resumed stream
 // byte-equivalent to one that never disconnected.
 //
-// clone deep-copies document payloads into the events. The live path sets it
-// (under the collection lock) because a logged insert document is the stored
-// document: later in-place updates would otherwise race watchers reading the
-// event. Records decoded from segment files own their documents, so replay
-// passes false.
-func EventsFromRecord(rec *wal.Record, clone bool) []*Event {
-	events := eventsFromRecord(rec, clone)
+// cloneSpecs deep-copies the update and delete specs into the events. The
+// live path sets it (under the collection lock) because those specs are the
+// caller's, who may reuse them once the write returns. An insert's document
+// is shared either way: it is the document the collection stores, which
+// nothing writes again (storage.Insert). Records decoded from segment files
+// own their documents, so replay passes false.
+func EventsFromRecord(rec *wal.Record, cloneSpecs bool) []*Event {
+	events := eventsFromRecord(rec, cloneSpecs)
 	// Pre-render here, while the events are still private to one
 	// goroutine: once the broker shares them across watcher buffers, a
 	// lazy cache fill would race concurrent consumers.
@@ -129,7 +130,7 @@ func EventsFromRecord(rec *wal.Record, clone bool) []*Event {
 	return events
 }
 
-func eventsFromRecord(rec *wal.Record, clone bool) []*Event {
+func eventsFromRecord(rec *wal.Record, cloneSpecs bool) []*Event {
 	switch rec.Kind {
 	case wal.KindBatch:
 		events := make([]*Event, 0, len(rec.Ops))
@@ -142,18 +143,14 @@ func eventsFromRecord(rec *wal.Record, clone bool) []*Event {
 			switch op.Kind {
 			case storage.InsertOp:
 				ev.OpType = OpInsert
-				doc := op.Doc
-				if clone {
-					doc = doc.Clone()
-				}
-				ev.FullDocument = doc
-				if id := doc.ID(); id != nil {
+				ev.FullDocument = op.Doc
+				if id := op.Doc.ID(); id != nil {
 					ev.DocumentKey = bson.D(bson.IDKey, id)
 				}
 			case storage.UpdateOp:
 				ev.OpType = OpUpdate
 				q, u := op.Update.Query, op.Update.Update
-				if clone {
+				if cloneSpecs {
 					q, u = q.Clone(), u.Clone()
 				}
 				desc := bson.NewDoc(4)
@@ -174,7 +171,7 @@ func eventsFromRecord(rec *wal.Record, clone bool) []*Event {
 			case storage.DeleteOp:
 				ev.OpType = OpDelete
 				f := op.Filter
-				if clone {
+				if cloneSpecs {
 					f = f.Clone()
 				}
 				ev.Filter = f

@@ -126,9 +126,9 @@ type notifyingCommit struct {
 // Notify implements storage.CommitNotifier.
 func (n *notifyingCommit) Notify() {
 	if n.rec.Kind == wal.KindBatch {
-		// Batch events are pre-built (or deliberately absent) at log time;
-		// deriving them here would race in-place updates of the stored
-		// documents the record references.
+		// Batch events are pre-built (or deliberately absent) at log time,
+		// while the specs they copy are still unwritten by their caller and
+		// the interest check is ordered against subscriber joins (see wrap).
 		n.broker.Publish(n.rec.LSN, n.events)
 		return
 	}
@@ -147,9 +147,10 @@ func (j *collJournal) wrap(rec *wal.Record) (storage.CommitWaiter, error) {
 		// precedes this record has, by the WAL-mutex ordering, already
 		// raised the interest index this check reads, so no watcher can
 		// need events this skips — and writes to namespaces nobody
-		// watches skip materialization entirely. The clone pins the
-		// insert payloads against later in-place updates of the stored
-		// documents.
+		// watches skip materialization entirely. The update and delete
+		// specs are copied, as the caller may reuse them once the write
+		// returns; an insert's document is the stored one, which nothing
+		// writes again, and is shared.
 		nc.events = changestream.EventsFromRecord(rec, true)
 	}
 	return nc, nil

@@ -1,6 +1,8 @@
 package mongod
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,4 +113,81 @@ func TestOutReplacesTargetAtomically(t *testing.T) {
 			t.Fatalf("recovered document %d = %s, want %s", i, got[i], want[i])
 		}
 	}
+}
+
+// TestFailedOutLeavesTargetAsItWas: a $out whose result the engine refuses —
+// a duplicate _id, a row over the size limit, a row nested too deep — fails
+// before it touches its target, as MongoDB's does. The target still holds
+// its old documents, a snapshot pinned before the $out reads them
+// unchanged, and recovery of the data directory rebuilds the target as it
+// was before the $out: nothing of the refused result reached the journal.
+func TestFailedOutLeavesTargetAsItWas(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := durableServer(t, dir, wal.SyncGroupCommit)
+	db := s.Database("db")
+	old := []*bson.Doc{bson.D(bson.IDKey, "old1"), bson.D(bson.IDKey, "old2")}
+	if _, err := db.InsertMany("target", old); err != nil {
+		t.Fatal(err)
+	}
+	src := []*bson.Doc{
+		bson.D("case", "duplicate", "k", 1), bson.D("case", "duplicate", "k", 2),
+		bson.D("case", "duplicate", "k", 2), bson.D("case", "duplicate", "k", 3),
+		bson.D("case", "size", "big", strings.Repeat("x", bson.MaxDocumentSize/2)),
+		bson.D("case", "depth", "v", nest("leaf", 89)),
+	}
+	if _, err := db.InsertMany("src", src); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Collection("target").Snapshot()
+	defer snap.Release()
+	cases := []struct {
+		name  string
+		stage *bson.Doc
+		want  func(error) bool
+	}{
+		{"duplicate", bson.D("$project", bson.D(bson.IDKey, "$k")), func(err error) bool {
+			var dup *storage.ErrDuplicateID
+			return errors.As(err, &dup) && dup.ID == int64(2)
+		}},
+		{"size", bson.D("$project", bson.D("a", "$big", "b", "$big")), func(err error) bool {
+			var tooBig *storage.ErrDocumentTooLarge
+			return errors.As(err, &tooBig)
+		}},
+		{"depth", bson.D("$project", bson.D("w", nest("$v", 10))), func(err error) bool {
+			return errors.Is(err, storage.ErrDocumentTooDeep)
+		}},
+	}
+	same := func(what string, got []*bson.Doc) {
+		t.Helper()
+		if len(got) != len(old) {
+			t.Fatalf("%s holds %v, want %v", what, got, old)
+		}
+		for i := range old {
+			if !got[i].Equal(old[i]) {
+				t.Fatalf("%s holds %v, want %v", what, got, old)
+			}
+		}
+	}
+	for _, c := range cases {
+		_, err := db.Aggregate("src", []*bson.Doc{
+			bson.D("$match", bson.D("case", c.name)), c.stage, bson.D("$out", "target"),
+		})
+		if !c.want(err) {
+			t.Fatalf("%s: $out = %v", c.name, err)
+		}
+		kept, err := db.Find("target", nil, storage.FindOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(c.name+": the target", kept)
+		same(c.name+": the snapshot pinned before the $out", snap.Docs())
+	}
+
+	// Crash: abandon the server without closing the WAL.
+	s2, _ := durableServer(t, dir, wal.SyncGroupCommit)
+	recovered, err := s2.Database("db").Find("target", nil, storage.FindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("the recovered target", recovered)
 }

@@ -556,16 +556,12 @@ func (e *dbEnv) ReadCollection(name string) ([]*bson.Doc, error) {
 	return snap.Docs(), nil
 }
 
+// WriteCollection replaces the target collection ($out) with the result
+// rows, uncopied. The target stores each row that has an _id as it is, and
+// the pipeline's caller reads the same rows: nothing writes either, because
+// every stored document is frozen and a row is the last stage's output, which
+// no stage touches again. ReplaceContents checks every row, depth included,
+// before it empties the target.
 func (e *dbEnv) WriteCollection(name string, docs []*bson.Doc) error {
-	// $out replaces the target collection; documents are cloned so later
-	// pipeline stages (or callers) cannot alias stored state. One the engine
-	// would refuse is refused before the target is emptied.
-	cloned := make([]*bson.Doc, len(docs))
-	for i, d := range docs {
-		if !bson.NestsWithin(d, bson.MaxDocumentDepth) {
-			return storage.ErrDocumentTooDeep
-		}
-		cloned[i] = d.Clone()
-	}
-	return e.db.Collection(name).ReplaceContents(cloned)
+	return e.db.Collection(name).ReplaceContents(docs)
 }

@@ -244,7 +244,7 @@ func runQuery50Normalized(store driver.Store, p Params) ([]*bson.Doc, int, error
 				if !ok {
 					continue
 				}
-				doc := s.Clone()
+				doc := s.ShallowClone() // only top-level fields are written
 				doc.Delete(bson.IDKey)
 				returnedSk, _ := r.Get("sr_returned_date_sk")
 				doc.Set("sr_returned_date_sk", returnedSk)

@@ -98,8 +98,9 @@ func (p *Projection) Apply(d *bson.Doc) *bson.Doc {
 		}
 		return out
 	}
-	// Exclusion projection: deep-copy then remove.
-	out := d.Clone()
+	// Exclusion projection: a shallow copy, then remove. Path.Delete copies
+	// the nested documents on the path it removes from, so d is not written.
+	out := d.ShallowClone()
 	for _, path := range p.fields {
 		path.Delete(out)
 	}

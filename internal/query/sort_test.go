@@ -162,7 +162,8 @@ func TestProjectionInclusion(t *testing.T) {
 }
 
 func TestProjectionExclusion(t *testing.T) {
-	d := bson.D(bson.IDKey, 7, "a", 1, "b", 2)
+	d := bson.D(bson.IDKey, 7, "a", 1, "b", 2, "sub", bson.D("x", 1, "y", bson.D("z", 2)))
+	before := d.String()
 	p := MustParseProjection(bson.D("b", 0))
 	out := p.Apply(d)
 	if !out.Has("a") || out.Has("b") || !out.Has(bson.IDKey) {
@@ -183,9 +184,15 @@ func TestProjectionExclusion(t *testing.T) {
 	if out3.Has(bson.IDKey) || !out3.Has("a") || !out3.Has("b") {
 		t.Fatalf("_id-only exclusion output = %s", out3)
 	}
-	// Exclusion must not mutate the original document.
-	if !d.Has("b") {
-		t.Fatalf("original document mutated by exclusion projection")
+	// A nested exclusion.
+	out4 := MustParseProjection(bson.D("sub.y.z", 0, "sub.x", 0)).Apply(d)
+	if got := out4.String(); got != `{_id: 7, a: 1, b: 2, sub: {y: {}}}` {
+		t.Fatalf("nested exclusion output = %s", got)
+	}
+	// Exclusion must not mutate the original document, nested documents
+	// included: it copies only what it removes from.
+	if got := d.String(); got != before {
+		t.Fatalf("original document mutated by exclusion projection: %s, was %s", got, before)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"docstore/internal/bson"
 	"docstore/internal/mongod"
 	"docstore/internal/query"
 	"docstore/internal/storage"
@@ -299,36 +300,74 @@ func (rs *ReplicaSet) BulkWrite(db, coll string, ops []storage.WriteOp, opts sto
 	return res
 }
 
-// loggedOps builds the replication record for an executed batch. Inserts
-// are logged as their post-apply clone (the primary assigned any missing
-// _id in place, so every member materializes the identical document), and
-// an update that upserted is rewritten as an insert of its post-image for
-// the same reason. Failed or unattempted ops are logged verbatim: replay
-// fails them identically, which is convergence.
+// loggedOps builds the replication record for an executed batch. An insert
+// the primary stored is logged as the document it stored, not a copy: stored
+// documents are frozen (storage.Insert), so the oplog and every member can
+// hold the one the primary holds. An update that upserted is rewritten as an
+// insert of its stored post-image for the same reason, unless a later op of
+// the batch may have written that document since: then FindID no longer
+// returns this op's post-image, and the upsert is logged with the id it used,
+// which replays it exactly. Every other op is logged as the caller gave it,
+// and replay fails it identically, which is convergence; what the caller
+// still owns is copied: the update and delete specs, and an insert the
+// primary did not store. Such an insert without an _id (an ordered batch
+// stopped before it) gets one in its copy, and an upsert without an UpsertID
+// gets one drawn, as a journaled primary does both before it logs: every
+// member applies this one record at once, so nothing may be left in it for a
+// member's journal to fill in.
 func loggedOps(primary *mongod.Server, db, coll string, ops []storage.WriteOp, res *storage.BulkResult) []storage.WriteOp {
 	logged := make([]storage.WriteOp, len(ops))
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
 		case storage.InsertOp:
-			logged[i] = storage.InsertWriteOp(cloneOrNil(op.Doc))
+			doc := op.Doc
+			if res.InsertedIDs[i] == nil {
+				doc = doc.Clone()
+				if doc != nil && !doc.Has(bson.IDKey) {
+					doc = doc.WithID(bson.NewObjectID())
+				}
+			}
+			logged[i] = storage.InsertWriteOp(doc)
 		case storage.UpdateOp:
-			if res.UpsertedIDs != nil && res.UpsertedIDs[i] != nil {
-				if doc := primary.Database(db).Collection(coll).FindID(res.UpsertedIDs[i]); doc != nil {
-					logged[i] = storage.InsertWriteOp(doc.Clone())
+			var upserted any
+			if res.UpsertedIDs != nil {
+				upserted = res.UpsertedIDs[i]
+			}
+			if upserted != nil && onlyInserts(ops[i+1:res.Attempted]) {
+				if doc := primary.Database(db).Collection(coll).FindID(upserted); doc != nil {
+					logged[i] = storage.InsertWriteOp(doc)
 					continue
 				}
 			}
 			logged[i] = storage.UpdateWriteOp(query.UpdateSpec{
-				Query: cloneOrNil(op.Update.Query), Update: cloneOrNil(op.Update.Update),
+				Query: op.Update.Query.Clone(), Update: op.Update.Update.Clone(),
 				Upsert: op.Update.Upsert, Multi: op.Update.Multi,
 			})
-			logged[i].UpsertID = op.UpsertID
+			switch {
+			case upserted != nil:
+				logged[i].UpsertID = upserted
+			case op.Update.Upsert && op.UpsertID == nil:
+				logged[i].UpsertID = bson.NewObjectID()
+			default:
+				logged[i].UpsertID = op.UpsertID
+			}
 		default:
-			logged[i] = storage.DeleteWriteOp(cloneOrNil(op.Filter), op.Multi)
+			logged[i] = storage.DeleteWriteOp(op.Filter.Clone(), op.Multi)
 		}
 	}
 	return logged
+}
+
+// onlyInserts reports whether every op is an insert: none of them can have
+// written a document already stored.
+func onlyInserts(ops []storage.WriteOp) bool {
+	for i := range ops {
+		if ops[i].Kind != storage.InsertOp {
+			return false
+		}
+	}
+	return true
 }
 
 // waitQuorum blocks on a registered waiter until it resolves or the

@@ -215,13 +215,6 @@ func (rs *ReplicaSet) Delete(db, coll string, filter *bson.Doc, multi bool) (int
 	return res.Deleted, res.FirstError()
 }
 
-func cloneOrNil(d *bson.Doc) *bson.Doc {
-	if d == nil {
-		return nil
-	}
-	return d.Clone()
-}
-
 // appendOplogLocked stamps and retains one record under the caller's hold
 // of rs.mu. With a WAL attached the record is appended there — which
 // assigns its LSN — and the returned commit is waited on (waitOplog) after
@@ -257,11 +250,14 @@ func waitOplog(commit *wal.Commit, journaled bool) error {
 	return commit.Wait(journaled)
 }
 
-// applyEntry replays one oplog record against a member. The record is cloned
-// before applying because inserted documents are stored by reference and
-// every member needs its own copy.
+// applyEntry replays one oplog record against a member. Every member applies
+// the same record, uncopied, and its appliers run at once: an inserted
+// document is the one the primary stored, so each member stores that same
+// *bson.Doc until an update installs its own shallow copy, and nothing in the
+// record is written — loggedOps leaves no insert without an _id and no upsert
+// without an id for a member's storage to fill in.
 func applyEntry(m *mongod.Server, e OplogEntry) error {
-	rec := e.Record.Clone()
+	rec := e.Record
 	switch rec.Kind {
 	case wal.KindBatch:
 		res := m.Database(rec.DB).BulkWrite(rec.Coll, rec.Ops, storage.BulkOptions{Ordered: rec.Ordered})

@@ -1,6 +1,7 @@
 package replset
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -248,6 +249,36 @@ func TestUpsertReplicatesDeterministically(t *testing.T) {
 		doc := m.Database("db").Collection("c").FindID(res.UpsertedID)
 		if doc == nil {
 			t.Fatalf("member %s missing upserted _id %v (divergent generated ids)", m.Name(), res.UpsertedID)
+		}
+	}
+}
+
+// TestUpsertThenWriteInOneBatchReplicates: when a later op of the batch
+// writes the document an upsert inserted — an $inc, a delete — the oplog may
+// not log the document as the batch left it as the upsert's post-image, or
+// the members apply the later op twice. Every member ends where the primary
+// did.
+func TestUpsertThenWriteInOneBatchReplicates(t *testing.T) {
+	rs := newTestSet(t, 3)
+	rs.StartReplication()
+	defer rs.Close()
+	inc := func(filter *bson.Doc, upsert bool) storage.WriteOp {
+		return storage.UpdateWriteOp(query.UpdateSpec{Query: filter, Update: bson.D("$inc", bson.D("n", 1)), Upsert: upsert})
+	}
+	for _, batch := range [][]storage.WriteOp{
+		{inc(bson.D(bson.IDKey, 1), true), inc(bson.D(bson.IDKey, 1), false)},
+		{inc(bson.D("k", 2), true), inc(bson.D("k", 2), false), storage.InsertWriteOp(bson.D(bson.IDKey, 3))},
+		{inc(bson.D("k", 4), true), storage.DeleteWriteOp(bson.D("k", 4), false), inc(bson.D("k", 4), true)},
+	} {
+		mustWrite(t, rs, storage.WriteConcern{W: 3}, batch...)
+	}
+	want := sortedDocs(rs.Primary())
+	if len(want) != 4 {
+		t.Fatalf("the primary holds %v, want four documents", want)
+	}
+	for _, m := range rs.Secondaries() {
+		if got := sortedDocs(m); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("member %s holds %v, the primary %v", m.Name(), got, want)
 		}
 	}
 }

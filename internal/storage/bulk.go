@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 
 	"docstore/internal/bson"
@@ -242,6 +243,9 @@ func firstTooDeep(ops []WriteOp) int {
 	return -1
 }
 
+// errNoInsertDoc refuses an insert that carries no document.
+var errNoInsertDoc = errors.New("storage: bulk insert op has no document")
+
 // preparedOp is the per-op state computable without the collection lock.
 type preparedOp struct {
 	matcher *query.Matcher
@@ -260,11 +264,17 @@ func prepareBulk(ops []WriteOp) (prep []preparedOp, res BulkResult, inserts int)
 		case InsertOp:
 			inserts++
 			if op.Doc == nil {
-				prep[i].err = fmt.Errorf("storage: bulk insert op has no document")
+				prep[i].err = errNoInsertDoc
 			}
 		case UpdateOp:
 			if op.Update.Upsert {
 				upserts = true
+			}
+			if op.Update.Update == nil {
+				// Refused here, before the lock: applying it would panic
+				// with the collection's write mutex held.
+				prep[i].err = errors.New("storage: bulk update op has no update document")
+				continue
 			}
 			prep[i].matcher, prep[i].err = query.Compile(op.Update.Query)
 		case DeleteOp:

@@ -2,7 +2,10 @@ package storage
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/query"
@@ -240,5 +243,59 @@ func TestBulkWriteUniqueIndexAttribution(t *testing.T) {
 	docs, err := c.Find(bson.D("u", "b"), FindOptions{})
 	if err != nil || len(docs) != 1 {
 		t.Fatalf("index lookup after failed op: %d, %v", len(docs), err)
+	}
+}
+
+// TestBulkWriteRefusesUpdateWithoutUpdateDocument: an update op whose update
+// document is nil — an upsert that matches nothing, or an update that matches
+// a document — is refused as an insert without a document is, before the
+// collection's write mutex is taken, and the next write still goes through.
+// Applied, it would dereference the nil document with the mutex held.
+func TestBulkWriteRefusesUpdateWithoutUpdateDocument(t *testing.T) {
+	c := NewCollection("c")
+	if _, err := c.Insert(bson.D(bson.IDKey, 1, "k", 2)); err != nil {
+		t.Fatal(err)
+	}
+	// returns runs a write on its own goroutine and fails the test when it
+	// panics or has not returned after a while: blocked on a held mutex.
+	returns := func(what string, write func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panicked: %v", r)
+				}
+			}()
+			done <- write()
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return: the write mutex is still held", what)
+			return nil
+		}
+	}
+	for _, spec := range []query.UpdateSpec{
+		{Query: bson.D("k", 1), Upsert: true},
+		{Query: bson.D("k", 2)},
+	} {
+		err := returns(fmt.Sprint("the update of ", spec.Query), func() error {
+			_, err := c.Update(spec)
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "no update document") {
+			t.Errorf("update %v without an update document = %v, want refused", spec.Query, err)
+		}
+	}
+	if err := returns("the insert after the refused updates", func() error {
+		_, err := c.Insert(bson.D(bson.IDKey, 2))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.FindID(1); got == nil || got.GetOr("k", nil) != int64(2) {
+		t.Fatalf("the matched document became %v", got)
 	}
 }

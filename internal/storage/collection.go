@@ -395,13 +395,19 @@ func ensureID(doc *bson.Doc, id any) any {
 	if id == nil {
 		id = bson.NewObjectID()
 	}
-	withID := bson.NewDoc(doc.Len() + 1)
-	withID.Set(bson.IDKey, id)
-	for _, f := range doc.Fields() {
-		withID.Set(f.Key, f.Value)
-	}
-	*doc = *withID
+	*doc = *doc.WithID(id)
 	return id
+}
+
+// insertedSize returns the encoded size of a document about to be inserted
+// under id, or why it cannot be: storedSize's checks, and an array _id
+// refused as the real server refuses it (_id_ would turn multikey, and
+// [1, 2] would collide with [2, 3]).
+func insertedSize(doc *bson.Doc, id any) (int, error) {
+	if _, isArray := id.([]any); isArray {
+		return 0, fmt.Errorf("storage: the %s field cannot be an array", bson.IDKey)
+	}
+	return storedSize(doc)
 }
 
 // storedSize returns the encoded size of a document about to be stored, or
@@ -419,12 +425,7 @@ func storedSize(doc *bson.Doc) (int, error) {
 
 func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	id := ensureID(doc, nil)
-	if _, isArray := id.([]any); isArray {
-		// As the real server: _id_ would turn multikey, and [1, 2] would
-		// collide with [2, 3].
-		return nil, fmt.Errorf("storage: the %s field cannot be an array", bson.IDKey)
-	}
-	size, err := storedSize(doc)
+	size, err := insertedSize(doc, id)
 	if err != nil {
 		return nil, err
 	}

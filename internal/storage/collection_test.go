@@ -585,18 +585,29 @@ func TestUpdateRefusedByUniqueIndexChangesNothing(t *testing.T) {
 	}
 }
 
+// TestReplaceContents: the rows replace the old documents and are not
+// written: a row with an _id is stored as it is, one without is stored as a
+// new document whose _id leads, and the row keeps no _id.
 func TestReplaceContents(t *testing.T) {
 	c := NewCollection("out")
 	_, _ = c.Insert(bson.D(bson.IDKey, 1, "old", true))
-	err := c.ReplaceContents([]*bson.Doc{
+	rows := []*bson.Doc{
 		bson.D(bson.IDKey, 10, "new", true),
 		bson.D(bson.IDKey, 11, "new", true),
-	})
-	if err != nil {
+		bson.D("new", "no id"),
+	}
+	if err := c.ReplaceContents(rows); err != nil {
 		t.Fatal(err)
 	}
-	if c.Count() != 2 || c.FindID(1) != nil || c.FindID(10) == nil {
+	if c.Count() != 3 || c.FindID(1) != nil || c.FindID(10) != rows[0] {
 		t.Fatalf("ReplaceContents state wrong: count=%d", c.Count())
+	}
+	if rows[2].Has(bson.IDKey) {
+		t.Fatalf("the row without an _id was given one: %s", rows[2])
+	}
+	docs, err := c.FindAll(bson.D("new", "no id"))
+	if err != nil || len(docs) != 1 || docs[0].Keys()[0] != bson.IDKey || docs[0].Len() != 2 {
+		t.Fatalf("the row without an _id is stored as %v, %v", docs, err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"slices"
 	"sort"
 
 	"docstore/internal/bson"
+	"docstore/internal/index"
 	"docstore/internal/query"
 )
 
@@ -193,30 +195,40 @@ func (c *Collection) UpdateOne(filter, update *bson.Doc) (UpdateResult, error) {
 	return c.Update(query.UpdateSpec{Query: filter, Update: update})
 }
 
-// ReplaceContents drops every document and inserts the given ones; it is the
-// semantics of the aggregation $out stage writing its result collection. The
-// wipe and the ordered insert batch happen under one write-lock acquisition
-// and become visible as one version: a reader sees the old contents or the
-// new, never the empty collection between them, and two concurrent calls
-// leave one caller's documents, not a mix. The journal still receives the two
-// records a Drop and a BulkWrite would have written, in that order, so
-// recovery replays them as it always did; the batch's record is the later of
-// the two in one sequential log, so one wait covers both.
-func (c *Collection) ReplaceContents(docs []*bson.Doc) error {
-	ops := InsertOps(docs)
-	if firstTooDeep(ops) >= 0 {
-		return ErrDocumentTooDeep // as BulkApply would, but before the wipe
+// ReplaceContents drops every document and stores the given rows in their
+// place; it is the semantics of the aggregation $out stage writing its result
+// collection. Every row is checked first — depth, size, an array _id, a
+// duplicate _id against an _id_ index built in the same pass — so a refused
+// result leaves the target, and its journal, as they were. The rows are not
+// written: a row with an _id is stored as it is, shared with the caller under
+// the frozen-document rule (see Insert), and one without is stored as a new
+// field array, a fresh ObjectID first, over the row's values. The wipe, the
+// new records and their _id_ are published as one version: a reader sees the
+// old contents or the new, never the empty collection between them, and two
+// concurrent calls leave one caller's documents, not a mix. The journal
+// receives the two records a Drop and a BulkWrite would have written, in that
+// order, so recovery replays them as it always did; the batch's record is the
+// later of the two in one sequential log, so one wait covers both.
+func (c *Collection) ReplaceContents(rows []*bson.Doc) error {
+	docs, sizes, ids, err := buildContents(rows)
+	if err != nil {
+		return err
 	}
-	prep, res, inserts := prepareBulk(ops)
 	c.mu.Lock()
 	// A journal failure on the wipe is best-effort, as in Drop.
 	cleared, _ := c.logClearLocked()
 	c.clearLocked()
 	var logged CommitWaiter
-	var err error
-	if len(ops) > 0 {
-		if logged, err = c.logLocked(ops, true); err == nil {
-			c.applyOpsLocked(ops, prep, inserts, true, &res)
+	if len(docs) > 0 {
+		if logged, err = c.logLocked(InsertOps(docs), true); err == nil {
+			c.reserveLocked(len(docs))
+			for i, doc := range docs {
+				*c.appendSlotLocked() = record{doc: doc, size: sizes[i]}
+				c.dataSize += sizes[i]
+			}
+			c.count = len(docs)
+			c.adoptIndexLocked(ids)
+			c.indexes[0].ix = ids
 		}
 	}
 	c.publishLocked()
@@ -225,15 +237,48 @@ func (c *Collection) ReplaceContents(docs []*bson.Doc) error {
 	if last == nil {
 		last = cleared
 	}
+	var durabilityErr error
 	if last != nil {
-		res.DurabilityErr = last.Wait(false)
+		durabilityErr = last.Wait(false)
 	}
 	notifyCommit(cleared)
 	notifyCommit(logged)
 	if err != nil {
 		return err
 	}
-	return res.FirstError()
+	return durabilityErr
+}
+
+// buildContents checks rows, in order, as the documents ReplaceContents
+// stores, and returns those documents, their sizes and the _id_ index over
+// them (positions are row indices). It writes none of the rows and reports
+// the first refusal with the error an insert of that row would get.
+func buildContents(rows []*bson.Doc) ([]*bson.Doc, []int, *index.Index, error) {
+	docs, sizes := make([]*bson.Doc, len(rows)), make([]int, len(rows))
+	ids := index.New(idIndexName, idIndexSpec, true)
+	for i, doc := range rows {
+		if doc == nil {
+			return nil, nil, nil, errNoInsertDoc
+		}
+		id, ok := doc.Get(bson.IDKey)
+		if !ok {
+			id = bson.NewObjectID()
+			doc = doc.WithID(id)
+		}
+		size, err := insertedSize(doc, id)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if err := ids.Insert(doc, i); err != nil {
+			var dup *index.ErrDuplicateKey
+			if errors.As(err, &dup) {
+				return nil, nil, nil, &ErrDuplicateID{ID: id}
+			}
+			return nil, nil, nil, err
+		}
+		docs[i], sizes[i] = doc, size
+	}
+	return docs, sizes, ids, nil
 }
 
 // Delete removes documents matching the filter. When multi is false only the

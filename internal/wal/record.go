@@ -72,35 +72,6 @@ type Record struct {
 	Index  string
 }
 
-// Clone deep-copies the record so it can be applied to multiple servers
-// without sharing document storage (inserted documents are stored by
-// reference).
-func (r *Record) Clone() *Record {
-	out := &Record{
-		LSN: r.LSN, Kind: r.Kind, DB: r.DB, Coll: r.Coll, Ordered: r.Ordered,
-		Spec: r.Spec.Clone(), Unique: r.Unique, Index: r.Index,
-	}
-	if r.Ops != nil {
-		out.Ops = make([]storage.WriteOp, len(r.Ops))
-		for i, op := range r.Ops {
-			out.Ops[i] = storage.WriteOp{
-				Kind: op.Kind,
-				Doc:  op.Doc.Clone(),
-				Update: query.UpdateSpec{
-					Query:  op.Update.Query.Clone(),
-					Update: op.Update.Update.Clone(),
-					Upsert: op.Update.Upsert,
-					Multi:  op.Update.Multi,
-				},
-				Filter:   op.Filter.Clone(),
-				Multi:    op.Multi,
-				UpsertID: op.UpsertID,
-			}
-		}
-	}
-	return out
-}
-
 // Framing: every record is stored as
 //
 //	[4B little-endian payload length][4B CRC32C of payload][payload]
