@@ -128,6 +128,20 @@
 //     (with BulkInsertOp/BulkUpdateOp/BulkDeleteOp builders) wraps the
 //     exchange, and docstore-shell passes "ordered" through and prints the
 //     result document.
+//   - an update costs what it writes. query.ApplyUpdate reports the
+//     top-level fields it wrote (query.Written; a replacement writes them
+//     all). The new stored size is the old one less those fields' old
+//     elements plus their new ones, only the new values are checked for
+//     depth (query.Written.Resize), and a document the op embeds into
+//     every row it matches is sized once per op (query.SizeMemo); inserts,
+//     upserts and replacements are sized in full. Only the indexes whose
+//     key paths start at a written field (index.Index.MayChange) are
+//     maintained, so a $inc of an unindexed counter touches no index, and
+//     a row a Figure 4.7 op moves off its foreign key leaves the head of
+//     that key's posting list, which the era's own list drops by a reslice
+//     (positions are visited in ascending order). On analytic_denorm
+//     denorm.us_per_doc fell from 4.2 to 2.5 us (medians of three traced
+//     runs a side).
 //
 // InsertMany at every layer is a thin wrapper over this path, so the
 // migration and denormalization loaders batch for free; benchmark/ measures
@@ -542,7 +556,12 @@
 //     exclusion projection copy only a row's field array and the paths
 //     they write. What is still copied is what a caller owns: update and
 //     delete specs, which the oplog and change-stream events copy once, and
-//     an insert the primary did not store.
+//     an insert the primary did not store. Nor is an array copied on its
+//     way into a document: bson.Normalize returns a canonical value as it
+//     is, an array included, and copies one only from the first element it
+//     converts, so $push and $addToSet build their array once, each on a
+//     copy clipped to the old array's length, since the spare room past a
+//     shared array's end is not theirs to write.
 //   - Pin tracking: Snapshot/Cursor pin the version they read (one atomic
 //     add through a pin gate that closes the load-then-pin window);
 //     Release/Close unpin. Every publish prunes unpinned superseded

@@ -295,3 +295,42 @@ func TestTruthy(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeKeepsCanonicalArrays: an array whose elements are all
+// canonical is returned as it is, at every depth, and one with an element to
+// convert is copied, sharing the elements before that one and leaving the
+// argument unwritten.
+func TestNormalizeKeepsCanonicalArrays(t *testing.T) {
+	inner := []any{int64(1), "x"}
+	canonical := make([]any, 3, 5)
+	canonical[0], canonical[1], canonical[2] = D("a", 1), inner, nil
+	got := Normalize(canonical).([]any)
+	if &got[0] != &canonical[0] || len(got) != 3 || cap(got) != 5 {
+		t.Fatalf("a canonical array was copied: %v (cap %d)", got, cap(got))
+	}
+	if empty := []any{}; Normalize(empty).([]any) == nil {
+		t.Fatalf("an empty array normalized to nil")
+	}
+
+	sub := D("k", 1)
+	mixed := []any{sub, int(2), []any{int32(3)}, inner}
+	got = Normalize(mixed).([]any)
+	if &got[0] == &mixed[0] {
+		t.Fatalf("an array holding an int was returned uncopied")
+	}
+	if got[0] != sub || got[1] != int64(2) || got[3].([]any)[0] != int64(1) || &got[3].([]any)[0] != &inner[0] {
+		t.Fatalf("Normalize(%v) = %v: the elements before and beside the converted ones are not shared", mixed, got)
+	}
+	if nested := got[2].([]any); nested[0] != int64(3) {
+		t.Fatalf("nested int32 not converted: %v", nested)
+	}
+	if mixed[1] != int(2) || mixed[2].([]any)[0] != int32(3) {
+		t.Fatalf("Normalize wrote its argument: %v", mixed)
+	}
+
+	// Set stores a canonical array as given: the caller hands it over.
+	d := NewDoc(1).Set("arr", canonical)
+	if v, _ := d.Get("arr"); &v.([]any)[0] != &canonical[0] {
+		t.Fatalf("Set copied a canonical array")
+	}
+}

@@ -57,14 +57,17 @@ func NestsWithin(d *Doc, levels int) bool {
 		return false
 	}
 	for _, f := range d.Fields() {
-		if !valueNestsWithin(f.Value, levels-1) {
+		if !ValueNestsWithin(f.Value, levels-1) {
 			return false
 		}
 	}
 	return true
 }
 
-func valueNestsWithin(v any, levels int) bool {
+// ValueNestsWithin reports whether v nests at most levels levels of
+// documents and arrays, itself the first when it is one: NestsWithin for a
+// document, and a scalar nests none.
+func ValueNestsWithin(v any, levels int) bool {
 	switch t := v.(type) {
 	case *Doc:
 		return NestsWithin(t, levels)
@@ -73,7 +76,7 @@ func valueNestsWithin(v any, levels int) bool {
 			return false
 		}
 		for _, e := range t {
-			if !valueNestsWithin(e, levels-1) {
+			if !ValueNestsWithin(e, levels-1) {
 				return false
 			}
 		}

@@ -58,6 +58,9 @@ func (p *Path) Init(name string) {
 // String returns the dotted name the path was compiled from.
 func (p *Path) String() string { return p.name }
 
+// Top returns the top-level field the path starts at.
+func (p *Path) Top() string { return p.first.key }
+
 // index returns the position of the segment's field in d, or -1.
 func (s *segment) index(d *Doc) int {
 	if d == nil {

@@ -76,6 +76,12 @@ func TypeOf(v any) Type {
 // the store: nil, bool, int64, float64, string, *Doc, []any, ObjectID,
 // time.Time. Integer types collapse to int64 and float32 to float64; unknown
 // types are stringified so a document can always be stored.
+//
+// A canonical value is returned as it is, a []any included: an array is
+// copied only when one of its elements (at any depth) changes, and then only
+// from the first such element on. A caller that goes on writing an array it
+// stored through Normalize (Doc.Set, Path.Set, D, A) writes the stored value
+// too, so it must hand over a slice it no longer writes, or a copy of one.
 func Normalize(v any) any {
 	switch t := v.(type) {
 	case nil, bool, int64, float64, string, *Doc, ObjectID, time.Time:
@@ -101,11 +107,7 @@ func Normalize(v any) any {
 	case float32:
 		return float64(t)
 	case []any:
-		out := make([]any, len(t))
-		for i, e := range t {
-			out[i] = Normalize(e)
-		}
-		return out
+		return normalizeArray(t)
 	case []string:
 		out := make([]any, len(t))
 		for i, e := range t {
@@ -150,6 +152,39 @@ func Normalize(v any) any {
 		return d
 	default:
 		return fmt.Sprintf("%v", t)
+	}
+}
+
+// normalizeArray returns t itself when every element is canonical, and
+// otherwise a copy that shares t's elements up to the first one Normalize
+// changes and holds the normalized elements from there on.
+func normalizeArray(t []any) []any {
+	for i, e := range t {
+		n := Normalize(e)
+		if unchanged(e, n) {
+			continue
+		}
+		out := make([]any, len(t))
+		copy(out, t[:i])
+		out[i] = n
+		for j := i + 1; j < len(t); j++ {
+			out[j] = Normalize(t[j])
+		}
+		return out
+	}
+	return t
+}
+
+// unchanged reports whether n, what Normalize returned for v, is v itself.
+func unchanged(v, n any) bool {
+	switch tv := v.(type) {
+	case nil, bool, int64, float64, string, *Doc, ObjectID, time.Time:
+		return true
+	case []any:
+		tn := n.([]any)
+		return len(tv) == 0 || &tv[0] == &tn[0]
+	default:
+		return false
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"docstore/internal/migrate"
 	"docstore/internal/mongos"
 	"docstore/internal/queries"
+	"docstore/internal/sharding"
 	"docstore/internal/storage"
 	"docstore/internal/tpcds"
 )
@@ -21,8 +22,12 @@ import (
 // returns a small report and the raw numbers so the benchmarks can assert on
 // them.
 
-// ShardKeyAblationResult compares routing behaviour for a query under two
-// shard keys.
+// ShardKeyAblationResult compares Query 50 on four deployments: sharded
+// under two shard keys, and stand-alone with and without the index the
+// router builds for the paper's key. Finding (iii) has two causes that the
+// sharded rows alone cannot tell apart — routing by the shard key, and the
+// index the shard key brings — and the stand-alone rows measure the second
+// without the first.
 type ShardKeyAblationResult struct {
 	Query          int
 	TicketKeyStats mongos.RoutingStats
@@ -30,42 +35,81 @@ type ShardKeyAblationResult struct {
 	AlternateKey   string
 	AlternateStats mongos.RoutingStats
 	AlternateTime  time.Duration
+	// StandaloneTime is the query stand-alone as Experiment 5 builds the
+	// deployment, MatchedTime the same with store_sales' shard-key index.
+	StandaloneTime time.Duration
+	MatchedTime    time.Duration
+	// Results are the query's rows on the four deployments, in the order
+	// of the fields above.
+	Results [4][]*bson.Doc
 }
 
 // RunShardKeyAblation runs Query 50 against two sharded deployments that
-// differ only in the store_sales shard key: the ticket-number key the paper's
-// observation (iii) relies on, and an alternate key the query never
-// constrains, which forces a broadcast.
+// differ only in the store_sales shard key — the ticket-number key the
+// paper's observation (iii) relies on, and an alternate key the query never
+// constrains, which forces a broadcast — and against two stand-alone ones:
+// as Experiment 5 builds it, and with the index on store_sales' paper shard
+// key built as the router builds it (setupStandaloneQuery50).
 func RunShardKeyAblation(scale tpcds.Scale, cfg Config) (*ShardKeyAblationResult, error) {
 	res := &ShardKeyAblationResult{Query: 50, AlternateKey: "ss_cdemo_sk"}
 	q := queries.MustByID(50)
 
-	run := func(keys map[string]*bson.Doc) (mongos.RoutingStats, time.Duration, error) {
+	run := func(keys map[string]*bson.Doc) ([]*bson.Doc, mongos.RoutingStats, time.Duration, error) {
 		spec := ExperimentSpec{Number: 0, Scale: scale, Model: Normalized, Env: Sharded}
 		d, err := setupShardedWithKeys(spec, cfg, keys)
 		if err != nil {
-			return mongos.RoutingStats{}, 0, err
+			return nil, mongos.RoutingStats{}, 0, err
 		}
 		d.Cluster.Router().ResetStats()
-		_, elapsed, err := queries.RunNormalized(d.Store, q, cfg.Params)
+		docs, elapsed, err := queries.RunNormalized(d.Store, q, cfg.Params)
 		if err != nil {
-			return mongos.RoutingStats{}, 0, err
+			return nil, mongos.RoutingStats{}, 0, err
 		}
-		return d.Cluster.Router().Stats(), elapsed, nil
+		return docs, d.Cluster.Router().Stats(), elapsed, nil
+	}
+	runStandalone := func(matched bool) ([]*bson.Doc, time.Duration, error) {
+		d, err := setupStandaloneQuery50(scale, cfg, matched)
+		if err != nil {
+			return nil, 0, err
+		}
+		return queries.RunNormalized(d.Store, q, cfg.Params)
 	}
 
 	var err error
-	res.TicketKeyStats, res.TicketKeyTime, err = run(ShardKeys())
-	if err != nil {
+	if res.Results[0], res.TicketKeyStats, res.TicketKeyTime, err = run(ShardKeys()); err != nil {
 		return nil, err
 	}
 	altKeys := ShardKeys()
-	altKeys["store_sales"] = bson.D("ss_cdemo_sk", "hashed")
-	res.AlternateStats, res.AlternateTime, err = run(altKeys)
-	if err != nil {
+	altKeys["store_sales"] = bson.D(res.AlternateKey, "hashed")
+	if res.Results[1], res.AlternateStats, res.AlternateTime, err = run(altKeys); err != nil {
+		return nil, err
+	}
+	if res.Results[2], res.StandaloneTime, err = runStandalone(false); err != nil {
+		return nil, err
+	}
+	if res.Results[3], res.MatchedTime, err = runStandalone(true); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// setupStandaloneQuery50 is Setup for a stand-alone normalized deployment,
+// as Experiment 5 builds it; with matched, store_sales also gets the index
+// the router builds on every shard for the collection's paper shard key
+// (the key's IndexSpec, as mongos.Router.EnableSharding builds it).
+func setupStandaloneQuery50(scale tpcds.Scale, cfg Config, matched bool) (*Deployment, error) {
+	d, err := Setup(ExperimentSpec{Number: 0, Scale: scale, Model: Normalized, Env: StandAlone}, cfg)
+	if err != nil || !matched {
+		return d, err
+	}
+	key, err := sharding.ParseShardKey(ShardKeys()["store_sales"])
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Store.EnsureIndex("store_sales", key.IndexSpec().Doc(), false); err != nil {
+		return nil, fmt.Errorf("core: building the store_sales shard-key index stand-alone: %w", err)
+	}
+	return d, nil
 }
 
 // setupShardedWithKeys is Setup for a sharded normalized deployment with an
@@ -98,6 +142,8 @@ func (r *ShardKeyAblationResult) String() string {
 		r.TicketKeyStats.ShardCalls, metrics.FormatDuration(r.TicketKeyTime))
 	t.AddRow(r.AlternateKey, r.AlternateStats.TargetedQueries, r.AlternateStats.BroadcastQueries,
 		r.AlternateStats.ShardCalls, metrics.FormatDuration(r.AlternateTime))
+	t.AddRow("stand-alone (Experiment 5)", "-", "-", "-", metrics.FormatDuration(r.StandaloneTime))
+	t.AddRow("stand-alone + ss_ticket_number index", "-", "-", "-", metrics.FormatDuration(r.MatchedTime))
 	return t.String()
 }
 

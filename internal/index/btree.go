@@ -437,7 +437,15 @@ func (t *BTree) Delete(key Key, p uint32) bool {
 			}
 			t.ownPos(n, slot, 0)
 			it := &n.items[slot]
-			it.pos = append(it.pos[:i], it.pos[i+1:]...)
+			if i == 0 {
+				// The list is the era's own now: dropping its head is a
+				// reslice, not a move of every position behind it. A
+				// multi-update visits positions in ascending order, so each
+				// row it moves to another key leaves from the head.
+				it.pos = it.pos[1:]
+			} else {
+				it.pos = append(it.pos[:i], it.pos[i+1:]...)
+			}
 			t.entries--
 			if len(it.pos) == 0 {
 				t.keys--

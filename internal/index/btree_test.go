@@ -64,6 +64,71 @@ func TestBTreeDelete(t *testing.T) {
 	}
 }
 
+// TestBTreeHeadDeleteUnderCopyOnWrite: deleting a posting list's head is a
+// reslice of the era's own list. With a frozen clone holding the list, the
+// first deletion of the era copies it (and the item array that holds it), so
+// removing the head and then a middle posting, in either era, leaves every
+// clone's Get and Postings as they were and the writer's list right.
+func TestBTreeHeadDeleteUnderCopyOnWrite(t *testing.T) {
+	key := Key{int64(5)}
+	tr := NewBTree()
+	tr.SetStamp(1)
+	for k := int64(0); k < 40; k++ {
+		tr.Insert(Key{k}, uint32(100+k)) // neighbours, so the key is not alone in its node
+	}
+	want := []uint32{100 + 5}
+	for p := uint32(0); p < 10; p++ {
+		tr.Insert(key, p)
+		want = append(want, p)
+	}
+	postings := func(tr *BTree) []uint32 {
+		lists, _, _ := tr.Postings(NewRange(key, true, key, true), nil, math.MaxInt)
+		return slices.Concat(lists...)
+	}
+	type frozen struct {
+		tr   *BTree
+		want []uint32
+	}
+	var clones []frozen
+	freeze := func(stamp int64) {
+		clones = append(clones, frozen{tr.Clone(), slices.Clone(want)})
+		tr.SetStamp(stamp)
+	}
+	del := func(p uint32) {
+		t.Helper()
+		if !tr.Delete(key, p) {
+			t.Fatalf("Delete(%v, %d) found nothing", key, p)
+		}
+		want = slices.DeleteFunc(want, func(q uint32) bool { return q == p })
+		for i, c := range clones {
+			if got := c.tr.Get(key); !slices.Equal(got, c.want) {
+				t.Fatalf("after deleting %d: clone %d Get = %v, want %v", p, i, got, c.want)
+			}
+			if got := postings(c.tr); !slices.Equal(got, c.want) {
+				t.Fatalf("after deleting %d: clone %d Postings = %v, want %v", p, i, got, c.want)
+			}
+		}
+		if got := tr.Get(key); !slices.Equal(got, want) {
+			t.Fatalf("after deleting %d: writer Get = %v, want %v", p, got, want)
+		}
+	}
+
+	freeze(2)
+	del(105) // the head, of a list the clone shares
+	del(4)   // a middle posting, of the list the head deletion copied
+	del(0)   // the head again, of the era's own list
+	freeze(3)
+	del(1) // the head, of a list the second clone shares
+	del(7)
+	tr.Insert(key, 11) // an append after head deletions lands behind the rest
+	want = append(want, 11)
+	del(2)
+	del(11)
+	if tr.Len() != 39+len(want) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), 39+len(want))
+	}
+}
+
 func TestBTreeAscendOrdered(t *testing.T) {
 	tr := NewBTree()
 	r := rand.New(rand.NewSource(1))

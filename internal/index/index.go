@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 
 	"docstore/internal/bson"
@@ -157,6 +158,22 @@ func New(name string, spec Spec, unique bool) *Index {
 		paths[i] = bson.NewPath(f.Name)
 	}
 	return &Index{name: name, spec: spec, paths: paths, unique: unique, tree: NewBTree()}
+}
+
+// MayChange reports whether an update that reported w may have changed a
+// document's keys in ix: whether it wrote a top-level field one of the key
+// paths starts at. One that did not leaves every key as it was, so the index
+// need not be consulted.
+func (ix *Index) MayChange(w *query.Written) bool {
+	if w.All {
+		return true
+	}
+	for _, p := range ix.paths {
+		if slices.Contains(w.Fields, p.Top()) {
+			return true
+		}
+	}
+	return false
 }
 
 // Name returns the index name.

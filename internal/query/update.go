@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"docstore/internal/bson"
@@ -23,9 +24,86 @@ func IsOperatorUpdate(update *bson.Doc) bool {
 	return false
 }
 
+// Written is what ApplyUpdate reports it wrote: the top-level fields of the
+// document under which an operator set, replaced or removed a value, each
+// named once ($rename names its source and its target), or All for a
+// replacement, which rewrites every field. Every top-level field it leaves
+// out holds the value it held before the update, shared. Reset it and hand it
+// to the next call to reuse its slice.
+type Written struct {
+	All    bool
+	Fields []string
+}
+
+// Reset empties w, keeping the slice for the next update.
+func (w *Written) Reset() {
+	w.All, w.Fields = false, w.Fields[:0]
+}
+
+// add records that the update wrote at path.
+func (w *Written) add(path string) {
+	if w == nil {
+		return
+	}
+	top, _, _ := strings.Cut(path, ".")
+	if !slices.Contains(w.Fields, top) {
+		w.Fields = append(w.Fields, top)
+	}
+}
+
+// Resize returns the encoded size of updated, and whether it nests within
+// levels levels, where updated is old after the update that reported w, and
+// old, oldSize bytes, nests within levels levels: oldSize less the elements
+// of w's fields in old plus their elements in updated, and a depth walk of
+// only the values written. Every field w leaves out holds the same value in
+// both documents, so the size is bson.EncodedSize(updated) and the verdict
+// bson.NestsWithin's. w must not be All: a replacement's document is sized
+// in full. memo may be nil.
+func (w *Written) Resize(old, updated *bson.Doc, oldSize, levels int, memo *SizeMemo) (int, bool) {
+	size, nests := oldSize, true
+	for _, f := range w.Fields {
+		if v, ok := old.Get(f); ok {
+			size -= 2 + len(f) + bson.ValueSize(v) // type tag, key, NUL, value
+		}
+		if v, ok := updated.Get(f); ok {
+			n, within := memo.value(v, levels-1)
+			size += 2 + len(f) + n
+			nests = nests && within
+		}
+	}
+	return size, nests
+}
+
+// SizeMemo remembers the encoded size and the depth verdict of the last
+// document Resize met as a written value. Every row one multi-update embeds a
+// dimension document into holds the same *bson.Doc, which is then walked once
+// per op instead of once per row. A memo is right while the documents it has
+// sized are not written: stored documents, and the values of an update that
+// storage keeps, never are.
+type SizeMemo struct {
+	doc          *bson.Doc
+	levels, size int
+	within       bool
+}
+
+// value returns v's encoded size as an element value and whether it nests
+// within levels levels.
+func (m *SizeMemo) value(v any, levels int) (int, bool) {
+	d, isDoc := v.(*bson.Doc)
+	if !isDoc || m == nil {
+		return bson.ValueSize(v), bson.ValueNestsWithin(v, levels)
+	}
+	if d != m.doc || levels != m.levels {
+		*m = SizeMemo{doc: d, levels: levels, size: bson.EncodedSize(d), within: bson.NestsWithin(d, levels)}
+	}
+	return m.size, m.within
+}
+
 // ApplyUpdate applies an update document to doc and reports whether the
 // document changed. The _id field is immutable: a replacement keeps the
-// existing _id and operator updates may not modify it.
+// existing _id and operator updates may not modify it. When written is not
+// nil, the fields the update wrote are added to it (see Written); what an
+// update that fails has added is not meaningful.
 //
 // What it writes and what it shares: doc's own field array is written in
 // place, and a nested document on a path an operator writes is first
@@ -34,8 +112,11 @@ func IsOperatorUpdate(update *bson.Doc) bool {
 // document is all a caller has to make. The values of update are stored in
 // doc by reference, never copied: a caller that keeps doc gives it an update
 // nothing will write again (storage clones each op's update once).
-func ApplyUpdate(doc, update *bson.Doc) (bool, error) {
+func ApplyUpdate(doc, update *bson.Doc, written *Written) (bool, error) {
 	if !IsOperatorUpdate(update) {
+		if written != nil {
+			written.All = true
+		}
 		return applyReplacement(doc, update)
 	}
 	changed := false
@@ -51,6 +132,12 @@ func ApplyUpdate(doc, update *bson.Doc) (bool, error) {
 			c, err := applyOperator(doc, f.Key, target.Key, target.Value)
 			if err != nil {
 				return changed, err
+			}
+			if c {
+				written.add(target.Key)
+				if to, ok := target.Value.(string); ok && f.Key == "$rename" {
+					written.add(to)
+				}
 			}
 			changed = changed || c
 		}

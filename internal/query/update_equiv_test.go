@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -354,8 +355,8 @@ func (g updateGen) arg(op string) any {
 
 // withSpareCapacity gives every array in d spare capacity, in place: a
 // stored array may have room past its end that another document's append
-// would write into. The document model copies what it is given, so only the
-// field array can put such an array in a document.
+// would write into. The document model stores the arrays it is given as they
+// are (bson.Normalize), so any array may come with such room.
 func withSpareCapacity(d *bson.Doc) {
 	fields := d.Fields()
 	for i := range fields {
@@ -381,6 +382,7 @@ type updateOutcome struct {
 	doc     *bson.Doc
 	changed bool
 	err     error
+	written Written // what ApplyUpdate reported; the specification reports nothing
 }
 
 func (o updateOutcome) String() string {
@@ -401,14 +403,60 @@ func sameOutcome(a, b updateOutcome) bool {
 func specUpdate(doc, update *bson.Doc) updateOutcome {
 	out := doc.Clone()
 	changed, err := specApplyUpdate(out, update.Clone())
-	return updateOutcome{out, changed, err}
+	return updateOutcome{doc: out, changed: changed, err: err}
 }
 
 // sharedUpdate applies update to a shallow copy of doc, as storage does.
 func sharedUpdate(doc, update *bson.Doc) updateOutcome {
 	out := doc.ShallowClone()
-	changed, err := ApplyUpdate(out, update)
-	return updateOutcome{out, changed, err}
+	var w Written
+	changed, err := ApplyUpdate(out, update, &w)
+	return updateOutcome{doc: out, changed: changed, err: err, written: w}
+}
+
+// checkResize is the size oracle of storage's update path, for got, the
+// outcome of sharedUpdate on pre. The fields ApplyUpdate reports cover every
+// top-level field whose encoded element the update changed, and sizing the
+// post-image by difference (Written.Resize) gives bson.EncodedSize and
+// bson.NestsWithin at every depth limit the pre-image meets, from the
+// tightest up. Storage refuses a document that is too large or too deep by
+// exactly these two numbers, so an update sized by difference is refused
+// where sizing the whole post-image (storage's storedSize) refuses it, and
+// only there.
+func checkResize(pre *bson.Doc, got updateOutcome, memo *SizeMemo) error {
+	if got.err != nil {
+		return nil
+	}
+	w, post := &got.written, got.doc
+	for _, d := range []*bson.Doc{pre, post} {
+		for _, f := range d.Fields() {
+			before, inPre := pre.Get(f.Key)
+			after, inPost := post.Get(f.Key)
+			if inPre == inPost && bytes.Equal(bson.AppendValue(nil, "", before), bson.AppendValue(nil, "", after)) {
+				continue
+			}
+			if !w.All && !slices.Contains(w.Fields, f.Key) {
+				return fmt.Errorf("field %q changed, but the update reported only %v", f.Key, w.Fields)
+			}
+		}
+	}
+	if w.All {
+		return nil
+	}
+	depth := 1
+	for !bson.NestsWithin(pre, depth) {
+		depth++
+	}
+	for levels := depth; levels <= depth+3; levels++ {
+		size, within := w.Resize(pre, post, bson.EncodedSize(pre), levels, memo)
+		if want := bson.EncodedSize(post); size != want {
+			return fmt.Errorf("sized by difference at %d bytes, encodes to %d", size, want)
+		}
+		if want := bson.NestsWithin(post, levels); within != want {
+			return fmt.Errorf("within %d levels by difference: %v, NestsWithin: %v", levels, within, want)
+		}
+	}
+	return nil
 }
 
 // TestApplyUpdateSharingEquivalence: on 10,000 seeded cases, ApplyUpdate on a
@@ -417,9 +465,12 @@ func sharedUpdate(doc, update *bson.Doc) updateOutcome {
 // the updates, and an earlier post-image keep their encodings while later
 // updates build on them (a chain: pre → a → b) and beside them (a branch:
 // pre → c, the way a pinned version and the current one both descend from
-// one document). Every array starts with spare capacity.
+// one document). Every array starts with spare capacity. Each shared update
+// also passes the size oracle (checkResize), with one memo for all of them
+// as storage keeps one for an op.
 func TestApplyUpdateSharingEquivalence(t *testing.T) {
 	g := updateGen{rand.New(rand.NewSource(45))}
+	var memo SizeMemo
 	for i := 0; i < 10000; i++ {
 		pre := g.doc(3)
 		pre.Set(bson.IDKey, int64(1))
@@ -435,14 +486,24 @@ func TestApplyUpdateSharingEquivalence(t *testing.T) {
 				t.Fatalf("case %d %s: pre %v\nu1 %v\nu2 %v\ngot  %v\nwant %v", i, step, pre, u1, u2, got, want)
 			}
 		}
+		checkSize := func(step string, from *bson.Doc, got updateOutcome) {
+			t.Helper()
+			if err := checkResize(from, got, &memo); err != nil {
+				t.Fatalf("case %d %s: %v\npre %v\nu1 %v\nu2 %v\npost %v", i, step, err, pre, u1, u2, got.doc)
+			}
+		}
 		a, specA := sharedUpdate(pre, u1), specUpdate(pre, u1)
 		check("pre+u1", a, specA)
+		checkSize("pre+u1", pre, a)
 		aBytes := bson.Marshal(a.doc)
 		if a.err == nil {
 			b := sharedUpdate(a.doc, u2)
 			check("pre+u1+u2", b, specUpdate(specA.doc, u2))
+			checkSize("pre+u1+u2", a.doc, b)
 			bBytes := bson.Marshal(b.doc)
-			check("pre+u2", sharedUpdate(pre, u2), specUpdate(pre, u2))
+			c := sharedUpdate(pre, u2)
+			check("pre+u2", c, specUpdate(pre, u2))
+			checkSize("pre+u2", pre, c)
 			if !bytes.Equal(bson.Marshal(b.doc), bBytes) {
 				t.Fatalf("case %d: a branch from the pre-image wrote into the chain's post-image %v", i, b.doc)
 			}

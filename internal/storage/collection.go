@@ -16,6 +16,7 @@ import (
 
 	"docstore/internal/bson"
 	"docstore/internal/index"
+	"docstore/internal/query"
 )
 
 // ErrDocumentTooLarge is returned when a document exceeds the 16 MB limit.
@@ -181,6 +182,9 @@ type Collection struct {
 	// indexesChanged makes the next publish rebuild the version's index
 	// metadata; steady-state writes reuse the previous slice.
 	indexesChanged bool
+	// written is where updateLocked has ApplyUpdate report a row's writes:
+	// one slice for every row of every op, so a row allocates nothing for it.
+	written query.Written
 
 	// current is the published version readers pin. It is never nil.
 	current atomic.Pointer[version]
@@ -411,7 +415,8 @@ func insertedSize(doc *bson.Doc, id any) (int, error) {
 }
 
 // storedSize returns the encoded size of a document about to be stored, or
-// why it cannot be: the one check behind every insert, upsert and update.
+// why it cannot be: the one check behind every insert, upsert and
+// replacement, and the specification of updatedSize.
 func storedSize(doc *bson.Doc) (int, error) {
 	size := bson.EncodedSize(doc)
 	if size > bson.MaxDocumentSize {

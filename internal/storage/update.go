@@ -45,36 +45,52 @@ func (c *Collection) Update(spec query.UpdateSpec) (UpdateResult, error) {
 // keep observing the pre-update document through their own frozen pages.
 // Only the touched pages are copied (ownSlotLocked), not the whole record
 // store.
+//
+// A row costs what the update writes to it. ApplyUpdate reports the
+// top-level fields it wrote; the new size is the old one adjusted by those
+// fields' elements and only their new values are depth-checked
+// (updatedSize), and only the indexes whose keys are read from one of them
+// are maintained. The dimension document a Figure 4.7 op embeds into every
+// row it matches is sized once per op (query.SizeMemo).
 func (c *Collection) updateLocked(spec query.UpdateSpec, upsertID any, matcher *query.Matcher) (UpdateResult, error) {
 	var res UpdateResult
 	var err error
 	var update *bson.Doc // spec.Update, cloned at the first use
+	written := &c.written
+	var memo query.SizeMemo
 	c.eachMatchLocked(matcher, func(i int, r *record) bool {
 		res.Matched++
 		if update == nil {
 			update = spec.Update.Clone()
 		}
 		updated := r.doc.ShallowClone()
+		written.Reset()
 		var changed bool
-		if changed, err = query.ApplyUpdate(updated, update); err != nil {
+		if changed, err = query.ApplyUpdate(updated, update, written); err != nil {
 			return false
 		}
 		if changed {
 			var newSize int
-			if newSize, err = storedSize(updated); err != nil {
+			if newSize, err = updatedSize(r, updated, written, &memo); err != nil {
 				// Nothing was installed; the stored document is untouched.
 				return false
 			}
 			// Indexes first: the document keeps its position, so its entries
-			// move only where the indexed fields changed. A unique index that
-			// refuses the new keys fails the update before anything is
-			// installed, and the indexes already moved are moved back, so the
-			// trees and the stored document still agree.
+			// move only where the indexed fields changed, and an index over
+			// no field the update wrote is not consulted at all. A unique
+			// index that refuses the new keys fails the update before
+			// anything is installed, and the indexes already moved are moved
+			// back, so the trees and the stored document still agree.
 			for j, e := range c.indexes {
+				if !e.ix.MayChange(written) {
+					continue
+				}
 				if err = e.ix.Replace(r.doc, updated, i); err != nil {
 					for _, moved := range c.indexes[:j] {
-						// Cannot fail: it restores keys this loop just vacated.
-						_ = moved.ix.Replace(updated, r.doc, i)
+						if moved.ix.MayChange(written) {
+							// Cannot fail: it restores keys this loop just vacated.
+							_ = moved.ix.Replace(updated, r.doc, i)
+						}
 					}
 					return false
 				}
@@ -102,6 +118,24 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, upsertID any, matcher *
 		res.UpsertedID = id
 	}
 	return res, nil
+}
+
+// updatedSize is storedSize of updated, the document r stores after the
+// update that reported written, reached by difference when the update wrote
+// only some fields (query.Written.Resize): the fields it did not write are
+// r's, whose size is r.size and which passed the depth check when stored.
+func updatedSize(r *record, updated *bson.Doc, written *query.Written, memo *query.SizeMemo) (int, error) {
+	if written.All {
+		return storedSize(updated)
+	}
+	size, within := written.Resize(r.doc, updated, r.size, bson.MaxDocumentDepth, memo)
+	if size > bson.MaxDocumentSize {
+		return 0, &ErrDocumentTooLarge{Size: size}
+	}
+	if !within {
+		return 0, ErrDocumentTooDeep
+	}
+	return size, nil
 }
 
 // eachMatchLocked calls fn with the position and record of every live
@@ -177,7 +211,7 @@ func buildUpsertDocument(filter, update *bson.Doc, id any) *bson.Doc {
 			doc.Set(bson.IDKey, id)
 		}
 	} else {
-		_, _ = query.ApplyUpdate(base, update)
+		_, _ = query.ApplyUpdate(base, update, nil)
 	}
 	if id != nil {
 		ensureID(doc, id)
