@@ -38,9 +38,9 @@
 // (every event's _id is its own token).
 //
 // {"op":"stats"} returns serverStatus including the MVCC engine gauges
-// ("engine": live versions, oldest pin age, retained/COW/reclaimed bytes)
-// and the "openCursors" list (cursor id, namespace, kind, idle ms) — enough
-// to spot which abandoned cursor is retaining memory and killCursors it.
+// ("engine": live and pinned versions, COW bytes copied and shared) and the
+// "openCursors" list (cursor id, namespace, kind, idle ms) — enough to spot
+// which abandoned cursor is retaining memory and killCursors it.
 //
 // When the server traces (docstored does by default; tune with
 // -trace-sample/-trace-ring/-profile-slowms), the introspection ops need no

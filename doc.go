@@ -426,10 +426,10 @@
 //     the current version with one atomic load; the returned
 //     storage.Snapshot serves Count/Docs/Scan/FindID/WriteData/LastLSN
 //     lock-free and stays frozen no matter what commits afterwards. Release
-//     (idempotent; Cursor.Close does it for you) drops the pin so the
-//     engine can recycle what the snapshot retained; a leaked snapshot
-//     degrades recycling but never correctness — Go's GC still reclaims
-//     the versions it pinned.
+//     (idempotent; Cursor.Close does it for you) drops the pin from the
+//     engine gauges; what the snapshot retained is freed by Go's collector
+//     once nothing references it, so a leaked snapshot costs memory until
+//     it is unreachable, never correctness.
 //   - Writer serialization: writers (Insert, Update, Delete, BulkWrite,
 //     EnsureIndex, Drop...) serialize on one per-collection mutex, exactly
 //     as before; the WAL append still happens under that mutex, so journal
@@ -502,11 +502,6 @@
 //     through every layer instead of silently degrading to a collection
 //     scan (a hint can therefore succeed at an old version after the index
 //     is dropped from the current one).
-//   - Read-at-version: storage.FindOptions.AtVersion pins a find to a
-//     named committed version while the engine still tracks it, and fails
-//     with storage.ErrVersionRetired after; it has no wire or shell
-//     surface, and the index-churn oracle reads through it to compare an
-//     index against a scan of the same version.
 //   - Surfacing: storage.Plan carries SnapshotVersion and Isolation
 //     ("snapshot"), shown by explain (FindWithPlan) and a cursor's Plan
 //     once it finishes its drain, and carried by the storage.plan span
@@ -563,18 +558,22 @@
 //     copy clipped to the old array's length, since the spare room past a
 //     shared array's end is not theirs to write.
 //   - Pin tracking: Snapshot/Cursor pin the version they read (one atomic
-//     add through a pin gate that closes the load-then-pin window);
-//     Release/Close unpin. Every publish prunes unpinned superseded
-//     versions immediately, so the live-version list is "current + one
-//     entry per distinct pinned state", not one per write. Writers skip
-//     nothing a pin can observe: a page is recycled only once it is
-//     strictly below every pinned version's sequence.
+//     load and a few atomic adds); Release/Close unpin. A pin is a count
+//     for the gauges, not a guard: a superseded page, spine, document or
+//     tree node stays alive exactly as long as some version that holds it
+//     is reachable — from a snapshot, a cursor or the current pointer — and
+//     Go's collector frees it after. The engine keeps no list of versions,
+//     retired pages or free pages. The cost is an allocation per copy: a
+//     point $inc on a 100k-document collection allocates ~9 KB (a 4 KB
+//     page, a 3 KB spine, its own ~1 KB), which no end-to-end median of
+//     the four benchmark workloads shows (TestPointUpdateAllocates pins the
+//     count and bytes on a smaller collection).
 //   - Node-copy protocol: index B-trees are persistent (path-copying).
 //     Each writer batch opens a copy-on-write era stamped with its write
 //     sequence; the first mutation of a node owned by an older era clones
 //     it (O(log n) nodes per key, the untouched subtrees stay shared) and
-//     the superseded memory is recorded as a retired set against the
-//     publishing sequence. The copies themselves are lazy at two levels:
+//     the superseded nodes stay with the frozen trees of the versions that
+//     hold them. The copies themselves are lazy at two levels:
 //     a path copy duplicates only the node shell (struct plus child
 //     pointers) and aliases the item array until items actually mutate,
 //     and the tree uses narrow leaves under wide interior nodes, since
@@ -586,9 +585,9 @@
 //     the batch's trees into the new version — frozen handles panic on
 //     mutation, and nodes created by an era are unreachable from any
 //     earlier frozen clone, which is the whole safety argument for
-//     lock-free readers. Retired node sets are reclaimed exactly like
-//     retired pages: only once their sequence is strictly below every
-//     pinned version's. Compaction is the one event that renumbers
+//     lock-free readers. Superseded nodes are freed exactly like
+//     superseded pages: by Go's collector, once no reachable version holds
+//     them. Compaction is the one event that renumbers
 //     records, and it treats the trees as it treats the pages: the live
 //     records are rewritten into fresh pages, and every writer tree is
 //     rebuilt from fresh nodes with each entry's position mapped old to
@@ -596,33 +595,30 @@
 //     comparisons; the mapping is monotone, so entry order survives).
 //     Nothing reachable from a published version is touched: a version
 //     pinned before the compaction keeps its old pages and its old frozen
-//     trees, which still agree with each other in the old numbering, and
-//     the superseded nodes are retired with the superseded pages.
+//     trees, which still agree with each other in the old numbering.
 //     TestIndexChurnEquivalence holds all of this to one rule — after any
 //     random sequence of writes and compactions an index-served find
 //     equals a collection scan, at the current version and at every
 //     pinned one.
-//   - GC thresholds: retired pages recycle into a bounded free list
-//     (overflow falls to Go's GC — degradation, never corruption); each
-//     publish also walks a few spine slots (gcPagesPerBatch) and nils out
-//     fully tombstoned pages, so tombstone runs are reclaimed
-//     incrementally without a stop-the-world sweep. Deletes drop their
-//     document reference at tombstone time; Collection.GC forces a full
-//     pass. Tombstone-majority collections still compact as before.
-//   - Gauges: storage.EngineStats reports live versions, pinned
-//     snapshots, oldest-pin age, retained bytes, COW bytes copied vs
-//     shared (their ratio is the paging win), reclaimed bytes and page
-//     churn. They aggregate through mongod.ServerStatus.Engine (also as
+//   - Tombstones: a delete leaves a nil document in its slot (a record is
+//     a document pointer and a 32-bit size, 16 bytes), dropping the
+//     document at once; the slots themselves go only when tombstones are
+//     the majority and the collection compacts. No page ever leaves the
+//     spine, so readers need no check for one.
+//   - Gauges: storage.EngineStats reports live versions (the current one
+//     plus the superseded ones some snapshot pins), pinned snapshots, COW
+//     bytes copied vs shared (their ratio is the paging win) and pages
+//     copied. They aggregate through mongod.ServerStatus.Engine (also as
 //     metrics gauges via Server.EngineGauges), and wire stats exposes the
 //     "engine" subdocument plus an "openCursors" list (cursor id,
 //     namespace, kind, idle ms) — so docstore-shell can show which cursor
-//     is retaining memory: the stuck cursor on the namespace whose gauges
-//     report an old pin. TestStuckCursorRetentionGauges drives exactly
-//     that diagnosis loop. The tree-COW gauges (tree nodes/bytes copied,
-//     bytes shared, nodes/bytes reclaimed) sit beside the page gauges and
-//     make the same loop work for index memory: a stuck cursor holds
-//     retired tree nodes, Close plus GC returns them
-//     (TestIndexTreeRetentionGauges).
+//     is retaining memory: the long-idle cursor on the namespace whose
+//     gauges report superseded live versions.
+//     TestStuckCursorRetentionGauges drives exactly that diagnosis loop.
+//     The tree-COW gauges (tree nodes/bytes copied, bytes shared) sit
+//     beside the page gauges (TestIndexTreeRetentionGauges), and
+//     TestSupersededPageReachability holds a superseded page reachable
+//     while a snapshot pins it and unreachable once it is released.
 //
 // # Durability & recovery
 //

@@ -162,8 +162,8 @@ type BTree struct {
 	// corrupting the versions sharing its nodes.
 	frozen bool
 	// onCopy, when set, observes every path copy: the estimated bytes of the
-	// node that was duplicated (the displaced original is now retired and
-	// reclaimable once no frozen clone can reach it).
+	// node that was duplicated (the displaced original lives on as long as a
+	// frozen clone can reach it).
 	onCopy func(bytes int64)
 }
 
@@ -183,8 +183,7 @@ func (t *BTree) DistinctKeys() int { return t.keys }
 func (t *BTree) Nodes() int { return t.nodes }
 
 // EstBytes walks the tree and returns the estimated memory footprint of its
-// nodes: what retiring the whole tree (DropIndex, collection Drop) releases.
-// O(nodes); intended for the rare structural operations, not hot paths.
+// nodes. O(nodes); intended for reports, not hot paths.
 func (t *BTree) EstBytes() int64 {
 	var walk func(n *node) int64
 	walk = func(n *node) int64 {
@@ -207,8 +206,8 @@ func (t *BTree) SetStamp(s int64) { t.stamp = s }
 // every copy-on-write duplication: a node shell (struct + child pointers)
 // and its item array count as separate events, since the array is aliased on
 // the path copy and only duplicated when items actually mutate. The
-// displaced memory stays reachable from frozen clones; the hook is where the
-// owning collection retires it for pin-tracked reclamation.
+// displaced memory stays reachable from frozen clones, and is garbage once
+// none is; the hook is where the owning collection counts the copies.
 func (t *BTree) SetCopyHook(fn func(bytes int64)) { t.onCopy = fn }
 
 // Clone returns an immutable point-in-time handle over the current nodes.

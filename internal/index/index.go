@@ -204,7 +204,7 @@ func (ix *Index) SizeBytes() int { return ix.size }
 func (ix *Index) Nodes() int { return ix.tree.Nodes() }
 
 // TreeBytes returns the estimated memory footprint of the index's tree nodes
-// (O(nodes) walk); retiring the whole index releases this much.
+// (O(nodes) walk).
 func (ix *Index) TreeBytes() int64 { return ix.tree.EstBytes() }
 
 // SetStamp opens a new copy-on-write era on the backing tree: mutations that

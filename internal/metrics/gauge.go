@@ -10,7 +10,7 @@ import (
 
 // Gauge is a named point-in-time measurement: unlike a Timer, which records
 // how long something took, a gauge records how much of something exists
-// right now (live MVCC versions, retained bytes, oldest pin age). The
+// right now (live MVCC versions, pinned snapshots, pages). The
 // storage engine's memory-economics gauges render through GaugeSet in
 // serverStatus-style reports and the /metrics exposition.
 type Gauge struct {

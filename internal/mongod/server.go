@@ -219,8 +219,8 @@ type ServerStatus struct {
 	// working set no longer fits and reads hit "disk".
 	RAMPressure float64
 	// Engine aggregates the MVCC engine's memory-economics gauges across
-	// every collection: live versions, pin retention, copy-on-write traffic
-	// and reclamation (see storage.EngineStats).
+	// every collection: live versions, pinned snapshots and copy-on-write
+	// traffic (see storage.EngineStats).
 	Engine storage.EngineStats
 }
 
@@ -264,19 +264,13 @@ func (s *Server) EngineGauges() *metrics.GaugeSet {
 	g := metrics.NewGaugeSet()
 	g.Set("engine.liveVersions", int64(e.LiveVersions), "")
 	g.Set("engine.pinnedSnapshots", int64(e.PinnedSnapshots), "")
-	g.Set("engine.oldestPinAge", int64(e.OldestPinAge), "ns")
-	g.Set("engine.retainedBytes", e.RetainedBytes, "bytes")
 	g.Set("engine.pages", int64(e.Pages), "")
 	g.Set("engine.cowBytesCopied", e.COWBytesCopied, "bytes")
 	g.Set("engine.cowBytesShared", e.COWBytesShared, "bytes")
-	g.Set("engine.reclaimedBytes", e.ReclaimedBytes, "bytes")
 	g.Set("engine.pagesCopied", e.PagesCopied, "")
-	g.Set("engine.pagesRecycled", e.PagesRecycled, "")
 	g.Set("engine.treeNodesCopied", e.TreeNodesCopied, "")
 	g.Set("engine.treeBytesCopied", e.TreeBytesCopied, "bytes")
 	g.Set("engine.treeBytesShared", e.TreeBytesShared, "bytes")
-	g.Set("engine.treeNodesReclaimed", e.TreeNodesReclaimed, "")
-	g.Set("engine.treeBytesReclaimed", e.TreeBytesReclaimed, "bytes")
 	return g
 }
 

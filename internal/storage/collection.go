@@ -9,10 +9,8 @@ package storage
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"docstore/internal/bson"
 	"docstore/internal/index"
@@ -44,16 +42,16 @@ func (e *ErrDuplicateID) Error() string {
 	return fmt.Sprintf("storage: duplicate _id %v", e.ID)
 }
 
-// record is one stored document slot. Deleted slots remain as tombstones
-// until the collection compacts, which keeps scans in insertion order and —
-// more importantly under MVCC — keeps record positions stable, so the
-// positions index entries carry survive deletes without rebuilds. A
-// tombstone drops its document reference: pinned versions keep the document
-// alive through their own pages, and once they release, the memory goes.
+// record is one stored document slot: the document and its encoded size
+// (at most bson.MaxDocumentSize, so 32 bits hold it). Deleted slots remain as
+// tombstones — a nil document, size 0 — until the collection compacts, which
+// keeps scans in insertion order and — more importantly under MVCC — keeps
+// record positions stable, so the positions index entries carry survive
+// deletes without rebuilds. Pinned versions keep a deleted document alive
+// through their own pages, and once they release, the memory goes.
 type record struct {
-	doc     *bson.Doc
-	size    int
-	deleted bool
+	doc  *bson.Doc
+	size int32
 }
 
 // version is one immutable published state of a collection: the unit of
@@ -87,15 +85,12 @@ type version struct {
 	seq    int64
 	pages  []*page
 	length int // record positions in use: [0, length)
-	// pins counts the snapshots currently pinning this version; the engine
-	// GC recycles retired pages only below the oldest pinned version.
-	pins atomic.Int64
-	// publishedAt feeds the oldest-pin-age gauge: how long a stuck cursor
-	// has been retaining this version.
-	publishedAt time.Time
-	count       int
-	dataSize    int
-	tombs       int
+	// pins counts the snapshots currently pinning this version, for the
+	// LiveVersions gauge. It guards nothing: what a snapshot reads, Go's
+	// collector keeps alive for as long as the snapshot is reachable.
+	pins     atomic.Int64
+	count    int
+	dataSize int
 	// lastLSN is the journal watermark as of this version: the LSN of the
 	// newest mutation folded into the records. Checkpoints pair it with the
 	// snapshot data so recovery replays exactly the records the snapshot
@@ -189,22 +184,11 @@ type Collection struct {
 	// current is the published version readers pin. It is never nil.
 	current atomic.Pointer[version]
 
-	// pinGate counts readers between loading current and registering their
-	// pin; the GC recycles pages only while it is zero, closing the race
-	// between pinning and retirement (see Snapshot).
-	pinGate atomic.Int64
-
-	// Engine GC state (all guarded by mu): tracked live versions, retired
-	// pages/spines awaiting recycling, free lists, the incremental
-	// tombstone-GC cursor, and the floor below which recycling is forbidden
-	// because a pinned version was dropped from tracking.
-	live            []*version
-	retired         []retiredPage
-	retiredNodes    []retiredNodeSet
-	freePages       []*page
-	freeSpines      [][]*page
-	gcCursor        int
-	untrackedPinSeq int64
+	// pinnedVersions counts the versions, current or superseded, that at
+	// least one snapshot pins, and pinnedSnapshots the snapshots held: the
+	// EngineStats gauges, kept by Snapshot and Release.
+	pinnedVersions  atomic.Int64
+	pinnedSnapshots atomic.Int64
 
 	// journal, when attached, receives every mutation before it is applied;
 	// lastLSN is the sequence number of the newest journaled mutation (see
@@ -220,43 +204,20 @@ type Collection struct {
 	keysExamined   atomic.Int64 // index entries read to plan them
 	cowBytesCopied atomic.Int64 // record bytes duplicated by COW page copies
 	cowBytesShared atomic.Int64 // record bytes shared instead of copied
-	reclaimedBytes atomic.Int64 // bytes whose last pinned reference was recycled
 	pagesCopied    atomic.Int64
-	pagesRecycled  atomic.Int64
 	// Persistent index-tree gauges, the node analogues of the page COW set:
 	// path copies split each mutating batch's tree bytes into copied vs
-	// shared, and retired nodes count as reclaimed once no pin covers them.
-	treeNodesCopied    atomic.Int64
-	treeBytesCopied    atomic.Int64
-	treeBytesShared    atomic.Int64
-	treeNodesReclaimed atomic.Int64
-	treeBytesReclaimed atomic.Int64
-}
-
-// retiredNodeSet accounts for index-tree nodes a write batch superseded
-// (path copies) or a drop retired wholesale. seq is the newest published
-// version that can still reach the old nodes; once no pinned snapshot's
-// version is <= seq, the nodes are unreachable from any reader and their
-// bytes count as reclaimed (Go's GC frees the memory; the entry is the
-// observability record). Entries coalesce per seq, so the list grows with
-// distinct retaining versions, not with individual node copies.
-type retiredNodeSet struct {
-	seq   int64
-	nodes int64
-	bytes int64
+	// shared.
+	treeNodesCopied atomic.Int64
+	treeBytesCopied atomic.Int64
+	treeBytesShared atomic.Int64
 }
 
 // NewCollection creates an empty collection.
 func NewCollection(name string) *Collection {
-	c := &Collection{
-		name:            name,
-		writeSeq:        1,
-		untrackedPinSeq: math.MaxInt64,
-	}
+	c := &Collection{name: name, writeSeq: 1}
 	c.indexes = indexSet{c.newIDIndexLocked()}
-	v := &version{seq: 1, publishedAt: time.Now(), indexes: c.freezeIndexesLocked()}
-	c.current.Store(v)
-	c.live = append(c.live, v)
+	c.current.Store(&version{seq: 1, indexes: c.freezeIndexesLocked()})
 	return c
 }
 
@@ -290,15 +251,13 @@ func (c *Collection) Name() string { return c.name }
 func (c *Collection) publishLocked() {
 	prev := c.current.Load()
 	v := &version{
-		seq:         prev.seq + 1,
-		pages:       c.pages,
-		length:      c.length,
-		publishedAt: time.Now(),
-		count:       c.count,
-		dataSize:    c.dataSize,
-		tombs:       c.tombs,
-		lastLSN:     c.lastLSN,
-		indexMeta:   prev.indexMeta,
+		seq:       prev.seq + 1,
+		pages:     c.pages,
+		length:    c.length,
+		count:     c.count,
+		dataSize:  c.dataSize,
+		lastLSN:   c.lastLSN,
+		indexMeta: prev.indexMeta,
 	}
 	if c.indexesChanged {
 		c.indexesChanged = false
@@ -320,8 +279,6 @@ func (c *Collection) publishLocked() {
 	for _, e := range c.indexes {
 		e.ix.SetStamp(c.writeSeq)
 	}
-	c.live = append(c.live, v)
-	c.gcLocked()
 }
 
 // noteTreeCopyLocked is the index-tree path-copy observer (index.BTree's
@@ -329,36 +286,16 @@ func (c *Collection) publishLocked() {
 // shell or an item array a mutating batch duplicates (the tree aliases item
 // arrays on pure-descent path copies and duplicates them lazily, so interior
 // nodes usually cost one child-pointer array, not their full item slots).
-// The superseded memory stays reachable from frozen index handles
-// published at or before the current version, so it retires at that seq —
-// exactly the page-retirement rule — and the copied/shared gauges mirror
-// ownSlotLocked's: the copied bytes are this node, the shared bytes are the
-// rest of the tree the batch did not touch.
+// The superseded memory stays reachable from the frozen index handles of
+// published versions, and Go's collector frees it once none of them is
+// reachable, exactly as it frees superseded pages. The copied/shared gauges
+// mirror ownSlotLocked's: the copied bytes are this node, the shared bytes
+// are the rest of the tree the batch did not touch.
 func (c *Collection) noteTreeCopyLocked(ix *index.Index, bytes int64) {
 	c.treeNodesCopied.Add(1)
 	c.treeBytesCopied.Add(bytes)
 	if shared := int64(ix.SizeBytes()) - bytes; shared > 0 {
 		c.treeBytesShared.Add(shared)
-	}
-	c.retireNodesLocked(1, bytes)
-}
-
-// retireNodesLocked records index-tree nodes that left the writer's trees
-// but remain reachable from published frozen handles; gcLocked counts them
-// reclaimed once no pin covers their retaining version.
-func (c *Collection) retireNodesLocked(nodes, bytes int64) {
-	seq := c.current.Load().seq
-	if n := len(c.retiredNodes); n > 0 && c.retiredNodes[n-1].seq == seq {
-		c.retiredNodes[n-1].nodes += nodes
-		c.retiredNodes[n-1].bytes += bytes
-		return
-	}
-	c.retiredNodes = append(c.retiredNodes, retiredNodeSet{seq: seq, nodes: nodes, bytes: bytes})
-	if len(c.retiredNodes) > maxRetiredNodeSets {
-		// Drop the oldest entries to the garbage collector: always safe,
-		// merely uncounted, exactly like capRetiredLocked.
-		drop := len(c.retiredNodes) - maxRetiredNodeSets
-		c.retiredNodes = append(c.retiredNodes[:0], c.retiredNodes[drop:]...)
 	}
 }
 
@@ -369,13 +306,6 @@ func (c *Collection) retireNodesLocked(nodes, bytes int64) {
 func (c *Collection) adoptIndexLocked(ix *index.Index) {
 	ix.SetStamp(c.writeSeq)
 	ix.SetCopyHook(func(bytes int64) { c.noteTreeCopyLocked(ix, bytes) })
-}
-
-// retireTreeLocked retires an entire index tree (DropIndex, Drop): every
-// node leaves the writer's state at once but stays pinned by published
-// versions that still hold the frozen handle.
-func (c *Collection) retireTreeLocked(ix *index.Index) {
-	c.retireNodesLocked(int64(ix.Nodes()), ix.TreeBytes())
 }
 
 // Insert adds a document to the collection. When the document has no _id an
@@ -452,7 +382,7 @@ func (c *Collection) insertLocked(doc *bson.Doc) (any, error) {
 	// Appending is safe even into pages shared with the published version:
 	// the write lands at a position no pinned reader accesses (see the
 	// version invariants).
-	*c.appendSlotLocked() = record{doc: doc, size: size}
+	*c.appendSlotLocked() = record{doc: doc, size: int32(size)}
 	c.count++
 	c.dataSize += size
 	return id, nil
@@ -532,10 +462,6 @@ func (c *Collection) Drop() {
 // counters — without publishing: what Drop does, and the first half of
 // ReplaceContents.
 func (c *Collection) clearLocked() {
-	c.retireAllPagesLocked()
-	for _, e := range c.indexes {
-		c.retireTreeLocked(e.ix)
-	}
 	c.pages = nil
 	c.length = 0
 	c.indexes = indexSet{c.newIDIndexLocked()}
@@ -544,21 +470,6 @@ func (c *Collection) clearLocked() {
 	c.tombs = 0
 	c.spineShared = false
 	c.indexesChanged = true
-}
-
-// retireAllPagesLocked parks the writer's whole page set for recycling; the
-// published versions that reference it keep it alive until they unpin.
-func (c *Collection) retireAllPagesLocked() {
-	for pi, p := range c.pages {
-		if p == nil {
-			continue
-		}
-		limit := c.length - (pi << pageShift)
-		if limit <= 0 {
-			break
-		}
-		c.retirePageLocked(p, pageLiveBytes(p, limit))
-	}
 }
 
 // compactLocked rewrites the record store without tombstones. It is the one
@@ -572,7 +483,6 @@ func (c *Collection) compactLocked() {
 	if c.tombs == 0 {
 		return
 	}
-	c.retireAllPagesLocked()
 	oldPages, oldLen := c.pages, c.length
 	c.pages = make([]*page, 0, (c.count+pageMask)>>pageShift)
 	c.length = 0
@@ -583,29 +493,23 @@ func (c *Collection) compactLocked() {
 	}
 	for pi, base := 0, 0; base < oldLen; pi, base = pi+1, base+pageSize {
 		p := oldPages[pi]
-		if p == nil {
-			continue
-		}
 		end := oldLen - base
 		if end > pageSize {
 			end = pageSize
 		}
 		for off := 0; off < end; off++ {
-			r := &p.recs[off]
-			if r.deleted {
+			r := p.recs[off]
+			if r.doc == nil {
 				continue
 			}
 			newPos[base+off] = c.length
-			*c.appendSlotLocked() = record{doc: r.doc, size: r.size}
+			*c.appendSlotLocked() = r
 		}
 	}
 	for _, e := range c.indexes {
-		// The superseded nodes stay reachable from published frozen handles.
-		c.retireTreeLocked(e.ix)
 		e.ix.Remap(newPos)
 	}
 	c.tombs = 0
-	c.gcCursor = 0
 }
 
 // Stats summarizes the collection, mirroring collStats.

@@ -845,10 +845,11 @@ func TestBareIDFindFastPathWithoutSecondaryIndexes(t *testing.T) {
 		{"with another field", bson.D(bson.IDKey, 42, "a", 42), []int64{42}, 1},
 		{"refuted by another field", bson.D(bson.IDKey, 42, "a", 41), nil, 1},
 	}
-	check := func(at int64) {
+	check := func(s *Snapshot) {
 		t.Helper()
+		at := s.Version()
 		for _, tc := range cases {
-			docs, plan, err := c.FindWithPlan(tc.filter, FindOptions{AtVersion: at})
+			docs, plan, err := findAt(s, tc.filter, FindOptions{})
 			if err != nil {
 				t.Fatalf("%s at %d: %v", tc.name, at, err)
 			}
@@ -866,16 +867,11 @@ func TestBareIDFindFastPathWithoutSecondaryIndexes(t *testing.T) {
 			}
 		}
 	}
-	check(0)
-
 	// Pin this version, then delete until the collection compacts: the pinned
 	// version keeps its pages and its frozen _id_ tree in the old numbering.
-	anchor, err := c.FindCursor(nil, FindOptions{BatchSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer anchor.Close()
-	pinned := anchor.Plan().SnapshotVersion
+	pinned := c.Snapshot()
+	defer pinned.Release()
+	check(pinned)
 	if n, err := c.Delete(bson.D(bson.IDKey, bson.D("$gte", 20, "$lt", 90)), true); err != nil || n != 70 {
 		t.Fatalf("Delete = %d, %v", n, err)
 	}

@@ -78,8 +78,9 @@ func NewCursor(docs []*bson.Doc) *Cursor {
 // BatchSize returns the cursor's batch size; <= 0 means unbounded.
 func (cur *Cursor) BatchSize() int { return cur.batchSize }
 
-// Snapshot returns the snapshot the cursor is pinned to, or nil for a
-// slice-backed cursor over pre-materialized results.
+// Snapshot returns the snapshot the cursor is pinned to, or nil once the
+// cursor is drained or closed, and for a slice-backed cursor over
+// pre-materialized results.
 func (cur *Cursor) Snapshot() *Snapshot { return cur.snap }
 
 // Plan returns the execution plan observed so far. After the cursor is
@@ -92,10 +93,9 @@ func (cur *Cursor) Plan() Plan { return cur.plan }
 func (cur *Cursor) Err() error { return nil }
 
 // Close releases the cursor's snapshot and buffers. It is safe to call more
-// than once and after exhaustion. Releasing the snapshot unpins its version,
-// letting the engine recycle the pages the cursor was retaining (see
-// EngineStats) — a cursor held open is exactly the "stuck cursor" the
-// oldest-pin-age gauge measures.
+// than once and after exhaustion. Dropping the snapshot lets Go's collector
+// free the superseded pages the cursor was retaining — a cursor held open is
+// exactly the "stuck cursor" the LiveVersions gauge counts (see EngineStats).
 func (cur *Cursor) Close() error {
 	cur.closed = true
 	cur.done = true
@@ -121,6 +121,7 @@ func (cur *Cursor) HasNext() bool {
 			if cur.snap != nil {
 				cur.snap.Release()
 			}
+			cur.snap, cur.order = nil, nil
 			cur.finishOnce()
 			return false
 		}
@@ -224,7 +225,7 @@ func (cur *Cursor) fill() {
 			r = v.record(cur.next)
 			cur.next++
 		}
-		if r == nil || r.deleted {
+		if r.doc == nil {
 			continue
 		}
 		cur.plan.DocsExamined++
@@ -252,27 +253,6 @@ func (cur *Cursor) fill() {
 	if len(cur.buf) == 0 {
 		cur.done = true
 	}
-}
-
-// openScan pins the snapshot a cursor will read and plans its access path,
-// with zero mutex acquisitions: the pin is an atomic load through the pin
-// gate, and planning and index scans — _id_ like any other index — run
-// against the version-owned frozen index trees, immutable path-copied
-// structures published together with the records, so the position list
-// agrees with the pinned records by construction. A non-zero opts.AtVersion
-// pins the named committed version instead of the current one; see
-// SnapshotAt.
-func (c *Collection) openScan(matcher *query.Matcher, opts FindOptions) (*Snapshot, access, error) {
-	snap, err := c.SnapshotAt(opts.AtVersion)
-	if err != nil {
-		return nil, access{}, err
-	}
-	acc, err := planEnv{coll: c.name, indexes: snap.v.indexes}.plan(matcher, opts)
-	if err != nil {
-		snap.Release()
-		return nil, access{}, err
-	}
-	return snap, acc, nil
 }
 
 // HoldWrites blocks every mutation on the collection until the returned
@@ -304,18 +284,29 @@ func (c *Collection) FindCursor(filter *bson.Doc, opts FindOptions) (*Cursor, er
 // already, an aggregation's leading $match for one. A nil matcher matches
 // every document.
 func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions) (*Cursor, error) {
+	return c.Snapshot().cursor(matcher, opts)
+}
+
+// cursor opens a cursor over the snapshot, which it takes over: the cursor
+// releases it once drained or closed, and cursor releases it at once when
+// the plan fails. Planning takes no mutex: it and the index scans — _id_
+// like any other index — run against the version-owned frozen index trees,
+// immutable path-copied structures published together with the records, so
+// the position list agrees with the snapshot's records by construction.
+func (s *Snapshot) cursor(matcher *query.Matcher, opts FindOptions) (*Cursor, error) {
+	c := s.coll
 	batchSize := opts.BatchSize
 	if batchSize == 0 {
 		batchSize = DefaultBatchSize
 	}
 
-	// The plan span covers the snapshot pin and access-path choice — the
-	// part of a query that may contend on the writer mutex; the batch fills
-	// that follow are lock-free and belong to the caller's drain time.
+	// The plan span covers the access-path choice; the batch fills that
+	// follow are lock-free and belong to the caller's drain time.
 	planSpan := opts.Trace.Child("storage.plan")
-	snap, acc, err := c.openScan(matcher, opts)
+	acc, err := planEnv{coll: c.name, indexes: s.v.indexes}.plan(matcher, opts)
 	if err != nil {
 		planSpan.Finish()
+		s.Release()
 		return nil, err
 	}
 	if planSpan != nil {
@@ -326,7 +317,7 @@ func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions
 		}
 		planSpan.SetAttr("keysExamined", acc.keys)
 		planSpan.SetAttr("clausesCovered", acc.covered)
-		planSpan.SetAttr("snapshotVersion", snap.Version())
+		planSpan.SetAttr("snapshotVersion", s.Version())
 		planSpan.Finish()
 	}
 	if acc.index == "" {
@@ -337,7 +328,7 @@ func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions
 	}
 
 	cur := &Cursor{
-		snap:      snap,
+		snap:      s,
 		indexed:   acc.index != "",
 		order:     acc.positions,
 		matcher:   acc.residual,
@@ -349,7 +340,7 @@ func (c *Collection) FindCursorCompiled(matcher *query.Matcher, opts FindOptions
 			Intersected:     acc.intersected,
 			KeysExamined:    acc.keys,
 			ClausesCovered:  acc.covered,
-			SnapshotVersion: snap.Version(),
+			SnapshotVersion: s.Version(),
 			Isolation:       IsolationSnapshot,
 		},
 	}

@@ -28,15 +28,6 @@ type FindOptions struct {
 	// result is produced in one batch (the materializing behaviour Find
 	// relies on). Slice-returning APIs ignore it.
 	BatchSize int
-	// AtVersion pins the query to the named committed collection version
-	// instead of the current one — the engine's atClusterTime analogue. A
-	// session issues its first query normally, reads Plan.SnapshotVersion
-	// (keeping that cursor open anchors the version against retention), and
-	// passes it here on follow-up queries: every result then describes one
-	// committed state, no matter how many writes land in between. 0 means
-	// the current version; naming a version the engine no longer tracks
-	// fails with ErrVersionRetired.
-	AtVersion int64
 	// Trace is the parent span of the request this query belongs to; the
 	// engine attaches a storage.plan child recording the snapshot pin and
 	// chosen access path under it. Nil disables tracing for the query.

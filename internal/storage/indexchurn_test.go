@@ -207,12 +207,12 @@ func scanFind(s *Snapshot, filter *bson.Doc) []*bson.Doc {
 	return sortByID(out)
 }
 
-// diffFind compares the planner's find at the given version with want and
-// describes the first difference, or returns "".
-func diffFind(c *Collection, version int64, filter *bson.Doc, indexed bool, want []*bson.Doc) string {
-	got, plan, err := c.FindWithPlan(filter, FindOptions{AtVersion: version})
+// diffFind compares the planner's find over the snapshot's version with want
+// and describes the first difference, or returns "".
+func diffFind(s *Snapshot, filter *bson.Doc, indexed bool, want []*bson.Doc) string {
+	got, plan, err := findAt(s, filter, FindOptions{})
 	if err != nil {
-		return fmt.Sprintf("find %s at version %d: %v", filter, version, err)
+		return fmt.Sprintf("find %s at version %d: %v", filter, s.Version(), err)
 	}
 	if indexed && plan.IndexUsed == "" {
 		return fmt.Sprintf("find %s planned %s, want an index scan", filter, plan)
@@ -236,7 +236,7 @@ func checkFindsMatchScan(t *testing.T, c *Collection, step int) {
 	s := c.Snapshot()
 	defer s.Release()
 	for _, f := range churnFilters {
-		if d := diffFind(c, s.Version(), f.filter, f.indexed, scanFind(s, f.filter)); d != "" {
+		if d := diffFind(s, f.filter, f.indexed, scanFind(s, f.filter)); d != "" {
 			t.Fatalf("step %d: %s", step, d)
 		}
 	}
@@ -390,8 +390,11 @@ func planFind(t *testing.T, s *Snapshot, m *query.Matcher, forceFull bool) ([]*b
 	}
 	var out []*bson.Doc
 	visit := func(pos int) {
-		if r := s.v.record(pos); pos < s.v.length && r != nil && !r.deleted && check.Matches(r.doc) {
-			out = append(out, r.doc)
+		if pos >= s.v.length {
+			return
+		}
+		if d := s.v.record(pos).doc; d != nil && check.Matches(d) {
+			out = append(out, d)
 		}
 	}
 	if acc.index == "" {
@@ -426,7 +429,7 @@ func checkGeneratedFilters(t *testing.T, r *rand.Rand, c *Collection, nextID, st
 		// Some live document of the version, to draw operands from.
 		anchor := bson.NewDoc(0)
 		for tries := 0; tries < 8 && s.v.length > 0; tries++ {
-			if rec := s.v.record(r.Intn(s.v.length)); rec != nil && !rec.deleted {
+			if rec := s.v.record(r.Intn(s.v.length)); rec.doc != nil {
 				anchor = rec.doc
 				break
 			}
@@ -449,7 +452,7 @@ func checkGeneratedFilters(t *testing.T, r *rand.Rand, c *Collection, nextID, st
 				t.Fatalf("%s: document %d is %s with the whole filter, %s with the residual", describe(), k, full[k], rest[k])
 			}
 		}
-		got, plan, err := c.FindWithPlan(filter, FindOptions{AtVersion: s.Version()})
+		got, plan, err := findAt(s, filter, FindOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", describe(), err)
 		}
@@ -514,10 +517,10 @@ func pinView(c *Collection, step int) pinnedView {
 
 // check replays the filters against the pinned version, through its own
 // frozen trees, and expects the results recorded at pin time.
-func (p pinnedView) check(t *testing.T, c *Collection, step int) {
+func (p pinnedView) check(t *testing.T, step int) {
 	t.Helper()
 	for i, f := range churnFilters {
-		if d := diffFind(c, p.snap.Version(), f.filter, f.indexed, p.want[i]); d != "" {
+		if d := diffFind(p.snap, f.filter, f.indexed, p.want[i]); d != "" {
 			t.Fatalf("step %d, version %d pinned at step %d: %s", step, p.snap.Version(), p.step, d)
 		}
 	}
@@ -589,7 +592,7 @@ func indexContents(t *testing.T, c *Collection, nextID int) map[string]map[strin
 			var ids []string
 			for _, pos := range ix.LookupKey(key) {
 				r := c.writerRecord(pos)
-				if r == nil || r.deleted {
+				if r.doc == nil {
 					t.Fatalf("index %s key %v: entry at position %d points at no live record", name, key, pos)
 				}
 				ids = append(ids, fmt.Sprint(r.doc.ID()))
@@ -721,7 +724,7 @@ func TestIndexChurnEquivalence(t *testing.T) {
 					f := churnFilters[i%len(churnFilters)]
 					// The second half of the indexes appears mid-run, so only
 					// the result is compared here, not the plan.
-					if d := diffFind(c, s.Version(), f.filter, false, scanFind(s, f.filter)); d != "" {
+					if d := diffFind(s, f.filter, false, scanFind(s, f.filter)); d != "" {
 						t.Errorf("concurrent reader: %s", d)
 						s.Release()
 						return
@@ -763,7 +766,7 @@ func TestIndexChurnEquivalence(t *testing.T) {
 				checkGeneratedFilters(t, genRand, c, nextID, step, 4, &stats)
 				if pinned || step%4 == 0 {
 					for _, p := range pins {
-						p.check(t, c, step)
+						p.check(t, step)
 					}
 				}
 			}

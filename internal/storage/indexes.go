@@ -37,7 +37,7 @@ func (c *Collection) EnsureIndex(spec index.Spec, unique bool) (*index.Index, er
 	c.adoptIndexLocked(ix)
 	for i := 0; i < c.length; i++ {
 		r := c.writerRecord(i)
-		if r == nil || r.deleted {
+		if r.doc == nil {
 			continue
 		}
 		if err := ix.Insert(r.doc, i); err != nil {
@@ -91,7 +91,6 @@ func (c *Collection) DropIndex(name string) bool {
 		c.mu.Unlock()
 		return false
 	}
-	c.retireTreeLocked(c.indexes[pos].ix)
 	c.indexes = append(c.indexes[:pos:pos], c.indexes[pos+1:]...)
 	c.indexesChanged = true
 	c.publishLocked()

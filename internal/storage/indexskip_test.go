@@ -206,7 +206,7 @@ func checkIndexesMatchRebuild(t *testing.T, c *Collection, step string) {
 	for _, ix := range c.Indexes() {
 		fresh := index.New(ix.Name(), ix.Spec(), ix.Unique())
 		for pos := 0; pos < c.length; pos++ {
-			if r := c.writerRecord(pos); r != nil && !r.deleted {
+			if r := c.writerRecord(pos); r.doc != nil {
 				if err := fresh.Insert(r.doc, pos); err != nil {
 					t.Fatalf("%s: rebuilding %s: %v", step, ix.Name(), err)
 				}
@@ -272,10 +272,10 @@ func TestUpdateIndexSkipEquivalence(t *testing.T) {
 		checkIndexesMatchRebuild(t, c, step)
 		current := c.Snapshot()
 		for j, f := range skipFilters {
-			if d := diffFind(c, pinned.Version(), f, true, want[j]); d != "" {
+			if d := diffFind(pinned, f, true, want[j]); d != "" {
 				t.Fatalf("%s, pinned version: %s", step, d)
 			}
-			if d := diffFind(c, current.Version(), f, true, scanFind(current, f)); d != "" {
+			if d := diffFind(current, f, true, scanFind(current, f)); d != "" {
 				t.Fatalf("%s: %s", step, d)
 			}
 		}

@@ -28,6 +28,22 @@ func isolationSeed(t *testing.T, n int) *Collection {
 	return c
 }
 
+// findAt is FindWithPlan over the version s pins instead of the current one:
+// the cursor takes a pin of its own, so s stays pinned.
+func findAt(s *Snapshot, filter *bson.Doc, opts FindOptions) ([]*bson.Doc, Plan, error) {
+	m, err := query.Compile(filter)
+	if err != nil {
+		return nil, Plan{}, err
+	}
+	opts.BatchSize = -1
+	cur, err := s.coll.pin(s.v).cursor(m, opts)
+	if err != nil {
+		return nil, Plan{}, err
+	}
+	docs, err := cur.All()
+	return docs, cur.Plan(), err
+}
+
 // cloneAll deep-copies a result set so later comparisons are immune to any
 // aliasing with stored state.
 func cloneAll(docs []*bson.Doc) []*bson.Doc {

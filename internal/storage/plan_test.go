@@ -299,7 +299,7 @@ func TestWritesThroughIntersectedPlan(t *testing.T) {
 	// The indexes still agree with the records they point at.
 	for _, f := range []*bson.Doc{bson.D("a", 5, "b", 3), bson.D("a", 9), bson.D("b", 1, "c", 2)} {
 		s := indexed.Snapshot()
-		if d := diffFind(indexed, s.Version(), f, true, scanFind(s, f)); d != "" {
+		if d := diffFind(s, f, true, scanFind(s, f)); d != "" {
 			t.Error(d)
 		}
 		s.Release()

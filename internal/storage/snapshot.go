@@ -3,7 +3,6 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"sync/atomic"
 
@@ -11,97 +10,53 @@ import (
 )
 
 // Snapshot is a pinned, immutable point-in-time view of a collection: the
-// read-side handle of the MVCC engine. Pinning costs two atomic adds and an
-// atomic load, and no locks; holding a snapshot never blocks writers, and
+// read-side handle of the MVCC engine. Pinning costs one atomic load and a
+// few atomic adds, and no locks; holding a snapshot never blocks writers, and
 // concurrent commits, compactions and drops are invisible to it. Everything
 // reachable through a snapshot — the record set, the document contents, the
 // counters, the journal watermark and the index definitions — describes the
 // single committed version that was current when the snapshot was taken.
 //
-// Snapshots are registered with the engine's pin tracking: while one is
-// held, the version it pins (and every page reachable from it) is exempt
-// from page recycling, and the engine gauges report the retention (live
-// versions, oldest-pin age — see EngineStats). Call Release (or Close) when
-// done; Release is idempotent and safe to call concurrently. A snapshot that
-// is never released does not corrupt anything and its memory is still
-// reclaimed by Go's garbage collector once unreachable — the engine merely
-// loses the ability to recycle the pages it covered and the gauges keep
-// counting it until its version falls out of tracking.
+// What a snapshot reads stays alive because the snapshot references it: the
+// pages, documents and index trees of its version are freed by Go's
+// collector once no snapshot or newer version holds them. The pin counts
+// only feed the engine gauges (LiveVersions, PinnedSnapshots — see
+// EngineStats). Call Release (or Close) when done; Release is idempotent and
+// safe to call concurrently. A snapshot that is never released corrupts
+// nothing and its version is still freed once the snapshot is unreachable;
+// the gauges merely keep counting it.
 type Snapshot struct {
 	coll     *Collection
 	v        *version
 	released atomic.Bool
 }
 
-// Snapshot pins the collection's current committed version. The pin gate
-// makes the pin race-free against page recycling: the GC recycles only while
-// no reader sits between loading the current version and registering the
-// pin.
+// Snapshot pins the collection's current committed version.
 func (c *Collection) Snapshot() *Snapshot {
-	c.pinGate.Add(1)
-	v := c.current.Load()
-	v.pins.Add(1)
-	c.pinGate.Add(-1)
+	return c.pin(c.current.Load())
+}
+
+// pin returns a new snapshot of v, counting it in the engine gauges: the
+// first pin of a version makes it live, the last Release makes it not.
+func (c *Collection) pin(v *version) *Snapshot {
+	if v.pins.Add(1) == 1 {
+		c.pinnedVersions.Add(1)
+	}
+	c.pinnedSnapshots.Add(1)
 	return &Snapshot{coll: c, v: v}
 }
 
-// ErrVersionRetired is returned by SnapshotAt (and AtVersion queries) when
-// the requested version is no longer tracked: either it was pruned once its
-// pins dropped, or it never existed. Callers re-anchor by issuing a fresh
-// query at the current version.
-type ErrVersionRetired struct {
-	Collection string
-	Version    int64
-}
-
-func (e *ErrVersionRetired) Error() string {
-	return fmt.Sprintf("storage: version %d of collection %q is not retained (hold a cursor open to anchor a read-at-version session)", e.Version, e.Collection)
-}
-
-// SnapshotAt pins the committed version with the given sequence number, the
-// read-at-version entry point behind FindOptions.AtVersion. Version 0 pins
-// the current version (exactly Snapshot). A superseded version can be pinned
-// only while the engine still tracks it — it stays tracked while any
-// snapshot pins it, so a session anchors itself by keeping its first
-// query's cursor open and pointing follow-up queries at that version.
-func (c *Collection) SnapshotAt(seq int64) (*Snapshot, error) {
-	if seq == 0 {
-		return c.Snapshot(), nil
-	}
-	// Fast path: the requested version is still current — pin it through
-	// the gate exactly like Snapshot, no mutex.
-	c.pinGate.Add(1)
-	v := c.current.Load()
-	if v.seq == seq {
-		v.pins.Add(1)
-		c.pinGate.Add(-1)
-		return &Snapshot{coll: c, v: v}, nil
-	}
-	c.pinGate.Add(-1)
-	// Slow path: search the tracked live list under the mutex. GC runs only
-	// under the same mutex, so a version found here cannot be pruned before
-	// its pin registers.
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, v := range c.live {
-		if v.seq == seq {
-			v.pins.Add(1)
-			return &Snapshot{coll: c, v: v}, nil
-		}
-	}
-	return nil, &ErrVersionRetired{Collection: c.name, Version: seq}
-}
-
-// Release unpins the snapshot, allowing the engine to recycle the pages its
-// version retained once no other snapshot covers them. It is idempotent and
-// safe for concurrent use; reads through an already-released snapshot remain
-// memory-safe (the version is immutable and garbage-collected), but may
-// observe recycled pages, so release only after the last read.
+// Release unpins the snapshot, taking it out of the engine gauges. It is
+// idempotent and safe for concurrent use; reads through a released snapshot
+// still see its version, which stays alive while the snapshot is reachable.
 func (s *Snapshot) Release() {
 	if s.released.Swap(true) {
 		return
 	}
-	s.v.pins.Add(-1)
+	if s.v.pins.Add(-1) == 0 {
+		s.coll.pinnedVersions.Add(-1)
+	}
+	s.coll.pinnedSnapshots.Add(-1)
 }
 
 // Close releases the snapshot; it exists so snapshots satisfy io.Closer.
@@ -153,25 +108,15 @@ func (s *Snapshot) FindID(id any) *bson.Doc {
 }
 
 // Scan invokes fn for every live document in insertion order until fn
-// returns false. It is entirely lock-free. Pages the engine GC reclaimed
-// (every slot tombstoned) are skipped wholesale.
+// returns false. It is entirely lock-free.
 func (s *Snapshot) Scan(fn func(*bson.Doc) bool) {
 	s.coll.scans.Add(1)
 	v := s.v
 	for pi, base := 0, 0; base < v.length; pi, base = pi+1, base+pageSize {
 		p := v.pages[pi]
-		if p == nil {
-			continue
-		}
-		end := v.length - base
-		if end > pageSize {
-			end = pageSize
-		}
+		end := min(v.length-base, pageSize)
 		for off := 0; off < end; off++ {
-			if p.recs[off].deleted {
-				continue
-			}
-			if !fn(p.recs[off].doc) {
+			if d := p.recs[off].doc; d != nil && !fn(d) {
 				return
 			}
 		}

@@ -25,14 +25,15 @@ func TestIndexBackedCursorIsolationAcrossIndexDDL(t *testing.T) {
 	}
 	want = cloneAll(want)
 
+	pinned := c.Snapshot()
+	defer pinned.Release()
 	cur, err := c.FindCursor(bson.D("g", 3), FindOptions{BatchSize: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cur.Plan().IndexUsed != "g_1" {
-		t.Fatalf("expected an index scan, plan = %s", cur.Plan())
+	if cur.Plan().IndexUsed != "g_1" || cur.Plan().SnapshotVersion != pinned.Version() {
+		t.Fatalf("expected an index scan at version %d, plan = %s", pinned.Version(), cur.Plan())
 	}
-	pinned := cur.Plan().SnapshotVersion
 	got := cloneAll(cur.NextBatch())
 
 	// Drop the index serving the open cursor, build a different one, and
@@ -67,45 +68,34 @@ func TestIndexBackedCursorIsolationAcrossIndexDDL(t *testing.T) {
 	}
 
 	// A fresh hint on the dropped index fails — it is gone from the current
-	// version — while the same hint pinned to the pre-drop version still
-	// plans against that version's frozen index set.
+	// version — while the same hint over a snapshot of the pre-drop version
+	// still plans against that version's frozen index set.
 	var unknown *ErrUnknownIndex
 	if _, err := c.Find(bson.D("g", 3), FindOptions{Hint: "g_1"}); !errors.As(err, &unknown) {
 		t.Fatalf("hint on dropped index: %v, want ErrUnknownIndex", err)
 	}
-	docs, plan, err := c.FindWithPlan(bson.D("g", 3), FindOptions{Hint: "g_1", AtVersion: pinned})
+	docs, plan, err := findAt(pinned, bson.D("g", 3), FindOptions{Hint: "g_1"})
 	if err != nil {
 		t.Fatalf("hint on dropped index at pinned version: %v", err)
 	}
-	if plan.IndexUsed != "g_1" || plan.SnapshotVersion != pinned {
-		t.Fatalf("pinned-version plan = %s, want IXSCAN g_1 at version %d", plan, pinned)
+	if plan.IndexUsed != "g_1" || plan.SnapshotVersion != pinned.Version() {
+		t.Fatalf("pinned-version plan = %s, want IXSCAN g_1 at version %d", plan, pinned.Version())
 	}
 	if len(docs) != len(want) {
 		t.Fatalf("pinned-version query returned %d docs, want %d", len(docs), len(want))
 	}
 }
 
-// TestAtVersionSnapshotSession is the read-at-version (atClusterTime
-// analogue) contract: a session anchors a version by holding its first
-// query's cursor open, then issues follow-up queries pinned to that version
-// while writes land; every result describes the anchored committed state.
-// Once the anchor closes and the engine retires the version, the same
-// request fails with ErrVersionRetired instead of silently reading newer
-// state.
-func TestAtVersionSnapshotSession(t *testing.T) {
+// TestPinnedSnapshotSession is the pinned-session contract: a session pins
+// one snapshot, then issues its queries over it while writes land; every
+// result describes the pinned committed state, planned through that
+// version's frozen trees, while a query of the collection sees the new one.
+func TestPinnedSnapshotSession(t *testing.T) {
 	c := isolationSeed(t, 100)
 
-	// First query of the session: note the version, keep the cursor open to
-	// anchor it.
-	anchor, err := c.FindCursor(bson.D("g", 1), FindOptions{BatchSize: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := anchor.Plan().SnapshotVersion
-	if v <= 0 {
-		t.Fatalf("anchor version = %d", v)
-	}
-	want, err := c.Find(bson.D("g", 1), FindOptions{AtVersion: v})
+	session := c.Snapshot()
+	v := session.Version()
+	want, _, err := findAt(session, bson.D("g", 1), FindOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,25 +111,24 @@ func TestAtVersionSnapshotSession(t *testing.T) {
 		}
 	}
 
-	// Follow-up queries at the anchored version: same result set, index
-	// plan from the pinned version's frozen trees, mutually consistent with
-	// each other.
-	docs, plan, err := c.FindWithPlan(bson.D("g", 1), FindOptions{AtVersion: v})
+	// A follow-up query of the session: same result set, index plan from
+	// the pinned version's frozen trees.
+	docs, plan, err := findAt(session, bson.D("g", 1), FindOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.SnapshotVersion != v || plan.Isolation != IsolationSnapshot {
-		t.Fatalf("at-version plan = %+v, want version %d at snapshot isolation", plan, v)
+		t.Fatalf("session plan = %+v, want version %d at snapshot isolation", plan, v)
 	}
 	if plan.IndexUsed != "g_1" {
-		t.Fatalf("at-version plan = %s, want IXSCAN g_1", plan)
+		t.Fatalf("session plan = %s, want IXSCAN g_1", plan)
 	}
 	if len(docs) != len(want) {
-		t.Fatalf("at-version query returned %d docs, want the %d at-anchor docs", len(docs), len(want))
+		t.Fatalf("session query returned %d docs, want the %d at-pin docs", len(docs), len(want))
 	}
 	for i := range docs {
 		if !docs[i].Equal(want[i]) {
-			t.Fatalf("at-version doc %d drifted:\n got  %s\n want %s", i, docs[i], want[i])
+			t.Fatalf("session doc %d drifted:\n got  %s\n want %s", i, docs[i], want[i])
 		}
 	}
 	// A current-version read meanwhile sees the new state.
@@ -151,25 +140,14 @@ func TestAtVersionSnapshotSession(t *testing.T) {
 		t.Fatalf("current read returned %d docs, want %d", len(now), len(want)+30)
 	}
 
-	// The anchor closes; after the next publishes and a GC the version is
-	// retired and the session's pin fails loudly.
-	anchor.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := c.Insert(bson.D(bson.IDKey, 6000+i, "g", 2)); err != nil {
-			t.Fatal(err)
-		}
+	// The session's queries took pins of their own and gave them back: only
+	// the session's pin is left, and releasing it leaves none.
+	if st := c.EngineStats(); st.PinnedSnapshots != 1 || st.LiveVersions != 2 {
+		t.Fatalf("PinnedSnapshots = %d, LiveVersions = %d with the session open, want 1 and 2", st.PinnedSnapshots, st.LiveVersions)
 	}
-	c.GC()
-	var retired *ErrVersionRetired
-	if _, err := c.Find(bson.D("g", 1), FindOptions{AtVersion: v}); !errors.As(err, &retired) {
-		t.Fatalf("retired version read: %v, want ErrVersionRetired", err)
-	}
-	if retired.Collection != "iso" || retired.Version != v {
-		t.Fatalf("ErrVersionRetired fields: %+v", retired)
-	}
-	// A version that never existed fails the same way.
-	if _, err := c.Find(nil, FindOptions{AtVersion: 1 << 40}); !errors.As(err, &retired) {
-		t.Fatalf("never-existed version read: %v, want ErrVersionRetired", err)
+	session.Release()
+	if st := c.EngineStats(); st.PinnedSnapshots != 0 || st.LiveVersions != 1 {
+		t.Fatalf("PinnedSnapshots = %d, LiveVersions = %d after release, want 0 and 1", st.PinnedSnapshots, st.LiveVersions)
 	}
 }
 
@@ -274,9 +252,8 @@ func TestStressTreeSplitLockFreePlanners(t *testing.T) {
 }
 
 // TestIndexTreeRetentionGauges is the stuck-cursor scenario for index
-// memory: a pinned snapshot keeps retired tree nodes alive, the tree-COW
-// gauges make the copying and the retention visible, and closing the pin
-// lets the next GC account the nodes reclaimed.
+// memory: a pinned snapshot keeps superseded tree nodes alive, and the
+// tree-COW gauges make the copying visible.
 func TestIndexTreeRetentionGauges(t *testing.T) {
 	c := NewCollection("treegauges")
 	const docs = 800
@@ -329,37 +306,16 @@ func TestIndexTreeRetentionGauges(t *testing.T) {
 	if st.TreeBytesShared <= base.TreeBytesShared {
 		t.Fatalf("TreeBytesShared stayed at %d under an indexed update stream, want rising", st.TreeBytesShared)
 	}
-	// The pin holds the superseded nodes: nothing retired since the open
-	// may be reclaimed yet.
-	if st.TreeNodesReclaimed != base.TreeNodesReclaimed {
-		t.Fatalf("TreeNodesReclaimed moved %d -> %d with the cursor still pinning",
-			base.TreeNodesReclaimed, st.TreeNodesReclaimed)
-	}
-
-	// The cursor dies; the next GC accounts the retired nodes reclaimed and
-	// drains the retired-node ledger.
 	cur.Close()
-	c.GC()
-	st = c.EngineStats()
-	if st.TreeNodesReclaimed <= base.TreeNodesReclaimed || st.TreeBytesReclaimed <= base.TreeBytesReclaimed {
-		t.Fatalf("TreeNodesReclaimed = %d, TreeBytesReclaimed = %d after close + GC, want both rising",
-			st.TreeNodesReclaimed, st.TreeBytesReclaimed)
-	}
-	c.mu.Lock()
-	left := len(c.retiredNodes)
-	c.mu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d retired-node sets left after unpinned GC, want 0", left)
-	}
 
 	// The live index still answers correctly.
 	docs3, plan, err := c.FindWithPlan(bson.D("g", 3), FindOptions{})
 	if err != nil || plan.IndexUsed != "g_1" {
-		t.Fatalf("post-GC indexed read: %v, plan %s", err, plan)
+		t.Fatalf("post-close indexed read: %v, plan %s", err, plan)
 	}
 	for _, d := range docs3 {
 		if g, _ := bson.AsInt(d.GetOr("g", nil)); g != 3 {
-			t.Fatalf("post-GC indexed read returned g=%v", g)
+			t.Fatalf("post-close indexed read returned g=%v", g)
 		}
 	}
 }

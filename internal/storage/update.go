@@ -99,8 +99,8 @@ func (c *Collection) updateLocked(spec query.UpdateSpec, upsertID any, matcher *
 			// relocates the slot, so re-derive the pointer.
 			r = c.ownSlotLocked(i)
 			r.doc = updated
-			c.dataSize += newSize - r.size
-			r.size = newSize
+			c.dataSize += newSize - int(r.size)
+			r.size = int32(newSize)
 			res.Modified++
 		}
 		return spec.Multi
@@ -128,7 +128,7 @@ func updatedSize(r *record, updated *bson.Doc, written *query.Written, memo *que
 	if written.All {
 		return storedSize(updated)
 	}
-	size, within := written.Resize(r.doc, updated, r.size, bson.MaxDocumentDepth, memo)
+	size, within := written.Resize(r.doc, updated, int(r.size), bson.MaxDocumentDepth, memo)
 	if size > bson.MaxDocumentSize {
 		return 0, &ErrDocumentTooLarge{Size: size}
 	}
@@ -172,7 +172,7 @@ func (c *Collection) eachMatchLocked(matcher *query.Matcher, fn func(pos int, r 
 			pos = int(acc.positions[k])
 		}
 		r := c.writerRecord(pos)
-		if r == nil || r.deleted || !acc.residual.Matches(r.doc) {
+		if r.doc == nil || !acc.residual.Matches(r.doc) {
 			continue
 		}
 		if !fn(pos, r) {
@@ -257,7 +257,7 @@ func (c *Collection) ReplaceContents(rows []*bson.Doc) error {
 		if logged, err = c.logLocked(InsertOps(docs), true); err == nil {
 			c.reserveLocked(len(docs))
 			for i, doc := range docs {
-				*c.appendSlotLocked() = record{doc: doc, size: sizes[i]}
+				*c.appendSlotLocked() = record{doc: doc, size: int32(sizes[i])}
 				c.dataSize += sizes[i]
 			}
 			c.count = len(docs)
@@ -329,8 +329,8 @@ func (c *Collection) Delete(filter *bson.Doc, multi bool) (int, error) {
 // so the first removal in a page takes the copy-on-write path for that page;
 // pinned readers keep seeing the documents through their own frozen pages.
 // The tombstone drops its document reference — once no pinned version covers
-// the page, the document's memory is gone, and a fully tombstoned page is
-// nilled out of the spine by the incremental GC.
+// the page, the document's memory is gone; the slot itself goes at the next
+// compaction.
 func (c *Collection) deleteLocked(matcher *query.Matcher, multi bool) int {
 	removed := 0
 	c.eachMatchLocked(matcher, func(i int, r *record) bool {
@@ -340,12 +340,10 @@ func (c *Collection) deleteLocked(matcher *query.Matcher, multi bool) int {
 			e.ix.Remove(doc, i)
 		}
 		c.count--
-		c.dataSize -= r.size
+		c.dataSize -= int(r.size)
 		c.tombs++
 		removed++
-		r.deleted = true
-		r.doc = nil
-		c.pages[i>>pageShift].tombs++
+		*r = record{}
 		return multi
 	})
 	return removed

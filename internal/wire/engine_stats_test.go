@@ -54,9 +54,6 @@ func TestWireStatsReportsEngineAndCursorRetention(t *testing.T) {
 	if n := intGauge("pinnedSnapshots"); n < 1 {
 		t.Fatalf("engine.pinnedSnapshots = %d with a stuck cursor, want >= 1", n)
 	}
-	if n := intGauge("retainedBytes"); n <= 0 {
-		t.Fatalf("engine.retainedBytes = %d, want > 0", n)
-	}
 	if n := intGauge("cowBytesCopied"); n <= 0 {
 		t.Fatalf("engine.cowBytesCopied = %d after 200 updates, want > 0", n)
 	}
@@ -83,6 +80,9 @@ func TestWireStatsReportsEngineAndCursorRetention(t *testing.T) {
 	if _, ok := entry.Get("cursorId"); !ok {
 		t.Fatalf("openCursors[0] has no cursorId: %v", entry)
 	}
+	if _, ok := entry.Get("idleMS"); !ok {
+		t.Fatalf("openCursors[0] has no idleMS: %v", entry)
+	}
 
 	// Killing the cursor clears the list: the retention suspect is gone.
 	cur.Close()
@@ -93,5 +93,14 @@ func TestWireStatsReportsEngineAndCursorRetention(t *testing.T) {
 	cursorsVal, _ = stats.Get("openCursors")
 	if cursors, _ := cursorsVal.([]any); len(cursors) != 0 {
 		t.Fatalf("openCursors lists %d cursors after kill, want 0", len(cursors))
+	}
+	// And the gauges drop the retention with it.
+	engineVal, _ = stats.Get("engine")
+	engine = engineVal.(*bson.Doc)
+	if n := intGauge("liveVersions"); n != 1 {
+		t.Fatalf("engine.liveVersions = %d after kill, want 1", n)
+	}
+	if n := intGauge("pinnedSnapshots"); n != 0 {
+		t.Fatalf("engine.pinnedSnapshots = %d after kill, want 0", n)
 	}
 }

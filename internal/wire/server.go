@@ -735,26 +735,20 @@ func (s *Server) handle(req *Request) *Response {
 		}
 		// The MVCC engine's memory-economics gauges, plus every open
 		// server-side cursor with its namespace and idle age: together they
-		// answer "which cursor is retaining memory" — a cursor on the
-		// namespace whose gauges show old pins and retained bytes is the
-		// one holding superseded versions alive.
+		// answer "which cursor is retaining memory" — a long-idle cursor on
+		// the namespace whose gauges show superseded live versions is the
+		// one holding them alive.
 		doc.Set("engine", bson.D(
 			"liveVersions", st.Engine.LiveVersions,
 			"pinnedSnapshots", st.Engine.PinnedSnapshots,
-			"oldestPinAgeMS", st.Engine.OldestPinAge.Milliseconds(),
-			"retainedBytes", st.Engine.RetainedBytes,
 			"pages", st.Engine.Pages,
 			"pageSizeRecords", st.Engine.PageSizeRecords,
 			"cowBytesCopied", st.Engine.COWBytesCopied,
 			"cowBytesShared", st.Engine.COWBytesShared,
-			"reclaimedBytes", st.Engine.ReclaimedBytes,
 			"pagesCopied", st.Engine.PagesCopied,
-			"pagesRecycled", st.Engine.PagesRecycled,
 			"treeNodesCopied", st.Engine.TreeNodesCopied,
 			"treeBytesCopied", st.Engine.TreeBytesCopied,
 			"treeBytesShared", st.Engine.TreeBytesShared,
-			"treeNodesReclaimed", st.Engine.TreeNodesReclaimed,
-			"treeBytesReclaimed", st.Engine.TreeBytesReclaimed,
 		))
 		doc.Set("openCursors", s.cursorStats())
 		return &Response{OK: true, Docs: []*bson.Doc{doc}, N: 1}
