@@ -40,7 +40,6 @@ func benchScales() (tpcds.Scale, tpcds.Scale) {
 func benchConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Runs = 1
-	cfg.ChunkSizeBytes = 1 << 20
 	return cfg
 }
 

@@ -149,13 +149,17 @@
 // ReplaceContents, which $out uses, is the one batch with a prologue: it
 // checks every row (depth, size, array _id, duplicate _id against an _id_
 // index it builds in the same pass) before it touches the target, so a
-// refused result leaves the target and its journal as they were; then it
-// wipes the collection and installs the new records and that _id_ under one
-// lock acquisition, published as one version and acknowledged by one
-// durability wait — a reader of the target sees the old result or the new
-// one, never the empty collection between them, and two $outs to one target
-// leave one of the two results, whole. The log still receives a wipe record
-// and a batch record, in that order.
+// refused result leaves the target and its journal as they were; then, under
+// one lock acquisition, it journals one replace record (the wipe and the new
+// documents together: recovery replays both or neither, and a journal that
+// refuses it leaves the target untouched), wipes the collection and installs
+// the new records and that _id_, published as one version and acknowledged
+// by one durability wait — a reader of the target sees the old result or the
+// new one, never the empty collection between them, and two $outs to one
+// target leave one of the two results, whole. A change stream sees the
+// record as a drop and then one insert per document. Logs written before the
+// replace record existed hold a wipe record and then a batch record per
+// $out, and still replay so.
 //
 // An update maintains only the indexes whose keys it changed: an updated
 // document keeps its record position, which is what its index entries
@@ -629,7 +633,8 @@
 //     immutable once rotated) holding length-prefixed, CRC32C-checksummed
 //     records. A record is a logical batch — the ops of one
 //     storage.BulkWrite, a scalar write as a one-op batch, a collection
-//     clear, or a collection/database drop — so replaying the log re-runs
+//     clear, a $out's replacement of a collection's contents, or a
+//     collection/database drop — so replaying the log re-runs
 //     the same deterministic batch code that ran the first time (insert _ids
 //     are assigned before logging for exactly this reason).
 //   - Sync policies (wal.SyncPolicy): "always" fsyncs once per acknowledged

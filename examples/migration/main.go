@@ -42,7 +42,7 @@ func main() {
 	standalone := driver.NewStandalone(mongod.NewServer(mongod.Options{Name: "standalone"}).Database("Dataset_1GB"))
 	// Sharded environment: 3 shards, fact collections sharded as in the
 	// thesis' experiments.
-	cl := cluster.MustBuild(cluster.Config{Shards: 3, ChunkSizeBytes: 1 << 20, ParallelScatter: true})
+	cl := cluster.MustBuild(cluster.Config{Shards: 3, ParallelScatter: true})
 	for fact, key := range core.ShardKeys() {
 		if _, err := cl.ShardCollection("Dataset_1GB", fact, key); err != nil {
 			log.Fatal(err)

@@ -1,7 +1,7 @@
 // Sharding: build a three-shard cluster (the thesis' Figure 3.1 topology),
-// shard a collection, watch chunks split and balance, and observe the
-// difference between targeted and broadcast queries — the mechanism behind
-// the paper's Query 50 vs Queries 7/21/46 result.
+// shard a collection on a hashed key, see its chunks and where the documents
+// landed, and observe the difference between targeted and broadcast queries
+// — the mechanism behind the paper's Query 50 vs Queries 7/21/46 result.
 package main
 
 import (
@@ -15,11 +15,7 @@ import (
 
 func main() {
 	// 3 shards, 1 config server, 1 query router, as in Figure 3.1.
-	c := cluster.MustBuild(cluster.Config{
-		Shards:         3,
-		ShardRAMBytes:  8 << 30,
-		ChunkSizeBytes: 64 << 10, // small chunks so splitting is visible at example scale
-	})
+	c := cluster.MustBuild(cluster.Config{Shards: 3, ShardRAMBytes: 8 << 30})
 
 	// Shard the orders collection on a hashed customer id: hashed sharding
 	// pre-splits the key space evenly across the shards (§2.1.3.3).
@@ -39,9 +35,9 @@ func main() {
 	}
 
 	meta := c.ConfigServer().Metadata("shop.orders")
-	fmt.Println("chunk distribution after loading 3000 orders:")
-	for shard, n := range meta.ChunkCountByShard() {
-		fmt.Printf("  %-8s %d chunks\n", shard, n)
+	fmt.Println("chunks and documents after loading 3000 orders:")
+	for _, chunk := range meta.Chunks() {
+		fmt.Printf("  %s\n", chunk)
 	}
 	for _, s := range c.Shards() {
 		fmt.Printf("  %-8s %d documents\n", s.Name(), s.Database("shop").Collection("orders").Count())

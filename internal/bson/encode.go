@@ -14,7 +14,7 @@ import (
 // layout reminiscent of BSON: it is used for persistence snapshots, for the
 // write-ahead log, for the frames of the wire protocol, and as the canonical
 // definition of a document's on-disk size (which in turn drives the 16 MB
-// document limit, chunk sizes, and the selectivity measurements of Table 4.4).
+// document limit and the selectivity measurements of Table 4.4).
 //
 // A document is [int32 length, itself included][elements][0x00]; an element is
 // [tag][key, NUL-terminated][value]; an array is a document whose keys are the

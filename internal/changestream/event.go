@@ -142,11 +142,7 @@ func eventsFromRecord(rec *wal.Record, cloneSpecs bool) []*Event {
 			}
 			switch op.Kind {
 			case storage.InsertOp:
-				ev.OpType = OpInsert
-				ev.FullDocument = op.Doc
-				if id := op.Doc.ID(); id != nil {
-					ev.DocumentKey = bson.D(bson.IDKey, id)
-				}
+				ev.setInsert(op.Doc)
 			case storage.UpdateOp:
 				ev.OpType = OpUpdate
 				q, u := op.Update.Query, op.Update.Update
@@ -188,6 +184,22 @@ func eventsFromRecord(rec *wal.Record, cloneSpecs bool) []*Event {
 			OpType: OpDrop,
 			DB:     rec.DB, Coll: rec.Coll,
 		}}
+	case wal.KindReplace:
+		// A drop, then one insert per new document: what a wipe and a batch
+		// of inserts would have produced, with the tokens increasing within
+		// the one record.
+		events := make([]*Event, 0, 1+len(rec.Ops))
+		events = append(events, &Event{
+			Token:  Token{LSN: rec.LSN, Op: 0},
+			OpType: OpDrop,
+			DB:     rec.DB, Coll: rec.Coll,
+		})
+		for i, doc := range rec.Docs() {
+			ev := &Event{Token: Token{LSN: rec.LSN, Op: int32(i + 1)}, DB: rec.DB, Coll: rec.Coll}
+			ev.setInsert(doc)
+			events = append(events, ev)
+		}
+		return events
 	case wal.KindDropDatabase:
 		return []*Event{{
 			Token:  Token{LSN: rec.LSN, Op: 0},
@@ -196,6 +208,16 @@ func eventsFromRecord(rec *wal.Record, cloneSpecs bool) []*Event {
 		}}
 	default: // index management: frontier-only
 		return nil
+	}
+}
+
+// setInsert makes the event the insert of doc, the stored document, which is
+// shared.
+func (e *Event) setInsert(doc *bson.Doc) {
+	e.OpType = OpInsert
+	e.FullDocument = doc
+	if id := doc.ID(); id != nil {
+		e.DocumentKey = bson.D(bson.IDKey, id)
 	}
 }
 

@@ -26,7 +26,10 @@ type Config struct {
 	NetworkLatency time.Duration
 	// ParallelScatter makes the router fan out shard calls concurrently.
 	ParallelScatter bool
-	// ChunkSizeBytes overrides the 64 MB default chunk size.
+	// ChunkSizeBytes is ignored: a collection's chunk map is fixed when it
+	// is sharded, and no chunk is ever split. The field stays only because
+	// the benchmark module still sets it; it goes with the next change to
+	// that module (ROADMAP item 18).
 	ChunkSizeBytes int
 }
 
@@ -79,5 +82,5 @@ func (c *Cluster) Shards() []*mongod.Server { return append([]*mongod.Server(nil
 
 // ShardCollection shards db.coll on the given key and returns its metadata.
 func (c *Cluster) ShardCollection(db, coll string, keySpec *bson.Doc) (*sharding.CollectionMetadata, error) {
-	return c.router.EnableSharding(db, coll, keySpec, c.cfg.ChunkSizeBytes)
+	return c.router.EnableSharding(db, coll, keySpec)
 }

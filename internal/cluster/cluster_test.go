@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"docstore/internal/bson"
@@ -38,9 +39,15 @@ func TestMustBuildPanics(t *testing.T) {
 }
 
 func TestClusterShardLoadAndQuery(t *testing.T) {
+	// ChunkSizeBytes is ignored: however small, it splits nothing.
 	c := MustBuild(Config{Shards: 3, ChunkSizeBytes: 4096})
-	if _, err := c.ShardCollection("Dataset", "store_sales", bson.D("ss_item_sk", 1)); err != nil {
+	meta, err := c.ShardCollection("Dataset", "store_sales", bson.D("ss_item_sk", 1))
+	if err != nil {
 		t.Fatal(err)
+	}
+	var atSharding []string
+	for _, chunk := range meta.Chunks() {
+		atSharding = append(atSharding, chunk.String())
 	}
 	router := c.Router()
 	for i := 0; i < 2000; i++ {
@@ -49,13 +56,17 @@ func TestClusterShardLoadAndQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Range sharding starts with one chunk on Shard1, and its splits stay
-	// there: every document lands on Shard1.
+	// Range sharding is one chunk on Shard1: every document lands there,
+	// and the inserts leave the chunk map as ShardCollection built it.
 	if n := c.Shards()[0].Database("Dataset").Collection("store_sales").Count(); n != 2000 {
 		t.Fatalf("Shard1 holds %d docs, want 2000", n)
 	}
-	if len(c.ConfigServer().Metadata("Dataset.store_sales").Chunks()) < 2 {
-		t.Fatalf("2000 inserts into 4 KB chunks split nothing")
+	var after []string
+	for _, chunk := range c.ConfigServer().Metadata("Dataset.store_sales").Chunks() {
+		after = append(after, chunk.String())
+	}
+	if fmt.Sprint(after) != fmt.Sprint(atSharding) {
+		t.Fatalf("2000 inserts changed the chunk map from %v to %v", atSharding, after)
 	}
 	// Queries through the router see every document, and a targeted query
 	// finds its rows.

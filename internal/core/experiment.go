@@ -79,9 +79,10 @@ type Config struct {
 	// ParallelScatter fans broadcast shard calls out concurrently, as the
 	// real query router does.
 	ParallelScatter bool
-	// ChunkSizeBytes overrides the chunk size for sharded collections
-	// (0 keeps the 64 MB default; the laptop-scale datasets use a smaller
-	// value so that chunk splitting actually happens).
+	// ChunkSizeBytes is ignored: a sharded collection's chunk map is fixed
+	// when it is sharded, and no chunk is ever split. The field stays only
+	// because the benchmark module still reads it; it goes with the next
+	// change to that module (ROADMAP item 18).
 	ChunkSizeBytes int
 	// Runs is how many times each query is executed; the best run is
 	// reported, matching §4.2 (five warm runs, best reported).
@@ -97,7 +98,6 @@ func DefaultConfig() Config {
 		Shards:          3,
 		NetworkLatency:  200 * time.Microsecond,
 		ParallelScatter: true,
-		ChunkSizeBytes:  1 << 20,
 		Runs:            5,
 		Params:          queries.DefaultParams(),
 	}
@@ -109,8 +109,10 @@ func DatabaseName(scale tpcds.Scale) string { return "Dataset_" + scale.Name }
 
 // ShardKeys returns the shard-key specification per fact collection used by
 // the sharded experiments: hashed keys on the ticket number for the sales and
-// returns facts (which is why Query 50, whose driving lookup is by ticket
-// number, routes to specific shards) and on the date key for inventory.
+// returns facts and on the date key for inventory. Query 50's driving lookup
+// is a $in over ticket numbers, which the router resolves key by key; at
+// divisor 1000 those keys hash to all three shards, so it reaches every
+// shard, as a broadcast would.
 func ShardKeys() map[string]*bson.Doc {
 	return map[string]*bson.Doc{
 		"store_sales":   bson.D("ss_ticket_number", "hashed"),

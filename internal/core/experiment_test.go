@@ -20,7 +20,6 @@ func testConfig() Config {
 	cfg := DefaultConfig()
 	cfg.NetworkLatency = 0
 	cfg.Runs = 1
-	cfg.ChunkSizeBytes = 64 << 10
 	return cfg
 }
 

@@ -20,7 +20,6 @@ func buildCluster(cfg Config) (*cluster.Cluster, error) {
 		ShardRAMBytes:   8 << 30,
 		NetworkLatency:  cfg.NetworkLatency,
 		ParallelScatter: cfg.ParallelScatter,
-		ChunkSizeBytes:  cfg.ChunkSizeBytes,
 	})
 }
 

@@ -240,7 +240,7 @@ func (d routed) ShardCollection(db, coll string, keys *bson.Doc) error {
 	if keys == nil {
 		return errors.New("keys is required")
 	}
-	_, err := d.router.EnableSharding(db, coll, keys, 0)
+	_, err := d.router.EnableSharding(db, coll, keys)
 	return err
 }
 

@@ -34,7 +34,7 @@ func TestWatchStoreBothAdapters(t *testing.T) {
 		t.Cleanup(func() { s.CloseDurability() })
 		router.AddShard(name, s)
 	}
-	if _, err := router.EnableSharding("app", "rows", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := router.EnableSharding("app", "rows", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 

@@ -179,9 +179,6 @@ func (t *BTree) Len() int { return t.entries }
 // cardinality heuristics use this.
 func (t *BTree) DistinctKeys() int { return t.keys }
 
-// Nodes returns the number of nodes reachable from the current root.
-func (t *BTree) Nodes() int { return t.nodes }
-
 // EstBytes walks the tree and returns the estimated memory footprint of its
 // nodes. O(nodes); intended for reports, not hot paths.
 func (t *BTree) EstBytes() int64 {

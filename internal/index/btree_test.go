@@ -194,8 +194,8 @@ func TestBTreeAscendingKeysFillNodes(t *testing.T) {
 	}
 	// A middle split leaves ~8 keys a leaf (1250+ nodes); full leaves hold
 	// 14 or 15 of them.
-	if maxNodes := n/(2*btreeLeafDegree-2) + n/100; tr.Nodes() > maxNodes {
-		t.Fatalf("%d ascending keys took %d nodes, want at most %d", n, tr.Nodes(), maxNodes)
+	if maxNodes := n/(2*btreeLeafDegree-2) + n/100; tr.nodes > maxNodes {
+		t.Fatalf("%d ascending keys took %d nodes, want at most %d", n, tr.nodes, maxNodes)
 	}
 	next := int64(0)
 	tr.Ascend(func(k Key, p uint32) bool {

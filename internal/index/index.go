@@ -200,9 +200,6 @@ func (ix *Index) DistinctKeys() int { return ix.tree.DistinctKeys() }
 // working-set calculations of §2.1.3.2.
 func (ix *Index) SizeBytes() int { return ix.size }
 
-// Nodes returns the number of B-tree nodes in the index's current tree.
-func (ix *Index) Nodes() int { return ix.tree.Nodes() }
-
 // TreeBytes returns the estimated memory footprint of the index's tree nodes
 // (O(nodes) walk).
 func (ix *Index) TreeBytes() int64 { return ix.tree.EstBytes() }

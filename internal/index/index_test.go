@@ -594,10 +594,10 @@ func TestRemapRenumbersWriterAndSparesFrozenHandles(t *testing.T) {
 	}
 	frozen := ix.Freeze()
 	ix.SetStamp(2)
-	nodes, before := ix.Nodes(), ix.Len()
+	nodes, before := ix.tree.nodes, ix.Len()
 	ix.Remap(newPos)
-	if ix.Len() != before || ix.Nodes() != nodes {
-		t.Fatalf("Remap changed the tree's shape: %d entries in %d nodes, was %d in %d", ix.Len(), ix.Nodes(), before, nodes)
+	if ix.Len() != before || ix.tree.nodes != nodes {
+		t.Fatalf("Remap changed the tree's shape: %d entries in %d nodes, was %d in %d", ix.Len(), ix.tree.nodes, before, nodes)
 	}
 	for g := 0; g < 37; g++ {
 		old, got := frozen.Lookup(g), ix.Lookup(g)

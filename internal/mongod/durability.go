@@ -125,14 +125,21 @@ type notifyingCommit struct {
 
 // Notify implements storage.CommitNotifier.
 func (n *notifyingCommit) Notify() {
-	if n.rec.Kind == wal.KindBatch {
-		// Batch events are pre-built (or deliberately absent) at log time,
-		// while the specs they copy are still unwritten by their caller and
-		// the interest check is ordered against subscriber joins (see wrap).
+	if carriesOps(n.rec) {
+		// Batch and replace events are pre-built (or deliberately absent)
+		// at log time, while the specs they copy are still unwritten by
+		// their caller and the interest check is ordered against subscriber
+		// joins (see wrap).
 		n.broker.Publish(n.rec.LSN, n.events)
 		return
 	}
 	n.broker.Publish(n.rec.LSN, changestream.EventsFromRecord(n.rec, false))
+}
+
+// carriesOps reports whether a record holds write ops, whose events are
+// worth building only for a namespace someone watches.
+func carriesOps(rec *wal.Record) bool {
+	return rec.Kind == wal.KindBatch || rec.Kind == wal.KindReplace
 }
 
 func (j *collJournal) wrap(rec *wal.Record) (storage.CommitWaiter, error) {
@@ -141,7 +148,7 @@ func (j *collJournal) wrap(rec *wal.Record) (storage.CommitWaiter, error) {
 		return nil, err
 	}
 	nc := &notifyingCommit{Commit: commit, broker: j.broker, rec: rec}
-	if rec.Kind == wal.KindBatch && j.broker.WantsEvents(rec.DB, rec.Coll) {
+	if carriesOps(rec) && j.broker.WantsEvents(rec.DB, rec.Coll) {
 		// Built under the collection lock (LogBatch is called from
 		// logLocked), AFTER the append: a subscriber whose join point
 		// precedes this record has, by the WAL-mutex ordering, already
@@ -162,6 +169,10 @@ func (j *collJournal) LogBatch(ops []storage.WriteOp, ordered bool) (storage.Com
 
 func (j *collJournal) LogClear() (storage.CommitWaiter, error) {
 	return j.wrap(&wal.Record{Kind: wal.KindClear, DB: j.db, Coll: j.coll})
+}
+
+func (j *collJournal) LogReplace(docs []*bson.Doc) (storage.CommitWaiter, error) {
+	return j.wrap(&wal.Record{Kind: wal.KindReplace, DB: j.db, Coll: j.coll, Ops: storage.InsertOps(docs)})
 }
 
 func (j *collJournal) LogEnsureIndex(spec *bson.Doc, unique bool) (storage.CommitWaiter, error) {
@@ -233,8 +244,9 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 	// Phase 2: replay the log on top. Collections have no journal attached
 	// yet, so replayed writes are not re-logged. Consecutive batch records of
 	// one collection are handed to storage as a run — one lock hold and one
-	// published version per run, not per record — and any other record kind,
-	// another collection or replayRunCap ends the run.
+	// published version per run, not per record — and any other record kind
+	// (a replace included: it ends the run, then applies whole), another
+	// collection or replayRunCap ends the run.
 	var (
 		run            []storage.ReplayBatch
 		runDB, runColl string
@@ -319,6 +331,17 @@ func (s *Server) applyRecord(rec *wal.Record) bool {
 			return false
 		}
 		coll.Drop()
+		coll.SetReplayLSN(rec.LSN)
+		return true
+	case wal.KindReplace:
+		coll := s.Database(rec.DB).Collection(rec.Coll)
+		if rec.LSN <= coll.LastLSN() {
+			return false
+		}
+		// The wipe and the documents in one version, as the $out that
+		// logged them published them. Its rows were checked before they
+		// were logged, so the replacement succeeds as it did then.
+		_ = coll.ReplaceContents(rec.Docs())
 		coll.SetReplayLSN(rec.LSN)
 		return true
 	case wal.KindEnsureIndex:

@@ -246,7 +246,7 @@ func TestDurabilityDropsDoNotResurrect(t *testing.T) {
 	if !s.DropDatabase("scratch") {
 		t.Fatalf("drop database failed")
 	}
-	// ReplaceContents logs a clear plus the new batch.
+	// ReplaceContents logs one replace record: the wipe and the new batch.
 	if err := db.Collection("keep").ReplaceContents([]*bson.Doc{bson.D(bson.IDKey, "fresh")}); err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +404,109 @@ func TestDurabilityTortureTornServerLog(t *testing.T) {
 	res := db2Write(s2)
 	if err := res.FirstError(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurabilityTortureOutTornRecord: a $out whose log record is torn by a
+// crash mid-append is not replayed at all, whichever of its bytes are lost.
+// The target recovers with the acknowledged documents it held before the
+// $out, never with the wipe alone.
+func TestDurabilityTortureOutTornRecord(t *testing.T) {
+	const acked = 5
+	for _, cut := range []int{1, 16, 64} {
+		dir := t.TempDir()
+		s, _ := durableServer(t, dir, wal.SyncAlways)
+		db := s.Database("db")
+		for i := 0; i < acked; i++ {
+			res := db.BulkWrite("target", []storage.WriteOp{
+				storage.InsertWriteOp(bson.D(bson.IDKey, i, "old", true)),
+			}, storage.BulkOptions{Ordered: true, Journaled: true})
+			if err := res.FirstError(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var src []*bson.Doc
+		for i := 0; i < 20; i++ {
+			src = append(src, bson.D(bson.IDKey, 100+i, "v", i))
+		}
+		if _, err := db.InsertMany("src", src); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Aggregate("src", []*bson.Doc{bson.D("$out", "target")}); err != nil {
+			t.Fatal(err)
+		}
+		if n := db.Collection("target").Count(); n != len(src) {
+			t.Fatalf("the $out left %d documents, want %d", n, len(src))
+		}
+
+		// Crash mid-append of the $out's record: abandon the server and cut
+		// the log's last bytes, which belong to that record.
+		walDir := filepath.Join(dir, "wal")
+		segs, err := os.ReadDir(walDir)
+		if err != nil || len(segs) == 0 {
+			t.Fatalf("wal dir: %v", err)
+		}
+		tail := filepath.Join(walDir, segs[len(segs)-1].Name())
+		info, err := os.Stat(tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(tail, info.Size()-int64(cut)); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, _ := durableServer(t, dir, wal.SyncAlways)
+		coll := s2.Database("db").Collection("target")
+		if coll.Count() != acked {
+			t.Fatalf("cut %d: recovered %d documents in the target, want its %d acknowledged ones", cut, coll.Count(), acked)
+		}
+		for i := 0; i < acked; i++ {
+			if doc := coll.FindID(i); doc == nil || doc.GetOr("old", nil) != true {
+				t.Fatalf("cut %d: acknowledged document %d lost", cut, i)
+			}
+		}
+		if n := s2.Database("db").Collection("src").Count(); n != len(src) {
+			t.Fatalf("cut %d: recovered %d source documents, want %d", cut, n, len(src))
+		}
+	}
+}
+
+// TestDurabilityReplaysWipeThenBatch: a log written before $out journaled
+// one record holds a wipe record and then an insert batch per $out; it
+// replays as it always did, the wipe and then the batch.
+func TestDurabilityReplaysWipeThenBatch(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []*wal.Record{
+		{Kind: wal.KindBatch, DB: "db", Coll: "target", Ordered: true, Ops: storage.InsertOps([]*bson.Doc{
+			bson.D(bson.IDKey, "old1"), bson.D(bson.IDKey, "old2"),
+		})},
+		{Kind: wal.KindClear, DB: "db", Coll: "target"},
+		{Kind: wal.KindBatch, DB: "db", Coll: "target", Ordered: true, Ops: storage.InsertOps([]*bson.Doc{
+			bson.D(bson.IDKey, "new"),
+		})},
+	} {
+		commit, err := w.Append(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := commit.Wait(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, stats := durableServer(t, dir, wal.SyncAlways)
+	if stats.RecordsReplayed != 3 {
+		t.Fatalf("replayed %d records, want 3", stats.RecordsReplayed)
+	}
+	coll := s.Database("db").Collection("target")
+	if coll.Count() != 1 || coll.FindID("new") == nil {
+		t.Fatalf("recovered %d documents in the target, want only \"new\"", coll.Count())
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // target would refuse the next insert as a duplicate — into one collection
 // 200 times, every aggregate succeeds and a reader never counts anything but
 // a whole result: never the empty collection between the wipe and the fill,
-// never documents of both. The journal still holds a wipe and a batch per
-// $out, in that order: recovery rebuilds the target as the last $out left it.
+// never documents of both. The journal holds one replace record per $out:
+// recovery rebuilds the target as the last $out left it.
 func TestOutReplacesTargetAtomically(t *testing.T) {
 	const perSide, rounds = 8, 100
 	dir := t.TempDir()

@@ -353,4 +353,53 @@ func TestWatchFailedOpsMirrorTheJournal(t *testing.T) {
 	}
 }
 
+// TestWatchOutIsOneRecord: a $out into a watched collection is a drop event
+// and then one insert per document, all under the $out's one record, with
+// the tokens increasing within it; a stream resumed after the drop replays
+// the same inserts under the same tokens.
+func TestWatchOutIsOneRecord(t *testing.T) {
+	s, _ := durableServer(t, t.TempDir(), wal.SyncGroupCommit)
+	defer s.CloseDurability()
+	db := s.Database("app")
+	if _, err := db.InsertMany("src", []*bson.Doc{bson.D(bson.IDKey, 1), bson.D(bson.IDKey, 2), bson.D(bson.IDKey, 3)}); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := s.Watch("app", "target", WatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Close()
+	if _, err := db.Aggregate("src", []*bson.Doc{bson.D("$sort", bson.D(bson.IDKey, 1)), bson.D("$out", "target")}); err != nil {
+		t.Fatal(err)
+	}
+	drop := nextEvent(t, stream)
+	if drop.OpType != changestream.OpDrop || drop.Token.Op != 0 {
+		t.Fatalf("first event of the $out = %+v, want a drop at op 0", drop)
+	}
+	var inserts []*changestream.Event
+	for i := 1; i <= 3; i++ {
+		ev := nextEvent(t, stream)
+		if ev.OpType != changestream.OpInsert || ev.Token.LSN != drop.Token.LSN || ev.Token.Op != int32(i) {
+			t.Fatalf("event %d of the $out = %+v, want an insert at %d/%d", i, ev, drop.Token.LSN, i)
+		}
+		if id, _ := bson.AsInt(ev.FullDocument.ID()); id != int64(i) {
+			t.Fatalf("insert %d carries %v", i, ev.FullDocument)
+		}
+		inserts = append(inserts, ev)
+	}
+	noEvent(t, stream)
+
+	resumed, err := s.Watch("app", "target", WatchOptions{ResumeAfter: drop.Token.String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	for _, live := range inserts {
+		re := nextEvent(t, resumed)
+		if re.Token != live.Token || !re.FullDocument.Equal(live.FullDocument) {
+			t.Fatalf("resume diverged from live: %v %v vs %v %v", re.Token, re.FullDocument, live.Token, live.FullDocument)
+		}
+	}
+}
+
 func updateSpec(q, u *bson.Doc) query.UpdateSpec { return query.UpdateSpec{Query: q, Update: u} }

@@ -21,9 +21,7 @@ type subBatch struct {
 
 // bulkTargets resolves the shards one bulk op must reach. Inserts always
 // route to exactly one shard through the chunk map; updates and deletes
-// reuse the query-routing logic of targetShards. Routing is read-only —
-// chunk accounting happens in recordInserts just before a sub-batch is
-// dispatched, so ops an ordered batch never reaches are never recorded.
+// reuse the query-routing logic of targetShards.
 func (r *Router) bulkTargets(meta *sharding.CollectionMetadata, op *storage.WriteOp) []string {
 	switch op.Kind {
 	case storage.InsertOp:
@@ -40,19 +38,6 @@ func (r *Router) bulkTargets(meta *sharding.CollectionMetadata, op *storage.Writ
 	default: // storage.DeleteOp
 		targets, _ := r.targetShards(meta, op.Filter)
 		return targets
-	}
-}
-
-// recordInserts accounts a sub-batch's attempted insert ops in the chunk
-// map (feeding chunk-split decisions) after dispatch, so ops a stopped
-// ordered batch never reached are never recorded. Splits keep both halves
-// on the chunk's shard, so recording after routing cannot invalidate the
-// shard the ops were grouped under.
-func recordInserts(meta *sharding.CollectionMetadata, ops []storage.WriteOp) {
-	for i := range ops {
-		if ops[i].Kind == storage.InsertOp && ops[i].Doc != nil {
-			meta.RecordInsert(meta.Key.ValueOf(ops[i].Doc), bson.EncodedSize(ops[i].Doc))
-		}
 	}
 }
 
@@ -161,7 +146,6 @@ func (r *Router) bulkUnordered(db, coll string, meta *sharding.CollectionMetadat
 			defer wg.Done()
 			r.remoteCall()
 			results[si] = r.shardBulkWrite(sb.shard, db, coll, sb.ops, opts)
-			recordInserts(meta, sb.ops[:results[si].Attempted])
 		}(si, sb)
 	}
 	wg.Wait()
@@ -238,7 +222,6 @@ func (r *Router) bulkOrdered(db, coll string, meta *sharding.CollectionMetadata,
 		r.remoteCall()
 		runs++
 		subRes := r.shardBulkWrite(shard, db, coll, ops[i:j], opts)
-		recordInserts(meta, ops[i:i+subRes.Attempted])
 		res.Merge(subRes, indices, len(ops))
 		if len(res.Errors) > 0 {
 			break

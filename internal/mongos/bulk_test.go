@@ -19,16 +19,6 @@ func shardCounts(r *Router, db, coll string) map[string]int {
 	return out
 }
 
-// recordedDocs sums the documents the chunk map has recorded over all its
-// chunks.
-func recordedDocs(meta *sharding.CollectionMetadata) int {
-	n := 0
-	for _, c := range meta.Chunks() {
-		n += c.DocCount
-	}
-	return n
-}
-
 // TestBulkWriteUnshardedSingleRoundTrip routes a whole mixed bulk to the
 // primary shard in one shard call.
 func TestBulkWriteUnshardedSingleRoundTrip(t *testing.T) {
@@ -59,7 +49,7 @@ func TestBulkWriteUnshardedSingleRoundTrip(t *testing.T) {
 // ids merge back under their original batch positions.
 func TestBulkWriteGroupedScatter(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	ops := make([]storage.WriteOp, 600)
@@ -102,7 +92,7 @@ func TestBulkWriteGroupedScatter(t *testing.T) {
 // destined for other shards.
 func TestBulkWriteOrderedStopsAcrossShards(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	seed := make([]storage.WriteOp, 200)
@@ -144,13 +134,12 @@ func TestBulkWriteOrderedStopsAcrossShards(t *testing.T) {
 	}
 }
 
-// TestBulkWriteOrderedStopDoesNotRecordUnreachedInserts pins the chunk-map
-// accounting: inserts sitting after an ordered failure — destined for a
-// different shard, so never dispatched — must not be recorded as chunk
-// contents.
+// TestBulkWriteOrderedStopDoesNotRecordUnreachedInserts: inserts sitting
+// after an ordered failure — destined for a different shard, so never
+// dispatched — are neither attempted nor stored.
 func TestBulkWriteOrderedStopDoesNotRecordUnreachedInserts(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	meta, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0)
+	meta, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +162,6 @@ func TestBulkWriteOrderedStopDoesNotRecordUnreachedInserts(t *testing.T) {
 	if _, err := r.Insert("db", "sales", bson.D(bson.IDKey, "seed", "k", kA)); err != nil {
 		t.Fatal(err)
 	}
-	recordedBefore := recordedDocs(meta)
 
 	res := r.BulkWrite("db", "sales", []storage.WriteOp{
 		storage.InsertWriteOp(bson.D(bson.IDKey, "seed", "k", kA)), // duplicate _id: fails on its shard
@@ -182,23 +170,21 @@ func TestBulkWriteOrderedStopDoesNotRecordUnreachedInserts(t *testing.T) {
 	if res.Inserted != 0 || len(res.Errors) != 1 || res.Errors[0].Index != 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	recordedAfter := recordedDocs(meta)
-	// Op 0 was dispatched (and recorded) but failed; op 1 was never reached
-	// and must not appear in the chunk accounting.
-	if recordedAfter != recordedBefore+1 {
-		t.Fatalf("chunk map records %d docs, want %d: unreached insert was recorded",
-			recordedAfter, recordedBefore+1)
+	// Op 0 was dispatched but failed; op 1 was never reached and must not
+	// be stored on its shard.
+	counts := shardCounts(r, "db", "sales")
+	if counts[shardOf(kA)] != 1 || counts[shardOf(kB)] != 0 {
+		t.Fatalf("shard counts = %v, want 1 on %s (the seed) and 0 on %s", counts, shardOf(kA), shardOf(kB))
 	}
 }
 
-// TestBulkWriteOrderedStopMidRunRecordsOnlyAttempted pins the same
-// accounting within one contiguous run: a range-sharded collection keeps
-// every op in a single run, and a mid-run duplicate must stop the chunk
-// accounting at the attempted prefix.
+// TestBulkWriteOrderedStopMidRunRecordsOnlyAttempted pins the same within
+// one contiguous run: a range-sharded collection keeps every op in a single
+// run on the first shard, and a mid-run duplicate stops the run at the
+// attempted prefix.
 func TestBulkWriteOrderedStopMidRunRecordsOnlyAttempted(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	meta, err := r.EnableSharding("db", "sales", bson.D("k", 1), 0)
-	if err != nil {
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Insert("db", "sales", bson.D(bson.IDKey, "seed", "k", 0)); err != nil {
@@ -212,51 +198,13 @@ func TestBulkWriteOrderedStopMidRunRecordsOnlyAttempted(t *testing.T) {
 	if res.Inserted != 1 || res.Attempted != 2 || len(res.Errors) != 1 || res.Errors[0].Index != 1 {
 		t.Fatalf("result = %+v", res)
 	}
-	recorded := recordedDocs(meta)
-	// seed + ops 0 and 1 (attempted, even though op 1 failed); op 2 must not
-	// be recorded.
-	if recorded != 3 {
-		t.Fatalf("chunk map records %d docs, want 3", recorded)
+	// The seed and op 0 are stored; op 1 failed and op 2 was never
+	// attempted.
+	if counts := shardCounts(r, "db", "sales"); counts["Shard1"] != 2 || counts["Shard2"] != 0 || counts["Shard3"] != 0 {
+		t.Fatalf("shard counts = %v, want 2 on Shard1 and none elsewhere", counts)
 	}
-}
-
-// TestBulkWriteSpansChunkSplit inserts a bulk big enough to split its range
-// chunks mid-batch: every document must still land on the shard the chunk
-// map assigns, the chunk invariants must hold, and nothing is lost.
-func TestBulkWriteSpansChunkSplit(t *testing.T) {
-	r := newTestRouter(t, Options{})
-	// Range sharding with a tiny chunk size forces splits during the batch.
-	meta, err := r.EnableSharding("db", "sales", bson.D("k", 1), 4<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(meta.Chunks()); got != 1 {
-		t.Fatalf("pre-split chunks = %d", got)
-	}
-	ops := make([]storage.WriteOp, 1000)
-	for i := range ops {
-		ops[i] = storage.InsertWriteOp(bson.D(bson.IDKey, i, "k", i, "pad", "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"))
-	}
-	res := r.BulkWrite("db", "sales", ops, storage.BulkOptions{})
-	if res.FirstError() != nil || res.Inserted != 1000 {
-		t.Fatalf("result = %+v", res)
-	}
-	if got := len(meta.Chunks()); got < 2 {
-		t.Fatalf("bulk did not span a chunk split: %d chunks", got)
-	}
-	if err := meta.Validate(); err != nil {
-		t.Fatalf("chunk invariants broken after mid-bulk splits: %v", err)
-	}
-	total := 0
-	for _, n := range shardCounts(r, "db", "sales") {
-		total += n
-	}
-	if total != 1000 {
-		t.Fatalf("stored %d of 1000 docs", total)
-	}
-	// Reads through the router still see every document.
-	if n, err := r.Count("db", "sales", nil); err != nil || n != 1000 {
-		t.Fatalf("Count = %d, %v", n, err)
+	if r.Shard("Shard1").Database("db").Collection("sales").FindID("b") != nil {
+		t.Fatalf("the unattempted insert was stored")
 	}
 }
 
@@ -266,7 +214,7 @@ func TestBulkWriteSpansChunkSplit(t *testing.T) {
 // its own inserts.
 func TestBulkWriteMixesBroadcastOpsWithTargetedOnes(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	ops := make([]storage.WriteOp, 0, 203)
@@ -299,7 +247,7 @@ func TestBulkWriteMixesBroadcastOpsWithTargetedOnes(t *testing.T) {
 // not one per op and shard, with each op counted and failing once.
 func TestBulkWriteGroupsBroadcastMultiOpsPerShard(t *testing.T) {
 	r := newTestRouter(t, Options{Parallel: true})
-	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	docs := make([]*bson.Doc, 300)
@@ -401,7 +349,7 @@ func TestBulkWriteGroupsBroadcastMultiOpsPerShard(t *testing.T) {
 // exactly as a per-document Insert loop would.
 func TestRouterInsertManyEquivalence(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "sales", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	docs := make([]*bson.Doc, 300)
@@ -444,7 +392,7 @@ func TestBulkWriteJournaledBroadcast(t *testing.T) {
 		}
 		r.AddShard(name, s)
 	}
-	if _, err := r.EnableSharding("db", "c", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "c", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	ops := make([]storage.WriteOp, 0, 41)

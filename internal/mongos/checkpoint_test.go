@@ -35,7 +35,7 @@ func TestClusterCheckpointSingleCapturePoint(t *testing.T) {
 		}
 		// Sharding metadata is in-memory and outside the capture: every
 		// incarnation of the cluster re-issues its shardCollection commands.
-		if _, err := r.EnableSharding("db", "seq", bson.D("k", "hashed"), 0); err != nil {
+		if _, err := r.EnableSharding("db", "seq", bson.D("k", "hashed")); err != nil {
 			t.Fatalf("EnableSharding: %v", err)
 		}
 		return r

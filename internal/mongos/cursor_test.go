@@ -17,7 +17,7 @@ import (
 func shardedFixture(t *testing.T, opts Options, docs int) *Router {
 	t.Helper()
 	r := newTestRouter(t, opts)
-	if _, err := r.EnableSharding("db", "events", bson.D("k", "hashed"), 16<<10); err != nil {
+	if _, err := r.EnableSharding("db", "events", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < docs; i++ {

@@ -21,7 +21,7 @@ import (
 // unchanged.
 func TestBroadcastUpsertRefused(t *testing.T) {
 	r := newTestRouter(t, Options{})
-	if _, err := r.EnableSharding("db", "people", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "people", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	stored := func() int {
@@ -249,7 +249,7 @@ func TestRouterWriteEquivalence(t *testing.T) {
 							}
 						}
 						// A small chunk size, so the range key splits as it fills.
-						if _, err := r.EnableSharding("db", "c", key, 2048); err != nil {
+						if _, err := r.EnableSharding("db", "c", key); err != nil {
 							t.Fatal(err)
 						}
 						for i, s := range stream {

@@ -141,7 +141,7 @@ func TestRoutedFailoverMidWriteStream(t *testing.T) {
 		sets[name] = newReplicaShard(t, name+"-a", name+"-b", name+"-c")
 		r.AddReplicaShard(name, sets[name])
 	}
-	if _, err := r.EnableSharding("db", "c", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "c", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -244,7 +244,7 @@ func TestReplicaShardShardedBulk(t *testing.T) {
 	r := NewRouter(sharding.NewConfigServer(), Options{})
 	r.AddReplicaShard("s0", rsA)
 	r.AddReplicaShard("s1", rsB)
-	if _, err := r.EnableSharding("db", "c", bson.D("k", 1), 1<<20); err != nil {
+	if _, err := r.EnableSharding("db", "c", bson.D("k", 1)); err != nil {
 		t.Fatal(err)
 	}
 

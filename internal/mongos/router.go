@@ -199,12 +199,12 @@ func (r *Router) recordRouting(targeted bool) {
 
 // EnableSharding shards a collection with the given shard key, creating the
 // backing shard-key index on every shard.
-func (r *Router) EnableSharding(db, coll string, keySpec *bson.Doc, chunkSizeBytes int) (*sharding.CollectionMetadata, error) {
+func (r *Router) EnableSharding(db, coll string, keySpec *bson.Doc) (*sharding.CollectionMetadata, error) {
 	key, err := sharding.ParseShardKey(keySpec)
 	if err != nil {
 		return nil, err
 	}
-	meta, err := r.config.ShardCollection(namespace(db, coll), key, chunkSizeBytes)
+	meta, err := r.config.ShardCollection(namespace(db, coll), key)
 	if err != nil {
 		return nil, err
 	}
@@ -240,29 +240,21 @@ func (r *Router) InsertMany(db, coll string, docs []*bson.Doc) ([]any, error) {
 
 // targetShards determines which shards a filter must be sent to. The second
 // return value reports whether the routing was targeted (fewer shards than
-// the whole cluster).
+// the whole cluster). Callers must not write the returned slice: it may be
+// the metadata's own.
 func (r *Router) targetShards(meta *sharding.CollectionMetadata, filter *bson.Doc) ([]string, bool) {
 	all := r.ShardNames()
 	if meta == nil {
 		return all[:1], true
 	}
 	if len(meta.Key.Fields) != 1 || filter == nil {
-		owned := meta.AllShards()
-		if len(owned) == 0 {
-			owned = all
-		}
-		return owned, false
+		return meta.AllShards(), false
 	}
-	keyField := meta.Key.Fields[0]
-	cons := query.ConstraintFor(filter, keyField)
-	if cons == nil {
-		owned := meta.AllShards()
-		if len(owned) == 0 {
-			owned = all
-		}
-		return owned, false
-	}
-	if cons.IsPoint() {
+	cons := query.ConstraintFor(filter, meta.Key.Fields[0])
+	switch {
+	case cons == nil:
+		return meta.AllShards(), false
+	case cons.IsPoint():
 		seen := make(map[string]bool)
 		var out []string
 		for _, p := range cons.Points {
@@ -274,19 +266,12 @@ func (r *Router) targetShards(meta *sharding.CollectionMetadata, filter *bson.Do
 		}
 		sort.Strings(out)
 		return out, len(out) < len(all)
-	}
-	if cons.IsRange() && !meta.Key.Hashed {
+	case cons.IsRange() && !meta.Key.Hashed:
 		shards := meta.ShardsForRange(cons.Min, cons.HasMin, cons.Max, cons.HasMax)
-		if len(shards) == 0 {
-			shards = meta.AllShards()
-		}
 		return shards, len(shards) < len(all)
+	default:
+		return meta.AllShards(), false
 	}
-	owned := meta.AllShards()
-	if len(owned) == 0 {
-		owned = all
-	}
-	return owned, false
 }
 
 // Find routes a query, gathers per-shard results and merges them under the

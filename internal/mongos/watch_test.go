@@ -71,7 +71,7 @@ func collectShardIDs(t *testing.T, stream changestream.Stream, seen map[string]b
 func TestClusterWatchExactlyOnce(t *testing.T) {
 	dir := t.TempDir()
 	r := durableCluster(t, dir, 4)
-	if _, err := r.EnableSharding("db", "rows", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "rows", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -123,7 +123,7 @@ func TestClusterWatchExactlyOnce(t *testing.T) {
 		}
 	}
 	r2 := durableCluster(t, dir, 4)
-	if _, err := r2.EnableSharding("db", "rows", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r2.EnableSharding("db", "rows", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	resumed, err := r2.Watch("db", "rows", nil, token)
@@ -166,7 +166,7 @@ func TestClusterWatchExactlyOnce(t *testing.T) {
 // shard stream.
 func TestClusterWatchPipelinePushdown(t *testing.T) {
 	r := durableCluster(t, t.TempDir(), 2)
-	if _, err := r.EnableSharding("db", "rows", bson.D("k", "hashed"), 0); err != nil {
+	if _, err := r.EnableSharding("db", "rows", bson.D("k", "hashed")); err != nil {
 		t.Fatal(err)
 	}
 	stream, err := r.Watch("db", "rows", []*bson.Doc{

@@ -269,6 +269,10 @@ func applyEntry(m *mongod.Server, e OplogEntry) error {
 	case wal.KindClear:
 		m.Database(rec.DB).Collection(rec.Coll).Drop()
 		return nil
+	case wal.KindReplace:
+		// The primary checked the rows before it logged them, so a
+		// replacement refused here is an apply error.
+		return m.Database(rec.DB).Collection(rec.Coll).ReplaceContents(rec.Docs())
 	case wal.KindDropCollection:
 		m.Database(rec.DB).DropCollection(rec.Coll)
 		return nil

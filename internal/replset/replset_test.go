@@ -374,3 +374,26 @@ func TestFindCursorPinsMemberSnapshot(t *testing.T) {
 		t.Fatalf("secondary shows the mid-drain update on %d docs (%v), want all 66", n, err)
 	}
 }
+
+// TestApplyReplaceEntry: a member applies a replace record as one
+// replacement of the collection's contents, the same documents the record
+// carries, and an empty one leaves the collection empty.
+func TestApplyReplaceEntry(t *testing.T) {
+	m := mongod.NewServer(mongod.Options{Name: "m"})
+	coll := m.Database("db").Collection("out")
+	if _, err := coll.Insert(bson.D(bson.IDKey, "old")); err != nil {
+		t.Fatal(err)
+	}
+	docs := []*bson.Doc{bson.D(bson.IDKey, 1, "v", "a"), bson.D(bson.IDKey, 2, "v", "b")}
+	rec := &wal.Record{LSN: 1, Kind: wal.KindReplace, DB: "db", Coll: "out", Ops: storage.InsertOps(docs)}
+	if err := applyEntry(m, OplogEntry{Record: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if coll.Count() != 2 || coll.FindID("old") != nil || coll.FindID(int64(1)) != docs[0] || coll.FindID(int64(2)) != docs[1] {
+		t.Fatalf("after the replace the collection holds %d documents", coll.Count())
+	}
+	empty := &wal.Record{LSN: 2, Kind: wal.KindReplace, DB: "db", Coll: "out"}
+	if err := applyEntry(m, OplogEntry{Record: empty}); err != nil || coll.Count() != 0 {
+		t.Fatalf("an empty replace left %d documents, %v", coll.Count(), err)
+	}
+}

@@ -35,8 +35,10 @@ func (cs *ConfigServer) AddShard(name string) {
 
 // ShardCollection registers a collection as sharded with the given key.
 // It fails when the collection is already sharded (the shard key is
-// immutable, as §4.4 notes) or when no shards are registered.
-func (cs *ConfigServer) ShardCollection(namespace string, key ShardKey, chunkSizeBytes int) (*CollectionMetadata, error) {
+// immutable, as §4.4 notes) or when no shards are registered. The metadata
+// is built whole before it is published under the config server's lock, and
+// nothing changes it afterwards, so its readers take no lock.
+func (cs *ConfigServer) ShardCollection(namespace string, key ShardKey) (*CollectionMetadata, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if len(cs.shards) == 0 {
@@ -45,7 +47,7 @@ func (cs *ConfigServer) ShardCollection(namespace string, key ShardKey, chunkSiz
 	if _, exists := cs.collections[namespace]; exists {
 		return nil, fmt.Errorf("sharding: collection %q is already sharded; the shard key is immutable", namespace)
 	}
-	meta := NewCollectionMetadata(namespace, key, cs.shards, chunkSizeBytes)
+	meta := NewCollectionMetadata(namespace, key, cs.shards)
 	cs.collections[namespace] = meta
 	return meta, nil
 }

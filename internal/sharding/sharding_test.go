@@ -1,6 +1,8 @@
 package sharding
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -77,170 +79,175 @@ func TestShardKeyValueOfAndRouting(t *testing.T) {
 	}
 }
 
-func TestSingleChunkRoutingAndSplit(t *testing.T) {
-	key := MustParseShardKey(bson.D("k", 1))
-	m := NewCollectionMetadata("db.c", key, []string{"Shard1", "Shard2", "Shard3"}, 4096)
-	if err := m.Validate(); err != nil {
-		t.Fatalf("initial metadata invalid: %v", err)
+// validate checks the chunk invariants: full coverage of the key space,
+// ordering, and non-overlap. The pre-split tests use it as their oracle.
+func validate(m *CollectionMetadata) error {
+	if len(m.chunks) == 0 {
+		return fmt.Errorf("sharding: no chunks")
 	}
-	if len(m.Chunks()) != 1 {
-		t.Fatalf("range-sharded collection should start with one chunk")
+	if m.chunks[0].HasMin {
+		return fmt.Errorf("sharding: first chunk has a lower bound")
 	}
-	if m.chunkSizeBytes != 4096 {
-		t.Fatalf("chunk size = %d", m.chunkSizeBytes)
+	if m.chunks[len(m.chunks)-1].HasMax {
+		return fmt.Errorf("sharding: last chunk has an upper bound")
 	}
-	// Insert documents with increasing keys until splits happen.
-	for i := 0; i < 2000; i++ {
-		m.RecordInsert(int64(i), 64)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("metadata invalid after splits: %v", err)
-	}
-	if len(m.Chunks()) < 4 {
-		t.Fatalf("expected multiple chunks after 128KB of inserts, got %d", len(m.Chunks()))
-	}
-	if len(jumboChunks(m)) != 0 {
-		t.Fatalf("no jumbo chunks expected for distinct keys")
-	}
-	// Every key routes to exactly the chunk containing it.
-	for i := 0; i < 2000; i += 37 {
-		shard, chunk := m.ShardForValue(int64(i))
-		if !contains(chunk, int64(i)) {
-			t.Fatalf("value %d routed to chunk %s that does not contain it", i, chunk)
+	for i := 0; i < len(m.chunks)-1; i++ {
+		cur, next := m.chunks[i], m.chunks[i+1]
+		if !cur.HasMax || !next.HasMin {
+			return fmt.Errorf("sharding: interior chunk boundary missing between %d and %d", cur.ID, next.ID)
 		}
-		if shard == "" {
-			t.Fatalf("empty shard for value %d", i)
+		if bson.Compare(cur.Max, next.Min) != 0 {
+			return fmt.Errorf("sharding: gap or overlap between chunk %d max %v and chunk %d min %v", cur.ID, cur.Max, next.ID, next.Min)
 		}
 	}
-	// Doc counts are preserved across splits.
-	total := 0
-	for _, c := range m.Chunks() {
-		total += c.DocCount
-	}
-	if total != 2000 {
-		t.Fatalf("doc count after splits = %d", total)
-	}
+	return nil
 }
 
-func TestJumboChunkDetection(t *testing.T) {
+// TestRangeKeyIsOneChunkOnTheFirstShard: a range-sharded collection is one
+// unbounded chunk on the first shard, and every value routes to it.
+func TestRangeKeyIsOneChunkOnTheFirstShard(t *testing.T) {
 	key := MustParseShardKey(bson.D("k", 1))
-	m := NewCollectionMetadata("db.c", key, []string{"Shard1"}, 1024)
-	// All documents share one shard-key value: the chunk cannot split
-	// (Figure 2.7's uneven distribution example).
-	for i := 0; i < 100; i++ {
-		m.RecordInsert(int64(36), 64)
-	}
-	jumbo := jumboChunks(m)
-	if len(jumbo) != 1 {
-		t.Fatalf("expected one jumbo chunk, got %d", len(jumbo))
-	}
-	if jumbo[0].DocCount != 100 {
-		t.Fatalf("jumbo chunk doc count = %d", jumbo[0].DocCount)
-	}
-	if err := m.Validate(); err != nil {
+	m := NewCollectionMetadata("db.c", key, []string{"Shard1", "Shard2", "Shard3"})
+	if err := validate(m); err != nil {
 		t.Fatalf("metadata invalid: %v", err)
 	}
-	if jumbo[0].String() == "" {
-		t.Fatalf("chunk String should render")
+	chunks := m.Chunks()
+	if len(chunks) != 1 || chunks[0].Shard != "Shard1" {
+		t.Fatalf("a range-sharded collection should be one chunk on Shard1, got %v", chunks)
 	}
-}
-
-// jumboChunks is the chunks of m marked jumbo.
-func jumboChunks(m *CollectionMetadata) []*Chunk {
-	var out []*Chunk
-	for _, c := range m.Chunks() {
-		if c.Jumbo {
-			out = append(out, c)
+	for _, v := range []any{int64(-1 << 40), int64(0), int64(37), "x", nil} {
+		shard, chunk := m.ShardForValue(v)
+		if shard != "Shard1" || chunk != chunks[0] || !contains(chunk, v) {
+			t.Fatalf("value %v routed to %s, chunk %s", v, shard, chunk)
 		}
 	}
-	return out
+	if got := m.AllShards(); len(got) != 1 || got[0] != "Shard1" {
+		t.Fatalf("AllShards = %v", got)
+	}
+	if got := m.ShardsForRange(int64(0), true, int64(10), true); len(got) != 1 || got[0] != "Shard1" {
+		t.Fatalf("ShardsForRange = %v", got)
+	}
+	if chunks[0].String() != "chunk 0 [-inf, +inf) on Shard1" {
+		t.Fatalf("chunk String = %q", chunks[0].String())
+	}
 }
 
+// TestHashedPreSplitDistributesAcrossShards: a hashed collection is one
+// chunk per shard over the whole hash space, every routing value lies in
+// exactly the chunk it routes to, and consecutive keys spread over every
+// shard.
 func TestHashedPreSplitDistributesAcrossShards(t *testing.T) {
 	key := MustParseShardKey(bson.D("k", "hashed"))
 	shards := []string{"Shard1", "Shard2", "Shard3"}
-	m := NewCollectionMetadata("db.c", key, shards, 0)
-	if len(m.Chunks()) != 3 {
-		t.Fatalf("hashed collection should pre-split into one chunk per shard, got %d", len(m.Chunks()))
+	m := NewCollectionMetadata("db.c", key, shards)
+	chunks := m.Chunks()
+	if len(chunks) != 3 {
+		t.Fatalf("hashed collection should pre-split into one chunk per shard, got %d", len(chunks))
 	}
-	if err := m.Validate(); err != nil {
+	if err := validate(m); err != nil {
 		t.Fatalf("pre-split metadata invalid: %v", err)
 	}
+	for i, c := range chunks {
+		if c.Shard != shards[i] {
+			t.Fatalf("chunk %d is on %s, want %s", i, c.Shard, shards[i])
+		}
+	}
 	counts := map[string]int{}
+	r := rand.New(rand.NewSource(31))
 	for i := 0; i < 3000; i++ {
-		shard := m.RecordInsert(key.RoutingValue(int64(i)), 32)
-		counts[shard]++
+		v := key.RoutingValue(int64(i))
+		if i%2 == 1 {
+			v = r.Int63() - r.Int63()
+		}
+		shard, chunk := m.ShardForValue(v)
+		if !contains(chunk, v) || chunk.Shard != shard {
+			t.Fatalf("value %v routed to %s, chunk %s", v, shard, chunk)
+		}
+		containing := 0
+		for _, c := range chunks {
+			if contains(c, v) {
+				containing++
+			}
+		}
+		if containing != 1 {
+			t.Fatalf("value %v contained in %d chunks", v, containing)
+		}
+		if i%2 == 0 {
+			counts[shard]++
+		}
 	}
 	if len(counts) != 3 {
-		t.Fatalf("hashed inserts touched %d shards, want 3", len(counts))
+		t.Fatalf("hashed keys reached %d shards, want 3", len(counts))
 	}
 	for s, n := range counts {
-		if n < 500 {
-			t.Fatalf("shard %s received only %d of 3000 documents; distribution too skewed", s, n)
+		if n < 250 {
+			t.Fatalf("shard %s received only %d of 1500 keys; distribution too skewed", s, n)
 		}
 	}
 	if got := m.AllShards(); len(got) != 3 {
 		t.Fatalf("AllShards = %v", got)
 	}
-	sum := 0
-	for _, c := range m.Chunks() {
-		sum += c.DocCount
-	}
-	if sum != 3000 {
-		t.Fatalf("chunk DocCount sum = %d", sum)
+	one := NewCollectionMetadata("db.one", key, shards[:1])
+	if err := validate(one); err != nil || len(one.Chunks()) != 1 {
+		t.Fatalf("a hashed collection on one shard is %v, %v; want one unbounded chunk", one.Chunks(), err)
 	}
 }
 
+// TestShardsForRange asks for ranges of the hash space over a 3-shard hashed
+// map: [-inf, b1) on Shard1, [b1, b2) on Shard2, [b2, +inf) on Shard3. Range
+// bounds are inclusive; chunk bounds are [Min, Max).
 func TestShardsForRange(t *testing.T) {
-	key := MustParseShardKey(bson.D("k", 1))
-	m := NewCollectionMetadata("db.c", key, []string{"Shard1"}, 2048)
-	for i := 0; i < 1000; i++ {
-		m.RecordInsert(int64(i), 64)
-	}
-	// Reassign chunks round-robin across three shards to exercise range
-	// routing over multiple shards.
-	for i, c := range m.Chunks() {
-		c.Shard = []string{"Shard1", "Shard2", "Shard3"}[i%3]
-	}
-	all := m.ShardsForRange(nil, false, nil, false)
-	if len(all) != 3 {
-		t.Fatalf("unbounded range should hit all shards, got %v", all)
-	}
+	m := NewCollectionMetadata("db.c", MustParseShardKey(bson.D("k", "hashed")), []string{"Shard1", "Shard2", "Shard3"})
 	chunks := m.Chunks()
-	first := chunks[0]
-	if !first.HasMax {
-		t.Fatalf("expected the first chunk to be bounded after splits")
+	b1, b2 := chunks[0].Max.(int64), chunks[1].Max.(int64)
+	// bson.Compare orders numbers as float64, whose step near ±2^62 is 1024:
+	// d keeps the probes that far apart from the bounds.
+	const d = 1 << 12
+	if chunks[1].Min != b1 || chunks[2].Min != b2 || b1 >= b2 {
+		t.Fatalf("chunk bounds = %v", chunks)
 	}
-	// A range fully inside the first chunk targets only its shard. Range
-	// bounds are treated inclusively, so stay strictly below the chunk's Max.
-	got := m.ShardsForRange(int64(0), true, first.Max.(int64)-1, true)
-	if len(got) != 1 || got[0] != first.Shard {
-		t.Fatalf("narrow range shards = %v, want [%s]", got, first.Shard)
+	cases := []struct {
+		name   string
+		min    any
+		hasMin bool
+		max    any
+		hasMax bool
+		want   []string
+	}{
+		{"unbounded", nil, false, nil, false, []string{"Shard1", "Shard2", "Shard3"}},
+		{"inside the first chunk", int64(math.MinInt64), true, b1 - d, true, []string{"Shard1"}},
+		{"below b1, unbounded below", nil, false, b1 - d, true, []string{"Shard1"}},
+		{"across b1", b1 - d, true, b1, true, []string{"Shard1", "Shard2"}},
+		{"at b1", b1, true, b1, true, []string{"Shard2"}},
+		{"inside the middle chunk", b1 + d, true, b2 - d, true, []string{"Shard2"}},
+		{"from b2 up", b2, true, nil, false, []string{"Shard3"}},
+		{"b1-d to b2 inclusive", b1 - d, true, b2, true, []string{"Shard1", "Shard2", "Shard3"}},
+		{"the last chunk's top", int64(math.MaxInt64), true, int64(math.MaxInt64), true, []string{"Shard3"}},
 	}
-	// A half-open range from a high value excludes early chunks.
-	last := chunks[len(chunks)-1]
-	got = m.ShardsForRange(last.Min, true, nil, false)
-	if len(got) == 3 && len(chunks) > 3 {
-		t.Fatalf("high range should not need every shard")
+	for _, c := range cases {
+		got := m.ShardsForRange(c.min, c.hasMin, c.max, c.hasMax)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: ShardsForRange = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
 func TestConfigServerShardCollection(t *testing.T) {
 	cs := NewConfigServer()
-	if _, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("k", 1)), 0); err == nil {
+	if _, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("k", 1))); err == nil {
 		t.Fatalf("sharding with no shards should fail")
 	}
 	cs.AddShard("Shard1")
 	cs.AddShard("Shard2")
 	cs.AddShard("Shard1") // duplicate is a no-op
-	hashed, err := cs.ShardCollection("db.h", MustParseShardKey(bson.D("k", "hashed")), 0)
+	hashed, err := cs.ShardCollection("db.h", MustParseShardKey(bson.D("k", "hashed")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := hashed.AllShards(); len(got) != 2 || got[0] != "Shard1" || got[1] != "Shard2" {
 		t.Fatalf("a hashed collection pre-split over %v, want [Shard1 Shard2]", got)
 	}
-	meta, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("k", 1)), 0)
+	meta, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("k", 1)))
 	if err != nil || meta == nil {
 		t.Fatalf("ShardCollection: %v", err)
 	}
@@ -251,44 +258,16 @@ func TestConfigServerShardCollection(t *testing.T) {
 		t.Fatalf("Metadata lookup mismatch")
 	}
 	// Shard key is immutable: re-sharding fails.
-	if _, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("other", 1)), 0); err == nil {
+	if _, err := cs.ShardCollection("db.c", MustParseShardKey(bson.D("other", 1))); err == nil {
 		t.Fatalf("re-sharding should fail")
 	}
 	if got := cs.ShardedNamespaces(); len(got) != 2 || got[0] != "db.c" || got[1] != "db.h" {
 		t.Fatalf("ShardedNamespaces = %v", got)
 	}
-}
-
-// TestChunkInvariantsUnderRandomInsertsProperty drives random inserts through
-// metadata with a small chunk size and checks coverage/non-overlap plus
-// routing consistency after every batch.
-func TestChunkInvariantsUnderRandomInsertsProperty(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	key := MustParseShardKey(bson.D("k", 1))
-	m := NewCollectionMetadata("db.c", key, []string{"S1", "S2"}, 512)
-	for batch := 0; batch < 50; batch++ {
-		for i := 0; i < 200; i++ {
-			m.RecordInsert(int64(r.Intn(5000)), 8+r.Intn(64))
-		}
-		if err := m.Validate(); err != nil {
-			t.Fatalf("batch %d: %v", batch, err)
-		}
-		// Any value must route to exactly one chunk that contains it.
-		for trial := 0; trial < 20; trial++ {
-			v := int64(r.Intn(6000))
-			_, chunk := m.ShardForValue(v)
-			if !contains(chunk, v) {
-				t.Fatalf("value %d routed to non-containing chunk %s", v, chunk)
-			}
-			containing := 0
-			for _, c := range m.Chunks() {
-				if contains(c, v) {
-					containing++
-				}
-			}
-			if containing != 1 {
-				t.Fatalf("value %d contained in %d chunks", v, containing)
-			}
-		}
+	// A shard registered later sorts before an existing one; the partitions
+	// already published keep their shards.
+	cs.AddShard("Shard0")
+	if got := hashed.AllShards(); len(got) != 2 || got[0] != "Shard1" || got[1] != "Shard2" {
+		t.Fatalf("AddShard changed a published partition: %v", got)
 	}
 }

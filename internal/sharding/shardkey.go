@@ -1,8 +1,9 @@
 // Package sharding implements the data-distribution substrate of the sharded
-// cluster: shard keys, chunks, range- and hash-based partitioning, chunk
-// splitting with jumbo detection, and the config metadata that maps chunks
-// to shards (§2.1.3 of the thesis). Chunks are not migrated: a shard keeps
-// every chunk split from one it owns.
+// cluster: shard keys, range- and hash-based partitioning, and the config
+// metadata that maps chunks to shards (§2.1.3 of the thesis). A collection's
+// partition is fixed when it is sharded: a hashed key is pre-split into one
+// chunk per shard, a range key is one chunk on the first shard. Chunks are
+// neither split nor migrated, so the router only ever reads the partition.
 package sharding
 
 import (
@@ -12,10 +13,6 @@ import (
 	"docstore/internal/bson"
 	"docstore/internal/index"
 )
-
-// DefaultChunkSizeBytes is the default maximum chunk size (64 MB), after
-// which a chunk is split (§2.1.3.3).
-const DefaultChunkSizeBytes = 64 * 1024 * 1024
 
 // ShardKey identifies how documents of a collection are distributed: an
 // indexed field (or compound fields) present in every document, partitioned

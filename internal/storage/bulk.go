@@ -66,8 +66,8 @@ func DeleteWriteOp(filter *bson.Doc, multi bool) WriteOp {
 	return WriteOp{Kind: DeleteOp, Filter: filter, Multi: multi}
 }
 
-// InsertOps wraps a document batch as insert ops, the shape InsertMany and
-// ReplaceContents feed to the bulk engine.
+// InsertOps wraps a document batch as insert ops, the shape InsertMany feeds
+// to the bulk engine.
 func InsertOps(docs []*bson.Doc) []WriteOp {
 	ops := make([]WriteOp, len(docs))
 	for i, d := range docs {

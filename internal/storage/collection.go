@@ -451,7 +451,7 @@ func (c *Collection) Scan(fn func(*bson.Doc) bool) {
 // is best-effort (Drop predates durability and has no error return).
 func (c *Collection) Drop() {
 	c.mu.Lock()
-	commit, _ := c.logClearLocked()
+	commit, _ := c.logRecordLocked(Journal.LogClear)
 	c.clearLocked()
 	c.publishLocked()
 	c.mu.Unlock()

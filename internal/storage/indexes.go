@@ -28,7 +28,7 @@ func (c *Collection) EnsureIndex(spec index.Spec, unique bool) (*index.Index, er
 		c.mu.Unlock()
 		return existing, nil
 	}
-	commit, err := c.logEnsureIndexLocked(spec.Doc(), unique)
+	commit, err := c.logRecordLocked(func(j Journal) (CommitWaiter, error) { return j.LogEnsureIndex(spec.Doc(), unique) })
 	if err != nil {
 		c.mu.Unlock()
 		return nil, err
@@ -86,7 +86,7 @@ func (c *Collection) DropIndex(name string) bool {
 		c.mu.Unlock()
 		return false
 	}
-	commit, err := c.logDropIndexLocked(name)
+	commit, err := c.logRecordLocked(func(j Journal) (CommitWaiter, error) { return j.LogDropIndex(name) })
 	if err != nil {
 		c.mu.Unlock()
 		return false

@@ -16,9 +16,13 @@ type Journal interface {
 	// fsync. Insert ops have their _id already assigned, so a replay
 	// regenerates identical documents.
 	LogBatch(ops []WriteOp, ordered bool) (CommitWaiter, error)
-	// LogClear records the collection being wiped in place (Drop, and
-	// ReplaceContents ahead of its insert batch: the aggregation $out stage).
+	// LogClear records the collection being wiped in place (Drop).
 	LogClear() (CommitWaiter, error)
+	// LogReplace records the collection's contents being replaced by docs
+	// (ReplaceContents: the aggregation $out stage) as one record, the wipe
+	// and the inserts together, so recovery replays both or neither. Every
+	// document already has its _id.
+	LogReplace(docs []*bson.Doc) (CommitWaiter, error)
 	// LogEnsureIndex records a secondary index creation, so recovery
 	// rebuilds the index and replayed writes see the same unique-key
 	// enforcement the original run did.
@@ -108,38 +112,15 @@ func (c *Collection) logLocked(ops []WriteOp, ordered bool) (CommitWaiter, error
 	return commit, nil
 }
 
-// logClearLocked journals a collection wipe under the held write lock.
-func (c *Collection) logClearLocked() (CommitWaiter, error) {
+// logRecordLocked journals one record that is not a write batch — a wipe, a
+// replacement of the contents, an index creation or removal — through log
+// under the held write lock. It returns (nil, nil) when no journal is
+// attached.
+func (c *Collection) logRecordLocked(log func(Journal) (CommitWaiter, error)) (CommitWaiter, error) {
 	if c.journal == nil {
 		return nil, nil
 	}
-	commit, err := c.journal.LogClear()
-	if err != nil {
-		return nil, err
-	}
-	c.lastLSN = commit.LSN()
-	return commit, nil
-}
-
-// logEnsureIndexLocked journals an index creation under the held write lock.
-func (c *Collection) logEnsureIndexLocked(spec *bson.Doc, unique bool) (CommitWaiter, error) {
-	if c.journal == nil {
-		return nil, nil
-	}
-	commit, err := c.journal.LogEnsureIndex(spec, unique)
-	if err != nil {
-		return nil, err
-	}
-	c.lastLSN = commit.LSN()
-	return commit, nil
-}
-
-// logDropIndexLocked journals an index removal under the held write lock.
-func (c *Collection) logDropIndexLocked(name string) (CommitWaiter, error) {
-	if c.journal == nil {
-		return nil, nil
-	}
-	commit, err := c.journal.LogDropIndex(name)
+	commit, err := log(c.journal)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ type fakeJournal struct {
 	nextLSN    int64
 	batches    []loggedBatch
 	clears     int
+	replaces   [][]*bson.Doc
 	indexes    []loggedIndex
 	indexDrops []string
 	failLog    bool
@@ -59,6 +60,17 @@ func (j *fakeJournal) LogClear() (CommitWaiter, error) {
 	defer j.mu.Unlock()
 	j.nextLSN++
 	j.clears++
+	return &fakeCommit{j: j, lsn: j.nextLSN}, nil
+}
+
+func (j *fakeJournal) LogReplace(docs []*bson.Doc) (CommitWaiter, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.failLog {
+		return nil, fmt.Errorf("journal unavailable")
+	}
+	j.nextLSN++
+	j.replaces = append(j.replaces, append([]*bson.Doc(nil), docs...))
 	return &fakeCommit{j: j, lsn: j.nextLSN}, nil
 }
 
@@ -162,6 +174,74 @@ func TestJournalFailureRejectsTheWrite(t *testing.T) {
 	}
 	if res.FirstError() == nil {
 		t.Fatalf("FirstError must surface the durability failure")
+	}
+}
+
+// TestReplaceContentsJournalsOneRecord: a replacement is one record, the new
+// documents with their _ids, not a wipe and then a batch.
+func TestReplaceContentsJournalsOneRecord(t *testing.T) {
+	j := &fakeJournal{}
+	c := NewCollection("c")
+	c.SetJournal(j)
+	if _, err := c.Insert(bson.D(bson.IDKey, "old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplaceContents([]*bson.Doc{bson.D(bson.IDKey, 1), bson.D("v", 2)}); err != nil {
+		t.Fatal(err)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.batches) != 1 || j.clears != 0 || len(j.replaces) != 1 {
+		t.Fatalf("logged %d batches, %d clears, %d replaces; want the insert's batch and one replace",
+			len(j.batches), j.clears, len(j.replaces))
+	}
+	logged := j.replaces[0]
+	if len(logged) != 2 || logged[0].ID() != int64(1) || logged[1].ID() == nil {
+		t.Fatalf("logged replacement = %v, want both rows with their _ids", logged)
+	}
+	if got := c.FindID(logged[1].ID()); got == nil || !got.Equal(logged[1]) {
+		t.Fatalf("the stored row %v is not the logged one %v", got, logged[1])
+	}
+	if c.LastLSN() != 2 || c.Count() != 2 {
+		t.Fatalf("LastLSN = %d, Count = %d; want 2, 2", c.LastLSN(), c.Count())
+	}
+}
+
+// TestReplaceContentsJournalFailureKeepsTheTarget: when the journal refuses
+// the replacement, the target keeps its old documents, its watermark and its
+// published version: nothing was cleared and nothing was published.
+func TestReplaceContentsJournalFailureKeepsTheTarget(t *testing.T) {
+	j := &fakeJournal{}
+	c := NewCollection("c")
+	c.SetJournal(j)
+	if _, err := c.InsertMany([]*bson.Doc{bson.D(bson.IDKey, "a"), bson.D(bson.IDKey, "b")}); err != nil {
+		t.Fatal(err)
+	}
+	before := c.Snapshot()
+	defer before.Release()
+	j.mu.Lock()
+	j.failLog = true
+	j.mu.Unlock()
+	if err := c.ReplaceContents([]*bson.Doc{bson.D(bson.IDKey, "new")}); err == nil {
+		t.Fatalf("a replacement the journal refused succeeded")
+	}
+	after := c.Snapshot()
+	defer after.Release()
+	if after.Version() != before.Version() {
+		t.Fatalf("a refused replacement published version %d over %d", after.Version(), before.Version())
+	}
+	if c.Count() != 2 || c.FindID("a") == nil || c.FindID("b") == nil || c.FindID("new") != nil {
+		t.Fatalf("the target holds %v after a refused replacement", after.Docs())
+	}
+	if c.LastLSN() != 1 {
+		t.Fatalf("LastLSN = %d, want 1", c.LastLSN())
+	}
+	// The collection still takes writes once the journal recovers.
+	j.mu.Lock()
+	j.failLog = false
+	j.mu.Unlock()
+	if err := c.ReplaceContents([]*bson.Doc{bson.D(bson.IDKey, "new")}); err != nil || c.Count() != 1 {
+		t.Fatalf("replacement after the journal recovered: %v, count %d", err, c.Count())
 	}
 }
 

@@ -236,51 +236,37 @@ func (c *Collection) UpdateOne(filter, update *bson.Doc) (UpdateResult, error) {
 // result leaves the target, and its journal, as they were. The rows are not
 // written: a row with an _id is stored as it is, shared with the caller under
 // the frozen-document rule (see Insert), and one without is stored as a new
-// field array, a fresh ObjectID first, over the row's values. The wipe, the
-// new records and their _id_ are published as one version: a reader sees the
-// old contents or the new, never the empty collection between them, and two
-// concurrent calls leave one caller's documents, not a mix. The journal
-// receives the two records a Drop and a BulkWrite would have written, in that
-// order, so recovery replays them as it always did; the batch's record is the
-// later of the two in one sequential log, so one wait covers both.
+// field array, a fresh ObjectID first, over the row's values. The journal
+// receives one record, the wipe and the new documents together, before
+// anything changes in memory: a journal that refuses it leaves the target as
+// it was and publishes nothing, and recovery replays the record whole or not
+// at all. The wipe, the new records and their _id_ are then published as one
+// version: a reader sees the old contents or the new, never the empty
+// collection between them, and two concurrent calls leave one caller's
+// documents, not a mix.
 func (c *Collection) ReplaceContents(rows []*bson.Doc) error {
 	docs, sizes, ids, err := buildContents(rows)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	// A journal failure on the wipe is best-effort, as in Drop.
-	cleared, _ := c.logClearLocked()
-	c.clearLocked()
-	var logged CommitWaiter
-	if len(docs) > 0 {
-		if logged, err = c.logLocked(InsertOps(docs), true); err == nil {
-			c.reserveLocked(len(docs))
-			for i, doc := range docs {
-				*c.appendSlotLocked() = record{doc: doc, size: int32(sizes[i])}
-				c.dataSize += sizes[i]
-			}
-			c.count = len(docs)
-			c.adoptIndexLocked(ids)
-			c.indexes[0].ix = ids
-		}
-	}
-	c.publishLocked()
-	c.mu.Unlock()
-	last := logged
-	if last == nil {
-		last = cleared
-	}
-	var durabilityErr error
-	if last != nil {
-		durabilityErr = last.Wait(false)
-	}
-	notifyCommit(cleared)
-	notifyCommit(logged)
+	logged, err := c.logRecordLocked(func(j Journal) (CommitWaiter, error) { return j.LogReplace(docs) })
 	if err != nil {
+		c.mu.Unlock()
 		return err
 	}
-	return durabilityErr
+	c.clearLocked()
+	c.reserveLocked(len(docs))
+	for i, doc := range docs {
+		*c.appendSlotLocked() = record{doc: doc, size: int32(sizes[i])}
+		c.dataSize += sizes[i]
+	}
+	c.count = len(docs)
+	c.adoptIndexLocked(ids)
+	c.indexes[0].ix = ids
+	c.publishLocked()
+	c.mu.Unlock()
+	return waitCommit(logged, false)
 }
 
 // buildContents checks rows, in order, as the documents ReplaceContents

@@ -79,7 +79,7 @@ func TestRunSequentialEquivalence(t *testing.T) {
 
 // shardedStore is a 3-shard cluster with the experiments' shard keys.
 func shardedStore(t *testing.T, db string, parallel bool) driver.Store {
-	c, err := cluster.Build(cluster.Config{Shards: 3, ParallelScatter: parallel, ChunkSizeBytes: 1 << 20})
+	c, err := cluster.Build(cluster.Config{Shards: 3, ParallelScatter: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,9 @@ func FuzzWALDecode(f *testing.F) {
 			}}),
 		EncodeRecord(&Record{LSN: 3, Kind: KindClear, DB: "db", Coll: "c"}),
 		EncodeRecord(&Record{LSN: 4, Kind: KindDropDatabase, DB: "db"}),
+		EncodeRecord(&Record{LSN: 5, Kind: KindReplace, DB: "db", Coll: "c",
+			Ops: storage.InsertOps([]*bson.Doc{bson.D(bson.IDKey, 1, "v", "x"), bson.D(bson.IDKey, 2)})}),
+		EncodeRecord(&Record{LSN: 6, Kind: KindReplace, DB: "db", Coll: "c"}),
 		// Checksum-valid frames of non-record payloads.
 		framePayload(bson.Marshal(bson.D("lsn", "not a number"))),
 		framePayload([]byte("garbage that is not bson")),

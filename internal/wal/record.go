@@ -20,7 +20,8 @@ const (
 	// scalar insert/update/delete logs as a one-op batch.
 	KindBatch RecordKind = iota
 	// KindClear records a collection being wiped in place
-	// (storage.Collection.Drop, which ReplaceContents and $out use).
+	// (storage.Collection.Drop). Logs written before KindReplace existed
+	// also hold one ahead of each $out's insert batch.
 	KindClear
 	// KindDropCollection records a collection being removed from its
 	// database, so recovery does not resurrect dropped collections.
@@ -33,6 +34,11 @@ const (
 	KindEnsureIndex
 	// KindDropIndex records an index removal by name (Index).
 	KindDropIndex
+	// KindReplace records a collection's contents being replaced
+	// (storage.Collection.ReplaceContents, the $out stage): the wipe and the
+	// insert ops of the new documents in one record, so recovery replays
+	// both or neither.
+	KindReplace
 )
 
 // String names the kind for diagnostics.
@@ -50,13 +56,16 @@ func (k RecordKind) String() string {
 		return "ensureIndex"
 	case KindDropIndex:
 		return "dropIndex"
+	case KindReplace:
+		return "replace"
 	default:
 		return fmt.Sprintf("recordKind(%d)", int(k))
 	}
 }
 
 // Record is one logical entry of the write-ahead log: a batch of operations
-// against a single collection, or a structural event (clear/drop). The LSN is
+// against a single collection, a replacement of its contents, or a
+// structural event (clear/drop/index). The LSN is
 // assigned by WAL.Append; records replay in LSN order.
 type Record struct {
 	LSN     int64
@@ -70,6 +79,18 @@ type Record struct {
 	Spec   *bson.Doc
 	Unique bool
 	Index  string
+}
+
+// Docs returns the documents of a record's insert ops, in order: the new
+// contents of a KindReplace record.
+func (r *Record) Docs() []*bson.Doc {
+	docs := make([]*bson.Doc, 0, len(r.Ops))
+	for i := range r.Ops {
+		if r.Ops[i].Kind == storage.InsertOp {
+			docs = append(docs, r.Ops[i].Doc)
+		}
+	}
+	return docs
 }
 
 // Framing: every record is stored as
@@ -276,7 +297,7 @@ func decodeRecordDoc(d *bson.Doc) (*Record, error) {
 	}
 	r.LSN = lsn
 	kind, _ := bson.AsInt(d.GetOr("k", int64(0)))
-	if kind < int64(KindBatch) || kind > int64(KindDropIndex) {
+	if kind < int64(KindBatch) || kind > int64(KindReplace) {
 		return nil, fmt.Errorf("wal: unknown record kind %d", kind)
 	}
 	r.Kind = RecordKind(kind)

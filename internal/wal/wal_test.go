@@ -64,6 +64,10 @@ func TestRecordRoundTrip(t *testing.T) {
 		{Kind: KindClear, DB: "db", Coll: "c"},
 		{Kind: KindDropCollection, DB: "db", Coll: "gone"},
 		{Kind: KindDropDatabase, DB: "olddb"},
+		{Kind: KindReplace, DB: "db", Coll: "out", Ops: storage.InsertOps([]*bson.Doc{
+			bson.D(bson.IDKey, 1, "v", "a"), bson.D(bson.IDKey, 2, "v", "b"),
+		})},
+		{Kind: KindReplace, DB: "db", Coll: "empty"},
 		// An insert op with no document (the shape a malformed bulk op
 		// produces) must survive the round trip as-is.
 		{Kind: KindBatch, DB: "db", Coll: "c", Ops: []storage.WriteOp{{Kind: storage.InsertOp}}},
@@ -96,6 +100,29 @@ func TestRecordRoundTrip(t *testing.T) {
 				t.Fatalf("record %d op %d: upsert id %v, want %v", i, k, have.UpsertID, want.UpsertID)
 			}
 		}
+	}
+}
+
+// TestRecordKindNames: every kind, KindReplace included, has its own name,
+// and a number past the last kind is named as a number.
+func TestRecordKindNames(t *testing.T) {
+	seen := map[string]bool{}
+	for k := KindBatch; k <= KindReplace; k++ {
+		name := k.String()
+		if seen[name] || name == fmt.Sprintf("recordKind(%d)", int(k)) {
+			t.Fatalf("kind %d is named %q", int(k), name)
+		}
+		seen[name] = true
+	}
+	if got := KindReplace.String(); got != "replace" {
+		t.Fatalf("KindReplace.String() = %q", got)
+	}
+	if got := (KindReplace + 1).String(); got != fmt.Sprintf("recordKind(%d)", int(KindReplace+1)) {
+		t.Fatalf("an unknown kind is named %q", got)
+	}
+	frame := EncodeRecord(&Record{LSN: 1, Kind: KindReplace + 1, DB: "db"})
+	if _, _, err := DecodeRecord(frame); err == nil {
+		t.Fatalf("a record of an unknown kind decoded")
 	}
 }
 

@@ -38,7 +38,7 @@ func startTracedCluster(t *testing.T) *Server {
 
 	router := mongos.NewRouter(sharding.NewConfigServer(), mongos.Options{})
 	router.AddReplicaShard("shard0", rs)
-	if _, err := router.EnableSharding("db", "c", bson.D("k", 1), 1<<20); err != nil {
+	if _, err := router.EnableSharding("db", "c", bson.D("k", 1)); err != nil {
 		t.Fatal(err)
 	}
 
