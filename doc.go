@@ -435,7 +435,7 @@
 //     once nothing references it, so a leaked snapshot costs memory until
 //     it is unreachable, never correctness.
 //   - Writer serialization: writers (Insert, Update, Delete, BulkWrite,
-//     EnsureIndex, Drop...) serialize on one per-collection mutex, exactly
+//     EnsureIndex, ReplaceContents...) serialize on one per-collection mutex, exactly
 //     as before; the WAL append still happens under that mutex, so journal
 //     order, replay determinism and change-stream ordering are untouched.
 //     A batch mutates the writer's working state and publishes the new
@@ -463,10 +463,11 @@
 //     and of every other index (the node-copy protocol below); a batch
 //     pays that once per touched node, which is why bulk loads, checkpoint
 //     loads included, insert through BulkWrite. Compaction rewrites into
-//     fresh pages. An open cursor is therefore isolated from inserts, updates,
-//     deletes, compaction, index churn and even Drop — the pre-MVCC
-//     anomaly where deletes leaked into open cursors until an array
-//     rewrite froze them is gone, and tests assert a cursor drained
+//     fresh pages. An open cursor is therefore isolated from inserts,
+//     updates, deletes, compaction, index churn and even a $out's
+//     replacement of the contents — the pre-MVCC anomaly where deletes
+//     leaked into open cursors until an array rewrite froze them is gone,
+//     and tests assert a cursor drained
 //     across interleaved writes returns exactly the at-open document set
 //     with at-open contents.
 //   - Memory model: publishing is an atomic pointer store with release
@@ -660,11 +661,12 @@
 //     trees by backfilling. Record positions therefore never reach disk:
 //     a recovered collection numbers its records afresh and its trees
 //     point at the new numbers.
-//   - Checkpoints (mongod.Server.Checkpoint) reuse the storage snapshot
-//     format and are a single capture point: HoldAllWrites pauses every
-//     collection's writers for one pin instant, CaptureHeld pins a
-//     snapshot of every collection plus the WAL position while nothing can
-//     commit, and the hold releases before any disk I/O — so the capture
+//   - Checkpoints (mongod.Server.Checkpoint, which is mongod.CheckpointAll
+//     of one server) reuse the storage snapshot format and are a single
+//     capture point: HoldAllWrites pauses every collection's writers for
+//     one pin instant, a snapshot of every collection plus the WAL
+//     position is pinned while nothing can commit, and the hold releases
+//     before any disk I/O — so the capture
 //     is a true cut (every record at or below the capture LSN is in some
 //     captured snapshot), writers pause for microseconds, and recovery
 //     restores every collection to exactly the same point before
@@ -676,9 +678,10 @@
 //     the previous checkpoint intact, never a torn one. Older checkpoints
 //     are removed once the new one is durable.
 //   - Cluster checkpoints (mongos.Router.Checkpoint, wire op
-//     "checkpoint", docstored -shards): phase one holds writes on every
-//     shard simultaneously and pins a capture on each, phase two streams
-//     each shard from its pinned capture while writes flow. Because no
+//     "checkpoint", docstored -shards) are mongod.CheckpointAll of the
+//     shard primaries: phase one holds writes on every shard
+//     simultaneously and pins a capture on each, phase two streams each
+//     shard from its pinned capture while writes flow. Because no
 //     shard can commit during the holds, causally ordered writes are cut
 //     consistently — no restored shard is ever ahead of another — and a
 //     shard that dies mid-stream leaves the cluster checkpoint wholly at
@@ -696,9 +699,14 @@
 //     — one lock hold and one published version a run, each record keeping
 //     its own ordered/unordered and per-op-failure outcome — so a page or
 //     an index path a run touches many times is copied once. Any other
-//     record kind, or another collection, ends the run.
-//   - replset shares the log format: oplog entries carry wal.Records,
-//     AttachWAL makes the oplog durable, and LoadOplogFromWAL reloads it
+//     record kind, or another collection, ends the run, and that record
+//     goes through mongod.Server.Apply; recovery's own part is only the
+//     watermark guard around it and the drop-database rule that spares
+//     collections a checkpoint restored after a same-name recreate.
+//   - replset shares the log format and its applier: oplog entries carry
+//     wal.Records, and a member applies each through mongod.Server.Apply,
+//     the one function that turns a record into server state. AttachWAL
+//     makes the oplog durable, and LoadOplogFromWAL reloads it
 //     on restart, after which each member's applier (StartReplication)
 //     replays what the member lacks — all of it on a volatile secondary,
 //     nothing on a primary that recovered from its own journal and was

@@ -167,10 +167,6 @@ func (j *collJournal) LogBatch(ops []storage.WriteOp, ordered bool) (storage.Com
 	return j.wrap(&wal.Record{Kind: wal.KindBatch, DB: j.db, Coll: j.coll, Ordered: ordered, Ops: ops})
 }
 
-func (j *collJournal) LogClear() (storage.CommitWaiter, error) {
-	return j.wrap(&wal.Record{Kind: wal.KindClear, DB: j.db, Coll: j.coll})
-}
-
 func (j *collJournal) LogReplace(docs []*bson.Doc) (storage.CommitWaiter, error) {
 	return j.wrap(&wal.Record{Kind: wal.KindReplace, DB: j.db, Coll: j.coll, Ops: storage.InsertOps(docs)})
 }
@@ -185,15 +181,6 @@ func (j *collJournal) LogDropIndex(name string) (storage.CommitWaiter, error) {
 
 // DurabilityEnabled reports whether the server writes a WAL.
 func (s *Server) DurabilityEnabled() bool { return s.durable.Load() != nil }
-
-// WALDir returns the WAL segment directory, or "" when durability is off.
-func (s *Server) WALDir() string {
-	ds := s.durable.Load()
-	if ds == nil {
-		return ""
-	}
-	return ds.wal.Dir()
-}
 
 // EnableDurability opens the write-ahead log under d.Dir, recovers the
 // server's state (newest checkpoint snapshot first, then a replay of the
@@ -260,7 +247,7 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 	err = wal.Replay(w.Dir(), func(rec *wal.Record) error {
 		if rec.Kind != wal.KindBatch {
 			flushRun()
-			if s.applyRecord(rec) {
+			if s.replayRecord(rec) {
 				stats.RecordsReplayed++
 			}
 			return nil
@@ -319,83 +306,93 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 // fraction of the collection being rebuilt.
 const replayRunCap = 512
 
-// applyRecord applies one replayed structural WAL record (batch records go
-// through storage.ReplayBatches in runs), reporting whether it did anything.
-// Records already reflected in a checkpoint snapshot are skipped by comparing
-// against each collection's snapshot watermark.
-func (s *Server) applyRecord(rec *wal.Record) bool {
+// Apply turns one log record into server state. A replica-set member
+// applies the primary's oplog through it, and recovery every journal record
+// outside a batch run; it applies unconditionally, and skipping what a
+// checkpoint already holds is recovery's job (replayRecord).
+//
+// A record fails where the primary's write failed: a batch op that failed
+// there (duplicate _id, malformed spec) fails here as part of the batch's
+// outcome, not as an error, and an index whose unique backfill failed there
+// returns the same error. A batch's journal failure, a refused replacement
+// (its rows were checked before they were logged) and an unknown kind are
+// errors too.
+//
+// The record is applied uncopied: each member stores the primary's own
+// *bson.Doc until an update installs a shallow copy, and nothing in the
+// record is written, since an insert carries its _id and an upsert the id it
+// drew. A wipe record (KindClear, which logs older than the replace record
+// hold) is an empty replacement: it drops the documents and the user indexes.
+func (s *Server) Apply(rec *wal.Record) error {
 	switch rec.Kind {
+	case wal.KindBatch:
+		return s.Database(rec.DB).BulkWrite(rec.Coll, rec.Ops, storage.BulkOptions{Ordered: rec.Ordered}).DurabilityErr
 	case wal.KindClear:
-		coll := s.Database(rec.DB).Collection(rec.Coll)
-		if rec.LSN <= coll.LastLSN() {
-			return false
-		}
-		coll.Drop()
-		coll.SetReplayLSN(rec.LSN)
-		return true
+		return s.Database(rec.DB).Collection(rec.Coll).ReplaceContents(nil)
 	case wal.KindReplace:
-		coll := s.Database(rec.DB).Collection(rec.Coll)
-		if rec.LSN <= coll.LastLSN() {
-			return false
-		}
-		// The wipe and the documents in one version, as the $out that
-		// logged them published them. Its rows were checked before they
-		// were logged, so the replacement succeeds as it did then.
-		_ = coll.ReplaceContents(rec.Docs())
-		coll.SetReplayLSN(rec.LSN)
-		return true
+		return s.Database(rec.DB).Collection(rec.Coll).ReplaceContents(rec.Docs())
 	case wal.KindEnsureIndex:
-		coll := s.Database(rec.DB).Collection(rec.Coll)
-		if rec.LSN <= coll.LastLSN() {
-			return false
-		}
-		// A backfill failure (unique violation on the data as of this
-		// point in the log) failed identically before the crash; either
-		// way the outcome is deterministic.
-		_, _ = coll.EnsureIndexDoc(rec.Spec, rec.Unique)
-		coll.SetReplayLSN(rec.LSN)
-		return true
+		_, err := s.Database(rec.DB).Collection(rec.Coll).EnsureIndexDoc(rec.Spec, rec.Unique)
+		return err
 	case wal.KindDropIndex:
-		coll := s.Database(rec.DB).Collection(rec.Coll)
-		if rec.LSN <= coll.LastLSN() {
-			return false
-		}
-		coll.DropIndex(rec.Index)
-		coll.SetReplayLSN(rec.LSN)
-		return true
+		s.Database(rec.DB).Collection(rec.Coll).DropIndex(rec.Index)
+		return nil
 	case wal.KindDropCollection:
-		db := s.Database(rec.DB)
-		// A snapshot watermark at or past the drop means the collection in
-		// memory is a later incarnation restored from the checkpoint.
-		if db.HasCollection(rec.Coll) && db.Collection(rec.Coll).LastLSN() >= rec.LSN {
-			return false
-		}
-		return db.DropCollection(rec.Coll)
+		s.Database(rec.DB).DropCollection(rec.Coll)
+		return nil
 	case wal.KindDropDatabase:
-		db, ok := s.lookupDatabase(rec.DB)
-		if !ok {
-			return false
-		}
-		// The drop kills exactly the collections that existed before it:
-		// those whose watermark is below the drop LSN. Collections restored
-		// from a checkpoint taken after a same-name database was recreated
-		// carry higher watermarks and survive — an all-or-nothing skip here
-		// would let pre-drop collections replayed from older records ride
-		// along with them and resurrect.
-		dropped := false
-		for _, coll := range db.Collections() {
-			if coll.LastLSN() < rec.LSN {
-				db.DropCollection(coll.Name())
-				dropped = true
-			}
-		}
-		if len(db.CollectionNames()) == 0 {
-			dropped = s.DropDatabase(rec.DB) || dropped
-		}
-		return dropped
-	default:
+		s.DropDatabase(rec.DB)
+		return nil
+	}
+	return fmt.Errorf("mongod: unknown log record kind %v", rec.Kind)
+}
+
+// replayRecord applies one record during recovery through Apply, reporting
+// whether it did anything. A record at or below its collection's watermark
+// is already in the checkpoint snapshot the collection was loaded from, and
+// is skipped. Apply's error is the record's own outcome — the same failure
+// the write met before the crash — so it is not recovery's error.
+func (s *Server) replayRecord(rec *wal.Record) bool {
+	if rec.Kind == wal.KindDropDatabase {
+		return s.replayDropDatabase(rec)
+	}
+	db := s.Database(rec.DB)
+	// A watermark at or past a drop means the collection in memory is a
+	// later incarnation restored from the checkpoint.
+	if db.HasCollection(rec.Coll) && rec.LSN <= db.Collection(rec.Coll).LastLSN() {
 		return false
 	}
+	_ = s.Apply(rec)
+	if db.HasCollection(rec.Coll) {
+		db.Collection(rec.Coll).SetReplayLSN(rec.LSN)
+	}
+	return true
+}
+
+// replayDropDatabase replays a drop-database record against the checkpoint's
+// watermarks: the drop kills exactly the collections that existed before
+// it, those whose watermark is below the drop LSN. Collections restored from
+// a checkpoint taken after a same-name database was recreated carry higher
+// watermarks and survive — an all-or-nothing skip here would let pre-drop
+// collections replayed from older records ride along with them and
+// resurrect. Watermarks are LSNs of this server's own journal, so the rule
+// is recovery's alone, never a replica-set member's.
+func (s *Server) replayDropDatabase(rec *wal.Record) bool {
+	db, ok := s.lookupDatabase(rec.DB)
+	if !ok {
+		return false
+	}
+	dropped := false
+	for _, coll := range db.Collections() {
+		if coll.LastLSN() < rec.LSN {
+			db.DropCollection(coll.Name())
+			dropped = true
+		}
+	}
+	if len(db.CollectionNames()) == 0 {
+		dropped = s.DropDatabase(rec.DB) || dropped
+	}
+	return dropped
 }
 
 // logStructuralLocked appends a drop-collection / drop-database record
@@ -486,18 +483,16 @@ func (s *Server) loadCheckpoint(cpDir string) (int, error) {
 	return len(m.Collections), nil
 }
 
-// CheckpointCapture is a pinned capture point: one storage snapshot per
+// checkpointCapture is a pinned capture point: one storage snapshot per
 // collection plus the WAL position, all taken while every writer on the
 // server was held. Everything the capture references describes one instant —
 // no collection is ahead of another, and no record at or below the capture
 // LSN is missing from the snapshots. Captures are cheap (a pin per
 // collection); the expensive disk streaming happens later, against the
-// pinned versions, with writes flowing. Release the capture when done
-// (CheckpointFrom releases it for you).
-type CheckpointCapture struct {
-	lsn      int64
-	entries  []captureEntry
-	released bool
+// pinned versions, with writes flowing. checkpointFrom releases it.
+type checkpointCapture struct {
+	lsn     int64
+	entries []captureEntry
 }
 
 type captureEntry struct {
@@ -505,19 +500,8 @@ type captureEntry struct {
 	snap     *storage.Snapshot
 }
 
-// CaptureLSN returns the WAL position of the capture point: every journaled
-// mutation at or below it is reflected in the capture's snapshots.
-func (cp *CheckpointCapture) CaptureLSN() int64 { return cp.lsn }
-
-// Collections returns how many collection snapshots the capture pins.
-func (cp *CheckpointCapture) Collections() int { return len(cp.entries) }
-
-// Release unpins every snapshot of the capture. Idempotent.
-func (cp *CheckpointCapture) Release() {
-	if cp.released {
-		return
-	}
-	cp.released = true
+// release unpins every snapshot of the capture.
+func (cp *checkpointCapture) release() {
 	for _, e := range cp.entries {
 		e.snap.Release()
 	}
@@ -529,8 +513,8 @@ func (cp *CheckpointCapture) Release() {
 // published versions. The locks are taken in the global order the drop paths
 // already establish (server, then each database sorted by name, then each
 // collection sorted by name), so a hold cannot deadlock against concurrent
-// structural operations. Holds are meant to be brief: pin a capture under
-// one (CaptureHeld), then release.
+// structural operations. Holds are meant to be brief: CheckpointAll pins a
+// capture under one, then releases it.
 func (s *Server) HoldAllWrites() (release func()) {
 	s.mu.Lock()
 	dbNames := make([]string, 0, len(s.dbs))
@@ -567,16 +551,14 @@ func (s *Server) HoldAllWrites() (release func()) {
 	}
 }
 
-// CaptureHeld pins a capture point. The caller must be holding every writer
+// captureHeld pins a capture point. The caller must be holding every writer
 // via HoldAllWrites: with writers held, the WAL position is a true cut — any
 // record it covers was applied and published by its collection before the
 // hold could be acquired, and no new record can enter the log until release —
 // so the pinned snapshots and the LSN describe one mutually consistent
-// instant across every collection. The cluster checkpoint relies on the
-// hold/capture split: the router holds every shard simultaneously, captures
-// them all, releases, and only then pays for streaming.
-func (s *Server) CaptureHeld() *CheckpointCapture {
-	cp := &CheckpointCapture{}
+// instant across every collection.
+func (s *Server) captureHeld() *checkpointCapture {
+	cp := &checkpointCapture{}
 	if ds := s.durable.Load(); ds != nil {
 		cp.lsn = ds.wal.LastLSN()
 	}
@@ -601,16 +583,6 @@ func (s *Server) CaptureHeld() *CheckpointCapture {
 	return cp
 }
 
-// CaptureCheckpoint establishes a capture point: it briefly holds every
-// writer, pins one snapshot per collection plus the WAL position, and
-// releases the holds. The pause is O(collections) pin registrations — no
-// disk I/O happens under it.
-func (s *Server) CaptureCheckpoint() *CheckpointCapture {
-	release := s.HoldAllWrites()
-	defer release()
-	return s.CaptureHeld()
-}
-
 // checkpointStreamHook, when non-nil, runs before each collection snapshot
 // streams to disk. Fault-injection tests use it to kill a checkpoint
 // mid-stream and prove the atomic-rename publication: a checkpoint directory
@@ -619,23 +591,62 @@ var checkpointStreamHook func(db, coll string) error
 
 // Checkpoint writes a snapshot of every collection, fsyncs it into a
 // checkpoint directory, prunes WAL segments the checkpoint makes obsolete
-// and removes older checkpoints. The snapshot set is a single capture point
-// (see CaptureCheckpoint): writers pause only for the pin instant, then keep
-// flowing while the pinned versions stream to disk, and recovery restores
-// every collection to exactly the same cut before replaying the log tail.
+// and removes older checkpoints. It is CheckpointAll of this server alone:
+// writers pause only for the pin instant, then keep flowing while the pinned
+// versions stream to disk, and recovery restores every collection to
+// exactly the same cut before replaying the log tail.
 func (s *Server) Checkpoint() (CheckpointStats, error) {
-	cp := s.CaptureCheckpoint()
-	return s.CheckpointFrom(cp)
+	stats, err := CheckpointAll([]*Server{s})
+	return stats[0], err
 }
 
-// CheckpointFrom writes the checkpoint a previously pinned capture
-// describes, then releases the capture. The capture may be arbitrarily old:
-// the snapshots are immutable, so the directory that lands on disk is the
-// capture point regardless of what has committed since. The cluster
-// checkpoint uses this to capture every shard under one simultaneous hold
-// and stream afterwards.
-func (s *Server) CheckpointFrom(cp *CheckpointCapture) (CheckpointStats, error) {
-	defer cp.Release()
+// CheckpointAll checkpoints distinct servers at one capture point — the
+// shards of a cluster, or a server alone. Phase one holds writes on every
+// server at once (in the order given), pins a capture on each — snapshots of
+// every collection plus the server's WAL position — and releases every
+// hold; the pause is O(collections) pin registrations, no disk I/O. Phase
+// two streams each server's checkpoint from its pinned capture while writes
+// flow again; stats[i] is servers[i]'s.
+//
+// The simultaneous hold is what makes the cut consistent across servers:
+// every capture is read while no server can accept a write, so for any two
+// causally ordered writes (the second issued after the first acknowledged)
+// the captures contain the second only if they contain the first — no
+// server restores ahead of another. Each server publishes its checkpoint
+// directory with an atomic rename, so one that fails mid-stream leaves its
+// previous checkpoint intact. A failing server does not stop the others,
+// whose checkpoints are still wholly at the capture point; the first error
+// is returned.
+func CheckpointAll(servers []*Server) ([]CheckpointStats, error) {
+	releases := make([]func(), len(servers))
+	for i, s := range servers {
+		releases[i] = s.HoldAllWrites()
+	}
+	captures := make([]*checkpointCapture, len(servers))
+	for i, s := range servers {
+		captures[i] = s.captureHeld()
+	}
+	for i := len(releases) - 1; i >= 0; i-- {
+		releases[i]()
+	}
+	stats := make([]CheckpointStats, len(servers))
+	var firstErr error
+	for i, s := range servers {
+		st, err := s.checkpointFrom(captures[i])
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("mongod: checkpoint of %s: %w", s.Name(), err)
+		}
+		stats[i] = st
+	}
+	return stats, firstErr
+}
+
+// checkpointFrom writes the checkpoint a pinned capture describes, then
+// releases the capture. The snapshots are immutable, so the directory that
+// lands on disk is the capture point regardless of what has committed since
+// the capture.
+func (s *Server) checkpointFrom(cp *checkpointCapture) (CheckpointStats, error) {
+	defer cp.release()
 	var stats CheckpointStats
 	ds := s.durable.Load()
 	if ds == nil {

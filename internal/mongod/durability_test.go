@@ -525,8 +525,8 @@ func TestEnableDurabilityTwiceFails(t *testing.T) {
 	if !s.DurabilityEnabled() {
 		t.Fatalf("DurabilityEnabled = false")
 	}
-	if s.WALDir() == "" {
-		t.Fatalf("WALDir empty")
+	if countSegments(t, filepath.Join(dir, "wal")) == 0 {
+		t.Fatalf("no WAL segment in %s", filepath.Join(dir, "wal"))
 	}
 }
 

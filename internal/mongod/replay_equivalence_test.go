@@ -13,7 +13,7 @@ import (
 
 // recoverRecordAtATime is the oracle batched replay is checked against: the
 // recovery EnableDurability ran before runs existed — newest checkpoint, then
-// every log record applied on its own, each batch through the ordinary
+// every log record replayed on its own, each batch through Apply's ordinary
 // BulkWrite with the watermark published per record. It leaves the WAL
 // unattached; the test only reads the state it rebuilt.
 func recoverRecordAtATime(t *testing.T, dir string) (*Server, RecoveryStats) {
@@ -32,18 +32,7 @@ func recoverRecordAtATime(t *testing.T, dir string) (*Server, RecoveryStats) {
 		stats.CheckpointLSN, stats.CollectionsLoaded = cpLSN, n
 	}
 	err = wal.Replay(dir+"/wal", func(rec *wal.Record) error {
-		applied := false
-		if rec.Kind == wal.KindBatch {
-			coll := s.Database(rec.DB).Collection(rec.Coll)
-			if rec.LSN > coll.LastLSN() {
-				coll.BulkWrite(rec.Ops, storage.BulkOptions{Ordered: rec.Ordered})
-				coll.SetReplayLSN(rec.LSN)
-				applied = true
-			}
-		} else {
-			applied = s.applyRecord(rec)
-		}
-		if applied {
+		if s.replayRecord(rec) {
 			stats.RecordsReplayed++
 		}
 		return nil
@@ -118,9 +107,9 @@ func diffStates(t *testing.T, what string, got, want map[string][]string) {
 // alternately (a run of one) and in long stretches (one longer than
 // replayRunCap); single- and multi-op batches; ordered batches that stop at
 // a duplicate _id; unordered ones with a unique-index violation mid-batch;
-// enough deletes to compact inside a run; Clear, EnsureIndex, DropIndex and
-// DropCollection between runs; and a checkpoint whose watermark falls in the
-// middle of a run.
+// enough deletes to compact inside a run; an empty replacement, EnsureIndex,
+// DropIndex and DropCollection between runs; and a checkpoint whose
+// watermark falls in the middle of a run.
 func TestDurabilityTortureBatchedReplayEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5EED16))
 	dir := t.TempDir()
@@ -217,7 +206,10 @@ func TestDurabilityTortureBatchedReplayEquivalence(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		step("c2")
 	}
-	db.Collection("c2").Drop() // Clear between runs; wipes c2's indexes too
+	// An empty replacement between runs; it drops c2's indexes too.
+	if err := db.Collection("c2").ReplaceContents(nil); err != nil {
+		t.Fatal(err)
+	}
 	alive["c2"] = nil
 	for i := 0; i < 30; i++ {
 		step("c2")

@@ -523,16 +523,6 @@ func (db *Database) Aggregate(coll string, stages []*bson.Doc) ([]*bson.Doc, err
 	return aggregate.Drain(it)
 }
 
-// RunPipeline runs a pre-parsed pipeline over the named collection,
-// streaming the collection scan into the pipeline in cursor batches.
-func (db *Database) RunPipeline(coll string, pipeline *aggregate.Pipeline) ([]*bson.Doc, error) {
-	cur, err := db.Collection(coll).FindCursor(nil, storage.FindOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return aggregate.Drain(&resultIter{it: pipeline.RunIter(Iter(cur), db.Env())})
-}
-
 // Env returns the aggregation environment backed by this database.
 func (db *Database) Env() aggregate.Env { return &dbEnv{db: db} }
 

