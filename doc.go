@@ -694,15 +694,22 @@
 //     watermark. Torn records anywhere else are reported as corruption,
 //     never silently dropped. The log is decoded once: wal.Open finds the
 //     tail from the frames alone (length, checksum, and the LSN at its
-//     fixed offset), and the replay hands consecutive batch records of one
-//     collection to storage.Collection.ReplayBatches in runs of up to 512
-//     — one lock hold and one published version a run, each record keeping
-//     its own ordered/unordered and per-op-failure outcome — so a page or
-//     an index path a run touches many times is copied once. Any other
-//     record kind, or another collection, ends the run, and that record
-//     goes through mongod.Server.Apply; recovery's own part is only the
-//     watermark guard around it and the drop-database rule that spares
-//     collections a checkpoint restored after a same-name recreate.
+//     fixed offset), and wal.Replay decodes the records on a goroutine of
+//     its own, a bounded queue ahead of the caller, so decoding and
+//     applying run on two cores. Consecutive batch records of one
+//     collection are a run: each is applied as it arrives, under the
+//     collection's lock and without publishing
+//     (storage.Collection.ReplayBatch), keeping its own ordered/unordered
+//     and per-op-failure outcome, and the run is published once, when a
+//     record that is not a batch, a record of another collection or the end
+//     of the log ends it — never at a count. Nothing reads a recovering
+//     server, so no version inside a run is observable, and a run copies no
+//     page and no index path: everything it writes it created or copied
+//     itself. The record that ended a run goes through
+//     mongod.Server.Apply, after the run is published, so it sees every
+//     record before it; recovery's own part is only the watermark guard
+//     around it and the drop-database rule that spares collections a
+//     checkpoint restored after a same-name recreate.
 //   - replset shares the log format and its applier: oplog entries carry
 //     wal.Records, and a member applies each through mongod.Server.Apply,
 //     the one function that turns a record into server state. AttachWAL

@@ -181,6 +181,34 @@ func TestGroupByCompositeKey(t *testing.T) {
 	}
 }
 
+// TestGroupKeepsLargeIntegersApart groups by the int64s 2^53 and 2^53+1,
+// which one float64 holds: they are two buckets, sorted in order, while
+// 2^53 and the float64 2^53 are one.
+func TestGroupKeepsLargeIntegersApart(t *testing.T) {
+	const two53 = int64(1) << 53
+	docs := []*bson.Doc{
+		bson.D("k", two53+1, "q", 1),
+		bson.D("k", two53, "q", 2),
+		bson.D("k", float64(two53), "q", 4),
+		bson.D("k", two53+1, "q", 8),
+	}
+	out := runPipeline(t, []*bson.Doc{
+		bson.D("$group", bson.D(bson.IDKey, "$k", "total", bson.D("$sum", "$q"))),
+		bson.D("$sort", bson.D(bson.IDKey, 1)),
+	}, docs, nil)
+	if len(out) != 2 {
+		t.Fatalf("%d groups, want 2: %v", len(out), out)
+	}
+	for i, want := range []int64{6, 9} {
+		if v, _ := out[i].Get("total"); v != want {
+			t.Fatalf("group %d = %s, want total %d", i, out[i].ToJSON(), want)
+		}
+	}
+	if id, _ := out[1].Get(bson.IDKey); id != two53+1 {
+		t.Fatalf("the second group's _id is %v, want %d", id, two53+1)
+	}
+}
+
 func TestProjectComputedFieldsAndIDExclusion(t *testing.T) {
 	docs := []*bson.Doc{bson.D(bson.IDKey, 1, "a", 2, "b", 3, "junk", "x")}
 	out := runPipeline(t, []*bson.Doc{

@@ -17,20 +17,26 @@ const (
 	keyFalse
 	keyTrue
 	keyDate
+	keyInt64
 )
 
 // AppendKey appends an encoding of v under which two values have the same
 // bytes exactly when Compare calls them equal — int64(1) and 1.0 are one key,
-// as they are one value to $match, $sort and $addToSet, and "1" is another —
-// and no encoding is a prefix of another, so that the encodings of several
-// values can be concatenated into one key. It is what a hash join or a
-// grouping keys a map by: $group buckets by it and $lookup joins by it.
+// as they are one value to $match, $sort and $addToSet; "1" is another, and so
+// is the int64 2^53+1, which no float64 equals — and no encoding is a prefix
+// of another, so that the encodings of several values can be concatenated
+// into one key. It is what a hash join or a grouping keys a map by: $group
+// buckets by it and $lookup joins by it.
 func AppendKey(dst []byte, v any) []byte {
 	switch t := v.(type) {
 	case nil:
 		return append(dst, keyNull)
 	case int64:
-		return appendNumberKey(dst, float64(t))
+		if f, ok := exactFloat(t); ok {
+			return appendNumberKey(dst, f)
+		}
+		// No float64 equals it, so it has a tag of its own.
+		return binary.BigEndian.AppendUint64(append(dst, keyInt64), uint64(t))
 	case float64:
 		return appendNumberKey(dst, t)
 	case string:
@@ -68,8 +74,8 @@ func appendStringKey(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// appendNumberKey encodes a number as Compare sees it: as a float64, with one
-// zero and one NaN.
+// appendNumberKey encodes a number a float64 holds exactly, with one zero and
+// one NaN: an int64 and a float64 of one value get one key.
 func appendNumberKey(dst []byte, f float64) []byte {
 	switch {
 	case f == 0:

@@ -12,6 +12,7 @@ func TestKeyEncodingFollowsCompare(t *testing.T) {
 	id := NewObjectID()
 	values := []any{
 		nil, int64(0), 0.0, math.Copysign(0, -1), int64(1), 1.0, 1.5, math.NaN(), math.Inf(1), int64(1) << 53, float64(1 << 53),
+		int64(1)<<53 + 1, int64(1)<<53 + 2, float64(1<<53 + 2), int64(math.MaxInt64), int64(math.MinInt64), float64(1 << 63), -float64(1 << 63),
 		"", "a", "ab", "a\x00b", true, false, id, NewObjectID(),
 		A(), A(1), A(1.0), A(1, 2), A(A(1), 2), A("a", "b"), A("ab"),
 		NewDoc(0), D("a", 1), D("a", 1.0), D("a", 1, "b", 2), D("b", 2, "a", 1), D("a", D("b", 2)), D("", ""),

@@ -1,8 +1,10 @@
 package bson
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 )
 
@@ -232,9 +234,33 @@ func IsNumeric(v any) bool {
 
 // Compare imposes a total order over all canonical values. Values of
 // different types order by type (see Type); values of the same type compare
-// naturally. The order is reflexive, antisymmetric and transitive, which the
+// naturally, numbers by their exact values: two int64s as integers, not
+// through float64, which has no room for every int64 past 2^53 (2^53 and
+// 2^53+1 are one float64), and an int64 against a float64 without rounding
+// either. The order is reflexive, antisymmetric and transitive, which the
 // index B-tree and the sort stages rely on.
 func Compare(a, b any) int {
+	// Numbers and strings, the index trees' keys, ahead of the type dispatch.
+	switch x := a.(type) {
+	case int64:
+		switch y := b.(type) {
+		case int64:
+			return cmp.Compare(x, y)
+		case float64:
+			return compareIntFloat(x, y)
+		}
+	case float64:
+		switch y := b.(type) {
+		case float64:
+			return compareFloat(x, y)
+		case int64:
+			return -compareIntFloat(y, x)
+		}
+	case string:
+		if y, ok := b.(string); ok {
+			return strings.Compare(x, y)
+		}
+	}
 	ta, tb := TypeOf(a), TypeOf(b)
 	if ta != tb {
 		if ta < tb {
@@ -243,22 +269,6 @@ func Compare(a, b any) int {
 		return 1
 	}
 	switch ta {
-	case TypeNull:
-		return 0
-	case TypeNumber:
-		fa, _ := AsFloat(a)
-		fb, _ := AsFloat(b)
-		return compareFloat(fa, fb)
-	case TypeString:
-		sa, sb := a.(string), b.(string)
-		switch {
-		case sa < sb:
-			return -1
-		case sa > sb:
-			return 1
-		default:
-			return 0
-		}
 	case TypeDocument:
 		return compareDocs(a.(*Doc), b.(*Doc))
 	case TypeArray:
@@ -288,6 +298,43 @@ func Compare(a, b any) int {
 		}
 	}
 	return 0
+}
+
+// twoTo63 is 2^63, the least float64 above every int64.
+const twoTo63 = float64(1 << 63)
+
+// compareIntFloat orders an int64 against a float64 exactly. A NaN sorts
+// before every number, as compareFloat sorts it. Inside the int64 range the
+// float's integer part is an int64 with no rounding, and its fraction breaks
+// a tie.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f != f:
+		return 1
+	case f >= twoTo63:
+		return -1
+	case f < -twoTo63:
+		return 1
+	}
+	t := int64(f) // f truncated toward zero, exactly
+	switch {
+	case i < t:
+		return -1
+	case i > t:
+		return 1
+	case f > float64(t):
+		return -1
+	case f < float64(t):
+		return 1
+	default:
+		return 0
+	}
+}
+
+// exactFloat returns the float64 equal to i, or false when none is.
+func exactFloat(i int64) (float64, bool) {
+	f := float64(i)
+	return f, f < twoTo63 && int64(f) == i
 }
 
 func compareFloat(a, b float64) int {

@@ -141,6 +141,42 @@ func TestCompareNaN(t *testing.T) {
 	}
 }
 
+// TestCompareLargeIntegersExactly: an int64 past 2^53 compares with another
+// int64, and with a float64, by its exact value, not by the float64 nearest
+// it; and the order stays antisymmetric across the two types.
+func TestCompareLargeIntegersExactly(t *testing.T) {
+	const two53 = int64(1) << 53
+	cases := []struct {
+		a, b any
+		want int
+	}{
+		{two53, two53 + 1, -1},
+		{two53 + 1, two53, 1},
+		{two53 + 1, two53 + 1, 0},
+		{two53 + 1, float64(two53), 1},
+		{two53 + 1, float64(two53 + 2), -1},
+		{two53, float64(two53), 0},
+		{int64(math.MaxInt64), float64(1 << 63), -1},
+		{int64(math.MaxInt64 - 1), int64(math.MaxInt64), -1},
+		{int64(math.MinInt64), -float64(1 << 63), 0},
+		{int64(math.MinInt64), math.Inf(-1), 1},
+		{int64(math.MinInt64 + 1), int64(math.MinInt64), 1},
+		{int64(3), 3.5, -1},
+		{int64(-3), -3.5, 1},
+		{int64(-3), -2.5, -1},
+		{int64(0), math.Copysign(0, -1), 0},
+		{int64(0), math.NaN(), 1},
+	}
+	for _, c := range cases {
+		if got := Compare(c.a, c.b); got != c.want {
+			t.Errorf("Compare(%v (%T), %v (%T)) = %d, want %d", c.a, c.a, c.b, c.b, got, c.want)
+		}
+		if got := Compare(c.b, c.a); got != -c.want {
+			t.Errorf("Compare(%v (%T), %v (%T)) = %d, want %d", c.b, c.b, c.a, c.a, got, -c.want)
+		}
+	}
+}
+
 func TestAsFloatAsInt(t *testing.T) {
 	if f, ok := AsFloat(int64(3)); !ok || f != 3.0 {
 		t.Errorf("AsFloat(int64) = %v, %v", f, ok)

@@ -80,8 +80,8 @@ func CompareKeys(a, b Key) int {
 // equals the tree's current stamp the slice was allocated by the current
 // (unpublished) batch and may be appended to or spliced in place; otherwise
 // it may be shared with a frozen clone and must be copied before mutation.
-// Keys are copied at insert and never mutated, so they need no ownership
-// tracking.
+// Keys are the inserters' own, which never write them again, so they need no
+// ownership tracking.
 type item struct {
 	key      Key
 	pos      []uint32
@@ -197,7 +197,20 @@ func (t *BTree) EstBytes() int64 {
 // (or position slice) not created under this stamp before changing it. Stamps must
 // strictly increase across eras; the owning collection uses its write
 // sequence. A zero stamp restores legacy in-place mutation.
-func (t *BTree) SetStamp(s int64) { t.stamp = s }
+//
+// An empty leaf root joins the new era as it is: no clone shares it (see
+// CloneInto), and it holds nothing a copy would keep, so the first insert
+// of a fresh or emptied tree copies nothing.
+func (t *BTree) SetStamp(s int64) {
+	t.stamp = s
+	if r := t.root; r.leaf() && len(r.items) == 0 {
+		r.owner, r.itemsOwner = s, s
+	}
+}
+
+// emptyRoot is the root every clone of an empty tree shares in place of the
+// tree's own: a clone panics on mutation, so nothing ever writes it.
+var emptyRoot = &node{}
 
 // SetCopyHook registers the observer invoked with the estimated byte size of
 // every copy-on-write duplication: a node shell (struct + child pointers)
@@ -219,8 +232,14 @@ func (t *BTree) Clone() *BTree {
 
 // CloneInto writes the immutable clone into caller-provided storage, letting
 // the caller co-allocate the handle with its surroundings (see Index.Freeze).
+// A tree whose root is an empty leaf clones to emptyRoot, keeping its own
+// root private.
 func (t *BTree) CloneInto(dst *BTree) {
-	*dst = BTree{root: t.root, keys: t.keys, entries: t.entries, nodes: t.nodes, frozen: true}
+	root := t.root
+	if root.leaf() && len(root.items) == 0 {
+		root = emptyRoot
+	}
+	*dst = BTree{root: root, keys: t.keys, entries: t.entries, nodes: t.nodes, frozen: true}
 }
 
 // ownNode returns a node safe to mutate under the current stamp, path-copying
@@ -300,6 +319,8 @@ func findInNode(n *node, key Key) (int, bool) {
 }
 
 // Insert adds a (key, position) entry. Multiple positions may share a key.
+// A new key slot stores key itself, not a copy: the caller must not write it
+// afterwards.
 func (t *BTree) Insert(key Key, p uint32) {
 	t.mutable()
 	t.root = t.ownNode(t.root)
@@ -382,7 +403,7 @@ func (t *BTree) insertNonFull(n *node, key Key, p uint32) {
 			t.ownItems(n, 1)
 			n.items = append(n.items, item{})
 			copy(n.items[slot+1:], n.items[slot:])
-			n.items[slot] = item{key: append(Key(nil), key...), pos: []uint32{p}, posOwner: t.stamp}
+			n.items[slot] = item{key: key, pos: []uint32{p}, posOwner: t.stamp}
 			t.keys++
 			t.entries++
 			return

@@ -486,3 +486,51 @@ func BenchmarkPostingsKey(b *testing.B) {
 		})
 	}
 }
+
+// TestEmptyRootJoinsTheEra: a clone of an empty tree shares no node with it,
+// so the first inserts of the next era, into a fresh tree or into one a
+// previous era emptied, copy nothing, and every clone keeps what it held.
+func TestEmptyRootJoinsTheEra(t *testing.T) {
+	tr := NewBTree()
+	copies := 0
+	tr.SetCopyHook(func(int64) { copies++ })
+	tr.SetStamp(1)
+	empty := tr.Clone()
+	tr.SetStamp(2)
+	for k := int64(0); k < 10; k++ {
+		tr.Insert(Key{k}, uint32(k))
+	}
+	if copies != 0 {
+		t.Fatalf("inserting into a fresh tree made %d copies", copies)
+	}
+	full := tr.Clone()
+	tr.SetStamp(3)
+	for k := int64(0); k < 10; k++ {
+		if !tr.Delete(Key{k}, uint32(k)) {
+			t.Fatalf("Delete(%d) found nothing", k)
+		}
+	}
+	emptied := tr.Clone()
+	tr.SetStamp(4)
+	copies = 0
+	for k := int64(20); k < 30; k++ {
+		tr.Insert(Key{k}, uint32(k))
+	}
+	if copies != 0 {
+		t.Fatalf("inserting into an emptied tree made %d copies", copies)
+	}
+	for _, c := range []struct {
+		name string
+		tr   *BTree
+		keys []int64
+	}{{"empty", empty, nil}, {"full", full, []int64{0, 9}}, {"emptied", emptied, nil}, {"writer", tr, []int64{20, 29}}} {
+		var got []int64
+		c.tr.Ascend(func(k Key, _ uint32) bool {
+			got = append(got, k[0].(int64))
+			return true
+		})
+		if len(c.keys) == 0 && len(got) != 0 || len(c.keys) > 0 && (len(got) != 10 || got[0] != c.keys[0] || got[9] != c.keys[1]) {
+			t.Fatalf("%s tree holds %v", c.name, got)
+		}
+	}
+}

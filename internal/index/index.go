@@ -244,12 +244,17 @@ func hashValue(v any) int64 {
 // partitioner uses the same function so that routing and indexing agree.
 func HashValue(v any) int64 { return hashValue(v) }
 
-// keysForDoc extracts the index keys for a document. An array under the
-// leading field produces one key per element (multikey), in a compound index
-// as in a single-field one: the leading component is what a scan reads, and a
-// filter matches an array by its elements. The other components of a compound
-// key are the first reachable value of their field.
-func (ix *Index) keysForDoc(d *bson.Doc) []Key {
+// keysForDoc extracts the index keys for a document, appending them to
+// keys[:0]. An array under the leading field produces one key per element
+// (multikey), in a compound index as in a single-field one: the leading
+// component is what a scan reads, and a filter matches an array by its
+// elements. The other components of a compound key are the first reachable
+// value of their field. The components of every key are one fresh
+// allocation, each key a window of it capped so that none reaches into the
+// next, and nothing writes them afterwards, which is what lets the tree keep
+// the keys it is given. A caller that passes a one-key array of its own, on
+// its stack, pays only that allocation for a one-value, one-path entry.
+func (ix *Index) keysForDoc(d *bson.Doc, keys []Key) []Key {
 	vals := ix.paths[0].Lookup(d)
 	switch vals.Len() {
 	case 0:
@@ -264,12 +269,15 @@ func (ix *Index) keysForDoc(d *bson.Doc) []Key {
 	default:
 		ix.multikey = true
 	}
-	keys := make([]Key, vals.Len())
-	for i := range keys {
-		keys[i] = make(Key, len(ix.paths))
-		if keys[i][0] = vals.At(i); ix.spec.Fields[0].Hashed {
-			keys[i][0] = hashValue(keys[i][0])
+	m := len(ix.paths)
+	flat := make([]any, vals.Len()*m)
+	keys = keys[:0]
+	for i := 0; i < vals.Len(); i++ {
+		key := Key(flat[i*m : (i+1)*m : (i+1)*m])
+		if key[0] = vals.At(i); ix.spec.Fields[0].Hashed {
+			key[0] = hashValue(key[0])
 		}
+		keys = append(keys, key)
 	}
 	for j, p := range ix.paths[1:] {
 		rest := p.Lookup(d)
@@ -311,7 +319,8 @@ func (ix *Index) Insert(d *bson.Doc, pos int) error {
 	if err != nil {
 		return err
 	}
-	return ix.insertKeys(ix.keysForDoc(d), p)
+	var one [1]Key
+	return ix.insertKeys(ix.keysForDoc(d, one[:]), p)
 }
 
 func (ix *Index) insertKeys(keys []Key, p uint32) error {
@@ -335,7 +344,8 @@ func (ix *Index) Remove(d *bson.Doc, pos int) {
 	if err != nil {
 		return // Insert never admitted it, so there is nothing to remove
 	}
-	ix.removeKeys(ix.keysForDoc(d), p)
+	var one [1]Key
+	ix.removeKeys(ix.keysForDoc(d, one[:]), p)
 }
 
 func (ix *Index) removeKeys(keys []Key, p uint32) {
@@ -367,7 +377,8 @@ func (ix *Index) Replace(old, updated *bson.Doc, pos int) error {
 	if ix.sameValues(old, updated) {
 		return nil
 	}
-	from, to := ix.keysForDoc(old), ix.keysForDoc(updated)
+	var oneFrom, oneTo [1]Key
+	from, to := ix.keysForDoc(old, oneFrom[:]), ix.keysForDoc(updated, oneTo[:])
 	if sameKeys(from, to) {
 		return nil
 	}

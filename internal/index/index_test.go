@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -505,6 +506,38 @@ func TestReplaceUnchangedAllocates(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Fatalf("%s: Replace with unchanged values allocated %.1f times, want 0", ix.Name(), allocs)
+		}
+	}
+}
+
+// TestInsertAllocates: a single-field index files a document under a new key
+// with two allocations, the key, which the tree keeps as it is, and the key's
+// posting list; the list keysForDoc returns the key in lives on Insert's
+// stack, and node splits, one insert in several, are what the average rounds
+// away. The parent commit made four: the key list, the key, the tree's copy
+// of the key and the posting list.
+func TestInsertAllocates(t *testing.T) {
+	const runs, maxAllocs = 1000, 2
+	for _, spec := range []*bson.Doc{bson.D(bson.IDKey, 1), bson.D("s", 1)} {
+		ix := New("", MustParseSpec(spec), false)
+		ix.SetStamp(1)
+		docs := make([]*bson.Doc, 2*runs+1)
+		for i := range docs {
+			docs[i] = bson.D(bson.IDKey, i, "s", fmt.Sprintf("v%06d", i))
+		}
+		pos := 0
+		insert := func() {
+			if err := ix.Insert(docs[pos], pos); err != nil {
+				t.Fatal(err)
+			}
+			pos++
+		}
+		for pos < runs {
+			insert()
+		}
+		ix.SetStamp(2) // a new era, as after a publish
+		if allocs := testing.AllocsPerRun(runs, insert); allocs > maxAllocs {
+			t.Fatalf("%s: an Insert allocated %.0f times, want at most %d", ix.Name(), allocs, maxAllocs)
 		}
 	}
 }

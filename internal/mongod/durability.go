@@ -186,7 +186,11 @@ func (s *Server) DurabilityEnabled() bool { return s.durable.Load() != nil }
 // server's state (newest checkpoint snapshot first, then a replay of the
 // records the snapshot does not cover, with any torn tail truncated away),
 // and attaches the WAL to every collection so subsequent writes are logged
-// before they apply. It must be called before the server starts serving.
+// before they apply. It must be called before the server starts serving:
+// the replay publishes a collection once per run of its batch records, a
+// run ending at a record that is not a batch, at another collection's record
+// or at the end of the log, and until then the collection's writer state is
+// ahead of what readers see.
 //
 // Recovery populates the server, so it is meant for servers constructed
 // empty; collections that already hold data keep it, but that data is not
@@ -230,36 +234,40 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 	}
 	// Phase 2: replay the log on top. Collections have no journal attached
 	// yet, so replayed writes are not re-logged. Consecutive batch records of
-	// one collection are handed to storage as a run — one lock hold and one
-	// published version per run, not per record — and any other record kind
-	// (a replace included: it ends the run, then applies whole), another
-	// collection or replayRunCap ends the run.
+	// one collection are a run: each is applied as it is decoded, and the
+	// run is published once, when a record that is not a batch, a record of
+	// another collection or the end of the log ends it. Nothing reads the
+	// collection meanwhile, so no version between is ever observable. A
+	// record that is not a batch goes through Apply after the run before it
+	// is published, so it sees every record replayed before it.
 	var (
-		run            []storage.ReplayBatch
+		run            *storage.Collection
 		runDB, runColl string
 	)
-	flushRun := func() {
-		if len(run) > 0 {
-			stats.RecordsReplayed += s.Database(runDB).Collection(runColl).ReplayBatches(run)
-			run = run[:0]
+	endRun := func() {
+		if run != nil {
+			run.PublishReplay()
+			run = nil
 		}
 	}
 	err = wal.Replay(w.Dir(), func(rec *wal.Record) error {
 		if rec.Kind != wal.KindBatch {
-			flushRun()
+			endRun()
 			if s.replayRecord(rec) {
 				stats.RecordsReplayed++
 			}
 			return nil
 		}
-		if len(run) == replayRunCap || rec.DB != runDB || rec.Coll != runColl {
-			flushRun()
-			runDB, runColl = rec.DB, rec.Coll
+		if run == nil || rec.DB != runDB || rec.Coll != runColl {
+			endRun()
+			run, runDB, runColl = s.Database(rec.DB).Collection(rec.Coll), rec.DB, rec.Coll
 		}
-		run = append(run, storage.ReplayBatch{LSN: rec.LSN, Ops: rec.Ops, Ordered: rec.Ordered})
+		if run.ReplayBatch(rec.LSN, rec.Ops, rec.Ordered) {
+			stats.RecordsReplayed++
+		}
 		return nil
 	})
-	flushRun()
+	endRun()
 	if err != nil {
 		w.Close()
 		return stats, fmt.Errorf("mongod: replaying wal: %w", err)
@@ -299,12 +307,6 @@ func (s *Server) EnableDurability(d Durability) (RecoveryStats, error) {
 	})
 	return stats, nil
 }
-
-// replayRunCap bounds how many batch records recovery applies per published
-// version: long enough that a run's page and tree-path copies amortize to
-// nothing, short enough that the decoded records it holds stay a small
-// fraction of the collection being rebuilt.
-const replayRunCap = 512
 
 // Apply turns one log record into server state. A replica-set member
 // applies the primary's oplog through it, and recovery every journal record

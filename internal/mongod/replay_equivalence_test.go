@@ -103,14 +103,17 @@ func diffStates(t *testing.T, what string, got, want map[string][]string) {
 // it twice — through EnableDurability's batched runs and through the
 // record-at-a-time oracle — and requires the same documents, index scans,
 // watermarks and replay count from both, and the same documents and indexes
-// as the server that wrote the log. The log has: two collections written
-// alternately (a run of one) and in long stretches (one longer than
-// replayRunCap); single- and multi-op batches; ordered batches that stop at
-// a duplicate _id; unordered ones with a unique-index violation mid-batch;
-// enough deletes to compact inside a run; an empty replacement, EnsureIndex,
-// DropIndex and DropCollection between runs; and a checkpoint whose
-// watermark falls in the middle of a run.
+// as the server that wrote the log. The log has: collections written
+// alternately (a run of one) and in long stretches (longer than the 512
+// records runs were once cut at); single- and multi-op batches; ordered
+// batches that stop at a duplicate _id; unordered ones with a unique-index
+// violation mid-batch; enough deletes to compact inside a run; an empty
+// replacement, EnsureIndex, DropIndex and DropCollection between runs; one
+// collection's stretch of batches with an EnsureIndex and a replacement in
+// the middle of it, each ending a run of more than 512 records; and a
+// checkpoint whose watermark falls in the middle of a run.
 func TestDurabilityTortureBatchedReplayEquivalence(t *testing.T) {
+	const longRun = 512 + 200
 	rng := rand.New(rand.NewSource(0x5EED16))
 	dir := t.TempDir()
 	live, _ := durableServer(t, dir, wal.SyncNone)
@@ -188,10 +191,10 @@ func TestDurabilityTortureBatchedReplayEquivalence(t *testing.T) {
 	ensure("c1", "k", false)
 	ensure("c1", "u", true)
 	ensure("c2", "u", true)
-	// A stretch on c1 longer than the run cap, with the checkpoint landing
-	// inside it: the records before it stay in the log (nothing is pruned
-	// from the one active segment) and replay must skip exactly those.
-	for i := 0; i < replayRunCap+200; i++ {
+	// A long stretch on c1, with the checkpoint landing inside it: the
+	// records before it stay in the log (nothing is pruned from the one
+	// active segment) and replay must skip exactly those.
+	for i := 0; i < longRun; i++ {
 		if i == 300 {
 			if _, err := live.Checkpoint(); err != nil {
 				t.Fatalf("checkpoint: %v", err)
@@ -231,6 +234,26 @@ func TestDurabilityTortureBatchedReplayEquivalence(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		step("c1")
 	}
+	// One stretch of c3's batches, three runs of more than 512 records
+	// each: an index built over the first, then the contents replaced by
+	// rows of their own, which drops it, and batches over those rows.
+	ensure("c3", "u", true)
+	for i := 0; i < 3*longRun; i++ {
+		switch i {
+		case longRun:
+			ensure("c3", "k", false)
+		case 2 * longRun:
+			alive["c3"] = nil
+			rows := make([]*bson.Doc, 100)
+			for j := range rows {
+				rows[j] = fresh("c3")
+			}
+			if err := db.Collection("c3").ReplaceContents(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step("c3")
+	}
 	if !db.DropCollection("c2") {
 		t.Fatal("c2 was not dropped")
 	}
@@ -249,7 +272,7 @@ func TestDurabilityTortureBatchedReplayEquivalence(t *testing.T) {
 	if batchedStats != oracleStats {
 		t.Fatalf("batched recovery stats %+v, record-at-a-time %+v", batchedStats, oracleStats)
 	}
-	if batchedStats.CheckpointLSN == 0 || batchedStats.RecordsReplayed < replayRunCap {
+	if batchedStats.CheckpointLSN == 0 || batchedStats.RecordsReplayed < 3*longRun {
 		t.Fatalf("recovery did not cross a checkpoint and a full run: %+v", batchedStats)
 	}
 	got := serverState(t, batched)

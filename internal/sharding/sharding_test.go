@@ -271,3 +271,27 @@ func TestConfigServerShardCollection(t *testing.T) {
 		t.Fatalf("AddShard changed a published partition: %v", got)
 	}
 }
+
+// TestHashedRoutingNearAChunkBound routes the routing values on either side
+// of each bound of a 3-shard hashed map, where the bounds are large int64s
+// no float64 tells from their neighbours: the value one below a bound
+// belongs to the chunk the bound closes, the bound itself to the next one.
+func TestHashedRoutingNearAChunkBound(t *testing.T) {
+	m := NewCollectionMetadata("db.c", MustParseShardKey(bson.D("k", "hashed")), []string{"Shard1", "Shard2", "Shard3"})
+	chunks := m.Chunks()
+	for i, c := range chunks[:len(chunks)-1] {
+		bound := c.Max.(int64)
+		if float64(bound-1) != float64(bound) {
+			t.Fatalf("bound %d is not past float64's precision; the test needs one that is", bound)
+		}
+		if shard, _ := m.ShardForValue(bound - 1); shard != c.Shard {
+			t.Errorf("%d, one below chunk %d's bound, routed to %s, want %s", bound-1, i, shard, c.Shard)
+		}
+		if shard, _ := m.ShardForValue(bound); shard != chunks[i+1].Shard {
+			t.Errorf("%d, chunk %d's bound, routed to %s, want %s", bound, i, shard, chunks[i+1].Shard)
+		}
+		if got := m.ShardsForRange(bound-1, true, bound-1, true); len(got) != 1 || got[0] != c.Shard {
+			t.Errorf("the range [%d, %d] reaches %v, want only %s", bound-1, bound-1, got, c.Shard)
+		}
+	}
+}

@@ -414,42 +414,40 @@ func (c *Collection) BulkApply(ops []WriteOp, opts BulkOptions) (BulkResult, Pen
 	return res, PendingCommit{commit: commit, journaled: opts.journalAck(), trace: opts.Trace}
 }
 
-// ReplayBatch is one journaled batch handed back by recovery: the logged
-// ops, the ordered flag they ran under and the record's LSN.
-type ReplayBatch struct {
-	LSN     int64
-	Ops     []WriteOp
-	Ordered bool
-}
-
-// ReplayBatches re-applies a run of consecutive journaled batches under one
-// write-lock acquisition and publishes one version for the whole run, so a
-// page or an index-tree path the run touches many times is copied once.
-// Each batch keeps its own ordered/unordered semantics and its per-op
-// failures replay exactly as they failed before the crash (the log records
-// the attempt, not the outcome). Batches at or below the collection's
-// watermark — already inside the checkpoint snapshot it was seeded from —
-// are skipped; the watermark ends at the run's last LSN. It returns how many
-// batches it applied. Recovery calls it before a journal is attached, so
-// nothing is logged again.
-func (c *Collection) ReplayBatches(run []ReplayBatch) int {
+// ReplayBatch re-applies one journaled batch during recovery, under the
+// collection's write lock, and publishes nothing: recovery calls it for each
+// batch record of a run as the record is decoded, and PublishReplay once the
+// run ends, so a run is one version however long it is and no page or
+// index-tree path it touches is copied — each was created or copied by the
+// run itself, or by the one before the last publish. The batch keeps its
+// ordered/unordered semantics and its per-op failures replay exactly as they
+// failed before the crash (the log records the attempt, not the outcome). A
+// batch at or below the collection's watermark is already inside the
+// checkpoint snapshot the collection was seeded from, and is skipped; an
+// applied one advances the watermark. It reports whether it applied the
+// batch. Recovery calls it before a journal is attached, so nothing is logged
+// again, and before anything reads the collection, which is what lets the
+// writer's state run ahead of the published version for a whole run.
+func (c *Collection) ReplayBatch(lsn int64, ops []WriteOp, ordered bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	applied := 0
-	for i := range run {
-		b := &run[i]
-		if b.LSN <= c.lastLSN {
-			continue
-		}
-		prep, res, inserts := prepareBulk(b.Ops)
-		c.applyOpsLocked(b.Ops, prep, inserts, b.Ordered, &res)
-		c.lastLSN = b.LSN
-		applied++
+	if lsn <= c.lastLSN {
+		return false
 	}
-	if applied > 0 {
+	prep, res, inserts := prepareBulk(ops)
+	c.applyOpsLocked(ops, prep, inserts, ordered, &res)
+	c.lastLSN = lsn
+	return true
+}
+
+// PublishReplay publishes what ReplayBatch applied since the collection's
+// last publish, as one version; with nothing applied it does nothing.
+func (c *Collection) PublishReplay() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.lastLSN != c.current.Load().lastLSN {
 		c.publishLocked()
 	}
-	return applied
 }
 
 // applyLocked executes one bulk op under the held write lock, folding its

@@ -164,9 +164,14 @@ type Collection struct {
 	count    int
 	dataSize int
 	tombs    int
-	// writeSeq identifies the current write batch: pages whose ownerSeq
-	// equals it are private to the batch and mutable in place. publishLocked
-	// advances it, disowning every page at once.
+	// owners is the spine's ownership mark, one entry per page: the write
+	// batch that created or copied the page. A page whose entry equals
+	// writeSeq is private to the current (unpublished) batch and mutable in
+	// place; any other is shared with published versions and must be copied
+	// first. Only the writer reads it, so it is never shared with a version.
+	owners []int64
+	// writeSeq identifies the current write batch. publishLocked advances it,
+	// disowning every page at once.
 	writeSeq int64
 	// pubLen is the published version's length: slots at or past it are
 	// batch-local and mutable without copying.
@@ -459,6 +464,7 @@ func (c *Collection) compactLocked() {
 	}
 	oldPages, oldLen := c.pages, c.length
 	c.pages = make([]*page, 0, (c.count+pageMask)>>pageShift)
+	c.owners = c.owners[:0]
 	c.length = 0
 	c.spineShared = false
 	newPos := make([]int, oldLen) // old position -> new, -1 for a dropped tombstone

@@ -973,3 +973,36 @@ func TestFindIndexVsCollscanEquivalenceProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestLargeIntegerIDsStayApart stores the _ids 2^53 and 2^53+1, one float64
+// apart from nothing: both insert, each is found by its own _id and by an
+// equality filter, and a duplicate of either is refused.
+func TestLargeIntegerIDsStayApart(t *testing.T) {
+	const two53 = int64(1) << 53
+	c := NewCollection("big")
+	for _, id := range []int64{two53, two53 + 1} {
+		if _, err := c.Insert(bson.D(bson.IDKey, id, "v", id-two53)); err != nil {
+			t.Fatalf("inserting _id %d: %v", id, err)
+		}
+	}
+	for _, id := range []int64{two53, two53 + 1} {
+		d := c.FindID(id)
+		if d == nil {
+			t.Fatalf("FindID(%d) found nothing", id)
+		}
+		if v, _ := d.Get("v"); v != id-two53 {
+			t.Fatalf("FindID(%d) found %s", id, d.ToJSON())
+		}
+		docs, err := c.Find(bson.D(bson.IDKey, id), FindOptions{})
+		if err != nil || len(docs) != 1 {
+			t.Fatalf("Find {_id: %d}: %d documents, %v", id, len(docs), err)
+		}
+		var dup *ErrDuplicateID
+		if _, err := c.Insert(bson.D(bson.IDKey, id)); !errors.As(err, &dup) {
+			t.Fatalf("a second _id %d: %v, want a duplicate _id", id, err)
+		}
+	}
+	if n := c.Count(); n != 2 {
+		t.Fatalf("%d documents, want 2", n)
+	}
+}

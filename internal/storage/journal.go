@@ -72,7 +72,7 @@ func (c *Collection) LastLSN() int64 {
 
 // SetReplayLSN records that the collection's state reflects the log up to
 // lsn. Recovery calls it after loading a checkpoint snapshot and after
-// replaying each structural record (ReplayBatches advances the watermark
+// replaying each structural record (ReplayBatch advances the watermark
 // itself); it never moves the watermark backwards.
 func (c *Collection) SetReplayLSN(lsn int64) {
 	c.mu.Lock()

@@ -24,18 +24,14 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// page is one fixed-size block of record slots. Published pages are
-// immutable except for two writer-side escape hatches that no reader can
-// observe: slots at positions >= every published length (batch-local
-// appends), and ownerSeq, which only the writer (under the collection mutex)
-// reads or writes.
+// page is one fixed-size block of record slots: 4 KiB exactly, a size class
+// of Go's allocator, so a page costs what it holds. Published pages are
+// immutable except at slots at positions >= every published length
+// (batch-local appends), which no reader observes. Which pages the current
+// batch owns the writer keeps beside the spine (Collection.owners), not in
+// the page.
 type page struct {
 	recs [pageSize]record
-	// ownerSeq marks the write batch that privately owns this page: when it
-	// equals the collection's writeSeq the page was created or copied by the
-	// current (unpublished) batch and may be mutated freely; otherwise the
-	// page is shared with published versions and must be copied first.
-	ownerSeq int64
 }
 
 // record returns the record at pos in the version.
@@ -84,12 +80,13 @@ func pageLiveBytes(p *page, limit int) int64 {
 func (c *Collection) ownSlotLocked(pos int) *record {
 	pi, off := pos>>pageShift, pos&pageMask
 	p := c.pages[pi]
-	if p.ownerSeq == c.writeSeq || pos >= c.pubLen {
+	if c.owners[pi] == c.writeSeq || pos >= c.pubLen {
 		return &p.recs[off]
 	}
-	np := &page{recs: p.recs, ownerSeq: c.writeSeq}
+	np := &page{recs: p.recs}
 	c.ensureSpineLocked()
 	c.pages[pi] = np
+	c.owners[pi] = c.writeSeq
 	copied := pageLiveBytes(p, c.pubLen-(pi<<pageShift))
 	c.pagesCopied.Add(1)
 	c.cowBytesCopied.Add(copied)
@@ -106,7 +103,8 @@ func (c *Collection) appendSlotLocked() *record {
 	pos := c.length
 	pi, off := pos>>pageShift, pos&pageMask
 	if pi == len(c.pages) {
-		np := &page{ownerSeq: c.writeSeq}
+		np := new(page)
+		c.owners = append(c.owners, c.writeSeq)
 		if len(c.pages) == cap(c.pages) {
 			// The append below reallocates the spine, leaving the shared
 			// array untouched in the published version's hands.

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"docstore/internal/bson"
@@ -290,9 +291,19 @@ func TestSupersededPageReachability(t *testing.T) {
 	}
 }
 
+// TestPageIs4KiB pins a page at 256 records of 16 B and nothing else: which
+// batch owns a page is the writer's to know, kept beside the spine, and a
+// field for it in the page would take it past 4 KiB.
+func TestPageIs4KiB(t *testing.T) {
+	if got := unsafe.Sizeof(page{}); got != 4096 {
+		t.Fatalf("a page is %d B, want 4096", got)
+	}
+}
+
 // TestPointUpdateAllocates pins what one $inc by _id costs on a collection of
-// ten pages, where it copies one page: the page copy (4,104 B, which Go
-// allocates in its 4,864 B size class), the spine copy (ten pointers, 80 B)
+// ten pages, where it copies one page: the page copy (4,096 B, which with the
+// 8 B header Go gives an object over 512 B that holds pointers still lands in
+// its 4,864 B size class), the spine copy (ten pointers, 80 B)
 // and the update's own allocations — the filter's plan, the document's
 // shallow copy, the version and its frozen index set, the result — 28
 // allocations and 6,014 B in all. A change that makes the update cheaper

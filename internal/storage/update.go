@@ -257,7 +257,7 @@ func (c *Collection) ReplaceContents(rows []*bson.Doc) error {
 	}
 	// The records, the user-created indexes and the counters go; the new
 	// records and their _id_ take their place.
-	c.pages = nil
+	c.pages, c.owners = nil, c.owners[:0]
 	c.length = 0
 	c.tombs = 0
 	c.spineShared = false
