@@ -514,8 +514,7 @@ func TestReplaceUnchangedAllocates(t *testing.T) {
 // with two allocations, the key, which the tree keeps as it is, and the key's
 // posting list; the list keysForDoc returns the key in lives on Insert's
 // stack, and node splits, one insert in several, are what the average rounds
-// away. The parent commit made four: the key list, the key, the tree's copy
-// of the key and the posting list.
+// away.
 func TestInsertAllocates(t *testing.T) {
 	const runs, maxAllocs = 1000, 2
 	for _, spec := range []*bson.Doc{bson.D(bson.IDKey, 1), bson.D("s", 1)} {

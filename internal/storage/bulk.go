@@ -417,17 +417,18 @@ func (c *Collection) BulkApply(ops []WriteOp, opts BulkOptions) (BulkResult, Pen
 // ReplayBatch re-applies one journaled batch during recovery, under the
 // collection's write lock, and publishes nothing: recovery calls it for each
 // batch record of a run as the record is decoded, and PublishReplay once the
-// run ends, so a run is one version however long it is and no page or
-// index-tree path it touches is copied — each was created or copied by the
-// run itself, or by the one before the last publish. The batch keeps its
-// ordered/unordered semantics and its per-op failures replay exactly as they
-// failed before the crash (the log records the attempt, not the outcome). A
-// batch at or below the collection's watermark is already inside the
-// checkpoint snapshot the collection was seeded from, and is skipped; an
-// applied one advances the watermark. It reports whether it applied the
-// batch. Recovery calls it before a journal is attached, so nothing is logged
-// again, and before anything reads the collection, which is what lets the
-// writer's state run ahead of the published version for a whole run.
+// run ends, so a run is one version however long it is. A page or an
+// index-tree path the run created is never copied, and one an earlier
+// version holds is copied once, on the run's first write to it. The batch
+// keeps its ordered/unordered semantics and its per-op failures replay
+// exactly as they failed before the crash (the log records the attempt, not
+// the outcome). A batch at or below the collection's watermark is already
+// inside the checkpoint snapshot the collection was seeded from, and is
+// skipped; an applied one advances the watermark. It reports whether it
+// applied the batch. Recovery calls it before a journal is attached, so
+// nothing is logged again, and before anything reads the collection, which
+// is what lets the writer's state run ahead of the published version for a
+// whole run.
 func (c *Collection) ReplayBatch(lsn int64, ops []WriteOp, ordered bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()

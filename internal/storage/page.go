@@ -24,9 +24,8 @@ const (
 	pageMask  = pageSize - 1
 )
 
-// page is one fixed-size block of record slots: 4 KiB exactly, a size class
-// of Go's allocator, so a page costs what it holds. Published pages are
-// immutable except at slots at positions >= every published length
+// page is one fixed-size block of record slots, 4 KiB exactly. Published
+// pages are immutable except at slots at positions >= every published length
 // (batch-local appends), which no reader observes. Which pages the current
 // batch owns the writer keeps beside the spine (Collection.owners), not in
 // the page.

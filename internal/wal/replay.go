@@ -26,7 +26,9 @@ var errReplayStopped = errors.New("wal: replay stopped")
 //
 // The records are read and decoded on a goroutine of Replay's own, ahead of
 // fn by a bounded queue, so decoding the log and applying it run on two
-// cores. That goroutine has ended when Replay returns.
+// cores. Whether the replay ends or fn stops it, Replay returns only after
+// that goroutine's last act, closing the queue: nothing of it outlives the
+// call.
 //
 // A torn record is tolerated only at the tail of the newest segment, where
 // it marks the crash point; anywhere else it is corruption and an error,
@@ -65,13 +67,17 @@ func Replay(dir string, fn func(*Record) error) error {
 		}
 		decodeErr = err
 	}()
+	defer func() {
+		// However fn left the loop below — the log's end, an error, a
+		// panic — the decoder sees stop and closes chunks; the drain waits
+		// for that.
+		close(stop)
+		for range chunks {
+		}
+	}()
 	for chunk := range chunks {
 		for _, r := range chunk {
 			if err := fn(r); err != nil {
-				close(stop)
-				for range chunks {
-					// Drain until the decoder, seeing stop, closes chunks.
-				}
 				return err
 			}
 		}

@@ -43,7 +43,8 @@ func settledGoroutines(want int) bool {
 // chunk, one in a later segment, the last of the log — and requires each
 // time that fn saw exactly the records up to the stop, in LSN order, that
 // Replay returned fn's own error, and that the decoding goroutine is gone
-// when Replay has returned. A replay that runs to the end sees every record.
+// when Replay has returned, as it is after a panic in fn. A replay that runs
+// to the end sees every record.
 func TestReplayStopsEarly(t *testing.T) {
 	const n = 5*replayChunk*replayQueue + 17
 	dir := t.TempDir()
@@ -78,11 +79,28 @@ func TestReplayStopsEarly(t *testing.T) {
 			t.Fatalf("stopping at %d: %d goroutines after Replay returned, %d before", stopAt, runtime.NumGoroutine(), base)
 		}
 	}
+	// A panic in fn stops the decoder too.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("fn's panic did not reach Replay's caller")
+			}
+		}()
+		Replay(dir, func(r *Record) error {
+			if r.LSN == replayChunk+1 {
+				panic("fn fails")
+			}
+			return nil
+		})
+	}()
+	if !settledGoroutines(base) {
+		t.Fatalf("after a panic in fn: %d goroutines, %d before", runtime.NumGoroutine(), base)
+	}
 }
 
 // TestReplayDeliversRecordsBeforeCorruption corrupts the last record of the
-// first segment: Replay hands fn every record before it and then fails, as
-// it did when it decoded on fn's goroutine, and leaves no goroutine behind.
+// first segment: Replay hands fn every record before it, then fails, and
+// leaves no goroutine behind.
 func TestReplayDeliversRecordsBeforeCorruption(t *testing.T) {
 	dir := t.TempDir()
 	segs := multiSegmentLog(t, dir, 3*replayChunk)
